@@ -27,9 +27,13 @@ fn churn<P: Protocol>(topo: Topology, proto: P, model: &FailureModel) -> (usize,
     let schedule = FailureSchedule::draw(e.topo(), model, start, horizon_ms);
     let failures = schedule.failures();
     schedule.apply(&mut e);
-    e.stats.reset_counters();
+    e.begin_phase("churn");
     e.run_to_quiescence();
-    let msgs = e.stats.msgs_sent;
+    let msgs = e
+        .stats
+        .phase_delta("churn")
+        .expect("phase begun above")
+        .msgs_sent;
     (failures, msgs, msgs as f64 / failures.max(1) as f64)
 }
 

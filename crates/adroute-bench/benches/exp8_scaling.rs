@@ -40,14 +40,18 @@ fn run<P: Protocol>(topo: Topology, proto: P) -> Row {
         .expect("non-empty topology");
     let t = e.now().plus_us(1000);
     e.schedule_link_change(victim, false, t);
-    e.stats.reset_counters();
+    e.begin_phase("failure-response");
     e.run_to_quiescence();
+    let response = e
+        .stats
+        .phase_delta("failure-response")
+        .expect("phase begun above");
     Row {
         msgs,
         bytes,
         conv,
-        fail_msgs: e.stats.msgs_sent,
-        fail_bytes: e.stats.bytes_sent,
+        fail_msgs: response.msgs_sent,
+        fail_bytes: response.bytes_sent,
     }
 }
 

@@ -112,7 +112,7 @@ COMMANDS:
                 C iterations of per-delivery work (--json emits the
                 BENCH_engine.json schema); or: --obs [--ads N --rounds R
                 --seed S] to price the observability sinks on that same
-                flood — no sink vs trace observer vs self-profiler, best
+                flood — no sink vs typed event log vs self-profiler, best
                 of three interleaved runs each (--json emits the
                 BENCH_obs.json schema that CI's obs-overhead gate reads);
                 or: --chaos [--ads N --workers K --rounds R --loss P
@@ -2121,7 +2121,7 @@ pub fn bench(args: &Args) -> Result<String, CliError> {
 /// queue, and delivery machinery, not protocol computation. Five timed
 /// runs over the same deterministic event population: sequential with no
 /// observer (the zero-allocation dispatch path), region-parallel at
-/// `--workers`, sequential with the trace observer attached (pricing the
+/// `--workers`, sequential with the typed event log attached (pricing the
 /// emit path the no-observer run skips), and a sequential/parallel pair
 /// with `--cost` iterations of synthetic per-delivery compute — the
 /// compute-bound regime where region-parallel execution pays, since its
@@ -2157,7 +2157,7 @@ fn bench_engine(args: &Args) -> Result<String, CliError> {
     let run = |g: Gossip, regions: Option<usize>, trace_cap: usize| {
         let mut e = Engine::new(topo.clone(), g);
         if trace_cap > 0 {
-            e.enable_trace(trace_cap);
+            e.enable_obs(trace_cap);
         }
         let t0 = std::time::Instant::now();
         let quiesced = match regions {
@@ -2353,7 +2353,7 @@ fn bench_chaos(args: &Args) -> Result<String, CliError> {
 
 /// `bench --obs`: price the observability sinks on the engine bench's
 /// gossip flood — the same deterministic event population run with no
-/// sink, with the trace observer attached, and with the self-profiler
+/// sink, with the typed event log attached, and with the self-profiler
 /// on. Each mode is timed three times, interleaved so clock drift hits
 /// all modes alike, and the best run kept, which cancels scheduler
 /// noise out of the overhead ratios. `prof_overhead` is the CI-gated
@@ -2378,11 +2378,11 @@ fn bench_obs(args: &Args) -> Result<String, CliError> {
     let (num_ads, links) = (topo.num_ads(), topo.num_links());
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
 
-    // Modes: 0 = no sink, 1 = trace observer, 2 = self-profiler.
+    // Modes: 0 = no sink, 1 = typed event log, 2 = self-profiler.
     let run = |mode: usize| {
         let mut e = Engine::new(topo.clone(), gossip);
         match mode {
-            1 => e.enable_trace(1 << 16),
+            1 => e.enable_obs(1 << 16),
             2 => e.enable_prof(),
             _ => {}
         }
@@ -2429,20 +2429,20 @@ fn bench_obs(args: &Args) -> Result<String, CliError> {
         );
         let _ = writeln!(
             out,
-            "no sink:        {:.3} ms ({} events/s)",
+            "no sink:         {:.3} ms ({} events/s)",
             ms(best[0]),
             rate(best[0])
         );
         let _ = writeln!(
             out,
-            "trace observer: {:.3} ms ({} events/s, overhead {:.3}x)",
+            "typed event log: {:.3} ms ({} events/s, overhead {:.3}x)",
             ms(best[1]),
             rate(best[1]),
             ratio(best[1])
         );
         let _ = writeln!(
             out,
-            "self-profiler:  {:.3} ms ({} events/s, overhead {:.3}x, budget 1.05x)",
+            "self-profiler:   {:.3} ms ({} events/s, overhead {:.3}x, budget 1.05x)",
             ms(best[2]),
             rate(best[2]),
             ratio(best[2])

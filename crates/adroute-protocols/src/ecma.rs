@@ -546,12 +546,12 @@ mod tests {
         let l = e.topo().link_between(AdId(0), AdId(1)).unwrap();
         let t = e.now().plus_us(1000);
         e.schedule_link_change(l, false, t);
-        e.stats.reset_counters();
+        e.begin_phase("failure-response");
         e.run_to_quiescence();
+        let sent = e.stats.phase_delta("failure-response").unwrap().msgs_sent;
         assert!(
-            e.stats.msgs_sent < 200,
-            "suspiciously many messages after one failure: {}",
-            e.stats.msgs_sent
+            sent < 200,
+            "suspiciously many messages after one failure: {sent}"
         );
         let topo = e.topo().clone();
         let out = forward(&mut e, &topo, &FlowSpec::best_effort(AdId(3), AdId(4)));

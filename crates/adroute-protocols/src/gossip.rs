@@ -218,14 +218,18 @@ mod tests {
             ..Gossip::default()
         };
         let mut seq = Engine::new(topo.clone(), g);
-        seq.enable_trace(1 << 16);
+        seq.enable_obs(1 << 16);
         let t_seq = seq.run_to_quiescence();
         for regions in [2, 8] {
             let mut par = Engine::new(topo.clone(), g);
-            par.enable_trace(1 << 16);
+            par.enable_obs(1 << 16);
             let t = par.run_to_quiescence_parallel(regions);
             assert_eq!(t, t_seq);
-            assert_eq!(par.trace.render(), seq.trace.render(), "{regions} regions");
+            assert_eq!(
+                par.obs.log.render(),
+                seq.obs.log.render(),
+                "{regions} regions"
+            );
             assert_eq!(par.stats.msgs_sent, seq.stats.msgs_sent);
             for ad in 0..seq.topo().num_ads() {
                 let id = AdId(ad as u32);

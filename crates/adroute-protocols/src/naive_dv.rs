@@ -389,12 +389,13 @@ mod tests {
         let t = e.now().plus_us(1000);
         e.schedule_link_change(l12, false, t);
         e.schedule_link_change(l23, false, t);
-        e.stats.reset_counters();
+        e.begin_phase("failure-response");
         e.run_to_quiescence();
         assert_eq!(e.router(AdId(0)).metric[2], 16, "AD2 should be unreachable");
         assert_eq!(e.router(AdId(0)).next_hop[2], None);
         // Count-to-infinity generated extra traffic.
-        assert!(e.stats.msgs_sent > 4, "expected count-to-infinity chatter");
+        let response = e.stats.phase_delta("failure-response").unwrap();
+        assert!(response.msgs_sent > 4, "expected count-to-infinity chatter");
     }
 
     #[test]
@@ -410,9 +411,9 @@ mod tests {
             let l = e.topo().link_between(AdId(0), AdId(1)).unwrap();
             let t = e.now().plus_us(1000);
             e.schedule_link_change(l, false, t);
-            e.stats.reset_counters();
+            e.begin_phase("failure-response");
             e.run_to_quiescence();
-            e.stats.msgs_sent
+            e.stats.phase_delta("failure-response").unwrap().msgs_sent
         };
         // Poisoned reverse should not *increase* convergence traffic.
         assert!(run(true) <= run(false) * 2);

@@ -9,7 +9,6 @@ use crate::faults::{ChannelFaults, ChannelVerdict};
 use crate::obs::prof::Profiler;
 use crate::obs::{EventId, EventLog, EventRecord, Obs};
 use crate::stats::Stats;
-use crate::trace::Trace;
 
 /// A routing protocol that can be run by the [`Engine`].
 ///
@@ -100,8 +99,8 @@ pub struct Ctx<'a, M> {
     /// reaction — LSA accepted, route recomputed — *before* flooding),
     /// falling back to the dispatched event itself.
     pub(crate) anchor: Option<usize>,
-    /// Whether any event sink (trace or typed log) is enabled; when
-    /// false, [`Ctx::emit`] is a no-op so protocols pay nothing.
+    /// Whether the typed event log is enabled; when false,
+    /// [`Ctx::emit`] is a no-op so protocols pay nothing.
     pub(crate) observing: bool,
 }
 
@@ -194,8 +193,8 @@ impl<'a, M> Ctx<'a, M> {
     }
 
     /// Emits a typed protocol event (LSA accepted, route recomputed, …)
-    /// into the engine's observability stream. A no-op unless tracing or
-    /// the typed event log is enabled, so hot paths stay free.
+    /// into the engine's observability stream. A no-op unless the typed
+    /// event log is enabled, so hot paths stay free.
     pub fn emit(&mut self, rec: EventRecord) {
         if self.observing {
             self.anchor = Some(self.events.len());
@@ -204,25 +203,326 @@ impl<'a, M> Ctx<'a, M> {
     }
 }
 
-/// Reusable dispatch buffers. [`Engine::dispatch`] hands these to each
+/// Reusable dispatch buffers. [`World::react`] hands these to each
 /// [`Ctx`] and takes them back drained, so steady-state dispatch allocates
 /// nothing — the hot-path requirement for paper-scale runs (and the whole
-/// point when no observer is attached and `events` stays empty).
-pub(crate) struct Scratch<M> {
-    pub(crate) outbox: Vec<(AdId, LinkId, M, Option<usize>)>,
-    pub(crate) timers: Vec<(u64, u64, Option<usize>)>,
-    pub(crate) events: Vec<EventRecord>,
-    pub(crate) emitted: Vec<Option<EventId>>,
+/// point when no observer is attached and `events` stays empty). `C` is
+/// the sink's cause type.
+pub(crate) struct Scratch<M, C> {
+    outbox: Vec<(AdId, LinkId, M, Option<usize>)>,
+    timers: Vec<(u64, u64, Option<usize>)>,
+    events: Vec<EventRecord>,
+    emitted: Vec<C>,
 }
 
-impl<M> Default for Scratch<M> {
-    fn default() -> Scratch<M> {
+impl<M, C> Default for Scratch<M, C> {
+    fn default() -> Scratch<M, C> {
         Scratch {
             outbox: Vec::new(),
             timers: Vec::new(),
             events: Vec::new(),
             emitted: Vec::new(),
         }
+    }
+}
+
+/// Where the effects of a dispatched event go. The event semantics are
+/// written once ([`World::dispatch_event`], [`World::react`]) against this
+/// trait; the sequential engine applies effects immediately ([`Direct`]),
+/// a parallel lane journals them for the commit replay
+/// (`parallel::Lane`). Monomorphisation gives each its own copy of the
+/// core with no dynamic dispatch.
+pub(crate) trait Sink<M> {
+    /// What a record or queued event cites as its causal parent: a real
+    /// id for [`Direct`], a symbolic reference inside a lane.
+    type Cause: Copy;
+
+    /// Records `rec` as a child of `cause` and returns what its own
+    /// effects should cite: the new record, or `cause` itself when no
+    /// observer is attached and nothing was recorded.
+    fn emit(&mut self, cause: Self::Cause, rec: EventRecord) -> Self::Cause;
+
+    /// Queues an AD-targeted event.
+    fn push(&mut self, time: SimTime, cause: Self::Cause, kind: EventKind<M>);
+
+    /// Counts one message sent by `ad` and returns its cumulative send
+    /// ordinal — the key of the channel-fault draw, so it must be the
+    /// same number under either sink.
+    fn count_send(&mut self, ad: AdId) -> u64;
+
+    /// The counters this sink's effects accumulate into.
+    fn stats(&mut self) -> &mut Stats;
+}
+
+/// The sequential sink: engine heaps, real [`EventId`]s, the engine's own
+/// [`Stats`].
+pub(crate) struct Direct<'a, M> {
+    now: SimTime,
+    queue: &'a mut BinaryHeap<Event<M>>,
+    ctrl: &'a mut BinaryHeap<Event<M>>,
+    seq: &'a mut u64,
+    stats: &'a mut Stats,
+    obs: &'a mut Obs,
+}
+
+impl<M> Direct<'_, M> {
+    /// Appends `rec` to the typed log (when enabled) and returns the id
+    /// the log assigned.
+    #[inline]
+    fn record(&mut self, cause: Option<EventId>, rec: EventRecord) -> Option<EventId> {
+        if self.obs.log.capacity() > 0 {
+            return self.obs.record_event(self.now, cause, rec);
+        }
+        None
+    }
+}
+
+impl<M> Sink<M> for Direct<'_, M> {
+    type Cause = Option<EventId>;
+
+    #[inline]
+    fn emit(&mut self, cause: Option<EventId>, rec: EventRecord) -> Option<EventId> {
+        self.record(cause, rec).or(cause)
+    }
+
+    #[inline]
+    fn push(&mut self, time: SimTime, cause: Option<EventId>, kind: EventKind<M>) {
+        let seq = *self.seq;
+        *self.seq += 1;
+        let ev = Event {
+            time,
+            seq,
+            cause,
+            kind,
+        };
+        if ev.kind.target_ad().is_some() {
+            self.queue.push(ev);
+        } else {
+            self.ctrl.push(ev);
+        }
+    }
+
+    #[inline]
+    fn count_send(&mut self, ad: AdId) -> u64 {
+        let n = &mut self.stats.per_ad_msgs[ad.index()];
+        *n += 1;
+        *n
+    }
+
+    #[inline]
+    fn stats(&mut self) -> &mut Stats {
+        self.stats
+    }
+}
+
+/// What a targeted event runs against: the state only control events may
+/// change (shared, read-only) and the routers of ADs
+/// `base..base + routers.len()` — the whole arena for the sequential
+/// engine, one region's slice for a lane.
+pub(crate) struct World<'a, P: Protocol, C> {
+    pub(crate) protocol: &'a P,
+    pub(crate) topo: &'a Topology,
+    pub(crate) router_up: &'a [bool],
+    pub(crate) incarnations: &'a [u32],
+    pub(crate) routers: &'a mut [P::Router],
+    pub(crate) base: usize,
+    pub(crate) faults: Option<&'a ChannelFaults>,
+    /// Whether the typed log is recording (gates [`Ctx::emit`]).
+    pub(crate) observing: bool,
+    /// Time of the event being dispatched.
+    pub(crate) now: SimTime,
+    pub(crate) scratch: &'a mut Scratch<P::Msg, C>,
+}
+
+impl<P: Protocol, C: Copy> World<'_, P, C> {
+    /// The semantics of the AD-targeted events (start / deliver / timer).
+    /// Control events mutate what `World` shares read-only, so they never
+    /// come here: [`Engine::step`] handles them.
+    ///
+    /// Forced inline (with [`World::react`]) so that in `Engine::step` the
+    /// `World`/`Direct` views dissolve back into plain field accesses;
+    /// left to the inliner, the benchmark's converge stage ran ~3% slower.
+    #[inline(always)]
+    pub(crate) fn dispatch_event<S>(&mut self, sink: &mut S, cause: C, kind: EventKind<P::Msg>)
+    where
+        S: Sink<P::Msg, Cause = C>,
+    {
+        match kind {
+            EventKind::Start { ad } => {
+                let id = sink.emit(cause, EventRecord::Start { ad });
+                self.react(sink, ad, id, |p, r, ctx| p.on_start(r, ctx));
+            }
+            EventKind::Deliver {
+                to,
+                from,
+                link,
+                msg,
+            } => {
+                // A message in flight when its link failed, or whose
+                // destination crashed, is lost.
+                if self.topo.link(link).up && self.router_up[to.index()] {
+                    sink.stats().msgs_delivered += 1;
+                    sink.stats().last_activity = self.now;
+                    let id = sink.emit(cause, EventRecord::MsgDeliver { from, to, link });
+                    self.react(sink, to, id, |p, r, ctx| {
+                        p.on_message(r, ctx, from, link, msg)
+                    });
+                } else {
+                    sink.stats().msgs_lost += 1;
+                    sink.emit(cause, EventRecord::MsgLost { from, to, link });
+                }
+            }
+            EventKind::Timer {
+                ad,
+                token,
+                incarnation,
+            } => {
+                // Timers armed by a previous incarnation (or aimed at a
+                // currently dead router) died with the state that set them.
+                if self.router_up[ad.index()] && incarnation == self.incarnations[ad.index()] {
+                    let id = sink.emit(cause, EventRecord::TimerFire { ad, token });
+                    self.react(sink, ad, id, |p, r, ctx| p.on_timer(r, ctx, token));
+                } else {
+                    sink.emit(cause, EventRecord::StaleTimer { ad, token });
+                }
+            }
+            EventKind::LinkEvent { .. } | EventKind::RouterEvent { .. } => {
+                unreachable!("control events are handled by Engine::step")
+            }
+        }
+    }
+
+    /// Runs handler `f` on router `ad` and turns what it buffered in its
+    /// [`Ctx`] into effects on `sink`: protocol records, then sends (each
+    /// through the channel-fault verdict), then timers.
+    #[inline(always)]
+    pub(crate) fn react<S, F>(&mut self, sink: &mut S, ad: AdId, cause: C, f: F)
+    where
+        S: Sink<P::Msg, Cause = C>,
+        F: FnOnce(&P, &mut P::Router, &mut Ctx<'_, P::Msg>),
+    {
+        // Hand the reusable buffers to the context; they come back drained
+        // below, so steady-state dispatch performs no allocation.
+        let mut ctx = Ctx {
+            me: ad,
+            now: self.now,
+            topo: self.topo,
+            stats: sink.stats(),
+            outbox: std::mem::take(&mut self.scratch.outbox),
+            timers: std::mem::take(&mut self.scratch.timers),
+            events: std::mem::take(&mut self.scratch.events),
+            anchor: None,
+            observing: self.observing,
+        };
+        f(
+            self.protocol,
+            &mut self.routers[ad.index() - self.base],
+            &mut ctx,
+        );
+        let Ctx {
+            mut outbox,
+            mut timers,
+            mut events,
+            ..
+        } = ctx;
+        // Protocol-emitted records are children of the dispatched event;
+        // what each emit returns lets the sends and timers that followed
+        // it attach to the precise reaction that produced them.
+        let mut emitted = std::mem::take(&mut self.scratch.emitted);
+        for rec in events.drain(..) {
+            emitted.push(sink.emit(cause, rec));
+        }
+        let resolve = |anchor: Option<usize>| anchor.map_or(cause, |i| emitted[i]);
+        for (to, link, msg, anchor) in outbox.drain(..) {
+            let mut delay = self.topo.link(link).delay_us;
+            let bytes = self.protocol.msg_size(&msg) as u64;
+            sink.stats().msgs_sent += 1;
+            sink.stats().bytes_sent += bytes;
+            let ordinal = sink.count_send(ad);
+            // The per-hop chain: whatever happens to this message in
+            // flight (channel fault, delivery) descends from its send.
+            let hop_cause = sink.emit(
+                resolve(anchor),
+                EventRecord::MsgSend {
+                    from: ad,
+                    to,
+                    link,
+                    bytes,
+                },
+            );
+            let mut dup_at = None;
+            // The verdict is keyed on the sender's cumulative send count,
+            // so it is the same whichever sink this dispatch feeds.
+            if let Some(cfg) = self.faults.filter(|cfg| cfg.active_at(self.now)) {
+                match cfg.judge(ad, ordinal, delay) {
+                    ChannelVerdict::Lost => {
+                        sink.stats().msgs_lost += 1;
+                        sink.emit(hop_cause, EventRecord::ChanLoss { from: ad, to, link });
+                        continue;
+                    }
+                    ChannelVerdict::Corrupted => {
+                        sink.stats().msgs_corrupted += 1;
+                        sink.emit(hop_cause, EventRecord::ChanCorrupt { from: ad, to, link });
+                        continue;
+                    }
+                    ChannelVerdict::Pass {
+                        delay_us,
+                        duplicate_at_us,
+                        reordered,
+                    } => {
+                        if reordered {
+                            sink.stats().msgs_reordered += 1;
+                            sink.emit(hop_cause, EventRecord::ChanReorder { from: ad, to, link });
+                        }
+                        if let Some(d) = duplicate_at_us {
+                            sink.stats().msgs_duplicated += 1;
+                            sink.emit(hop_cause, EventRecord::ChanDup { from: ad, to, link });
+                            dup_at = Some(self.now.plus_us(d));
+                        }
+                        delay = delay_us;
+                    }
+                }
+            }
+            if let Some(at) = dup_at {
+                sink.push(
+                    at,
+                    hop_cause,
+                    EventKind::Deliver {
+                        to,
+                        from: ad,
+                        link,
+                        msg: msg.clone(),
+                    },
+                );
+            }
+            sink.push(
+                self.now.plus_us(delay),
+                hop_cause,
+                EventKind::Deliver {
+                    to,
+                    from: ad,
+                    link,
+                    msg,
+                },
+            );
+        }
+        let incarnation = self.incarnations[ad.index()];
+        for (delay_us, token, anchor) in timers.drain(..) {
+            sink.push(
+                self.now.plus_us(delay_us),
+                resolve(anchor),
+                EventKind::Timer {
+                    ad,
+                    token,
+                    incarnation,
+                },
+            );
+        }
+        emitted.clear();
+        self.scratch.outbox = outbox;
+        self.scratch.timers = timers;
+        self.scratch.events = events;
+        self.scratch.emitted = emitted;
     }
 }
 
@@ -253,21 +553,16 @@ pub struct Engine<P: Protocol> {
     /// reorder); verdicts are drawn per message, keyed on event identity.
     pub(crate) faults: Option<ChannelFaults>,
     /// Reusable dispatch buffers (see [`Scratch`]).
-    scratch: Scratch<P::Msg>,
+    scratch: Scratch<P::Msg, Option<EventId>>,
     /// Safety valve: maximum events processed per `run_*` call family.
     pub max_events: u64,
     /// Accumulated measurement counters.
     pub stats: Stats,
-    /// Optional event trace (capacity 0 = disabled). The trace is a
-    /// rendered view over the typed event stream: each line is an
-    /// [`EventRecord`]'s `Display` form. Because the engine is
-    /// deterministic, the rendered trace is a golden artifact: equal
-    /// configurations produce byte-identical traces, and
-    /// [`Trace::first_divergence`] pinpoints where two runs split.
-    pub trace: Trace,
     /// Structured observability: the typed event log (capacity 0 =
     /// disabled, see [`Engine::enable_obs`]) plus the always-live metrics
-    /// registry.
+    /// registry. Because the engine is deterministic, the log is a golden
+    /// artifact: equal configurations produce byte-identical logs, and
+    /// [`EventLog::first_divergence`] pinpoints where two runs split.
     pub obs: Obs,
     /// The self-profiler (disabled by default; see
     /// [`Engine::enable_prof`]). Its span/wall side is measurement-only;
@@ -305,7 +600,6 @@ impl<P: Protocol> Engine<P> {
             scratch: Scratch::default(),
             max_events: 50_000_000,
             stats,
-            trace: Trace::new(0),
             obs: Obs::disabled(),
             prof: Profiler::new(),
             pool: None,
@@ -316,20 +610,36 @@ impl<P: Protocol> Engine<P> {
         e
     }
 
-    fn push(&mut self, time: SimTime, cause: Option<EventId>, kind: EventKind<P::Msg>) {
-        let seq = self.seq;
-        self.seq += 1;
-        let ev = Event {
-            time,
-            seq,
-            cause,
-            kind,
+    /// Splits the engine into what a dispatch reads ([`World`], over the
+    /// whole router arena) and where its effects go ([`Direct`]).
+    #[inline]
+    fn split(&mut self) -> (World<'_, P, Option<EventId>>, Direct<'_, P::Msg>) {
+        let observing = self.observing();
+        let world = World {
+            protocol: &self.protocol,
+            topo: &self.topo,
+            router_up: &self.router_up,
+            incarnations: &self.incarnations,
+            routers: &mut self.routers,
+            base: 0,
+            faults: self.faults.as_ref(),
+            observing,
+            now: self.now,
+            scratch: &mut self.scratch,
         };
-        if ev.kind.target_ad().is_some() {
-            self.queue.push(ev);
-        } else {
-            self.ctrl.push(ev);
-        }
+        let sink = Direct {
+            now: self.now,
+            queue: &mut self.queue,
+            ctrl: &mut self.ctrl,
+            seq: &mut self.seq,
+            stats: &mut self.stats,
+            obs: &mut self.obs,
+        };
+        (world, sink)
+    }
+
+    fn push(&mut self, time: SimTime, cause: Option<EventId>, kind: EventKind<P::Msg>) {
+        self.split().1.push(time, cause, kind);
     }
 
     /// Pops the globally next event across both queues, by `(time, seq)`.
@@ -489,44 +799,6 @@ impl<P: Protocol> Engine<P> {
         self.stats.events += 1;
         let cause = ev.cause;
         match ev.kind {
-            EventKind::Start { ad } => {
-                let id = self.emit(cause, EventRecord::Start { ad });
-                self.dispatch(ad, id.or(cause), |p, r, ctx| p.on_start(r, ctx));
-            }
-            EventKind::Deliver {
-                to,
-                from,
-                link,
-                msg,
-            } => {
-                // A message in flight when its link failed, or whose
-                // destination crashed, is lost.
-                if self.topo.link(link).up && self.router_up[to.index()] {
-                    self.stats.msgs_delivered += 1;
-                    self.stats.last_activity = self.now;
-                    let id = self.emit(cause, EventRecord::MsgDeliver { from, to, link });
-                    self.dispatch(to, id.or(cause), |p, r, ctx| {
-                        p.on_message(r, ctx, from, link, msg)
-                    });
-                } else {
-                    self.stats.msgs_lost += 1;
-                    self.emit(cause, EventRecord::MsgLost { from, to, link });
-                }
-            }
-            EventKind::Timer {
-                ad,
-                token,
-                incarnation,
-            } => {
-                // Timers armed by a previous incarnation (or aimed at a
-                // currently dead router) died with the state that set them.
-                if self.router_up[ad.index()] && incarnation == self.incarnations[ad.index()] {
-                    let id = self.emit(cause, EventRecord::TimerFire { ad, token });
-                    self.dispatch(ad, id.or(cause), |p, r, ctx| p.on_timer(r, ctx, token));
-                } else {
-                    self.emit(cause, EventRecord::StaleTimer { ad, token });
-                }
-            }
             EventKind::LinkEvent { link, up } => {
                 self.sched_up[link.index()] = up;
                 let l = self.topo.link(link);
@@ -561,6 +833,10 @@ impl<P: Protocol> Engine<P> {
                 } else {
                     self.crash_router(ad, cause);
                 }
+            }
+            targeted => {
+                let (mut world, mut sink) = self.split();
+                world.dispatch_event(&mut sink, cause, targeted);
             }
         }
         true
@@ -635,11 +911,6 @@ impl<P: Protocol> Engine<P> {
         }
     }
 
-    /// Enables event tracing with the given ring-buffer capacity.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Trace::new(capacity);
-    }
-
     /// Enables the typed event log with the given ring-buffer capacity,
     /// clearing any previously retained records. Metrics are unaffected
     /// (they are always live).
@@ -682,23 +953,16 @@ impl<P: Protocol> Engine<P> {
             .work("engine/bytes_sent", self.stats.bytes_sent - snap.3);
     }
 
-    /// Whether any event sink (legacy trace or typed log) is recording.
+    /// Whether the typed event log is recording.
     pub(crate) fn observing(&self) -> bool {
-        self.trace.capacity() > 0 || self.obs.log.capacity() > 0
+        self.obs.log.capacity() > 0
     }
 
-    /// Routes one typed event into every enabled sink: the legacy trace
-    /// receives the rendered `Display` form (so `Trace` is a pure view
-    /// over the typed stream), the typed log the record itself with its
-    /// causal parent. Returns the id the typed log assigned, if any.
+    /// Records one typed event with its causal parent at the current
+    /// simulated time. Returns the id the typed log assigned, or `None`
+    /// when the log is disabled.
     pub(crate) fn emit(&mut self, cause: Option<EventId>, rec: EventRecord) -> Option<EventId> {
-        if self.trace.capacity() > 0 {
-            self.trace.log(self.now, rec.to_string());
-        }
-        if self.obs.log.capacity() > 0 {
-            return self.obs.record_event(self.now, cause, rec);
-        }
-        None
+        self.split().1.record(cause, rec)
     }
 
     /// Records an externally produced event (fault-plan installation,
@@ -724,151 +988,13 @@ impl<P: Protocol> Engine<P> {
         self.emit(None, EventRecord::PhaseBegin { name });
     }
 
+    /// [`World::react`] against the whole engine, for the control arms.
     fn dispatch<F>(&mut self, ad: AdId, cause: Option<EventId>, f: F)
     where
         F: FnOnce(&P, &mut P::Router, &mut Ctx<'_, P::Msg>),
     {
-        // Hand the reusable buffers to the context; they come back drained
-        // below, so steady-state dispatch performs no allocation. The
-        // observer gate is evaluated once per dispatch, not per message.
-        let observing = self.observing();
-        let mut ctx = Ctx {
-            me: ad,
-            now: self.now,
-            topo: &self.topo,
-            stats: &mut self.stats,
-            outbox: std::mem::take(&mut self.scratch.outbox),
-            timers: std::mem::take(&mut self.scratch.timers),
-            events: std::mem::take(&mut self.scratch.events),
-            anchor: None,
-            observing,
-        };
-        f(&self.protocol, &mut self.routers[ad.index()], &mut ctx);
-        let Ctx {
-            mut outbox,
-            mut timers,
-            mut events,
-            ..
-        } = ctx;
-        // Protocol-emitted records are children of the dispatched event;
-        // their assigned ids let the sends and timers that followed each
-        // one attach to the precise reaction that produced them.
-        let mut emitted = std::mem::take(&mut self.scratch.emitted);
-        for rec in events.drain(..) {
-            let id = self.emit(cause, rec);
-            emitted.push(id);
-        }
-        let resolve = |anchor: Option<usize>| -> Option<EventId> {
-            anchor
-                .and_then(|i| emitted.get(i).copied().flatten())
-                .or(cause)
-        };
-        for (to, link, msg, anchor) in outbox.drain(..) {
-            let msg_cause = resolve(anchor);
-            let delay = self.topo.link(link).delay_us;
-            self.stats.msgs_sent += 1;
-            self.stats.per_ad_msgs[ad.index()] += 1;
-            let bytes = self.protocol.msg_size(&msg) as u64;
-            self.stats.bytes_sent += bytes;
-            let send_id = if observing {
-                self.emit(
-                    msg_cause,
-                    EventRecord::MsgSend {
-                        from: ad,
-                        to,
-                        link,
-                        bytes,
-                    },
-                )
-            } else {
-                None
-            };
-            // The per-hop chain: whatever happens to this message in
-            // flight (channel fault, delivery) descends from its send.
-            let hop_cause = send_id.or(msg_cause);
-            let mut delay = delay;
-            let mut dup_at = None;
-            // The ordinal is the sender's cumulative send count (the
-            // increment above), so the draw key is identical whether
-            // this dispatch runs here or inside a parallel lane.
-            let verdict = match &self.faults {
-                Some(cfg) if cfg.active_at(self.now) => {
-                    Some(cfg.judge(ad, self.stats.per_ad_msgs[ad.index()], delay))
-                }
-                _ => None,
-            };
-            if let Some(verdict) = verdict {
-                match verdict {
-                    ChannelVerdict::Lost => {
-                        self.stats.msgs_lost += 1;
-                        self.emit(hop_cause, EventRecord::ChanLoss { from: ad, to, link });
-                        continue;
-                    }
-                    ChannelVerdict::Corrupted => {
-                        self.stats.msgs_corrupted += 1;
-                        self.emit(hop_cause, EventRecord::ChanCorrupt { from: ad, to, link });
-                        continue;
-                    }
-                    ChannelVerdict::Pass {
-                        delay_us,
-                        duplicate_at_us,
-                        reordered,
-                    } => {
-                        if reordered {
-                            self.stats.msgs_reordered += 1;
-                            self.emit(hop_cause, EventRecord::ChanReorder { from: ad, to, link });
-                        }
-                        if let Some(d) = duplicate_at_us {
-                            self.stats.msgs_duplicated += 1;
-                            self.emit(hop_cause, EventRecord::ChanDup { from: ad, to, link });
-                            dup_at = Some(self.now.plus_us(d));
-                        }
-                        delay = delay_us;
-                    }
-                }
-            }
-            if let Some(at) = dup_at {
-                self.push(
-                    at,
-                    hop_cause,
-                    EventKind::Deliver {
-                        to,
-                        from: ad,
-                        link,
-                        msg: msg.clone(),
-                    },
-                );
-            }
-            let at = self.now.plus_us(delay);
-            self.push(
-                at,
-                hop_cause,
-                EventKind::Deliver {
-                    to,
-                    from: ad,
-                    link,
-                    msg,
-                },
-            );
-        }
-        let incarnation = self.incarnations[ad.index()];
-        for (delay_us, token, anchor) in timers.drain(..) {
-            let at = self.now.plus_us(delay_us);
-            self.push(
-                at,
-                resolve(anchor),
-                EventKind::Timer {
-                    ad,
-                    token,
-                    incarnation,
-                },
-            );
-        }
-        emitted.clear();
-        self.scratch.outbox = outbox;
-        self.scratch.timers = timers;
-        self.scratch.events = events;
-        self.scratch.emitted = emitted;
+        let (mut world, mut sink) = self.split();
+        world.react(&mut sink, ad, cause, f);
     }
 
     /// Runs until the event queue is empty (quiescence) and returns the
@@ -1126,50 +1252,25 @@ pub(crate) mod tests {
     fn tracing_captures_golden_event_log() {
         let mk = || {
             let mut e = Engine::new(line(3), Wave);
-            e.enable_trace(64);
+            e.enable_obs(64);
             e.schedule_link_change(LinkId(1), false, SimTime(5000));
             e.run_to_quiescence();
             e
         };
         let a = mk();
         let b = mk();
-        assert!(!a.trace.is_empty());
-        assert_eq!(a.trace.render(), b.trace.render(), "trace must be golden");
-        assert!(a.trace.first_divergence(&b.trace).is_none());
-        let text = a.trace.render();
+        assert!(!a.obs.log.is_empty());
+        assert_eq!(a.obs.log.render(), b.obs.log.render(), "log must be golden");
+        assert_eq!(a.obs.log.export_jsonl(), b.obs.log.export_jsonl());
+        assert!(a.obs.log.first_divergence(&b.obs.log).is_identical());
+        let text = a.obs.log.render();
         assert!(text.contains("start AD0"), "{text}");
         assert!(text.contains("deliver AD0->AD1 via L0"), "{text}");
         assert!(text.contains("link L1 down"), "{text}");
         // Disabled by default: a fresh engine records nothing.
         let mut plain = Engine::new(line(3), Wave);
         plain.run_to_quiescence();
-        assert!(plain.trace.is_empty());
         assert!(plain.obs.log.is_empty());
-    }
-
-    #[test]
-    fn trace_is_a_rendered_view_of_the_typed_stream() {
-        let mk = || {
-            let mut e = Engine::new(line(4), Wave);
-            e.enable_trace(1024);
-            e.enable_obs(1024);
-            e.schedule_link_change(LinkId(2), false, SimTime(1500));
-            e.schedule_router_change(AdId(1), false, SimTime(4000));
-            e.schedule_router_change(AdId(1), true, SimTime(5000));
-            e.run_to_quiescence();
-            e
-        };
-        let e = mk();
-        assert!(!e.obs.log.is_empty());
-        assert_eq!(
-            e.trace.render(),
-            e.obs.log.render(),
-            "every trace line must be the Display form of a typed record"
-        );
-        // The typed export is a golden artifact too.
-        let f = mk();
-        assert_eq!(e.obs.log.export_jsonl(), f.obs.log.export_jsonl());
-        assert!(e.obs.log.first_divergence(&f.obs.log).is_identical());
     }
 
     #[test]
@@ -1378,7 +1479,7 @@ pub(crate) mod tests {
     fn pre_crash_timers_die_with_their_incarnation() {
         let topo = line(2);
         let mut e = Engine::new(topo, Wave);
-        e.enable_trace(64);
+        e.enable_obs(64);
         // AD0's on_start arms a timer for t=10; crash at 5, restart at 7.
         // The old timer (incarnation 0) fires at 10 into incarnation 1 and
         // must be discarded; the restart re-runs on_start, arming a fresh
@@ -1390,7 +1491,7 @@ pub(crate) mod tests {
             e.router(AdId(0)).timer_fired,
             "fresh incarnation timer fired"
         );
-        let text = e.trace.render();
+        let text = e.obs.log.render();
         assert!(text.contains("stale-timer AD0 token=99"), "{text}");
         assert!(text.contains("crash AD0"), "{text}");
         assert!(text.contains("restart AD0"), "{text}");

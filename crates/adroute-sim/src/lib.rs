@@ -22,7 +22,6 @@ pub mod parallel;
 pub mod pool;
 pub mod schedule;
 pub mod stats;
-pub mod trace;
 
 pub use engine::{Ctx, Engine, Protocol};
 pub use event::SimTime;
@@ -39,4 +38,3 @@ pub use obs::{
 };
 pub use schedule::{FailureModel, FailureSchedule, LinkEvent, OpenArrival, OpenStorm, StormPhase};
 pub use stats::Stats;
-pub use trace::{Trace, TraceRecord};

@@ -1,12 +1,12 @@
 //! Structured observability: typed event records, metrics, histograms.
 //!
-//! This module replaces free-form string tracing as the *source of truth*
-//! for what happened during a run. The engine (and the ORWG data plane
-//! above it) emits typed [`EventRecord`]s into a bounded [`EventLog`];
-//! the legacy [`Trace`](crate::Trace) is now a rendered view over the
-//! same stream — every trace line is `EventRecord`'s `Display` form — so
-//! `first_divergence` keeps working as the regression primitive while
-//! machine consumers get a stable JSONL export instead of parsing text.
+//! This module is the *source of truth* for what happened during a run.
+//! The engine (and the ORWG data plane above it) emits typed
+//! [`EventRecord`]s into a bounded [`EventLog`]. The human-readable text
+//! trace is a rendered view over that stream ([`EventLog::render`]:
+//! every line is an `EventRecord`'s `Display` form), `first_divergence`
+//! is the regression primitive, and machine consumers get a stable JSONL
+//! export instead of parsing text.
 //!
 //! Alongside the log, a [`MetricsRegistry`] holds named counters and
 //! fixed-bucket [`Histogram`]s (route-setup latency, per-AD message load,
@@ -56,9 +56,9 @@ impl fmt::Display for EventId {
 /// everything `≥ 2^39`.
 const HIST_BUCKETS: usize = 41;
 
-/// One typed simulation event. `Display` renders the exact line the
-/// legacy string [`Trace`](crate::Trace) records, so a trace is a pure
-/// view over the typed stream; [`EventRecord::to_json`] renders the
+/// One typed simulation event. `Display` renders the line
+/// [`EventLog::render`] prints for it, so the text trace is a pure view
+/// over the typed stream; [`EventRecord::to_json`] renders the
 /// machine-readable JSONL form with a fixed field order.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum EventRecord {
@@ -1095,9 +1095,8 @@ impl EventLog {
         self.records.iter()
     }
 
-    /// Renders the log in the legacy trace format: one
-    /// `time<TAB>description` line per record. Byte-identical to what a
-    /// same-capacity [`Trace`](crate::Trace) records on the same run.
+    /// Renders the log as a text trace: one `time<TAB>description` line
+    /// per record.
     pub fn render(&self) -> String {
         let mut out = String::new();
         for ev in &self.records {
@@ -1125,12 +1124,11 @@ impl EventLog {
         out
     }
 
-    /// Compares this log against `other` — the typed analogue of
-    /// [`Trace::first_divergence`](crate::Trace::first_divergence). Unlike
-    /// the legacy comparison, truncation is reported: two ring buffers
-    /// that overflowed can retain identical windows while the dropped
-    /// prefixes differed, so agreement under truncation is flagged as
-    /// inconclusive instead of silently passing differential checks.
+    /// Compares this log against `other`, record by record. Truncation
+    /// is reported: two ring buffers that overflowed can retain identical
+    /// windows while the dropped prefixes differed, so agreement under
+    /// truncation is flagged as inconclusive instead of silently passing
+    /// differential checks.
     pub fn first_divergence<'a>(&'a self, other: &'a EventLog) -> LogComparison<'a> {
         let mut i = 0;
         let mut a = self.records.iter();

@@ -25,9 +25,13 @@
 //!    than crossing a region early).
 //! 3. Each region's lane processes its in-window events on its own thread
 //!    against a *shared immutable* topology and a private slice of the
-//!    router arena, recording a **journal**: per processed event, the
-//!    records it emitted and the events it pushed, with *symbolic* causes
-//!    ([`CauseRef`]) because real [`EventId`]s cannot be assigned
+//!    router arena. It runs the sequential engine's own event code —
+//!    [`World::dispatch_event`], the one implementation of start /
+//!    deliver / timer handling, fault verdicts included — and differs
+//!    only in the [`Sink`] the effects land in: where the engine applies
+//!    them at once, the lane records a **journal**: per processed event,
+//!    the records it emitted and the events it pushed, with *symbolic*
+//!    causes ([`CauseRef`]) because real [`EventId`]s cannot be assigned
 //!    concurrently.
 //! 4. A sequential **commit** replays the skeleton of the window — a heap
 //!    of `(time, seq)` stubs — in exactly the order the sequential engine
@@ -46,17 +50,17 @@
 //!   region crosses a boundary link, whose delay is at least the
 //!   lookahead, so it arrives at or after `wend` and escapes the window.
 //!
-//! Consequently traces, typed event logs, stats, and final router state
-//! are byte-identical to a sequential run at *any* region count.
+//! Consequently typed event logs (and the text traces rendered from
+//! them), stats, and final router state are byte-identical to a
+//! sequential run at *any* region count.
 
 use std::collections::BinaryHeap;
 use std::time::Instant;
 
-use adroute_topology::{min_cross_region_delay, AdId, RegionMap, Topology};
+use adroute_topology::{min_cross_region_delay, AdId, RegionMap};
 
-use crate::engine::{Ctx, Engine, Protocol, Scratch};
+use crate::engine::{Engine, Protocol, Scratch, Sink, World};
 use crate::event::{Event, EventKind, SimTime};
-use crate::faults::{ChannelFaults, ChannelVerdict};
 use crate::obs::{EventId, EventRecord, MetricsRegistry};
 use crate::stats::Stats;
 
@@ -147,13 +151,14 @@ struct LaneResult<M> {
 }
 
 impl<M> LaneResult<M> {
-    fn empty() -> LaneResult<M> {
+    /// An empty result for a region of `region_len` ADs.
+    fn new(region_len: usize) -> LaneResult<M> {
         LaneResult {
             journal: Vec::new(),
             rec_arena: Vec::new(),
             push_arena: Vec::new(),
             stats: Stats::new(0),
-            per_ad: Vec::new(),
+            per_ad: vec![0; region_len],
             wall_ns: 0,
             metrics: MetricsRegistry::new(),
         }
@@ -186,120 +191,69 @@ impl Ord for Stub {
     }
 }
 
-/// The per-region execution context: a private slice of the router arena,
-/// shared read-only views of everything control events own, and the
-/// journaling machinery.
-struct Lane<'a, P: Protocol> {
-    protocol: &'a P,
-    topo: &'a Topology,
-    router_up: &'a [bool],
-    incarnations: &'a [u32],
-    routers: &'a mut [P::Router],
+/// The journaling [`Sink`]: one region's event heap for the window and
+/// the journal of what processing it produced. The event semantics are
+/// not here — [`Lane::run`] feeds each popped event to the same
+/// [`World::dispatch_event`] the sequential engine uses, over the region's
+/// private slice of the router arena.
+struct Lane<'a, M> {
     region: std::ops::Range<usize>,
     wend: SimTime,
     observing: bool,
-    max_events: u64,
-    now: SimTime,
     /// Next temporary sequence number for in-window pushes.
     temp_seq: u64,
     /// Next symbolic record index ([`CauseRef::Local`]).
     symct: u32,
-    heap: BinaryHeap<LaneEv<P::Msg>>,
-    journal: Vec<JEntry>,
-    rec_arena: Vec<JRecord>,
-    push_arena: Vec<JPush<P::Msg>>,
-    stats: Stats,
-    per_ad: Vec<u64>,
-    /// Channel-fault configuration shared with the engine (None = clean).
-    faults: Option<&'a ChannelFaults>,
+    heap: BinaryHeap<LaneEv<M>>,
     /// `stats.per_ad_msgs` snapshot at window fan-out. A sender's draw
-    /// ordinal is `per_ad_base[ad] + per_ad[ad - region.start]` — the
+    /// ordinal is `per_ad_base[ad] + out.per_ad[ad - region.start]` — the
     /// same cumulative count the sequential engine would hold, because
     /// all of an AD's dispatches happen in its one lane in
     /// sequential-restricted order.
     per_ad_base: &'a [u64],
-    scratch: Scratch<P::Msg>,
-    emitted: Vec<CauseRef>,
+    out: LaneResult<M>,
 }
 
-impl<'a, P: Protocol> Lane<'a, P> {
+impl<M> Lane<'_, M> {
     /// Processes every queued event (initial events are seeded by the
-    /// caller; in-window pushes feed back into the heap).
-    fn run(&mut self) {
+    /// caller; in-window pushes feed back into the heap), journaling one
+    /// [`JEntry`] per event.
+    fn run<P>(&mut self, world: &mut World<'_, P, CauseRef>, max_events: u64)
+    where
+        P: Protocol<Msg = M>,
+    {
         while let Some(ev) = self.heap.pop() {
             assert!(
-                (self.journal.len() as u64) <= self.max_events,
+                (self.out.journal.len() as u64) <= max_events,
                 "event budget exceeded inside a parallel window at {}",
                 ev.time
             );
-            self.process(ev);
+            debug_assert!(ev.time >= world.now && ev.time < self.wend);
+            world.now = ev.time;
+            self.out.stats.events += 1;
+            let rec_mark = self.out.rec_arena.len() as u32;
+            let push_mark = self.out.push_arena.len() as u32;
+            world.dispatch_event(self, ev.cause, ev.kind);
+            self.out.journal.push(JEntry {
+                time: ev.time,
+                records: (rec_mark, self.out.rec_arena.len() as u32),
+                pushes: (push_mark, self.out.push_arena.len() as u32),
+            });
         }
     }
+}
 
-    /// Mirrors [`Engine::step`]'s targeted-event arms (start / deliver /
-    /// timer); control events never reach a lane.
-    fn process(&mut self, ev: LaneEv<P::Msg>) {
-        debug_assert!(ev.time >= self.now && ev.time < self.wend);
-        self.now = ev.time;
-        self.stats.events += 1;
-        let rec_mark = self.rec_arena.len() as u32;
-        let push_mark = self.push_arena.len() as u32;
-        let cause = ev.cause;
-        match ev.kind {
-            EventKind::Start { ad } => {
-                let id = self.jemit(cause, EventRecord::Start { ad });
-                self.dispatch(ad, id, |p, r, ctx| p.on_start(r, ctx));
-            }
-            EventKind::Deliver {
-                to,
-                from,
-                link,
-                msg,
-            } => {
-                if self.topo.link(link).up && self.router_up[to.index()] {
-                    self.stats.msgs_delivered += 1;
-                    self.stats.last_activity = self.now;
-                    let id = self.jemit(cause, EventRecord::MsgDeliver { from, to, link });
-                    self.dispatch(to, id, |p, r, ctx| p.on_message(r, ctx, from, link, msg));
-                } else {
-                    self.stats.msgs_lost += 1;
-                    self.jemit(cause, EventRecord::MsgLost { from, to, link });
-                }
-            }
-            EventKind::Timer {
-                ad,
-                token,
-                incarnation,
-            } => {
-                if self.router_up[ad.index()] && incarnation == self.incarnations[ad.index()] {
-                    let id = self.jemit(cause, EventRecord::TimerFire { ad, token });
-                    self.dispatch(ad, id, |p, r, ctx| p.on_timer(r, ctx, token));
-                } else {
-                    self.jemit(cause, EventRecord::StaleTimer { ad, token });
-                }
-            }
-            EventKind::LinkEvent { .. } | EventKind::RouterEvent { .. } => {
-                unreachable!("control events are never routed to a lane")
-            }
-        }
-        self.journal.push(JEntry {
-            time: self.now,
-            records: (rec_mark, self.rec_arena.len() as u32),
-            pushes: (push_mark, self.push_arena.len() as u32),
-        });
-    }
+impl<M> Sink<M> for Lane<'_, M> {
+    type Cause = CauseRef;
 
-    /// The lane counterpart of [`Engine::emit`] composed with the
-    /// `.or(cause)` every sequential call site applies: journals the
-    /// record (when observing) and returns the symbolic composite id that
-    /// downstream pushes and records should cite as their cause. When no
-    /// sink is attached the sequential emit returns `None` and the
-    /// composite collapses to `cause`, so nothing is journaled.
-    fn jemit(&mut self, cause: CauseRef, rec: EventRecord) -> CauseRef {
+    /// Journals the record (when observing) under the next symbolic id.
+    /// When no observer is attached the sequential engine records nothing
+    /// either, so nothing is journaled and effects keep citing `cause`.
+    fn emit(&mut self, cause: CauseRef, rec: EventRecord) -> CauseRef {
         if !self.observing {
             return cause;
         }
-        self.rec_arena.push(JRecord { cause, rec });
+        self.out.rec_arena.push(JRecord { cause, rec });
         let r = CauseRef::Local(self.symct);
         self.symct += 1;
         r
@@ -309,8 +263,8 @@ impl<'a, P: Protocol> Lane<'a, P> {
     /// lane-local by the lookahead) also enter the lane heap under a
     /// temporary sequence number; escaped arrivals carry their payload to
     /// commit.
-    fn jpush(&mut self, time: SimTime, cause: CauseRef, kind: EventKind<P::Msg>) {
-        if time < self.wend {
+    fn push(&mut self, time: SimTime, cause: CauseRef, kind: EventKind<M>) {
+        let payload = if time < self.wend {
             let target = kind.target_ad().expect("lanes only push targeted events");
             debug_assert!(
                 self.region.contains(&target.index()),
@@ -318,174 +272,31 @@ impl<'a, P: Protocol> Lane<'a, P> {
             );
             let seq = self.temp_seq;
             self.temp_seq += 1;
-            self.push_arena.push(JPush {
-                time,
-                cause,
-                payload: None,
-            });
             self.heap.push(LaneEv {
                 time,
                 seq,
                 cause,
                 kind,
             });
+            None
         } else {
-            self.push_arena.push(JPush {
-                time,
-                cause,
-                payload: Some(kind),
-            });
-        }
-    }
-
-    /// Mirrors [`Engine::dispatch`] with journaled effects, including the
-    /// channel-fault verdict branch: each verdict is keyed on (seed,
-    /// sender, per-AD send ordinal), so the lane draws exactly what the
-    /// sequential engine would — same records, same push order (duplicate
-    /// copy before the primary copy), same stat counters.
-    fn dispatch<F>(&mut self, ad: AdId, cause: CauseRef, f: F)
-    where
-        F: FnOnce(&P, &mut P::Router, &mut Ctx<'_, P::Msg>),
-    {
-        let mut ctx = Ctx {
-            me: ad,
-            now: self.now,
-            topo: self.topo,
-            stats: &mut self.stats,
-            outbox: std::mem::take(&mut self.scratch.outbox),
-            timers: std::mem::take(&mut self.scratch.timers),
-            events: std::mem::take(&mut self.scratch.events),
-            anchor: None,
-            observing: self.observing,
+            Some(kind)
         };
-        f(
-            self.protocol,
-            &mut self.routers[ad.index() - self.region.start],
-            &mut ctx,
-        );
-        let Ctx {
-            mut outbox,
-            mut timers,
-            mut events,
-            ..
-        } = ctx;
-        let mut emitted = std::mem::take(&mut self.emitted);
-        for rec in events.drain(..) {
-            let id = self.jemit(cause, rec);
-            emitted.push(id);
-        }
-        let resolve =
-            |anchor: Option<usize>| -> CauseRef { anchor.map(|i| emitted[i]).unwrap_or(cause) };
-        for (to, link, msg, anchor) in outbox.drain(..) {
-            let msg_cause = resolve(anchor);
-            let delay = self.topo.link(link).delay_us;
-            self.stats.msgs_sent += 1;
-            self.per_ad[ad.index() - self.region.start] += 1;
-            let bytes = self.protocol.msg_size(&msg) as u64;
-            self.stats.bytes_sent += bytes;
-            let hop_cause = self.jemit(
-                msg_cause,
-                EventRecord::MsgSend {
-                    from: ad,
-                    to,
-                    link,
-                    bytes,
-                },
-            );
-            let mut delay = delay;
-            let mut dup_at = None;
-            let verdict = match self.faults {
-                Some(cfg) if cfg.active_at(self.now) => {
-                    let ordinal =
-                        self.per_ad_base[ad.index()] + self.per_ad[ad.index() - self.region.start];
-                    Some(cfg.judge(ad, ordinal, delay))
-                }
-                _ => None,
-            };
-            if let Some(verdict) = verdict {
-                match verdict {
-                    ChannelVerdict::Lost => {
-                        self.stats.msgs_lost += 1;
-                        self.jemit(hop_cause, EventRecord::ChanLoss { from: ad, to, link });
-                        continue;
-                    }
-                    ChannelVerdict::Corrupted => {
-                        self.stats.msgs_corrupted += 1;
-                        self.jemit(hop_cause, EventRecord::ChanCorrupt { from: ad, to, link });
-                        continue;
-                    }
-                    ChannelVerdict::Pass {
-                        delay_us,
-                        duplicate_at_us,
-                        reordered,
-                    } => {
-                        if reordered {
-                            self.stats.msgs_reordered += 1;
-                            self.jemit(hop_cause, EventRecord::ChanReorder { from: ad, to, link });
-                        }
-                        if let Some(d) = duplicate_at_us {
-                            self.stats.msgs_duplicated += 1;
-                            self.jemit(hop_cause, EventRecord::ChanDup { from: ad, to, link });
-                            dup_at = Some(self.now.plus_us(d));
-                        }
-                        delay = delay_us;
-                    }
-                }
-            }
-            if let Some(at) = dup_at {
-                self.jpush(
-                    at,
-                    hop_cause,
-                    EventKind::Deliver {
-                        to,
-                        from: ad,
-                        link,
-                        msg: msg.clone(),
-                    },
-                );
-            }
-            let at = self.now.plus_us(delay);
-            self.jpush(
-                at,
-                hop_cause,
-                EventKind::Deliver {
-                    to,
-                    from: ad,
-                    link,
-                    msg,
-                },
-            );
-        }
-        let incarnation = self.incarnations[ad.index()];
-        for (delay_us, token, anchor) in timers.drain(..) {
-            let at = self.now.plus_us(delay_us);
-            self.jpush(
-                at,
-                resolve(anchor),
-                EventKind::Timer {
-                    ad,
-                    token,
-                    incarnation,
-                },
-            );
-        }
-        emitted.clear();
-        self.scratch.outbox = outbox;
-        self.scratch.timers = timers;
-        self.scratch.events = events;
-        self.emitted = emitted;
+        self.out.push_arena.push(JPush {
+            time,
+            cause,
+            payload,
+        });
     }
 
-    fn finish(self) -> LaneResult<P::Msg> {
-        LaneResult {
-            journal: self.journal,
-            rec_arena: self.rec_arena,
-            push_arena: self.push_arena,
-            stats: self.stats,
-            per_ad: self.per_ad,
-            wall_ns: 0,
-            metrics: MetricsRegistry::new(),
-        }
+    fn count_send(&mut self, ad: AdId) -> u64 {
+        let n = &mut self.out.per_ad[ad.index() - self.region.start];
+        *n += 1;
+        self.per_ad_base[ad.index()] + *n
+    }
+
+    fn stats(&mut self) -> &mut Stats {
+        &mut self.out.stats
     }
 }
 
@@ -496,7 +307,7 @@ where
     P::Msg: Send,
 {
     /// [`Engine::run_to_quiescence`] on `num_regions` worker lanes.
-    /// Produces byte-identical traces, logs, stats, and router state.
+    /// Produces byte-identical event logs, stats, and router state.
     ///
     /// # Panics
     /// Panics if more than `max_events` events are processed, as the
@@ -648,7 +459,7 @@ where
         // reused across windows). Each lane writes its result into its
         // own slot, so worker scheduling cannot reorder anything the
         // sequential commit below observes.
-        let mut results: Vec<LaneResult<P::Msg>> = (0..nl).map(|_| LaneResult::empty()).collect();
+        let mut results: Vec<LaneResult<P::Msg>> = (0..nl).map(|_| LaneResult::new(0)).collect();
         self.prof.enter("fanout");
         let fanout_started = Instant::now();
         {
@@ -668,33 +479,31 @@ where
                 let region = map.range(r);
                 jobs.push(Box::new(move || {
                     let started = Instant::now();
-                    let per_ad = vec![0u64; region.len()];
-                    let mut lane: Lane<'_, P> = Lane {
+                    let mut world = World {
                         protocol,
                         topo,
                         router_up,
                         incarnations,
                         routers,
+                        base: region.start,
+                        faults,
+                        observing,
+                        now,
+                        scratch: &mut Scratch::default(),
+                    };
+                    let region_len = region.len();
+                    let mut lane = Lane {
                         region,
                         wend,
                         observing,
-                        max_events,
-                        now,
                         temp_seq: temp_base,
                         symct: 0,
                         heap: seed.into(),
-                        journal: Vec::new(),
-                        rec_arena: Vec::new(),
-                        push_arena: Vec::new(),
-                        stats: Stats::new(0),
-                        per_ad,
-                        faults,
                         per_ad_base,
-                        scratch: Scratch::default(),
-                        emitted: Vec::new(),
+                        out: LaneResult::new(region_len),
                     };
-                    lane.run();
-                    let mut res = lane.finish();
+                    lane.run(&mut world, max_events);
+                    let mut res = lane.out;
                     res.wall_ns = started.elapsed().as_nanos() as u64;
                     if prof_on {
                         // The per-lane snapshot the commit thread merges
@@ -802,23 +611,22 @@ where
 mod tests {
     use super::*;
     use crate::engine::tests::Wave;
+    use crate::faults::ChannelFaults;
     use adroute_topology::generate::{line, ring, HierarchyConfig};
-    use adroute_topology::LinkId;
+    use adroute_topology::{LinkId, Topology};
 
     fn quiesce_seq(topo: Topology) -> (String, String, Engine<Wave>) {
         let mut e = Engine::new(topo, Wave);
-        e.enable_trace(1 << 14);
         e.enable_obs(1 << 14);
         e.run_to_quiescence();
-        (e.trace.render(), e.obs.log.export_jsonl(), e)
+        (e.obs.log.render(), e.obs.log.export_jsonl(), e)
     }
 
     fn quiesce_par(topo: Topology, regions: usize) -> (String, String, Engine<Wave>) {
         let mut e = Engine::new(topo, Wave);
-        e.enable_trace(1 << 14);
         e.enable_obs(1 << 14);
         e.run_to_quiescence_parallel(regions);
-        (e.trace.render(), e.obs.log.export_jsonl(), e)
+        (e.obs.log.render(), e.obs.log.export_jsonl(), e)
     }
 
     #[test]
@@ -857,7 +665,6 @@ mod tests {
     fn parallel_handles_control_events_sequentially() {
         let drive = |parallel: Option<usize>| {
             let mut e = Engine::new(line(10), Wave);
-            e.enable_trace(1 << 14);
             e.enable_obs(1 << 14);
             e.schedule_link_change(LinkId(4), false, SimTime(2500));
             e.schedule_router_change(AdId(8), false, SimTime(3500));
@@ -870,7 +677,7 @@ mod tests {
                     e.run_to_quiescence();
                 }
             }
-            (e.trace.render(), e.obs.log.export_jsonl())
+            (e.obs.log.render(), e.obs.log.export_jsonl())
         };
         let seq = drive(None);
         for &r in &[2usize, 5] {
@@ -882,14 +689,14 @@ mod tests {
     fn parallel_run_until_matches_sequential_checkpoints() {
         let drive = |regions: Option<usize>| {
             let mut e = Engine::new(line(8), Wave);
-            e.enable_trace(1 << 14);
+            e.enable_obs(1 << 14);
             for stop in [1500u64, 3200, 9000] {
                 match regions {
                     Some(r) => e.run_until_parallel(SimTime(stop), r),
                     None => e.run_until(SimTime(stop)),
                 }
             }
-            (e.trace.render(), e.now())
+            (e.obs.log.render(), e.now())
         };
         assert_eq!(drive(None), drive(Some(3)));
     }
@@ -923,7 +730,6 @@ mod tests {
         };
         let drive = |regions: Option<usize>| {
             let mut e = Engine::new(ring(12), Wave);
-            e.enable_trace(1 << 14);
             e.enable_obs(1 << 14);
             e.set_channel_faults(Some(mixed.clone()));
             match regions {
@@ -934,7 +740,7 @@ mod tests {
                     e.run_to_quiescence();
                 }
             }
-            (e.trace.render(), e.obs.log.export_jsonl(), e.stats)
+            (e.obs.log.render(), e.obs.log.export_jsonl(), e.stats)
         };
         let (st, sj, ss) = drive(None);
         assert!(

@@ -15,8 +15,9 @@ use crate::obs::json_escape;
 ///
 /// Multi-phase experiments (converge, then fail a link, then measure the
 /// failure response) should mark boundaries with [`Stats::begin_phase`]
-/// and read per-phase deltas via [`Stats::phase_delta`]; unlike the older
-/// [`Stats::reset_counters`], phase scoping preserves cumulative totals.
+/// and read per-phase deltas via [`Stats::phase_delta`]. Phase scoping
+/// never zeroes a total: `per_ad_msgs` doubles as the channel-fault draw
+/// ordinal, so it must only ever grow.
 #[derive(Clone, Debug, Default)]
 pub struct Stats {
     /// Control messages sent (per-hop transmissions, not end-to-end).
@@ -192,29 +193,6 @@ impl Stats {
             == self.msgs_delivered + self.msgs_lost + self.msgs_corrupted
     }
 
-    /// Resets message/byte/event counters (and per-AD message loads) but
-    /// keeps sizing, named work counters, and crash/restart totals —
-    /// those are cumulative facts about the run, not per-window rates.
-    /// Phase marks are cleared, since the totals they snapshot no longer
-    /// exist. Prefer [`Stats::begin_phase`] + [`Stats::phase_delta`],
-    /// which separate phases without destroying any totals.
-    pub fn reset_counters(&mut self) {
-        self.msgs_sent = 0;
-        self.bytes_sent = 0;
-        self.msgs_delivered = 0;
-        self.msgs_dropped = 0;
-        self.msgs_lost = 0;
-        self.msgs_corrupted = 0;
-        self.msgs_duplicated = 0;
-        self.msgs_reordered = 0;
-        self.events = 0;
-        self.last_activity = SimTime::ZERO;
-        for v in &mut self.per_ad_msgs {
-            *v = 0;
-        }
-        self.phases.clear();
-    }
-
     /// Renders the fixed counters, named counters, and the per-AD
     /// hot-spot maximum as one deterministic JSON object.
     pub fn to_json(&self) -> String {
@@ -262,26 +240,6 @@ mod tests {
         s.count("dijkstra", 3);
         assert_eq!(s.counter("dijkstra"), 5);
         assert_eq!(s.counters().count(), 1);
-    }
-
-    #[test]
-    fn reset_preserves_sizing_and_cumulative_work() {
-        let mut s = Stats::new(4);
-        s.msgs_sent = 10;
-        s.per_ad_msgs[2] = 7;
-        s.count("x", 1);
-        s.router_crashes = 2;
-        s.router_restarts = 1;
-        s.reset_counters();
-        assert_eq!(s.msgs_sent, 0);
-        assert_eq!(s.per_ad_msgs.len(), 4);
-        assert_eq!(s.per_ad_msgs[2], 0);
-        // Regression: reset_counters used to wipe named work counters and
-        // crash/restart totals, silently corrupting two-phase experiment
-        // reports. Those are cumulative and must survive a window reset.
-        assert_eq!(s.counter("x"), 1);
-        assert_eq!(s.router_crashes, 2);
-        assert_eq!(s.router_restarts, 1);
     }
 
     #[test]
@@ -333,6 +291,8 @@ mod tests {
         // The totals are untouched by phase accounting.
         assert_eq!(s.msgs_sent, 14);
         assert_eq!(s.counter("work"), 7);
+        assert_eq!(s.router_crashes, 1);
+        assert_eq!(s.per_ad_msgs, vec![12, 2]);
     }
 
     #[test]

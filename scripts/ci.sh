@@ -1,0 +1,51 @@
+#!/bin/sh
+# The smoke and determinism gate CI runs after build/test/fmt/clippy.
+# Run it from anywhere; it needs cargo, python3 and cmp. Trace files go
+# to a temporary directory that is removed on exit.
+set -eu
+cd "$(dirname "$0")/.."
+out="$(mktemp -d)"
+trap 'rm -rf "$out"' EXIT
+
+adroute() {
+    cargo run --release -q -p adroute-cli -- "$@"
+}
+
+echo "== Machine-readable outputs are valid JSON"
+adroute report --ads 40 --seed 7 --flows 20 --json | python3 -m json.tool > /dev/null
+adroute blame quickstart --json | python3 -m json.tool > /dev/null
+adroute blame e7b --json | python3 -m json.tool > /dev/null
+adroute audit quickstart --json | python3 -m json.tool > /dev/null
+adroute audit e7b --json | python3 -m json.tool > /dev/null
+adroute stress quickstart --json | python3 -m json.tool > /dev/null
+adroute profile e7b --json | python3 -m json.tool > /dev/null
+
+echo "== Byzantine smoke"
+adroute audit quickstart
+adroute chaos --ads 30 --seed 11 --duration 250 --flows 20 --byzantine
+
+echo "== Chaos faulted-parallel trace (partition/heal, 8 workers == sequential)"
+adroute chaos --ads 800 --seed 1990 --duration 250 --flows 20 --partition --workers 8 --trace "$out/chaos-par.jsonl"
+adroute chaos --ads 800 --seed 1990 --duration 250 --flows 20 --partition --trace "$out/chaos-seq.jsonl"
+cmp "$out/chaos-par.jsonl" "$out/chaos-seq.jsonl"
+cargo test -q --test golden_trace chaos
+
+echo "== Overload smoke (stress ramp + deterministic trace)"
+adroute stress quickstart --trace "$out/stress-a.jsonl"
+adroute stress quickstart --trace "$out/stress-b.jsonl"
+cmp "$out/stress-a.jsonl" "$out/stress-b.jsonl"
+
+echo "== Sharded serving (differential battery + deterministic trace)"
+cargo test -q --test sharded_synthesis
+adroute stress quickstart --sharded --trace "$out/shard-a.jsonl"
+adroute stress quickstart --sharded --trace "$out/shard-b.jsonl"
+cmp "$out/shard-a.jsonl" "$out/shard-b.jsonl"
+
+echo "== Examples run"
+for ex in examples/*.rs; do
+    name="$(basename "$ex" .rs)"
+    echo "-- example $name"
+    cargo run --release -q --example "$name"
+done
+
+echo "ci.sh: all steps passed"

@@ -14,7 +14,7 @@ use adroute::protocols::ls_hbh::LsHbh;
 use adroute::protocols::naive_dv::NaiveDv;
 use adroute::protocols::path_vector::PathVector;
 use adroute::sim::{
-    ChannelFaults, CrashModel, Engine, FailureModel, FaultPlan, FaultSpec, Protocol, Trace,
+    ChannelFaults, CrashModel, Engine, FailureModel, FaultPlan, FaultSpec, Protocol,
 };
 use adroute::topology::generate::ring;
 use adroute::topology::{AdId, HierarchyConfig, Topology};
@@ -224,13 +224,13 @@ fn identical_seeds_produce_identical_traces() {
         .generate();
         let db = PolicyWorkload::default_mix(7).generate(&topo);
         let mut e = Engine::new(topo.clone(), LsHbh::new(&topo, db));
-        e.trace = Trace::new(200_000);
+        e.enable_obs(200_000);
         e.run_to_quiescence();
         let plan = FaultPlan::draw(e.topo(), &mixed_spec(seed), e.now(), 250);
         plan.apply(&mut e);
         e.run_to_quiescence();
         (
-            e.trace.render(),
+            e.obs.log.render(),
             e.stats.msgs_sent,
             e.stats.msgs_lost,
             e.stats.router_crashes,
@@ -264,12 +264,12 @@ proptest! {
             .generate();
             let db = PolicyDb::permissive(&topo);
             let mut e = Engine::new(topo.clone(), OrwgProtocol::new(&topo, db));
-            e.trace = Trace::new(200_000);
+            e.enable_obs(200_000);
             e.run_to_quiescence();
             let plan = FaultPlan::draw(e.topo(), &mixed_spec(fault_seed), e.now(), 150);
             plan.apply(&mut e);
             e.run_to_quiescence();
-            (e.trace.render(), e.stats.clone())
+            (e.obs.log.render(), e.stats.clone())
         };
         let (ta, sa) = run();
         let (tb, sb) = run();

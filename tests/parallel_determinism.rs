@@ -8,8 +8,12 @@
 //! worker counts.
 
 use adroute::core::OrwgProtocol;
+use adroute::policy::workload::PolicyWorkload;
 use adroute::policy::PolicyDb;
+use adroute::protocols::ecma::Ecma;
+use adroute::protocols::ls_hbh::LsHbh;
 use adroute::protocols::naive_dv::NaiveDv;
+use adroute::protocols::path_vector::PathVector;
 use adroute::sim::{
     ChannelFaults, CrashModel, Engine, FailureModel, FaultPlan, FaultSpec, Protocol,
 };
@@ -41,9 +45,15 @@ fn trunk(topo: &Topology) -> LinkId {
         .id
 }
 
+/// What must not depend on the worker count: the typed JSONL export (the
+/// retained window of it) followed by the engine's cumulative counters.
+fn artifact<P: Protocol>(e: &Engine<P>) -> String {
+    format!("{}{}\n", e.obs.log.export_jsonl(), e.stats.to_json())
+}
+
 /// Runs `protocol` on `topo` through convergence, a trunk failure, and
 /// reconvergence — sequentially when `workers` is `None`, else with the
-/// region-parallel engine — and exports the typed JSONL event stream.
+/// region-parallel engine — and returns the run's [`artifact`].
 fn lifecycle_jsonl<P>(topo: &Topology, protocol: P, workers: Option<usize>) -> String
 where
     P: Protocol + Sync,
@@ -63,12 +73,53 @@ where
         None => e.run_to_quiescence(),
         Some(w) => e.run_to_quiescence_parallel(w),
     };
-    e.obs.log.export_jsonl()
+    artifact(&e)
+}
+
+/// Convergence, then a chaos phase under `spec` — drawn at the quiescent
+/// time, which is itself part of the determinism contract, so every run
+/// (sequential or parallel, any worker count) derives the identical
+/// plan. `partition` additionally splits the domain at the AD-index
+/// midpoint for the first half of the horizon and heals it.
+fn chaos_lifecycle_jsonl<P>(
+    topo: &Topology,
+    protocol: P,
+    spec: &FaultSpec,
+    partition: bool,
+    horizon_ms: u64,
+    workers: Option<usize>,
+) -> String
+where
+    P: Protocol + Sync,
+    P::Router: Send,
+    P::Msg: Send,
+{
+    let mut e = Engine::new(topo.clone(), protocol);
+    e.enable_obs(1 << 16);
+    e.begin_phase("converge");
+    match workers {
+        None => e.run_to_quiescence(),
+        Some(w) => e.run_to_quiescence_parallel(w),
+    };
+    e.begin_phase("chaos");
+    let mut plan = FaultPlan::draw(topo, spec, e.now(), horizon_ms);
+    if partition {
+        let at = e.now().plus_us(500);
+        let heal_at = e.now().plus_us(horizon_ms * 500);
+        plan = plan.with_partition(topo, (topo.num_ads() / 2) as u32, at, heal_at);
+    }
+    plan.apply(&mut e);
+    match workers {
+        None => e.run_to_quiescence(),
+        Some(w) => e.run_to_quiescence_parallel(w),
+    };
+    artifact(&e)
 }
 
 /// Asserts the full determinism contract for one scenario: sequential
 /// double-run identity, then parallel == sequential (twice) at each
-/// worker count.
+/// worker count — clean, and once more per worker count under a mixed
+/// channel-fault plan with a partition/heal.
 fn assert_parallel_matches<P, F>(topo: &Topology, make: F, what: &str)
 where
     P: Protocol + Sync,
@@ -82,6 +133,25 @@ where
         lifecycle_jsonl(topo, make(), None),
         "{what}: sequential double-run must be byte-identical"
     );
+    let spec = FaultSpec {
+        link_model: None,
+        crash_model: None,
+        channel: Some(ChannelFaults {
+            loss: 0.1,
+            corrupt: 0.03,
+            duplicate: 0.05,
+            reorder: 0.05,
+            jitter_us: 300,
+            seed: 0x33,
+            ..ChannelFaults::default()
+        }),
+        misbehavior: Default::default(),
+    };
+    let faulted = chaos_lifecycle_jsonl(topo, make(), &spec, true, 40, None);
+    assert!(
+        !faulted.contains("\"msgs_corrupted\":0,"),
+        "{what}: the fault plan must bite"
+    );
     for workers in [1, 2, 8] {
         for run in 0..2 {
             let par = lifecycle_jsonl(topo, make(), Some(workers));
@@ -90,6 +160,11 @@ where
                 "{what}: parallel ({workers} workers, run {run}) diverged from sequential"
             );
         }
+        let par = chaos_lifecycle_jsonl(topo, make(), &spec, true, 40, Some(workers));
+        assert_eq!(
+            par, faulted,
+            "{what}: faulted parallel ({workers} workers) diverged from sequential"
+        );
     }
 }
 
@@ -117,6 +192,33 @@ fn e7b_internet_parallel_is_byte_identical() {
     );
 }
 
+/// The hop-by-hop design points, which lean hardest on `Ctx::emit`
+/// anchors and timers. Path vector stays at the 15-AD size where its
+/// per-event policy evaluation is affordable.
+#[test]
+fn hop_by_hop_design_points_parallel_are_byte_identical() {
+    let topo = internet(49, 23);
+    let db = PolicyWorkload::default_mix(23).generate(&topo);
+    assert_parallel_matches(&topo, || Ecma::hierarchical(&topo), "ecma");
+    assert_parallel_matches(&topo, || LsHbh::new(&topo, db.clone()), "ls-hbh");
+    assert_parallel_matches(&topo, NaiveDv::default, "naive-dv");
+
+    let small = HierarchyConfig {
+        backbones: 1,
+        regionals_per_backbone: 2,
+        metros_per_regional: 2,
+        campuses_per_metro: 2,
+        lateral_prob: 0.25,
+        bypass_prob: 0.1,
+        multihome_prob: 0.2,
+        seed: 23,
+    }
+    .generate();
+    assert!(small.num_ads() <= 19);
+    let small_db = PolicyWorkload::default_mix(23).generate(&small);
+    assert_parallel_matches(&small, || PathVector::idrp(small_db.clone()), "path-vector");
+}
+
 /// The stress golden scenario runs the ORWG serving path (`run_load_ramp`),
 /// which is a mini event loop outside the region-parallel engine — so its
 /// determinism contract is double-run byte identity of the exported
@@ -124,7 +226,6 @@ fn e7b_internet_parallel_is_byte_identical() {
 #[test]
 fn stress_ramp_double_run_is_byte_identical() {
     use adroute::core::{run_load_ramp, AdmissionConfig, OrwgNetwork, StressConfig};
-    use adroute::policy::workload::PolicyWorkload;
     use adroute::sim::{OpenStorm, SimTime, StormPhase};
 
     let export = || {
@@ -192,46 +293,6 @@ proptest! {
         let par = lifecycle_jsonl(&topo, NaiveDv::default(), Some(workers));
         prop_assert_eq!(seq, par);
     }
-}
-
-/// Convergence, then a chaos phase under `spec` — drawn at the quiescent
-/// time, which is itself part of the determinism contract, so every run
-/// (sequential or parallel, any worker count) derives the identical
-/// plan. `partition` additionally splits the domain at the AD-index
-/// midpoint for the first half of the horizon and heals it.
-fn chaos_lifecycle_jsonl<P>(
-    topo: &Topology,
-    protocol: P,
-    spec: &FaultSpec,
-    partition: bool,
-    horizon_ms: u64,
-    workers: Option<usize>,
-) -> String
-where
-    P: Protocol + Sync,
-    P::Router: Send,
-    P::Msg: Send,
-{
-    let mut e = Engine::new(topo.clone(), protocol);
-    e.enable_obs(1 << 16);
-    e.begin_phase("converge");
-    match workers {
-        None => e.run_to_quiescence(),
-        Some(w) => e.run_to_quiescence_parallel(w),
-    };
-    e.begin_phase("chaos");
-    let mut plan = FaultPlan::draw(topo, spec, e.now(), horizon_ms);
-    if partition {
-        let at = e.now().plus_us(500);
-        let heal_at = e.now().plus_us(horizon_ms * 500);
-        plan = plan.with_partition(topo, (topo.num_ads() / 2) as u32, at, heal_at);
-    }
-    plan.apply(&mut e);
-    match workers {
-        None => e.run_to_quiescence(),
-        Some(w) => e.run_to_quiescence_parallel(w),
-    };
-    e.obs.log.export_jsonl()
 }
 
 proptest! {

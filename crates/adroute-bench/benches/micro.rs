@@ -8,7 +8,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use adroute_core::{OrwgNetwork, Strategy};
+use adroute_core::{OrwgNetwork, RouteServer, Strategy};
 use adroute_policy::legality::legal_route;
 use adroute_policy::ordering::{random_constraints, solve_ordering};
 use adroute_policy::workload::PolicyWorkload;
@@ -48,6 +48,24 @@ fn bench_lsdb_view(c: &mut Criterion) {
     let lsdb: &LsDb = &e.router(AdId(0)).flooder.db;
     c.bench_function("lsdb_view_reconstruction_200ads", |b| {
         b.iter(|| black_box(lsdb.view()))
+    });
+    // The same database absorbed as deltas: a Route Server that derived
+    // its view from one database syncs to the one a link flap leaves,
+    // and back — two changed origins each way, no view rebuilt.
+    let before = lsdb.clone();
+    let flapped = topo.links().next().expect("a link").id;
+    e.schedule_link_change(flapped, false, e.now().plus_us(1000));
+    e.run_to_quiescence();
+    let after = e.router(AdId(0)).flooder.db.clone();
+    let (vt, vd) = before.view();
+    let mut rs = RouteServer::new(AdId(0), vt, vd, Strategy::Cached { capacity: 64 });
+    rs.adopt_provenance(&before);
+    let mut down = false;
+    c.bench_function("lsdb_delta_refresh_one_flap_200ads", |b| {
+        b.iter(|| {
+            down = !down;
+            black_box(rs.sync_view(if down { &after } else { &before }))
+        })
     });
 }
 

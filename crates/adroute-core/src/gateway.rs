@@ -283,9 +283,10 @@ impl PolicyGateway {
         Ok(next)
     }
 
-    /// Tears down one handle (source-initiated teardown).
-    pub fn teardown(&mut self, handle: HandleId) {
-        self.handles.remove(&handle);
+    /// Tears down one handle (source-initiated teardown). Returns whether
+    /// the handle was installed here.
+    pub fn teardown(&mut self, handle: HandleId) -> bool {
+        self.handles.remove(&handle).is_some()
     }
 
     /// Flushes every handle whose cached next/prev hop uses the failed
@@ -294,14 +295,11 @@ impl PolicyGateway {
         self.handles.retain(|_, e| !doomed(e));
     }
 
-    /// Drops every handle installed for `flow`, returning how many were
-    /// removed. This is the cancellation path for abandoned opens: a
-    /// client that gives up on its setup deadline must not leave
-    /// partially-installed state pinning cache slots along the route.
-    pub fn purge_flow(&mut self, flow: &FlowSpec) -> usize {
-        let before = self.handles.len();
-        self.handles.retain(|_, e| e.flow != *flow);
-        before - self.handles.len()
+    /// How many handles are installed for `flow` — a scan of the whole
+    /// table, for audits and test oracles (cancelling an abandoned open
+    /// tears down the handles it is known to have left, by id).
+    pub fn handles_for(&self, flow: &FlowSpec) -> usize {
+        self.handles.iter().filter(|(_, e)| e.flow == *flow).count()
     }
 }
 
@@ -535,7 +533,7 @@ mod tests {
     }
 
     #[test]
-    fn purge_flow_drops_only_matching_handles() {
+    fn teardown_by_id_drops_only_that_flows_handle() {
         let mut pg = PolicyGateway::new(AdId(1), 8);
         let policy = TransitPolicy::permit_all(AdId(1));
         let s = setup_pkt(vec![AdId(0), AdId(1), AdId(2)], vec![None]);
@@ -545,9 +543,11 @@ mod tests {
         other.handle = HandleId(9);
         pg.validate_setup(&policy, &other).unwrap();
         assert_eq!(pg.cached_handles(), 2);
-        assert_eq!(pg.purge_flow(&s.flow), 1);
+        assert_eq!(pg.handles_for(&s.flow), 1);
+        assert!(pg.teardown(s.handle));
         assert_eq!(pg.cached_handles(), 1);
-        assert_eq!(pg.purge_flow(&s.flow), 0, "already purged");
+        assert_eq!(pg.handles_for(&s.flow), 0);
+        assert!(!pg.teardown(s.handle), "already torn down");
         // The other flow still forwards.
         assert!(pg
             .forward_data(

@@ -2,9 +2,11 @@
 //! Gateways, and the setup/handle forwarding machinery — runnable against
 //! a (converged) topology-and-policy view.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use adroute_policy::{FlowSpec, PolicyDb, TransitPolicy};
+use adroute_protocols::linkstate::LsDb;
 use adroute_sim::{Engine, EventId, EventRecord, Obs, Profiler, SimTime, DATA_STREAM_ID_BASE};
 use adroute_topology::{AdId, LinkId, TopoDelta, Topology};
 
@@ -157,6 +159,15 @@ pub struct OrwgNetwork {
     gateways: Vec<PolicyGateway>,
     next_handle: u64,
     open_flows: HashMap<HandleId, OpenFlow>,
+    /// Live entries of `open_flows` per traffic class (absent = none), so
+    /// [`OrwgNetwork::abandon_open`] need not scan them.
+    live_by_flow: HashMap<FlowSpec, usize>,
+    /// Handles whose flow a teardown notification removed at the source
+    /// while transit gateways off the fault kept their state, with those
+    /// gateways. Every other way a flow ends (source teardown, a rejected
+    /// setup's roll-back) clears its handles itself, so these are the only
+    /// ones an abandoned open can leave installed.
+    stragglers: HashMap<FlowSpec, Vec<(HandleId, Vec<AdId>)>>,
     /// Flows whose installed route died (link failure, policy change, or
     /// gateway crash tore the handle down and notified the source); they
     /// wait here until [`OrwgNetwork::repair_pending`], each carrying the
@@ -247,6 +258,8 @@ impl OrwgNetwork {
             gateways,
             next_handle: 1,
             open_flows: HashMap::new(),
+            live_by_flow: HashMap::new(),
+            stragglers: HashMap::new(),
             pending_repair: Vec::new(),
             repair_stats: RepairStats::default(),
             setup_loss: None,
@@ -273,11 +286,25 @@ impl OrwgNetwork {
     ) -> OrwgNetwork {
         let topo = engine.topo().clone();
         let db = engine.protocol().policies.clone();
+        // Databases holding the very same allocations describe the same
+        // view: rebuild it once per distinct database (one, at quiescence)
+        // and give each Route Server that shares it a copy.
+        let mut distinct: Vec<(&LsDb, (Topology, PolicyDb))> = Vec::new();
         let servers = topo
             .ad_ids()
             .map(|ad| {
-                let (vt, vd) = engine.router(ad).flooder.db.view();
-                RouteServer::new(ad, vt, vd, strategy.clone())
+                let lsdb = &engine.router(ad).flooder.db;
+                let known = distinct
+                    .iter()
+                    .position(|(d, _)| d.shares_all_lsas_with(lsdb));
+                let i = known.unwrap_or_else(|| {
+                    distinct.push((lsdb, lsdb.view()));
+                    distinct.len() - 1
+                });
+                let (vt, vd) = distinct[i].1.clone();
+                let mut s = RouteServer::new(ad, vt, vd, strategy.clone());
+                s.adopt_provenance(lsdb);
+                s
             })
             .collect();
         let gateways = topo
@@ -296,6 +323,8 @@ impl OrwgNetwork {
             gateways,
             next_handle: 1,
             open_flows: HashMap::new(),
+            live_by_flow: HashMap::new(),
+            stragglers: HashMap::new(),
             pending_repair: Vec::new(),
             repair_stats: RepairStats::default(),
             setup_loss: None,
@@ -485,6 +514,7 @@ impl OrwgNetwork {
                 alternates,
             },
         );
+        *self.live_by_flow.entry(*flow).or_insert(0) += 1;
         self.obs.metrics.record("setup_latency_us", latency_us);
         self.emit(
             open_id,
@@ -712,11 +742,24 @@ impl OrwgNetwork {
 
     /// Tears down an open flow at the source and every gateway.
     pub fn teardown(&mut self, handle: HandleId) {
-        if let Some(of) = self.open_flows.remove(&handle) {
+        if let Some(of) = self.remove_open(handle) {
             for ad in &of.route[1..of.route.len().saturating_sub(1)] {
                 self.gateways[ad.index()].teardown(handle);
             }
         }
+    }
+
+    /// Removes `handle` from the open flows, keeping the per-class live
+    /// count exact.
+    fn remove_open(&mut self, handle: HandleId) -> Option<OpenFlow> {
+        let of = self.open_flows.remove(&handle)?;
+        if let Entry::Occupied(mut live) = self.live_by_flow.entry(of.flow) {
+            *live.get_mut() -= 1;
+            if *live.get() == 0 {
+                live.remove();
+            }
+        }
+        Some(of)
     }
 
     /// Removes every open flow `doomed` matches, queueing each for repair
@@ -733,7 +776,14 @@ impl OrwgNetwork {
         // queue (and hence trace exports) must not.
         dead.sort();
         for h in dead {
-            if let Some(of) = self.open_flows.remove(&h) {
+            if let Some(of) = self.remove_open(h) {
+                // Only the gateways at the fault flushed the handle; the
+                // rest of the route keeps it until evicted or purged.
+                let transit = of.route[1..of.route.len().saturating_sub(1)].to_vec();
+                self.stragglers
+                    .entry(of.flow)
+                    .or_default()
+                    .push((h, transit));
                 // The fault's own record does not exist yet (it is
                 // emitted after the teardowns it implies); the caller
                 // backfills via `set_pending_cause_from`.
@@ -1439,7 +1489,9 @@ impl OrwgNetwork {
     /// exhausted) and cancels its in-flight work: any partial handle
     /// state the abandoned attempts left at gateways is purged — unless
     /// another arrival with the same flow spec holds an open route, which
-    /// must keep forwarding. Returns the number of handles purged.
+    /// must keep forwarding. Returns the number of handles purged. The
+    /// cost is the length of the routes that left state behind, not the
+    /// size of the network.
     pub fn abandon_open(
         &mut self,
         flow: &FlowSpec,
@@ -1460,12 +1512,24 @@ impl OrwgNetwork {
                 attempts,
             },
         );
-        if self.open_flows.values().any(|of| of.flow == *flow) {
+        let live = self.live_by_flow.contains_key(flow);
+        debug_assert_eq!(live, self.open_flows.values().any(|of| of.flow == *flow));
+        if live {
             return 0;
         }
+        // Debug builds cross-check against a scan of every gateway table.
+        let installed =
+            |gws: &[PolicyGateway]| gws.iter().map(|g| g.handles_for(flow)).sum::<usize>();
+        let scanned = cfg!(debug_assertions).then(|| installed(&self.gateways));
         let mut purged = 0;
-        for g in &mut self.gateways {
-            purged += g.purge_flow(flow);
+        for (handle, transit) in self.stragglers.remove(flow).unwrap_or_default() {
+            for ad in transit {
+                purged += usize::from(self.gateways[ad.index()].teardown(handle));
+            }
+        }
+        if let Some(before) = scanned {
+            assert_eq!(purged, before, "straggler records missed a handle");
+            assert_eq!(installed(&self.gateways), 0);
         }
         purged
     }
@@ -1585,64 +1649,13 @@ impl OrwgNetwork {
         }
     }
 
-    /// Computes the incremental deltas taking view `(old_t, old_d)` to
-    /// view `(new_t, new_d)`. Returns `None` when the change is structural
-    /// (an AD or link the old view never knew) and only a full install can
-    /// absorb it. A link absent from the new view (flooding dropped the
-    /// adjacency) maps to a link-down delta on the old structure — the
-    /// synthesis search only walks *up* links, so a down-link-present view
-    /// and a link-absent view are search-equivalent.
-    fn diff_views(
-        old_t: &Topology,
-        old_d: &PolicyDb,
-        new_t: &Topology,
-        new_d: &PolicyDb,
-    ) -> Option<Vec<ViewDelta>> {
-        if new_t.num_ads() != old_t.num_ads() {
-            return None;
-        }
-        let mut deltas = Vec::new();
-        for l in new_t.links() {
-            let old_id = old_t.link_between(l.a, l.b)?;
-            let old = old_t.link(old_id);
-            if old.up != l.up {
-                deltas.push(ViewDelta::Topo(TopoDelta::LinkState {
-                    a: l.a,
-                    b: l.b,
-                    up: l.up,
-                }));
-            }
-            if old.metric != l.metric {
-                deltas.push(ViewDelta::Topo(TopoDelta::Metric {
-                    a: l.a,
-                    b: l.b,
-                    metric: l.metric,
-                }));
-            }
-        }
-        for l in old_t.links() {
-            if l.up && new_t.link_between(l.a, l.b).is_none() {
-                deltas.push(ViewDelta::Topo(TopoDelta::LinkState {
-                    a: l.a,
-                    b: l.b,
-                    up: false,
-                }));
-            }
-        }
-        for ad in new_t.ad_ids() {
-            if new_d.policy(ad) != old_d.policy(ad) {
-                deltas.push(ViewDelta::Policy(new_d.policy(ad).clone()));
-            }
-        }
-        Some(deltas)
-    }
-
     /// Re-syncs the data plane with a (re-)quiesced control plane: ground
     /// truth adopts the engine's topology and policies, flows crossing
     /// newly-dead links are torn down and queued for repair, and every
-    /// Route Server absorbs **its own flooded database**'s fresh view —
-    /// incrementally (diffed against its current view) or by full install,
-    /// per the view-maintenance mode.
+    /// Route Server is brought to **its own flooded database** — by
+    /// re-deriving the origins whose LSA changed
+    /// ([`RouteServer::sync_view`]) or by full install of the rebuilt
+    /// view, per the view-maintenance mode.
     ///
     /// This is the quiescence hook the fault-recovery sweeps and the
     /// `chaos` pipeline call after the LS flooder settles.
@@ -1650,49 +1663,47 @@ impl OrwgNetwork {
         self.clock = engine.now();
         let new_topo = engine.topo().clone();
         let queued = self.pending_repair.len();
-        // Ground truth and the engine topology share construction (and
-        // hence link ids); diff per id to find links that died since.
-        if new_topo.num_links() == self.topo.num_links() {
-            for id in 0..self.topo.num_links() {
-                let lid = LinkId(id as u32);
-                let old = self.topo.link(lid);
-                let (was_up, a, b) = (old.up, old.a, old.b);
-                if was_up && !new_topo.link(lid).up {
-                    self.gateways[a.index()].invalidate(|e| e.prev == b || e.next == b);
-                    self.gateways[b.index()].invalidate(|e| e.prev == a || e.next == a);
-                    self.teardown_and_notify(|of| {
-                        of.route
-                            .windows(2)
-                            .any(|w| w.contains(&a) && w.contains(&b))
-                    });
-                }
-            }
+        // Links that died since, matched by endpoints: link ids are only
+        // comparable between topologies of the same construction.
+        let died: Vec<(AdId, AdId)> = self
+            .topo
+            .links()
+            .filter(|old| {
+                let alive = new_topo
+                    .link_between(old.a, old.b)
+                    .is_some_and(|id| new_topo.link(id).up);
+                old.up && !alive
+            })
+            .map(|old| (old.a, old.b))
+            .collect();
+        for (a, b) in died {
+            self.gateways[a.index()].invalidate(|e| e.prev == b || e.next == b);
+            self.gateways[b.index()].invalidate(|e| e.prev == a || e.next == a);
+            self.teardown_and_notify(|of| {
+                of.route
+                    .windows(2)
+                    .any(|w| w.contains(&a) && w.contains(&b))
+            });
         }
         self.topo = new_topo;
         self.db = engine.protocol().policies.clone();
         let mut fallbacks = 0u64;
+        let mut rederived = 0u64;
         for ad in self.topo.ad_ids() {
-            let (vt, vd) = engine.router(ad).flooder.db.view();
+            let lsdb = &engine.router(ad).flooder.db;
             let s = &mut self.servers[ad.index()];
             if self.view_maintenance == ViewMaintenance::Flush {
+                let (vt, vd) = lsdb.view();
                 s.update_view(vt, vd);
                 fallbacks += 1;
                 continue;
             }
-            match Self::diff_views(s.view_topo(), s.view_db(), &vt, &vd) {
-                Some(deltas) => {
-                    if !deltas.iter().all(|d| s.apply_delta(d)) {
-                        s.update_view(vt, vd);
-                        fallbacks += 1;
-                    }
-                }
-                None => {
-                    s.update_view(vt, vd);
-                    fallbacks += 1;
-                }
-            }
+            let sync = s.sync_view(lsdb);
+            rederived += sync.origins_rederived as u64;
+            fallbacks += u64::from(sync.full_install);
         }
         self.obs.metrics.add("view_full_installs", fallbacks);
+        self.obs.metrics.add("view_origins_rederived", rederived);
         let delta_id = self.emit(
             None,
             EventRecord::ViewDeltaApply {
@@ -2062,10 +2073,75 @@ mod tests {
         // flow's handles must survive.
         assert_eq!(net.abandon_open(&flow, 3, SimTime::ZERO, None), 0);
         assert!(net.send(s.handle).is_ok());
-        // After teardown nothing is live; purge clears stragglers.
+        // A source teardown clears its own handles: nothing to purge.
         net.teardown(s.handle);
         assert_eq!(net.abandon_open(&flow, 3, SimTime::ZERO, None), 0);
         assert_eq!(net.obs.metrics.counter("opens_abandoned"), 2);
+    }
+
+    #[test]
+    fn abandon_purges_what_a_teardown_notification_left_behind() {
+        // Ring of 8, route 0-1-2-3-4. Link 3-4 fails: AD3 flushes the
+        // handle, the source is notified, AD1 and AD2 keep theirs.
+        let mut net = permissive(8);
+        let flow = FlowSpec::best_effort(AdId(0), AdId(4));
+        let other = FlowSpec::best_effort(AdId(1), AdId(3));
+        let s = net.open(&flow).unwrap();
+        assert_eq!(s.route.len(), 5);
+        let kept = net.open(&other).unwrap();
+        let l = net.topo.link_between(AdId(3), AdId(4)).unwrap();
+        net.fail_link(l);
+        assert_eq!(net.gateway(AdId(3)).handles_for(&flow), 0);
+        assert_eq!(net.gateway(AdId(2)).handles_for(&flow), 1);
+        // The repair re-opens the flow the other way round: live again,
+        // so an abandon by a second client must leave everything alone.
+        net.repair_pending(2);
+        assert_eq!(net.abandon_open(&flow, 1, SimTime::ZERO, None), 0);
+        assert_eq!(net.gateway(AdId(2)).handles_for(&flow), 1);
+        // Once nothing is live, the stragglers of the first route go, and
+        // only they do.
+        let live: Vec<HandleId> = net
+            .open_flows()
+            .filter(|(_, of)| of.flow == flow)
+            .map(|(h, _)| h)
+            .collect();
+        for h in live {
+            net.teardown(h);
+        }
+        assert_eq!(net.abandon_open(&flow, 1, SimTime::ZERO, None), 2);
+        assert_eq!(net.abandon_open(&flow, 1, SimTime::ZERO, None), 0);
+        assert!(net.send(kept.handle).is_ok());
+    }
+
+    #[test]
+    fn refresh_tears_down_over_dead_links_whatever_the_link_ids() {
+        // The engine's internet has a chord the data plane's ground truth
+        // lacks, so the two topologies number their links differently.
+        let ring6 = ring(6);
+        let mut edges: Vec<(AdId, AdId, u32)> =
+            ring6.links().map(|l| (l.a, l.b, l.metric)).collect();
+        edges.insert(0, (AdId(0), AdId(4), 50));
+        let chorded = Topology::new(ring6.ads().cloned().collect(), &edges);
+        assert_ne!(chorded.num_links(), ring6.num_links());
+        let mut net = OrwgNetwork::converged(&ring6, &PolicyDb::permissive(&ring6));
+        let flow = FlowSpec::best_effort(AdId(0), AdId(3));
+        let s = net.open(&flow).unwrap();
+        assert_eq!(s.route, vec![AdId(0), AdId(1), AdId(2), AdId(3)]);
+        let mut e =
+            crate::router::converge_control_plane(chorded.clone(), PolicyDb::permissive(&chorded));
+        let dead = e.topo().link_between(AdId(1), AdId(2)).unwrap();
+        e.schedule_link_change(dead, false, e.now().plus_us(1000));
+        e.run_to_quiescence();
+        net.refresh_from_engine(&e);
+        assert_eq!(
+            net.pending_repair_count(),
+            1,
+            "the flow over the dead link must be torn down"
+        );
+        assert_eq!(net.send(s.handle).unwrap_err(), SendError::UnknownFlow);
+        assert_eq!(net.gateway(AdId(1)).handles_for(&flow), 0);
+        assert_eq!(net.repair_pending(2).failures, 0);
+        assert_eq!(net.total_stale_forwards(), 0);
     }
 
     #[test]

@@ -13,14 +13,17 @@
 //! (`adroute_policy::legality`) — run over **this AD's own flooded view**
 //! of topology and policy, not ground truth.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
 use adroute_policy::{
     legality::{self, SearchStats},
     AdSetPool, FlowSpec, PolicyDb, PtId, QosClass, RouteSelection, TimeOfDay, TransitPolicy,
     UserClass,
 };
-use adroute_topology::{AdId, RegionMap, TopoDelta, Topology};
+use adroute_protocols::linkstate::{LsDb, Lsa};
+use adroute_topology::{AdId, LinkId, RegionMap, TopoDelta, Topology};
 
 use crate::lru::LruCache;
 
@@ -146,6 +149,37 @@ pub enum ViewDelta {
     Policy(TransitPolicy),
 }
 
+/// What the part of a Route Server's view that one origin advertises —
+/// its incident links and its policy — was last derived from.
+#[derive(Clone, Debug)]
+enum Provenance {
+    /// Not known to match any database: the view was installed or edited
+    /// from outside a sync (ground-truth broadcasts, a caller's
+    /// [`RouteServer::update_view`]). The next sync re-derives the origin.
+    Unsynced,
+    /// Derived from exactly this slot content (`None`: the origin had no
+    /// LSA). The `Arc` keeps the allocation alive, so a later pointer
+    /// match cannot be a recycled address.
+    Slot(Option<Arc<Lsa>>),
+}
+
+impl Provenance {
+    fn is(&self, slot: &Option<Arc<Lsa>>) -> bool {
+        matches!(self, Provenance::Slot(from) if LsDb::same_slot(from, slot))
+    }
+}
+
+/// What one [`RouteServer::sync_view`] did.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct ViewSync {
+    /// Origins whose advertisement differed (by allocation) from the one
+    /// the view was derived from, and were therefore re-derived.
+    pub origins_rederived: usize,
+    /// Whether the change was structural and the whole view was rebuilt
+    /// and installed ([`RouteServer::update_view`]) instead.
+    pub full_install: bool,
+}
+
 /// Reverse index from view elements to the stored routes that depend on
 /// them: link endpoint pair → flows whose current route crosses that link,
 /// and AD → flows whose current route transits it. Lets a view delta
@@ -237,6 +271,9 @@ pub struct RouteServer {
     pub ad: AdId,
     view_topo: Topology,
     view_db: PolicyDb,
+    /// Per origin, what its share of the view was derived from — what
+    /// lets [`RouteServer::sync_view`] cost what changed.
+    provenance: Vec<Provenance>,
     strategy: Strategy,
     /// The source's private route-selection criteria (applied to every
     /// synthesis; never advertised — the privacy property of source
@@ -285,6 +322,7 @@ impl RouteServer {
         let hot = vec![None; cache.capacity()];
         RouteServer {
             ad,
+            provenance: vec![Provenance::Unsynced; view_topo.num_ads()],
             view_topo,
             view_db,
             strategy,
@@ -835,9 +873,141 @@ impl RouteServer {
     /// This is the flush-everything fallback; [`RouteServer::apply_delta`]
     /// is the incremental path.
     pub fn update_view(&mut self, view_topo: Topology, view_db: PolicyDb) {
+        self.provenance = vec![Provenance::Unsynced; view_topo.num_ads()];
         self.view_topo = view_topo;
         self.view_db = view_db;
         self.invalidate_all();
+    }
+
+    /// Declares the current view to be `db`'s view: what
+    /// [`LsDb::view`] returned for it has just been installed. Later
+    /// syncs then re-derive only the origins whose slot changed.
+    pub fn adopt_provenance(&mut self, db: &LsDb) {
+        self.provenance = db
+            .slots()
+            .iter()
+            .map(|slot| Provenance::Slot(slot.clone()))
+            .collect();
+    }
+
+    /// Brings the view to what `db` describes, at a cost proportional to
+    /// the LSAs that changed since the view was last derived.
+    ///
+    /// Change is detected by allocation, not content: an origin whose slot
+    /// still holds the `Arc` this view was derived from has not changed
+    /// (an [`Lsa`] is immutable), whatever crashes, restarts, sequence
+    /// ghosts or replays happened in between. For the others — and for
+    /// origins whose share of the view was edited outside a sync — the
+    /// view deltas are derived from the LSAs alone: each incident link's
+    /// state and metric under [`LsDb::view`]'s bidirectional-confirmation
+    /// rule, and the advertised policy (deny-all without an LSA). They are
+    /// applied through [`RouteServer::apply_delta`]'s machinery in the
+    /// order a whole-view comparison would list them: links that are up in
+    /// `db`'s view in that view's order, then links this view has up and
+    /// `db`'s lacks (a link-down on the old structure — the search only
+    /// walks up links), then policies by AD.
+    ///
+    /// A structural change (a link this view's topology never had, a
+    /// different AD count) rebuilds and installs the whole view.
+    pub fn sync_view(&mut self, db: &LsDb) -> ViewSync {
+        let changed: Vec<AdId> = if self.provenance.len() == db.num_ads() {
+            (self.provenance.iter().zip(db.slots()).enumerate())
+                .filter(|(_, (p, slot))| !p.is(slot))
+                .map(|(i, _)| AdId(i as u32))
+                .collect()
+        } else {
+            (0..db.num_ads() as u32).map(AdId).collect()
+        };
+        let synced = ViewSync {
+            origins_rederived: changed.len(),
+            full_install: false,
+        };
+        if changed.is_empty() {
+            return synced;
+        }
+        let Some(deltas) = self.derive_deltas(db, &changed) else {
+            let (topo, policies) = db.view();
+            self.update_view(topo, policies);
+            self.adopt_provenance(db);
+            return ViewSync {
+                full_install: true,
+                ..synced
+            };
+        };
+        for d in &deltas {
+            let applied = self.apply_delta_in_sync(d);
+            debug_assert!(applied, "derived deltas name links of this view");
+        }
+        for o in changed {
+            self.provenance[o.index()] = Provenance::Slot(db.slots()[o.index()].clone());
+        }
+        synced
+    }
+
+    /// The deltas taking the `changed` origins' share of this view to what
+    /// `db` advertises; `None` when only a full install can absorb it.
+    fn derive_deltas(&self, db: &LsDb, changed: &[AdId]) -> Option<Vec<ViewDelta>> {
+        if db.num_ads() != self.view_topo.num_ads() {
+            return None;
+        }
+        // Confirmed links at a changed origin, keyed by their place in
+        // `db.view()`'s link order: lower endpoint, then position in the
+        // lower endpoint's advertisement (which also supplies the metric).
+        let mut up: Vec<(AdId, usize, AdId, u32)> = Vec::new();
+        for &o in changed {
+            let Some(lsa) = db.get(o) else { continue };
+            for (i, &(n, metric, _)) in lsa.links.iter().enumerate() {
+                let Some(j) = db.advertises(n, o) else {
+                    continue;
+                };
+                up.push(if o < n {
+                    (o, i, n, metric)
+                } else {
+                    let reverse = db.get(n).expect("advertises implies an LSA");
+                    (n, j, o, reverse.links[j].1)
+                });
+            }
+        }
+        up.sort_unstable();
+        up.dedup();
+        let mut deltas = Vec::new();
+        for (a, _, b, metric) in up {
+            let old = self.view_topo.link(self.view_topo.link_between(a, b)?);
+            if !old.up {
+                deltas.push(ViewDelta::Topo(TopoDelta::LinkState { a, b, up: true }));
+            }
+            if old.metric != metric {
+                deltas.push(ViewDelta::Topo(TopoDelta::Metric { a, b, metric }));
+            }
+        }
+        let mut down: Vec<LinkId> = Vec::new();
+        for &o in changed {
+            for (n, link) in self.view_topo.neighbors(o) {
+                if db.advertises(o, n).is_none() || db.advertises(n, o).is_none() {
+                    down.push(link);
+                }
+            }
+        }
+        down.sort_unstable();
+        down.dedup();
+        for link in down {
+            let l = self.view_topo.link(link);
+            deltas.push(ViewDelta::Topo(TopoDelta::LinkState {
+                a: l.a,
+                b: l.b,
+                up: false,
+            }));
+        }
+        for &o in changed {
+            let advertised = match db.get(o) {
+                Some(lsa) => Cow::Borrowed(&lsa.policy),
+                None => Cow::Owned(TransitPolicy::deny_all(o)),
+            };
+            if *advertised != *self.view_db.policy(o) {
+                deltas.push(ViewDelta::Policy(advertised.into_owned()));
+            }
+        }
+        Some(deltas)
     }
 
     /// Applies one incremental change to the view, invalidating only the
@@ -857,7 +1027,29 @@ impl RouteServer {
     /// Returns `false` — leaving the server untouched — when the delta
     /// cannot be applied to this view (the view's structure predates the
     /// link); the caller must fall back to [`RouteServer::update_view`].
+    ///
+    /// The touched origins (a link's endpoints, the re-policied AD) stop
+    /// counting as derived from any database, so the next
+    /// [`RouteServer::sync_view`] re-derives them and the view still
+    /// converges to its own LSDB.
     pub fn apply_delta(&mut self, delta: &ViewDelta) -> bool {
+        let applied = self.apply_delta_in_sync(delta);
+        if applied {
+            match delta {
+                ViewDelta::Topo(td) => {
+                    let (a, b) = td.endpoints();
+                    self.provenance[a.index()] = Provenance::Unsynced;
+                    self.provenance[b.index()] = Provenance::Unsynced;
+                }
+                ViewDelta::Policy(p) => self.provenance[p.ad.index()] = Provenance::Unsynced,
+            }
+        }
+        applied
+    }
+
+    /// [`RouteServer::apply_delta`] without touching provenance: the
+    /// caller derived `delta` from the database it is syncing to.
+    fn apply_delta_in_sync(&mut self, delta: &ViewDelta) -> bool {
         match delta {
             ViewDelta::Topo(td) => {
                 let Some(restrictive) = td.is_restrictive_on(&self.view_topo) else {
@@ -1444,5 +1636,124 @@ mod tests {
         assert!(rs.request(&f).is_none());
         assert!(rs.request(&f).is_none());
         assert_eq!(rs.stats.searches, 1, "negative result must be cached too");
+    }
+
+    /// A ring of `n` ADs as flooding would leave it in a database, each
+    /// origin advertising both neighbours at metric 1.
+    fn ring_lsdb(n: u32) -> LsDb {
+        let mut db = LsDb::new(n as usize);
+        for o in 0..n {
+            db.insert(ring_lsa(o, 1, &[(o + 1) % n, (o + n - 1) % n]));
+        }
+        db
+    }
+
+    fn ring_lsa(origin: u32, seq: u64, nbrs: &[u32]) -> Arc<Lsa> {
+        Arc::new(Lsa {
+            origin: AdId(origin),
+            seq,
+            level: adroute_topology::AdLevel::Campus,
+            links: nbrs.iter().map(|&n| (AdId(n), 1, 1000)).collect(),
+            policy: TransitPolicy::permit_all(AdId(origin)),
+        })
+    }
+
+    fn synced_server(db: &LsDb) -> RouteServer {
+        let (topo, policies) = db.view();
+        let mut rs = RouteServer::new(AdId(0), topo, policies, Strategy::Cached { capacity: 8 });
+        rs.adopt_provenance(db);
+        rs
+    }
+
+    #[test]
+    fn sync_costs_the_origins_whose_allocation_changed() {
+        let mut db = ring_lsdb(6);
+        let mut rs = synced_server(&db);
+        let idle = rs.sync_view(&db);
+        assert_eq!((idle.origins_rederived, idle.full_install), (0, false));
+        // Link 1-2 fails: both endpoints re-originate without it.
+        db.insert(ring_lsa(1, 2, &[0]));
+        db.insert(ring_lsa(2, 2, &[3]));
+        let f = FlowSpec::best_effort(AdId(0), AdId(3));
+        assert_eq!(rs.request(&f).unwrap().path.len(), 4);
+        let sync = rs.sync_view(&db);
+        assert_eq!((sync.origins_rederived, sync.full_install), (2, false));
+        let l = rs.view_topo().link_between(AdId(1), AdId(2)).unwrap();
+        assert!(!rs.view_topo().link(l).up);
+        assert_eq!(
+            rs.request(&f).unwrap().path,
+            vec![AdId(0), AdId(5), AdId(4), AdId(3)]
+        );
+        // One endpoint alone withdrawing is enough (confirmation is
+        // bidirectional), and its policy rides along.
+        let mut quiet = Lsa::clone(&ring_lsa(4, 2, &[5]));
+        quiet.policy = TransitPolicy::deny_all(AdId(4));
+        db.insert(Arc::new(quiet));
+        assert_eq!(rs.sync_view(&db).origins_rederived, 1);
+        let l = rs.view_topo().link_between(AdId(3), AdId(4)).unwrap();
+        assert!(!rs.view_topo().link(l).up);
+        assert_eq!(
+            *rs.view_db().policy(AdId(4)),
+            TransitPolicy::deny_all(AdId(4))
+        );
+        assert_eq!(rs.sync_view(&db).origins_rederived, 0);
+    }
+
+    #[test]
+    fn sequence_numbers_do_not_detect_change_but_allocations_do() {
+        let db = ring_lsdb(4);
+        let mut rs = synced_server(&db);
+        // AD1 crashed, lost its counter and came back with one adjacency:
+        // same origin, same sequence number, different content. A router
+        // that restarted empty holds it beside the others' old LSAs.
+        let mut reborn = LsDb::new(4);
+        for (o, slot) in db.slots().iter().enumerate() {
+            reborn.insert(if o == 1 {
+                ring_lsa(1, 1, &[0])
+            } else {
+                slot.clone().unwrap()
+            });
+        }
+        assert_eq!(
+            reborn.get(AdId(1)).unwrap().seq,
+            db.get(AdId(1)).unwrap().seq
+        );
+        assert_eq!(rs.sync_view(&reborn).origins_rederived, 1);
+        let l = rs.view_topo().link_between(AdId(1), AdId(2)).unwrap();
+        assert!(!rs.view_topo().link(l).up, "the seq-tied change was missed");
+        // And an equal-content re-origination under a new number is a new
+        // allocation that derives no delta at all.
+        let mut renumbered = reborn.clone();
+        renumbered.insert(ring_lsa(1, 9, &[0]));
+        let invalidated = rs.stats.entries_invalidated;
+        assert_eq!(rs.sync_view(&renumbered).origins_rederived, 1);
+        assert_eq!(rs.stats.entries_invalidated, invalidated);
+    }
+
+    #[test]
+    fn edits_outside_a_sync_are_rederived_and_structure_falls_back() {
+        let db = ring_lsdb(5);
+        let mut rs = synced_server(&db);
+        // A ground-truth broadcast takes 2-3 down behind the LSDB's back.
+        assert!(rs.apply_delta(&ViewDelta::Topo(TopoDelta::LinkState {
+            a: AdId(2),
+            b: AdId(3),
+            up: false,
+        })));
+        let sync = rs.sync_view(&db);
+        assert_eq!((sync.origins_rederived, sync.full_install), (2, false));
+        let l = rs.view_topo().link_between(AdId(2), AdId(3)).unwrap();
+        assert!(
+            rs.view_topo().link(l).up,
+            "the view must return to its LSDB"
+        );
+        // A chord the view's topology never had cannot be a delta.
+        let mut chord = db.clone();
+        chord.insert(ring_lsa(0, 2, &[1, 4, 2]));
+        chord.insert(ring_lsa(2, 2, &[3, 1, 0]));
+        let sync = rs.sync_view(&chord);
+        assert_eq!((sync.origins_rederived, sync.full_install), (2, true));
+        assert!(rs.view_topo().link_between(AdId(0), AdId(2)).is_some());
+        assert_eq!(rs.sync_view(&chord).origins_rederived, 0);
     }
 }

@@ -9,6 +9,16 @@
 //! level. Flooding these gives every AD the complete topology *and* policy
 //! view from which routes satisfying any set of policy constraints can be
 //! computed.
+//!
+//! A flooded LSA is **one immutable allocation**: the origin builds it
+//! once, and every message carrying it, every database slot holding it and
+//! every Route-Server view derived from it share that [`Arc<Lsa>`]. Nothing
+//! mutates an `Lsa` after origination (a forger builds a new one), so two
+//! holders of the same allocation hold the same content — which lets
+//! consumers detect "this origin's advertisement changed" by pointer
+//! comparison ([`LsDb::slots`]) instead of by content or sequence number.
+
+use std::sync::Arc;
 
 use adroute_policy::{PolicyDb, TransitPolicy};
 use adroute_sim::{Ctx, EventRecord};
@@ -37,11 +47,12 @@ impl Lsa {
     }
 }
 
-/// A link-state database: the newest LSA per origin, plus a version
-/// counter consumers use to invalidate derived caches.
+/// A link-state database: the newest LSA per origin (shared, not
+/// copied), plus a version counter consumers use to invalidate derived
+/// caches.
 #[derive(Clone, Debug)]
 pub struct LsDb {
-    lsas: Vec<Option<Lsa>>,
+    lsas: Vec<Option<Arc<Lsa>>>,
     version: u64,
 }
 
@@ -56,7 +67,7 @@ impl LsDb {
 
     /// Inserts `lsa` if it is newer than the stored one. Returns `true`
     /// if the database changed.
-    pub fn insert(&mut self, lsa: Lsa) -> bool {
+    pub fn insert(&mut self, lsa: Arc<Lsa>) -> bool {
         let slot = &mut self.lsas[lsa.origin.index()];
         let newer = slot.as_ref().is_none_or(|cur| lsa.seq > cur.seq);
         if newer {
@@ -68,7 +79,34 @@ impl LsDb {
 
     /// The stored LSA of `origin`, if any.
     pub fn get(&self, origin: AdId) -> Option<&Lsa> {
-        self.lsas[origin.index()].as_ref()
+        self.lsas[origin.index()].as_deref()
+    }
+
+    /// Every origin's slot, indexed by AD. Consumers that derive state
+    /// from the database keep the `Arc` they derived it from and compare
+    /// pointers ([`Arc::ptr_eq`]) to find the origins that changed since:
+    /// an `Lsa` is immutable, so the same allocation is the same content.
+    /// Sequence numbers are *not* a sound change detector — a restarted
+    /// origin reuses them, and a replayed forgery inflates them.
+    pub fn slots(&self) -> &[Option<Arc<Lsa>>] {
+        &self.lsas
+    }
+
+    /// Whether two slots hold the very same allocation, or the same
+    /// absence.
+    pub fn same_slot(a: &Option<Arc<Lsa>>, b: &Option<Arc<Lsa>>) -> bool {
+        match (a, b) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (None, None) => true,
+            _ => false,
+        }
+    }
+
+    /// Whether `other` holds the same slot content throughout
+    /// ([`LsDb::same_slot`]) — and therefore describes the same view.
+    pub fn shares_all_lsas_with(&self, other: &LsDb) -> bool {
+        self.lsas.len() == other.lsas.len()
+            && (self.lsas.iter().zip(&other.lsas)).all(|(a, b)| LsDb::same_slot(a, b))
     }
 
     /// Monotonic change counter (bumps on every accepted insert).
@@ -94,7 +132,18 @@ impl LsDb {
     /// Total encoded size of the database (the state cost of the
     /// link-state approach).
     pub fn encoded_size(&self) -> usize {
-        self.lsas.iter().flatten().map(Lsa::encoded_size).sum()
+        self.lsas.iter().flatten().map(|l| l.encoded_size()).sum()
+    }
+
+    /// The position of `nbr` in `origin`'s advertised adjacency list, if
+    /// `origin` has an LSA here and it lists `nbr`. A link is part of the
+    /// view only when both endpoints advertise each other (bidirectional
+    /// confirmation).
+    pub fn advertises(&self, origin: AdId, nbr: AdId) -> Option<usize> {
+        self.get(origin)?
+            .links
+            .iter()
+            .position(|&(n, _, _)| n == nbr)
     }
 
     /// Reconstructs the AD-level view this database describes: a
@@ -103,17 +152,17 @@ impl LsDb {
     /// (ADs with no LSA yet default to deny-all — an unknown AD cannot
     /// be used for transit).
     ///
-    /// This is the quiescence hook Route Servers consume: the ORWG
-    /// network diffs each server's current view against this fresh one
-    /// and applies the difference as incremental deltas rather than
-    /// reinstalling (and re-precomputing) from scratch.
+    /// Route Servers install this once (and again on a structural
+    /// change); between those, they derive incremental deltas from the
+    /// LSAs that changed ([`LsDb::slots`]) under the same confirmation
+    /// rule, rather than rebuilding and comparing whole views.
     pub fn view(&self) -> (Topology, PolicyDb) {
         let n = self.lsas.len();
         let mut ads = Vec::with_capacity(n);
         let mut policies = Vec::with_capacity(n);
-        for i in 0..n {
+        for (i, slot) in self.lsas.iter().enumerate() {
             let id = AdId(i as u32);
-            match &self.lsas[i] {
+            match slot {
                 Some(lsa) => {
                     ads.push(Ad {
                         id,
@@ -136,16 +185,10 @@ impl LsDb {
         let mut delays: Vec<u64> = Vec::new();
         for lsa in self.lsas.iter().flatten() {
             for &(nbr, metric, delay) in &lsa.links {
-                if lsa.origin < nbr {
-                    // Confirm the reverse adjacency before accepting.
-                    let confirmed = self
-                        .get(nbr)
-                        .map(|other| other.links.iter().any(|&(n, _, _)| n == lsa.origin))
-                        .unwrap_or(false);
-                    if confirmed {
-                        edges.push((lsa.origin, nbr, metric));
-                        delays.push(delay);
-                    }
+                // Confirm the reverse adjacency before accepting.
+                if lsa.origin < nbr && self.advertises(nbr, lsa.origin).is_some() {
+                    edges.push((lsa.origin, nbr, metric));
+                    delays.push(delay);
                 }
             }
         }
@@ -164,20 +207,20 @@ impl LsDb {
 pub struct Flooder {
     /// This router's AD.
     pub me: AdId,
-    /// The local copy of the link-state database.
+    /// The local copy of the link-state database. Its slot for `me` always
+    /// holds our own latest origination ([`Flooder::handle`] never stores
+    /// a received copy of our own LSA), so a sequence-number jump can
+    /// re-originate from it without protocol help.
     pub db: LsDb,
     /// Own LSA sequence number (bumped on each origination).
     pub seq: u64,
-    /// What we advertise about ourselves, recorded at origination so a
-    /// sequence-number jump (see [`Flooder::handle`]) can re-originate
-    /// without protocol help.
-    identity: Option<(AdLevel, TransitPolicy)>,
 }
 
 /// Messages exchanged by flooding: a single LSA per message (a
 /// simplification of OSPF-style bundling that keeps byte accounting
-/// transparent).
-pub type FloodMsg = Lsa;
+/// transparent). The message *is* the origin's allocation: sending,
+/// storing, re-flooding and channel duplication clone the pointer.
+pub type FloodMsg = Arc<Lsa>;
 
 impl Flooder {
     /// A flooder for `me` in a network of `num_ads` ADs.
@@ -186,12 +229,12 @@ impl Flooder {
             me,
             db: LsDb::new(num_ads),
             seq: 0,
-            identity: None,
         }
     }
 
     /// Originates (or re-originates) this AD's own LSA describing its
     /// current operational adjacencies, and floods it to all neighbors.
+    /// This is the only place an honest router allocates an [`Lsa`].
     pub fn originate(
         &mut self,
         ctx: &mut Ctx<'_, FloodMsg>,
@@ -199,7 +242,6 @@ impl Flooder {
         policy: TransitPolicy,
     ) {
         self.seq += 1;
-        self.identity = Some((level, policy.clone()));
         let links: Vec<(AdId, u32, u64)> = ctx
             .neighbors()
             .into_iter()
@@ -210,13 +252,13 @@ impl Flooder {
             seq: self.seq,
             links: links.len() as u64,
         });
-        let lsa = Lsa {
+        let lsa = Arc::new(Lsa {
             origin: self.me,
             seq: self.seq,
             level,
             links,
             policy,
-        };
+        });
         self.db.insert(lsa.clone());
         for (nbr, _) in ctx.neighbors() {
             ctx.send(nbr, lsa.clone());
@@ -233,8 +275,8 @@ impl Flooder {
     /// say (or, seq-tied, keep the ghost's stale adjacencies). The cure is
     /// OSPF's self-originated-LSA rule: jump our counter past the ghost
     /// and re-originate with current adjacencies, which supersedes it
-    /// everywhere. Ordinary flooding echoes of our own LSA are exact
-    /// clones of what we sent (same seq, same content) and fall through to
+    /// everywhere. Ordinary flooding echoes of our own LSA are the very
+    /// allocation we sent (same seq, same content) and fall through to
     /// duplicate suppression.
     pub fn handle(&mut self, ctx: &mut Ctx<'_, FloodMsg>, from: AdId, lsa: FloodMsg) -> bool {
         if lsa.origin == self.me {
@@ -259,10 +301,10 @@ impl Flooder {
                 at: self.me,
                 seq: lsa.seq,
             });
-            let Some((level, policy)) = self.identity.clone() else {
+            let Some(own) = self.db.slots()[self.me.index()].clone() else {
                 return false; // never originated: nothing to supersede with
             };
-            self.originate(ctx, level, policy);
+            self.originate(ctx, own.level, own.policy.clone());
             return true;
         }
         if self.db.insert(lsa.clone()) {
@@ -297,17 +339,14 @@ impl Flooder {
     /// unacknowledged and provides no catch-up — and views would stay
     /// stale forever (the churn tests caught exactly that).
     pub fn resync(&mut self, ctx: &mut Ctx<'_, FloodMsg>, neighbor: AdId) {
-        let lsas: Vec<FloodMsg> = (0..self.db.num_ads())
-            .filter_map(|i| self.db.get(AdId(i as u32)).cloned())
-            .collect();
         ctx.count("ls_resync", 1);
         ctx.emit(EventRecord::LsaResync {
             at: self.me,
             neighbor,
-            lsas: lsas.len() as u64,
+            lsas: self.db.len() as u64,
         });
-        for lsa in lsas {
-            ctx.send(neighbor, lsa);
+        for lsa in self.db.slots().iter().flatten() {
+            ctx.send(neighbor, lsa.clone());
         }
     }
 }
@@ -315,17 +354,20 @@ impl Flooder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ls_hbh::LsHbh;
+    use adroute_policy::workload::PolicyWorkload;
     use adroute_policy::PolicyAction;
+    use adroute_topology::generate::HierarchyConfig;
     use adroute_topology::graph::make_ad;
 
-    fn lsa(origin: u32, seq: u64, nbrs: &[u32]) -> Lsa {
-        Lsa {
+    fn lsa(origin: u32, seq: u64, nbrs: &[u32]) -> Arc<Lsa> {
+        Arc::new(Lsa {
             origin: AdId(origin),
             seq,
             level: AdLevel::Campus,
             links: nbrs.iter().map(|&n| (AdId(n), 1, 1000)).collect(),
             policy: TransitPolicy::permit_all(AdId(origin)),
-        }
+        })
     }
 
     #[test]
@@ -371,10 +413,10 @@ mod tests {
     #[test]
     fn view_preserves_levels_metrics_and_roles() {
         let mut db = LsDb::new(2);
-        let mut a = lsa(0, 1, &[1]);
+        let mut a = Lsa::clone(&lsa(0, 1, &[1]));
         a.level = AdLevel::Backbone;
         a.links[0].1 = 7;
-        db.insert(a);
+        db.insert(Arc::new(a));
         db.insert(lsa(1, 1, &[0]));
         let (topo, _) = db.view();
         assert_eq!(topo.ad(AdId(0)).level, AdLevel::Backbone);
@@ -393,5 +435,74 @@ mod tests {
         assert!(one > 0);
         db.insert(lsa(1, 1, &[0]));
         assert!(db.encoded_size() > one);
+    }
+
+    /// After convergence every database holds the origin's own allocation,
+    /// not a copy of it — however the LSA got there.
+    fn assert_every_lsdb_shares_the_origins_allocation(e: &adroute_sim::Engine<LsHbh>) {
+        let n = e.topo().num_ads();
+        for origin in e.topo().ad_ids() {
+            let own = e.router(origin).flooder.db.slots()[origin.index()]
+                .as_ref()
+                .expect("every AD originated");
+            for ad in e.topo().ad_ids() {
+                let db = &e.router(ad).flooder.db;
+                assert_eq!(db.len(), n, "{ad} has a partial database");
+                let held = db.slots()[origin.index()].as_ref().unwrap();
+                assert!(
+                    Arc::ptr_eq(own, held),
+                    "{ad} holds a copy of {origin}'s LSA"
+                );
+            }
+            assert!(e
+                .router(origin)
+                .flooder
+                .db
+                .shares_all_lsas_with(&e.router(AdId(0)).flooder.db));
+        }
+    }
+
+    fn figure1_engine() -> adroute_sim::Engine<LsHbh> {
+        let topo = HierarchyConfig::figure1().generate();
+        let db = PolicyWorkload::default_mix(5).generate(&topo);
+        let proto = LsHbh::new(&topo, db);
+        adroute_sim::Engine::new(topo, proto)
+    }
+
+    #[test]
+    fn converged_databases_share_one_allocation_per_origin() {
+        let mut e = figure1_engine();
+        e.run_to_quiescence();
+        assert_every_lsdb_shares_the_origins_allocation(&e);
+        // Re-origination replaces the allocation everywhere.
+        let before = e.router(AdId(0)).flooder.db.slots()[0].clone().unwrap();
+        let l = e.topo().neighbors(AdId(0)).next().unwrap().1;
+        e.schedule_link_change(l, false, e.now().plus_us(1000));
+        e.run_to_quiescence();
+        assert_every_lsdb_shares_the_origins_allocation(&e);
+        let after = e.router(AdId(0)).flooder.db.slots()[0].clone().unwrap();
+        assert!(!Arc::ptr_eq(&before, &after));
+        assert!(after.seq > before.seq);
+    }
+
+    #[test]
+    fn duplicating_channel_still_shares_allocations() {
+        let mut e = figure1_engine();
+        e.set_channel_faults(Some(adroute_sim::ChannelFaults {
+            duplicate: 0.5,
+            jitter_us: 300,
+            seed: 9,
+            ..Default::default()
+        }));
+        e.run_to_quiescence();
+        assert!(e.stats.msgs_duplicated > 0, "the fault never fired");
+        assert_every_lsdb_shares_the_origins_allocation(&e);
+    }
+
+    #[test]
+    fn parallel_lanes_share_allocations_across_workers() {
+        let mut e = figure1_engine();
+        e.run_to_quiescence_parallel(2);
+        assert_every_lsdb_shares_the_origins_allocation(&e);
     }
 }

@@ -20,13 +20,14 @@
 //! routing.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use adroute_policy::{legality, FlowSpec, PolicyDb, TransitPolicy};
 use adroute_sim::{Ctx, Engine, MisbehaviorModel, MisbehaviorSpec, Protocol};
 use adroute_topology::{AdId, AdLevel, LinkId, Topology};
 
 use crate::forwarding::DataPlane;
-use crate::linkstate::{FloodMsg, Flooder};
+use crate::linkstate::{FloodMsg, Flooder, Lsa};
 
 /// Protocol configuration: the policies each AD will advertise in its
 /// LSAs, and the levels used in reconstruction.
@@ -152,24 +153,28 @@ impl Protocol for LsHbh {
         // A replayer captures its *stale* stored copy of the origin's LSA
         // before the flooder overwrites it, then re-floods that stale
         // content under an inflated sequence number so honest routers
-        // prefer the forgery over the genuine update.
-        let stale = if r.replay_budget > 0 && msg.origin != r.me {
+        // prefer the forgery over the genuine update. The forgery is a new
+        // `Lsa` of its own: a shared one is never edited.
+        let forged = if r.replay_budget > 0 && msg.origin != r.me {
             r.flooder
                 .db
                 .get(msg.origin)
                 .filter(|old| old.seq < msg.seq && old.links != msg.links)
-                .cloned()
+                .map(|old| {
+                    Arc::new(Lsa {
+                        seq: msg.seq + 7,
+                        ..old.clone()
+                    })
+                })
         } else {
             None
         };
-        let incoming_seq = msg.seq;
         // The flooder emits its accept/duplicate record before forwarding
         // the LSA, so flood fan-out anchors to the acceptance in the
         // causal log.
         r.flooder.handle(ctx, from, msg);
-        if let Some(mut forged) = stale {
+        if let Some(forged) = forged {
             r.replay_budget -= 1;
-            forged.seq = incoming_seq + 7;
             ctx.count("lsa_replay_forged", 1);
             for (nbr, _) in ctx.neighbors() {
                 ctx.send(nbr, forged.clone());

@@ -30,11 +30,12 @@
 //! reconvergence, which is what the chaos tests assert against.
 //!
 //! Data planes layered on top re-sync *after* that sweep: the ORWG
-//! network's `refresh_from_engine` diffs each Route Server's view against
-//! its AD's flooded database at quiescence and applies the difference as
-//! incremental deltas (falling back to a full view install only when the
-//! structure changed), so a recovery sweep does not flush every cached
-//! policy route in the internet.
+//! network's `refresh_from_engine` brings each Route Server's view to its
+//! AD's flooded database at quiescence by re-deriving the origins whose
+//! LSA changed and applying the difference as incremental deltas (falling
+//! back to a full view install only when the structure changed), so a
+//! recovery sweep does not flush every cached policy route in the
+//! internet.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

@@ -11,6 +11,11 @@ adroute() {
     cargo run --release -q -p adroute-cli -- "$@"
 }
 
+echo "== The benchmark still builds against this tree and passes its own gate"
+# benchmark/ is its own workspace: `cargo test --workspace` never compiles
+# it, so a signature it calls could break unnoticed until it is run.
+benchmark/check.sh
+
 echo "== Machine-readable outputs are valid JSON"
 adroute report --ads 40 --seed 7 --flows 20 --json | python3 -m json.tool > /dev/null
 adroute blame quickstart --json | python3 -m json.tool > /dev/null

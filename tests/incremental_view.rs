@@ -11,11 +11,20 @@
 //! recomputed. Each returned path is additionally checked legal at its
 //! claimed cost against ground truth, so a cost match cannot hide an
 //! illegal route.
+//!
+//! A third battery drives the twins **through the control-plane engine**:
+//! link flaps, router crashes and restarts (the LSDB emptied and
+//! relearned), partitions and heals, interleaved with direct
+//! `fail_link`/`restore_link` on the data plane. After every
+//! `refresh_from_engine` each Route Server's view must equal what its own
+//! router's database describes, and answer like the flush twin's.
 
-use adroute::core::{OrwgNetwork, Strategy, ViewMaintenance};
+use adroute::core::router::converge_control_plane;
+use adroute::core::{OrwgNetwork, RouteServer, Strategy, ViewMaintenance};
 use adroute::policy::legality::route_is_legal;
 use adroute::policy::workload::PolicyWorkload;
 use adroute::protocols::forwarding::sample_flows;
+use adroute::protocols::linkstate::LsDb;
 use adroute::topology::{AdId, HierarchyConfig, LinkId};
 use proptest::prelude::*;
 
@@ -60,8 +69,165 @@ fn decode(word: u64, num_links: usize, num_ads: usize) -> Op {
     }
 }
 
+/// The up links `(a, b, metric)` of a view, in a canonical order.
+fn up_links(t: &adroute::topology::Topology) -> Vec<(AdId, AdId, u32)> {
+    let mut v: Vec<_> = t
+        .links()
+        .filter(|l| l.up)
+        .map(|l| (l.a, l.b, l.metric))
+        .collect();
+    v.sort_unstable();
+    v
+}
+
+/// A synced Route Server's view is its database's view wherever the
+/// synthesis search looks: up links, their metrics, every AD's policy.
+fn assert_view_is_lsdb_view(s: &RouteServer, db: &LsDb) {
+    let (vt, vd) = db.view();
+    assert_eq!(
+        up_links(s.view_topo()),
+        up_links(&vt),
+        "{}: links diverge from its LSDB",
+        s.ad
+    );
+    for ad in vt.ad_ids() {
+        assert_eq!(
+            s.view_db().policy(ad),
+            vd.policy(ad),
+            "{}: policy of {ad} diverges from its LSDB",
+            s.ad
+        );
+    }
+}
+
+/// The canonical 245-AD internet of the benchmark's `orwg-*` workloads.
+fn canonical_internet() -> adroute::topology::Topology {
+    HierarchyConfig {
+        backbones: 5,
+        lateral_prob: 0.25,
+        bypass_prob: 0.1,
+        multihome_prob: 0.2,
+        seed: 23,
+        ..Default::default()
+    }
+    .generate()
+}
+
+/// A refresh costs what changed: nothing when no LSDB moved, and for one
+/// link flap the two endpoint origins per Route Server — never a view
+/// rebuild.
+#[test]
+fn refresh_rederives_only_the_origins_that_changed() {
+    let topo = canonical_internet();
+    assert_eq!(topo.num_ads(), 245);
+    let n = topo.num_ads() as u64;
+    let db = PolicyWorkload::default_mix(23).generate(&topo);
+    let mut e = converge_control_plane(topo.clone(), db);
+    let mut net = OrwgNetwork::from_engine(&e, Strategy::Cached { capacity: 64 }, 1024);
+    let rederived = |net: &OrwgNetwork| net.obs.metrics.counter("view_origins_rederived");
+    let installs = |net: &OrwgNetwork| net.obs.metrics.counter("view_full_installs");
+
+    net.refresh_from_engine(&e);
+    assert_eq!(rederived(&net), 0, "nothing changed, something was derived");
+    assert_eq!(installs(&net), 0);
+
+    let link = topo.links().find(|l| l.up).unwrap().id;
+    for (step, up) in [false, true].into_iter().enumerate() {
+        e.schedule_link_change(link, up, e.now().plus_us(1000));
+        e.run_to_quiescence();
+        net.refresh_from_engine(&e);
+        assert_eq!(rederived(&net), 2 * n * (step as u64 + 1));
+        assert_eq!(installs(&net), 0, "a link flap is not structural");
+    }
+    net.refresh_from_engine(&e);
+    assert_eq!(rederived(&net), 4 * n, "a second refresh found more to do");
+    for ad in topo.ad_ids() {
+        assert_view_is_lsdb_view(net.server(ad), &e.router(ad).flooder.db);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Views maintained by allocation-provenance deltas converge to their
+    /// own LSDB through everything the control plane can do to a
+    /// database, and through edits made behind the refresh's back.
+    #[test]
+    fn engine_synced_views_match_their_lsdb_and_the_flush_twin(
+        seed in 0u64..200,
+        script in proptest::collection::vec(0u64..u64::MAX, 1..12),
+    ) {
+        let topo = small_internet(seed);
+        let db = PolicyWorkload::default_mix(seed).generate(&topo);
+        let flows = sample_flows(&topo, 10, seed ^ 0x5);
+        let mut e = converge_control_plane(topo.clone(), db);
+        let mk = |e: &adroute::sim::Engine<_>, mode| {
+            let mut n = OrwgNetwork::from_engine(e, Strategy::Cached { capacity: 32 }, 1024);
+            n.set_view_maintenance(mode);
+            n
+        };
+        let mut inc = mk(&e, ViewMaintenance::Incremental);
+        let mut flush = mk(&e, ViewMaintenance::Flush);
+        for f in &flows {
+            let _ = inc.synthesize(f);
+            let _ = flush.synthesize(f);
+        }
+        let (nl, na) = (topo.num_links(), topo.num_ads());
+        let last = script.len() - 1;
+        for (step, word) in script.into_iter().enumerate() {
+            let raw = (word >> 8) as usize;
+            let link = LinkId((raw % nl) as u32);
+            let ad = AdId((raw % na) as u32);
+            let at = e.now().plus_us(1000);
+            match word & 7 {
+                0 => e.schedule_link_change(link, false, at),
+                1 => e.schedule_link_change(link, true, at),
+                // A crash empties the router's LSDB; the restart relearns
+                // it from the neighbours, pointer for pointer.
+                2 => e.schedule_router_change(ad, false, at),
+                3 => e.schedule_router_change(ad, true, at),
+                // Partition at an AD-index split, and heal everything.
+                4 => {
+                    let split = AdId((1 + raw % (na - 1)) as u32);
+                    for l in topo.links().filter(|l| l.a < split && split <= l.b) {
+                        e.schedule_link_change(l.id, false, at);
+                    }
+                }
+                5 => {
+                    for l in topo.links() {
+                        e.schedule_link_change(l.id, true, at);
+                    }
+                    for ad in topo.ad_ids() {
+                        e.schedule_router_change(ad, true, at);
+                    }
+                }
+                // Views edited behind the refresh's back.
+                6 => {
+                    inc.fail_link(link);
+                    flush.fail_link(link);
+                }
+                _ => {
+                    inc.restore_link(link);
+                    flush.restore_link(link);
+                }
+            }
+            e.run_to_quiescence();
+            // Some LSDB changes pile up unrefreshed.
+            if (word >> 3) & 3 == 0 && step != last {
+                continue;
+            }
+            inc.refresh_from_engine(&e);
+            flush.refresh_from_engine(&e);
+            for ad in topo.ad_ids() {
+                assert_view_is_lsdb_view(inc.server(ad), &e.router(ad).flooder.db);
+            }
+            for f in &flows {
+                let a = inc.synthesize(f).map(|r| r.cost);
+                let b = flush.synthesize(f).map(|r| r.cost);
+                prop_assert_eq!(a, b, "{} answered differently by the flush twin", f);
+            }
+        }
+    }
 
     /// Every request answered after every event of a random fault script
     /// agrees between the incremental twin and the flush oracle.

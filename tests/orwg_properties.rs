@@ -142,6 +142,80 @@ proptest! {
         prop_assert_eq!(after, 0);
         prop_assert_eq!(net.open_flow_count(), 0);
     }
+
+    /// Abandoning an open purges by record (the handles teardown
+    /// notifications left behind), not by scanning. Against the scan of
+    /// every open flow and every gateway table it replaced, through random
+    /// opens, source teardowns, link and gateway faults, policy changes,
+    /// quarantines, repairs and handle-cache evictions: the same count
+    /// returned, the same handles gone, nothing else touched.
+    #[test]
+    fn abandon_open_matches_the_full_scan(
+        seed in 0u64..300,
+        script in proptest::collection::vec(0u64..u64::MAX, 4..40),
+    ) {
+        let topo = small_internet(seed);
+        let db = PolicyWorkload::structural(seed).generate(&topo);
+        // Few classes, so one class is often open more than once; small
+        // handle caches, so gateways also evict on their own.
+        let pool = sample_flows(&topo, 5, seed ^ 0x3);
+        let mut net = OrwgNetwork::converged_with(
+            &topo, &db, Strategy::Cached { capacity: 32 }, 6);
+        let installed = |net: &OrwgNetwork, f: &FlowSpec| -> Vec<usize> {
+            topo.ad_ids().map(|a| net.gateway(a).handles_for(f)).collect()
+        };
+        let cached = |net: &OrwgNetwork| -> usize {
+            topo.ad_ids().map(|a| net.gateway(a).cached_handles()).sum()
+        };
+        for word in script {
+            let raw = (word >> 8) as usize;
+            let f = pool[raw % pool.len()];
+            let link = adroute::topology::LinkId((raw % topo.num_links()) as u32);
+            let ad = AdId((raw % topo.num_ads()) as u32);
+            match word % 11 {
+                0..=2 => {
+                    let _ = net.open_repairable(&f);
+                }
+                3 => {
+                    let mut live: Vec<HandleId> = net.open_flows().map(|(h, _)| h).collect();
+                    live.sort();
+                    if !live.is_empty() {
+                        net.teardown(live[raw % live.len()]);
+                    }
+                }
+                4 => net.fail_link(link),
+                5 => net.restore_link(link),
+                6 => {
+                    net.crash_gateway(ad);
+                    net.restore_gateway(ad);
+                }
+                7 => net.change_policy(db.policy(ad).clone()),
+                8 => {
+                    net.quarantine_ad(ad, None);
+                    net.lift_quarantine(ad);
+                }
+                9 => {
+                    net.repair_pending(2);
+                }
+                _ => {}
+            }
+            // Every step ends with an abandon of some class.
+            let g = pool[(raw / 7) % pool.len()];
+            let live = net.open_flows().any(|(_, of)| of.flow == g);
+            let before = installed(&net, &g);
+            let total = cached(&net);
+            let purged = net.abandon_open(&g, 1, adroute::sim::SimTime::ZERO, None);
+            if live {
+                prop_assert_eq!(purged, 0, "purged under a live flow of the class");
+                prop_assert_eq!(installed(&net, &g), before);
+            } else {
+                prop_assert_eq!(purged, before.iter().sum::<usize>());
+                prop_assert!(installed(&net, &g).iter().all(|&n| n == 0));
+            }
+            prop_assert_eq!(cached(&net), total - purged, "another class lost handles");
+        }
+        prop_assert_eq!(net.total_stale_forwards(), 0);
+    }
 }
 
 fn net_precompute(net: &mut OrwgNetwork, f: &FlowSpec) {

@@ -19,9 +19,9 @@ use adroute_protocols::{
 };
 use adroute_sim::{
     Alarm, CausalGraph, ChannelFaults, CrashModel, Engine, EventLog, EventRecord, FailureModel,
-    FaultPlan, FaultSpec, MetricsRegistry, MisbehaviorModel, MisbehaviorSpec, MonitorBank,
-    MonitorConfig, Observation, OpenStorm, Profiler, Protocol, QuarantineController, RouterOutage,
-    SimTime, Stats, StormPhase,
+    FaultPlan, FaultSpec, JsonWriter, MetricsRegistry, MisbehaviorModel, MisbehaviorSpec,
+    MonitorBank, MonitorConfig, Observation, OpenStorm, Profiler, Protocol, QuarantineController,
+    RouterOutage, SimTime, Stats, StormPhase,
 };
 use adroute_topology::{analysis, io as topo_io, AdId, HierarchyConfig, LinkId, Topology};
 
@@ -100,27 +100,6 @@ COMMANDS:
                 profiled); e14 full sharded e9b serving (--json for
                 machines, --folded for flamegraph.pl, default a top-N
                 self-time table)
-  bench         [--json --out FILE]
-                wall-clock the overload-serving path on the e9b storm
-                (no crash), monolithic and sharded, and report opens/sec,
-                setup-wait p50/p99, shed rate, and the sharded speedup
-                (--json emits the BENCH_serve.json schema); or: --engine [--ads N
-                --workers K --rounds R --cost C --seed S] to wall-clock
-                the discrete-event core itself on a cheap gossip flood
-                at paper scale — events/sec sequential, region-parallel,
-                with an observer attached, and a compute-bound pair at
-                C iterations of per-delivery work (--json emits the
-                BENCH_engine.json schema); or: --obs [--ads N --rounds R
-                --seed S] to price the observability sinks on that same
-                flood — no sink vs typed event log vs self-profiler, best
-                of three interleaved runs each (--json emits the
-                BENCH_obs.json schema that CI's obs-overhead gate reads);
-                or: --chaos [--ads N --workers K --rounds R --loss P
-                --seed S] to wall-clock the same flood under the
-                event-keyed chaos machinery (lossy channel + a
-                partition/heal cycle), sequential vs region-parallel
-                (--json emits the BENCH_chaos.json schema that CI's
-                chaos-throughput gate reads)
   help          this text
 ";
 
@@ -140,6 +119,13 @@ fn load_policies(path: Option<&str>, topo: &Topology) -> Result<PolicyDb, CliErr
                 .map_err(|e| CliError(format!("policies '{p}': {e}")))
         }
     }
+}
+
+/// The `--json` envelope: `{"<command>":{…}}` on one line.
+fn wrap_json(command: &str, body: String) -> String {
+    let mut out = JsonWriter::object().put(command, body).finish();
+    out.push('\n');
+    out
 }
 
 fn emit(out: &str, target: Option<&str>) -> Result<String, CliError> {
@@ -419,38 +405,36 @@ fn audit_byzantine(args: &Args) -> Result<String, CliError> {
     let reconverged = bz.violating_after == 0;
     let mut out = String::new();
     if json {
-        let _ = write!(
-            out,
-            "{{\"audit\":{{\"scenario\":\"{scenario}\",\"ads\":{},\"links\":{},\"seed\":{seed},\
-             \"rogue\":\"{}\",\"model\":\"forged-ack\",\"flows_open\":{opened},\
-             \"violating_before\":{},",
-            topo.num_ads(),
-            topo.num_links(),
-            bz.rogue,
-            bz.violating_before
-        );
-        match &bz.detection {
-            Some(a) => {
-                let _ = write!(
-                    out,
-                    "\"detection\":{{\"detector\":\"{}\",\"tick\":{},\"evidence\":{}}},",
-                    a.detector, a.tick, a.evidence
-                );
-            }
-            None => out.push_str("\"detection\":null,"),
-        }
-        let _ = writeln!(
-            out,
-            "\"quarantine\":{{\"entered\":1,\"torn\":{},\"repaired_alternate\":{},\
-             \"repaired_synthesis\":{},\"unrepairable\":{}}},\"violating_after\":{},\
-             \"reconverged_legal\":{reconverged},\"metrics\":{}}}}}",
-            bz.torn,
-            bz.repair.repaired_via_alternate,
-            bz.repair.repaired_via_synthesis,
-            bz.repair.failures,
-            bz.violating_after,
-            net.obs.metrics.to_json()
-        );
+        let detection = bz.detection.as_ref().map(|a| {
+            JsonWriter::object()
+                .put_str("detector", a.detector)
+                .put("tick", a.tick)
+                .put("evidence", a.evidence)
+                .finish()
+        });
+        let quarantine = JsonWriter::object()
+            .put("entered", 1)
+            .put("torn", bz.torn)
+            .put("repaired_alternate", bz.repair.repaired_via_alternate)
+            .put("repaired_synthesis", bz.repair.repaired_via_synthesis)
+            .put("unrepairable", bz.repair.failures)
+            .finish();
+        let audit = JsonWriter::object()
+            .put_str("scenario", &scenario)
+            .put("ads", topo.num_ads())
+            .put("links", topo.num_links())
+            .put("seed", seed)
+            .put_str("rogue", &bz.rogue.to_string())
+            .put_str("model", "forged-ack")
+            .put("flows_open", opened)
+            .put("violating_before", bz.violating_before)
+            .put_opt("detection", detection)
+            .put("quarantine", quarantine)
+            .put("violating_after", bz.violating_after)
+            .put("reconverged_legal", reconverged)
+            .put("metrics", net.obs.metrics.to_json())
+            .finish();
+        out = wrap_json("audit", audit);
     } else {
         let _ = writeln!(
             out,
@@ -1108,25 +1092,20 @@ where
 }
 
 fn point_json(p: &PointReport) -> String {
-    let mut s = format!(
-        "{{\"name\":\"{}\",\"convergence_us\":{},\"reconvergence_us\":{},\"stats\":{},\"phases\":{{",
-        p.name,
-        p.converge_us,
-        p.reconverge_us,
-        p.totals.to_json()
-    );
-    let mut first = true;
-    for name in p.totals.phase_names().collect::<Vec<_>>() {
+    let mut phases = JsonWriter::object();
+    for name in p.totals.phase_names() {
         if let Some(d) = p.totals.phase_delta(name) {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            let _ = write!(s, "\"{name}\":{}", d.to_json());
+            phases.put(name, d.to_json());
         }
     }
-    let _ = write!(s, "}},\"metrics\":{}}}", p.metrics.to_json());
-    s
+    JsonWriter::object()
+        .put_str("name", p.name)
+        .put("convergence_us", p.converge_us)
+        .put("reconvergence_us", p.reconverge_us)
+        .put("stats", p.totals.to_json())
+        .put("phases", phases.finish())
+        .put("metrics", p.metrics.to_json())
+        .finish()
 }
 
 /// `report`: convergence, message-complexity, and latency instrumentation
@@ -1227,23 +1206,17 @@ pub fn report(args: &Args) -> Result<String, CliError> {
     });
 
     if json {
-        let mut out = format!(
-            "{{\"report\":{{\"ads\":{},\"links\":{},\"seed\":{seed},\"trunk\":\"{}-{}\",\
-             \"flows\":{},\"design_points\":[",
-            topo.num_ads(),
-            topo.num_links(),
-            topo.link(trunk).a,
-            topo.link(trunk).b,
-            flows.len()
-        );
-        for (i, p) in points.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&point_json(p));
-        }
-        out.push_str("]}}\n");
-        return Ok(out);
+        let (a, b) = (topo.link(trunk).a, topo.link(trunk).b);
+        let design_points = JsonWriter::array(points.iter().map(point_json));
+        let report = JsonWriter::object()
+            .put("ads", topo.num_ads())
+            .put("links", topo.num_links())
+            .put("seed", seed)
+            .put_str("trunk", &format!("{a}-{b}"))
+            .put("flows", flows.len())
+            .put("design_points", design_points)
+            .finish();
+        return Ok(wrap_json("report", report));
     }
 
     let mut out = String::new();
@@ -1370,28 +1343,17 @@ fn render_blame(scenario: &str, logs: &[&EventLog], json: bool) -> String {
         );
     }
     let g = CausalGraph::build(logs);
-    let path = g.critical_path();
     let storms = g.storm_report();
-    let mut s = format!(
-        "{{\"blame\":{{\"scenario\":\"{scenario}\",\"events\":{},\"roots\":{},\"critical_path\":[",
-        g.len(),
-        storms.len()
-    );
-    for (i, ev) in path.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&ev.to_json());
-    }
-    s.push_str("],\"storms\":[");
-    for (i, st) in storms.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&st.to_json());
-    }
-    s.push_str("]}}\n");
-    s
+    let path = JsonWriter::array(g.critical_path().iter().map(|ev| ev.to_json()));
+    let storm_array = JsonWriter::array(storms.iter().map(|st| st.to_json()));
+    let blame = JsonWriter::object()
+        .put_str("scenario", scenario)
+        .put("events", g.len())
+        .put("roots", storms.len())
+        .put("critical_path", path)
+        .put("storms", storm_array)
+        .finish();
+    wrap_json("blame", blame)
 }
 
 /// `blame <scenario>`: run a fixed, seeded scenario and attribute its
@@ -1623,17 +1585,22 @@ fn busiest_src(storm: &OpenStorm, n_ads: usize) -> AdId {
 /// Service costs are inflated relative to the event-loop defaults so the
 /// schedules above straddle saturation on a ~30-AD internet: full
 /// synthesis 6 ms, a cached answer 1.2 ms, a stored-only answer 0.6 ms.
-/// With `crash`, the busiest source AD's Route Server goes down a
-/// quarter into the peak phase and its warm standby takes over 20 ms
-/// later.
+/// A `stress` run logs events, and the busiest source AD's Route Server
+/// goes down a quarter into the peak phase, its warm standby taking over
+/// 20 ms later. A `profiled` run is the always-on light path instead: the
+/// self-profiler alone and no crash, so it times serving, not failover.
 fn stress_run(
     sc: &StressScenario,
-    crash: bool,
     sharding: Option<ShardConfig>,
+    profiled: bool,
 ) -> (OrwgNetwork, StressReport) {
     let db = PolicyWorkload::structural(sc.seed).generate(&sc.topo);
     let mut net = OrwgNetwork::converged(&sc.topo, &db);
-    net.enable_obs(1 << 18);
+    if profiled {
+        net.enable_prof();
+    } else {
+        net.enable_obs(1 << 18);
+    }
     let storm = OpenStorm::draw(&sc.topo, &sc.phases, SimTime::ZERO, sc.seed);
     let durations_us: Vec<u64> = sc.phases.iter().map(|p| p.duration_ms * 1000).collect();
     let cfg = StressConfig {
@@ -1642,7 +1609,7 @@ fn stress_run(
         service_full_us: 6_000,
         service_cached_us: 1_200,
         service_stored_us: 600,
-        crash: crash.then(|| {
+        crash: (!profiled).then(|| {
             let peak_start: u64 = durations_us[..durations_us.len() - 1].iter().sum();
             let down_at = SimTime(peak_start + durations_us[durations_us.len() - 1] / 4);
             RouterOutage {
@@ -1668,78 +1635,67 @@ pub fn stress(args: &Args) -> Result<String, CliError> {
     let sharded = args.opt_parse("sharded", false)?;
     let scenario = args.positional_one("scenario")?.to_string();
     let sc = stress_scenario(&scenario)?;
-    let (net, r) = stress_run(&sc, true, sharded.then(ShardConfig::default));
+    let (net, r) = stress_run(&sc, sharded.then(ShardConfig::default), false);
     let mut out = String::new();
     if json {
-        let _ = write!(
-            out,
-            "{{\"stress\":{{\"scenario\":\"{scenario}\",\"ads\":{},\"links\":{},\"seed\":{},\
-             \"sharded\":{sharded},\"phases\":[",
-            sc.topo.num_ads(),
-            sc.topo.num_links(),
-            sc.seed
-        );
-        for (i, p) in r.phases.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}{{\"offered\":{},\"served\":{},\"served_full\":{},\"served_cached\":{},\
-                 \"served_stored\":{},\"shed\":{},\"abandoned\":{},\"no_route\":{},\
-                 \"failed\":{},\"duration_us\":{},\"goodput_per_sec\":{}}}",
-                if i == 0 { "" } else { "," },
-                p.offered,
-                p.served,
-                p.served_full,
-                p.served_cached,
-                p.served_stored,
-                p.shed,
-                p.abandoned,
-                p.no_route,
-                p.failed,
-                p.duration_us,
-                p.goodput_per_sec()
-            );
-        }
-        let _ = write!(
-            out,
-            "],\"totals\":{{\"offered\":{},\"served\":{},\"shed\":{},\"abandoned\":{},\
-             \"no_route\":{},\"failed\":{},\"retries\":{}}},\
-             \"latency\":{{\"p50_wait_us\":{},\"p99_wait_us\":{}}},",
-            r.offered,
-            r.served,
-            r.shed,
-            r.abandoned,
-            r.no_route,
-            r.failed,
-            r.retries,
-            r.p50_wait_us,
-            r.p99_wait_us
-        );
-        match &r.failover {
-            Some(f) => {
-                let _ = write!(
-                    out,
-                    "\"failover\":{{\"ad\":\"{}\",\"crashed_at_us\":{},\"takeover_at_us\":{},\
-                     \"cancelled\":{},\"warmed\":{}}},",
-                    f.ad,
-                    f.crashed_at.as_us(),
-                    f.takeover_at.as_us(),
-                    f.cancelled,
-                    f.warmed
-                );
-            }
-            None => out.push_str("\"failover\":null,"),
-        }
-        match &r.chain {
-            Some(c) => {
-                let _ = write!(
-                    out,
-                    "\"chain\":{{\"shed\":{},\"retry\":{},\"admit\":{}}},",
-                    c.shed.0, c.retry.0, c.admit.0
-                );
-            }
-            None => out.push_str("\"chain\":null,"),
-        }
-        let _ = writeln!(out, "\"metrics\":{}}}}}", net.obs.metrics.to_json());
+        let phases = r.phases.iter().map(|p| {
+            JsonWriter::object()
+                .put("offered", p.offered)
+                .put("served", p.served)
+                .put("served_full", p.served_full)
+                .put("served_cached", p.served_cached)
+                .put("served_stored", p.served_stored)
+                .put("shed", p.shed)
+                .put("abandoned", p.abandoned)
+                .put("no_route", p.no_route)
+                .put("failed", p.failed)
+                .put("duration_us", p.duration_us)
+                .put("goodput_per_sec", p.goodput_per_sec())
+                .finish()
+        });
+        let totals = JsonWriter::object()
+            .put("offered", r.offered)
+            .put("served", r.served)
+            .put("shed", r.shed)
+            .put("abandoned", r.abandoned)
+            .put("no_route", r.no_route)
+            .put("failed", r.failed)
+            .put("retries", r.retries)
+            .finish();
+        let latency = JsonWriter::object()
+            .put("p50_wait_us", r.p50_wait_us)
+            .put("p99_wait_us", r.p99_wait_us)
+            .finish();
+        let failover = r.failover.as_ref().map(|f| {
+            JsonWriter::object()
+                .put_str("ad", &f.ad.to_string())
+                .put("crashed_at_us", f.crashed_at.as_us())
+                .put("takeover_at_us", f.takeover_at.as_us())
+                .put("cancelled", f.cancelled)
+                .put("warmed", f.warmed)
+                .finish()
+        });
+        let chain = r.chain.as_ref().map(|c| {
+            JsonWriter::object()
+                .put("shed", c.shed.0)
+                .put("retry", c.retry.0)
+                .put("admit", c.admit.0)
+                .finish()
+        });
+        let stress = JsonWriter::object()
+            .put_str("scenario", &scenario)
+            .put("ads", sc.topo.num_ads())
+            .put("links", sc.topo.num_links())
+            .put("seed", sc.seed)
+            .put("sharded", sharded)
+            .put("phases", JsonWriter::array(phases))
+            .put("totals", totals)
+            .put("latency", latency)
+            .put_opt("failover", failover)
+            .put_opt("chain", chain)
+            .put("metrics", net.obs.metrics.to_json())
+            .finish();
+        out = wrap_json("stress", stress);
     } else {
         let _ = writeln!(
             out,
@@ -1830,32 +1786,6 @@ where
     }
 }
 
-/// Drives a serve ramp with the self-profiler attached and *no* event
-/// log — the always-on light path — using the same service costs as
-/// `stress_run`. Returns the network for its profiler.
-fn profile_ramp(
-    topo: &Topology,
-    db: &PolicyDb,
-    seed: u64,
-    phases: &[StormPhase],
-    sharding: Option<ShardConfig>,
-) -> OrwgNetwork {
-    let mut net = OrwgNetwork::converged(topo, db);
-    net.enable_prof();
-    let storm = OpenStorm::draw(topo, phases, SimTime::ZERO, seed);
-    let durations_us: Vec<u64> = phases.iter().map(|p| p.duration_ms * 1000).collect();
-    let cfg = StressConfig {
-        seed,
-        sharding,
-        service_full_us: 6_000,
-        service_cached_us: 1_200,
-        service_stored_us: 600,
-        ..StressConfig::default()
-    };
-    let _ = run_load_ramp(&mut net, &storm, &durations_us, &cfg);
-    net
-}
-
 /// `profile`: run a fixed scenario with the self-profiler attached and
 /// render the span tree. Self/total wall times vary run to run and are
 /// never part of any golden; the `work` ledger is deterministic —
@@ -1872,6 +1802,12 @@ pub fn profile(args: &Args) -> Result<String, CliError> {
     if workers == 0 {
         return bail("--workers must be positive");
     }
+    if json && folded {
+        return bail("--json and --folded are mutually exclusive");
+    }
+    if scenario != "e13" && (args.opt("ads").is_some() || args.opt("loss").is_some()) {
+        return bail("--ads/--loss apply only to e13");
+    }
     let mut prof = Profiler::new();
     let (ads, links);
     match scenario.as_str() {
@@ -1880,27 +1816,18 @@ pub fn profile(args: &Args) -> Result<String, CliError> {
         // e9b ramp schedule at a quarter of each phase's duration: the
         // same saturation ladder, a fraction of the arrivals.
         "quickstart" | "e7b" => {
-            let (sc, phases) = if scenario == "quickstart" {
-                let sc = stress_scenario("quickstart")?;
-                let phases = sc.phases.clone();
-                (sc, phases)
-            } else {
-                let sc = stress_scenario("e9b")?;
-                let phases = sc
-                    .phases
-                    .iter()
-                    .map(|p| StormPhase {
-                        duration_ms: (p.duration_ms / 4).max(1),
-                        opens_per_sec: p.opens_per_sec,
-                    })
-                    .collect();
-                (sc, phases)
-            };
+            let e7b = scenario == "e7b";
+            let mut sc = stress_scenario(if e7b { "e9b" } else { "quickstart" })?;
+            if e7b {
+                for p in &mut sc.phases {
+                    p.duration_ms = (p.duration_ms / 4).max(1);
+                }
+            }
             ads = sc.topo.num_ads();
             links = sc.topo.num_links();
             let db = PolicyWorkload::structural(sc.seed).generate(&sc.topo);
             let trunk = pick_trunk(&sc.topo);
-            let mut e = Engine::new(sc.topo.clone(), OrwgProtocol::new(&sc.topo, db.clone()));
+            let mut e = Engine::new(sc.topo.clone(), OrwgProtocol::new(&sc.topo, db));
             e.enable_prof();
             e.begin_phase("converge");
             run_quiesce(&mut e, workers);
@@ -1908,13 +1835,7 @@ pub fn profile(args: &Args) -> Result<String, CliError> {
             e.schedule_link_change(trunk, false, e.now().plus_us(1));
             run_quiesce(&mut e, workers);
             prof.merge_from(&e.prof);
-            let net = profile_ramp(
-                &sc.topo,
-                &db,
-                sc.seed,
-                &phases,
-                Some(ShardConfig::default()),
-            );
+            let (net, _) = stress_run(&sc, Some(ShardConfig::default()), true);
             prof.merge_from(&net.prof);
         }
         // The region-parallel gossip flood: the engine-dispatch /
@@ -1964,14 +1885,7 @@ pub fn profile(args: &Args) -> Result<String, CliError> {
             let sc = stress_scenario("e9b")?;
             ads = sc.topo.num_ads();
             links = sc.topo.num_links();
-            let db = PolicyWorkload::structural(sc.seed).generate(&sc.topo);
-            let net = profile_ramp(
-                &sc.topo,
-                &db,
-                sc.seed,
-                &sc.phases,
-                Some(ShardConfig::default()),
-            );
+            let (net, _) = stress_run(&sc, Some(ShardConfig::default()), true);
             prof.merge_from(&net.prof);
         }
         other => {
@@ -1980,474 +1894,20 @@ pub fn profile(args: &Args) -> Result<String, CliError> {
             ))
         }
     }
-    let mut out = String::new();
-    if json {
-        let body = prof.to_json();
-        let inner = &body[1..body.len() - 1];
-        let _ = writeln!(
-            out,
-            "{{\"profile\":{{\"scenario\":\"{scenario}\",\"ads\":{ads},\"links\":{links},\
-             \"workers\":{workers},{inner}}}}}"
-        );
+    let out = if json {
+        let mut w = JsonWriter::object();
+        w.put_str("scenario", &scenario)
+            .put("ads", ads)
+            .put("links", links)
+            .put("workers", workers);
+        prof.json_fields(&mut w);
+        wrap_json("profile", w.finish())
     } else if folded {
-        out.push_str(&prof.fold());
+        prof.fold()
     } else {
-        let _ = writeln!(
-            out,
-            "profile {scenario}: {ads} ADs, {links} links, workers {workers}"
-        );
-        out.push_str(&prof.table(top));
-    }
-    emit(&out, args.opt("out"))
-}
-
-/// One timed serve-path run for `bench`: wall-clock figures plus the
-/// (deterministic) simulated outcome.
-struct ServeBench {
-    attempts: u64,
-    wall_ms: f64,
-    opens_per_sec: u64,
-    shed_rate: f64,
-    report: StressReport,
-}
-
-fn serve_bench(sc: &StressScenario, sharding: Option<ShardConfig>) -> ServeBench {
-    let t0 = std::time::Instant::now();
-    let (_net, report) = stress_run(sc, false, sharding);
-    let wall = t0.elapsed();
-    let attempts = report.offered + report.retries;
-    ServeBench {
-        attempts,
-        wall_ms: wall.as_secs_f64() * 1000.0,
-        opens_per_sec: (attempts as f64 / wall.as_secs_f64().max(1e-9)) as u64,
-        shed_rate: if attempts == 0 {
-            0.0
-        } else {
-            report.shed as f64 / attempts as f64
-        },
-        report,
-    }
-}
-
-/// `bench`: wall-clock throughput of the overload-serving path on the
-/// e9b storm (no crash, so the numbers measure serving, not failover),
-/// once through the monolithic one-open-per-slot path and once through
-/// sharded batch service. The simulated results are deterministic; only
-/// the wall-clock figures vary run to run.
-pub fn bench(args: &Args) -> Result<String, CliError> {
-    args.known(&[
-        "json", "out", "engine", "obs", "chaos", "ads", "workers", "rounds", "cost", "seed", "loss",
-    ])?;
-    if args.opt_parse("engine", false)? {
-        return bench_engine(args);
-    }
-    if args.opt_parse("obs", false)? {
-        return bench_obs(args);
-    }
-    if args.opt_parse("chaos", false)? {
-        return bench_chaos(args);
-    }
-    let json = args.opt_parse("json", false)?;
-    let sc = stress_scenario("e9b")?;
-    let mono = serve_bench(&sc, None);
-    let shard = serve_bench(&sc, Some(ShardConfig::default()));
-    let speedup = shard.opens_per_sec as f64 / mono.opens_per_sec.max(1) as f64;
-    let mut out = String::new();
-    if json {
-        let _ = writeln!(
-            out,
-            "{{\"bench\":{{\"workload\":\"e9b\",\"opens\":{},\"attempts\":{},\
-             \"served\":{},\"shed\":{},\"abandoned\":{},\"wall_ms\":{:.3},\
-             \"opens_per_sec\":{},\"p50_setup_wait_us\":{},\
-             \"p99_setup_wait_us\":{},\"shed_rate\":{:.4},\
-             \"attempts_sharded\":{},\"served_sharded\":{},\"shed_sharded\":{},\
-             \"wall_ms_sharded\":{:.3},\"opens_per_sec_sharded\":{},\
-             \"p50_setup_wait_us_sharded\":{},\"p99_setup_wait_us_sharded\":{},\
-             \"shed_rate_sharded\":{:.4},\"speedup\":{:.3}}}}}",
-            mono.report.offered,
-            mono.attempts,
-            mono.report.served,
-            mono.report.shed,
-            mono.report.abandoned,
-            mono.wall_ms,
-            mono.opens_per_sec,
-            mono.report.p50_wait_us,
-            mono.report.p99_wait_us,
-            mono.shed_rate,
-            shard.attempts,
-            shard.report.served,
-            shard.report.shed,
-            shard.wall_ms,
-            shard.opens_per_sec,
-            shard.report.p50_wait_us,
-            shard.report.p99_wait_us,
-            shard.shed_rate,
-            speedup
-        );
-    } else {
-        let _ = writeln!(
-            out,
-            "bench e9b: {} opens ({} attempts monolithic, {} sharded)",
-            mono.report.offered, mono.attempts, shard.attempts
-        );
-        let _ = writeln!(
-            out,
-            "monolithic: wall {:.3} ms ({} opens/s); setup wait p50 {} us, p99 {} us; \
-             shed rate {:.4}",
-            mono.wall_ms,
-            mono.opens_per_sec,
-            mono.report.p50_wait_us,
-            mono.report.p99_wait_us,
-            mono.shed_rate
-        );
-        let _ = writeln!(
-            out,
-            "sharded:    wall {:.3} ms ({} opens/s); setup wait p50 {} us, p99 {} us; \
-             shed rate {:.4}",
-            shard.wall_ms,
-            shard.opens_per_sec,
-            shard.report.p50_wait_us,
-            shard.report.p99_wait_us,
-            shard.shed_rate
-        );
-        let _ = writeln!(out, "speedup: {speedup:.3}x (sharded vs monolithic)");
-    }
-    emit(&out, args.opt("out"))
-}
-
-/// `bench --engine`: wall-clock throughput of the discrete-event core on
-/// the cheap gossip flood ([`adroute_protocols::gossip`]), whose handlers
-/// are a few array reads — so the figure measures the engine's dispatch,
-/// queue, and delivery machinery, not protocol computation. Five timed
-/// runs over the same deterministic event population: sequential with no
-/// observer (the zero-allocation dispatch path), region-parallel at
-/// `--workers`, sequential with the typed event log attached (pricing the
-/// emit path the no-observer run skips), and a sequential/parallel pair
-/// with `--cost` iterations of synthetic per-delivery compute — the
-/// compute-bound regime where region-parallel execution pays, since its
-/// journaling and sequential commit replay cost roughly constant time
-/// per event regardless of handler weight.
-fn bench_engine(args: &Args) -> Result<String, CliError> {
-    let ads: usize = args.opt_parse("ads", 10_000)?;
-    let seed: u64 = args.opt_parse("seed", 1990)?;
-    let workers: usize = args.opt_parse("workers", 8)?;
-    let rounds: u32 = args.opt_parse("rounds", 4)?;
-    let cost: u32 = args.opt_parse("cost", 2_000)?;
-    let json = args.opt_parse("json", false)?;
-    if ads == 0 || workers == 0 || rounds == 0 {
-        return bail("--ads, --workers, and --rounds must be positive");
-    }
-    let topo = HierarchyConfig::with_approx_size(ads, seed).generate();
-    let gossip = Gossip {
-        origins: 8,
-        rounds,
-        period_us: 50_000,
-        work: 0,
+        let table = prof.table(top);
+        format!("profile {scenario}: {ads} ADs, {links} links, workers {workers}\n{table}")
     };
-    let costly = Gossip {
-        work: cost,
-        ..gossip
-    };
-    let (num_ads, links) = (topo.num_ads(), topo.num_links());
-    // Recorded so the speedup figures are interpretable: on a 1-CPU host
-    // the parallel lanes time-slice and the best possible "speedup" is
-    // the overhead ratio, not a gain.
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-
-    let run = |g: Gossip, regions: Option<usize>, trace_cap: usize| {
-        let mut e = Engine::new(topo.clone(), g);
-        if trace_cap > 0 {
-            e.enable_obs(trace_cap);
-        }
-        let t0 = std::time::Instant::now();
-        let quiesced = match regions {
-            None => e.run_to_quiescence(),
-            Some(r) => e.run_to_quiescence_parallel(r),
-        };
-        (e.stats.events, t0.elapsed(), quiesced)
-    };
-    let rate = |events: u64, wall: std::time::Duration| {
-        (events as f64 / wall.as_secs_f64().max(1e-9)) as u64
-    };
-
-    let (ev_seq, wall_seq, quiesced) = run(gossip, None, 0);
-    let (ev_par, wall_par, q_par) = run(gossip, Some(workers), 0);
-    let (ev_obs, wall_obs, _) = run(gossip, None, 1 << 16);
-    let (_, wall_cseq, _) = run(costly, None, 0);
-    let (_, wall_cpar, _) = run(costly, Some(workers), 0);
-    debug_assert_eq!((ev_seq, quiesced), (ev_par, q_par));
-    let (seq_rate, par_rate, obs_rate, cseq_rate, cpar_rate) = (
-        rate(ev_seq, wall_seq),
-        rate(ev_par, wall_par),
-        rate(ev_obs, wall_obs),
-        rate(ev_seq, wall_cseq),
-        rate(ev_seq, wall_cpar),
-    );
-    let speedup = wall_seq.as_secs_f64() / wall_par.as_secs_f64().max(1e-9);
-    let cspeedup = wall_cseq.as_secs_f64() / wall_cpar.as_secs_f64().max(1e-9);
-
-    let mut out = String::new();
-    if json {
-        let _ = writeln!(
-            out,
-            "{{\"bench\":{{\"workload\":\"engine-gossip\",\"ads\":{num_ads},\
-             \"links\":{links},\"workers\":{workers},\"host_cpus\":{host_cpus},\
-             \"events\":{ev_seq},\
-             \"quiesced_at_us\":{},\"wall_ms_seq\":{:.3},\
-             \"events_per_sec_seq\":{seq_rate},\"wall_ms_par\":{:.3},\
-             \"events_per_sec_par\":{par_rate},\"speedup\":{speedup:.3},\
-             \"wall_ms_observed\":{:.3},\"events_per_sec_observed\":{obs_rate},\
-             \"cost\":{cost},\"wall_ms_seq_costly\":{:.3},\
-             \"events_per_sec_seq_costly\":{cseq_rate},\
-             \"wall_ms_par_costly\":{:.3},\
-             \"events_per_sec_par_costly\":{cpar_rate},\
-             \"speedup_costly\":{cspeedup:.3}}}}}",
-            quiesced.as_us(),
-            wall_seq.as_secs_f64() * 1000.0,
-            wall_par.as_secs_f64() * 1000.0,
-            wall_obs.as_secs_f64() * 1000.0,
-            wall_cseq.as_secs_f64() * 1000.0,
-            wall_cpar.as_secs_f64() * 1000.0,
-        );
-    } else {
-        let _ = writeln!(
-            out,
-            "bench engine-gossip: {num_ads} ADs, {links} links, {ev_seq} events \
-             (quiesced @{} us, host has {host_cpus} CPUs)",
-            quiesced.as_us()
-        );
-        let _ = writeln!(
-            out,
-            "sequential:       {:.3} ms ({seq_rate} events/s, no observer)",
-            wall_seq.as_secs_f64() * 1000.0
-        );
-        let _ = writeln!(
-            out,
-            "parallel x{workers}:      {:.3} ms ({par_rate} events/s, speedup {speedup:.2})",
-            wall_par.as_secs_f64() * 1000.0
-        );
-        let _ = writeln!(
-            out,
-            "observer attached: {:.3} ms ({obs_rate} events/s, emit path priced in)",
-            wall_obs.as_secs_f64() * 1000.0
-        );
-        let _ = writeln!(
-            out,
-            "compute-bound (cost {cost}): seq {:.3} ms, parallel x{workers} {:.3} ms \
-             (speedup {cspeedup:.2})",
-            wall_cseq.as_secs_f64() * 1000.0,
-            wall_cpar.as_secs_f64() * 1000.0
-        );
-    }
-    emit(&out, args.opt("out"))
-}
-
-/// `bench --chaos`: wall-clock throughput of the discrete-event core on
-/// the gossip flood with the chaos machinery engaged — an event-keyed
-/// lossy / corrupting / duplicating / reordering channel plus a
-/// partition/heal cycle across the AD-index midpoint — sequential and
-/// region-parallel at `--workers`. The simulated outcome is identical in
-/// every run (each channel verdict is a pure function of event identity),
-/// so the asserted counters double as a determinism check; only the
-/// wall-clock figures vary. CI's chaos-throughput gate reads the JSON.
-fn bench_chaos(args: &Args) -> Result<String, CliError> {
-    let ads: usize = args.opt_parse("ads", 10_000)?;
-    let seed: u64 = args.opt_parse("seed", 1990)?;
-    let workers: usize = args.opt_parse("workers", 8)?;
-    let rounds: u32 = args.opt_parse("rounds", 4)?;
-    let loss: f64 = args.opt_parse("loss", 0.05)?;
-    let json = args.opt_parse("json", false)?;
-    if ads == 0 || workers == 0 || rounds == 0 {
-        return bail("--ads, --workers, and --rounds must be positive");
-    }
-    if !(0.0..=0.5).contains(&loss) {
-        return bail("--loss must be in [0, 0.5]");
-    }
-    let topo = HierarchyConfig::with_approx_size(ads, seed).generate();
-    let gossip = Gossip {
-        origins: 8,
-        rounds,
-        period_us: 50_000,
-        work: 0,
-    };
-    let faults = ChannelFaults {
-        loss,
-        corrupt: loss / 4.0,
-        duplicate: loss / 4.0,
-        reorder: loss / 2.0,
-        jitter_us: 500,
-        seed: seed ^ 0x33,
-        ..ChannelFaults::default()
-    };
-    // The flood spans rounds * 50 ms; cut at 10 ms, heal at the midpoint.
-    let split = (topo.num_ads() / 2) as u32;
-    let heal_at = SimTime::from_ms(u64::from(rounds) * 50 / 2).plus_us(1);
-    let (num_ads, links) = (topo.num_ads(), topo.num_links());
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-
-    let run = |regions: Option<usize>| {
-        let mut e = Engine::new(topo.clone(), gossip);
-        e.set_channel_faults(Some(faults.clone()));
-        if let Some(plan) = FaultPlan::partition(&topo, split, SimTime::from_ms(10), heal_at) {
-            plan.apply(&mut e);
-        }
-        let t0 = std::time::Instant::now();
-        let quiesced = match regions {
-            None => e.run_to_quiescence(),
-            Some(r) => e.run_to_quiescence_parallel(r),
-        };
-        let chaos_events = e.stats.msgs_lost
-            + e.stats.msgs_corrupted
-            + e.stats.msgs_duplicated
-            + e.stats.msgs_reordered;
-        (e.stats.events, chaos_events, t0.elapsed(), quiesced)
-    };
-    let rate = |events: u64, wall: std::time::Duration| {
-        (events as f64 / wall.as_secs_f64().max(1e-9)) as u64
-    };
-
-    let (ev_seq, chaos_seq, wall_seq, quiesced) = run(None);
-    let (ev_par, chaos_par, wall_par, q_par) = run(Some(workers));
-    assert_eq!(
-        (ev_seq, chaos_seq, quiesced),
-        (ev_par, chaos_par, q_par),
-        "faulted parallel run diverged from sequential"
-    );
-    let (seq_rate, par_rate) = (rate(ev_seq, wall_seq), rate(ev_par, wall_par));
-    let speedup = wall_seq.as_secs_f64() / wall_par.as_secs_f64().max(1e-9);
-
-    let mut out = String::new();
-    if json {
-        let _ = writeln!(
-            out,
-            "{{\"bench\":{{\"workload\":\"engine-chaos\",\"ads\":{num_ads},\
-             \"links\":{links},\"workers\":{workers},\"host_cpus\":{host_cpus},\
-             \"loss\":{loss},\"events\":{ev_seq},\"chaos_events\":{chaos_seq},\
-             \"quiesced_at_us\":{},\"wall_ms_seq\":{:.3},\
-             \"events_per_sec_seq\":{seq_rate},\"wall_ms_par\":{:.3},\
-             \"events_per_sec_par\":{par_rate},\"speedup\":{speedup:.3}}}}}",
-            quiesced.as_us(),
-            wall_seq.as_secs_f64() * 1000.0,
-            wall_par.as_secs_f64() * 1000.0,
-        );
-    } else {
-        let _ = writeln!(
-            out,
-            "bench engine-chaos: {num_ads} ADs, {links} links, {ev_seq} events \
-             ({chaos_seq} channel faults, quiesced @{} us, host has {host_cpus} CPUs)",
-            quiesced.as_us()
-        );
-        let _ = writeln!(
-            out,
-            "sequential:  {:.3} ms ({seq_rate} events/s)",
-            wall_seq.as_secs_f64() * 1000.0
-        );
-        let _ = writeln!(
-            out,
-            "parallel x{workers}: {:.3} ms ({par_rate} events/s, speedup {speedup:.2})",
-            wall_par.as_secs_f64() * 1000.0
-        );
-    }
-    emit(&out, args.opt("out"))
-}
-
-/// `bench --obs`: price the observability sinks on the engine bench's
-/// gossip flood — the same deterministic event population run with no
-/// sink, with the typed event log attached, and with the self-profiler
-/// on. Each mode is timed three times, interleaved so clock drift hits
-/// all modes alike, and the best run kept, which cancels scheduler
-/// noise out of the overhead ratios. `prof_overhead` is the CI-gated
-/// budget: the profiler's instrumentation is per-run/per-window, not
-/// per-event, so it must stay within 5% of the no-sink path — and the
-/// no-sink path itself must not regress against the committed baseline.
-fn bench_obs(args: &Args) -> Result<String, CliError> {
-    let ads: usize = args.opt_parse("ads", 10_000)?;
-    let seed: u64 = args.opt_parse("seed", 1990)?;
-    let rounds: u32 = args.opt_parse("rounds", 4)?;
-    let json = args.opt_parse("json", false)?;
-    if ads == 0 || rounds == 0 {
-        return bail("--ads and --rounds must be positive");
-    }
-    let topo = HierarchyConfig::with_approx_size(ads, seed).generate();
-    let gossip = Gossip {
-        origins: 8,
-        rounds,
-        period_us: 50_000,
-        work: 0,
-    };
-    let (num_ads, links) = (topo.num_ads(), topo.num_links());
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-
-    // Modes: 0 = no sink, 1 = typed event log, 2 = self-profiler.
-    let run = |mode: usize| {
-        let mut e = Engine::new(topo.clone(), gossip);
-        match mode {
-            1 => e.enable_obs(1 << 16),
-            2 => e.enable_prof(),
-            _ => {}
-        }
-        let t0 = std::time::Instant::now();
-        e.run_to_quiescence();
-        (e.stats.events, t0.elapsed())
-    };
-    let mut best = [std::time::Duration::MAX; 3];
-    let mut events = 0u64;
-    for _ in 0..3 {
-        for (mode, b) in best.iter_mut().enumerate() {
-            let (ev, wall) = run(mode);
-            events = ev;
-            *b = (*b).min(wall);
-        }
-    }
-    let ms = |w: std::time::Duration| w.as_secs_f64() * 1000.0;
-    let rate = |w: std::time::Duration| (events as f64 / w.as_secs_f64().max(1e-9)) as u64;
-    let ratio = |w: std::time::Duration| w.as_secs_f64() / best[0].as_secs_f64().max(1e-9);
-
-    let mut out = String::new();
-    if json {
-        let _ = writeln!(
-            out,
-            "{{\"bench\":{{\"workload\":\"engine-obs\",\"ads\":{num_ads},\"links\":{links},\
-             \"host_cpus\":{host_cpus},\"events\":{events},\
-             \"wall_ms_nosink\":{:.3},\"events_per_sec_nosink\":{},\
-             \"wall_ms_log\":{:.3},\"events_per_sec_log\":{},\"log_overhead\":{:.4},\
-             \"wall_ms_prof\":{:.3},\"events_per_sec_prof\":{},\"prof_overhead\":{:.4}}}}}",
-            ms(best[0]),
-            rate(best[0]),
-            ms(best[1]),
-            rate(best[1]),
-            ratio(best[1]),
-            ms(best[2]),
-            rate(best[2]),
-            ratio(best[2]),
-        );
-    } else {
-        let _ = writeln!(
-            out,
-            "bench engine-obs: {num_ads} ADs, {links} links, {events} events \
-             (best of 3 interleaved runs per mode, host has {host_cpus} CPUs)"
-        );
-        let _ = writeln!(
-            out,
-            "no sink:         {:.3} ms ({} events/s)",
-            ms(best[0]),
-            rate(best[0])
-        );
-        let _ = writeln!(
-            out,
-            "typed event log: {:.3} ms ({} events/s, overhead {:.3}x)",
-            ms(best[1]),
-            rate(best[1]),
-            ratio(best[1])
-        );
-        let _ = writeln!(
-            out,
-            "self-profiler:   {:.3} ms ({} events/s, overhead {:.3}x, budget 1.05x)",
-            ms(best[2]),
-            rate(best[2]),
-            ratio(best[2])
-        );
-    }
     emit(&out, args.opt("out"))
 }
 
@@ -2465,7 +1925,6 @@ pub fn dispatch(args: &Args) -> Result<String, CliError> {
         "blame" => blame(args),
         "stress" => stress(args),
         "profile" => profile(args),
-        "bench" => bench(args),
         "help" | "--help" | "-h" => Ok(USAGE.to_string()),
         other => bail(format!("unknown command '{other}'; try `adroute help`")),
     }
@@ -2538,6 +1997,8 @@ mod tests {
     #[test]
     fn helpful_errors() {
         assert!(run("frobnicate").unwrap_err().0.contains("unknown command"));
+        let err = run("bench").unwrap_err().0;
+        assert!(err.contains("unknown command 'bench'"), "{err}");
         assert!(run("gen-topo").unwrap_err().0.contains("--ads"));
         assert!(run("gen-topo --ads 50 --bogus 1")
             .unwrap_err()
@@ -3056,100 +2517,6 @@ mod tests {
         assert!(text.contains("\"kind\":\"rs-failover\""));
     }
 
-    #[test]
-    fn bench_emits_the_serve_schema() {
-        let f = tmp("bench-serve.json");
-        let msg = run(&format!("bench --json --out {f}")).unwrap();
-        assert!(msg.contains("wrote"), "{msg}");
-        let j = fs::read_to_string(&f).unwrap();
-        for key in [
-            "\"bench\":{",
-            "\"opens\":",
-            "\"opens_per_sec\":",
-            "\"p50_setup_wait_us\":",
-            "\"p99_setup_wait_us\":",
-            "\"shed_rate\":",
-            "\"opens_per_sec_sharded\":",
-            "\"p50_setup_wait_us_sharded\":",
-            "\"p99_setup_wait_us_sharded\":",
-            "\"shed_rate_sharded\":",
-            "\"speedup\":",
-        ] {
-            assert!(j.contains(key), "missing {key}: {j}");
-        }
-        let text = run("bench").unwrap();
-        assert!(text.contains("monolithic: wall"), "{text}");
-        assert!(text.contains("sharded:    wall"), "{text}");
-        assert!(text.contains("speedup:"), "{text}");
-        assert!(run("bench --trace x")
-            .unwrap_err()
-            .0
-            .contains("unknown flag"));
-    }
-
-    #[test]
-    fn bench_engine_emits_the_engine_schema() {
-        let f = tmp("bench-engine.json");
-        // Small scale so the debug-mode test stays fast; the committed
-        // baseline uses the release-mode defaults (10^4 ADs).
-        let msg = run(&format!(
-            "bench --engine --ads 200 --workers 2 --rounds 2 --cost 10 --json --out {f}"
-        ))
-        .unwrap();
-        assert!(msg.contains("wrote"), "{msg}");
-        let j = fs::read_to_string(&f).unwrap();
-        for key in [
-            "\"workload\":\"engine-gossip\"",
-            "\"ads\":",
-            "\"events\":",
-            "\"events_per_sec_seq\":",
-            "\"events_per_sec_par\":",
-            "\"events_per_sec_observed\":",
-            "\"speedup\":",
-            "\"speedup_costly\":",
-        ] {
-            assert!(j.contains(key), "missing {key}: {j}");
-        }
-        let text = run("bench --engine --ads 200 --workers 2 --rounds 2 --cost 10").unwrap();
-        assert!(text.contains("events/s, no observer"), "{text}");
-        assert!(text.contains("speedup"), "{text}");
-        assert!(run("bench --engine --ads 0")
-            .unwrap_err()
-            .0
-            .contains("positive"));
-    }
-
-    #[test]
-    fn bench_obs_emits_the_obs_schema() {
-        let f = tmp("bench-obs.json");
-        // Small scale so the debug-mode test stays fast; the committed
-        // baseline uses the release-mode defaults (10^4 ADs).
-        let msg = run(&format!(
-            "bench --obs --ads 200 --rounds 2 --json --out {f}"
-        ))
-        .unwrap();
-        assert!(msg.contains("wrote"), "{msg}");
-        let j = fs::read_to_string(&f).unwrap();
-        for key in [
-            "\"workload\":\"engine-obs\"",
-            "\"events\":",
-            "\"events_per_sec_nosink\":",
-            "\"events_per_sec_log\":",
-            "\"log_overhead\":",
-            "\"events_per_sec_prof\":",
-            "\"prof_overhead\":",
-        ] {
-            assert!(j.contains(key), "missing {key}: {j}");
-        }
-        let text = run("bench --obs --ads 200 --rounds 2").unwrap();
-        assert!(text.contains("no sink:"), "{text}");
-        assert!(text.contains("self-profiler:"), "{text}");
-        assert!(run("bench --obs --rounds 0")
-            .unwrap_err()
-            .0
-            .contains("positive"));
-    }
-
     /// Extracts the deterministic `"work":{...}` object from a profile's
     /// JSON output (the only part the determinism contract covers).
     fn work_object(json: &str) -> &str {
@@ -3213,5 +2580,12 @@ mod tests {
             .unwrap_err()
             .0
             .contains("unknown flag"));
+        // Flags the scenario would silently ignore are errors too.
+        for line in ["profile quickstart --loss 0.5", "profile e14 --ads 100"] {
+            let err = run(line).unwrap_err().0;
+            assert!(err.contains("apply only to e13"), "{line}: {err}");
+        }
+        let err = run("profile e13 --ads 50 --json --folded").unwrap_err().0;
+        assert!(err.contains("mutually exclusive"), "{err}");
     }
 }

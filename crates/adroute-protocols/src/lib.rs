@@ -17,7 +17,7 @@
 //!
 //! [`gossip`] is not a design point: it is a deliberately cheap flood
 //! workload whose per-event cost is a few array reads, used by
-//! `adroute bench --engine` and the scale experiments to measure the
+//! `exp13_engine_scaling` and `adroute profile e13` to measure the
 //! discrete-event core itself rather than any protocol's computation.
 //!
 //! [`forwarding`] provides the common data-plane harness: every protocol

@@ -31,6 +31,7 @@ pub use faults::{
 };
 pub use monitor::{Alarm, MonitorBank, MonitorConfig, Observation, QuarantineController};
 pub use obs::causal::{CausalGraph, StormEntry};
+pub use obs::json::JsonWriter;
 pub use obs::prof::{Profiler, SpanNode};
 pub use obs::{
     EventId, EventLog, EventRecord, Histogram, LogComparison, LoggedEvent, MetricsRegistry, Obs,

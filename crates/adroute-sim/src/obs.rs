@@ -22,6 +22,7 @@
 //! into a debugger.
 
 pub mod causal;
+pub mod json;
 pub mod prof;
 
 use std::collections::{BTreeMap, VecDeque};
@@ -31,6 +32,7 @@ use std::fmt::Write as _;
 use adroute_topology::{AdId, LinkId};
 
 use crate::event::SimTime;
+use json::JsonWriter;
 
 /// The id base of the ORWG data-plane event stream. The engine's
 /// control-plane log assigns ids from 0; the data plane starts here so a
@@ -635,275 +637,174 @@ impl EventRecord {
     /// order is fixed (`us`, `kind`, then per-kind fields in declaration
     /// order), so exports are byte-stable golden artifacts.
     pub fn to_json(&self, at: SimTime) -> String {
-        let mut s = format!("{{\"us\":{},", at.as_us());
-        self.write_json_fields(&mut s);
-        s.push('}');
-        s
+        let mut w = JsonWriter::object();
+        w.put("us", at.as_us());
+        self.write_json_fields(&mut w);
+        w.finish()
     }
 
-    /// Appends `"kind":"...",<per-kind fields>` (no braces, no timestamp)
-    /// to `s`; shared by [`EventRecord::to_json`] and
-    /// [`LoggedEvent::to_json`] so both renderings stay field-identical.
-    fn write_json_fields(&self, s: &mut String) {
+    /// Puts `kind` and the per-kind fields (no timestamp) into `w`;
+    /// shared by [`EventRecord::to_json`] and [`LoggedEvent::to_json`] so
+    /// both renderings stay field-identical.
+    fn write_json_fields(&self, w: &mut JsonWriter) {
         use EventRecord::*;
-        let _ = write!(s, "\"kind\":\"{}\"", self.kind());
+        w.put_str("kind", self.kind());
         match *self {
-            Start { ad } | Crash { ad } | Restart { ad } => {
-                let _ = write!(s, ",\"ad\":{}", ad.index());
-            }
+            Start { ad }
+            | Crash { ad }
+            | Restart { ad }
+            | QuarantineEnter { ad }
+            | QuarantineLift { ad }
+            | RsCrash { ad } => w.put("ad", ad.index()),
             MsgSend {
                 from,
                 to,
                 link,
                 bytes,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"from\":{},\"to\":{},\"link\":{},\"bytes\":{bytes}",
-                    from.index(),
-                    to.index(),
-                    link.index()
-                );
-            }
+            } => w
+                .put("from", from.index())
+                .put("to", to.index())
+                .put("link", link.index())
+                .put("bytes", bytes),
             MsgDeliver { from, to, link }
             | MsgLost { from, to, link }
             | ChanLoss { from, to, link }
             | ChanCorrupt { from, to, link }
             | ChanReorder { from, to, link }
-            | ChanDup { from, to, link } => {
-                let _ = write!(
-                    s,
-                    ",\"from\":{},\"to\":{},\"link\":{}",
-                    from.index(),
-                    to.index(),
-                    link.index()
-                );
-            }
-            MsgDrop { from, to } => {
-                let _ = write!(s, ",\"from\":{},\"to\":{}", from.index(), to.index());
-            }
+            | ChanDup { from, to, link } => w
+                .put("from", from.index())
+                .put("to", to.index())
+                .put("link", link.index()),
+            MsgDrop { from, to } => w.put("from", from.index()).put("to", to.index()),
             TimerFire { ad, token } | StaleTimer { ad, token } => {
-                let _ = write!(s, ",\"ad\":{},\"token\":{token}", ad.index());
+                w.put("ad", ad.index()).put("token", token)
             }
             LinkUp { link } | LinkDown { link } | LinkUpMasked { link } => {
-                let _ = write!(s, ",\"link\":{}", link.index());
+                w.put("link", link.index())
             }
             FaultPlanApplied {
                 link_events,
                 outages,
                 lossy,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"link_events\":{link_events},\"outages\":{outages},\"lossy\":{lossy}"
-                );
-            }
+            } => w
+                .put("link_events", link_events)
+                .put("outages", outages)
+                .put("lossy", lossy),
             PartitionCut { links, left, right } => {
-                let _ = write!(s, ",\"links\":{links},\"left\":{left},\"right\":{right}");
+                w.put("links", links).put("left", left).put("right", right)
             }
-            PartitionHeal { links } => {
-                let _ = write!(s, ",\"links\":{links}");
-            }
-            PhaseBegin { name } => {
-                let _ = write!(s, ",\"name\":\"{}\"", json_escape(name));
-            }
-            LsaOriginate { origin, seq, links } => {
-                let _ = write!(
-                    s,
-                    ",\"origin\":{},\"seq\":{seq},\"links\":{links}",
-                    origin.index()
-                );
-            }
+            PartitionHeal { links } => w.put("links", links),
+            PhaseBegin { name } => w.put_str("name", name),
+            LsaOriginate { origin, seq, links } => w
+                .put("origin", origin.index())
+                .put("seq", seq)
+                .put("links", links),
             LsaAccept {
-                at: ad,
+                at,
                 origin,
                 origin_seq,
             }
             | LsaDuplicate {
-                at: ad,
+                at,
                 origin,
                 origin_seq,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"at\":{},\"origin\":{},\"seq\":{origin_seq}",
-                    ad.index(),
-                    origin.index()
-                );
-            }
-            LsaSeqJump { at: ad, seq } => {
-                let _ = write!(s, ",\"at\":{},\"seq\":{seq}", ad.index());
-            }
-            LsaResync {
-                at: ad,
-                neighbor,
-                lsas,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"at\":{},\"neighbor\":{},\"lsas\":{lsas}",
-                    ad.index(),
-                    neighbor.index()
-                );
-            }
-            RouteRecompute { ad, proto, changed } => {
-                let _ = write!(
-                    s,
-                    ",\"ad\":{},\"proto\":\"{}\",\"changed\":{changed}",
-                    ad.index(),
-                    json_escape(proto)
-                );
-            }
-            RouteSetupOpen { src, dst } => {
-                let _ = write!(s, ",\"src\":{},\"dst\":{}", src.index(), dst.index());
-            }
+            } => w
+                .put("at", at.index())
+                .put("origin", origin.index())
+                .put("seq", origin_seq),
+            LsaSeqJump { at, seq } => w.put("at", at.index()).put("seq", seq),
+            LsaResync { at, neighbor, lsas } => w
+                .put("at", at.index())
+                .put("neighbor", neighbor.index())
+                .put("lsas", lsas),
+            RouteRecompute { ad, proto, changed } => w
+                .put("ad", ad.index())
+                .put_str("proto", proto)
+                .put("changed", changed),
+            RouteSetupOpen { src, dst } => w.put("src", src.index()).put("dst", dst.index()),
             RouteSetupAck {
                 src,
                 dst,
                 hops,
                 latency_us,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"src\":{},\"dst\":{},\"hops\":{hops},\"latency_us\":{latency_us}",
-                    src.index(),
-                    dst.index()
-                );
-            }
-            RouteSetupNack { src, dst, reason } => {
-                let _ = write!(
-                    s,
-                    ",\"src\":{},\"dst\":{},\"reason\":\"{}\"",
-                    src.index(),
-                    dst.index(),
-                    json_escape(reason)
-                );
-            }
-            RouteSetupRetransmit { src, dst, attempt } => {
-                let _ = write!(
-                    s,
-                    ",\"src\":{},\"dst\":{},\"attempt\":{attempt}",
-                    src.index(),
-                    dst.index()
-                );
-            }
-            RouteSetupRepair { src, dst, via } => {
-                let _ = write!(
-                    s,
-                    ",\"src\":{},\"dst\":{},\"via\":\"{}\"",
-                    src.index(),
-                    dst.index(),
-                    json_escape(via)
-                );
-            }
-            ViewInvalidate { a, b, entries } => {
-                let _ = write!(
-                    s,
-                    ",\"a\":{},\"b\":{},\"entries\":{entries}",
-                    a.index(),
-                    b.index()
-                );
-            }
+            } => w
+                .put("src", src.index())
+                .put("dst", dst.index())
+                .put("hops", hops)
+                .put("latency_us", latency_us),
+            RouteSetupNack { src, dst, reason } => w
+                .put("src", src.index())
+                .put("dst", dst.index())
+                .put_str("reason", reason),
+            RouteSetupRetransmit { src, dst, attempt } => w
+                .put("src", src.index())
+                .put("dst", dst.index())
+                .put("attempt", attempt),
+            RouteSetupRepair { src, dst, via } => w
+                .put("src", src.index())
+                .put("dst", dst.index())
+                .put_str("via", via),
+            ViewInvalidate { a, b, entries } => w
+                .put("a", a.index())
+                .put("b", b.index())
+                .put("entries", entries),
             ViewDeltaApply { mode, fallbacks } => {
-                let _ = write!(
-                    s,
-                    ",\"mode\":\"{}\",\"fallbacks\":{fallbacks}",
-                    json_escape(mode)
-                );
+                w.put_str("mode", mode).put("fallbacks", fallbacks)
             }
-            MisbehaviorInject { ad, model } => {
-                let _ = write!(
-                    s,
-                    ",\"ad\":{},\"model\":\"{}\"",
-                    ad.index(),
-                    json_escape(model)
-                );
-            }
+            MisbehaviorInject { ad, model } => w.put("ad", ad.index()).put_str("model", model),
             MonitorAlarm {
                 detector,
                 suspect,
                 evidence,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"detector\":\"{}\",\"suspect\":{},\"evidence\":{evidence}",
-                    json_escape(detector),
-                    suspect.index()
-                );
-            }
-            QuarantineEnter { ad } | QuarantineLift { ad } | RsCrash { ad } => {
-                let _ = write!(s, ",\"ad\":{}", ad.index());
-            }
-            SetupDefer { src, dst, depth } => {
-                let _ = write!(
-                    s,
-                    ",\"src\":{},\"dst\":{},\"depth\":{depth}",
-                    src.index(),
-                    dst.index()
-                );
-            }
+            } => w
+                .put_str("detector", detector)
+                .put("suspect", suspect.index())
+                .put("evidence", evidence),
+            SetupDefer { src, dst, depth } => w
+                .put("src", src.index())
+                .put("dst", dst.index())
+                .put("depth", depth),
             SetupShed {
                 src,
                 dst,
                 retry_after_us,
                 depth,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"src\":{},\"dst\":{},\"retry_after_us\":{retry_after_us},\"depth\":{depth}",
-                    src.index(),
-                    dst.index()
-                );
-            }
+            } => w
+                .put("src", src.index())
+                .put("dst", dst.index())
+                .put("retry_after_us", retry_after_us)
+                .put("depth", depth),
             SetupRetry {
                 src,
                 dst,
                 attempt,
                 backoff_us,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"src\":{},\"dst\":{},\"attempt\":{attempt},\"backoff_us\":{backoff_us}",
-                    src.index(),
-                    dst.index()
-                );
-            }
+            } => w
+                .put("src", src.index())
+                .put("dst", dst.index())
+                .put("attempt", attempt)
+                .put("backoff_us", backoff_us),
             SetupAdmit {
                 src,
                 dst,
                 rung,
                 waited_us,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"src\":{},\"dst\":{},\"rung\":\"{}\",\"waited_us\":{waited_us}",
-                    src.index(),
-                    dst.index(),
-                    json_escape(rung)
-                );
-            }
-            SetupAbandon { src, dst, attempts } => {
-                let _ = write!(
-                    s,
-                    ",\"src\":{},\"dst\":{},\"attempts\":{attempts}",
-                    src.index(),
-                    dst.index()
-                );
-            }
-            RsFailover { ad, warmed } => {
-                let _ = write!(s, ",\"ad\":{},\"warmed\":{warmed}", ad.index());
-            }
-            SynthBatch { ad, flows, fresh } => {
-                let _ = write!(
-                    s,
-                    ",\"ad\":{},\"flows\":{flows},\"fresh\":{fresh}",
-                    ad.index()
-                );
-            }
-            PrecomputeRefill { ad, refilled } => {
-                let _ = write!(s, ",\"ad\":{},\"refilled\":{refilled}", ad.index());
-            }
-        }
+            } => w
+                .put("src", src.index())
+                .put("dst", dst.index())
+                .put_str("rung", rung)
+                .put("waited_us", waited_us),
+            SetupAbandon { src, dst, attempts } => w
+                .put("src", src.index())
+                .put("dst", dst.index())
+                .put("attempts", attempts),
+            RsFailover { ad, warmed } => w.put("ad", ad.index()).put("warmed", warmed),
+            SynthBatch { ad, flows, fresh } => w
+                .put("ad", ad.index())
+                .put("flows", flows)
+                .put("fresh", fresh),
+            PrecomputeRefill { ad, refilled } => w.put("ad", ad.index()).put("refilled", refilled),
+        };
     }
 
     /// The ADs this record directly involves (at most two), used by the
@@ -989,34 +890,14 @@ impl LoggedEvent {
     /// Renders the JSONL form with fixed field order: `us`, `id`,
     /// `cause` (omitted for roots), then the record's `kind` and fields.
     pub fn to_json(&self) -> String {
-        let mut s = format!("{{\"us\":{},\"id\":{}", self.at.as_us(), self.id.0);
+        let mut w = JsonWriter::object();
+        w.put("us", self.at.as_us()).put("id", self.id.0);
         if let Some(c) = self.cause {
-            let _ = write!(s, ",\"cause\":{}", c.0);
+            w.put("cause", c.0);
         }
-        s.push(',');
-        self.rec.write_json_fields(&mut s);
-        s.push('}');
-        s
+        self.rec.write_json_fields(&mut w);
+        w.finish()
     }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// A bounded, in-order log of typed events (ring buffer: oldest records
@@ -1115,12 +996,12 @@ impl EventLog {
             out.push_str(&ev.to_json());
             out.push('\n');
         }
-        let _ = writeln!(
-            out,
-            "{{\"kind\":\"trace-summary\",\"records\":{},\"dropped\":{}}}",
-            self.records.len(),
-            self.dropped
-        );
+        let mut w = JsonWriter::object();
+        w.put_str("kind", "trace-summary")
+            .put("records", self.records.len())
+            .put("dropped", self.dropped);
+        out.push_str(&w.finish());
+        out.push('\n');
         out
     }
 
@@ -1359,28 +1240,17 @@ impl Histogram {
     /// Renders the histogram as one deterministic JSON object: summary
     /// fields plus the non-empty buckets as `[lower_bound, count]` pairs.
     pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p99\":{},\"buckets\":[",
-            self.count,
-            self.sum,
-            self.min,
-            self.max,
-            self.quantile(0.5),
-            self.quantile(0.99)
-        );
-        let mut first = true;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            let _ = write!(s, "[{},{c}]", Self::bucket_lo(i));
-        }
-        s.push_str("]}");
-        s
+        let buckets = self.buckets.iter().enumerate().filter(|&(_, &c)| c > 0);
+        let buckets = buckets.map(|(i, &c)| JsonWriter::array([Self::bucket_lo(i), c]));
+        JsonWriter::object()
+            .put("count", self.count)
+            .put("sum", self.sum)
+            .put("min", self.min)
+            .put("max", self.max)
+            .put("p50", self.quantile(0.5))
+            .put("p99", self.quantile(0.99))
+            .put("buckets", JsonWriter::array(buckets))
+            .finish()
     }
 }
 
@@ -1465,26 +1335,18 @@ impl MetricsRegistry {
     /// Renders the registry as one deterministic JSON object with
     /// `counters` and `histograms` maps in name order.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"counters\":{");
-        let mut first = true;
+        let mut counters = JsonWriter::object();
         for (k, v) in &self.counters {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            let _ = write!(s, "\"{}\":{v}", json_escape(k));
+            counters.put(k, v);
         }
-        s.push_str("},\"histograms\":{");
-        first = true;
+        let mut histograms = JsonWriter::object();
         for (k, h) in &self.histograms {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            let _ = write!(s, "\"{}\":{}", json_escape(k), h.to_json());
+            histograms.put(k, h.to_json());
         }
-        s.push_str("}}");
-        s
+        JsonWriter::object()
+            .put("counters", counters.finish())
+            .put("histograms", histograms.finish())
+            .finish()
     }
 }
 
@@ -1845,12 +1707,5 @@ mod tests {
         let snapshot = a.to_json();
         a.merge(&MetricsRegistry::new());
         assert_eq!(a.to_json(), snapshot);
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 }

@@ -24,10 +24,10 @@
 //! of the retained events.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write as _;
 
 use adroute_topology::AdId;
 
+use super::json::JsonWriter;
 use super::{EventId, EventLog, LoggedEvent};
 use crate::event::SimTime;
 
@@ -219,18 +219,16 @@ pub struct StormEntry {
 impl StormEntry {
     /// One deterministic JSON object (fixed field order).
     pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"root\":{},\"kind\":\"{}\",\"us\":{}",
-            self.root.0,
-            super::json_escape(self.root_kind),
-            self.at.as_us()
-        );
-        let _ = write!(
-            s,
-            ",\"events\":{},\"messages\":{},\"ads\":{},\"span_us\":{},\"depth\":{}}}",
-            self.events, self.messages, self.ads, self.span_us, self.max_depth
-        );
-        s
+        JsonWriter::object()
+            .put("root", self.root.0)
+            .put_str("kind", self.root_kind)
+            .put("us", self.at.as_us())
+            .put("events", self.events)
+            .put("messages", self.messages)
+            .put("ads", self.ads)
+            .put("span_us", self.span_us)
+            .put("depth", self.max_depth)
+            .finish()
     }
 }
 

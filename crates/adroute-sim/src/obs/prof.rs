@@ -31,6 +31,8 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use super::json::JsonWriter;
+
 /// One node of the span tree: a named scope aggregated over every
 /// `enter`/`exit` pair that reached it through the same ancestor path.
 #[derive(Clone, Debug)]
@@ -296,33 +298,29 @@ impl Profiler {
     /// has deterministic *structure* (paths, order, calls) but
     /// run-varying times.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"work\":{");
-        let mut first = true;
+        let mut w = JsonWriter::object();
+        self.json_fields(&mut w);
+        w.finish()
+    }
+
+    /// Puts the `work` and `spans` fields of [`Profiler::to_json`] into
+    /// an object the caller has started (the CLI leads with the scenario).
+    pub fn json_fields(&self, w: &mut JsonWriter) {
+        let mut work = JsonWriter::object();
         for (k, v) in &self.work {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            let _ = write!(s, "\"{k}\":{v}");
+            work.put(k, v);
         }
-        s.push_str("},\"spans\":[");
-        first = true;
-        for (path, idx) in self.walk() {
+        let spans = self.walk().into_iter().map(|(path, idx)| {
             let node = &self.spans[idx];
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            let _ = write!(
-                s,
-                "{{\"path\":\"{path}\",\"calls\":{},\"total_ns\":{},\"self_ns\":{}}}",
-                node.calls,
-                node.wall_ns,
-                node.self_ns()
-            );
-        }
-        s.push_str("]}");
-        s
+            JsonWriter::object()
+                .put_str("path", &path)
+                .put("calls", node.calls)
+                .put("total_ns", node.wall_ns)
+                .put("self_ns", node.self_ns())
+                .finish()
+        });
+        w.put("work", work.finish())
+            .put("spans", JsonWriter::array(spans));
     }
 
     /// A human-readable top-`n` table of spans by self time, plus the

@@ -1,10 +1,9 @@
 //! Measurement counters shared by every experiment.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 use crate::event::SimTime;
-use crate::obs::json_escape;
+use crate::obs::json::JsonWriter;
 
 /// Counters accumulated during a simulation run.
 ///
@@ -196,35 +195,26 @@ impl Stats {
     /// Renders the fixed counters, named counters, and the per-AD
     /// hot-spot maximum as one deterministic JSON object.
     pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"msgs_sent\":{},\"bytes_sent\":{},\"msgs_delivered\":{},\"msgs_dropped\":{},\
-             \"msgs_lost\":{},\"msgs_corrupted\":{},\"msgs_duplicated\":{},\"msgs_reordered\":{},\
-             \"router_crashes\":{},\"router_restarts\":{},\"events\":{},\"last_activity_us\":{},\
-             \"max_per_ad_msgs\":{},\"counters\":{{",
-            self.msgs_sent,
-            self.bytes_sent,
-            self.msgs_delivered,
-            self.msgs_dropped,
-            self.msgs_lost,
-            self.msgs_corrupted,
-            self.msgs_duplicated,
-            self.msgs_reordered,
-            self.router_crashes,
-            self.router_restarts,
-            self.events,
-            self.last_activity.as_us(),
-            self.max_per_ad_msgs(),
-        );
-        let mut first = true;
+        let mut counters = JsonWriter::object();
         for (k, v) in &self.counters {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            let _ = write!(s, "\"{}\":{v}", json_escape(k));
+            counters.put(k, v);
         }
-        s.push_str("}}");
-        s
+        JsonWriter::object()
+            .put("msgs_sent", self.msgs_sent)
+            .put("bytes_sent", self.bytes_sent)
+            .put("msgs_delivered", self.msgs_delivered)
+            .put("msgs_dropped", self.msgs_dropped)
+            .put("msgs_lost", self.msgs_lost)
+            .put("msgs_corrupted", self.msgs_corrupted)
+            .put("msgs_duplicated", self.msgs_duplicated)
+            .put("msgs_reordered", self.msgs_reordered)
+            .put("router_crashes", self.router_crashes)
+            .put("router_restarts", self.router_restarts)
+            .put("events", self.events)
+            .put("last_activity_us", self.last_activity.as_us())
+            .put("max_per_ad_msgs", self.max_per_ad_msgs())
+            .put("counters", counters.finish())
+            .finish()
     }
 }
 

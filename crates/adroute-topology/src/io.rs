@@ -15,6 +15,7 @@
 //! [`dump`] and [`parse`] round-trip every field, including link state, so
 //! a mid-experiment snapshot reloads verbatim.
 
+use std::collections::HashSet;
 use std::fmt::Write as _;
 
 use crate::graph::{Ad, Topology};
@@ -80,7 +81,8 @@ fn perr<T>(line: usize, message: impl Into<String>) -> Result<T, TopologyParseEr
 pub fn parse(text: &str) -> Result<Topology, TopologyParseError> {
     let mut ads: Vec<Ad> = Vec::new();
     let mut edges: Vec<(AdId, AdId, u32)> = Vec::new();
-    let mut extras: Vec<(u64, bool)> = Vec::new(); // (delay, up) per edge
+    let mut extras: Vec<(u64, bool, usize)> = Vec::new(); // (delay, up, line) per edge
+    let mut seen: HashSet<(u32, u32)> = HashSet::new();
 
     for (i, raw) in text.lines().enumerate() {
         let lineno = i + 1;
@@ -127,23 +129,33 @@ pub fn parse(text: &str) -> Result<Topology, TopologyParseError> {
                 if toks.len() != 7 || toks[2] != "metric" || toks[4] != "delay" {
                     return perr(lineno, "expected 'link A B metric M delay D up|down'");
                 }
-                let num = |s: &str, what: &str| -> Result<u64, TopologyParseError> {
-                    s.parse::<u64>().map_err(|_| TopologyParseError {
-                        line: lineno,
-                        message: format!("expected {what}, found '{s}'"),
-                    })
-                };
-                let a = num(toks[0], "endpoint a")? as u32;
-                let b = num(toks[1], "endpoint b")? as u32;
-                let metric = num(toks[3], "metric value")? as u32;
-                let delay = num(toks[5], "delay value")?;
+                // Parsed at the field's own width: a value that does not
+                // fit is an error, never a silent wrap onto another AD.
+                fn num<T: std::str::FromStr>(
+                    s: &str,
+                    what: &str,
+                    line: usize,
+                ) -> Result<T, TopologyParseError> {
+                    s.parse()
+                        .or_else(|_| perr(line, format!("expected {what}, found '{s}'")))
+                }
+                let a: u32 = num(toks[0], "endpoint a", lineno)?;
+                let b: u32 = num(toks[1], "endpoint b", lineno)?;
+                let metric: u32 = num(toks[3], "metric value", lineno)?;
+                let delay: u64 = num(toks[5], "delay value", lineno)?;
+                if a == b {
+                    return perr(lineno, format!("self-loop at AD {a}"));
+                }
+                if !seen.insert((a.min(b), a.max(b))) {
+                    return perr(lineno, format!("duplicate link {a}-{b}"));
+                }
                 let up = match toks[6] {
                     "up" => true,
                     "down" => false,
                     other => return perr(lineno, format!("expected up/down, got '{other}'")),
                 };
                 edges.push((AdId(a), AdId(b), metric));
-                extras.push((delay, up));
+                extras.push((delay, up, lineno));
             }
             other => return perr(lineno, format!("unknown record {other:?}")),
         }
@@ -152,16 +164,16 @@ pub fn parse(text: &str) -> Result<Topology, TopologyParseError> {
     if ads.is_empty() {
         return perr(0, "no ADs defined");
     }
-    for &(a, b, _) in &edges {
+    for (&(a, b, _), &(_, _, line)) in edges.iter().zip(&extras) {
         if a.index() >= ads.len() || b.index() >= ads.len() {
-            return perr(0, format!("link {a}-{b} references undefined AD"));
+            return perr(line, format!("link {a}-{b} references undefined AD"));
         }
     }
     // Preserve the declared roles: Topology::new derives nothing, but we
     // must not run reclassify_roles (the dump is authoritative).
     let declared: Vec<(AdLevel, AdRole)> = ads.iter().map(|a| (a.level, a.role)).collect();
     let mut topo = Topology::new(ads, &edges);
-    for (i, (delay, up)) in extras.into_iter().enumerate() {
+    for (i, (delay, up, _)) in extras.into_iter().enumerate() {
         let id = crate::ids::LinkId(i as u32);
         topo.set_delay(id, delay);
         if !up {
@@ -246,6 +258,27 @@ mod tests {
         assert!(e.message.contains("no ADs"), "{e}");
         let e = parse("ad 0 campus stub\nlink 0 9 metric 1 delay 1 up").unwrap_err();
         assert!(e.message.contains("undefined AD"), "{e}");
+        assert_eq!(e.line, 2);
+    }
+
+    /// Link lines that used to reach `Topology::new`'s asserts (or wrap
+    /// under `as u32` onto AD 0 / metric 0) are errors at their own line.
+    #[test]
+    fn bad_links_are_errors_not_panics_or_wraps() {
+        for (links, line, needle) in [
+            ("link 0 0 metric 1 delay 1 up", 3, "self-loop"),
+            (
+                "link 0 1 metric 1 delay 1 up\nlink 1 0 metric 2 delay 1 up",
+                4,
+                "duplicate",
+            ),
+            ("link 4294967296 1 metric 1 delay 1 up", 3, "endpoint a"),
+            ("link 0 1 metric 4294967296 delay 1 up", 3, "metric"),
+        ] {
+            let e = parse(&format!("ad 0 campus stub\nad 1 campus stub\n{links}")).unwrap_err();
+            assert_eq!(e.line, line, "{e}");
+            assert!(e.message.contains(needle), "{e}");
+        }
     }
 
     proptest::proptest! {
@@ -255,6 +288,45 @@ mod tests {
             let t = HierarchyConfig { seed, ..HierarchyConfig::figure1() }.generate();
             let back = parse(&dump(&t)).unwrap();
             proptest::prop_assert!(equivalent(&t, &back));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+        /// Lines built from the format's own keywords and random integers
+        /// (small ones, so well-formed lines, self-loops, duplicates and
+        /// dangling endpoints all occur) parse to `Ok` or `Err`, never panic.
+        #[test]
+        fn token_soup_never_panics(seed in 0u64..4000) {
+            use rand::{rngs::SmallRng, Rng, SeedableRng};
+            const WORDS: [&str; 16] = [
+                "ad", "link", "metric", "delay", "up", "down", "backbone", "regional", "metro",
+                "campus", "stub", "multihomed", "transit", "hybrid", "#", "-1",
+            ];
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut text = String::new();
+            for ad in 0..rng.gen_range(0..6) {
+                text += &format!("ad {ad} campus stub\n");
+            }
+            for _ in 0..rng.gen_range(1..6) {
+                if rng.gen_bool(0.8) {
+                    let (a, b) = (rng.gen_range(0..6), rng.gen_range(0..6));
+                    text += &format!("link {a} {b} metric 1 delay 1 up\n");
+                    continue;
+                }
+                for _ in 0..rng.gen_range(1..9) {
+                    text += &match rng.gen_range(0..4) {
+                        0 => rng.gen_range(0..4u64).to_string(),
+                        1 => rng.gen_range(0..=u64::MAX).to_string(),
+                        _ => WORDS[rng.gen_range(0..WORDS.len())].to_string(),
+                    };
+                    text.push(' ');
+                }
+                text.push('\n');
+            }
+            if let Ok(t) = parse(&text) {
+                proptest::prop_assert!(equivalent(&t, &parse(&dump(&t)).unwrap()));
+            }
         }
     }
 }

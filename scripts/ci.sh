@@ -25,6 +25,11 @@ adroute audit e7b --json | python3 -m json.tool > /dev/null
 adroute stress quickstart --json | python3 -m json.tool > /dev/null
 adroute profile e7b --json | python3 -m json.tool > /dev/null
 
+echo "== Paper-scale smoke (10^4-AD gossip flood on 8 lanes, clean then faulted, 300 s each)"
+# `timeout` cannot run the shell function; the binary is built by now.
+timeout 300 cargo run --release -q -p adroute-cli -- profile e13 --ads 10000 --workers 8 --json | python3 -m json.tool > /dev/null
+timeout 300 cargo run --release -q -p adroute-cli -- profile e13 --ads 10000 --workers 8 --loss 0.05 --json | python3 -m json.tool > /dev/null
+
 echo "== Byzantine smoke"
 adroute audit quickstart
 adroute chaos --ads 30 --seed 11 --duration 250 --flows 20 --byzantine

@@ -31,10 +31,29 @@ fn check_golden(name: &str, actual: &str) {
     }
     let expected = fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("missing golden snapshot {path} ({e}); run with BLESS=1"));
-    assert_eq!(
-        actual, expected,
-        "typed-trace export for {name} changed; if intentional, re-bless with \
-         BLESS=1 cargo test --test golden_trace"
+    if actual == expected {
+        return;
+    }
+    // A one-byte regression in a 12.8 k-line trace must stay reviewable:
+    // report where the two first part, not both traces whole.
+    let (got, want): (Vec<_>, Vec<_>) = (actual.lines().collect(), expected.lines().collect());
+    let at = (0..got.len().max(want.len()))
+        .find(|&i| got.get(i) != want.get(i))
+        .unwrap_or(got.len()); // the same lines: only the final newline differs
+    let context = |lines: &[&str]| {
+        let shown = at.saturating_sub(1).min(lines.len())..lines.len().min(at + 2);
+        shown
+            .map(|i| format!("  {:>6}: {}\n", i + 1, lines[i]))
+            .collect::<String>()
+    };
+    panic!(
+        "typed-trace export for {name} changed at line {} ({} lines, golden has {})\n\
+         golden:\n{}actual:\n{}if intentional, re-bless with BLESS=1 cargo test --test golden_trace",
+        at + 1,
+        got.len(),
+        want.len(),
+        context(&want),
+        context(&got),
     );
 }
 

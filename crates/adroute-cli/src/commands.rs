@@ -138,14 +138,24 @@ fn emit(out: &str, target: Option<&str>) -> Result<String, CliError> {
     }
 }
 
+/// An optional flag that feeds a Bernoulli draw: NaN and anything outside
+/// [0, 1] would panic in the generator, so they stop here.
+fn opt_probability(args: &Args, key: &str, default: f64) -> Result<f64, CliError> {
+    let p: f64 = args.opt_parse(key, default)?;
+    if !(0.0..=1.0).contains(&p) {
+        return bail(format!("--{key} must be a probability in [0, 1]"));
+    }
+    Ok(p)
+}
+
 /// `gen-topo`: generate and dump an internet.
 pub fn gen_topo(args: &Args) -> Result<String, CliError> {
     args.known(&["ads", "seed", "lateral", "bypass", "multihome", "out"])?;
     let ads: usize = args.req_parse("ads")?;
     let cfg = HierarchyConfig {
-        lateral_prob: args.opt_parse("lateral", 0.25)?,
-        bypass_prob: args.opt_parse("bypass", 0.1)?,
-        multihome_prob: args.opt_parse("multihome", 0.2)?,
+        lateral_prob: opt_probability(args, "lateral", 0.25)?,
+        bypass_prob: opt_probability(args, "bypass", 0.1)?,
+        multihome_prob: opt_probability(args, "multihome", 0.2)?,
         ..HierarchyConfig::with_approx_size(ads, args.opt_parse("seed", 1990)?)
     };
     let topo = cfg.generate();
@@ -501,7 +511,7 @@ fn audit_byzantine(args: &Args) -> Result<String, CliError> {
 }
 
 /// `audit`: with a scenario operand, the byzantine audit lifecycle
-/// ([`audit_byzantine`]); with `--topo`, the structural resilience
+/// (`audit_byzantine`); with `--topo`, the structural resilience
 /// report.
 pub fn audit(args: &Args) -> Result<String, CliError> {
     if args.has_positionals() {
@@ -1182,19 +1192,14 @@ pub fn report(args: &Args) -> Result<String, CliError> {
             net.lift_quarantine(bz.rogue);
         }
     }
-    // Route-Server efficiency counters: sharded-sweep statistics and the
-    // AD-set intern pool's hit/miss totals land in the orwg point's
-    // metrics block (added even at zero so every run reports them).
+    // Route-Server efficiency counters: batched-sweep statistics land in
+    // the orwg point's metrics block (added even at zero so every run
+    // reports them).
     let sweep = net.aggregate_sweep_stats();
     net.obs.metrics.add("sweep_batches", sweep.batches);
     net.obs.metrics.add("sweep_batch_flows", sweep.batch_flows);
     net.obs.metrics.add("sweep_sweeps", sweep.sweeps);
-    net.obs.metrics.add("sweep_classes", sweep.classes);
-    net.obs.metrics.add("sweep_hot_hits", sweep.hot_hits);
     net.obs.metrics.add("sweep_refills", sweep.refills);
-    let (intern_hits, intern_misses) = net.intern_stats();
-    net.obs.metrics.add("intern_hits", intern_hits);
-    net.obs.metrics.add("intern_misses", intern_misses);
     let mut metrics = std::mem::take(&mut net.obs.metrics);
     record_ad_load(&mut metrics, &e.stats);
     points.push(PointReport {
@@ -1848,10 +1853,7 @@ pub fn profile(args: &Args) -> Result<String, CliError> {
             if n == 0 {
                 return bail("--ads must be positive");
             }
-            let loss: f64 = args.opt_parse("loss", 0.0)?;
-            if !(0.0..=1.0).contains(&loss) {
-                return bail("--loss must be a probability in [0, 1]");
-            }
+            let loss = opt_probability(args, "loss", 0.0)?;
             let topo = HierarchyConfig::with_approx_size(n, 1990).generate();
             ads = topo.num_ads();
             links = topo.num_links();
@@ -2242,12 +2244,10 @@ mod tests {
             "\"quarantine_lifted\":",
             "\"false_positive\":",
             "\"detection_latency_ticks\":",
-            // Route-Server efficiency counters (sharded sweeps + AD-set
-            // intern pool) report on the orwg point even when zero.
+            // Route-Server efficiency counters (batched sweeps) report
+            // on the orwg point even when zero.
             "\"sweep_batches\":",
-            "\"sweep_classes\":",
-            "\"intern_hits\":",
-            "\"intern_misses\":",
+            "\"sweep_sweeps\":",
         ] {
             assert!(a.contains(field), "missing {field}: {a}");
         }
@@ -2415,6 +2415,17 @@ mod tests {
         assert!(text.contains("\"kind\":\"setup-open\""), "{text}");
         assert!(text.contains("\"kind\":\"view-delta\""));
         assert!(text.contains("\"kind\":\"setup-repair\""));
+    }
+
+    #[test]
+    fn gen_topo_rejects_flags_that_are_not_probabilities() {
+        for flag in ["lateral", "bypass", "multihome"] {
+            for bad in ["2.0", "-1", "nan"] {
+                let e = run(&format!("gen-topo --ads 5 --{flag} {bad}")).unwrap_err();
+                assert_eq!(e.0, format!("--{flag} must be a probability in [0, 1]"));
+            }
+        }
+        assert!(run("gen-topo --ads 5 --lateral 1 --bypass 0 --multihome 0.5").is_ok());
     }
 
     #[test]

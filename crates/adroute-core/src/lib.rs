@@ -36,8 +36,6 @@ pub mod network;
 pub mod overload;
 pub mod router;
 pub mod synthesis;
-pub mod traffic;
-pub mod vgw;
 
 pub use dataplane::{DataPacket, HandleId, SetupPacket};
 pub use gateway::{DataError, PolicyGateway, SetupError};
@@ -50,5 +48,3 @@ pub use overload::{
 };
 pub use router::OrwgProtocol;
 pub use synthesis::{PolicyRoute, RouteServer, Strategy, SynthStats, ViewDelta};
-pub use traffic::{run_traffic, TrafficModel, TrafficReport};
-pub use vgw::VirtualGateway;

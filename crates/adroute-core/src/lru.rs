@@ -70,26 +70,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         self.map.get(key).map(|(v, _)| v)
     }
 
-    /// Refreshes `key`'s recency without borrowing its value, exactly as
-    /// [`LruCache::get`] would. Returns whether the key was present.
-    ///
-    /// A hot-tier front cache uses this so hits it absorbs still count as
-    /// accesses here, keeping eviction order identical to a cache serving
-    /// every hit itself.
-    pub fn touch(&mut self, key: &K) -> bool {
-        if let Some((_, old)) = self.map.get(key) {
-            self.stamp += 1;
-            let stamp = self.stamp;
-            let old = *old;
-            self.order.remove(&old);
-            self.order.insert(stamp, key.clone());
-            self.map.get_mut(key).expect("present above").1 = stamp;
-            true
-        } else {
-            false
-        }
-    }
-
     /// Inserts `key -> value`, evicting the least recently used entry if
     /// over capacity. Returns the evicted key, if any, so callers keeping
     /// secondary indexes over the cached entries can stay exact.
@@ -230,19 +210,6 @@ mod tests {
         assert_eq!(c.stamp, before, "misses must not advance the clock");
         let _ = c.get(&"a");
         assert_eq!(c.stamp, before + 1, "hits advance it by exactly one");
-    }
-
-    #[test]
-    fn touch_is_get_without_the_borrow() {
-        let mut c = LruCache::new(2);
-        c.insert("a", 1);
-        c.insert("b", 2);
-        assert!(c.touch(&"a")); // a is now most recent; b is LRU
-        assert!(!c.touch(&"zzz"));
-        let before = c.stamp;
-        assert!(!c.touch(&"zzz"));
-        assert_eq!(c.stamp, before, "touch misses must not advance the clock");
-        assert_eq!(c.insert("c", 3), Some("b"), "touch must refresh recency");
     }
 
     #[test]

@@ -242,6 +242,24 @@ impl OrwgNetwork {
             .ad_ids()
             .map(|ad| RouteServer::new(ad, topo.clone(), db.clone(), strategy.clone()))
             .collect();
+        OrwgNetwork::assemble(
+            topo.clone(),
+            db.clone(),
+            servers,
+            handle_capacity,
+            SimTime::ZERO,
+        )
+    }
+
+    /// Everything but the Route Servers' views starts the same way: idle
+    /// gateways and admission queues, no flows, no faults.
+    fn assemble(
+        topo: Topology,
+        db: PolicyDb,
+        servers: Vec<RouteServer>,
+        handle_capacity: usize,
+        clock: SimTime,
+    ) -> OrwgNetwork {
         let gateways = topo
             .ad_ids()
             .map(|ad| PolicyGateway::new(ad, handle_capacity))
@@ -252,8 +270,8 @@ impl OrwgNetwork {
             .collect();
         let standby = topo.ad_ids().map(|_| Vec::new()).collect();
         OrwgNetwork {
-            topo: topo.clone(),
-            db: db.clone(),
+            topo,
+            db,
             servers,
             gateways,
             next_handle: 1,
@@ -271,7 +289,7 @@ impl OrwgNetwork {
             standby,
             obs: Obs::disabled(),
             prof: Profiler::new(),
-            clock: SimTime::ZERO,
+            clock,
         }
     }
 
@@ -307,37 +325,7 @@ impl OrwgNetwork {
                 s
             })
             .collect();
-        let gateways = topo
-            .ad_ids()
-            .map(|ad| PolicyGateway::new(ad, handle_capacity))
-            .collect();
-        let admission = topo
-            .ad_ids()
-            .map(|_| AdmissionController::new(AdmissionConfig::default()))
-            .collect();
-        let standby = topo.ad_ids().map(|_| Vec::new()).collect();
-        OrwgNetwork {
-            topo,
-            db,
-            servers,
-            gateways,
-            next_handle: 1,
-            open_flows: HashMap::new(),
-            live_by_flow: HashMap::new(),
-            stragglers: HashMap::new(),
-            pending_repair: Vec::new(),
-            repair_stats: RepairStats::default(),
-            setup_loss: None,
-            view_maintenance: ViewMaintenance::Incremental,
-            rogue_gateways: Vec::new(),
-            quarantined: Vec::new(),
-            admission,
-            rs_down: Vec::new(),
-            standby,
-            obs: Obs::disabled(),
-            prof: Profiler::new(),
-            clock: engine.now(),
-        }
+        OrwgNetwork::assemble(topo, db, servers, handle_capacity, engine.now())
     }
 
     /// Enables the typed data-plane event log with the given ring-buffer
@@ -1362,7 +1350,7 @@ impl OrwgNetwork {
         if rung == BrownoutRung::Cached && lives.len() > 1 {
             let flows: Vec<FlowSpec> = lives.iter().map(|&k| popped[k].open.flow).collect();
             let searches_before = self.servers[ai].stats.searches;
-            let routes = self.servers[ai].request_batch(&flows, cfg.shards);
+            let routes = self.servers[ai].request_batch(&flows, 1);
             let fresh = self.servers[ai].stats.searches - searches_before;
             self.emit(
                 None,
@@ -1407,21 +1395,15 @@ impl OrwgNetwork {
 
     /// Snapshot of one server's synthesis counters, taken around a serve
     /// slot's synthesis phase to credit the profiler's work ledger.
-    fn prof_synth_snapshot(&self, ai: usize) -> (u64, u64, u64, u64, u64) {
+    fn prof_synth_snapshot(&self, ai: usize) -> (u64, u64, u64) {
         let s = &self.servers[ai];
-        (
-            s.stats.searches,
-            s.stats.cache_hits,
-            s.sweep.sweeps,
-            s.sweep.classes,
-            s.sweep.hot_hits,
-        )
+        (s.stats.searches, s.stats.cache_hits, s.sweep.sweeps)
     }
 
     /// Credits the synthesis side of the work ledger with everything a
-    /// slot's synthesis phase did. All five deltas are deterministic for
+    /// slot's synthesis phase did. All three deltas are deterministic for
     /// a fixed scenario configuration, so the ledger is reproducible.
-    fn prof_synth_attribute(&mut self, ai: usize, snap: (u64, u64, u64, u64, u64)) {
+    fn prof_synth_attribute(&mut self, ai: usize, snap: (u64, u64, u64)) {
         if !self.prof.is_enabled() {
             return;
         }
@@ -1430,14 +1412,10 @@ impl OrwgNetwork {
             s.stats.searches - snap.0,
             s.stats.cache_hits - snap.1,
             s.sweep.sweeps - snap.2,
-            s.sweep.classes - snap.3,
-            s.sweep.hot_hits - snap.4,
         );
         self.prof.work("synth/searches", deltas.0);
         self.prof.work("synth/cache_hits", deltas.1);
         self.prof.work("synth/sweeps", deltas.2);
-        self.prof.work("synth/classes", deltas.3);
-        self.prof.work("synth/hot_hits", deltas.4);
     }
 
     /// Runs up to `budget` background precompute refills on `ad`'s Route
@@ -1761,24 +1739,10 @@ impl OrwgNetwork {
             agg.batches += s.sweep.batches;
             agg.batch_flows += s.sweep.batch_flows;
             agg.sweeps += s.sweep.sweeps;
-            agg.classes += s.sweep.classes;
             agg.hot_hits += s.sweep.hot_hits;
             agg.refills += s.sweep.refills;
         }
         agg
-    }
-
-    /// Total `(hits, misses)` of every Route Server's interned avoid-set
-    /// pool — the [`adroute_policy::AdSetPool`] intern/widen hit rate.
-    pub fn intern_stats(&self) -> (u64, u64) {
-        let mut hits = 0;
-        let mut misses = 0;
-        for s in &self.servers {
-            let (h, m) = s.intern_stats();
-            hits += h;
-            misses += m;
-        }
-        (hits, misses)
     }
 
     /// Total data packets that hit a pre-crash handle across all gateways

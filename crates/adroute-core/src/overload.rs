@@ -355,18 +355,23 @@ pub enum ServeOutcome {
     },
 }
 
-/// Sharded, batched Route Server service (`adroute stress --sharded`).
+/// Batched Route Server service (`adroute stress --sharded`).
 ///
 /// Service semantics per open are unchanged — the batch path is proven
 /// byte-identical to a [`OrwgNetwork::serve_next`] loop — but queued
-/// cached-rung opens sharing a destination shard and QoS/policy class
-/// are answered by one multi-destination sweep, and idle service slots
-/// refill invalidated cache entries in the background.
+/// cached-rung opens sharing a source and QoS/policy class are answered
+/// by one multi-destination sweep, and idle service slots refill
+/// invalidated cache entries in the background.
 ///
 /// [`OrwgNetwork::serve_next`]: crate::network::OrwgNetwork::serve_next
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardConfig {
-    /// Destination shards (contiguous AD regions) per batched sweep.
+    /// Read by nothing in this workspace: a batch runs one sweep per
+    /// compatibility class whatever this says. The field stays because
+    /// `benchmark/` (frozen for this change) reads it; it goes with
+    /// [`RouteServer::request_batch`]'s second argument.
+    ///
+    /// [`RouteServer::request_batch`]: crate::synthesis::RouteServer::request_batch
     pub shards: usize,
     /// Opens served per service slot (expired pops ride along free).
     pub max_batch: usize,
@@ -739,18 +744,15 @@ impl<'a> Driver<'a> {
     /// idle slot spent refilling cache entries view changes invalidated.
     ///
     /// Cached-rung batch members share multi-destination sweeps, so the
-    /// slot pays the cached (one-search) price once per compatibility
-    /// class swept and a stored-lookup price for every open fanned out of
-    /// those sweeps or answered from stored state — the batch's entire
-    /// point is that the fan-out is a table write, not a search. The
-    /// charge keys off the shard-*invariant* class count, not the actual
-    /// sweep count: a finer shard partition splits sweeps to parallelize
-    /// them, and letting that split change simulated time would make the
-    /// shard count observable in every downstream admission decision.
+    /// slot pays the cached (one-search) price once per sweep — one per
+    /// compatibility class — and a stored-lookup price for every open
+    /// fanned out of those sweeps or answered from stored state — the
+    /// batch's entire point is that the fan-out is a table write, not a
+    /// search.
     fn on_serve_sharded(&mut self, now: SimTime, ad: AdId, shard: ShardConfig) {
-        let classes_before = self.net.server(ad).sweep.classes;
+        let sweeps_before = self.net.server(ad).sweep.sweeps;
         let outcomes = self.net.serve_batch(ad, shard);
-        let classes = self.net.server(ad).sweep.classes - classes_before;
+        let sweeps = self.net.server(ad).sweep.sweeps - sweeps_before;
         let mut busy_us = 0;
         let mut cached = 0u64;
         for outcome in outcomes {
@@ -762,8 +764,8 @@ impl<'a> Driver<'a> {
                 }
             }
         }
-        busy_us += classes.min(cached) * self.cfg.service_cached_us
-            + cached.saturating_sub(classes) * self.cfg.service_stored_us;
+        busy_us += sweeps.min(cached) * self.cfg.service_cached_us
+            + cached.saturating_sub(sweeps) * self.cfg.service_stored_us;
         self.next_free[ad.index()] = now.plus_us(busy_us);
         if self.net.admission(ad).is_empty() {
             self.serve_scheduled[ad.index()] = false;

@@ -11,7 +11,7 @@
 //! a short binary search; set algebra works chunk-by-chunk.
 //!
 //! The representation is **canonical**: a chunk is an array iff its
-//! cardinality is at most [`ARRAY_MAX`], chunks are sorted and non-empty.
+//! cardinality is at most `ARRAY_MAX`, chunks are sorted and non-empty.
 //! Equal sets therefore have equal representations, so derived
 //! `PartialEq` is semantic equality, and the custom `Ord`/`Hash`
 //! (member-lexicographic, matching the old sorted-`Vec<AdId>` ordering)

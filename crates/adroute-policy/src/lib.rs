@@ -28,7 +28,6 @@
 pub mod bits;
 pub mod class;
 pub mod db;
-pub mod intern;
 pub mod legality;
 pub mod ordering;
 pub mod terms;
@@ -38,7 +37,6 @@ pub mod workload;
 pub use bits::AdBits;
 pub use class::{FlowSpec, QosClass, TimeOfDay, UserClass};
 pub use db::PolicyDb;
-pub use intern::{AdSetPool, AdSetRef};
 pub use legality::{legal_route, legal_routes_sweep, route_is_legal, LegalRoute};
 pub use terms::{
     AdSet, PolicyAction, PolicyCondition, PolicyTerm, PtId, RouteSelection, TransitPolicy,

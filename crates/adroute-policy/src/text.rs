@@ -81,188 +81,205 @@ fn format_term(t: &PolicyTerm) -> String {
 /// An error produced while parsing policy text.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ParseError {
-    /// What went wrong, with enough context to find it.
+    /// 1-based line of the offending token (the last line when the input
+    /// ended too soon).
+    pub line: usize,
+    /// What went wrong.
     pub message: String,
 }
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "policy parse error: {}", self.message)
+        write!(
+            f,
+            "policy parse error: line {}: {}",
+            self.line, self.message
+        )
     }
 }
 
 impl std::error::Error for ParseError {}
 
-fn err<T>(message: impl Into<String>) -> Result<T, ParseError> {
-    Err(ParseError {
-        message: message.into(),
-    })
-}
-
-/// A tiny hand-rolled tokenizer: words, numbers, and punctuation.
+/// A tiny hand-rolled tokenizer — words, numbers, and punctuation — that
+/// also carries what every error and range check needs.
 struct Lexer<'a> {
     rest: &'a str,
+    /// 1-based line of the token [`Lexer::next`] last returned.
+    line: usize,
+    /// Exclusive bound on AD ids, when the topology's size is known.
+    num_ads: Option<usize>,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Tok<'a> {
     Word(&'a str),
     Punct(char),
+    End,
+}
+
+impl fmt::Display for Tok<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Tok::Word(w) => write!(f, "'{w}'"),
+            Tok::Punct(p) => write!(f, "'{p}'"),
+            Tok::End => f.write_str("end of input"),
+        }
+    }
 }
 
 impl<'a> Lexer<'a> {
-    fn new(s: &'a str) -> Lexer<'a> {
-        Lexer { rest: s }
+    fn new(s: &'a str, num_ads: Option<usize>) -> Lexer<'a> {
+        Lexer {
+            rest: s,
+            line: 1,
+            num_ads,
+        }
     }
 
-    fn next(&mut self) -> Option<Tok<'a>> {
-        self.rest = self.rest.trim_start();
-        let mut chars = self.rest.char_indices();
-        let (_, first) = chars.next()?;
-        if first.is_alphanumeric() || first == ':' {
-            let end = self
-                .rest
-                .char_indices()
-                .find(|&(_, c)| !(c.is_alphanumeric() || c == ':'))
-                .map(|(i, _)| i)
-                .unwrap_or(self.rest.len());
-            let (word, rest) = self.rest.split_at(end);
+    fn next(&mut self) -> Tok<'a> {
+        let token = self.rest.trim_start();
+        let skipped = &self.rest[..self.rest.len() - token.len()];
+        self.line += skipped.matches('\n').count();
+        self.rest = token;
+        let Some(first) = token.chars().next() else {
+            return Tok::End;
+        };
+        let in_word = |c: char| c.is_alphanumeric() || c == ':';
+        if in_word(first) {
+            let end = token.find(|c| !in_word(c)).unwrap_or(token.len());
+            let (word, rest) = token.split_at(end);
             self.rest = rest;
-            Some(Tok::Word(word))
+            Tok::Word(word)
         } else {
-            self.rest = &self.rest[first.len_utf8()..];
-            Some(Tok::Punct(first))
+            self.rest = &token[first.len_utf8()..];
+            Tok::Punct(first)
         }
     }
 
-    fn expect_word(&mut self, want: &str) -> Result<(), ParseError> {
+    /// An error at the line of the token last read.
+    fn err<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
+        Err(ParseError {
+            line: self.line,
+            message: message.into(),
+        })
+    }
+
+    fn expect(&mut self, want: Tok<'_>) -> Result<(), ParseError> {
         match self.next() {
-            Some(Tok::Word(w)) if w == want => Ok(()),
-            other => err(format!("expected '{want}', found {other:?}")),
+            tok if tok == want => Ok(()),
+            other => self.err(format!("expected {want}, found {other}")),
         }
     }
 
-    fn expect_punct(&mut self, want: char) -> Result<(), ParseError> {
-        match self.next() {
-            Some(Tok::Punct(p)) if p == want => Ok(()),
-            other => err(format!("expected '{want}', found {other:?}")),
-        }
-    }
-
-    fn peek(&self) -> Option<Tok<'a>> {
-        Lexer { rest: self.rest }.next()
+    fn at_end(&self) -> bool {
+        self.rest.trim_start().is_empty()
     }
 }
 
-fn parse_ad(word: &str) -> Result<AdId, ParseError> {
-    let digits = word.strip_prefix("AD").unwrap_or(word);
-    match digits.parse::<u32>() {
-        Ok(n) => Ok(AdId(n)),
-        Err(_) => err(format!("expected an AD id, found '{word}'")),
+fn parse_ad(lx: &Lexer<'_>, word: &str) -> Result<AdId, ParseError> {
+    let Ok(n) = word.strip_prefix("AD").unwrap_or(word).parse::<u32>() else {
+        return lx.err(format!("expected an AD id, found '{word}'"));
+    };
+    match lx.num_ads {
+        Some(num_ads) if n as usize >= num_ads => {
+            lx.err(format!("AD{n} is outside the {num_ads}-AD topology"))
+        }
+        _ => Ok(AdId(n)),
     }
 }
 
 fn parse_number(lx: &mut Lexer<'_>) -> Result<u32, ParseError> {
     match lx.next() {
-        Some(Tok::Word(w)) => w.parse::<u32>().map_err(|_| ParseError {
-            message: format!("expected number, found '{w}'"),
-        }),
-        other => err(format!("expected number, found {other:?}")),
+        Tok::Word(w) => match w.parse() {
+            Ok(n) => Ok(n),
+            Err(_) => lx.err(format!("expected number, found '{w}'")),
+        },
+        other => lx.err(format!("expected number, found {other}")),
     }
 }
 
 /// Parses `{AD1, AD2}` or `!{…}` or `*`.
 fn parse_adset(lx: &mut Lexer<'_>) -> Result<AdSet, ParseError> {
     match lx.next() {
-        Some(Tok::Punct('*')) => Ok(AdSet::Any),
-        Some(Tok::Punct('!')) => {
-            let AdSet::Only(v) = parse_adset_braces(lx)? else {
-                return err("expected '{' after '!'");
-            };
-            Ok(AdSet::Except(v))
+        Tok::Punct('*') => Ok(AdSet::Any),
+        Tok::Punct('!') => {
+            lx.expect(Tok::Punct('{'))?;
+            Ok(AdSet::except(parse_ad_list(lx)?))
         }
-        Some(Tok::Punct('{')) => parse_adset_rest(lx),
-        other => err(format!("expected AD set, found {other:?}")),
+        Tok::Punct('{') => Ok(AdSet::only(parse_ad_list(lx)?)),
+        other => lx.err(format!("expected AD set, found {other}")),
     }
 }
 
-fn parse_adset_braces(lx: &mut Lexer<'_>) -> Result<AdSet, ParseError> {
-    lx.expect_punct('{')?;
-    parse_adset_rest(lx)
-}
-
-fn parse_adset_rest(lx: &mut Lexer<'_>) -> Result<AdSet, ParseError> {
+/// Parses the members of an AD set, after its `{`.
+fn parse_ad_list(lx: &mut Lexer<'_>) -> Result<Vec<AdId>, ParseError> {
     let mut ads = Vec::new();
     loop {
         match lx.next() {
-            Some(Tok::Punct('}')) => break,
-            Some(Tok::Punct(',')) => continue,
-            Some(Tok::Word(w)) => ads.push(parse_ad(w)?),
-            other => return err(format!("in AD set: unexpected {other:?}")),
+            Tok::Punct('}') => return Ok(ads),
+            Tok::Punct(',') => continue,
+            Tok::Word(w) => ads.push(parse_ad(lx, w)?),
+            other => return lx.err(format!("in AD set: unexpected {other}")),
         }
     }
-    Ok(AdSet::only(ads))
 }
 
 /// Parses `{1, 2}` as a list of small class numbers.
 fn parse_class_list(lx: &mut Lexer<'_>) -> Result<Vec<u8>, ParseError> {
-    lx.expect_punct('{')?;
+    lx.expect(Tok::Punct('{'))?;
     let mut out = Vec::new();
     loop {
         match lx.next() {
-            Some(Tok::Punct('}')) => break,
-            Some(Tok::Punct(',')) => continue,
-            Some(Tok::Word(w)) => match w.parse::<u8>() {
+            Tok::Punct('}') => return Ok(out),
+            Tok::Punct(',') => continue,
+            Tok::Word(w) => match w.parse::<u8>() {
                 Ok(n) => out.push(n),
-                Err(_) => return err(format!("expected class number, found '{w}'")),
+                Err(_) => return lx.err(format!("expected class number, found '{w}'")),
             },
-            other => return err(format!("in class list: unexpected {other:?}")),
+            other => return lx.err(format!("in class list: unexpected {other}")),
         }
     }
-    Ok(out)
 }
 
-/// Parses `HH:MM-HH:MM`.
-fn parse_time_window(lx: &mut Lexer<'_>) -> Result<(TimeOfDay, TimeOfDay), ParseError> {
-    let parse_hm = |w: &str| -> Result<TimeOfDay, ParseError> {
-        let (h, m) = w.split_once(':').ok_or(ParseError {
-            message: format!("expected HH:MM, found '{w}'"),
-        })?;
-        let (h, m) = (
-            h.parse::<u16>().map_err(|_| ParseError {
-                message: format!("bad hour '{h}'"),
-            })?,
-            m.parse::<u16>().map_err(|_| ParseError {
-                message: format!("bad minute '{m}'"),
-            })?,
-        );
-        if h >= 24 || m >= 60 {
-            return err(format!("time out of range: {h}:{m}"));
-        }
-        Ok(TimeOfDay::hm(h, m))
+/// Parses `HH:MM`.
+fn parse_time(lx: &mut Lexer<'_>) -> Result<TimeOfDay, ParseError> {
+    let w = match lx.next() {
+        Tok::Word(w) => w,
+        other => return lx.err(format!("expected HH:MM, found {other}")),
     };
-    match lx.next() {
-        Some(Tok::Word(w)) => {
-            let start = parse_hm(w)?;
-            lx.expect_punct('-')?;
-            match lx.next() {
-                Some(Tok::Word(w2)) => Ok((start, parse_hm(w2)?)),
-                other => err(format!("expected end time, found {other:?}")),
-            }
-        }
-        other => err(format!("expected time window, found {other:?}")),
+    let hm = w
+        .split_once(':')
+        .and_then(|(h, m)| Some((h.parse::<u16>().ok()?, m.parse::<u16>().ok()?)));
+    match hm {
+        Some((h, m)) if h < 24 && m < 60 => Ok(TimeOfDay::hm(h, m)),
+        Some((h, m)) => lx.err(format!("time out of range: {h}:{m}")),
+        None => lx.err(format!("expected HH:MM, found '{w}'")),
     }
 }
 
-/// Parses the canonical text syntax back into a [`TransitPolicy`].
+/// Parses the canonical text syntax back into a [`TransitPolicy`]: exactly
+/// one `policy` block.
 pub fn parse_policy(input: &str) -> Result<TransitPolicy, ParseError> {
-    let mut lx = Lexer::new(input);
-    lx.expect_word("policy")?;
+    let mut lx = Lexer::new(input, None);
+    let ad = parse_block_header(&mut lx)?;
+    let policy = parse_block_body(&mut lx, ad)?;
+    lx.expect(Tok::End)?;
+    Ok(policy)
+}
+
+/// Parses a block's `policy ADn {`.
+fn parse_block_header(lx: &mut Lexer<'_>) -> Result<AdId, ParseError> {
+    lx.expect(Tok::Word("policy"))?;
     let ad = match lx.next() {
-        Some(Tok::Word(w)) => parse_ad(w)?,
-        other => return err(format!("expected AD id, found {other:?}")),
+        Tok::Word(w) => parse_ad(lx, w)?,
+        other => return lx.err(format!("expected AD id, found {other}")),
     };
-    lx.expect_punct('{')?;
+    lx.expect(Tok::Punct('{'))?;
+    Ok(ad)
+}
+
+/// Parses a block's terms and default, through its closing `}`.
+fn parse_block_body(lx: &mut Lexer<'_>, ad: AdId) -> Result<TransitPolicy, ParseError> {
     let mut policy = TransitPolicy {
         ad,
         terms: Vec::new(),
@@ -271,70 +288,46 @@ pub fn parse_policy(input: &str) -> Result<TransitPolicy, ParseError> {
     let mut saw_default = false;
     loop {
         match lx.next() {
-            Some(Tok::Punct('}')) => break,
-            Some(Tok::Word("default")) => {
+            Tok::Punct('}') => break,
+            Tok::Word("default") => {
                 let action = match lx.next() {
-                    Some(Tok::Word("permit")) => {
-                        let cost = parse_number(&mut lx)?;
-                        PolicyAction::Permit { cost }
-                    }
-                    Some(Tok::Word("deny")) => PolicyAction::Deny,
-                    other => return err(format!("expected permit/deny, found {other:?}")),
+                    Tok::Word("permit") => PolicyAction::Permit {
+                        cost: parse_number(lx)?,
+                    },
+                    Tok::Word("deny") => PolicyAction::Deny,
+                    other => return lx.err(format!("expected permit/deny, found {other}")),
                 };
-                lx.expect_punct(';')?;
+                lx.expect(Tok::Punct(';'))?;
                 policy.default = action;
                 saw_default = true;
             }
-            Some(Tok::Word(kw @ ("permit" | "deny"))) => {
+            Tok::Word(kw @ ("permit" | "deny")) => {
                 let mut conditions = Vec::new();
                 let mut cost = None;
                 loop {
-                    match lx.peek() {
-                        Some(Tok::Punct(';')) => {
-                            let _ = lx.next();
-                            break;
+                    conditions.push(match lx.next() {
+                        Tok::Punct(';') => break,
+                        Tok::Word("src") => PolicyCondition::SrcIn(parse_adset(lx)?),
+                        Tok::Word("dst") => PolicyCondition::DstIn(parse_adset(lx)?),
+                        Tok::Word("prev") => PolicyCondition::PrevIn(parse_adset(lx)?),
+                        Tok::Word("next") => PolicyCondition::NextIn(parse_adset(lx)?),
+                        Tok::Word("qos") => PolicyCondition::QosIn(
+                            parse_class_list(lx)?.into_iter().map(QosClass).collect(),
+                        ),
+                        Tok::Word("uci") => PolicyCondition::UciIn(
+                            parse_class_list(lx)?.into_iter().map(UserClass).collect(),
+                        ),
+                        Tok::Word("time") => {
+                            let start = parse_time(lx)?;
+                            lx.expect(Tok::Punct('-'))?;
+                            PolicyCondition::TimeWindow(start, parse_time(lx)?)
                         }
-                        Some(Tok::Word("src")) => {
-                            let _ = lx.next();
-                            conditions.push(PolicyCondition::SrcIn(parse_adset(&mut lx)?));
+                        Tok::Word("cost") => {
+                            cost = Some(parse_number(lx)?);
+                            continue;
                         }
-                        Some(Tok::Word("dst")) => {
-                            let _ = lx.next();
-                            conditions.push(PolicyCondition::DstIn(parse_adset(&mut lx)?));
-                        }
-                        Some(Tok::Word("prev")) => {
-                            let _ = lx.next();
-                            conditions.push(PolicyCondition::PrevIn(parse_adset(&mut lx)?));
-                        }
-                        Some(Tok::Word("next")) => {
-                            let _ = lx.next();
-                            conditions.push(PolicyCondition::NextIn(parse_adset(&mut lx)?));
-                        }
-                        Some(Tok::Word("qos")) => {
-                            let _ = lx.next();
-                            let list = parse_class_list(&mut lx)?;
-                            conditions.push(PolicyCondition::QosIn(
-                                list.into_iter().map(QosClass).collect(),
-                            ));
-                        }
-                        Some(Tok::Word("uci")) => {
-                            let _ = lx.next();
-                            let list = parse_class_list(&mut lx)?;
-                            conditions.push(PolicyCondition::UciIn(
-                                list.into_iter().map(UserClass).collect(),
-                            ));
-                        }
-                        Some(Tok::Word("time")) => {
-                            let _ = lx.next();
-                            let (a, b) = parse_time_window(&mut lx)?;
-                            conditions.push(PolicyCondition::TimeWindow(a, b));
-                        }
-                        Some(Tok::Word("cost")) => {
-                            let _ = lx.next();
-                            cost = Some(parse_number(&mut lx)?);
-                        }
-                        other => return err(format!("in term: unexpected {other:?}")),
-                    }
+                        other => return lx.err(format!("in term: unexpected {other}")),
+                    });
                 }
                 let action = if kw == "permit" {
                     PolicyAction::Permit {
@@ -342,17 +335,17 @@ pub fn parse_policy(input: &str) -> Result<TransitPolicy, ParseError> {
                     }
                 } else {
                     if cost.is_some() {
-                        return err("deny terms cannot carry a cost");
+                        return lx.err("deny terms cannot carry a cost");
                     }
                     PolicyAction::Deny
                 };
                 policy.push_term(conditions, action);
             }
-            other => return err(format!("expected a term or '}}', found {other:?}")),
+            other => return lx.err(format!("expected a term or '}}', found {other}")),
         }
     }
     if !saw_default {
-        return err("missing 'default' clause");
+        return lx.err("missing 'default' clause");
     }
     Ok(policy)
 }
@@ -367,35 +360,24 @@ pub fn format_policies(db: &crate::db::PolicyDb) -> String {
     out
 }
 
-/// Parses a concatenation of `policy` blocks into a [`crate::db::PolicyDb`] covering
-/// ADs `0..num_ads`. ADs without a block get a permit-all policy (the
-/// paper's "least restrictive policies possible" default).
+/// Parses a concatenation of `policy` blocks — and nothing else — into a
+/// [`crate::db::PolicyDb`] covering ADs `0..num_ads`. ADs without a block
+/// get a permit-all policy (the paper's "least restrictive policies
+/// possible" default), so an empty input is the permissive database. An
+/// AD with two blocks, and an AD id at or past `num_ads` anywhere, are
+/// errors.
 pub fn parse_policies(input: &str, num_ads: usize) -> Result<crate::db::PolicyDb, ParseError> {
     let mut policies: Vec<TransitPolicy> = (0..num_ads as u32)
         .map(|i| TransitPolicy::permit_all(AdId(i)))
         .collect();
-    // Split on 'policy' keyword occurrences at line starts.
-    let mut starts: Vec<usize> = Vec::new();
-    for (off, _) in input.match_indices("policy") {
-        let at_line_start = off == 0
-            || input[..off].trim_end_matches([' ', '\t']).ends_with('\n')
-            || input[..off].trim().is_empty();
-        if at_line_start {
-            starts.push(off);
+    let mut seen = vec![false; num_ads];
+    let mut lx = Lexer::new(input, Some(num_ads));
+    while !lx.at_end() {
+        let ad = parse_block_header(&mut lx)?;
+        if std::mem::replace(&mut seen[ad.index()], true) {
+            return lx.err(format!("second policy block for {ad}"));
         }
-    }
-    for (i, &s) in starts.iter().enumerate() {
-        let end = starts.get(i + 1).copied().unwrap_or(input.len());
-        let block = &input[s..end];
-        let p = parse_policy(block)?;
-        let idx = p.ad.index();
-        if idx >= num_ads {
-            return err(format!(
-                "policy for {} outside the {num_ads}-AD topology",
-                p.ad
-            ));
-        }
-        policies[idx] = p;
+        policies[ad.index()] = parse_block_body(&mut lx, ad)?;
     }
     Ok(crate::db::PolicyDb::from_policies(policies))
 }
@@ -490,7 +472,7 @@ mod tests {
     fn rejects_malformed_input() {
         assert!(parse_policy("policy AD5 {").is_err());
         assert!(parse_policy("policy {} {}").is_err());
-        assert!(parse_policy("policy AD5 { default permit 0; } trailing").is_ok()); // trailing ignored
+        assert!(parse_policy("policy AD5 { default permit 0; } trailing").is_err());
         assert!(parse_policy("policy AD5 { }").is_err(), "default required");
         assert!(parse_policy("policy AD5 { deny cost 3; default deny; }").is_err());
         assert!(
@@ -536,6 +518,97 @@ mod tests {
         );
         // Out-of-range policy rejected.
         assert!(parse_policies("policy AD9 { default deny; }", 4).is_err());
+    }
+
+    /// Inputs the parser used to accept — skipping the block, ignoring the
+    /// tokens, keeping the last duplicate, admitting the id — each with
+    /// the line it must now be refused at, and the two message forms that
+    /// used to print `Option<Tok>`.
+    #[test]
+    fn malformed_policy_files_are_errors() {
+        for (text, line, needle) in [
+            ("\npolcy AD1 {\n default deny;\n}", 2, "expected 'policy', found 'polcy'"),
+            ("hello world", 1, "expected 'policy', found 'hello'"),
+            ("policy AD1 { default deny; }\n\ntrailing", 3, "found 'trailing'"),
+            (
+                "policy AD1 { default deny; }\npolicy AD2 { default deny; }\npolicy AD1 {\n default permit 0;\n}",
+                3,
+                "second policy block for AD1",
+            ),
+            (
+                "policy AD1 {\n deny src {AD2,\n AD4000000000};\n default deny; }",
+                3,
+                "AD4000000000 is outside the 4-AD topology",
+            ),
+            ("policy AD1 {\n deny src {AD2}\n}", 3, "in term: unexpected '}'"),
+            ("policy AD1 {\n deny src {AD2", 2, "in AD set: unexpected end of input"),
+        ] {
+            let e = parse_policies(text, 4).expect_err(text);
+            assert_eq!(e.line, line, "{e}");
+            assert!(e.message.contains(needle), "{e}");
+            let shown = e.to_string();
+            assert!(shown.contains(&format!("line {line}: ")), "{shown}");
+            assert!(!shown.contains("Some(") && !shown.contains("None"), "{shown}");
+        }
+        let f = FlowSpec::best_effort(AdId(0), AdId(3));
+        for empty in ["", " \n\t\n"] {
+            let db = parse_policies(empty, 4).expect("no block is the permit-all default");
+            assert!(db
+                .iter()
+                .all(|p| p.evaluate(&f, Some(AdId(0)), Some(AdId(3))) == Some(0)));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+        /// Files built from the grammar's own keywords, punctuation and
+        /// integers — loose, as term fragments inside a block, and as
+        /// whole blocks with small ids, so well-formed files, duplicates
+        /// and out-of-range ids all occur — parse to `Ok` or `Err`, never
+        /// panic, and every accepted file round-trips.
+        #[test]
+        fn token_soup_never_panics(seed in 0u64..4000) {
+            use rand::{rngs::SmallRng, Rng, SeedableRng};
+            const WORDS: [&str; 30] = [
+                "policy", "default", "permit", "deny", "src", "dst", "prev", "next", "qos",
+                "uci", "time", "cost", "{", "}", ";", ",", "!", "*", "-", "AD1", "AD7",
+                "19:00", "07:60", "\n", "deny;", "permit src {AD1} cost 3;",
+                "deny dst !{AD2, AD3} qos {1, 2};", "permit uci {} time 19:00-07:00;",
+                "permit next * prev {AD0, AD7};", "deny src {} dst !{};",
+            ];
+            const NUM_ADS: usize = 6;
+            fn soup(rng: &mut SmallRng) -> String {
+                let mut out = String::new();
+                for _ in 0..rng.gen_range(1..6) {
+                    out += &match rng.gen_range(0..12) {
+                        0 => rng.gen_range(0..8u64).to_string(),
+                        1 => rng.gen_range(0..=u64::MAX).to_string(),
+                        2..=4 => WORDS[rng.gen_range(0..WORDS.len())].to_string(),
+                        _ => WORDS[rng.gen_range(24..WORDS.len())].to_string(),
+                    };
+                    out.push(' ');
+                }
+                out
+            }
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut text = String::new();
+            for _ in 0..rng.gen_range(0..4) {
+                let ad = rng.gen_range(0..NUM_ADS + 1);
+                let body = match rng.gen_range(0..4) {
+                    0 => {
+                        text += &soup(&mut rng);
+                        continue;
+                    }
+                    1 => soup(&mut rng),
+                    _ => format!("deny src !{{AD{}}};", rng.gen_range(0..NUM_ADS + 1)),
+                };
+                text += &format!("policy AD{ad} {{ {body} default permit 1; }}\n");
+            }
+            if let Ok(db) = parse_policies(&text, NUM_ADS) {
+                let back = parse_policies(&format_policies(&db), NUM_ADS).unwrap();
+                proptest::prop_assert!(back.iter().eq(db.iter()), "{text}");
+            }
+        }
     }
 
     proptest::proptest! {

@@ -261,6 +261,10 @@ pub fn score_flows<D: DataPlane>(
 ///   never accused — the false-positive discipline the monitors.rs
 ///   proptest battery enforces (each design point is paired with the
 ///   policy regime it actually honors).
+///
+/// [`Observation::Delivered`]: adroute_sim::Observation::Delivered
+/// [`Observation::Looped`]: adroute_sim::Observation::Looped
+/// [`Observation::Blackholed`]: adroute_sim::Observation::Blackholed
 pub fn observe_flows<D: DataPlane>(
     dp: &mut D,
     topo: &Topology,

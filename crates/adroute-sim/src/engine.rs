@@ -781,7 +781,7 @@ impl<P: Protocol> Engine<P> {
 
     /// Installs (or clears) the channel-fault configuration. Faults apply
     /// to every message sent after this call; each message's fate is
-    /// drawn by [`ChannelFaults::judge`] keyed on (seed, sender, per-AD
+    /// drawn by `ChannelFaults::judge` keyed on (seed, sender, per-AD
     /// send ordinal), so fault arrival is a pure function of event
     /// identity — independent of draw order, identical under the
     /// sequential and parallel engines.

@@ -2,7 +2,7 @@
 //!
 //! The paper's operating model (Section 2.2) is an internet whose inter-AD
 //! links fail and recover continuously while the routing fabric keeps
-//! forwarding. [`FailureSchedule`](crate::FailureSchedule) realizes the
+//! forwarding. [`FailureSchedule`] realizes the
 //! clean link-flip half of that regime; a [`FaultPlan`] composes it with
 //! the messier rest:
 //!
@@ -16,7 +16,7 @@
 //!   region-parallel engines at any worker count.
 //! - **Router crashes** ([`CrashModel`], [`RouterOutage`]): a crashed
 //!   router loses *all* soft state — it is rebuilt from
-//!   [`Protocol::make_router`](crate::Protocol::make_router) at restart —
+//!   [`Protocol::make_router`] at restart —
 //!   and its links share its fate, so neighbors observe ordinary
 //!   link-down/link-up events and their existing resynchronization logic
 //!   heals the reborn router.
@@ -486,33 +486,6 @@ impl FaultPlan {
         self
     }
 
-    /// A hand-built plan (for tests and targeted experiments). `heal`
-    /// controls whether [`apply`](FaultPlan::apply) appends horizon
-    /// repairs and the resynchronization sweep.
-    pub fn from_parts(
-        links: FailureSchedule,
-        outages: Vec<RouterOutage>,
-        channel: Option<ChannelFaults>,
-        horizon_end: SimTime,
-        heal: bool,
-    ) -> FaultPlan {
-        FaultPlan {
-            links,
-            outages,
-            channel,
-            misbehavior: MisbehaviorSpec::default(),
-            partition: None,
-            horizon_end,
-            heal,
-        }
-    }
-
-    /// Attaches byzantine assignments to a hand-built plan, builder-style.
-    pub fn with_misbehavior(mut self, spec: MisbehaviorSpec) -> FaultPlan {
-        self.misbehavior = spec;
-        self
-    }
-
     /// The byzantine per-AD assignments (empty = everyone honest).
     pub fn misbehavior(&self) -> &MisbehaviorSpec {
         &self.misbehavior
@@ -531,13 +504,6 @@ impl FaultPlan {
     /// The channel fault configuration, if any.
     pub fn channel(&self) -> Option<&ChannelFaults> {
         self.channel.as_ref()
-    }
-
-    /// Attaches (or replaces) the channel fault configuration,
-    /// builder-style.
-    pub fn with_channel(mut self, channel: ChannelFaults) -> FaultPlan {
-        self.channel = Some(channel);
-        self
     }
 
     /// The partition component, if this plan cuts the flooding domain.

@@ -1,7 +1,7 @@
 //! Causal analysis over the provenance-linked event stream.
 //!
-//! Every [`LoggedEvent`](super::LoggedEvent) carries an id and an
-//! optional cause id, so an [`EventLog`](super::EventLog) (or several
+//! Every [`LoggedEvent`] carries an id and an
+//! optional cause id, so an [`EventLog`] (or several
 //! merged — the engine's control plane plus the ORWG data plane) is a
 //! forest of span trees: a scheduled link failure is a root, the
 //! link-down it produces is its child, each LSA reflood hop hangs off

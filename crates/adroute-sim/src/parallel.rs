@@ -6,19 +6,18 @@
 //! changing one byte of that contract*, using conservative synchronization
 //! (Chandy/Misra-style lookahead) plus a journal/commit replay:
 //!
-//! 1. ADs are partitioned into contiguous regions
-//!    ([`RegionMap`](adroute_topology::RegionMap)). The **lookahead** is
-//!    the minimum propagation delay of any link crossing a region
-//!    boundary: no message sent inside a window of that length can arrive
-//!    in another region before the window ends.
+//! 1. ADs are partitioned into contiguous regions ([`RegionMap`]). The
+//!    **lookahead** is the minimum propagation delay of any link crossing
+//!    a region boundary: no message sent inside a window of that length
+//!    can arrive in another region before the window ends.
 //! 2. A window `[t0, wend)` is chosen with
-//!    `wend = min(t0 + lookahead, next control event, until + 1)`.
+//!    `wend = min(t0 + lookahead, next control event)`.
 //!    Control events (link/router state changes) mutate shared topology
 //!    state, so they bound every window and run sequentially between
 //!    windows. Channel faults do *not* force sequential execution:
 //!    every fault verdict is a pure function of the message's identity
 //!    (config seed, sending AD, per-AD send ordinal — see
-//!    [`ChannelFaults::judge`]), so a lane draws exactly the verdict the
+//!    `ChannelFaults::judge`), so a lane draws exactly the verdict the
 //!    sequential engine would, with no shared RNG to race on. Fault
 //!    jitter only ever *adds* delay, so delayed and duplicated copies
 //!    still respect the lookahead bound (they escape the window rather
@@ -26,12 +25,12 @@
 //! 3. Each region's lane processes its in-window events on its own thread
 //!    against a *shared immutable* topology and a private slice of the
 //!    router arena. It runs the sequential engine's own event code —
-//!    [`World::dispatch_event`], the one implementation of start /
+//!    `World::dispatch_event`, the one implementation of start /
 //!    deliver / timer handling, fault verdicts included — and differs
-//!    only in the [`Sink`] the effects land in: where the engine applies
+//!    only in the `Sink` the effects land in: where the engine applies
 //!    them at once, the lane records a **journal**: per processed event,
 //!    the records it emitted and the events it pushed, with *symbolic*
-//!    causes ([`CauseRef`]) because real [`EventId`]s cannot be assigned
+//!    causes (`CauseRef`) because real [`EventId`]s cannot be assigned
 //!    concurrently.
 //! 4. A sequential **commit** replays the skeleton of the window — a heap
 //!    of `(time, seq)` stubs — in exactly the order the sequential engine
@@ -309,28 +308,16 @@ where
     /// [`Engine::run_to_quiescence`] on `num_regions` worker lanes.
     /// Produces byte-identical event logs, stats, and router state.
     ///
+    /// The scheduler alternates sequential islands (control events,
+    /// zero-lookahead points) with parallel windows, preserving the
+    /// sequential total order throughout. Channel faults run inside the
+    /// windows — verdicts are event-keyed, so lanes draw them
+    /// independently (see the module docs).
+    ///
     /// # Panics
     /// Panics if more than `max_events` events are processed, as the
     /// sequential runner does.
     pub fn run_to_quiescence_parallel(&mut self, num_regions: usize) -> SimTime {
-        self.run_parallel_inner(None, num_regions);
-        self.stats.last_activity
-    }
-
-    /// [`Engine::run_until`] on `num_regions` worker lanes.
-    pub fn run_until_parallel(&mut self, until: SimTime, num_regions: usize) {
-        self.run_parallel_inner(Some(until), num_regions);
-        if self.now < until {
-            self.now = until;
-        }
-    }
-
-    /// The shared scheduler: alternates sequential islands (control
-    /// events, zero-lookahead points) with parallel windows, preserving
-    /// the sequential total order throughout. Channel faults run inside
-    /// the windows — verdicts are event-keyed, so lanes draw them
-    /// independently (see the module docs).
-    fn run_parallel_inner(&mut self, until: Option<SimTime>, num_regions: usize) {
         let start_events = self.stats.events;
         let budget_check = |e: &Engine<P>| {
             assert!(
@@ -344,39 +331,24 @@ where
         // degenerate topology) has no parallelism to exploit. Faulted
         // configurations run parallel like everything else.
         if num_regions <= 1 || self.topo.num_ads() < 2 {
-            match until {
-                Some(u) => self.run_until(u),
-                None => {
-                    self.run_to_quiescence();
-                }
-            }
-            return;
+            return self.run_to_quiescence();
         }
         let map = RegionMap::contiguous(self.topo.num_ads(), num_regions);
         // The parallel path attributes its work ledger once, here — the
-        // sequential fallback above attributes inside run_until /
-        // run_to_quiescence — so the ledger totals are identical at any
-        // worker count.
+        // sequential fallback above attributes inside run_to_quiescence —
+        // so the ledger totals are identical at any worker count.
         self.prof.enter("engine.parallel");
         let snap = self.prof_snapshot();
         let pool_jobs0 = self.pool.as_ref().map_or(0, |p| p.jobs_run());
         let pool_busy0 = self.pool.as_ref().map_or(0, |p| p.busy_ns());
         // No crossing link: regions are independent and any window length
-        // is safe; cap only by control events / until.
+        // is safe; cap only by control events.
         let lookahead = min_cross_region_delay(&self.topo, &map).unwrap_or(u64::MAX);
         while let Some(t0) = self.next_event_time() {
-            if let Some(u) = until {
-                if t0 > u {
-                    break;
-                }
-            }
             let ctrl_t = self.ctrl.peek().map(|e| e.time);
             let mut wend = t0.0.saturating_add(lookahead);
             if let Some(ct) = ctrl_t {
                 wend = wend.min(ct.0);
-            }
-            if let Some(u) = until {
-                wend = wend.min(u.0.saturating_add(1));
             }
             if wend <= t0.0 {
                 // A control event is due now (or the lookahead is zero):
@@ -404,6 +376,7 @@ where
             }
         }
         self.prof.exit("engine.parallel");
+        self.stats.last_activity
     }
 
     /// Runs one parallel window `[t0, wend)`: fan out to lanes, then
@@ -683,22 +656,6 @@ mod tests {
         for &r in &[2usize, 5] {
             assert_eq!(drive(Some(r)), seq, "diverged at {r} regions");
         }
-    }
-
-    #[test]
-    fn parallel_run_until_matches_sequential_checkpoints() {
-        let drive = |regions: Option<usize>| {
-            let mut e = Engine::new(line(8), Wave);
-            e.enable_obs(1 << 14);
-            for stop in [1500u64, 3200, 9000] {
-                match regions {
-                    Some(r) => e.run_until_parallel(SimTime(stop), r),
-                    None => e.run_until(SimTime(stop)),
-                }
-            }
-            (e.obs.log.render(), e.now())
-        };
-        assert_eq!(drive(None), drive(Some(3)));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! ordering can express.
 
 use crate::graph::Topology;
-use crate::ids::{AdId, LinkId};
+use crate::ids::AdId;
 
 /// Direction of a link traversal relative to the partial order.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -74,12 +74,6 @@ impl PartialOrder {
         } else {
             LinkDirection::Down
         }
-    }
-
-    /// Direction of traversing `link` starting at endpoint `from`.
-    pub fn link_direction(&self, topo: &Topology, link: LinkId, from: AdId) -> LinkDirection {
-        let l = topo.link(link);
-        self.direction(from, l.other(from))
     }
 
     /// Whether a path obeys the up/down ("valley-free") rule: once a down

@@ -16,6 +16,9 @@ echo "== The benchmark still builds against this tree and passes its own gate"
 # it, so a signature it calls could break unnoticed until it is run.
 benchmark/check.sh
 
+echo "== Rustdoc builds without a warning (no dangling intra-doc link)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== Machine-readable outputs are valid JSON"
 adroute report --ads 40 --seed 7 --flows 20 --json | python3 -m json.tool > /dev/null
 adroute blame quickstart --json | python3 -m json.tool > /dev/null

@@ -316,15 +316,13 @@ proptest! {
         }
     }
 
-    /// Cache coherence across the two-tier store: view deltas invalidate
-    /// hot-tier entries atomically with the LRU they front, so after a
-    /// random fault script every stored-state answer — the hot tier is
-    /// probed first — is legal under the *current* view, and the
-    /// background-precompute scheduler refills only entries the current
-    /// view revalidates. A stale hot handle surviving its LRU entry's
-    /// invalidation would surface here as an illegal served route.
+    /// Cache coherence of the stored state: after a random fault script
+    /// every stored-state answer is legal under the *current* view, and
+    /// the background-precompute scheduler refills only entries the
+    /// current view revalidates. An entry surviving an invalidation it
+    /// should not have would surface here as an illegal served route.
     #[test]
-    fn hot_tier_and_refills_stay_view_coherent(
+    fn stored_routes_and_refills_stay_view_coherent(
         seed in 0u64..150,
         script in proptest::collection::vec(0u64..u64::MAX, 1..8),
     ) {
@@ -334,8 +332,7 @@ proptest! {
         let mut net = OrwgNetwork::converged_with(
             &topo, &db, Strategy::Hybrid { capacity: 32 }, 1024);
         net.set_view_maintenance(ViewMaintenance::Incremental);
-        // Warm through the request path: every answer lands in the LRU
-        // *and* the hot tier fronting it.
+        // Warm through the request path: every answer lands in the LRU.
         for f in &flows {
             let _ = net.synthesize(f);
         }

@@ -16,7 +16,7 @@ use adroute_bench::{internet, pct, Table};
 use adroute_core::{OrwgNetwork, Strategy, ViewMaintenance};
 use adroute_policy::workload::PolicyWorkload;
 use adroute_policy::{FlowSpec, TransitPolicy};
-use adroute_topology::AdId;
+use adroute_topology::{analysis, AdId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -151,17 +151,7 @@ fn incremental_vs_flush() {
     let stream = request_stream(&big, 4000, 23);
     // A trunk link between two well-connected transit ADs: high fan-in on
     // both sides means plenty of cached routes actually cross it.
-    let cut = big
-        .links()
-        .filter(|l| l.up)
-        .max_by_key(|l| {
-            (
-                big.neighbors(l.a).count() + big.neighbors(l.b).count(),
-                std::cmp::Reverse(l.id.index()),
-            )
-        })
-        .map(|l| l.id)
-        .expect("a generated internet has links");
+    let cut = analysis::trunk(&big).expect("a generated internet has links");
 
     let mut t = Table::new(
         &format!(

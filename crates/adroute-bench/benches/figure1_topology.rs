@@ -7,8 +7,8 @@
 //! paper leans on — hierarchies with lateral/bypass augmentation stay
 //! valley-free-connected.
 
-use adroute_bench::{f2, pct, Table};
-use adroute_topology::{algo, generate::HierarchyConfig, AdLevel, PartialOrder};
+use adroute_bench::{f2, internet, pct, Table};
+use adroute_topology::{algo, AdLevel, PartialOrder};
 
 fn main() {
     let mut t = Table::new(
@@ -29,13 +29,7 @@ fn main() {
         ],
     );
     for (scale, seed) in [(30usize, 1u64), (100, 2), (250, 3), (500, 4), (1000, 5)] {
-        let cfg = HierarchyConfig {
-            lateral_prob: 0.25,
-            bypass_prob: 0.1,
-            multihome_prob: 0.2,
-            ..HierarchyConfig::with_approx_size(scale, seed)
-        };
-        let topo = cfg.generate();
+        let topo = internet(scale, seed);
         let (h, l, b) = topo.link_kind_counts();
         let (s, m, tr, hy) = topo.role_counts();
         let n = topo.num_ads();

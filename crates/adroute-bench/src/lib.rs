@@ -73,13 +73,7 @@ pub fn pct(x: f64) -> String {
 
 /// The canonical experiment internet at a given approximate scale.
 pub fn internet(approx_ads: usize, seed: u64) -> adroute_topology::Topology {
-    adroute_topology::HierarchyConfig {
-        lateral_prob: 0.25,
-        bypass_prob: 0.1,
-        multihome_prob: 0.2,
-        ..adroute_topology::HierarchyConfig::with_approx_size(approx_ads, seed)
-    }
-    .generate()
+    adroute_topology::HierarchyConfig::e_series(approx_ads, seed).generate()
 }
 
 #[cfg(test)]

@@ -2,30 +2,29 @@
 //! arguments (plus file contents) to an output string, so the whole tool
 //! is unit-testable without spawning processes.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs;
 
 use adroute_core::{
-    run_load_ramp, OrwgNetwork, OrwgProtocol, PolicyImpact, RepairStats, SetupRetryPolicy,
-    ShardConfig, Strategy, StressConfig, StressReport, ViewMaintenance,
+    OrwgNetwork, OrwgProtocol, PolicyImpact, SetupRetryPolicy, ShardConfig, Strategy,
+    ViewMaintenance,
 };
 use adroute_policy::text::{format_policies, parse_policies, parse_policy};
 use adroute_policy::workload::PolicyWorkload;
-use adroute_policy::{legality, FlowSpec, PolicyDb, QosClass, TimeOfDay, TransitPolicy, UserClass};
-use adroute_protocols::forwarding::{audit_path, forward, DataPlane};
+use adroute_policy::{legality, FlowSpec, PolicyDb, QosClass, TimeOfDay, UserClass};
+use adroute_protocols::forwarding::{forward, DataPlane};
 use adroute_protocols::{
     ecma::Ecma, gossip::Gossip, ls_hbh::LsHbh, naive_dv::NaiveDv, path_vector::PathVector,
 };
 use adroute_sim::{
-    Alarm, CausalGraph, ChannelFaults, CrashModel, Engine, EventLog, EventRecord, FailureModel,
-    FaultPlan, FaultSpec, JsonWriter, MetricsRegistry, MisbehaviorModel, MisbehaviorSpec,
-    MonitorBank, MonitorConfig, Observation, OpenStorm, Profiler, Protocol, QuarantineController,
-    RouterOutage, SimTime, Stats, StormPhase,
+    CausalGraph, ChannelFaults, CrashModel, Engine, EventLog, FailureModel, FaultPlan, FaultSpec,
+    JsonWriter, MetricsRegistry, MisbehaviorModel, MisbehaviorSpec, Profiler, Protocol, SimTime,
+    Stats,
 };
 use adroute_topology::{analysis, io as topo_io, AdId, HierarchyConfig, LinkId, Topology};
 
 use crate::args::{bail, Args, CliError};
+use crate::scenario::{self, most_transited, run_byzantine, AuditRun};
 
 /// Top-level usage text.
 pub const USAGE: &str = "\
@@ -138,6 +137,29 @@ fn emit(out: &str, target: Option<&str>) -> Result<String, CliError> {
     }
 }
 
+/// Writes a `--trace` export and appends the human `trace:` line to
+/// `out` — except under `--json`, where stdout stays exactly one JSON
+/// value.
+fn write_trace(path: &str, jsonl: &str, json: bool, out: &mut String) -> Result<(), CliError> {
+    fs::write(path, jsonl).map_err(|e| CliError(format!("cannot write trace '{path}': {e}")))?;
+    if !json {
+        let _ = writeln!(out, "trace: wrote {} bytes to {path}", jsonl.len());
+    }
+    Ok(())
+}
+
+/// `--duration` in ms. Fault plans schedule in µs up to some twenty
+/// horizons past the converged clock (an exponential dwell drawn near
+/// the end of one), so the bound keeps that far inside a `u64`.
+fn opt_duration_ms(args: &Args, default: u64) -> Result<u64, CliError> {
+    const MAX_MS: u64 = 1_000_000_000_000;
+    let ms: u64 = args.opt_parse("duration", default)?;
+    if ms > MAX_MS {
+        return bail(format!("--duration must be at most {MAX_MS} milliseconds"));
+    }
+    Ok(ms)
+}
+
 /// An optional flag that feeds a Bernoulli draw: NaN and anything outside
 /// [0, 1] would panic in the generator, so they stop here.
 fn opt_probability(args: &Args, key: &str, default: f64) -> Result<f64, CliError> {
@@ -238,137 +260,6 @@ pub fn route(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Open flows whose installed route violates some transit AD's *actual*
-/// policy — audited against ground truth, not the possibly-stale flooded
-/// views, so it sees exactly what a rogue gateway hides.
-fn violating_flows(net: &OrwgNetwork) -> usize {
-    net.open_flows()
-        .filter(|(_, of)| !audit_path(net.topo(), net.policies(), &of.flow, &of.route).compliant())
-        .count()
-}
-
-/// The transit AD carrying the most open flows — the highest-leverage
-/// rogue for a byzantine run (ties break toward the lowest AD id).
-fn most_transited(net: &OrwgNetwork) -> Option<AdId> {
-    let mut counts: BTreeMap<AdId, usize> = BTreeMap::new();
-    for (_, of) in net.open_flows() {
-        for ad in of
-            .route
-            .iter()
-            .skip(1)
-            .take(of.route.len().saturating_sub(2))
-        {
-            *counts.entry(*ad).or_insert(0) += 1;
-        }
-    }
-    counts
-        .into_iter()
-        .max_by_key(|&(ad, n)| (n, std::cmp::Reverse(ad.index())))
-        .map(|(ad, _)| ad)
-}
-
-/// What one byzantine run produced, for `audit`, `chaos --byzantine`,
-/// and `report` to render.
-struct ByzReport {
-    /// The misbehaving AD.
-    rogue: AdId,
-    /// The logged `misbehavior-inject` root, if the log is enabled.
-    inject: Option<adroute_sim::EventId>,
-    /// Open flows violating ground-truth policy right after injection.
-    violating_before: usize,
-    /// The first confirmed alarm against the rogue, if any fired.
-    detection: Option<Alarm>,
-    /// The logged `quarantine-enter` event, if the log is enabled.
-    enter: Option<adroute_sim::EventId>,
-    /// Flows torn down by containment.
-    torn: usize,
-    /// Repair outcomes for the torn flows.
-    repair: RepairStats,
-    /// Open flows still violating ground-truth policy after containment.
-    violating_after: usize,
-    /// The controller, still holding the quarantine (callers may lift it).
-    controller: QuarantineController,
-}
-
-/// Drives the full byzantine lifecycle against an assembled network:
-/// covertly flips the rogue's *actual* policy to deny-all (its flooded
-/// view stays stale, so Route Servers keep synthesizing through it),
-/// turns its gateway rogue (forged setup acks install what policy
-/// forbids), opens the `fresh` flows through the now-lying gateway, then
-/// runs the monitor bank tick by tick until the policy-violation
-/// tripwire fires, the quarantine controller contains the suspect, and
-/// repair reconverges the torn flows policy-legally around it.
-fn run_byzantine(net: &mut OrwgNetwork, rogue: AdId, at: SimTime, fresh: &[FlowSpec]) -> ByzReport {
-    net.set_covert_policy(TransitPolicy::deny_all(rogue));
-    net.set_rogue_gateways([rogue]);
-    let inject = net.obs.record_event(
-        at,
-        None,
-        EventRecord::MisbehaviorInject {
-            ad: rogue,
-            model: MisbehaviorModel::ForgedAck.tag(),
-        },
-    );
-    for f in fresh {
-        let _ = net.open_repairable(f);
-    }
-    let violating_before = violating_flows(net);
-    let mut bank = MonitorBank::new(MonitorConfig::default());
-    bank.set_injection_roots(&[(rogue, inject)]);
-    let mut controller = QuarantineController::new(1);
-    let mut detection = None;
-    let mut enter = None;
-    let mut torn = 0usize;
-    let mut repair = RepairStats::default();
-    for _ in 0..6 {
-        // One monitoring tick: probe every open flow against ground truth.
-        let probes: Vec<Observation> = net
-            .open_flows()
-            .map(|(_, of)| Observation::Delivered {
-                src: of.flow.src,
-                dst: of.flow.dst,
-                violators: audit_path(net.topo(), net.policies(), &of.flow, &of.route).violations,
-            })
-            .collect();
-        for p in probes {
-            bank.observe(p);
-        }
-        let mut contained = false;
-        for alarm in bank.end_tick(&mut net.obs, at) {
-            if let Some((ad, qev)) = controller.note_alarm(&alarm, &mut net.obs, at) {
-                detection.get_or_insert(alarm);
-                enter = enter.or(qev);
-                let t = net.quarantine_ad(ad, qev);
-                net.obs
-                    .metrics
-                    .record("quarantine_collateral_flows", t as u64);
-                torn += t;
-                let r = net.repair_pending(3);
-                repair.repaired_via_alternate += r.repaired_via_alternate;
-                repair.repaired_via_synthesis += r.repaired_via_synthesis;
-                repair.failures += r.failures;
-                repair.setup_retransmits += r.setup_retransmits;
-                contained = true;
-            }
-        }
-        if contained || violating_before == 0 {
-            break;
-        }
-    }
-    let violating_after = violating_flows(net);
-    ByzReport {
-        rogue,
-        inject,
-        violating_before,
-        detection,
-        enter,
-        torn,
-        repair,
-        violating_after,
-        controller,
-    }
-}
-
 /// `audit <scenario>`: the byzantine audit lifecycle on a fixed, seeded
 /// scenario — inject a forged-ack rogue, detect it with the runtime
 /// policy-violation tripwire, quarantine it, and verify policy-legal
@@ -378,40 +269,17 @@ fn audit_byzantine(args: &Args) -> Result<String, CliError> {
     let json = args.opt_parse("json", false)?;
     let trace_path = args.opt("trace");
     let scenario = args.positional_one("scenario")?.to_string();
-    let (topo, seed) = match scenario.as_str() {
-        "quickstart" => (HierarchyConfig::figure1().generate(), 1990u64),
-        "e7b" => (
-            HierarchyConfig {
-                lateral_prob: 0.25,
-                bypass_prob: 0.1,
-                multihome_prob: 0.2,
-                ..HierarchyConfig::with_approx_size(120, 23)
-            }
-            .generate(),
-            23,
-        ),
-        other => {
-            return bail(format!(
-                "unknown audit scenario '{other}'; scenarios: quickstart, e7b"
-            ))
-        }
-    };
-    let db = PolicyWorkload::structural(seed).generate(&topo);
-    let mut net = OrwgNetwork::converged(&topo, &db);
-    net.enable_obs(1 << 14);
-    let mut opened = 0usize;
-    for f in &adroute_protocols::forwarding::sample_flows(&topo, 40, seed) {
-        if net.open_repairable(f).is_ok() {
-            opened += 1;
-        }
-    }
-    let Some(rogue) = most_transited(&net) else {
+    let sc = scenario::named("audit", &scenario)?;
+    let (topo, seed) = (&sc.topo, sc.seed);
+    let Some(AuditRun {
+        net,
+        opened,
+        fresh,
+        bz,
+    }) = scenario::audit_run(&sc)
+    else {
         return bail(format!("audit {scenario}: no open flow transits any AD"));
     };
-    // A fresh wave arrives *after* the rogue turns: its setups through the
-    // rogue succeed only because the gateway forges the acks.
-    let fresh = adroute_protocols::forwarding::sample_flows(&topo, 10, seed ^ 0x5a);
-    let bz = run_byzantine(&mut net, rogue, SimTime::ZERO, &fresh);
     let reconverged = bz.violating_after == 0;
     let mut out = String::new();
     if json {
@@ -459,8 +327,7 @@ fn audit_byzantine(args: &Args) -> Result<String, CliError> {
         );
         let _ = writeln!(
             out,
-            "flows: {opened} open before, {} fresh setups after; {} violating ground-truth policy",
-            fresh.len(),
+            "flows: {opened} open before, {fresh} fresh setups after; {} violating ground-truth policy",
             bz.violating_before
         );
         match &bz.detection {
@@ -502,10 +369,7 @@ fn audit_byzantine(args: &Args) -> Result<String, CliError> {
         }
     }
     if let Some(path) = trace_path {
-        let jsonl = net.obs.log.export_jsonl();
-        fs::write(path, &jsonl)
-            .map_err(|e| CliError(format!("cannot write trace '{path}': {e}")))?;
-        let _ = writeln!(out, "trace: wrote {} bytes to {path}", jsonl.len());
+        write_trace(path, &net.obs.log.export_jsonl(), json, &mut out)?;
     }
     Ok(out)
 }
@@ -638,7 +502,7 @@ pub fn chaos(args: &Args) -> Result<String, CliError> {
     let trace_path = args.opt("trace");
     let ads: usize = args.opt_parse("ads", 40)?;
     let seed: u64 = args.opt_parse("seed", 1990)?;
-    let duration_ms: u64 = args.opt_parse("duration", 400)?;
+    let duration_ms = opt_duration_ms(args, 400)?;
     if duration_ms == 0 {
         return bail("--duration must be a positive number of milliseconds");
     }
@@ -706,7 +570,7 @@ pub fn chaos(args: &Args) -> Result<String, CliError> {
         e.enable_obs(65536);
     }
     e.begin_phase("converge");
-    run_quiesce(&mut e, workers);
+    e.run_to_quiescence_parallel(workers);
     let spec = FaultSpec {
         link_model: Some(FailureModel {
             mtbf_ms: duration_ms as f64 / 3.0,
@@ -720,14 +584,7 @@ pub fn chaos(args: &Args) -> Result<String, CliError> {
             fallible_fraction: 0.15,
             seed: seed ^ 0x22,
         }),
-        channel: Some(ChannelFaults {
-            loss,
-            corrupt: loss / 4.0,
-            duplicate: loss / 4.0,
-            reorder: loss / 2.0,
-            seed: seed ^ 0x33,
-            ..ChannelFaults::default()
-        }),
+        channel: Some(ChannelFaults::lossy(loss, seed ^ 0x33)),
         misbehavior: MisbehaviorSpec::default(),
     };
     let mut plan = FaultPlan::draw(&topo, &spec, e.now(), duration_ms);
@@ -760,11 +617,7 @@ pub fn chaos(args: &Args) -> Result<String, CliError> {
     }
     e.begin_phase("churn");
     plan.apply(&mut e);
-    let t = if workers > 1 {
-        e.run_to_quiescence_parallel(workers)
-    } else {
-        e.run_to_quiescence()
-    };
+    let t = e.run_to_quiescence_parallel(workers);
     let _ = writeln!(
         out,
         "control plane: quiescent at {} us after {} events",
@@ -930,7 +783,7 @@ pub fn chaos(args: &Args) -> Result<String, CliError> {
     // flush, per --view.
     e.begin_phase("failure-response");
     e.schedule_link_change(cut, false, e.now().plus_us(1));
-    run_quiesce(&mut e, workers);
+    e.run_to_quiescence_parallel(workers);
     net.refresh_from_engine(&e);
     let torn = net.pending_repair_count();
     let r = net.repair_pending(4);
@@ -1007,9 +860,7 @@ pub fn chaos(args: &Args) -> Result<String, CliError> {
         // files.
         let mut jsonl = e.obs.log.export_jsonl();
         jsonl.push_str(&net.obs.log.export_jsonl());
-        fs::write(path, &jsonl)
-            .map_err(|e| CliError(format!("cannot write trace '{path}': {e}")))?;
-        let _ = writeln!(out, "trace: wrote {} bytes to {path}", jsonl.len());
+        write_trace(path, &jsonl, false, &mut out)?;
     }
     Ok(out)
 }
@@ -1021,33 +872,6 @@ struct PointReport {
     reconverge_us: u64,
     totals: Stats,
     metrics: MetricsRegistry,
-}
-
-/// The trunk to cut in `report`: the operational link whose endpoints
-/// carry the most adjacencies (ties broken toward the lowest link id) —
-/// the E-series "backbone trunk" failure.
-fn pick_trunk(topo: &Topology) -> LinkId {
-    topo.links()
-        .filter(|l| l.up)
-        .max_by_key(|l| {
-            (
-                topo.neighbors(l.a).count() + topo.neighbors(l.b).count(),
-                std::cmp::Reverse(l.id.0),
-            )
-        })
-        .expect("topology has links")
-        .id
-}
-
-/// Converge, then cut `trunk` and re-converge, under phase scopes.
-/// Returns the engine plus (convergence, reconvergence) times in µs.
-fn run_phases<P: Protocol>(mut e: Engine<P>, trunk: LinkId) -> (Engine<P>, u64, u64) {
-    e.begin_phase("converge");
-    let t1 = e.run_to_quiescence();
-    e.begin_phase("failure-response");
-    e.schedule_link_change(trunk, false, e.now().plus_us(1));
-    let t2 = e.run_to_quiescence();
-    (e, t1.as_us(), t2.as_us() - t1.as_us())
 }
 
 /// Folds the engine's per-AD message counts into its metrics registry as
@@ -1062,16 +886,19 @@ fn record_ad_load(metrics: &mut MetricsRegistry, stats: &Stats) {
 /// re-converge, then drive `flows` through the converged data plane and
 /// record each delivered flow's first-packet path latency — the
 /// hop-by-hop analogue of ORWG's setup latency.
-fn measure_hbh<P: Protocol>(
+fn measure_hbh<P>(
     name: &'static str,
-    e: Engine<P>,
+    mut e: Engine<P>,
     trunk: LinkId,
     flows: &[FlowSpec],
 ) -> PointReport
 where
+    P: Protocol + Sync,
+    P::Router: Send,
+    P::Msg: Send,
     Engine<P>: DataPlane,
 {
-    let (mut e, converge_us, reconverge_us) = run_phases(e, trunk);
+    let (converge_us, reconverge_us) = scenario::converge_then_cut(&mut e, trunk, None);
     let topo = e.topo().clone();
     for f in flows {
         let out = forward(&mut e, &topo, f);
@@ -1129,7 +956,7 @@ pub fn report(args: &Args) -> Result<String, CliError> {
 
     let topo = HierarchyConfig::with_approx_size(ads, seed).generate();
     let db = PolicyWorkload::structural(seed).generate(&topo);
-    let trunk = pick_trunk(&topo);
+    let trunk = analysis::trunk(&topo).expect("a generated internet has links");
     let flows = adroute_protocols::forwarding::sample_flows(&topo, n_flows, seed);
 
     let mut points = vec![
@@ -1161,10 +988,8 @@ pub fn report(args: &Args) -> Result<String, CliError> {
 
     // ORWG: source routing — setup latency is measured by actually opening
     // each flow through the data plane built from the re-converged engine.
-    let (e, converge_us, reconverge_us) = run_phases(
-        Engine::new(topo.clone(), OrwgProtocol::new(&topo, db.clone())),
-        trunk,
-    );
+    let mut e = Engine::new(topo.clone(), OrwgProtocol::new(&topo, db.clone()));
+    let (converge_us, reconverge_us) = scenario::converge_then_cut(&mut e, trunk, None);
     let mut net = OrwgNetwork::from_engine(
         &e,
         OrwgNetwork::DEFAULT_STRATEGY,
@@ -1362,51 +1187,22 @@ fn render_blame(scenario: &str, logs: &[&EventLog], json: bool) -> String {
 }
 
 /// `blame <scenario>`: run a fixed, seeded scenario and attribute its
-/// churn. The scenarios mirror the golden-trace fixtures, so the output
+/// churn. The scenarios are the golden-trace fixtures, so the output
 /// explains the committed `tests/golden/*.jsonl` artifacts.
 pub fn blame(args: &Args) -> Result<String, CliError> {
     args.known_with_positionals(&["json"])?;
     let json = args.opt_parse("json", false)?;
-    match args.positional_one("scenario")? {
-        // Figure-1 internet: ORWG control plane converges, then absorbs
-        // one trunk failure (the quickstart golden trace).
-        "quickstart" => {
-            let topo = HierarchyConfig::figure1().generate();
-            let db = PolicyDb::permissive(&topo);
-            let mut e = Engine::new(topo.clone(), OrwgProtocol::new(&topo, db));
-            e.enable_obs(1 << 16);
-            e.begin_phase("converge");
-            e.run_to_quiescence();
-            e.begin_phase("failure-response");
-            e.schedule_link_change(pick_trunk(&topo), false, e.now().plus_us(1));
-            e.run_to_quiescence();
-            Ok(render_blame("quickstart", &[&e.obs.log], json))
-        }
-        // E7b-style data plane: repairable opens on an E-series internet,
-        // a trunk failure with incremental view invalidation, and
-        // source-side repair (the e7b golden trace).
-        "e7b" => {
-            let topo = HierarchyConfig {
-                lateral_prob: 0.25,
-                bypass_prob: 0.1,
-                multihome_prob: 0.2,
-                ..HierarchyConfig::with_approx_size(120, 23)
-            }
-            .generate();
-            let db = PolicyWorkload::structural(23).generate(&topo);
-            let mut net = OrwgNetwork::converged(&topo, &db);
-            net.enable_obs(1 << 14);
-            for f in &adroute_protocols::forwarding::sample_flows(&topo, 40, 23) {
-                let _ = net.open_repairable(f);
-            }
-            net.fail_link(pick_trunk(&topo));
-            net.repair_pending(3);
-            Ok(render_blame("e7b", &[&net.obs.log], json))
-        }
-        other => bail(format!(
-            "unknown blame scenario '{other}'; scenarios: quickstart, e7b"
-        )),
-    }
+    let name = args.positional_one("scenario")?;
+    let sc = scenario::named("blame", name)?;
+    Ok(match name {
+        // Figure-1 internet: the ORWG control plane converges, then
+        // absorbs one trunk failure (the quickstart golden trace).
+        "quickstart" => render_blame(name, &[&scenario::control_plane_run(&sc).obs.log], json),
+        // E7b-style data plane: repairable opens on the E-series
+        // internet, a trunk failure with incremental view invalidation,
+        // and source-side repair (the e7b golden trace).
+        _ => render_blame(name, &[&scenario::repair_run(&sc).obs.log], json),
+    })
 }
 
 /// Converges, applies a seeded churn plan, re-converges, and exports the
@@ -1431,14 +1227,7 @@ fn trace_engine<P: Protocol>(
             seed: seed ^ 0x11,
         }),
         crash_model: None,
-        channel: (loss > 0.0).then(|| ChannelFaults {
-            loss,
-            corrupt: loss / 4.0,
-            duplicate: loss / 4.0,
-            reorder: loss / 2.0,
-            seed: seed ^ 0x33,
-            ..ChannelFaults::default()
-        }),
+        channel: (loss > 0.0).then(|| ChannelFaults::lossy(loss, seed ^ 0x33)),
         misbehavior: MisbehaviorSpec::default(),
     };
     let plan = FaultPlan::draw(e.topo(), &spec, e.now(), duration_ms);
@@ -1458,7 +1247,7 @@ pub fn trace(args: &Args) -> Result<String, CliError> {
     ])?;
     let ads: usize = args.opt_parse("ads", 30)?;
     let seed: u64 = args.opt_parse("seed", 1990)?;
-    let duration_ms: u64 = args.opt_parse("duration", 200)?;
+    let duration_ms = opt_duration_ms(args, 200)?;
     let loss: f64 = args.opt_parse("loss", 0.0)?;
     if !(0.0..=0.5).contains(&loss) {
         return bail("--loss must be in [0, 0.5]");
@@ -1518,117 +1307,6 @@ pub fn trace(args: &Args) -> Result<String, CliError> {
     emit(&jsonl, args.opt("out"))
 }
 
-/// One `stress` scenario: a topology, the storm seed, and the ramp's
-/// phase schedule. Service costs are fixed by [`stress_run`], so the
-/// schedule is what positions each phase relative to saturation.
-struct StressScenario {
-    topo: Topology,
-    seed: u64,
-    phases: Vec<StormPhase>,
-}
-
-/// Resolves a `stress` scenario name.
-///
-/// Both ramps cross the Route Servers' full-rung saturation point
-/// (~166 opens/s per AD under [`stress_run`]'s service costs) in their
-/// second phase and the stored-rung ceiling (~1666 opens/s per AD) in
-/// their last, so the report shows the whole brownout ladder plus
-/// shedding.
-fn stress_scenario(name: &str) -> Result<StressScenario, CliError> {
-    fn ramp(duration_ms: u64, rates: [u64; 4]) -> Vec<StormPhase> {
-        rates
-            .iter()
-            .map(|&opens_per_sec| StormPhase {
-                duration_ms,
-                opens_per_sec,
-            })
-            .collect()
-    }
-    match name {
-        "quickstart" => Ok(StressScenario {
-            topo: HierarchyConfig::figure1().generate(),
-            seed: 1990,
-            phases: ramp(50, [2_000, 8_000, 20_000, 64_000]),
-        }),
-        "e9b" => Ok(StressScenario {
-            topo: HierarchyConfig {
-                lateral_prob: 0.25,
-                bypass_prob: 0.1,
-                multihome_prob: 0.2,
-                ..HierarchyConfig::with_approx_size(120, 23)
-            }
-            .generate(),
-            seed: 23,
-            phases: ramp(100, [6_000, 25_000, 70_000, 200_000]),
-        }),
-        other => bail(format!(
-            "unknown stress scenario '{other}'; scenarios: quickstart, e9b"
-        )),
-    }
-}
-
-/// The AD whose Route Server the stress crash targets: the storm's
-/// busiest source (ties to the lowest id), so the outage lands where the
-/// admission queue is deepest.
-fn busiest_src(storm: &OpenStorm, n_ads: usize) -> AdId {
-    let mut counts = vec![0u64; n_ads];
-    for a in storm.arrivals() {
-        counts[a.src.index()] += 1;
-    }
-    let mut best = 0usize;
-    for (i, &c) in counts.iter().enumerate() {
-        if c > counts[best] {
-            best = i;
-        }
-    }
-    AdId(best as u32)
-}
-
-/// Draws a scenario's storm and runs the load ramp, returning the
-/// network (for its event log and metrics) with the report.
-///
-/// Service costs are inflated relative to the event-loop defaults so the
-/// schedules above straddle saturation on a ~30-AD internet: full
-/// synthesis 6 ms, a cached answer 1.2 ms, a stored-only answer 0.6 ms.
-/// A `stress` run logs events, and the busiest source AD's Route Server
-/// goes down a quarter into the peak phase, its warm standby taking over
-/// 20 ms later. A `profiled` run is the always-on light path instead: the
-/// self-profiler alone and no crash, so it times serving, not failover.
-fn stress_run(
-    sc: &StressScenario,
-    sharding: Option<ShardConfig>,
-    profiled: bool,
-) -> (OrwgNetwork, StressReport) {
-    let db = PolicyWorkload::structural(sc.seed).generate(&sc.topo);
-    let mut net = OrwgNetwork::converged(&sc.topo, &db);
-    if profiled {
-        net.enable_prof();
-    } else {
-        net.enable_obs(1 << 18);
-    }
-    let storm = OpenStorm::draw(&sc.topo, &sc.phases, SimTime::ZERO, sc.seed);
-    let durations_us: Vec<u64> = sc.phases.iter().map(|p| p.duration_ms * 1000).collect();
-    let cfg = StressConfig {
-        seed: sc.seed,
-        sharding,
-        service_full_us: 6_000,
-        service_cached_us: 1_200,
-        service_stored_us: 600,
-        crash: (!profiled).then(|| {
-            let peak_start: u64 = durations_us[..durations_us.len() - 1].iter().sum();
-            let down_at = SimTime(peak_start + durations_us[durations_us.len() - 1] / 4);
-            RouterOutage {
-                ad: busiest_src(&storm, sc.topo.num_ads()),
-                down_at,
-                up_at: down_at.plus_us(20_000),
-            }
-        }),
-        ..StressConfig::default()
-    };
-    let report = run_load_ramp(&mut net, &storm, &durations_us, &cfg);
-    (net, report)
-}
-
 /// `stress`: the E9b overload load ramp — admission control, the
 /// brownout ladder, NACK + retry-after shedding, deadline-budgeted
 /// client retries, and warm-standby Route Server failover, all on one
@@ -1639,8 +1317,8 @@ pub fn stress(args: &Args) -> Result<String, CliError> {
     let trace_path = args.opt("trace");
     let sharded = args.opt_parse("sharded", false)?;
     let scenario = args.positional_one("scenario")?.to_string();
-    let sc = stress_scenario(&scenario)?;
-    let (net, r) = stress_run(&sc, sharded.then(ShardConfig::default), false);
+    let sc = scenario::named("stress", &scenario)?;
+    let (net, r) = scenario::stress_run(&sc, sharded.then(ShardConfig::default), false);
     let mut out = String::new();
     if json {
         let phases = r.phases.iter().map(|p| {
@@ -1769,26 +1447,9 @@ pub fn stress(args: &Args) -> Result<String, CliError> {
         }
     }
     if let Some(path) = trace_path {
-        let jsonl = net.obs.log.export_jsonl();
-        fs::write(path, &jsonl)
-            .map_err(|e| CliError(format!("cannot write trace '{path}': {e}")))?;
-        let _ = writeln!(out, "trace: wrote {} bytes to {path}", jsonl.len());
+        write_trace(path, &net.obs.log.export_jsonl(), json, &mut out)?;
     }
     Ok(out)
-}
-
-/// Runs one quiescence under `workers` lanes (sequential when 1); the
-/// profiler attributes the work either way, so the ledger is identical.
-fn run_quiesce<P: Protocol + Sync>(e: &mut Engine<P>, workers: usize)
-where
-    P::Router: Send,
-    P::Msg: Send,
-{
-    if workers > 1 {
-        e.run_to_quiescence_parallel(workers);
-    } else {
-        e.run_to_quiescence();
-    }
 }
 
 /// `profile`: run a fixed scenario with the self-profiler attached and
@@ -1815,40 +1476,12 @@ pub fn profile(args: &Args) -> Result<String, CliError> {
     }
     let mut prof = Profiler::new();
     let (ads, links);
-    match scenario.as_str() {
-        // Engine lifecycle (converge, cut the trunk, re-converge) plus a
-        // sharded serve ramp on the same seeded internet. e7b reuses the
-        // e9b ramp schedule at a quarter of each phase's duration: the
-        // same saturation ladder, a fraction of the arrivals.
-        "quickstart" | "e7b" => {
-            let e7b = scenario == "e7b";
-            let mut sc = stress_scenario(if e7b { "e9b" } else { "quickstart" })?;
-            if e7b {
-                for p in &mut sc.phases {
-                    p.duration_ms = (p.duration_ms / 4).max(1);
-                }
-            }
-            ads = sc.topo.num_ads();
-            links = sc.topo.num_links();
-            let db = PolicyWorkload::structural(sc.seed).generate(&sc.topo);
-            let trunk = pick_trunk(&sc.topo);
-            let mut e = Engine::new(sc.topo.clone(), OrwgProtocol::new(&sc.topo, db));
-            e.enable_prof();
-            e.begin_phase("converge");
-            run_quiesce(&mut e, workers);
-            e.begin_phase("failure-response");
-            e.schedule_link_change(trunk, false, e.now().plus_us(1));
-            run_quiesce(&mut e, workers);
-            prof.merge_from(&e.prof);
-            let (net, _) = stress_run(&sc, Some(ShardConfig::default()), true);
-            prof.merge_from(&net.prof);
-        }
-        // The region-parallel gossip flood: the engine-dispatch /
+    match scenario::lookup("profile", &scenario)? {
+        // e13, the region-parallel gossip flood: the engine-dispatch /
         // window / fanout / commit span stack with per-lane metrics.
-        // `--loss p` attaches an event-keyed lossy channel (corrupt,
-        // duplicate, and reorder scaled off `p`) so the profiled
-        // dispatch path is the faulted one.
-        "e13" => {
+        // `--loss p` attaches an event-keyed lossy channel so the
+        // profiled dispatch path is the faulted one.
+        None => {
             let n: usize = args.opt_parse("ads", 2_000)?;
             if n == 0 {
                 return bail("--ads must be positive");
@@ -1868,32 +1501,37 @@ pub fn profile(args: &Args) -> Result<String, CliError> {
             );
             if loss > 0.0 {
                 e.set_channel_faults(Some(ChannelFaults {
-                    loss,
-                    corrupt: loss / 4.0,
-                    duplicate: loss / 4.0,
-                    reorder: loss / 2.0,
                     jitter_us: 500,
-                    seed: 1990,
-                    ..ChannelFaults::default()
+                    ..ChannelFaults::lossy(loss, 1990)
                 }));
             }
             e.enable_prof();
-            run_quiesce(&mut e, workers);
+            e.run_to_quiescence_parallel(workers);
             prof.merge_from(&e.prof);
         }
-        // Full sharded e9b serving: the serve_batch rungs, shared
-        // sweeps, and background refill under the whole brownout ramp.
-        "e14" => {
-            let sc = stress_scenario("e9b")?;
+        // quickstart/e7b: the engine lifecycle (converge, cut the trunk,
+        // re-converge), then a sharded serve ramp on the same internet —
+        // for e7b at a quarter of each phase's duration: the same
+        // saturation ladder, a fraction of the arrivals. e14: the whole
+        // sharded ramp (serve_batch rungs, shared sweeps, background
+        // refill) and no engine.
+        Some(mut sc) => {
             ads = sc.topo.num_ads();
             links = sc.topo.num_links();
-            let (net, _) = stress_run(&sc, Some(ShardConfig::default()), true);
+            if scenario != "e14" {
+                let proto = OrwgProtocol::new(&sc.topo, sc.policies());
+                let mut e = Engine::new(sc.topo.clone(), proto);
+                e.enable_prof();
+                scenario::converge_then_cut(&mut e, sc.trunk(), Some(workers));
+                prof.merge_from(&e.prof);
+            }
+            if scenario == "e7b" {
+                for p in &mut sc.phases {
+                    p.duration_ms = (p.duration_ms / 4).max(1);
+                }
+            }
+            let (net, _) = scenario::stress_run(&sc, Some(ShardConfig::default()), true);
             prof.merge_from(&net.prof);
-        }
-        other => {
-            return bail(format!(
-                "unknown profile scenario '{other}'; scenarios: quickstart, e7b, e13, e14"
-            ))
         }
     }
     let out = if json {
@@ -2211,6 +1849,59 @@ mod tests {
             .unwrap_err()
             .0
             .contains("unknown flag"));
+    }
+
+    #[test]
+    fn durations_past_the_schedulable_horizon_are_errors_not_panics() {
+        for line in [
+            // x500 wrapped the partition's heal time into the past...
+            "chaos --ads 30 --partition --duration 99999999999999999",
+            // ...or to before the cut.
+            "chaos --ads 30 --partition --duration 18446744073709551615",
+            "trace --duration 99999999999999999",
+        ] {
+            let err = run(line).unwrap_err().0;
+            assert_eq!(
+                err, "--duration must be at most 1000000000000 milliseconds",
+                "{line}"
+            );
+        }
+    }
+
+    #[test]
+    fn json_with_trace_prints_exactly_one_json_value() {
+        for cmd in ["audit", "stress"] {
+            let file = tmp(&format!("{cmd}-json-trace.jsonl"));
+            let out = run(&format!("{cmd} quickstart --json --trace {file}")).unwrap();
+            // No human `trace:` line after the object; the file is still written.
+            assert_eq!(out, run(&format!("{cmd} quickstart --json")).unwrap());
+            assert!(fs::read(&file).unwrap().len() > 1000, "{cmd}");
+        }
+    }
+
+    #[test]
+    fn every_documented_scenario_name_resolves_through_the_one_table() {
+        for (cmd, names) in [
+            ("audit", "quickstart, e7b"),
+            ("blame", "quickstart, e7b"),
+            ("stress", "quickstart, e9b"),
+            ("profile", "quickstart, e7b, e13, e14"),
+        ] {
+            let documented = format!("  {cmd:<14}<{}>", names.replace(", ", "|"));
+            assert!(USAGE.contains(&documented), "{documented}");
+            for name in names.split(", ") {
+                let out = run(&format!("{cmd} {name} --json")).unwrap();
+                // e7b, e9b and e14 are three names for one internet
+                // (`blame` prints no size; e13 sizes its own).
+                if !["quickstart", "e13"].contains(&name) && cmd != "blame" {
+                    assert!(out.contains("\"ads\":98,\"links\":147,"), "{cmd} {name}");
+                }
+            }
+            assert_eq!(
+                run(&format!("{cmd} bogus")).unwrap_err().0,
+                format!("unknown {cmd} scenario 'bogus'; scenarios: {names}")
+            );
+        }
     }
 
     #[test]

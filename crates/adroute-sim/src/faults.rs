@@ -87,6 +87,20 @@ impl Default for ChannelFaults {
 }
 
 impl ChannelFaults {
+    /// The lossy-channel recipe every chaos scenario uses: `loss`, with
+    /// corruption and duplication at a quarter of it and reordering at
+    /// half, drawn from `seed`.
+    pub fn lossy(loss: f64, seed: u64) -> ChannelFaults {
+        ChannelFaults {
+            loss,
+            corrupt: loss / 4.0,
+            duplicate: loss / 4.0,
+            reorder: loss / 2.0,
+            seed,
+            ..ChannelFaults::default()
+        }
+    }
+
     /// Whether faults still apply to messages sent at `now`.
     pub fn active_at(&self, now: SimTime) -> bool {
         self.until.is_none_or(|t| now <= t)

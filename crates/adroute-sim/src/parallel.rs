@@ -122,7 +122,10 @@ struct JPush<M> {
 /// an entry holds only `[start, end)` ranges into them. One arena append
 /// per effect replaces the two per-event `Vec` allocations the journal
 /// used to make, which dominated the faulted hot path's allocator
-/// traffic (every fault verdict emits an extra record).
+/// traffic (every fault verdict emits an extra record). The ranges are
+/// `u32`, so one lane may journal at most `u32::MAX` records and as many
+/// pushes per window; [`Lane::run`] panics past that bound rather than
+/// wrap a range and let commit replay the wrong effects.
 struct JEntry {
     time: SimTime,
     records: (u32, u32),
@@ -230,13 +233,16 @@ impl<M> Lane<'_, M> {
             debug_assert!(ev.time >= world.now && ev.time < self.wend);
             world.now = ev.time;
             self.out.stats.events += 1;
-            let rec_mark = self.out.rec_arena.len() as u32;
-            let push_mark = self.out.push_arena.len() as u32;
+            let mark = |len: usize| {
+                u32::try_from(len).expect("parallel window journal exceeds u32::MAX entries")
+            };
+            let rec_mark = mark(self.out.rec_arena.len());
+            let push_mark = mark(self.out.push_arena.len());
             world.dispatch_event(self, ev.cause, ev.kind);
             self.out.journal.push(JEntry {
                 time: ev.time,
-                records: (rec_mark, self.out.rec_arena.len() as u32),
-                pushes: (push_mark, self.out.push_arena.len() as u32),
+                records: (rec_mark, mark(self.out.rec_arena.len())),
+                pushes: (push_mark, mark(self.out.push_arena.len())),
             });
         }
     }

@@ -7,7 +7,7 @@
 //! numbers behind the Figure-1 experiment and the redundancy tests.
 
 use crate::graph::Topology;
-use crate::ids::AdId;
+use crate::ids::{AdId, LinkId};
 
 /// Degree distribution summary.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -44,6 +44,21 @@ pub fn degree_stats(topo: &Topology) -> DegreeStats {
         max,
         mean: sum as f64 / n as f64,
     }
+}
+
+/// The trunk: the operational link whose endpoints carry the most
+/// adjacencies (ties to the lowest link id) — the link the trunk-failure
+/// scenarios cut. `None` when no link is up.
+pub fn trunk(topo: &Topology) -> Option<LinkId> {
+    topo.links()
+        .filter(|l| l.up)
+        .max_by_key(|l| {
+            (
+                topo.neighbors(l.a).count() + topo.neighbors(l.b).count(),
+                std::cmp::Reverse(l.id.0),
+            )
+        })
+        .map(|l| l.id)
 }
 
 /// Finds the articulation ADs of the operational graph: ADs whose removal
@@ -243,6 +258,24 @@ mod tests {
             articulation_ads(&lots).len() < articulation_ads(&none).len(),
             "redundant links should remove single points of failure"
         );
+    }
+
+    #[test]
+    fn trunk_prefers_busy_endpoints_then_the_lowest_up_link() {
+        // Every ring link scores 2 + 2: the tie goes to the lowest id.
+        let mut t = ring(5);
+        assert_eq!(trunk(&t), Some(LinkId(0)));
+        // A down link is not a candidate (and lowers its endpoints' count).
+        t.set_link_up(LinkId(0), false);
+        assert_eq!(trunk(&t), Some(LinkId(2)));
+        // A star's links all touch the hub; a line's interior links win.
+        assert_eq!(trunk(&star(4)), Some(LinkId(0)));
+        assert_eq!(trunk(&line(4)), Some(LinkId(1)));
+        // No link up, or no link at all: nothing to cut.
+        let mut l = line(2);
+        l.set_link_up(LinkId(0), false);
+        assert_eq!(trunk(&l), None);
+        assert_eq!(trunk(&line(1)), None);
     }
 
     #[test]

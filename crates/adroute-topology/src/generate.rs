@@ -85,6 +85,18 @@ impl HierarchyConfig {
         }
     }
 
+    /// The E-series experiment internet at roughly `approx_ads` ADs: denser
+    /// in lateral, bypass and multi-homed links than the default mix, so
+    /// most flows keep a policy-legal detour when a trunk fails.
+    pub fn e_series(approx_ads: usize, seed: u64) -> Self {
+        HierarchyConfig {
+            lateral_prob: 0.25,
+            bypass_prob: 0.1,
+            multihome_prob: 0.2,
+            ..HierarchyConfig::with_approx_size(approx_ads, seed)
+        }
+    }
+
     /// Total AD count this config will generate.
     pub fn total_ads(&self) -> usize {
         let campuses_per_regional = self.metros_per_regional * self.campuses_per_metro;
@@ -371,6 +383,20 @@ mod tests {
             let n = cfg.total_ads();
             assert!(n >= target / 2 && n <= target * 2, "{n} vs {target}");
         }
+    }
+
+    #[test]
+    fn e_series_is_the_internet_every_e_scenario_prints() {
+        let t = HierarchyConfig::e_series(120, 23).generate();
+        assert_eq!((t.num_ads(), t.num_links()), (98, 147));
+        // The literal it replaces, as its seven copies spelled it.
+        let literal = HierarchyConfig {
+            lateral_prob: 0.25,
+            bypass_prob: 0.1,
+            multihome_prob: 0.2,
+            ..HierarchyConfig::with_approx_size(120, 23)
+        };
+        assert_eq!(crate::io::dump(&t), crate::io::dump(&literal.generate()));
     }
 
     #[test]

@@ -34,14 +34,7 @@ fn row(name: &str, s: &FlowScore, msgs: u64, bytes: u64) {
 }
 
 fn main() {
-    let topo = HierarchyConfig {
-        lateral_prob: 0.25,
-        bypass_prob: 0.1,
-        multihome_prob: 0.2,
-        seed: 7,
-        ..HierarchyConfig::default()
-    }
-    .generate();
+    let topo = HierarchyConfig::e_series(98, 7).generate();
     let policies = PolicyWorkload::default_mix(7).generate(&topo);
     let flows = sample_flows(&topo, 150, 7);
     let legal = flows

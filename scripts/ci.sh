@@ -27,6 +27,9 @@ adroute audit quickstart --json | python3 -m json.tool > /dev/null
 adroute audit e7b --json | python3 -m json.tool > /dev/null
 adroute stress quickstart --json | python3 -m json.tool > /dev/null
 adroute profile e7b --json | python3 -m json.tool > /dev/null
+adroute stress quickstart --json --trace "$out/s.jsonl" | python3 -m json.tool > /dev/null
+adroute audit quickstart --json --trace "$out/a.jsonl" | python3 -m json.tool > /dev/null
+cmp "$out/a.jsonl" tests/golden/audit_quickstart_trace.jsonl
 
 echo "== Paper-scale smoke (10^4-AD gossip flood on 8 lanes, clean then faulted, 300 s each)"
 # `timeout` cannot run the shell function; the binary is built by now.

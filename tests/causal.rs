@@ -12,7 +12,7 @@ use adroute::protocols::naive_dv::NaiveDv;
 use adroute::sim::{
     CausalGraph, ChannelFaults, Engine, EventLog, FailureModel, FaultPlan, FaultSpec, Protocol,
 };
-use adroute::topology::{generate, HierarchyConfig, Topology};
+use adroute::topology::{analysis, generate, HierarchyConfig, Topology};
 use proptest::prelude::*;
 
 fn small_topo(kind: u8, size: u8) -> Topology {
@@ -83,14 +83,7 @@ fn churny_engine<P: Protocol>(
             seed: seed ^ 0x11,
         }),
         crash_model: None,
-        channel: (loss > 0.0).then(|| ChannelFaults {
-            loss,
-            corrupt: loss / 4.0,
-            duplicate: loss / 4.0,
-            reorder: loss / 2.0,
-            seed: seed ^ 0x33,
-            ..ChannelFaults::default()
-        }),
+        channel: (loss > 0.0).then(|| ChannelFaults::lossy(loss, seed ^ 0x33)),
         ..FaultSpec::default()
     };
     let plan = FaultPlan::draw(e.topo(), &spec, e.now(), 150);
@@ -161,18 +154,7 @@ proptest! {
         for f in &sample_flows(&topo, 12, seed) {
             let _ = net.open_repairable(f);
         }
-        let trunk = topo
-            .links()
-            .filter(|l| l.up)
-            .max_by_key(|l| {
-                (
-                    topo.neighbors(l.a).count() + topo.neighbors(l.b).count(),
-                    std::cmp::Reverse(l.id.0),
-                )
-            })
-            .unwrap()
-            .id;
-        net.fail_link(trunk);
+        net.fail_link(analysis::trunk(&topo).unwrap());
         net.repair_pending(3);
         check_invariants(&[&e.obs.log, &net.obs.log]);
     }

@@ -28,19 +28,8 @@ use adroute::protocols::linkstate::LsDb;
 use adroute::topology::{AdId, HierarchyConfig, LinkId};
 use proptest::prelude::*;
 
-fn small_internet(seed: u64) -> adroute::topology::Topology {
-    HierarchyConfig {
-        backbones: 1,
-        regionals_per_backbone: 2,
-        metros_per_regional: 2,
-        campuses_per_metro: 2,
-        lateral_prob: 0.3,
-        bypass_prob: 0.2,
-        multihome_prob: 0.3,
-        seed,
-    }
-    .generate()
-}
+mod common;
+use common::small_internet;
 
 /// One fault event, decoded from a raw proptest word so the vendored
 /// strategy set (no tuples) suffices.
@@ -102,15 +91,7 @@ fn assert_view_is_lsdb_view(s: &RouteServer, db: &LsDb) {
 
 /// The canonical 245-AD internet of the benchmark's `orwg-*` workloads.
 fn canonical_internet() -> adroute::topology::Topology {
-    HierarchyConfig {
-        backbones: 5,
-        lateral_prob: 0.25,
-        bypass_prob: 0.1,
-        multihome_prob: 0.2,
-        seed: 23,
-        ..Default::default()
-    }
-    .generate()
+    HierarchyConfig::e_series(245, 23).generate()
 }
 
 /// A refresh costs what changed: nothing when no LSDB moved, and for one

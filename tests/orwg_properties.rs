@@ -8,22 +8,11 @@ use adroute::policy::legality::{legal_route, route_is_legal};
 use adroute::policy::workload::PolicyWorkload;
 use adroute::policy::{FlowSpec, PolicyDb};
 use adroute::protocols::forwarding::sample_flows;
-use adroute::topology::{generate, AdId, HierarchyConfig};
+use adroute::topology::{generate, AdId};
 use proptest::prelude::*;
 
-fn small_internet(seed: u64) -> adroute::topology::Topology {
-    HierarchyConfig {
-        backbones: 1,
-        regionals_per_backbone: 2,
-        metros_per_regional: 2,
-        campuses_per_metro: 2,
-        lateral_prob: 0.3,
-        bypass_prob: 0.2,
-        multihome_prob: 0.3,
-        seed,
-    }
-    .generate()
-}
+mod common;
+use common::small_internet;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]

@@ -13,22 +13,11 @@ use adroute::policy::workload::PolicyWorkload;
 use adroute::policy::FlowSpec;
 use adroute::protocols::forwarding::sample_flows;
 use adroute::sim::{OpenStorm, SimTime, StormPhase};
-use adroute::topology::{AdId, HierarchyConfig};
+use adroute::topology::AdId;
 use proptest::prelude::*;
 
-fn small_internet(seed: u64) -> adroute::topology::Topology {
-    HierarchyConfig {
-        backbones: 1,
-        regionals_per_backbone: 2,
-        metros_per_regional: 2,
-        campuses_per_metro: 2,
-        lateral_prob: 0.3,
-        bypass_prob: 0.2,
-        multihome_prob: 0.3,
-        seed,
-    }
-    .generate()
-}
+mod common;
+use common::small_internet;
 
 /// Offers `flow` to its source AD's admission queue at `at`, with a far
 /// deadline so serving is never short-circuited by expiry.

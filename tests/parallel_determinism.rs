@@ -14,36 +14,12 @@ use adroute::protocols::ecma::Ecma;
 use adroute::protocols::ls_hbh::LsHbh;
 use adroute::protocols::naive_dv::NaiveDv;
 use adroute::protocols::path_vector::PathVector;
-use adroute::sim::{
-    ChannelFaults, CrashModel, Engine, FailureModel, FaultPlan, FaultSpec, Protocol,
-};
-use adroute::topology::{HierarchyConfig, LinkId, Topology};
+use adroute::sim::{ChannelFaults, CrashModel, Engine, FailureModel, FaultSpec, Protocol};
+use adroute::topology::{analysis, HierarchyConfig, Topology};
+use adroute_cli::scenario::{self, Scenario};
 use proptest::prelude::*;
 
-/// The E-series-style internet used by the benches, scaled to test size.
-fn internet(approx_ads: usize, seed: u64) -> Topology {
-    HierarchyConfig {
-        lateral_prob: 0.25,
-        bypass_prob: 0.1,
-        multihome_prob: 0.2,
-        ..HierarchyConfig::with_approx_size(approx_ads, seed)
-    }
-    .generate()
-}
-
-/// The operational link with the best-connected endpoints — the "trunk".
-fn trunk(topo: &Topology) -> LinkId {
-    topo.links()
-        .filter(|l| l.up)
-        .max_by_key(|l| {
-            (
-                topo.neighbors(l.a).count() + topo.neighbors(l.b).count(),
-                std::cmp::Reverse(l.id.0),
-            )
-        })
-        .unwrap()
-        .id
-}
+mod common;
 
 /// What must not depend on the worker count: the typed JSONL export (the
 /// retained window of it) followed by the engine's cumulative counters.
@@ -51,9 +27,10 @@ fn artifact<P: Protocol>(e: &Engine<P>) -> String {
     format!("{}{}\n", e.obs.log.export_jsonl(), e.stats.to_json())
 }
 
-/// Runs `protocol` on `topo` through convergence, a trunk failure, and
-/// reconvergence — sequentially when `workers` is `None`, else with the
-/// region-parallel engine — and returns the run's [`artifact`].
+/// Runs `protocol` on `topo` through the CLI's own control-plane
+/// lifecycle (convergence, a trunk failure, reconvergence) — sequentially
+/// when `workers` is `None`, else with the region-parallel engine — and
+/// returns the run's [`artifact`].
 fn lifecycle_jsonl<P>(topo: &Topology, protocol: P, workers: Option<usize>) -> String
 where
     P: Protocol + Sync,
@@ -62,57 +39,7 @@ where
 {
     let mut e = Engine::new(topo.clone(), protocol);
     e.enable_obs(1 << 16);
-    e.begin_phase("converge");
-    match workers {
-        None => e.run_to_quiescence(),
-        Some(w) => e.run_to_quiescence_parallel(w),
-    };
-    e.begin_phase("failure-response");
-    e.schedule_link_change(trunk(topo), false, e.now().plus_us(1));
-    match workers {
-        None => e.run_to_quiescence(),
-        Some(w) => e.run_to_quiescence_parallel(w),
-    };
-    artifact(&e)
-}
-
-/// Convergence, then a chaos phase under `spec` — drawn at the quiescent
-/// time, which is itself part of the determinism contract, so every run
-/// (sequential or parallel, any worker count) derives the identical
-/// plan. `partition` additionally splits the domain at the AD-index
-/// midpoint for the first half of the horizon and heals it.
-fn chaos_lifecycle_jsonl<P>(
-    topo: &Topology,
-    protocol: P,
-    spec: &FaultSpec,
-    partition: bool,
-    horizon_ms: u64,
-    workers: Option<usize>,
-) -> String
-where
-    P: Protocol + Sync,
-    P::Router: Send,
-    P::Msg: Send,
-{
-    let mut e = Engine::new(topo.clone(), protocol);
-    e.enable_obs(1 << 16);
-    e.begin_phase("converge");
-    match workers {
-        None => e.run_to_quiescence(),
-        Some(w) => e.run_to_quiescence_parallel(w),
-    };
-    e.begin_phase("chaos");
-    let mut plan = FaultPlan::draw(topo, spec, e.now(), horizon_ms);
-    if partition {
-        let at = e.now().plus_us(500);
-        let heal_at = e.now().plus_us(horizon_ms * 500);
-        plan = plan.with_partition(topo, (topo.num_ads() / 2) as u32, at, heal_at);
-    }
-    plan.apply(&mut e);
-    match workers {
-        None => e.run_to_quiescence(),
-        Some(w) => e.run_to_quiescence_parallel(w),
-    };
+    scenario::converge_then_cut(&mut e, analysis::trunk(topo).unwrap(), workers);
     artifact(&e)
 }
 
@@ -147,7 +74,17 @@ where
         }),
         misbehavior: Default::default(),
     };
-    let faulted = chaos_lifecycle_jsonl(topo, make(), &spec, true, 40, None);
+    let chaos = |workers| {
+        artifact(&common::chaos_lifecycle(
+            topo,
+            make(),
+            &spec,
+            true,
+            40,
+            workers,
+        ))
+    };
+    let faulted = chaos(None);
     assert!(
         !faulted.contains("\"msgs_corrupted\":0,"),
         "{what}: the fault plan must bite"
@@ -160,7 +97,7 @@ where
                 "{what}: parallel ({workers} workers, run {run}) diverged from sequential"
             );
         }
-        let par = chaos_lifecycle_jsonl(topo, make(), &spec, true, 40, Some(workers));
+        let par = chaos(Some(workers));
         assert_eq!(
             par, faulted,
             "{what}: faulted parallel ({workers} workers) diverged from sequential"
@@ -172,7 +109,7 @@ where
 /// control plane converging and absorbing a trunk failure.
 #[test]
 fn quickstart_parallel_is_byte_identical() {
-    let topo = HierarchyConfig::figure1().generate();
+    let topo = Scenario::quickstart().topo;
     assert_parallel_matches(
         &topo,
         || OrwgProtocol::new(&topo, PolicyDb::permissive(&topo)),
@@ -184,7 +121,7 @@ fn quickstart_parallel_is_byte_identical() {
 /// ORWG control plane.
 #[test]
 fn e7b_internet_parallel_is_byte_identical() {
-    let topo = internet(120, 23);
+    let topo = Scenario::e_series().topo;
     assert_parallel_matches(
         &topo,
         || OrwgProtocol::new(&topo, PolicyDb::permissive(&topo)),
@@ -197,23 +134,13 @@ fn e7b_internet_parallel_is_byte_identical() {
 /// per-event policy evaluation is affordable.
 #[test]
 fn hop_by_hop_design_points_parallel_are_byte_identical() {
-    let topo = internet(49, 23);
+    let topo = HierarchyConfig::e_series(49, 23).generate();
     let db = PolicyWorkload::default_mix(23).generate(&topo);
     assert_parallel_matches(&topo, || Ecma::hierarchical(&topo), "ecma");
     assert_parallel_matches(&topo, || LsHbh::new(&topo, db.clone()), "ls-hbh");
     assert_parallel_matches(&topo, NaiveDv::default, "naive-dv");
 
-    let small = HierarchyConfig {
-        backbones: 1,
-        regionals_per_backbone: 2,
-        metros_per_regional: 2,
-        campuses_per_metro: 2,
-        lateral_prob: 0.25,
-        bypass_prob: 0.1,
-        multihome_prob: 0.2,
-        seed: 23,
-    }
-    .generate();
+    let small = common::fifteen_ads(0.25, 0.1, 0.2, 23);
     assert!(small.num_ads() <= 19);
     let small_db = PolicyWorkload::default_mix(23).generate(&small);
     assert_parallel_matches(&small, || PathVector::idrp(small_db.clone()), "path-vector");
@@ -225,48 +152,9 @@ fn hop_by_hop_design_points_parallel_are_byte_identical() {
 /// stream, under the same storm-crosses-saturation shape as the golden.
 #[test]
 fn stress_ramp_double_run_is_byte_identical() {
-    use adroute::core::{run_load_ramp, AdmissionConfig, OrwgNetwork, StressConfig};
-    use adroute::sim::{OpenStorm, SimTime, StormPhase};
-
     let export = || {
-        let seed = 77u64;
-        let topo = HierarchyConfig {
-            backbones: 1,
-            regionals_per_backbone: 2,
-            metros_per_regional: 2,
-            campuses_per_metro: 2,
-            lateral_prob: 0.25,
-            bypass_prob: 0.15,
-            multihome_prob: 0.25,
-            seed,
-        }
-        .generate();
-        let db = PolicyWorkload::structural(seed).generate(&topo);
-        let mut net = OrwgNetwork::converged(&topo, &db);
-        net.enable_obs(1 << 14);
-        let phases = [
-            StormPhase {
-                duration_ms: 8,
-                opens_per_sec: 1_200,
-            },
-            StormPhase {
-                duration_ms: 12,
-                opens_per_sec: 7_000,
-            },
-        ];
-        let storm = OpenStorm::draw(&topo, &phases, SimTime::ZERO, seed);
-        let cfg = StressConfig {
-            seed,
-            admission: AdmissionConfig {
-                queue_capacity: 4,
-                full_depth: 1,
-                cached_depth: 2,
-                ..AdmissionConfig::default()
-            },
-            ..StressConfig::default()
-        };
-        run_load_ramp(&mut net, &storm, &[8_000, 12_000], &cfg);
-        net.obs.log.export_jsonl()
+        let ramp = [(8, 1_200), (12, 7_000)];
+        common::stress_export(77, ramp, false, adroute::core::StressConfig::default())
     };
     let a = export();
     assert_eq!(
@@ -288,7 +176,7 @@ proptest! {
         approx in 30usize..90,
         workers in 2usize..9,
     ) {
-        let topo = internet(approx, seed);
+        let topo = HierarchyConfig::e_series(approx, seed).generate();
         let seq = lifecycle_jsonl(&topo, NaiveDv::default(), None);
         let par = lifecycle_jsonl(&topo, NaiveDv::default(), Some(workers));
         prop_assert_eq!(seq, par);
@@ -312,7 +200,7 @@ proptest! {
     ) {
         // Two fault-plan shape bits: link/router churn, partition/heal.
         let (churn, partition) = (shape & 1 != 0, shape & 2 != 0);
-        let topo = internet(approx, seed);
+        let topo = HierarchyConfig::e_series(approx, seed).generate();
         let horizon_ms = 40;
         let spec = FaultSpec {
             link_model: churn.then_some(FailureModel {
@@ -328,23 +216,18 @@ proptest! {
                 seed: seed ^ 0x22,
             }),
             channel: Some(ChannelFaults {
-                loss,
-                corrupt: loss / 4.0,
-                duplicate: loss / 4.0,
-                reorder: loss / 2.0,
                 jitter_us: 300,
-                seed: seed ^ 0x33,
-                ..ChannelFaults::default()
+                ..ChannelFaults::lossy(loss, seed ^ 0x33)
             }),
             misbehavior: Default::default(),
         };
-        let seq = chaos_lifecycle_jsonl(
+        let seq = artifact(&common::chaos_lifecycle(
             &topo, NaiveDv::default(), &spec, partition, horizon_ms, None,
-        );
+        ));
         for workers in [1usize, 2, 8] {
-            let par = chaos_lifecycle_jsonl(
+            let par = artifact(&common::chaos_lifecycle(
                 &topo, NaiveDv::default(), &spec, partition, horizon_ms, Some(workers),
-            );
+            ));
             prop_assert_eq!(
                 &seq, &par,
                 "chaos divergence at {} workers (loss {}, churn {}, partition {})",

@@ -15,22 +15,11 @@ use adroute::policy::workload::PolicyWorkload;
 use adroute::policy::{FlowSpec, PolicyDb, QosClass};
 use adroute::protocols::forwarding::sample_flows;
 use adroute::sim::{OpenStorm, SimTime, StormPhase};
-use adroute::topology::{AdId, HierarchyConfig, Topology};
+use adroute::topology::{AdId, Topology};
 use proptest::prelude::*;
 
-fn small_internet(seed: u64) -> Topology {
-    HierarchyConfig {
-        backbones: 1,
-        regionals_per_backbone: 2,
-        metros_per_regional: 2,
-        campuses_per_metro: 2,
-        lateral_prob: 0.3,
-        bypass_prob: 0.2,
-        multihome_prob: 0.3,
-        seed,
-    }
-    .generate()
-}
+mod common;
+use common::small_internet;
 
 /// A storm-shaped request sequence: sampled flows replayed with
 /// repetitions (cache hits), a sprinkle of distinct QoS classes (distinct

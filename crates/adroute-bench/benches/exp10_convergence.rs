@@ -1,156 +1,36 @@
-//! **E10** (paper §5.1.1 vs §3/§4.3) — convergence after topology change.
-//!
-//! "If the partial ordering is computed properly … the partial ordering
-//! and up-down rule prevent loops, and consequently prevent the count to
-//! infinity phenomenon common to other DV algorithms." We partition an AD
-//! on cyclic topologies and measure the messages and time each design
-//! point needs to re-stabilize. The ECMA ablation (up/down rule on = ECMA,
-//! off = naive DV) and the split-horizon ablation are both here.
+//! **E10** (paper §5.1.1 vs §3/§4.3) — convergence after topology change:
+//! prints [`e10::rings`] and [`e10::regional`] (98-AD internet).
 
-use adroute_bench::{internet, Table};
-use adroute_policy::PolicyDb;
-use adroute_protocols::ecma::Ecma;
-use adroute_protocols::ls_hbh::LsHbh;
-use adroute_protocols::naive_dv::NaiveDv;
-use adroute_protocols::path_vector::PathVector;
-use adroute_sim::{Engine, Protocol};
-use adroute_topology::{generate::ring, AdId, Topology};
-
-/// Converges, then cuts both links of one AD (partition). Returns
-/// `(initial msgs, failure msgs, failure reconvergence ms)`.
-fn partition<P: Protocol>(topo: Topology, victim: AdId, proto: P) -> (u64, u64, u64) {
-    let mut e = Engine::new(topo, proto);
-    e.begin_phase("converge");
-    e.run_to_quiescence();
-    let links: Vec<_> = e.topo().neighbors(victim).map(|(_, l)| l).collect();
-    let t = e.now().plus_us(1000);
-    for l in &links {
-        e.schedule_link_change(*l, false, t);
-    }
-    e.begin_phase("failure-response");
-    let done = e.run_to_quiescence();
-    let initial = e.stats.phase_delta("converge").unwrap().msgs_sent;
-    let failure = e.stats.phase_delta("failure-response").unwrap().msgs_sent;
-    (
-        initial,
-        failure,
-        (done.as_us().saturating_sub(t.as_us())) / 1000,
-    )
-}
+use adroute_bench::{e10, Table};
 
 fn main() {
-    let mut t = Table::new(
+    Table::of(
         "E10(a): partition response on rings (count-to-infinity study)",
+        &e10::rings(&[6, 10, 14]),
         &[
-            "ring",
-            "architecture",
-            "initial msgs",
-            "failure msgs",
-            "reconv ms",
+            ("ring", &|r| r.ads.to_string()),
+            ("architecture", &|r| r.arch.to_string()),
+            ("initial msgs", &|r| r.response.msgs.to_string()),
+            ("failure msgs", &|r| r.response.fail_msgs.to_string()),
+            ("reconv ms", &|r| {
+                (r.response.reconverge_us / 1000).to_string()
+            }),
         ],
-    );
-    for n in [6usize, 10, 14] {
-        let victim = AdId((n / 2) as u32);
-        let cases: Vec<(&str, (u64, u64, u64))> = vec![
-            (
-                "naive DV (inf=32)",
-                partition(
-                    ring(n),
-                    victim,
-                    NaiveDv {
-                        infinity: 32,
-                        split_horizon: false,
-                        ..NaiveDv::default()
-                    },
-                ),
-            ),
-            (
-                "naive DV + split horizon",
-                partition(
-                    ring(n),
-                    victim,
-                    NaiveDv {
-                        infinity: 32,
-                        split_horizon: true,
-                        ..NaiveDv::default()
-                    },
-                ),
-            ),
-            (
-                "naive DV (inf=128)",
-                partition(
-                    ring(n),
-                    victim,
-                    NaiveDv {
-                        infinity: 128,
-                        split_horizon: false,
-                        ..NaiveDv::default()
-                    },
-                ),
-            ),
-            (
-                "ECMA up/down rule",
-                partition(ring(n), victim, Ecma::all_transit(&ring(n))),
-            ),
-            (
-                "path vector (IDRP)",
-                partition(
-                    ring(n),
-                    victim,
-                    PathVector::idrp(PolicyDb::permissive(&ring(n))),
-                ),
-            ),
-            (
-                "link state",
-                partition(
-                    ring(n),
-                    victim,
-                    LsHbh::new(&ring(n), PolicyDb::permissive(&ring(n))),
-                ),
-            ),
-        ];
-        for (name, (i, f, ms)) in cases {
-            t.row(&[&n, &name, &i, &f, &ms]);
-        }
-    }
-    t.print();
+    )
+    .print();
 
-    // (b) the same event on a realistic internet.
-    let mut t = Table::new(
+    Table::of(
         "E10(b): partitioning a regional AD on a 100-AD internet",
-        &["architecture", "failure msgs", "reconv ms"],
-    );
-    let topo = internet(100, 31);
-    let victim = topo
-        .ads()
-        .find(|a| a.level == adroute_topology::AdLevel::Regional)
-        .unwrap()
-        .id;
-    let (_, f, ms) = partition(
-        topo.clone(),
-        victim,
-        NaiveDv {
-            infinity: 32,
-            split_horizon: false,
-            ..NaiveDv::default()
-        },
-    );
-    t.row(&[&"naive DV", &f, &ms]);
-    let (_, f, ms) = partition(topo.clone(), victim, Ecma::hierarchical(&topo));
-    t.row(&[&"ECMA", &f, &ms]);
-    let (_, f, ms) = partition(
-        topo.clone(),
-        victim,
-        PathVector::idrp(PolicyDb::permissive(&topo)),
-    );
-    t.row(&[&"path vector", &f, &ms]);
-    let (_, f, ms) = partition(
-        topo.clone(),
-        victim,
-        LsHbh::new(&topo, PolicyDb::permissive(&topo)),
-    );
-    t.row(&[&"link state", &f, &ms]);
-    t.print();
+        &e10::regional(100, 31),
+        &[
+            ("architecture", &|r| r.arch.to_string()),
+            ("failure msgs", &|r| r.response.fail_msgs.to_string()),
+            ("reconv ms", &|r| {
+                (r.response.reconverge_us / 1000).to_string()
+            }),
+        ],
+    )
+    .print();
     println!(
         "\nReading: naive DV's failure traffic explodes with the infinity bound \
          (count-to-infinity; split horizon only trims it), while ECMA's up/down \

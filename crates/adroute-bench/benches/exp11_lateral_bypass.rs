@@ -1,173 +1,47 @@
-//! **E11** (paper §2.1/§3) — integrity with non-hierarchical links.
-//!
-//! "Inter-AD routing protocols should work efficiently for the general
-//! hierarchical case, but they must accommodate lateral and bypass links
-//! in a graceful manner … functionally, the integrity of the routing must
-//! be maintained in the presence of non-hierarchical structures." And for
-//! EGP: "there can be no cycles in the EGP graph … an unreasonable
-//! restriction for a global internet."
-//!
-//! We sweep the density of lateral/bypass links and measure (a) that every
-//! architecture keeps loop-free, policy-compliant delivery, and (b) what
-//! the EGP-style tree restriction costs: an EGP internet can only use the
-//! hierarchical links, so the extra connectivity is wasted — measured as
-//! path stretch and unreachability versus the full graph.
+//! **E11** (paper §2.1/§3) — integrity with non-hierarchical links: prints
+//! both views of [`e11::rows`] over four lateral/bypass densities of the
+//! 98-AD internet.
 
-use adroute_bench::{f2, pct, Table};
-use adroute_policy::workload::PolicyWorkload;
-use adroute_protocols::ecma::Ecma;
-use adroute_protocols::forwarding::{sample_flows, score_flows};
-use adroute_protocols::ls_hbh::LsHbh;
-use adroute_protocols::naive_dv::NaiveDv;
-use adroute_protocols::path_vector::PathVector;
-use adroute_sim::Engine;
-use adroute_topology::{algo, AdId, HierarchyConfig, LinkKind, Topology};
-
-/// Mean shortest-path cost over sampled pairs; `None` entries (cut pairs)
-/// are counted separately.
-fn path_stats(topo: &Topology, pairs: &[(AdId, AdId)]) -> (f64, usize) {
-    let mut total = 0u64;
-    let mut reached = 0usize;
-    let mut cut = 0usize;
-    for &(a, b) in pairs {
-        let (cost, _) = algo::dijkstra(topo, a);
-        match cost[b.index()] {
-            algo::PathCost::Finite(c) => {
-                total += c;
-                reached += 1;
-            }
-            algo::PathCost::Unreachable => cut += 1,
-        }
-    }
-    let mean = if reached == 0 {
-        0.0
-    } else {
-        total as f64 / reached as f64
-    };
-    (mean, cut)
-}
+use adroute_bench::{e11, f2, pct, Table};
 
 fn main() {
-    let mut integrity = Table::new(
+    let rows = e11::rows(
+        100,
+        80,
+        &[(0.0, 0.0), (0.15, 0.05), (0.3, 0.15), (0.5, 0.3)],
+    );
+    let points: Vec<_> = rows
+        .iter()
+        .flat_map(|r| r.points.iter().map(move |(arch, score)| (r, *arch, score)))
+        .collect();
+    Table::of(
         "E11(a): integrity as lateral/bypass density grows (100-AD internet)",
+        &points,
         &[
-            "lateral p",
-            "bypass p",
-            "links",
-            "arch",
-            "loops",
-            "violations",
-            "availability",
+            ("lateral p", &|(r, ..)| f2(r.lateral)),
+            ("bypass p", &|(r, ..)| f2(r.bypass)),
+            ("links", &|(r, ..)| r.links.to_string()),
+            ("arch", &|(_, arch, _)| arch.to_string()),
+            ("loops", &|(.., s)| s.loops.to_string()),
+            ("violations", &|(.., s)| pct(s.violation_rate())),
+            ("availability", &|(.., s)| pct(s.availability())),
         ],
-    );
-    let mut egp = Table::new(
+    )
+    .print();
+    Table::of(
         "E11(b): the EGP tree restriction — what ignoring non-tree links costs",
+        &rows,
         &[
-            "lateral p",
-            "bypass p",
-            "extra links",
-            "mean cost (full)",
-            "mean cost (tree)",
-            "stretch",
-            "cut pairs (tree)",
+            ("lateral p", &|r| f2(r.lateral)),
+            ("bypass p", &|r| f2(r.bypass)),
+            ("extra links", &|r| r.extra_links.to_string()),
+            ("mean cost (full)", &|r| f2(r.mean_cost_full)),
+            ("mean cost (tree)", &|r| f2(r.mean_cost_tree)),
+            ("stretch", &|r| f2(r.stretch())),
+            ("cut pairs (tree)", &|r| r.cut_pairs.to_string()),
         ],
-    );
-
-    for (lat, byp) in [(0.0f64, 0.0f64), (0.15, 0.05), (0.3, 0.15), (0.5, 0.3)] {
-        let topo = HierarchyConfig {
-            lateral_prob: lat,
-            bypass_prob: byp,
-            multihome_prob: 0.2,
-            ..HierarchyConfig::with_approx_size(100, 37)
-        }
-        .generate();
-        let db = PolicyWorkload::default_mix(37).generate(&topo);
-        let flows = sample_flows(&topo, 80, 37);
-
-        let mut ecma = Engine::new(topo.clone(), Ecma::hierarchical(&topo));
-        ecma.run_to_quiescence();
-        let s = score_flows(&mut ecma, &topo, &db, &flows);
-        integrity.row(&[
-            &f2(lat),
-            &f2(byp),
-            &topo.num_links(),
-            &"ECMA",
-            &s.loops,
-            &pct(s.violation_rate()),
-            &pct(s.availability()),
-        ]);
-
-        let mut pv = Engine::new(topo.clone(), PathVector::idrp(db.clone()));
-        pv.run_to_quiescence();
-        let s = score_flows(&mut pv, &topo, &db, &flows);
-        integrity.row(&[
-            &f2(lat),
-            &f2(byp),
-            &topo.num_links(),
-            &"IDRP",
-            &s.loops,
-            &pct(s.violation_rate()),
-            &pct(s.availability()),
-        ]);
-
-        let mut ls = Engine::new(topo.clone(), LsHbh::new(&topo, db.clone()));
-        ls.run_to_quiescence();
-        let s = score_flows(&mut ls, &topo, &db, &flows);
-        integrity.row(&[
-            &f2(lat),
-            &f2(byp),
-            &topo.num_links(),
-            &"LS/ORWG",
-            &s.loops,
-            &pct(s.violation_rate()),
-            &pct(s.availability()),
-        ]);
-
-        // The running EGP protocol (tree-restricted DV): its availability
-        // decays as connectivity moves into links it cannot use.
-        let mut egp_dv = Engine::new(topo.clone(), NaiveDv::egp());
-        egp_dv.run_to_quiescence();
-        let s = score_flows(&mut egp_dv, &topo, &db, &flows);
-        integrity.row(&[
-            &f2(lat),
-            &f2(byp),
-            &topo.num_links(),
-            &"EGP (tree DV)",
-            &s.loops,
-            &pct(s.violation_rate()),
-            &pct(s.availability()),
-        ]);
-
-        // EGP contrast: disable every non-hierarchical link (the acyclic
-        // "EGP graph") and compare shortest paths.
-        let pairs: Vec<(AdId, AdId)> = flows.iter().map(|f| (f.src, f.dst)).collect();
-        let (full_mean, _) = path_stats(&topo, &pairs);
-        let mut tree = topo.clone();
-        let mut extra = 0;
-        for l in topo.links() {
-            if l.kind != LinkKind::Hierarchical {
-                tree.set_link_up(l.id, false);
-                extra += 1;
-            }
-        }
-        let (tree_mean, cut) = path_stats(&tree, &pairs);
-        let stretch = if full_mean > 0.0 {
-            tree_mean / full_mean
-        } else {
-            1.0
-        };
-        egp.row(&[
-            &f2(lat),
-            &f2(byp),
-            &extra,
-            &f2(full_mean),
-            &f2(tree_mean),
-            &f2(stretch),
-            &cut,
-        ]);
-    }
-    integrity.print();
-    egp.print();
+    )
+    .print();
     println!(
         "\nReading: loop counts stay zero and policy-aware availability holds as \
          non-hierarchical links densify — the 'graceful accommodation' the paper \

@@ -1,112 +1,47 @@
 //! **E3** (paper §5.1/§5.1.1) — what a single global partial ordering can
-//! and cannot express.
-//!
-//! Claim 1: "policies of different ADs may not be mutually satisfiable …
-//! there may not be a single partial ordering that simultaneously
-//! expresses the policies of all ADs." Table (a) measures the probability
-//! that a random mixed policy-constraint set is satisfiable by one
-//! ordering, versus set size and deny-fraction.
-//!
-//! Claim 2: even when the ordering exists, ECMA misses legal routes and
-//! (for policies outside the ordering's expressive range) violates them.
-//! Table (b) scores ECMA against the oracle as the policy workload grows
-//! finer.
+//! and cannot express: prints the three [`e3`] tables.
 
-use adroute_bench::{internet, pct, Table};
-use adroute_policy::ordering::{random_constraints, solve_ordering, solve_with_replication};
-use adroute_policy::workload::PolicyWorkload;
-use adroute_protocols::ecma::Ecma;
-use adroute_protocols::forwarding::{sample_flows, score_flows};
-use adroute_sim::Engine;
+use adroute_bench::{e3, pct, Table};
 
-fn satisfiability() {
-    let topo = internet(100, 3);
-    let mut t = Table::new(
+fn main() {
+    Table::of(
         "E3(a): single-ordering satisfiability of random policy sets",
+        &e3::satisfiability(&[5, 10, 20, 40, 80, 160], 40),
         &[
-            "constraints",
-            "deny=25%",
-            "deny=50%",
-            "deny=75%",
-            "deny=100%",
+            ("constraints", &|(count, _)| count.to_string()),
+            ("deny=25%", &|(_, sat)| pct(sat[0])),
+            ("deny=50%", &|(_, sat)| pct(sat[1])),
+            ("deny=75%", &|(_, sat)| pct(sat[2])),
+            ("deny=100%", &|(_, sat)| pct(sat[3])),
         ],
-    );
-    let trials = 40;
-    for count in [5usize, 10, 20, 40, 80, 160] {
-        let mut cells = Vec::new();
-        for deny in [0.25f64, 0.5, 0.75, 1.0] {
-            let mut sat = 0;
-            for seed in 0..trials {
-                let cs = random_constraints(&topo, count, deny, seed + 1000 * count as u64);
-                if solve_ordering(topo.num_ads(), &cs).is_satisfiable() {
-                    sat += 1;
-                }
-            }
-            cells.push(pct(sat as f64 / trials as f64));
-        }
-        t.row(&[&count, &cells[0], &cells[1], &cells[2], &cells[3]]);
-    }
-    t.print();
-}
+    )
+    .print();
 
-fn replication() {
-    // The paper's footnote-4 escape hatch: logical cluster replication
-    // widens expressiveness at the price of extra network addresses.
-    let topo = internet(100, 3);
-    let mut t = Table::new(
+    Table::of(
         "E3(c): logical-cluster replication (footnote 4), 80 constraints, deny=75%",
-        &["logical clusters/AD", "satisfiable", "addresses used"],
-    );
-    let trials = 40;
-    for k in [1usize, 2, 3, 4] {
-        let mut sat = 0;
-        let mut addr_sum = 0usize;
-        for seed in 0..trials {
-            let cs = random_constraints(&topo, 80, 0.75, 9000 + seed);
-            let (ok, nodes) = solve_with_replication(topo.num_ads(), &cs, k);
-            if ok {
-                sat += 1;
-            }
-            addr_sum += nodes;
-        }
-        t.row(&[
-            &k,
-            &pct(sat as f64 / trials as f64),
-            &(addr_sum / trials as usize),
-        ]);
-    }
-    t.print();
-}
+        &e3::replication(&[1, 2, 3, 4], 40),
+        &[
+            ("logical clusters/AD", &|(k, ..)| k.to_string()),
+            ("satisfiable", &|(_, sat, _)| pct(*sat)),
+            ("addresses used", &|(.., addresses)| addresses.to_string()),
+        ],
+    )
+    .print();
 
-fn ecma_vs_oracle() {
-    let mut t = Table::new(
+    Table::of(
         "E3(b): ECMA vs oracle as policy granularity grows",
-        &["granularity", "availability", "violations", "loops"],
-    );
-    for g in [0u8, 1, 2, 4, 8] {
-        let topo = internet(100, 7);
-        let db = if g == 0 {
-            PolicyWorkload::structural(7).generate(&topo)
-        } else {
-            PolicyWorkload::granularity(g, 7).generate(&topo)
-        };
-        let mut e = Engine::new(topo.clone(), Ecma::hierarchical(&topo));
-        e.run_to_quiescence();
-        let flows = sample_flows(&topo, 120, 7);
-        let s = score_flows(&mut e, &topo, &db, &flows);
-        let label = if g == 0 {
-            "structural only".to_string()
-        } else {
-            format!("g={g}")
-        };
-        t.row(&[
-            &label,
-            &pct(s.availability()),
-            &pct(s.violation_rate()),
-            &s.loops,
-        ]);
-    }
-    t.print();
+        &e3::ecma_vs_oracle(100, 120, &[0, 1, 2, 4, 8]),
+        &[
+            ("granularity", &|(g, _)| match g {
+                0 => "structural only".to_string(),
+                g => format!("g={g}"),
+            }),
+            ("availability", &|(_, s)| pct(s.availability())),
+            ("violations", &|(_, s)| pct(s.violation_rate())),
+            ("loops", &|(_, s)| s.loops.to_string()),
+        ],
+    )
+    .print();
     println!(
         "\nReading: with structural policies (stubs refuse transit) the ordering \
          expresses everything and ECMA is clean; as source/UCI/QOS-specific terms \
@@ -114,10 +49,4 @@ fn ecma_vs_oracle() {
          while satisfiability of one global ordering (table a) collapses as deny \
          constraints densify. Both match Section 5.1.1's objections."
     );
-}
-
-fn main() {
-    satisfiability();
-    replication();
-    ecma_vs_oracle();
 }

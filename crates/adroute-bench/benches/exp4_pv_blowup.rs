@@ -1,67 +1,35 @@
 //! **E4** (paper §5.2/§5.2.1) — path-vector table blowup under
-//! fine-grained policy.
-//!
-//! "This effectively replicates the routing table per forwarding entity
-//! for each QOS, UCI, source combination … this approach does not scale
-//! well as policies become more fine grained." We sweep workload
-//! granularity and report RIB sizes and control-plane bytes for IDRP,
-//! plus the ablation of the paper's mitigation knob (how many routes per
-//! destination an AD may advertise).
+//! fine-grained policy: prints [`e4::rows`] swept over workload
+//! granularity, then over the advertisement budget, on the 60-AD internet.
 
-use adroute_bench::{f2, internet, Table};
-use adroute_policy::workload::PolicyWorkload;
-use adroute_protocols::path_vector::PathVector;
-use adroute_sim::Engine;
-
-fn run(g: u8, max_routes: usize) -> (f64, usize, f64, u64, u64) {
-    let topo = internet(60, 11);
-    let db = PolicyWorkload::granularity(g.max(1), 11).generate(&topo);
-    let mut pv = PathVector::idrp(db);
-    pv.max_routes_per_dest = max_routes;
-    let mut e = Engine::new(topo.clone(), pv);
-    e.run_to_quiescence();
-    let rib: Vec<usize> = topo.ad_ids().map(|a| e.router(a).loc_rib.len()).collect();
-    let adj: Vec<usize> = topo.ad_ids().map(|a| e.router(a).adj_rib_size()).collect();
-    let mean = rib.iter().sum::<usize>() as f64 / rib.len() as f64;
-    let max = *rib.iter().max().unwrap();
-    let adj_mean = adj.iter().sum::<usize>() as f64 / adj.len() as f64;
-    (mean, max, adj_mean, e.stats.msgs_sent, e.stats.bytes_sent)
-}
+use adroute_bench::{e4, f2, mb, Table};
 
 fn main() {
-    let mut t = Table::new(
+    Table::of(
         "E4(a): IDRP RIB growth vs policy granularity (60-AD internet)",
+        &e4::rows(60, &[(1, 8), (2, 8), (4, 8), (8, 8), (12, 8)]),
         &[
-            "granularity",
-            "mean RIB",
-            "max RIB",
-            "mean adj-RIB-in",
-            "ctl msgs",
-            "ctl MBytes",
+            ("granularity", &|r| r.granularity.to_string()),
+            ("mean RIB", &|r| f2(r.mean_rib)),
+            ("max RIB", &|r| r.max_rib.to_string()),
+            ("mean adj-RIB-in", &|r| f2(r.mean_adj_rib)),
+            ("ctl msgs", &|r| r.msgs.to_string()),
+            ("ctl MBytes", &|r| mb(r.bytes)),
         ],
-    );
-    for g in [1u8, 2, 4, 8, 12] {
-        let (mean, max, adj, msgs, bytes) = run(g, 8);
-        t.row(&[
-            &g,
-            &f2(mean),
-            &max,
-            &f2(adj),
-            &msgs,
-            &f2(bytes as f64 / 1e6),
-        ]);
-    }
-    t.print();
+    )
+    .print();
 
-    let mut t = Table::new(
+    Table::of(
         "E4(b): ablation - max advertised routes per destination (granularity 8)",
-        &["max routes/dest", "mean RIB", "max RIB", "ctl MBytes"],
-    );
-    for k in [1usize, 2, 4, 8, 16] {
-        let (mean, max, _adj, _msgs, bytes) = run(8, k);
-        t.row(&[&k, &f2(mean), &max, &f2(bytes as f64 / 1e6)]);
-    }
-    t.print();
+        &e4::rows(60, &[(8, 1), (8, 2), (8, 4), (8, 8), (8, 16)]),
+        &[
+            ("max routes/dest", &|r| r.max_routes.to_string()),
+            ("mean RIB", &|r| f2(r.mean_rib)),
+            ("max RIB", &|r| r.max_rib.to_string()),
+            ("ctl MBytes", &|r| mb(r.bytes)),
+        ],
+    )
+    .print();
     println!(
         "\nReading: RIB entries per AD grow with the number of distinct \
          (QOS, UCI, source-scope) classes — the per-class route replication of \

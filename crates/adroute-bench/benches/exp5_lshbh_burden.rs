@@ -1,85 +1,26 @@
 //! **E5** (paper §5.3) — the transit burden of link-state hop-by-hop
-//! routing, versus source routing.
-//!
-//! "An AD potentially must compute a separate spanning tree for each
-//! potential source of traffic. Hence, the replicated nature of this
-//! computation may become an excessive burden for transit ADs." We route
-//! the same flow set through both architectures and count, at every AD,
-//! policy-constrained route computations and per-class FIB state. Under
-//! ORWG, "since the source specifies the next-AD hop, independent route
-//! computations by transit ADs are not required" — transit ADs only
-//! validate setups.
+//! routing, versus source routing: prints [`e5::rows`] on the 98-AD
+//! internet.
 
-use adroute_bench::{internet, Table};
-use adroute_core::{OrwgNetwork, Strategy};
-use adroute_policy::workload::PolicyWorkload;
-use adroute_protocols::forwarding::{forward, sample_flows};
-use adroute_protocols::ls_hbh::LsHbh;
-use adroute_sim::Engine;
+use adroute_bench::{e5, Table};
 
 fn main() {
-    let topo = internet(100, 5);
-    let db = PolicyWorkload::default_mix(5).generate(&topo);
-
-    let mut t = Table::new(
+    Table::of(
         "E5: transit-AD burden vs number of distinct traffic classes",
+        &e5::rows(100, 5, &[10, 25, 50, 100, 200]),
         &[
-            "classes",
-            "LS-HBH computations",
-            "LS-HBH max/AD",
-            "LS-HBH FIB entries",
-            "ORWG src searches",
-            "ORWG transit searches",
-            "ORWG validations",
+            ("classes", &|r| r.classes.to_string()),
+            ("LS-HBH computations", &|r| r.ls_computations.to_string()),
+            ("LS-HBH max/AD", &|r| r.ls_max_per_ad.to_string()),
+            ("LS-HBH FIB entries", &|r| r.ls_fib_entries.to_string()),
+            ("ORWG src searches", &|r| r.orwg_src_searches.to_string()),
+            ("ORWG transit searches", &|r| {
+                r.orwg_transit_searches.to_string()
+            }),
+            ("ORWG validations", &|r| r.orwg_validations.to_string()),
         ],
-    );
-
-    for classes in [10usize, 25, 50, 100, 200] {
-        let flows = sample_flows(&topo, classes, 5);
-
-        // --- LS hop-by-hop ------------------------------------------
-        let mut ls = Engine::new(topo.clone(), LsHbh::new(&topo, db.clone()));
-        ls.run_to_quiescence();
-        for f in &flows {
-            let _ = forward(&mut ls, &topo, f);
-        }
-        let comp: Vec<u64> = topo
-            .ad_ids()
-            .map(|a| ls.router(a).route_computations)
-            .collect();
-        let fib: usize = topo.ad_ids().map(|a| ls.router(a).fib_entries()).sum();
-        let total: u64 = comp.iter().sum();
-        let max = *comp.iter().max().unwrap();
-
-        // --- ORWG -----------------------------------------------------
-        let mut net =
-            OrwgNetwork::converged_with(&topo, &db, Strategy::Cached { capacity: 4096 }, 65536);
-        let mut validations = 0u64;
-        for f in &flows {
-            if let Ok(setup) = net.open(f) {
-                validations += setup.validations as u64;
-            }
-        }
-        let src_searches: u64 = flows
-            .iter()
-            .map(|f| f.src)
-            .collect::<std::collections::BTreeSet<_>>()
-            .iter()
-            .map(|&a| net.server(a).stats.searches)
-            .sum();
-        let transit_searches = net.total_searches() - src_searches;
-
-        t.row(&[
-            &classes,
-            &total,
-            &max,
-            &fib,
-            &src_searches,
-            &transit_searches,
-            &validations,
-        ]);
-    }
-    t.print();
+    )
+    .print();
     println!(
         "\nReading: LS-HBH repeats the policy-constrained search at *every* AD a \
          packet crosses (computations >> classes, growing with path length); the \

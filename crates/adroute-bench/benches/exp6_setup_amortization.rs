@@ -1,120 +1,41 @@
-//! **E6** (paper §5.4.1) — route setup vs per-packet overhead.
-//!
-//! "To avoid the latency of the Policy Route setup process and the
-//! header-length overhead of the source route … a handle is assigned at
-//! the time that the Policy Route is set up and successive data packets
-//! use that handle." Table (a) regenerates the amortization curve: mean
-//! header bytes per packet for (i) handle forwarding including its setup
-//! cost and (ii) carrying the full source route in every packet, as flow
-//! length grows. Table (b) sweeps the gateway handle-cache capacity under
-//! many concurrent flows: evictions force re-setups, the state/overhead
-//! trade-off of Section 6's "policy gateway state management".
+//! **E6** (paper §5.4.1) — route setup vs per-packet overhead: prints
+//! [`e6::amortization`] (40 flows) and [`e6::cache_pressure`] (200
+//! concurrent flows) on the 98-AD internet.
 
-use adroute_bench::{f2, internet, Table};
-use adroute_core::network::SendError;
-use adroute_core::{DataError, OrwgNetwork, Strategy};
-use adroute_policy::workload::PolicyWorkload;
+use adroute_bench::{e6, f2, Table, World};
 use adroute_protocols::forwarding::sample_flows;
 
 fn main() {
-    let topo = internet(100, 13);
-    let db = PolicyWorkload::default_mix(13).generate(&topo);
-
-    // ---------- (a) amortization vs flow length ------------------------
-    let mut t = Table::new(
+    let mut w = World::mixed(100, 13, 40);
+    Table::of(
         "E6(a): mean header bytes/packet vs packets per flow",
+        &e6::amortization(&w, &[1, 2, 5, 10, 50, 500]),
         &[
-            "pkts/flow",
-            "handle+setup",
-            "handle only",
-            "full source route",
-            "crossover?",
-        ],
-    );
-    let flows = sample_flows(&topo, 40, 13);
-    for pkts in [1usize, 2, 5, 10, 50, 500] {
-        let mut net =
-            OrwgNetwork::converged_with(&topo, &db, Strategy::Cached { capacity: 4096 }, 65536);
-        let mut setup_bytes = 0usize;
-        let mut handle_bytes = 0usize;
-        let mut sr_bytes = 0usize;
-        let mut delivered = 0usize;
-        for f in &flows {
-            let Ok(setup) = net.open(f) else { continue };
-            setup_bytes += setup.header_bytes;
-            for _ in 0..pkts {
-                let d = net.send(setup.handle).expect("established flow");
-                handle_bytes += d.header_bytes;
-                let s = net.send_source_routed(f).expect("same route");
-                sr_bytes += s.header_bytes;
-                delivered += 1;
-            }
-        }
-        let with_setup = (setup_bytes + handle_bytes) as f64 / delivered as f64;
-        let handle_only = handle_bytes as f64 / delivered as f64;
-        let sr = sr_bytes as f64 / delivered as f64;
-        t.row(&[
-            &pkts,
-            &f2(with_setup),
-            &f2(handle_only),
-            &f2(sr),
-            &(if with_setup < sr {
-                "handle wins"
-            } else {
-                "src-route wins"
+            ("pkts/flow", &|r| r.pkts.to_string()),
+            ("handle+setup", &|r| f2(r.with_setup)),
+            ("handle only", &|r| f2(r.handle_only)),
+            ("full source route", &|r| f2(r.source_route)),
+            ("crossover?", &|r| match r.with_setup < r.source_route {
+                true => "handle wins".to_string(),
+                false => "src-route wins".to_string(),
             }),
-        ]);
-    }
-    t.print();
-
-    // ---------- (b) handle-cache pressure ------------------------------
-    let mut t = Table::new(
-        "E6(b): gateway handle-cache capacity vs re-setup overhead (200 concurrent flows)",
-        &[
-            "capacity",
-            "evictions",
-            "data drops",
-            "re-setups",
-            "total header KB",
         ],
-    );
-    let many_flows = sample_flows(&topo, 200, 14);
-    for capacity in [8usize, 32, 128, 512, 2048] {
-        let mut net =
-            OrwgNetwork::converged_with(&topo, &db, Strategy::Cached { capacity: 4096 }, capacity);
-        let mut handles = Vec::new();
-        let mut bytes = 0usize;
-        for f in &many_flows {
-            if let Ok(s) = net.open(f) {
-                bytes += s.header_bytes;
-                handles.push((*f, s.handle));
-            }
-        }
-        // Interleave sends across all flows: LRU pressure.
-        let mut drops = 0u64;
-        let mut resetups = 0u64;
-        for round in 0..3 {
-            for (f, h) in handles.iter_mut() {
-                match net.send(*h) {
-                    Ok(d) => bytes += d.header_bytes,
-                    Err(SendError::Dropped(DataError::UnknownHandle { .. })) => {
-                        drops += 1;
-                        // Source re-opens (paper: PG tables are "filled on
-                        // demand"; a miss re-triggers setup).
-                        if let Ok(s) = net.open(f) {
-                            resetups += 1;
-                            bytes += s.header_bytes;
-                            *h = s.handle;
-                        }
-                    }
-                    Err(e) => panic!("round {round}: {e:?}"),
-                }
-            }
-        }
-        let evictions: u64 = topo.ad_ids().map(|a| net.gateway(a).evictions()).sum();
-        t.row(&[&capacity, &evictions, &drops, &resetups, &(bytes / 1024)]);
-    }
-    t.print();
+    )
+    .print();
+
+    w.flows = sample_flows(&w.topo, 200, 14);
+    Table::of(
+        "E6(b): gateway handle-cache capacity vs re-setup overhead (200 concurrent flows)",
+        &e6::cache_pressure(&w, &[8, 32, 128, 512, 2048]),
+        &[
+            ("capacity", &|r| r.capacity.to_string()),
+            ("evictions", &|r| r.evictions.to_string()),
+            ("data drops", &|r| r.drops.to_string()),
+            ("re-setups", &|r| r.resetups.to_string()),
+            ("total header KB", &|r| (r.header_bytes / 1024).to_string()),
+        ],
+    )
+    .print();
     println!(
         "\nReading: one setup packet costs several times a data packet, so full \
          source routes win only for 1-2 packet flows; beyond that the 12-byte \

@@ -1,77 +1,21 @@
-//! **E9** (paper §3) — QOS-route scaling: repeated per-class computation
-//! vs policy-term synthesis.
-//!
-//! "In OSPF and IS-IS … the basic route computation is repeated for each
-//! QOS. These mechanisms support only a limited number of Qualities of
-//! Service; they are not scalable either to a large number of QOS or to
-//! source specific policies." We sweep the number of QOS classes and
-//! compare: (i) ECMA's per-QOS FIB replication and update growth (the
-//! IGP-style mechanism), (ii) LS-HBH per-class computations, and (iii)
-//! ORWG synthesis, which only ever computes the classes actually used.
+//! **E9** (paper §3) — QOS-route scaling: prints [`e9::rows`] for 1 to 16
+//! provisioned classes on the 98-AD internet, 60 flows.
 
-use adroute_bench::{f2, internet, Table};
-use adroute_core::{OrwgNetwork, Strategy};
-use adroute_policy::workload::PolicyWorkload;
-use adroute_policy::QosClass;
-use adroute_protocols::ecma::Ecma;
-use adroute_protocols::forwarding::{forward, sample_flows};
-use adroute_protocols::ls_hbh::LsHbh;
-use adroute_sim::Engine;
+use adroute_bench::{e9, mb, Table};
 
 fn main() {
-    let topo = internet(100, 29);
-    let db = PolicyWorkload::default_mix(29).generate(&topo);
-    // The active traffic uses only 3 distinct classes regardless of how
-    // many the network provisions — the gap the paper points at.
-    let flows: Vec<_> = sample_flows(&topo, 60, 29)
-        .into_iter()
-        .enumerate()
-        .map(|(i, f)| f.with_qos(QosClass((i % 3) as u8)))
-        .collect();
-
-    let mut t = Table::new(
+    Table::of(
         "E9: provisioned QOS classes vs routing work",
+        &e9::rows(100, 29, 60, &[1, 2, 4, 8, 16]),
         &[
-            "classes",
-            "ECMA FIB entries/AD",
-            "ECMA ctl MBytes",
-            "LS-HBH computations",
-            "ORWG searches",
+            ("classes", &|r| r.classes.to_string()),
+            ("ECMA FIB entries/AD", &|r| r.ecma_fib_per_ad.to_string()),
+            ("ECMA ctl MBytes", &|r| mb(r.ecma_bytes)),
+            ("LS-HBH computations", &|r| r.ls_computations.to_string()),
+            ("ORWG searches", &|r| r.orwg_searches.to_string()),
         ],
-    );
-    for q in [1u8, 2, 4, 8, 16] {
-        // ECMA with q provisioned classes (80% support probability).
-        let proto = Ecma::hierarchical_with_qos(&topo, q, 0.8, 29);
-        let mut ecma = Engine::new(topo.clone(), proto);
-        ecma.run_to_quiescence();
-        let fib_per_ad = topo.num_ads() * q as usize; // dest x class per AD
-        let ecma_bytes = ecma.stats.bytes_sent;
-
-        // LS-HBH: computations per distinct class actually seen.
-        let mut ls = Engine::new(topo.clone(), LsHbh::new(&topo, db.clone()));
-        ls.run_to_quiescence();
-        for f in &flows {
-            let _ = forward(&mut ls, &topo, f);
-        }
-        let ls_comp: u64 = topo.ad_ids().map(|a| ls.router(a).route_computations).sum();
-
-        // ORWG: synthesis only for requested classes.
-        let mut net =
-            OrwgNetwork::converged_with(&topo, &db, Strategy::Cached { capacity: 4096 }, 65536);
-        for f in &flows {
-            let _ = net.open(f);
-        }
-        let orwg = net.total_searches();
-
-        t.row(&[
-            &q,
-            &fib_per_ad,
-            &f2(ecma_bytes as f64 / 1e6),
-            &ls_comp,
-            &orwg,
-        ]);
-    }
-    t.print();
+    )
+    .print();
     println!(
         "\nReading: IGP-style mechanisms pay for every *provisioned* class — ECMA's \
          FIBs and update bytes grow linearly with q even though traffic only uses 3 \

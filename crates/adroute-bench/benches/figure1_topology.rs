@@ -1,89 +1,28 @@
-//! **Figure 1** — "Example Internet Topology".
-//!
-//! The paper's figure shows a backbone/regional/campus hierarchy augmented
-//! with lateral and bypass links. This target shows the generator
-//! realizing that topology class across scales: composition by level and
-//! role, link-kind mix, degree and path statistics, and the property the
-//! paper leans on — hierarchies with lateral/bypass augmentation stay
-//! valley-free-connected.
+//! **Figure 1** — "Example Internet Topology": prints [`f1::rows`] from 49
+//! to 980 ADs.
 
-use adroute_bench::{f2, internet, pct, Table};
-use adroute_topology::{algo, AdLevel, PartialOrder};
+use adroute_bench::{f1, f2, pct, Table};
 
 fn main() {
-    let mut t = Table::new(
+    Table::of(
         "Figure 1: generated internets (hierarchy + lateral + bypass)",
+        &f1::rows(&[(30, 1), (100, 2), (250, 3), (500, 4), (1000, 5)]),
         &[
-            "ADs",
-            "links",
-            "hier",
-            "lateral",
-            "bypass",
-            "stubs",
-            "multi-homed",
-            "transit",
-            "hybrid",
-            "mean deg",
-            "diam",
-            "vf-reach",
+            ("ADs", &|r| r.ads.to_string()),
+            ("links", &|r| r.links.to_string()),
+            ("hier", &|r| r.link_kinds.0.to_string()),
+            ("lateral", &|r| r.link_kinds.1.to_string()),
+            ("bypass", &|r| r.link_kinds.2.to_string()),
+            ("stubs", &|r| r.roles.0.to_string()),
+            ("multi-homed", &|r| r.roles.1.to_string()),
+            ("transit", &|r| r.roles.2.to_string()),
+            ("hybrid", &|r| r.roles.3.to_string()),
+            ("mean deg", &|r| f2(r.mean_deg)),
+            ("diam", &|r| r.diam.to_string()),
+            ("vf-reach", &|r| pct(r.vf_reach)),
         ],
-    );
-    for (scale, seed) in [(30usize, 1u64), (100, 2), (250, 3), (500, 4), (1000, 5)] {
-        let topo = internet(scale, seed);
-        let (h, l, b) = topo.link_kind_counts();
-        let (s, m, tr, hy) = topo.role_counts();
-        let n = topo.num_ads();
-        let mean_deg = 2.0 * topo.num_links() as f64 / n as f64;
-        // Diameter approximation: max BFS eccentricity from a few seeds.
-        let mut diam = 0;
-        for start in [0u32, (n / 2) as u32, (n - 1) as u32] {
-            let (hops, _) = algo::bfs_tree(&topo, adroute_topology::AdId(start));
-            diam = diam.max(
-                hops.iter()
-                    .copied()
-                    .filter(|&x| x != u32::MAX)
-                    .max()
-                    .unwrap_or(0),
-            );
-        }
-        // Valley-free reachability over sampled campus pairs.
-        let po = PartialOrder::from_levels(&topo);
-        let campuses: Vec<_> = topo
-            .ads()
-            .filter(|a| a.level == AdLevel::Campus)
-            .map(|a| a.id)
-            .collect();
-        let mut ok = 0;
-        let mut total = 0;
-        for (i, &a) in campuses.iter().enumerate().take(12) {
-            for &bb in campuses.iter().skip(i + 1).take(12) {
-                total += 1;
-                if po.valley_free_reachable(&topo, a, bb) {
-                    ok += 1;
-                }
-            }
-        }
-        let vf = if total == 0 {
-            1.0
-        } else {
-            ok as f64 / total as f64
-        };
-        t.row(&[
-            &n,
-            &topo.num_links(),
-            &h,
-            &l,
-            &b,
-            &s,
-            &m,
-            &tr,
-            &hy,
-            &f2(mean_deg),
-            &diam,
-            &pct(vf),
-        ]);
-    }
-    t.print();
+    )
+    .print();
     println!(
         "\nReading: 'vf-reach' = fraction of sampled campus pairs connected by a \
          valley-free path under the level ordering — the connectivity ECMA can use. \

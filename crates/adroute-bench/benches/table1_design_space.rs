@@ -2,231 +2,63 @@
 //!
 //! Part (a) reprints the paper's 2×2×2 matrix with the proposal occupying
 //! each viable cell and the reason the remaining cells are excluded
-//! (paper Section 5.5). Part (b) *measures* the capability claims the
-//! paper makes per design point, by running every architecture on the
-//! same internet and policy workload and scoring it against the oracle.
+//! (paper Section 5.5). Part (b) prints [`t1::rows`] — the capability claims
+//! the paper makes per design point, measured — on the 98-AD internet.
 
-use adroute_bench::{internet, pct, Table};
-use adroute_core::network::OpenError;
-use adroute_core::router::converge_control_plane;
-use adroute_core::{OrwgNetwork, Strategy};
-use adroute_policy::legality::{legal_route, legal_route_with, route_is_legal};
-use adroute_policy::workload::PolicyWorkload;
-use adroute_policy::{FlowSpec, RouteSelection};
-use adroute_protocols::ecma::Ecma;
-use adroute_protocols::forwarding::{sample_flows, score_flows, FlowScore};
-use adroute_protocols::ls_hbh::LsHbh;
-use adroute_protocols::naive_dv::NaiveDv;
-use adroute_protocols::path_vector::PathVector;
-use adroute_sim::Engine;
-use adroute_topology::AdId;
+use adroute_bench::{pct, t1, Table, World};
 
-fn matrix() {
-    let mut t = Table::new(
-        "Table 1(a): the design space (paper Section 5)",
-        &[
-            "algorithm",
-            "decision",
-            "policy expression",
-            "occupant / verdict",
-        ],
-    );
-    t.row(&[
-        &"distance vector",
-        &"hop-by-hop",
-        &"topology",
-        &"NIST/ECMA partial ordering (5.1.1)",
-    ]);
-    t.row(&[
-        &"distance vector",
-        &"hop-by-hop",
-        &"policy terms",
-        &"IDRP, BGP-2 (5.2.1)",
-    ]);
-    t.row(&[
-        &"link state",
-        &"hop-by-hop",
-        &"policy terms",
-        &"per-source spanning trees (5.3)",
-    ]);
-    t.row(&[
-        &"link state",
-        &"source",
-        &"policy terms",
-        &"Clark/ORWG - the paper's pick (5.4.1)",
-    ]);
-    t.row(&[
-        &"link state",
-        &"hop-by-hop",
-        &"topology",
-        &"excluded: flooding vs info-hiding (5.5.1)",
-    ]);
-    t.row(&[
-        &"link state",
-        &"source",
-        &"topology",
-        &"excluded: same (5.5.1)",
-    ]);
-    t.row(&[
-        &"distance vector",
-        &"source",
-        &"topology",
-        &"excluded: source needs full info (5.5.2)",
-    ]);
-    t.row(&[
-        &"distance vector",
-        &"source",
-        &"policy terms",
-        &"excluded: little gain w/o link state (5.5.2)",
-    ]);
-    t.print();
-}
+const DV: &str = "distance vector";
+const LS: &str = "link state";
+const HBH: &str = "hop-by-hop";
+const SRC: &str = "source";
+const TOPO: &str = "topology";
+const TERMS: &str = "policy terms";
 
-/// Measures the fraction of imposable source criteria ("avoid this transit
-/// AD") an architecture can actually honor.
-fn probe_source_policy(
-    flows: &[FlowSpec],
-    topo: &adroute_topology::Topology,
-    db: &adroute_policy::PolicyDb,
-    mut route_of: impl FnMut(&FlowSpec, &RouteSelection) -> Option<Vec<AdId>>,
-) -> f64 {
-    let mut applicable = 0;
-    let mut honored = 0;
-    for f in flows {
-        let Some(base) = legal_route(topo, db, f) else {
-            continue;
-        };
-        if base.path.len() < 3 {
-            continue;
-        }
-        let avoid = base.path[1];
-        let sel = RouteSelection::avoiding([avoid]);
-        let mut stats = Default::default();
-        if legal_route_with(topo, db, f, &sel, &mut stats).is_none() {
-            continue; // no legal alternative exists; not a fair probe
-        }
-        applicable += 1;
-        if let Some(path) = route_of(f, &sel) {
-            if path.first() == Some(&f.src)
-                && path.last() == Some(&f.dst)
-                && !path[1..path.len().saturating_sub(1)].contains(&avoid)
-            {
-                honored += 1;
-            }
-        }
-    }
-    if applicable == 0 {
-        1.0
-    } else {
-        honored as f64 / applicable as f64
-    }
-}
+/// Algorithm, decision locus, policy expression, occupant or verdict.
+const MATRIX: [[&str; 4]; 8] = [
+    [DV, HBH, TOPO, "NIST/ECMA partial ordering (5.1.1)"],
+    [DV, HBH, TERMS, "IDRP, BGP-2 (5.2.1)"],
+    [LS, HBH, TERMS, "per-source spanning trees (5.3)"],
+    [LS, SRC, TERMS, "Clark/ORWG - the paper's pick (5.4.1)"],
+    [LS, HBH, TOPO, "excluded: flooding vs info-hiding (5.5.1)"],
+    [LS, SRC, TOPO, "excluded: same (5.5.1)"],
+    [DV, SRC, TOPO, "excluded: source needs full info (5.5.2)"],
+    [
+        DV,
+        SRC,
+        TERMS,
+        "excluded: little gain w/o link state (5.5.2)",
+    ],
+];
 
 fn main() {
-    matrix();
-
-    let topo = internet(100, 1990);
-    let db = PolicyWorkload::default_mix(1990).generate(&topo);
-    let flows = sample_flows(&topo, 120, 1990);
-    let mut t = Table::new(
-        "Table 1(b): measured capabilities per design point",
+    Table::of(
+        "Table 1(a): the design space (paper Section 5)",
+        &MATRIX,
         &[
-            "architecture",
-            "availability",
-            "violations",
-            "loops",
-            "src criteria honored",
-            "src criteria private",
+            ("algorithm", &|m| m[0].to_string()),
+            ("decision", &|m| m[1].to_string()),
+            ("policy expression", &|m| m[2].to_string()),
+            ("occupant / verdict", &|m| m[3].to_string()),
         ],
-    );
-    let mut push = |name: &str, s: &FlowScore, honored: f64, private: bool| {
-        t.row(&[
-            &name,
-            &pct(s.availability()),
-            &pct(s.violation_rate()),
-            &s.loops,
-            &pct(honored),
-            &(if private { "yes" } else { "no" }),
-        ]);
-    };
+    )
+    .print();
 
-    // naive DV: no policy of any kind.
-    {
-        let mut e = Engine::new(topo.clone(), NaiveDv::default());
-        e.run_to_quiescence();
-        let s = score_flows(&mut e, &topo, &db, &flows);
-        push("naive DV (baseline)", &s, 0.0, false);
-    }
-    // ECMA: source policy only through the global ordering.
-    {
-        let mut e = Engine::new(topo.clone(), Ecma::hierarchical(&topo));
-        e.run_to_quiescence();
-        let s = score_flows(&mut e, &topo, &db, &flows);
-        push("ECMA: DV+hbh+topology", &s, 0.0, false);
-    }
-    // IDRP: sources choose among advertised routes; criteria cannot be
-    // pushed into the network.
-    {
-        let mut e = Engine::new(topo.clone(), PathVector::idrp(db.clone()));
-        e.run_to_quiescence();
-        let s = score_flows(&mut e, &topo, &db, &flows);
-        let honored = probe_source_policy(&flows, &topo, &db, |f, sel| {
-            // Best the source can do: filter its received routes.
-            e.router(f.src)
-                .best_match(f)
-                .map(|r| {
-                    let mut p = vec![f.src];
-                    p.extend_from_slice(&r.path);
-                    p
-                })
-                .filter(|p| sel.accepts(p, 0))
-        });
-        push("IDRP: PV+hbh+terms", &s, honored, false);
-    }
-    // LS hop-by-hop: consistency forces all ADs to know source criteria.
-    {
-        let mut e = Engine::new(topo.clone(), LsHbh::new(&topo, db.clone()));
-        e.run_to_quiescence();
-        let s = score_flows(&mut e, &topo, &db, &flows);
-        push("LS+hbh+terms", &s, 0.0, false);
-    }
-    // ORWG: the source synthesizes under private criteria.
-    {
-        let engine = converge_control_plane(topo.clone(), db.clone());
-        let mut net = OrwgNetwork::from_engine(&engine, Strategy::Cached { capacity: 512 }, 8192);
-        let mut s = FlowScore {
-            flows: flows.len(),
-            ..Default::default()
-        };
-        for f in &flows {
-            let oracle = legal_route(&topo, &db, f);
-            if oracle.is_some() {
-                s.legal_exists += 1;
-            }
-            match net.open(f) {
-                Ok(setup) => {
-                    s.delivered += 1;
-                    if let Some(o) = &oracle {
-                        s.compliant_of_legal += 1;
-                        let c = route_is_legal(&topo, &db, f, &setup.route).expect("legal");
-                        s.cost_sum += c;
-                        s.oracle_cost_sum += o.cost;
-                    }
-                }
-                Err(OpenError::NoRoute) => {}
-                Err(e) => panic!("{e:?}"),
-            }
-        }
-        let honored = probe_source_policy(&flows, &topo, &db, |f, sel| {
-            net.server_mut(f.src).set_selection(sel.clone());
-            let r = net.policy_route(f);
-            net.server_mut(f.src)
-                .set_selection(RouteSelection::unconstrained());
-            r
-        });
-        push("ORWG: LS+source+terms", &s, honored, true);
-    }
-    t.print();
+    Table::of(
+        "Table 1(b): measured capabilities per design point",
+        &t1::rows(&World::mixed(100, 1990, 120)),
+        &[
+            ("architecture", &|r| r.arch.to_string()),
+            ("availability", &|r| pct(r.score.availability())),
+            ("violations", &|r| pct(r.score.violation_rate())),
+            ("loops", &|r| r.score.loops.to_string()),
+            ("src criteria honored", &|r| pct(r.honored)),
+            ("src criteria private", &|r| {
+                (if r.private { "yes" } else { "no" }).to_string()
+            }),
+        ],
+    )
+    .print();
     println!(
         "\nReading: availability = flows with a legal route delivered policy-compliantly; \
          'src criteria honored' = fraction of imposed avoid-AD criteria enforceable \

@@ -92,7 +92,8 @@ COMMANDS:
                 span plus the deterministic work ledger, whose counters
                 are byte-identical across repeat runs and worker counts.
                 quickstart/e7b profile the ORWG engine lifecycle
-                (converge + trunk cut, region-parallel at --workers)
+                (converge + trunk cut; region-parallel at --workers
+                K > 1, default 1: sequential is the faster path here)
                 then a sharded serve ramp; e13 the region-parallel
                 gossip flood (--loss attaches an event-keyed faulty
                 channel so the faulted dispatch path is what gets
@@ -898,7 +899,7 @@ where
     P::Msg: Send,
     Engine<P>: DataPlane,
 {
-    let (converge_us, reconverge_us) = scenario::converge_then_cut(&mut e, trunk, None);
+    let (converge_us, reconverge_us) = scenario::converge_then_cut(&mut e, &[trunk], None);
     let topo = e.topo().clone();
     for f in flows {
         let out = forward(&mut e, &topo, f);
@@ -989,7 +990,7 @@ pub fn report(args: &Args) -> Result<String, CliError> {
     // ORWG: source routing — setup latency is measured by actually opening
     // each flow through the data plane built from the re-converged engine.
     let mut e = Engine::new(topo.clone(), OrwgProtocol::new(&topo, db.clone()));
-    let (converge_us, reconverge_us) = scenario::converge_then_cut(&mut e, trunk, None);
+    let (converge_us, reconverge_us) = scenario::converge_then_cut(&mut e, &[trunk], None);
     let mut net = OrwgNetwork::from_engine(
         &e,
         OrwgNetwork::DEFAULT_STRATEGY,
@@ -1462,7 +1463,7 @@ pub fn profile(args: &Args) -> Result<String, CliError> {
     args.known_with_positionals(&["json", "folded", "workers", "top", "ads", "loss", "out"])?;
     let json = args.opt_parse("json", false)?;
     let folded = args.opt_parse("folded", false)?;
-    let workers: usize = args.opt_parse("workers", 2)?;
+    let workers: usize = args.opt_parse("workers", 1)?;
     let top: usize = args.opt_parse("top", 16)?;
     let scenario = args.positional_one("scenario")?.to_string();
     if workers == 0 {
@@ -1478,7 +1479,7 @@ pub fn profile(args: &Args) -> Result<String, CliError> {
     let (ads, links);
     match scenario::lookup("profile", &scenario)? {
         // e13, the region-parallel gossip flood: the engine-dispatch /
-        // window / fanout / commit span stack with per-lane metrics.
+        // window / fanout / commit span stack.
         // `--loss p` attaches an event-keyed lossy channel so the
         // profiled dispatch path is the faulted one.
         None => {
@@ -1496,7 +1497,6 @@ pub fn profile(args: &Args) -> Result<String, CliError> {
                     origins: 8,
                     rounds: 4,
                     period_us: 50_000,
-                    work: 0,
                 },
             );
             if loss > 0.0 {
@@ -1522,7 +1522,7 @@ pub fn profile(args: &Args) -> Result<String, CliError> {
                 let proto = OrwgProtocol::new(&sc.topo, sc.policies());
                 let mut e = Engine::new(sc.topo.clone(), proto);
                 e.enable_prof();
-                scenario::converge_then_cut(&mut e, sc.trunk(), Some(workers));
+                scenario::converge_then_cut(&mut e, &[sc.trunk()], Some(workers));
                 prof.merge_from(&e.prof);
             }
             if scenario == "e7b" {

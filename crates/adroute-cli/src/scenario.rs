@@ -115,12 +115,13 @@ pub fn named(command: &str, name: &str) -> Result<Scenario, CliError> {
     Ok(lookup(command, name)?.expect("only profile has a sized scenario"))
 }
 
-/// The control-plane lifecycle: converge, cut `trunk` a microsecond
-/// later, re-converge, under the `converge` and `failure-response` phase
-/// scopes. `workers` picks the region-parallel engine; `None` is the
-/// sequential entry point (the oracle the determinism tests compare
-/// against). Returns (convergence, reconvergence) times in µs.
-pub fn converge_then_cut<P>(e: &mut Engine<P>, trunk: LinkId, workers: Option<usize>) -> (u64, u64)
+/// The control-plane lifecycle: converge, cut every link of `cut` a
+/// microsecond later, re-converge, under the `converge` and
+/// `failure-response` phase scopes. `workers` picks the region-parallel
+/// engine; `None` is the sequential entry point (the oracle the
+/// determinism tests compare against). Returns (convergence,
+/// reconvergence) times in µs.
+pub fn converge_then_cut<P>(e: &mut Engine<P>, cut: &[LinkId], workers: Option<usize>) -> (u64, u64)
 where
     P: Protocol + Sync,
     P::Router: Send,
@@ -133,7 +134,9 @@ where
     e.begin_phase("converge");
     let t1 = quiesce(e);
     e.begin_phase("failure-response");
-    e.schedule_link_change(trunk, false, e.now().plus_us(1));
+    for &link in cut {
+        e.schedule_link_change(link, false, e.now().plus_us(1));
+    }
     let t2 = quiesce(e);
     (t1.as_us(), t2.as_us() - t1.as_us())
 }
@@ -145,7 +148,7 @@ pub fn control_plane_run(sc: &Scenario) -> Engine<OrwgProtocol> {
     let db = PolicyDb::permissive(&sc.topo);
     let mut e = Engine::new(sc.topo.clone(), OrwgProtocol::new(&sc.topo, db));
     e.enable_obs(1 << 16);
-    converge_then_cut(&mut e, sc.trunk(), None);
+    converge_then_cut(&mut e, &[sc.trunk()], None);
     e
 }
 

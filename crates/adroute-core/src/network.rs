@@ -6,6 +6,7 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use adroute_policy::{FlowSpec, PolicyDb, TransitPolicy};
+use adroute_protocols::forwarding::DataPlane;
 use adroute_protocols::linkstate::LsDb;
 use adroute_sim::{Engine, EventId, EventRecord, Obs, Profiler, SimTime, DATA_STREAM_ID_BASE};
 use adroute_topology::{AdId, LinkId, TopoDelta, Topology};
@@ -1759,6 +1760,33 @@ impl OrwgNetwork {
     /// Iterates over the currently open flows (order unspecified).
     pub fn open_flows(&self) -> impl Iterator<Item = (HandleId, &OpenFlow)> {
         self.open_flows.iter().map(|(h, of)| (*h, of))
+    }
+}
+
+/// ORWG through the shared data-plane harness, so `forward` and
+/// `score_flows` cover all five design points. The packet's mark is its
+/// route handle: the source opens the flow (any [`OpenError`] drops the
+/// packet), and each transit hop is the Policy Gateway's handle lookup.
+impl DataPlane for OrwgNetwork {
+    type Mark = Option<HandleId>;
+
+    fn next_hop(
+        &mut self,
+        at: AdId,
+        flow: &FlowSpec,
+        prev: Option<AdId>,
+        mark: &mut Option<HandleId>,
+    ) -> Option<AdId> {
+        if let (Some(handle), Some(prev)) = (*mark, prev) {
+            let pkt = DataPacket {
+                handle,
+                src: flow.src,
+            };
+            return self.gateways[at.index()].forward_data(&pkt, prev).ok();
+        }
+        let setup = self.open(flow).ok()?;
+        *mark = Some(setup.handle);
+        setup.route.get(1).copied()
     }
 }
 

@@ -33,14 +33,6 @@ pub struct Gossip {
     pub rounds: u32,
     /// Gap between an origin's consecutive rounds, in microseconds.
     pub period_us: u64,
-    /// Synthetic per-delivery compute: iterations of an integer-mixing
-    /// loop each received message burns, modeling the route computation
-    /// a real protocol performs per update. Zero (the default) measures
-    /// the engine's own ceiling; large values shift the workload from
-    /// engine-bound to compute-bound, which is where region-parallel
-    /// execution pays off (its journaling + sequential commit replay
-    /// cost a roughly constant overhead per event).
-    pub work: u32,
 }
 
 impl Default for Gossip {
@@ -49,7 +41,6 @@ impl Default for Gossip {
             origins: 4,
             rounds: 4,
             period_us: 50_000,
-            work: 0,
         }
     }
 }
@@ -86,10 +77,6 @@ pub struct GossipRouter {
     origin: Option<u32>,
     /// Distinct waves this router has observed (origin or relay).
     pub waves_seen: u64,
-    /// Accumulator for the synthetic compute, so the optimizer cannot
-    /// elide the mixing loop. Summed with a commutative operation: the
-    /// final value is independent of delivery interleaving.
-    pub checksum: u64,
 }
 
 impl GossipRouter {
@@ -121,7 +108,6 @@ impl Protocol for Gossip {
             seen: vec![0; (self.total_waves() as usize).div_ceil(64).max(1)],
             origin: self.origin_index(topo.num_ads(), ad),
             waves_seen: 0,
-            checksum: 0,
         }
     }
 
@@ -143,13 +129,6 @@ impl Protocol for Gossip {
         _link: LinkId,
         wave: u32,
     ) {
-        if self.work > 0 {
-            let mut h = (wave as u64) ^ 0x9e37_79b9_7f4a_7c15;
-            for _ in 0..self.work {
-                h = h.wrapping_mul(0x2545_f491_4f6c_dd1d).rotate_left(17) ^ (h >> 7);
-            }
-            r.checksum = r.checksum.wrapping_add(h);
-        }
         if r.mark(wave) {
             self.flood(r, ctx, wave);
         }
@@ -193,7 +172,6 @@ mod tests {
             origins: 3,
             rounds: 2,
             period_us: 10_000,
-            work: 0,
         };
         let mut e = Engine::new(topo, g);
         e.run_to_quiescence();
@@ -213,10 +191,7 @@ mod tests {
     #[test]
     fn parallel_matches_sequential() {
         let topo = internet(9);
-        let g = Gossip {
-            work: 16,
-            ..Gossip::default()
-        };
+        let g = Gossip::default();
         let mut seq = Engine::new(topo.clone(), g);
         seq.enable_obs(1 << 16);
         let t_seq = seq.run_to_quiescence();
@@ -231,10 +206,6 @@ mod tests {
                 "{regions} regions"
             );
             assert_eq!(par.stats.msgs_sent, seq.stats.msgs_sent);
-            for ad in 0..seq.topo().num_ads() {
-                let id = AdId(ad as u32);
-                assert_eq!(par.router(id).checksum, seq.router(id).checksum);
-            }
         }
     }
 
@@ -244,7 +215,6 @@ mod tests {
             origins: 4,
             rounds: 1,
             period_us: 1,
-            work: 0,
         };
         // 4 origins over 8 ADs: stride 2 → ids 0, 2, 4, 6.
         let hits: Vec<usize> = (0..8)
@@ -256,7 +226,6 @@ mod tests {
             origins: 9,
             rounds: 1,
             period_us: 1,
-            work: 0,
         };
         assert!((0..3).all(|i| g.origin_index(3, AdId(i as u32)).is_some()));
     }

@@ -1145,29 +1145,6 @@ impl Histogram {
         self.sum += v;
     }
 
-    /// Folds `other` into `self`. Because bucket boundaries are fixed
-    /// (value-independent powers of two), a merge is exact: the result is
-    /// byte-identical to one histogram that recorded both sample streams
-    /// in any order. This is what lets per-lane and per-shard histograms
-    /// be aggregated without breaking the determinism contract.
-    pub fn merge(&mut self, other: &Histogram) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            self.min = other.min;
-            self.max = other.max;
-        } else {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        for (b, &o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
-        }
-    }
-
     /// The arithmetic mean of recorded samples (0 when empty).
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -1313,23 +1290,6 @@ impl MetricsRegistry {
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.histograms.is_empty()
-    }
-
-    /// Folds `other` into `self`: counters add, histograms
-    /// [`Histogram::merge`]. Used to aggregate per-lane and per-shard
-    /// registries into a run-wide view; the result is independent of
-    /// merge order.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (k, &v) in &other.counters {
-            self.add(k, v);
-        }
-        for (k, h) in &other.histograms {
-            if let Some(mine) = self.histograms.get_mut(k) {
-                mine.merge(h);
-            } else {
-                self.histograms.insert(k.clone(), h.clone());
-            }
-        }
     }
 
     /// Renders the registry as one deterministic JSON object with
@@ -1628,84 +1588,5 @@ mod tests {
         let json = m.to_json();
         assert!(json.starts_with("{\"counters\":{\"a_counter\":1,\"b_counter\":5}"));
         assert!(json.contains("\"lat_us\":{\"count\":2"));
-    }
-
-    #[test]
-    fn histogram_merge_is_exact() {
-        // Merging two halves of a sample stream must be byte-identical
-        // (in JSON form, which covers buckets, extremes and quantiles)
-        // to one histogram that saw every sample.
-        let samples: Vec<u64> = vec![0, 1, 1, 2, 3, 4, 7, 8, 1000, 65_536, 1 << 45];
-        let mut whole = Histogram::new();
-        for &v in &samples {
-            whole.record(v);
-        }
-        let (a_half, b_half) = samples.split_at(4);
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        for &v in a_half {
-            a.record(v);
-        }
-        for &v in b_half {
-            b.record(v);
-        }
-        let mut merged = a.clone();
-        merged.merge(&b);
-        assert_eq!(merged.to_json(), whole.to_json());
-        // Merge order does not matter either.
-        let mut rev = b.clone();
-        rev.merge(&a);
-        assert_eq!(rev.to_json(), whole.to_json());
-        // Quantiles stay stable across the merge: the saturated top
-        // bucket (samples >= 2^39) still reports the exact max, and the
-        // median matches the whole-stream estimate.
-        assert_eq!(merged.quantile(1.0), 1 << 45);
-        assert_eq!(merged.quantile(0.5), whole.quantile(0.5));
-        assert_eq!(merged.quantile_upper(0.99), whole.quantile_upper(0.99));
-    }
-
-    #[test]
-    fn histogram_merge_empty_edges() {
-        let mut filled = Histogram::new();
-        filled.record(5);
-        filled.record(9);
-        // Empty ← filled adopts the filled side's extremes.
-        let mut empty = Histogram::new();
-        empty.merge(&filled);
-        assert_eq!((empty.count, empty.min, empty.max), (2, 5, 9));
-        // Filled ← empty is a no-op (min must not collapse to 0).
-        let mut kept = filled.clone();
-        kept.merge(&Histogram::new());
-        assert_eq!((kept.count, kept.min, kept.max), (2, 5, 9));
-        assert_eq!(kept.to_json(), filled.to_json());
-        // Empty ← empty stays empty.
-        let mut e2 = Histogram::new();
-        e2.merge(&Histogram::new());
-        assert_eq!(e2.count, 0);
-        assert_eq!(e2.quantile(0.5), 0);
-    }
-
-    #[test]
-    fn registry_merge_adds_counters_and_merges_histograms() {
-        let mut a = MetricsRegistry::new();
-        a.add("shared", 2);
-        a.add("only_a", 1);
-        a.record("lat_us", 10);
-        let mut b = MetricsRegistry::new();
-        b.add("shared", 3);
-        b.add("only_b", 7);
-        b.record("lat_us", 20);
-        b.record("fanout", 4);
-        a.merge(&b);
-        assert_eq!(a.counter("shared"), 5);
-        assert_eq!(a.counter("only_a"), 1);
-        assert_eq!(a.counter("only_b"), 7);
-        let lat = a.histogram("lat_us").unwrap();
-        assert_eq!((lat.count, lat.min, lat.max), (2, 10, 20));
-        assert_eq!(a.histogram("fanout").unwrap().count, 1);
-        // Merging an empty registry changes nothing.
-        let snapshot = a.to_json();
-        a.merge(&MetricsRegistry::new());
-        assert_eq!(a.to_json(), snapshot);
     }
 }

@@ -54,13 +54,12 @@
 //! sequential run at *any* region count.
 
 use std::collections::BinaryHeap;
-use std::time::Instant;
 
 use adroute_topology::{min_cross_region_delay, AdId, RegionMap};
 
 use crate::engine::{Engine, Protocol, Scratch, Sink, World};
 use crate::event::{Event, EventKind, SimTime};
-use crate::obs::{EventId, EventRecord, MetricsRegistry};
+use crate::obs::{EventId, EventRecord};
 use crate::stats::Stats;
 
 /// A cause that may not have a real id yet: either a known id from before
@@ -144,12 +143,6 @@ struct LaneResult<M> {
     /// region base (keeps per-lane allocation proportional to the region,
     /// not the whole arena).
     per_ad: Vec<u64>,
-    /// Wall time the lane job spent running, nanoseconds.
-    /// Schedule-dependent: profiler material, never part of any golden.
-    wall_ns: u64,
-    /// Per-lane metric snapshot (populated only when the profiler is on),
-    /// merged into the engine registry via [`MetricsRegistry::merge`].
-    metrics: MetricsRegistry,
 }
 
 impl<M> LaneResult<M> {
@@ -161,8 +154,6 @@ impl<M> LaneResult<M> {
             push_arena: Vec::new(),
             stats: Stats::new(0),
             per_ad: vec![0; region_len],
-            wall_ns: 0,
-            metrics: MetricsRegistry::new(),
         }
     }
 }
@@ -345,8 +336,6 @@ where
         // so the ledger totals are identical at any worker count.
         self.prof.enter("engine.parallel");
         let snap = self.prof_snapshot();
-        let pool_jobs0 = self.pool.as_ref().map_or(0, |p| p.jobs_run());
-        let pool_busy0 = self.pool.as_ref().map_or(0, |p| p.busy_ns());
         // No crossing link: regions are independent and any window length
         // is safe; cap only by control events.
         let lookahead = min_cross_region_delay(&self.topo, &map).unwrap_or(u64::MAX);
@@ -371,16 +360,6 @@ where
             budget_check(self);
         }
         self.prof_attribute(snap);
-        if self.prof.is_enabled() {
-            // Pool execution deltas are wall-side metrics: job counts and
-            // busy time depend on the worker schedule.
-            if let Some(p) = &self.pool {
-                let jobs = p.jobs_run() - pool_jobs0;
-                let busy_us = (p.busy_ns() - pool_busy0) / 1_000;
-                self.obs.metrics.add("pool_jobs_run", jobs);
-                self.obs.metrics.add("pool_busy_us", busy_us);
-            }
-        }
         self.prof.exit("engine.parallel");
         self.stats.last_activity
     }
@@ -389,7 +368,6 @@ where
     /// commit the journals in sequential order.
     fn run_window_parallel(&mut self, map: &RegionMap, wend: SimTime) {
         self.prof.enter("window");
-        let prof_on = self.prof.is_enabled();
         let nl = map.num_regions();
         // Drain in-window events from the engine queue into per-lane seed
         // lists; their (real) sequence numbers seed the skeleton too.
@@ -440,7 +418,6 @@ where
         // sequential commit below observes.
         let mut results: Vec<LaneResult<P::Msg>> = (0..nl).map(|_| LaneResult::new(0)).collect();
         self.prof.enter("fanout");
-        let fanout_started = Instant::now();
         {
             let pool = self
                 .pool
@@ -457,7 +434,6 @@ where
                 }
                 let region = map.range(r);
                 jobs.push(Box::new(move || {
-                    let started = Instant::now();
                     let mut world = World {
                         protocol,
                         topo,
@@ -482,20 +458,11 @@ where
                         out: LaneResult::new(region_len),
                     };
                     lane.run(&mut world, max_events);
-                    let mut res = lane.out;
-                    res.wall_ns = started.elapsed().as_nanos() as u64;
-                    if prof_on {
-                        // The per-lane snapshot the commit thread merges
-                        // via MetricsRegistry::merge. Wall-side only.
-                        res.metrics.record("lane_wall_us", res.wall_ns / 1_000);
-                        res.metrics.record("lane_events", res.stats.events);
-                    }
-                    *out = res;
+                    *out = lane.out;
                 }));
             }
             pool.scoped(jobs);
         }
-        let fanout_ns = fanout_started.elapsed().as_nanos() as u64;
         self.prof.exit("fanout");
         self.prof.enter("commit");
         // Commit: replay the skeleton in sequential (time, seq) order,
@@ -543,9 +510,6 @@ where
                 }
             }
         }
-        let mut lanes_run = 0u64;
-        let mut max_wall = 0u64;
-        let mut min_wall = u64::MAX;
         for (lane, res) in results.into_iter().enumerate() {
             debug_assert_eq!(
                 cursors[lane],
@@ -557,31 +521,8 @@ where
             for (i, &v) in res.per_ad.iter().enumerate() {
                 self.stats.per_ad_msgs[base + i] += v;
             }
-            if !res.journal.is_empty() {
-                lanes_run += 1;
-                max_wall = max_wall.max(res.wall_ns);
-                min_wall = min_wall.min(res.wall_ns);
-            }
-            if prof_on {
-                self.obs.metrics.merge(&res.metrics);
-            }
         }
         self.prof.exit("commit");
-        if prof_on {
-            self.obs.metrics.add("parallel_windows", 1);
-            if lanes_run > 0 {
-                // Lane imbalance: spread between the slowest and fastest
-                // lane of this window. Lookahead stall: barrier time past
-                // the slowest lane (fan-out + scheduling overhead).
-                self.obs
-                    .metrics
-                    .record("lane_imbalance_us", (max_wall - min_wall) / 1_000);
-                self.obs.metrics.record(
-                    "lookahead_stall_us",
-                    fanout_ns.saturating_sub(max_wall) / 1_000,
-                );
-            }
-        }
         self.prof.exit("window");
     }
 }

@@ -24,25 +24,19 @@
 #![allow(unsafe_code)]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 /// A type-erased, lifetime-erased unit of work.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// Shared completion state: outstanding job count plus a panic flag,
-/// plus lifetime execution counters the profiler reads (wall-clock side
-/// only — job timing is worker-schedule-dependent and never enters any
-/// deterministic ledger).
+/// Shared completion state: outstanding job count plus a panic flag.
 struct Latch {
     pending: Mutex<usize>,
     done: Condvar,
     panicked: AtomicBool,
-    jobs_run: AtomicU64,
-    busy_ns: AtomicU64,
 }
 
 /// A fixed crew of OS threads that repeatedly runs batches of borrowed
@@ -67,8 +61,6 @@ impl WorkerPool {
                 pending: Mutex::new(0),
                 done: Condvar::new(),
                 panicked: AtomicBool::new(false),
-                jobs_run: AtomicU64::new(0),
-                busy_ns: AtomicU64::new(0),
             }),
         };
         pool.ensure(workers.max(1));
@@ -78,17 +70,6 @@ impl WorkerPool {
     /// Number of worker threads currently alive.
     pub fn workers(&self) -> usize {
         self.workers.len()
-    }
-
-    /// Lifetime count of jobs the crew has completed.
-    pub fn jobs_run(&self) -> u64 {
-        self.latch.jobs_run.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime wall time workers spent running jobs, nanoseconds.
-    /// Schedule-dependent: profiler/metrics material, never golden.
-    pub fn busy_ns(&self) -> u64 {
-        self.latch.busy_ns.load(Ordering::Relaxed)
     }
 
     /// Grows the crew to at least `workers` threads (never shrinks — a
@@ -104,14 +85,9 @@ impl WorkerPool {
                     Ok(job) => job,
                     Err(_) => return, // channel closed: pool dropped
                 };
-                let started = Instant::now();
                 if catch_unwind(AssertUnwindSafe(job)).is_err() {
                     latch.panicked.store(true, Ordering::SeqCst);
                 }
-                latch
-                    .busy_ns
-                    .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                latch.jobs_run.fetch_add(1, Ordering::Relaxed);
                 let mut pending = latch.pending.lock().expect("pool latch poisoned");
                 *pending -= 1;
                 if *pending == 0 {
@@ -221,33 +197,6 @@ mod tests {
         }
         assert_eq!(total, (0..200u64).sum::<u64>());
         assert!(pool.workers() >= 2);
-    }
-
-    #[test]
-    fn execution_counters_advance() {
-        let mut pool = WorkerPool::new(2);
-        assert_eq!(pool.jobs_run(), 0);
-        let mut out = [0u8; 5];
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = out
-            .iter_mut()
-            .map(|s| Box::new(move || *s = 1) as Box<dyn FnOnce() + Send + '_>)
-            .collect();
-        pool.scoped(jobs);
-        assert_eq!(pool.jobs_run(), 5, "one count per completed job");
-        // busy_ns is schedule-dependent; only monotonicity is testable.
-        let before = pool.busy_ns();
-        let mut more = [0u8; 3];
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = more
-            .iter_mut()
-            .map(|s| {
-                Box::new(move || {
-                    *s = (0..1000u32).sum::<u32>() as u8;
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        pool.scoped(jobs);
-        assert_eq!(pool.jobs_run(), 8);
-        assert!(pool.busy_ns() >= before);
     }
 
     #[test]

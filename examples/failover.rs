@@ -1,4 +1,4 @@
-//! Failure response across the design space: fail an inter-AD link after
+//! Failure response across the design space: cut an AD off after
 //! convergence and watch each architecture recover.
 //!
 //! The paper's Section 2.2 assumption — ADs are stable, inter-AD links
@@ -13,65 +13,29 @@
 
 use adroute::core::{OrwgNetwork, Strategy};
 use adroute::policy::{FlowSpec, PolicyDb};
-use adroute::protocols::ecma::Ecma;
-use adroute::protocols::ls_hbh::LsHbh;
-use adroute::protocols::naive_dv::NaiveDv;
-use adroute::protocols::path_vector::PathVector;
-use adroute::sim::{Engine, Protocol};
 use adroute::topology::generate::ring;
 use adroute::topology::AdId;
-
-/// Converges, fails the 0-1 link, and reports the failure-response cost.
-fn crash_test<P: Protocol>(name: &str, topo: adroute::topology::Topology, proto: P) {
-    let mut e = Engine::new(topo, proto);
-    e.begin_phase("converge");
-    let t0 = e.run_to_quiescence();
-    let l = e.topo().link_between(AdId(0), AdId(1)).expect("ring link");
-    let fail_at = e.now().plus_us(10_000);
-    e.schedule_link_change(l, false, fail_at);
-    e.begin_phase("failure-response");
-    let t1 = e.run_to_quiescence();
-    let initial_msgs = e.stats.phase_delta("converge").unwrap().msgs_sent;
-    println!(
-        "{name:<22} initial: {initial_msgs:>5} msgs, conv {t0}   failure: {:>5} msgs, reconv {} ms",
-        e.stats.phase_delta("failure-response").unwrap().msgs_sent,
-        (t1.as_us().saturating_sub(fail_at.as_us())) / 1000
-    );
-}
+use adroute_bench::e10;
 
 fn main() {
     let n = 8;
-    println!("ring of {n} ADs, permissive policies; fail link AD0-AD1 after convergence\n");
+    println!(
+        "ring of {n} ADs, permissive policies; partition AD{} after convergence\n",
+        n / 2
+    );
 
-    crash_test(
-        "naive DV",
-        ring(n),
-        NaiveDv {
-            infinity: 32,
-            split_horizon: false,
-            ..NaiveDv::default()
-        },
-    );
-    crash_test(
-        "naive DV + split hz",
-        ring(n),
-        NaiveDv {
-            infinity: 32,
-            split_horizon: true,
-            ..NaiveDv::default()
-        },
-    );
-    crash_test("ECMA (ordering)", ring(n), Ecma::all_transit(&ring(n)));
-    crash_test(
-        "path vector (IDRP)",
-        ring(n),
-        PathVector::idrp(PolicyDb::permissive(&ring(n))),
-    );
-    crash_test(
-        "link state (HBH)",
-        ring(n),
-        LsHbh::new(&ring(n), PolicyDb::permissive(&ring(n))),
-    );
+    // E10(a)'s rows at one ring size: `adroute_bench::e10::rings`, the
+    // function the exp10 bench prints and `tests/shapes.rs` asserts on.
+    for r in e10::rings(&[n]) {
+        println!(
+            "{:<26} initial: {:>5} msgs, conv {} us   failure: {:>5} msgs, reconv {} ms",
+            r.arch,
+            r.response.msgs,
+            r.response.converge_us,
+            r.response.fail_msgs,
+            r.response.reconverge_us / 1000
+        );
+    }
 
     // ORWG: the interesting part is the data plane — handles crossing the
     // dead link are invalidated and the source re-opens.

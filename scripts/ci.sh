@@ -19,6 +19,30 @@ benchmark/check.sh
 echo "== Rustdoc builds without a warning (no dangling intra-doc link)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
+echo "== Shapes: the paper's inequalities hold, and every 'Shape ✓' names a test that exists"
+# Includes the one shape test `cargo test` skips (E12a: IDRP under churn).
+cargo test -q --test shapes -- --include-ignored
+cargo test -q --test shapes -- --list > "$out/shapes.list"
+python3 - "$out/shapes.list" <<'PY'
+import re, sys
+listed = {l.split(":")[0] for l in open(sys.argv[1]) if l.rstrip().endswith(": test")}
+bad = []
+for n, line in enumerate(open("EXPERIMENTS.md", encoding="utf-8"), 1):
+    if "Shape ✓" not in line:
+        continue
+    cited = re.findall(r"`(?:tests/)?(\w+)\.rs::(\w+)`", line)
+    if not cited:
+        bad.append(f"EXPERIMENTS.md:{n}: 'Shape ✓' cites no test")
+    for file, test in cited:
+        if file == "shapes":
+            found = test in listed
+        else:
+            found = re.search(rf"\bfn {test}\b", open(f"tests/{file}.rs", encoding="utf-8").read())
+        if not found:
+            bad.append(f"EXPERIMENTS.md:{n}: no test {file}.rs::{test}")
+sys.exit("\n".join(bad) if bad else 0)
+PY
+
 echo "== Machine-readable outputs are valid JSON"
 adroute report --ads 40 --seed 7 --flows 20 --json | python3 -m json.tool > /dev/null
 adroute blame quickstart --json | python3 -m json.tool > /dev/null

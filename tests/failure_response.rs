@@ -5,7 +5,6 @@ use adroute::core::network::SendError;
 use adroute::core::{OrwgNetwork, Strategy};
 use adroute::policy::workload::PolicyWorkload;
 use adroute::policy::{FlowSpec, PolicyDb, TransitPolicy};
-use adroute::protocols::ecma::Ecma;
 use adroute::protocols::forwarding::{forward, sample_flows, ForwardOutcome};
 use adroute::protocols::ls_hbh::LsHbh;
 use adroute::protocols::naive_dv::NaiveDv;
@@ -17,40 +16,14 @@ use adroute::topology::{AdId, HierarchyConfig};
 #[test]
 fn ecma_converges_with_far_fewer_messages_than_naive_dv_after_partition() {
     // The Section 5.1.1 claim: the ordering prevents count-to-infinity.
-    let n = 8;
-    let naive_msgs = {
-        let mut e = Engine::new(
-            ring(n),
-            NaiveDv {
-                infinity: 32,
-                split_horizon: false,
-                ..NaiveDv::default()
-            },
-        );
-        e.run_to_quiescence();
-        // Partition AD4 completely, scoping the response in its own phase
-        // so the converge traffic is excluded without wiping counters.
-        let l1 = e.topo().link_between(AdId(3), AdId(4)).unwrap();
-        let l2 = e.topo().link_between(AdId(4), AdId(5)).unwrap();
-        let t = e.now().plus_us(1000);
-        e.schedule_link_change(l1, false, t);
-        e.schedule_link_change(l2, false, t);
-        e.begin_phase("failure-response");
-        e.run_to_quiescence();
-        e.stats.phase_delta("failure-response").unwrap().msgs_sent
+    // E10(a)'s rows on an 8-ring: AD4 partitioned completely.
+    let rows = adroute_bench::e10::rings(&[8]);
+    let fail_msgs = |arch: &str| {
+        let row = rows.iter().find(|r| r.arch == arch).expect("E10(a) row");
+        row.response.fail_msgs
     };
-    let ecma_msgs = {
-        let mut e = Engine::new(ring(n), Ecma::all_transit(&ring(n)));
-        e.run_to_quiescence();
-        let l1 = e.topo().link_between(AdId(3), AdId(4)).unwrap();
-        let l2 = e.topo().link_between(AdId(4), AdId(5)).unwrap();
-        let t = e.now().plus_us(1000);
-        e.schedule_link_change(l1, false, t);
-        e.schedule_link_change(l2, false, t);
-        e.begin_phase("failure-response");
-        e.run_to_quiescence();
-        e.stats.phase_delta("failure-response").unwrap().msgs_sent
-    };
+    let naive_msgs = fail_msgs("naive DV (inf=32)");
+    let ecma_msgs = fail_msgs("ECMA up/down rule");
     assert!(
         ecma_msgs * 2 < naive_msgs,
         "expected ECMA ({ecma_msgs}) well below naive DV ({naive_msgs}) on partition"

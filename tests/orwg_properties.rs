@@ -7,7 +7,7 @@ use adroute::core::{OrwgNetwork, PolicyGateway, SetupError, Strategy};
 use adroute::policy::legality::{legal_route, route_is_legal};
 use adroute::policy::workload::PolicyWorkload;
 use adroute::policy::{FlowSpec, PolicyDb};
-use adroute::protocols::forwarding::sample_flows;
+use adroute::protocols::forwarding::{forward, sample_flows, ForwardOutcome};
 use adroute::topology::{generate, AdId};
 use proptest::prelude::*;
 
@@ -39,6 +39,26 @@ proptest! {
                 }
                 Err(e) => prop_assert!(false, "unexpected error {:?}", e),
             }
+        }
+    }
+
+    /// ORWG through the shared data-plane harness is `open` plus the
+    /// gateways' handle forwarding: `forward` delivers exactly the route
+    /// `open` sets up, and an open that finds no route is a drop at the
+    /// source.
+    #[test]
+    fn harness_forwarding_follows_the_opened_route(seed in 0u64..400) {
+        let topo = small_internet(seed);
+        let db = PolicyWorkload::default_mix(seed).generate(&topo);
+        let mut net = OrwgNetwork::converged(&topo, &db);
+        let mut twin = OrwgNetwork::converged(&topo, &db);
+        for f in sample_flows(&topo, 12, seed) {
+            let expected = match twin.open(&f) {
+                Ok(setup) => ForwardOutcome::Delivered { path: setup.route },
+                Err(OpenError::NoRoute) => ForwardOutcome::NoRoute { path: vec![f.src] },
+                Err(e) => return Err(TestCaseError::fail(format!("unexpected error {e:?}"))),
+            };
+            prop_assert_eq!(forward(&mut net, &topo, &f), expected, "{}", f);
         }
     }
 

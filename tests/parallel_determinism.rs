@@ -39,7 +39,7 @@ where
 {
     let mut e = Engine::new(topo.clone(), protocol);
     e.enable_obs(1 << 16);
-    scenario::converge_then_cut(&mut e, analysis::trunk(topo).unwrap(), workers);
+    scenario::converge_then_cut(&mut e, &[analysis::trunk(topo).unwrap()], workers);
     artifact(&e)
 }
 

@@ -1,7 +1,7 @@
 //! **M1** — Criterion micro-benchmarks of the hot paths: the
 //! policy-constrained route search (Route Server synthesis), the ordering
-//! solver, link-state view reconstruction, ORWG setup/forwarding, and the
-//! ECMA valley-free search.
+//! solver, link-state view reconstruction, the LS hop-by-hop first packet,
+//! ORWG setup/forwarding, and the ECMA valley-free search.
 
 // criterion_group! expands to undocumented items.
 #![allow(missing_docs)]
@@ -12,8 +12,8 @@ use adroute_core::{OrwgNetwork, RouteServer, Strategy};
 use adroute_policy::legality::legal_route;
 use adroute_policy::ordering::{random_constraints, solve_ordering};
 use adroute_policy::workload::PolicyWorkload;
-use adroute_protocols::forwarding::sample_flows;
-use adroute_protocols::linkstate::LsDb;
+use adroute_policy::FlowSpec;
+use adroute_protocols::forwarding::{forward, sample_flows};
 use adroute_protocols::ls_hbh::LsHbh;
 use adroute_sim::Engine;
 use adroute_topology::{AdId, HierarchyConfig, PartialOrder};
@@ -45,14 +45,34 @@ fn bench_lsdb_view(c: &mut Criterion) {
     let db = PolicyWorkload::default_mix(47).generate(&topo);
     let mut e = Engine::new(topo.clone(), LsHbh::new(&topo, db));
     e.run_to_quiescence();
-    let lsdb: &LsDb = &e.router(AdId(0)).flooder.db;
+    // Who pays this: one LS hop-by-hop router per *distinct* database (the
+    // `ViewStore` hands the result to every other holder of the same
+    // LSAs), and `OrwgNetwork::from_engine` once per distinct database —
+    // not every router after every flood.
+    let before = e.router(AdId(0)).flooder.db.clone();
     c.bench_function("lsdb_view_reconstruction_200ads", |b| {
-        b.iter(|| black_box(lsdb.view()))
+        b.iter(|| black_box(before.view()))
+    });
+    // The first packet of a flow no router has seen, source to
+    // destination at quiescence: one search at the first hop, a charge and
+    // a position lookup at each later one (the view itself is built during
+    // warm-up; the line above prices it). Every iteration takes a new
+    // (src, dst) pair — the stride is coprime to n², so none repeats
+    // before all n² have been visited.
+    let n = topo.num_ads() as u64;
+    let mut k = 0u64;
+    c.bench_function("ls_hbh_first_packet_200ads", |b| {
+        b.iter(|| loop {
+            k = (k + 7919) % (n * n);
+            let (src, dst) = (AdId((k / n) as u32), AdId((k % n) as u32));
+            if src != dst {
+                break black_box(forward(&mut e, &topo, &FlowSpec::best_effort(src, dst)));
+            }
+        })
     });
     // The same database absorbed as deltas: a Route Server that derived
     // its view from one database syncs to the one a link flap leaves,
     // and back — two changed origins each way, no view rebuilt.
-    let before = lsdb.clone();
     let flapped = topo.links().next().expect("a link").id;
     e.schedule_link_change(flapped, false, e.now().plus_us(1000));
     e.run_to_quiescence();

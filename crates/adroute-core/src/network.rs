@@ -7,7 +7,7 @@ use std::collections::HashMap;
 
 use adroute_policy::{FlowSpec, PolicyDb, TransitPolicy};
 use adroute_protocols::forwarding::DataPlane;
-use adroute_protocols::linkstate::LsDb;
+use adroute_protocols::linkstate::ViewStore;
 use adroute_sim::{Engine, EventId, EventRecord, Obs, Profiler, SimTime, DATA_STREAM_ID_BASE};
 use adroute_topology::{AdId, LinkId, TopoDelta, Topology};
 
@@ -305,22 +305,19 @@ impl OrwgNetwork {
     ) -> OrwgNetwork {
         let topo = engine.topo().clone();
         let db = engine.protocol().policies.clone();
-        // Databases holding the very same allocations describe the same
-        // view: rebuild it once per distinct database (one, at quiescence)
-        // and give each Route Server that shares it a copy.
-        let mut distinct: Vec<(&LsDb, (Topology, PolicyDb))> = Vec::new();
+        // One reconstruction per distinct database (one, at quiescence);
+        // each Route Server that shares it gets a copy. `held` keeps every
+        // view alive until all are handed out, so the store never drops
+        // one a later database will ask for again.
+        let mut views = ViewStore::default();
+        let mut held = Vec::with_capacity(topo.num_ads());
         let servers = topo
             .ad_ids()
             .map(|ad| {
                 let lsdb = &engine.router(ad).flooder.db;
-                let known = distinct
-                    .iter()
-                    .position(|(d, _)| d.shares_all_lsas_with(lsdb));
-                let i = known.unwrap_or_else(|| {
-                    distinct.push((lsdb, lsdb.view()));
-                    distinct.len() - 1
-                });
-                let (vt, vd) = distinct[i].1.clone();
+                let view = views.view_of(lsdb);
+                let (vt, vd) = (view.topo.clone(), view.policies.clone());
+                held.push(view);
                 let mut s = RouteServer::new(ad, vt, vd, strategy.clone());
                 s.adopt_provenance(lsdb);
                 s

@@ -17,10 +17,18 @@
 //! holders of the same allocation hold the same content — which lets
 //! consumers detect "this origin's advertisement changed" by pointer
 //! comparison ([`LsDb::slots`]) instead of by content or sequence number.
+//!
+//! The same identity makes the *derived* state shareable: databases that
+//! hold the very same allocations describe the same view, so a
+//! [`ViewStore`] reconstructs it once per distinct database (one, at
+//! quiescence) and hands every holder the same [`Arc<LsView>`], and
+//! remembers each flow's legal route over it so the search runs once per
+//! (view, flow) however many routers ask.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
-use adroute_policy::{PolicyDb, TransitPolicy};
+use adroute_policy::{legality, FlowSpec, PolicyDb, TransitPolicy};
 use adroute_sim::{Ctx, EventRecord};
 use adroute_topology::{graph::Ad, AdId, AdLevel, AdRole, Topology};
 
@@ -198,6 +206,127 @@ impl LsDb {
         }
         topo.reclassify_roles();
         (topo, PolicyDb::from_policies(policies))
+    }
+}
+
+/// The view one distinct database describes, reconstructed once
+/// ([`LsDb::view`]) and never mutated: every router whose database
+/// [`LsDb::shares_all_lsas_with`] the one it was built from holds the same
+/// `Arc<LsView>`.
+#[derive(Debug)]
+pub struct LsView {
+    /// The database the view was built from. Holding it pins every
+    /// `Arc<Lsa>` the view derives from, so pointer equality against it
+    /// cannot be fooled by an address freed and reused.
+    db: LsDb,
+    /// Every bidirectionally confirmed operational link.
+    pub topo: Topology,
+    /// Every advertised policy (deny-all for ADs not heard from).
+    pub policies: PolicyDb,
+}
+
+/// One reconstructed view per distinct database, and one route per
+/// (view, flow).
+///
+/// This is where the simulator shares the work the protocol replicates:
+/// under link-state hop-by-hop routing every AD rebuilds the view and
+/// repeats the source's search, and each router is still *charged* for
+/// both in its own counters — but identical inputs give identical
+/// outputs, so the store computes each once. Identity is
+/// [`LsDb::shares_all_lsas_with`] — the `Arc<Lsa>` pointers, never
+/// sequence numbers, which a restarted origin reuses and a forger
+/// inflates — so routers whose databases differ (mid-flood, partitioned,
+/// fed a forgery) get different views by construction.
+#[derive(Clone, Debug, Default)]
+pub struct ViewStore {
+    views: Vec<StoredView>,
+    views_built: u64,
+    searches: u64,
+}
+
+#[derive(Clone, Debug)]
+struct StoredView {
+    view: Arc<LsView>,
+    /// The legal route per flow over `view`, as a range of `hops` (`None`
+    /// = none exists).
+    routes: HashMap<FlowSpec, Option<(u32, u32)>>,
+    /// Every remembered path end to end, in the order they were searched:
+    /// one growing allocation instead of one per flow, so what the store
+    /// allocates and frees never follows the map's per-process hash order.
+    hops: Vec<AdId>,
+}
+
+impl ViewStore {
+    /// The view `db` describes: the stored one if some held view was built
+    /// from a database sharing all of `db`'s LSAs, else a fresh
+    /// reconstruction. Every lookup first drops the views no one outside
+    /// the store still holds (a caller moving on releases its old `Arc`
+    /// before asking), so the store never outlives its holders: at
+    /// quiescence it is one view.
+    pub fn view_of(&mut self, db: &LsDb) -> Arc<LsView> {
+        self.views.retain(|v| Arc::strong_count(&v.view) > 1);
+        if let Some(v) = self
+            .views
+            .iter()
+            .find(|v| v.view.db.shares_all_lsas_with(db))
+        {
+            return v.view.clone();
+        }
+        let (topo, policies) = db.view();
+        let view = Arc::new(LsView {
+            db: db.clone(),
+            topo,
+            policies,
+        });
+        self.views_built += 1;
+        self.views.push(StoredView {
+            view: view.clone(),
+            routes: HashMap::new(),
+            hops: Vec::new(),
+        });
+        view
+    }
+
+    /// The legal route for `flow` over `view`, searched from the flow's
+    /// source the first time anyone asks and remembered with the view.
+    ///
+    /// # Panics
+    /// If `view` did not come from this store's [`ViewStore::view_of`]
+    /// (a view still held is never dropped).
+    pub fn route(&mut self, view: &Arc<LsView>, flow: &FlowSpec) -> Option<&[AdId]> {
+        let stored = (self.views.iter_mut())
+            .find(|v| Arc::ptr_eq(&v.view, view))
+            .expect("a held view stays in the store that built it");
+        let (searches, hops) = (&mut self.searches, &mut stored.hops);
+        let range = *stored.routes.entry(*flow).or_insert_with(|| {
+            *searches += 1;
+            let route = legality::legal_route(&view.topo, &view.policies, flow)?;
+            let start = hops.len() as u32;
+            hops.extend_from_slice(&route.path);
+            Some((start, hops.len() as u32))
+        });
+        range.map(|(start, end)| &stored.hops[start as usize..end as usize])
+    }
+
+    /// Views currently stored.
+    pub fn len(&self) -> usize {
+        self.views.len()
+    }
+
+    /// Whether no view is stored.
+    pub fn is_empty(&self) -> bool {
+        self.views.is_empty()
+    }
+
+    /// Views reconstructed so far — work done, not a protocol charge.
+    pub fn views_built(&self) -> u64 {
+        self.views_built
+    }
+
+    /// Route searches run so far — work done, not a protocol charge (each
+    /// router's own `route_computations` is that).
+    pub fn searches(&self) -> u64 {
+        self.searches
     }
 }
 
@@ -435,6 +564,41 @@ mod tests {
         assert!(one > 0);
         db.insert(lsa(1, 1, &[0]));
         assert!(db.encoded_size() > one);
+    }
+
+    #[test]
+    fn store_shares_by_allocation_and_searches_once_per_view_and_flow() {
+        let (a, b) = (lsa(0, 1, &[1]), lsa(1, 1, &[0]));
+        let mut db = LsDb::new(2);
+        db.insert(a.clone());
+        db.insert(b.clone());
+        let mut twin = LsDb::new(2);
+        twin.insert(b);
+        twin.insert(a);
+        // Equal content from other allocations is another database.
+        let mut lookalike = LsDb::new(2);
+        lookalike.insert(lsa(0, 1, &[1]));
+        lookalike.insert(lsa(1, 1, &[0]));
+
+        let mut store = ViewStore::default();
+        let v = store.view_of(&db);
+        assert!(Arc::ptr_eq(&v, &store.view_of(&twin)));
+        let other = store.view_of(&lookalike);
+        assert!(!Arc::ptr_eq(&v, &other));
+        assert_eq!((store.len(), store.views_built()), (2, 2));
+
+        let f = FlowSpec::best_effort(AdId(0), AdId(1));
+        let path = [AdId(0), AdId(1)];
+        assert_eq!(store.route(&v, &f), Some(&path[..]));
+        assert_eq!(store.route(&v, &f), Some(&path[..]));
+        assert_eq!(store.searches(), 1);
+        assert_eq!(store.route(&other, &f), Some(&path[..]));
+        assert_eq!(store.searches(), 2);
+
+        // A view goes with its last holder, at the next lookup.
+        drop(other);
+        let _ = store.view_of(&db);
+        assert_eq!((store.len(), store.views_built()), (1, 2));
     }
 
     /// After convergence every database holds the origin's own allocation,

@@ -10,24 +10,30 @@
 //! ADs "must be aware of policy related criteria used by the source",
 //! which is why per-source criteria cannot be private here.
 //!
-//! The implementation makes that burden measurable: each router resolves a
-//! flow by running the full policy-constrained search *from the flow's
-//! source* over its own database view, caching the result per traffic
-//! class. [`LsHbhRouter::route_computations`] counts searches and
-//! [`LsHbhRouter::fib_entries`] the per-class state — experiment E5's two
-//! curves. The transit ADs of the ORWG architecture (`adroute-core`) do
-//! neither; that contrast is the paper's central argument for source
-//! routing.
+//! The implementation makes that burden measurable without paying for it
+//! in wall time: the ledger charges the protocol, the simulator shares the
+//! work. A router **owns** what the paper counts — its flooded database,
+//! its per-class FIB and its counters: the first time it resolves a class
+//! it is charged one [`LsHbhRouter::route_computations`] and fills one
+//! [`LsHbhRouter::fib_entries`] slot, experiment E5's two curves. It
+//! **borrows** what identical inputs make identical — the view its
+//! database describes and the legal route from the flow's *source* over
+//! that view — from the protocol's [`ViewStore`], which reconstructs one
+//! view per distinct database and searches once per (view, flow). Routers
+//! whose databases differ hold different views, so what each forwards on
+//! is exactly what its own database says. The transit ADs of the ORWG
+//! architecture (`adroute-core`) are charged neither; that contrast is the
+//! paper's central argument for source routing.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use adroute_policy::{legality, FlowSpec, PolicyDb, TransitPolicy};
+use adroute_policy::{FlowSpec, PolicyDb, TransitPolicy};
 use adroute_sim::{Ctx, Engine, MisbehaviorModel, MisbehaviorSpec, Protocol};
 use adroute_topology::{AdId, AdLevel, LinkId, Topology};
 
 use crate::forwarding::DataPlane;
-use crate::linkstate::{FloodMsg, Flooder, Lsa};
+use crate::linkstate::{FloodMsg, Flooder, LsView, Lsa, ViewStore};
 
 /// Protocol configuration: the policies each AD will advertise in its
 /// LSAs, and the levels used in reconstruction.
@@ -46,6 +52,11 @@ pub struct LsHbh {
     /// signal (`ls_seq_jump`) and the cure (re-origination supersedes the
     /// forgery everywhere).
     pub misbehavior: MisbehaviorSpec,
+    /// The views the routers' databases describe and the routes searched
+    /// over them, shared by every router that would compute the same.
+    /// Only the data plane writes it ([`Engine<LsHbh>`]'s
+    /// [`DataPlane::next_hop`]); the flooding handlers never look.
+    views: ViewStore,
 }
 
 impl LsHbh {
@@ -55,18 +66,27 @@ impl LsHbh {
             policies,
             levels: topo.ads().map(|a| a.level).collect(),
             misbehavior: MisbehaviorSpec::default(),
+            views: ViewStore::default(),
         }
+    }
+
+    /// The shared view-and-route store (its counters say how much work
+    /// the routers' charges actually cost).
+    pub fn views(&self) -> &ViewStore {
+        &self.views
     }
 }
 
-/// Per-AD router state: flooding plus the lazily filled per-class FIB.
+/// Per-AD router state. Owned: the flooded database, the lazily filled
+/// per-class FIB and the burden counters. Borrowed: the view the database
+/// describes, held as a shared `Arc` and never rebuilt here.
 #[derive(Clone, Debug)]
 pub struct LsHbhRouter {
     me: AdId,
     /// Flooding machinery and the local database copy.
     pub flooder: Flooder,
-    /// Cached reconstructed view, keyed by database version.
-    view: Option<(u64, Topology, PolicyDb)>,
+    /// The shared view of the database as of the version it is keyed by.
+    view: Option<(u64, Arc<LsView>)>,
     /// Per-traffic-class forwarding cache: the flow's full class identity
     /// maps to the computed next hop (None = no legal route).
     fib: HashMap<FlowSpec, Option<AdId>>,
@@ -85,35 +105,36 @@ impl LsHbhRouter {
         self.fib.len()
     }
 
-    /// The router's reconstructed view, rebuilding if the database moved.
-    fn refresh_view(&mut self) {
-        let v = self.flooder.db.version();
-        if self.view.as_ref().map(|(ver, _, _)| *ver) != Some(v) {
-            let (topo, db) = self.flooder.db.view();
-            self.view = Some((v, topo, db));
-            self.fib.clear();
-        }
+    /// The shared view this router last resolved on, if it has resolved.
+    pub fn view(&self) -> Option<&Arc<LsView>> {
+        self.view.as_ref().map(|(_, v)| v)
     }
 
-    /// Resolves the next hop for `flow` at this router, computing and
-    /// caching if needed.
-    pub fn resolve(&mut self, flow: &FlowSpec) -> Option<AdId> {
-        self.refresh_view();
+    /// Resolves the next hop for `flow` at this router, charging and
+    /// caching the computation if the class is new here.
+    pub fn resolve(&mut self, views: &mut ViewStore, flow: &FlowSpec) -> Option<AdId> {
+        let version = self.flooder.db.version();
+        if self.view.as_ref().map(|(ver, _)| *ver) != Some(version) {
+            // Let go of the old view first, so the store can drop it if
+            // this was its last holder.
+            self.view = None;
+            self.view = Some((version, views.view_of(&self.flooder.db)));
+            self.fib.clear();
+        }
         if let Some(hit) = self.fib.get(flow) {
             return *hit;
         }
-        let (_, topo, db) = self.view.as_ref().expect("view refreshed above");
+        let (_, view) = self.view.as_ref().expect("view refreshed above");
         // Repeat the source's computation: the full legal route from the
         // flow's *source*, then take our successor on it. Identical
         // databases and a deterministic algorithm make this consistent
-        // across the path — the consistency requirement of Section 5.3.
+        // across the path — the consistency requirement of Section 5.3 —
+        // and are also why the store can answer from the first router's
+        // search while this one is charged for its own.
         self.route_computations += 1;
-        let next = legality::legal_route(topo, db, flow).and_then(|route| {
-            route
-                .path
-                .iter()
-                .position(|&a| a == self.me)
-                .and_then(|i| route.path.get(i + 1).copied())
+        let next = views.route(view, flow).and_then(|path| {
+            let i = path.iter().position(|&a| a == self.me)?;
+            path.get(i + 1).copied()
         });
         self.fib.insert(*flow, next);
         next
@@ -216,7 +237,8 @@ impl DataPlane for Engine<LsHbh> {
         _prev: Option<AdId>,
         _mark: &mut (),
     ) -> Option<AdId> {
-        self.router_mut(at).resolve(flow)
+        let (proto, router) = self.protocol_and_router_mut(at);
+        router.resolve(&mut proto.views, flow)
     }
 }
 
@@ -300,6 +322,60 @@ mod tests {
         let f = FlowSpec::best_effort(AdId(0), AdId(4));
         let _ = forward(&mut e, &topo, &f);
         assert_eq!(e.router(AdId(3)).route_computations, 3);
+    }
+
+    #[test]
+    fn every_hop_is_charged_but_the_work_is_done_once() {
+        let topo = line(5);
+        let db = PolicyDb::permissive(&topo);
+        let mut e = converge(topo, db);
+        let topo = e.topo().clone();
+        let f = FlowSpec::best_effort(AdId(0), AdId(4));
+        assert!(forward(&mut e, &topo, &f).delivered());
+        // The work: one view for the one distinct database, one search.
+        let views = e.protocol().views();
+        assert_eq!((views.views_built(), views.searches()), (1, 1));
+        assert_eq!(views.len(), 1);
+        // The charge: each of the four routers the packet crossed computed
+        // the class once and holds it; the destination never resolved.
+        for ad in 0..4u32 {
+            let r = e.router(AdId(ad));
+            assert_eq!((r.route_computations, r.fib_entries()), (1, 1), "AD{ad}");
+            assert!(Arc::ptr_eq(
+                r.view().unwrap(),
+                e.router(AdId(0)).view().unwrap()
+            ));
+        }
+        let dst = e.router(AdId(4));
+        assert_eq!((dst.route_computations, dst.fib_entries()), (0, 0));
+        assert!(dst.view().is_none());
+    }
+
+    #[test]
+    fn store_holds_no_more_views_than_distinct_live_databases() {
+        let topo = ring(6);
+        let db = PolicyDb::permissive(&topo);
+        let mut e = converge(topo, db);
+        let l = e.topo().link_between(AdId(0), AdId(1)).unwrap();
+        for k in 0..6u64 {
+            // Every router sources a flow, so every router moves on to the
+            // view of its current database and lets the last flap's go.
+            let truth = e.topo().clone();
+            for src in truth.ad_ids() {
+                let f = FlowSpec::best_effort(src, AdId((src.0 + 3) % 6));
+                assert!(forward(&mut e, &truth, &f).delivered());
+            }
+            let db0 = &e.router(AdId(0)).flooder.db;
+            assert!(
+                (truth.ad_ids()).all(|ad| e.router(ad).flooder.db.shares_all_lsas_with(db0)),
+                "quiescent databases agree: one distinct live database"
+            );
+            let views = e.protocol().views();
+            assert_eq!(views.views_built(), k + 1, "one rebuild per flap");
+            assert_eq!(views.len(), 1, "an unheld view outlived a lookup");
+            e.schedule_link_change(l, k % 2 == 1, e.now().plus_us(1000));
+            e.run_to_quiescence();
+        }
     }
 
     #[test]

@@ -1,10 +1,8 @@
 //! The simulation engine: routers, message delivery, timers, link events.
 
-use std::collections::BinaryHeap;
-
 use adroute_topology::{AdId, LinkId, Topology};
 
-use crate::event::{Event, EventKind, SimTime};
+use crate::event::{Event, EventKind, EventQueue, SimTime};
 use crate::faults::{ChannelFaults, ChannelVerdict};
 use crate::obs::prof::Profiler;
 use crate::obs::{EventId, EventLog, EventRecord, Obs};
@@ -254,12 +252,12 @@ pub(crate) trait Sink<M> {
     fn stats(&mut self) -> &mut Stats;
 }
 
-/// The sequential sink: engine heaps, real [`EventId`]s, the engine's own
+/// The sequential sink: engine queues, real [`EventId`]s, the engine's own
 /// [`Stats`].
 pub(crate) struct Direct<'a, M> {
     now: SimTime,
-    queue: &'a mut BinaryHeap<Event<M>>,
-    ctrl: &'a mut BinaryHeap<Event<M>>,
+    queue: &'a mut EventQueue<M>,
+    ctrl: &'a mut EventQueue<M>,
     seq: &'a mut u64,
     stats: &'a mut Stats,
     obs: &'a mut Obs,
@@ -534,11 +532,11 @@ pub struct Engine<P: Protocol> {
     pub(crate) routers: Vec<P::Router>,
     /// AD-targeted events (start / deliver / timer): the parallelizable
     /// queue, partitioned by region during parallel windows.
-    pub(crate) queue: BinaryHeap<Event<P::Msg>>,
+    pub(crate) queue: EventQueue<P::Msg>,
     /// Control events (link / router state changes). Kept apart from the
     /// targeted queue so the parallel scheduler can read the next global
     /// synchronization point in O(1).
-    pub(crate) ctrl: BinaryHeap<Event<P::Msg>>,
+    pub(crate) ctrl: EventQueue<P::Msg>,
     pub(crate) seq: u64,
     pub(crate) now: SimTime,
     /// What the link-fault process says about each link, independent of
@@ -589,8 +587,8 @@ impl<P: Protocol> Engine<P> {
             protocol,
             topo,
             routers,
-            queue: BinaryHeap::new(),
-            ctrl: BinaryHeap::new(),
+            queue: EventQueue::new(),
+            ctrl: EventQueue::new(),
             seq: 0,
             now: SimTime::ZERO,
             sched_up,
@@ -686,6 +684,13 @@ impl<P: Protocol> Engine<P> {
     /// The protocol configuration.
     pub fn protocol(&self) -> &P {
         &self.protocol
+    }
+
+    /// The protocol value and the router of `ad`, both mutable at once:
+    /// for data planes whose routers share work through state the
+    /// protocol value owns. Handlers never see the protocol mutably.
+    pub fn protocol_and_router_mut(&mut self, ad: AdId) -> (&mut P, &mut P::Router) {
+        (&mut self.protocol, &mut self.routers[ad.index()])
     }
 
     /// Current simulated time.

@@ -43,6 +43,19 @@ for n, line in enumerate(open("EXPERIMENTS.md", encoding="utf-8"), 1):
 sys.exit("\n".join(bad) if bad else 0)
 PY
 
+echo "== The charge did not move: E5 and E9 print the rows EXPERIMENTS.md records"
+for b in exp5_lshbh_burden exp9_qos_scaling; do
+    cargo bench -q -p adroute-bench --bench "$b" > "$out/$b.txt"
+    test "$(grep -c '^|' "$out/$b.txt")" -gt 2
+    if grep '^|' "$out/$b.txt" | grep -vxFf EXPERIMENTS.md; then
+        echo "$b prints the rows above, which EXPERIMENTS.md does not record"
+        exit 1
+    fi
+done
+
+echo "== Shared view: every LS-HBH router resolves as its own LSDB says (raised case count)"
+PROPTEST_CASES=2048 cargo test -q --test shared_view
+
 echo "== Machine-readable outputs are valid JSON"
 adroute report --ads 40 --seed 7 --flows 20 --json | python3 -m json.tool > /dev/null
 adroute blame quickstart --json | python3 -m json.tool > /dev/null

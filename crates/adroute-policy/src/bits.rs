@@ -86,13 +86,39 @@ impl Container {
         }
     }
 
-    fn iter(&self) -> Box<dyn Iterator<Item = u16> + '_> {
+    fn iter(&self) -> ContainerIter<'_> {
         match self {
-            Container::Array(v) => Box::new(v.iter().copied()),
-            Container::Bitmap(b) => Box::new(b.iter().enumerate().flat_map(|(wi, &w)| BitIter {
-                word: w,
-                base: (wi as u16) << 6,
-            })),
+            Container::Array(v) => ContainerIter::Array(v.iter()),
+            Container::Bitmap(b) => ContainerIter::Bitmap(b.iter().enumerate().flat_map(word_bits)),
+        }
+    }
+}
+
+/// The set bits of word `wi` of a bitmap chunk.
+fn word_bits((wi, &word): (usize, &u64)) -> BitIter {
+    BitIter {
+        word,
+        base: (wi as u16) << 6,
+    }
+}
+
+/// The `(index, word)` pairs of a bitmap chunk.
+type Words<'a> = std::iter::Enumerate<std::slice::Iter<'a, u64>>;
+/// The members of a bitmap chunk, word by word.
+type BitmapIter<'a> = std::iter::FlatMap<Words<'a>, BitIter, fn((usize, &'a u64)) -> BitIter>;
+
+/// One chunk's members in ascending order.
+enum ContainerIter<'a> {
+    Array(std::slice::Iter<'a, u16>),
+    Bitmap(BitmapIter<'a>),
+}
+
+impl Iterator for ContainerIter<'_> {
+    type Item = u16;
+    fn next(&mut self) -> Option<u16> {
+        match self {
+            ContainerIter::Array(it) => it.next().copied(),
+            ContainerIter::Bitmap(it) => it.next(),
         }
     }
 }
@@ -116,15 +142,7 @@ impl Iterator for BitIter {
 }
 
 fn bitmap_to_array(b: &[u64; BITMAP_WORDS]) -> Vec<u16> {
-    let mut v = Vec::new();
-    for (wi, &w) in b.iter().enumerate() {
-        let mut it = BitIter {
-            word: w,
-            base: (wi as u16) << 6,
-        };
-        v.extend(&mut it);
-    }
-    v
+    b.iter().enumerate().flat_map(word_bits).collect()
 }
 
 fn merge_union(a: &[u16], b: &[u16]) -> Vec<u16> {

@@ -31,8 +31,28 @@
 //! Time-of-day conditions are evaluated at [`PathVector::eval_time`]:
 //! hop-by-hop tables cannot re-evaluate per packet — a genuine limitation
 //! of this design point versus source routing.
+//!
+//! ## What is shared, and what an update costs
+//!
+//! A route is a handle: its path is an `Arc<[AdId]>` and its scope an
+//! `Arc<AdSet>`, so a loc-RIB entry, an adj-RIB-in entry and a
+//! [`PvUpdate`] entry are reference-count bumps on values nobody mutates.
+//! Each router keeps one canonical scope handle per distinct set it has
+//! stored (`Scopes`), so equal attributes compare by pointer and
+//! `scope ∩ offering scope` is computed once per distinct pair. Sharing
+//! is invisible to the ledger: [`Protocol::msg_size`] and the RIB counts
+//! of E4 are functions of route *content*. Nothing is global — handles
+//! order nothing (every ordering is by content), and a router's `Scopes`
+//! and export slices die with it on a crash.
+//!
+//! A received table is diffed per destination against the one it
+//! replaces; only destinations that differ are re-selected, and only
+//! destinations whose selected routes changed are re-exported. The
+//! update on the wire is still the full table, assembled from the slices
+//! last sent plus the re-derived ones.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
 
 use adroute_policy::{
     AdSet, FlowSpec, PolicyAction, PolicyCondition, PolicyDb, QosClass, TimeOfDay, TransitPolicy,
@@ -43,27 +63,20 @@ use adroute_topology::{AdId, LinkId, Topology};
 
 use crate::forwarding::DataPlane;
 
-/// Policy attributes attached to a route.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+/// Policy attributes attached to a route. Cloning bumps the scope's
+/// reference count.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct PvAttrs {
     /// QOS class the route applies to (`None` = any).
     pub qos: Option<QosClass>,
     /// User class the route applies to (`None` = any).
     pub uci: Option<UserClass>,
-    /// Source ADs permitted to use this route.
-    pub scope: AdSet,
+    /// Source ADs permitted to use this route. Equality checks the
+    /// pointer before the members.
+    pub scope: Arc<AdSet>,
 }
 
 impl PvAttrs {
-    /// Attributes that apply to all traffic.
-    pub fn any() -> PvAttrs {
-        PvAttrs {
-            qos: None,
-            uci: None,
-            scope: AdSet::Any,
-        }
-    }
-
     /// Whether a flow matches these attributes.
     pub fn matches(&self, flow: &FlowSpec) -> bool {
         self.qos.is_none_or(|q| q == flow.qos)
@@ -77,14 +90,37 @@ impl PvAttrs {
     }
 }
 
+impl PartialOrd for PvAttrs {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// By content — `(qos, uci, scope members)` — so RIB order never depends
+/// on where a handle lives; one shared scope short-cuts the member walk.
+impl Ord for PvAttrs {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (self.qos, self.uci)
+            .cmp(&(other.qos, other.uci))
+            .then_with(|| {
+                if Arc::ptr_eq(&self.scope, &other.scope) {
+                    std::cmp::Ordering::Equal
+                } else {
+                    self.scope.cmp(&other.scope)
+                }
+            })
+    }
+}
+
 /// One route in an update or RIB: full AD path plus policy attributes.
+/// Cloning bumps two reference counts.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct PvRoute {
     /// Destination AD.
     pub dest: AdId,
     /// AD path ending at `dest`. In an update, it starts at the sender;
     /// in a local RIB, at the next hop.
-    pub path: Vec<AdId>,
+    pub path: Arc<[AdId]>,
     /// Policy attributes.
     pub attrs: PvAttrs,
     /// Cumulative cost: link metrics plus transit charges.
@@ -158,31 +194,77 @@ impl PathVector {
     }
 }
 
-/// One advertisable offering derived from a transit policy at export time.
+/// One router's scope handles: a single `Arc<AdSet>` per distinct set it
+/// stores or offers, so equal scopes are one pointer and intersections
+/// are remembered by address. Grows with the distinct scopes the
+/// policies can produce (tens), not with routes.
+#[derive(Clone, Debug, Default)]
+struct Scopes {
+    canon: HashSet<Arc<AdSet>>,
+    /// `a ∩ b` for canonical `a`, `b`, keyed by their addresses — stable
+    /// because `canon` keeps both alive. `None`: they share no source.
+    meets: HashMap<(usize, usize), Option<Arc<AdSet>>>,
+}
+
+impl Scopes {
+    /// This router's handle for a scope received from a neighbor (theirs,
+    /// if the set is new here).
+    fn adopt(&mut self, theirs: &Arc<AdSet>) -> Arc<AdSet> {
+        if let Some(ours) = self.canon.get(&**theirs) {
+            return ours.clone();
+        }
+        self.canon.insert(theirs.clone());
+        theirs.clone()
+    }
+
+    /// This router's handle for `set`.
+    fn intern(&mut self, set: AdSet) -> Arc<AdSet> {
+        match self.canon.get(&set) {
+            Some(ours) => ours.clone(),
+            None => self.adopt(&Arc::new(set)),
+        }
+    }
+
+    /// `a ∩ b` for two of this router's handles, `None` when empty.
+    fn meet(&mut self, a: &Arc<AdSet>, b: &Arc<AdSet>) -> Option<Arc<AdSet>> {
+        let key = (Arc::as_ptr(a) as usize, Arc::as_ptr(b) as usize);
+        if let Some(known) = self.meets.get(&key) {
+            return known.clone();
+        }
+        let both = a.intersect(b);
+        let met = (!both.is_empty_set()).then(|| self.intern(both));
+        self.meets.insert(key, met.clone());
+        met
+    }
+}
+
+/// One advertisable offering derived from a transit policy at export
+/// time; `scope` is the exporting router's own handle.
 #[derive(Clone, Debug)]
-struct Offering {
-    qos: Option<Vec<QosClass>>,
-    uci: Option<Vec<UserClass>>,
-    scope: AdSet,
+struct Offering<'p> {
+    qos: Option<&'p [QosClass]>,
+    uci: Option<&'p [UserClass]>,
+    scope: Arc<AdSet>,
     cost: u32,
 }
 
 /// Converts `policy` into offerings for transit traversals with the given
 /// fixed destination / previous / next ADs (see module docs).
-fn offerings(
-    policy: &TransitPolicy,
+fn offerings<'p>(
+    policy: &'p TransitPolicy,
     dst: AdId,
     prev: AdId,
     next: AdId,
     time: TimeOfDay,
-) -> Vec<Offering> {
+    scopes: &mut Scopes,
+) -> Vec<Offering<'p>> {
     let mut out = Vec::new();
     // Sources not yet denied by earlier terms.
     let mut remaining = AdSet::Any;
     for term in &policy.terms {
         let mut src_cond: Option<&AdSet> = None;
-        let mut qos_cond: Option<&Vec<QosClass>> = None;
-        let mut uci_cond: Option<&Vec<UserClass>> = None;
+        let mut qos_cond: Option<&'p [QosClass]> = None;
+        let mut uci_cond: Option<&'p [UserClass]> = None;
         let mut applicable = true;
         for cond in &term.conditions {
             match cond {
@@ -229,9 +311,9 @@ fn offerings(
                 }
                 let unconditional = src_cond.is_none() && qos_cond.is_none() && uci_cond.is_none();
                 out.push(Offering {
-                    qos: qos_cond.cloned(),
-                    uci: uci_cond.cloned(),
-                    scope,
+                    qos: qos_cond,
+                    uci: uci_cond,
+                    scope: scopes.intern(scope),
                     cost,
                 });
                 if unconditional {
@@ -246,7 +328,7 @@ fn offerings(
             out.push(Offering {
                 qos: None,
                 uci: None,
-                scope: remaining,
+                scope: scopes.intern(remaining),
                 cost,
             });
         }
@@ -257,36 +339,259 @@ fn offerings(
 /// Per-AD router state.
 #[derive(Clone, Debug)]
 pub struct PvRouter {
-    me: AdId,
     /// Last full table received from each neighbor (paths start at that
-    /// neighbor), indexed by the dense adjacency slot
-    /// ([`Ctx::neighbor_slot`]) instead of a map.
+    /// neighbor, scopes are this router's handles), destination-sorted,
+    /// indexed by the dense adjacency slot ([`Ctx::neighbor_slot`]).
     adj_in: Vec<Option<Vec<PvRoute>>>,
     /// Selected routes: cheapest per `(dest, attrs)`, sorted for
     /// determinism. Paths start at the next hop.
     pub loc_rib: Vec<PvRoute>,
     /// Whether an MRAI advertisement timer is outstanding.
     advert_pending: bool,
+    /// The own-origin route every update leads with; `own.dest` is this
+    /// router's AD.
+    own: PvRoute,
+    /// Per neighbor slot, the transit routes of the last update sent
+    /// (destination-sorted); `None` when the next update must be derived
+    /// whole — nothing sent yet, or the link went down since.
+    adj_out: Vec<Option<Vec<PvRoute>>>,
+    /// Destinations whose `loc_rib` routes changed since the last
+    /// advertisement.
+    unsent: BTreeSet<AdId>,
+    scopes: Scopes,
+}
+
+fn same_dest(a: &PvRoute, b: &PvRoute) -> bool {
+    a.dest == b.dest
+}
+
+/// The destinations of a destination-sorted table, ascending.
+fn dests(table: &[PvRoute]) -> Vec<AdId> {
+    table.chunk_by(same_dest).map(|run| run[0].dest).collect()
+}
+
+/// The routes to `dest` in a destination-sorted table.
+fn run_of(table: &[PvRoute], dest: AdId) -> &[PvRoute] {
+    let start = table.partition_point(|r| r.dest < dest);
+    let len = table[start..].partition_point(|r| r.dest == dest);
+    &table[start..start + len]
+}
+
+/// The destination-sorted `table` with the routes to each of `dests`
+/// (ascending) replaced by what `derive` appends for it.
+fn replace_runs(
+    table: Vec<PvRoute>,
+    dests: &[AdId],
+    mut derive: impl FnMut(AdId, &mut Vec<PvRoute>),
+) -> Vec<PvRoute> {
+    let mut out = Vec::with_capacity(table.len());
+    let mut kept = table.into_iter().peekable();
+    for &dest in dests {
+        while let Some(route) = kept.next_if(|r| r.dest < dest) {
+            out.push(route);
+        }
+        while kept.next_if(|r| r.dest == dest).is_some() {}
+        derive(dest, &mut out);
+    }
+    out.extend(kept);
+    out
+}
+
+/// Whether `stored` is what importing `sent` from neighbor `from` stores.
+fn is_import_of(stored: &PvRoute, sent: &PvRoute, from: AdId) -> bool {
+    let same_path = if sent.path.first() == Some(&from) {
+        stored.path == sent.path
+    } else {
+        stored.path[1..] == sent.path[..]
+    };
+    same_path && stored.cost == sent.cost && stored.attrs == sent.attrs
+}
+
+/// A route on offer for one `(dest, attrs)` slot.
+struct Cand<'a> {
+    attrs: PvAttrs,
+    cost: u32,
+    path: &'a Arc<[AdId]>,
+}
+
+impl Cand<'_> {
+    fn route(&self, dest: AdId) -> PvRoute {
+        PvRoute {
+            dest,
+            path: self.path.clone(),
+            attrs: self.attrs.clone(),
+            cost: self.cost,
+        }
+    }
+}
+
+/// Keeps the best candidate per distinct attribute set — cheapest, then
+/// shortest, then lowest path — in attribute order.
+fn select(cands: &mut Vec<Cand<'_>>) {
+    cands.sort_unstable_by(|a, b| {
+        (&a.attrs, a.cost, a.path.len(), a.path).cmp(&(&b.attrs, b.cost, b.path.len(), b.path))
+    });
+    cands.dedup_by(|later, first| later.attrs == first.attrs);
+}
+
+/// The classes a route restricted to `have` keeps under an offering
+/// restricted to `offered` (`None` = any, on either side).
+fn classes<T: Copy + PartialEq>(
+    have: Option<T>,
+    offered: Option<&[T]>,
+) -> impl Iterator<Item = Option<T>> + Clone + '_ {
+    let (one, many): (Option<Option<T>>, &[T]) = match (have, offered) {
+        (have, None) => (Some(have), &[]),
+        (None, Some(list)) => (None, list),
+        (Some(c), Some(list)) => (list.contains(&c).then_some(Some(c)), &[]),
+    };
+    one.into_iter().chain(many.iter().map(|&c| Some(c)))
 }
 
 impl PvRouter {
+    /// The last full table stored from each neighbor, by adjacency slot
+    /// (`Topology::neighbor_slot`); `None` where nothing has been heard
+    /// since the link last came up.
+    pub fn adj_rib_in(&self) -> &[Option<Vec<PvRoute>>] {
+        &self.adj_in
+    }
+
     /// Total routes stored across neighbor RIBs (the state-size measure
     /// of experiment E4).
     pub fn adj_rib_size(&self) -> usize {
-        self.adj_in.iter().flatten().map(Vec::len).sum()
+        self.adj_rib_in().iter().flatten().map(Vec::len).sum()
     }
 
     /// Selected routes toward one destination.
     pub fn routes_to(&self, dest: AdId) -> impl Iterator<Item = &PvRoute> {
-        self.loc_rib.iter().filter(move |r| r.dest == dest)
+        run_of(&self.loc_rib, dest).iter()
     }
 
     /// The cheapest selected route matching `flow`.
     pub fn best_match(&self, flow: &FlowSpec) -> Option<&PvRoute> {
-        self.loc_rib
-            .iter()
-            .filter(|r| r.dest == flow.dst && r.attrs.matches(flow))
+        self.routes_to(flow.dst)
+            .filter(|r| r.attrs.matches(flow))
             .min_by(|a, b| (a.cost, a.path.len(), &a.path).cmp(&(b.cost, b.path.len(), &b.path)))
+    }
+
+    /// Stores `msg` as the table heard from neighbor `from` (adjacency
+    /// `slot`) and returns, ascending, the destinations whose routes
+    /// differ from the table it replaces. Routes to the others keep their
+    /// stored handles; changed ones get the sender prepended to the path
+    /// (stored paths run next-hop … dest) and this router's scope handle.
+    fn import(&mut self, slot: usize, from: AdId, mut msg: PvUpdate) -> Vec<AdId> {
+        // The wire leads with the sender's own-origin route.
+        msg.routes.sort_by_key(|route| route.dest);
+        let old = self.adj_in[slot].take().unwrap_or_default();
+        let mut old_runs = old.chunk_by(same_dest).peekable();
+        let mut table = Vec::with_capacity(msg.routes.len());
+        let mut dirty = Vec::new();
+        // One prepended path per path handle of the sender's, by address
+        // (`msg` keeps them alive).
+        let mut prepended: HashMap<*const AdId, Arc<[AdId]>> = HashMap::new();
+        for run in msg.routes.chunk_by(same_dest) {
+            let dest = run[0].dest;
+            while let Some(gone) = old_runs.next_if(|o| o[0].dest < dest) {
+                dirty.push(gone[0].dest);
+            }
+            let unchanged = old_runs.next_if(|o| o[0].dest == dest).filter(|o| {
+                o.len() == run.len() && o.iter().zip(run).all(|(s, r)| is_import_of(s, r, from))
+            });
+            if let Some(stored) = unchanged {
+                table.extend_from_slice(stored);
+                continue;
+            }
+            dirty.push(dest);
+            for sent in run {
+                let path = if sent.path.first() == Some(&from) {
+                    sent.path.clone()
+                } else {
+                    prepended
+                        .entry(sent.path.as_ptr())
+                        .or_insert_with(|| {
+                            std::iter::once(from)
+                                .chain(sent.path.iter().copied())
+                                .collect()
+                        })
+                        .clone()
+                };
+                table.push(PvRoute {
+                    dest,
+                    path,
+                    attrs: PvAttrs {
+                        scope: self.scopes.adopt(&sent.attrs.scope),
+                        ..sent.attrs
+                    },
+                    cost: sent.cost,
+                });
+            }
+        }
+        dirty.extend(old_runs.map(|gone| gone[0].dest));
+        self.adj_in[slot] = Some(table);
+        dirty
+    }
+
+    /// Records that the link to the neighbor in `slot` changed state and
+    /// returns the destinations whose candidates that adds or removes:
+    /// the ones its stored table offers. A down link forgets both
+    /// directions' tables.
+    fn link_changed(&mut self, slot: usize, up: bool) -> Vec<AdId> {
+        let offered = self.adj_in[slot].as_deref().map(dests).unwrap_or_default();
+        if !up {
+            self.adj_in[slot] = None;
+            self.adj_out[slot] = None;
+        }
+        offered
+    }
+
+    /// Re-selects the `dirty` destinations (ascending) over the tables of
+    /// the `up` neighbors — `(adjacency slot, link metric)` — and returns
+    /// whether `loc_rib` changed. Winners are chosen over borrowed
+    /// candidates and compared with the routes in place; only a
+    /// destination whose winners differ is materialised and marked for
+    /// export.
+    fn reselect(&mut self, up: &[(usize, u32)], dirty: &[AdId]) -> bool {
+        let mut cands: Vec<Cand<'_>> = Vec::new();
+        let mut changed: Vec<AdId> = Vec::new();
+        let mut fresh: Vec<PvRoute> = Vec::new();
+        for &dest in dirty {
+            cands.clear();
+            for &(slot, metric) in up {
+                // `None`: nothing heard from this neighbor yet.
+                for route in run_of(self.adj_in[slot].as_deref().unwrap_or_default(), dest) {
+                    if route.path.contains(&self.own.dest) {
+                        continue; // loop avoidance via full path information
+                    }
+                    cands.push(Cand {
+                        attrs: route.attrs.clone(),
+                        cost: route.cost.saturating_add(metric),
+                        path: &route.path,
+                    });
+                }
+            }
+            select(&mut cands);
+            let current = run_of(&self.loc_rib, dest);
+            let unchanged = current.len() == cands.len()
+                && current
+                    .iter()
+                    .zip(&cands)
+                    .all(|(r, c)| r.cost == c.cost && r.attrs == c.attrs && r.path == *c.path);
+            if !unchanged {
+                changed.push(dest);
+                fresh.extend(cands.iter().map(|c| c.route(dest)));
+            }
+        }
+        if changed.is_empty() {
+            return false;
+        }
+        let mut fresh = fresh.into_iter().peekable();
+        self.loc_rib = replace_runs(std::mem::take(&mut self.loc_rib), &changed, |dest, out| {
+            while let Some(route) = fresh.next_if(|r| r.dest == dest) {
+                out.push(route);
+            }
+        });
+        self.unsent.extend(changed);
+        true
     }
 }
 
@@ -302,169 +607,146 @@ impl PathVector {
         }
     }
 
-    fn recompute(&self, r: &mut PvRouter, ctx: &Ctx<'_, PvUpdate>) -> bool {
-        let mut best: BTreeMap<(AdId, PvAttrs), PvRoute> = BTreeMap::new();
-        // Up neighbors in ascending id order: the same visit order the
-        // old per-neighbor BTreeMap produced, so tie-breaks are stable.
-        for (nbr, link) in ctx.neighbors() {
-            let Some(routes) = ctx.neighbor_slot(nbr).and_then(|s| r.adj_in[s].as_ref()) else {
-                continue; // nothing heard from this neighbor yet
-            };
-            let w = ctx.link_metric(link);
-            for route in routes {
-                if route.path.contains(&r.me) {
-                    continue; // loop avoidance via full path information
-                }
-                let cand = PvRoute {
-                    dest: route.dest,
-                    path: route.path.clone(),
-                    attrs: route.attrs.clone(),
-                    cost: route.cost.saturating_add(w),
-                };
-                let key = (cand.dest, cand.attrs.clone());
-                match best.get(&key) {
-                    Some(cur)
-                        if (cur.cost, cur.path.len(), &cur.path)
-                            <= (cand.cost, cand.path.len(), &cand.path) => {}
-                    _ => {
-                        best.insert(key, cand);
-                    }
-                }
-            }
-        }
-        let new_rib: Vec<PvRoute> = best.into_values().collect();
-        if new_rib != r.loc_rib {
-            r.loc_rib = new_rib;
-            true
-        } else {
-            false
-        }
+    /// Re-selects `dirty` on `r` and reports the recomputation; returns
+    /// whether `loc_rib` changed.
+    fn recompute(&self, r: &mut PvRouter, ctx: &mut Ctx<'_, PvUpdate>, dirty: &[AdId]) -> bool {
+        ctx.count("pv_recompute", 1);
+        // Up neighbors only: a table stored for a down link is no candidate.
+        let up: Vec<(usize, u32)> = ctx
+            .neighbors()
+            .into_iter()
+            .filter_map(|(nbr, link)| Some((ctx.neighbor_slot(nbr)?, ctx.link_metric(link))))
+            .collect();
+        let changed = r.reselect(&up, dirty);
+        ctx.emit(EventRecord::RouteRecompute {
+            ad: ctx.me(),
+            proto: "pv",
+            changed,
+        });
+        changed
     }
 
-    fn advertise(&self, r: &PvRouter, ctx: &mut Ctx<'_, PvUpdate>) {
-        let policy = self.policies.policy(r.me);
-        let leaking = self.misbehavior.model_of(r.me) == Some(MisbehaviorModel::RouteLeak);
+    /// Sends every up neighbor its full table.
+    fn advertise(&self, r: &mut PvRouter, ctx: &mut Ctx<'_, PvUpdate>) {
+        let unsent: Vec<AdId> = std::mem::take(&mut r.unsent).into_iter().collect();
         for (nbr, _) in ctx.neighbors() {
-            let mut routes: Vec<PvRoute> = Vec::new();
-            // Own-origin route: reaching us is not transit; always offered.
-            routes.push(PvRoute {
-                dest: r.me,
-                path: vec![r.me],
-                attrs: PvAttrs::any(),
-                cost: 0,
-            });
-            // Transit routes, narrowed by our offerings. The receiver
-            // prepends us to each path on import.
-            let mut per_dest: BTreeMap<AdId, Vec<PvRoute>> = BTreeMap::new();
-            for route in &r.loc_rib {
-                if route.path.contains(&nbr) {
-                    continue; // receiver would loop-reject; save the bytes
-                }
-                if leaking {
-                    // Route leak: every known route goes to every neighbor
-                    // with wildcard attributes — the offerings conversion
-                    // (our own policy!) is bypassed entirely.
-                    per_dest.entry(route.dest).or_default().push(PvRoute {
-                        dest: route.dest,
-                        path: route.path.clone(),
-                        attrs: PvAttrs::any(),
-                        cost: route.cost,
-                    });
-                    continue;
-                }
-                let next = route.path[0];
-                for off in offerings(policy, route.dest, nbr, next, self.eval_time) {
-                    per_dest.entry(route.dest).or_default().extend(combine(
-                        route,
-                        &off,
-                        self.scope_attrs,
-                    ));
-                }
+            if let Some(slot) = ctx.neighbor_slot(nbr) {
+                ctx.send(nbr, self.export(r, slot, nbr, &unsent));
             }
-            for (_dest, cands) in per_dest {
-                // Best route per distinct attribute set, then cheapest-first
-                // truncation to the advertisement budget.
-                let mut best: BTreeMap<PvAttrs, PvRoute> = BTreeMap::new();
-                for c in cands {
-                    match best.get(&c.attrs) {
-                        Some(cur)
-                            if (cur.cost, cur.path.len(), &cur.path)
-                                <= (c.cost, c.path.len(), &c.path) => {}
-                        _ => {
-                            best.insert(c.attrs.clone(), c);
-                        }
+        }
+    }
+
+    /// The full-table update for neighbor `nbr` (adjacency `slot`): the
+    /// slices last sent, with those of the `unsent` destinations (every
+    /// destination, when nothing valid was last sent) derived anew from
+    /// `loc_rib`.
+    fn export(&self, r: &mut PvRouter, slot: usize, nbr: AdId, unsent: &[AdId]) -> PvUpdate {
+        let every;
+        let (last, due) = match r.adj_out[slot].take() {
+            Some(last) => (last, unsent),
+            None => {
+                every = dests(&r.loc_rib);
+                (Vec::new(), &every[..])
+            }
+        };
+        let PvRouter {
+            loc_rib,
+            scopes,
+            own,
+            ..
+        } = r;
+        let sent = replace_runs(last, due, |dest, out| {
+            self.export_slice(own, scopes, run_of(loc_rib, dest), nbr, out)
+        });
+        let mut routes = Vec::with_capacity(1 + sent.len());
+        // Own-origin route: reaching us is not transit; always offered.
+        routes.push(own.clone());
+        routes.extend_from_slice(&sent);
+        r.adj_out[slot] = Some(sent);
+        PvUpdate { routes }
+    }
+
+    /// Appends to `out` the transit routes `group` (the selected routes to
+    /// one destination) yields toward neighbor `nbr`, narrowed by our
+    /// offerings: the best per distinct attribute set, cheapest first, up
+    /// to the advertisement budget. The receiver prepends us to each path
+    /// on import.
+    fn export_slice(
+        &self,
+        own: &PvRoute,
+        scopes: &mut Scopes,
+        group: &[PvRoute],
+        nbr: AdId,
+        out: &mut Vec<PvRoute>,
+    ) {
+        let Some(dest) = group.first().map(|r| r.dest) else {
+            return;
+        };
+        let me = own.dest;
+        let policy = self.policies.policy(me);
+        let leaking = self.misbehavior.model_of(me) == Some(MisbehaviorModel::RouteLeak);
+        let wildcard = &own.attrs.scope;
+        // Offerings depend on the next hop only; several routes share one.
+        let mut offered: Vec<(AdId, Vec<Offering<'_>>)> = Vec::new();
+        let mut cands: Vec<Cand<'_>> = Vec::new();
+        for route in group {
+            if route.path.contains(&nbr) {
+                continue; // receiver would loop-reject; save the bytes
+            }
+            if leaking {
+                // Route leak: every known route goes to every neighbor
+                // with wildcard attributes — the offerings conversion
+                // (our own policy!) is bypassed entirely.
+                cands.push(Cand {
+                    attrs: own.attrs.clone(),
+                    cost: route.cost,
+                    path: &route.path,
+                });
+                continue;
+            }
+            let next = route.path[0];
+            let known = offered.iter().position(|(n, _)| *n == next);
+            let known = known.unwrap_or_else(|| {
+                let offs = offerings(policy, dest, nbr, next, self.eval_time, scopes);
+                offered.push((next, offs));
+                offered.len() - 1
+            });
+            for off in &offered[known].1 {
+                // Scope: narrow; or widen to Any when scopes are
+                // unsupported (BGP-2).
+                let scope = if self.scope_attrs {
+                    match scopes.meet(&route.attrs.scope, &off.scope) {
+                        Some(scope) => scope,
+                        None => continue,
+                    }
+                } else {
+                    wildcard.clone()
+                };
+                // Possibly several: one per QOS/UCI class the offering
+                // names.
+                let ucis = classes(route.attrs.uci, off.uci);
+                for qos in classes(route.attrs.qos, off.qos) {
+                    for uci in ucis.clone() {
+                        cands.push(Cand {
+                            attrs: PvAttrs {
+                                qos,
+                                uci,
+                                scope: scope.clone(),
+                            },
+                            cost: route.cost.saturating_add(off.cost),
+                            path: &route.path,
+                        });
                     }
                 }
-                let mut cands: Vec<PvRoute> = best.into_values().collect();
-                cands.sort_by(|a, b| {
-                    (a.cost, a.path.len(), &a.path, &a.attrs).cmp(&(
-                        b.cost,
-                        b.path.len(),
-                        &b.path,
-                        &b.attrs,
-                    ))
-                });
-                cands.truncate(self.max_routes_per_dest);
-                routes.extend(cands);
             }
-            ctx.send(nbr, PvUpdate { routes });
         }
+        select(&mut cands);
+        cands.sort_unstable_by(|a, b| {
+            (a.cost, a.path.len(), a.path, &a.attrs).cmp(&(b.cost, b.path.len(), b.path, &b.attrs))
+        });
+        cands.truncate(self.max_routes_per_dest);
+        out.extend(cands.iter().map(|c| c.route(dest)));
     }
-}
-
-/// Combines a selected route with one offering into advertised routes
-/// (possibly several: one per QOS/UCI class the offering names).
-fn combine(route: &PvRoute, off: &Offering, scope_attrs: bool) -> Vec<PvRoute> {
-    // Scope: narrow; or widen to Any when scopes are unsupported (BGP-2).
-    let scope = if scope_attrs {
-        let s = route.attrs.scope.intersect(&off.scope);
-        if s.is_empty_set() {
-            return Vec::new();
-        }
-        s
-    } else {
-        AdSet::Any
-    };
-    let qos_options: Vec<Option<QosClass>> = match (&route.attrs.qos, &off.qos) {
-        (None, None) => vec![None],
-        (Some(q), None) => vec![Some(*q)],
-        (None, Some(list)) => list.iter().map(|q| Some(*q)).collect(),
-        (Some(q), Some(list)) => {
-            if list.contains(q) {
-                vec![Some(*q)]
-            } else {
-                return Vec::new();
-            }
-        }
-    };
-    let uci_options: Vec<Option<UserClass>> = match (&route.attrs.uci, &off.uci) {
-        (None, None) => vec![None],
-        (Some(u), None) => vec![Some(*u)],
-        (None, Some(list)) => list.iter().map(|u| Some(*u)).collect(),
-        (Some(u), Some(list)) => {
-            if list.contains(u) {
-                vec![Some(*u)]
-            } else {
-                return Vec::new();
-            }
-        }
-    };
-    let mut out = Vec::with_capacity(qos_options.len() * uci_options.len());
-    for q in &qos_options {
-        for u in &uci_options {
-            out.push(PvRoute {
-                dest: route.dest,
-                path: route.path.clone(),
-                attrs: PvAttrs {
-                    qos: *q,
-                    uci: *u,
-                    scope: scope.clone(),
-                },
-                cost: route.cost.saturating_add(off.cost),
-            });
-        }
-    }
-    out
 }
 
 impl Protocol for PathVector {
@@ -472,11 +754,25 @@ impl Protocol for PathVector {
     type Msg = PvUpdate;
 
     fn make_router(&self, topo: &Topology, ad: AdId) -> PvRouter {
+        let mut scopes = Scopes::default();
+        let degree = topo.full_degree(ad);
         PvRouter {
-            me: ad,
-            adj_in: vec![None; topo.full_degree(ad)],
+            adj_in: vec![None; degree],
             loc_rib: Vec::new(),
             advert_pending: false,
+            own: PvRoute {
+                dest: ad,
+                path: Arc::new([ad]),
+                attrs: PvAttrs {
+                    qos: None,
+                    uci: None,
+                    scope: scopes.intern(AdSet::Any),
+                },
+                cost: 0,
+            },
+            adj_out: vec![None; degree],
+            unsent: BTreeSet::new(),
+            scopes,
         }
     }
 
@@ -492,30 +788,13 @@ impl Protocol for PathVector {
         _link: LinkId,
         msg: PvUpdate,
     ) {
-        // Prepend the sender so stored paths run next-hop … dest.
-        let routes: Vec<PvRoute> = msg
-            .routes
-            .into_iter()
-            .map(|mut route| {
-                if route.path.first() != Some(&from) {
-                    route.path.insert(0, from);
-                }
-                route
-            })
-            .collect();
-        if let Some(slot) = ctx.neighbor_slot(from) {
-            r.adj_in[slot] = Some(routes);
-        }
-        ctx.count("pv_recompute", 1);
-        let changed = self.recompute(r, ctx);
-        // Emit before scheduling the advertisement: the batch timer below
-        // anchors to this record in the causal log.
-        ctx.emit(EventRecord::RouteRecompute {
-            ad: ctx.me(),
-            proto: "pv",
-            changed,
-        });
-        if changed {
+        let dirty = match ctx.neighbor_slot(from) {
+            Some(slot) => r.import(slot, from, msg),
+            None => Vec::new(),
+        };
+        // Emitted before scheduling the advertisement: the batch timer
+        // below anchors to the recompute record in the causal log.
+        if self.recompute(r, ctx, &dirty) {
             self.schedule_advert(r, ctx);
         }
     }
@@ -535,19 +814,11 @@ impl Protocol for PathVector {
         neighbor: AdId,
         up: bool,
     ) {
-        if !up {
-            if let Some(slot) = ctx.neighbor_slot(neighbor) {
-                r.adj_in[slot] = None;
-            }
-        }
-        ctx.count("pv_recompute", 1);
-        let changed = self.recompute(r, ctx);
-        ctx.emit(EventRecord::RouteRecompute {
-            ad: ctx.me(),
-            proto: "pv",
-            changed,
-        });
-        if changed || up {
+        let dirty = match ctx.neighbor_slot(neighbor) {
+            Some(slot) => r.link_changed(slot, up),
+            None => Vec::new(),
+        };
+        if self.recompute(r, ctx, &dirty) || up {
             self.schedule_advert(r, ctx);
         }
     }
@@ -608,7 +879,7 @@ mod tests {
                     "{ad} stores looping path {:?}",
                     r.path
                 );
-                let mut p = r.path.clone();
+                let mut p = r.path.to_vec();
                 p.sort_unstable();
                 p.dedup();
                 assert_eq!(p.len(), r.path.len(), "duplicate in path");
@@ -789,20 +1060,22 @@ mod tests {
         let dst = AdId(9);
         let (prev, next) = (AdId(1), AdId(2));
         let noon = TimeOfDay::NOON;
+        let scopes = &mut Scopes::default();
+        let deny_all = TransitPolicy::deny_all(AdId(5));
         // permit_all => one catch-all offering.
         let p = TransitPolicy::permit_all(AdId(5));
-        let offs = offerings(&p, dst, prev, next, noon);
+        let offs = offerings(&p, dst, prev, next, noon, scopes);
         assert_eq!(offs.len(), 1);
-        assert_eq!(offs[0].scope, AdSet::Any);
+        assert_eq!(*offs[0].scope, AdSet::Any);
         // deny_all => none.
-        assert!(offerings(&TransitPolicy::deny_all(AdId(5)), dst, prev, next, noon).is_empty());
+        assert!(offerings(&deny_all, dst, prev, next, noon, scopes).is_empty());
         // deny(src {3}) then default permit => catch-all minus {3}.
         let mut p = TransitPolicy::permit_all(AdId(5));
         p.push_term(
             vec![PolicyCondition::SrcIn(AdSet::only([AdId(3)]))],
             PolicyAction::Deny,
         );
-        let offs = offerings(&p, dst, prev, next, noon);
+        let offs = offerings(&p, dst, prev, next, noon, scopes);
         assert_eq!(offs.len(), 1);
         assert!(!offs[0].scope.contains(AdId(3)));
         assert!(offs[0].scope.contains(AdId(4)));
@@ -812,27 +1085,143 @@ mod tests {
             vec![PolicyCondition::PrevIn(AdSet::only([AdId(7)]))],
             PolicyAction::Permit { cost: 0 },
         );
-        assert!(offerings(&p, dst, prev, next, noon).is_empty());
+        assert!(offerings(&p, dst, prev, next, noon, scopes).is_empty());
         p.push_term(
             vec![PolicyCondition::PrevIn(AdSet::only([prev]))],
             PolicyAction::Permit { cost: 2 },
         );
-        let offs = offerings(&p, dst, prev, next, noon);
+        let offs = offerings(&p, dst, prev, next, noon, scopes);
         assert_eq!(offs.len(), 1);
         assert_eq!(offs[0].cost, 2);
         // Unconditional deny stops processing.
         let mut p = TransitPolicy::permit_all(AdId(5));
         p.push_term(vec![], PolicyAction::Deny);
         p.push_term(vec![], PolicyAction::Permit { cost: 0 });
-        assert!(offerings(&p, dst, prev, next, noon).is_empty());
+        assert!(offerings(&p, dst, prev, next, noon, scopes).is_empty());
         // Deny Except({4}) leaves only source 4.
         let mut p = TransitPolicy::permit_all(AdId(5));
         p.push_term(
             vec![PolicyCondition::SrcIn(AdSet::except([AdId(4)]))],
             PolicyAction::Deny,
         );
-        let offs = offerings(&p, dst, prev, next, noon);
+        let offs = offerings(&p, dst, prev, next, noon, scopes);
         assert_eq!(offs.len(), 1);
-        assert_eq!(offs[0].scope, AdSet::only([AdId(4)]));
+        assert_eq!(*offs[0].scope, AdSet::only([AdId(4)]));
+    }
+
+    /// IDRP converged on the Figure-1 internet under the default policy mix.
+    fn converged_figure1() -> Engine<PathVector> {
+        let topo = HierarchyConfig::figure1().generate();
+        let db = PolicyWorkload::default_mix(7).generate(&topo);
+        converge(topo, PathVector::idrp(db))
+    }
+
+    /// Every `(router, adjacency slot, neighbor)` of a topology.
+    fn adjacencies(topo: &Topology) -> Vec<(AdId, usize, AdId)> {
+        let slots = |ad| topo.all_neighbors(ad).enumerate();
+        topo.ad_ids()
+            .flat_map(|ad| slots(ad).map(move |(slot, (nbr, _))| (ad, slot, nbr)))
+            .collect()
+    }
+
+    #[test]
+    fn identical_table_dirties_nothing_and_sends_nothing() {
+        let mut e = converged_figure1();
+        let topo = e.topo().clone();
+        // Each router re-imports the update its neighbor last sent it.
+        for (to, slot, from) in adjacencies(&topo) {
+            let sender = e.router(from);
+            let last = sender.adj_out[topo.neighbor_slot(from, to).unwrap()].as_ref();
+            let mut routes = vec![sender.own.clone()];
+            routes.extend_from_slice(last.expect("converged: an update was sent"));
+            let mut r = e.router(to).clone();
+            let before = r.adj_in[slot].clone();
+            assert_eq!(r.import(slot, from, PvUpdate { routes }), vec![]);
+            assert_eq!(r.adj_in[slot], before);
+        }
+        // End to end: an up link reported up again makes both ends send
+        // every neighbor the table it already holds. Nobody re-selects
+        // into a new RIB, nobody passes anything on.
+        let ribs = |e: &Engine<PathVector>| -> Vec<*const PvRoute> {
+            topo.ad_ids()
+                .map(|a| e.router(a).loc_rib.as_ptr())
+                .collect()
+        };
+        let (rib_before, sent_before) = (ribs(&e), e.stats.msgs_sent);
+        let link = topo.link(LinkId(0));
+        let at = e.now().plus_us(1000);
+        e.schedule_link_change(LinkId(0), true, at);
+        e.run_to_quiescence();
+        let resent = topo.degree(link.a) + topo.degree(link.b);
+        assert_eq!(e.stats.msgs_sent - sent_before, resent as u64);
+        assert_eq!(ribs(&e), rib_before);
+    }
+
+    #[test]
+    fn neighbor_going_down_dirties_exactly_what_it_offered() {
+        let e = converged_figure1();
+        for (ad, slot, nbr) in adjacencies(e.topo()) {
+            let mut r = e.router(ad).clone();
+            let table = r.adj_in[slot]
+                .clone()
+                .expect("converged: a table was heard");
+            let mut offered: Vec<AdId> = table.iter().map(|route| route.dest).collect();
+            offered.dedup();
+            assert!(offered.contains(&nbr), "{nbr} offers at least itself");
+            assert_eq!(r.link_changed(slot, false), offered);
+            assert!(r.adj_in[slot].is_none() && r.adj_out[slot].is_none());
+            // Re-selecting just those over the remaining neighbors leaves
+            // no route through the lost one, and touches no other group.
+            let up: Vec<(usize, u32)> = (0..r.adj_in.len())
+                .filter(|&s| s != slot)
+                .map(|s| (s, 1))
+                .collect();
+            r.reselect(&up, &offered);
+            assert!(r.loc_rib.iter().all(|route| route.path[0] != nbr));
+            assert!(r.unsent.iter().all(|dest| offered.contains(dest)));
+        }
+    }
+
+    #[test]
+    fn one_changed_group_rederives_one_slice_per_neighbor() {
+        let e = converged_figure1();
+        let pv = e.protocol();
+        let size = |update: &PvUpdate| pv.msg_size(update);
+        let mut checked = 0;
+        for (ad, slot, nbr) in adjacencies(e.topo()) {
+            let mut r = e.router(ad).clone();
+            let Some(dest) = r.loc_rib.first().map(|route| route.dest) else {
+                continue;
+            };
+            // One destination's group loses its first route.
+            r.loc_rib.remove(0);
+            let mut whole = r.clone();
+            whole.adj_out[slot] = None;
+            let rebuilt = pv.export(&mut whole, slot, nbr, &[]);
+            // Every slice last sent is marked, so a re-derived one shows.
+            let mut marked = r.clone();
+            for route in marked.adj_out[slot].as_mut().unwrap() {
+                route.cost = u32::MAX;
+            }
+            let partial = pv.export(&mut r, slot, nbr, &[dest]);
+            assert_eq!(partial.routes, rebuilt.routes);
+            assert_eq!(size(&partial), size(&rebuilt));
+            let kept = pv.export(&mut marked, slot, nbr, &[dest]);
+            assert_eq!(kept.routes.len(), rebuilt.routes.len());
+            for (route, fresh) in kept.routes[1..].iter().zip(&rebuilt.routes[1..]) {
+                if route.dest == dest {
+                    assert_eq!(route, fresh, "the changed slice is derived anew");
+                } else {
+                    assert_eq!(
+                        route.cost,
+                        u32::MAX,
+                        "slice to {} was re-derived",
+                        route.dest
+                    );
+                }
+            }
+            checked += 1;
+        }
+        assert!(checked > 0);
     }
 }

@@ -20,8 +20,7 @@ echo "== Rustdoc builds without a warning (no dangling intra-doc link)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "== Shapes: the paper's inequalities hold, and every 'Shape ✓' names a test that exists"
-# Includes the one shape test `cargo test` skips (E12a: IDRP under churn).
-cargo test -q --test shapes -- --include-ignored
+cargo test -q --test shapes
 cargo test -q --test shapes -- --list > "$out/shapes.list"
 python3 - "$out/shapes.list" <<'PY'
 import re, sys
@@ -43,8 +42,8 @@ for n, line in enumerate(open("EXPERIMENTS.md", encoding="utf-8"), 1):
 sys.exit("\n".join(bad) if bad else 0)
 PY
 
-echo "== The charge did not move: E5 and E9 print the rows EXPERIMENTS.md records"
-for b in exp5_lshbh_burden exp9_qos_scaling; do
+echo "== The charge did not move: E4, E5 and E9 print the rows EXPERIMENTS.md records"
+for b in exp4_pv_blowup exp5_lshbh_burden exp9_qos_scaling; do
     cargo bench -q -p adroute-bench --bench "$b" > "$out/$b.txt"
     test "$(grep -c '^|' "$out/$b.txt")" -gt 2
     if grep '^|' "$out/$b.txt" | grep -vxFf EXPERIMENTS.md; then
@@ -55,6 +54,9 @@ done
 
 echo "== Shared view: every LS-HBH router resolves as its own LSDB says (raised case count)"
 PROPTEST_CASES=2048 cargo test -q --test shared_view
+
+echo "== Incremental IDRP: every router stores and sends what the from-scratch oracle does (raised case count)"
+PROPTEST_CASES=2048 cargo test -q --test pv_incremental
 
 echo "== Machine-readable outputs are valid JSON"
 adroute report --ads 40 --seed 7 --flows 20 --json | python3 -m json.tool > /dev/null

@@ -4,9 +4,12 @@
 
 use adroute::core::{run_load_ramp, AdmissionConfig, OrwgNetwork, StressConfig};
 use adroute::policy::workload::PolicyWorkload;
+use adroute::policy::{AdSet, PolicyAction, PolicyCondition, PolicyDb, QosClass, UserClass};
 use adroute::protocols::forwarding::sample_flows;
 use adroute::sim::{Engine, FaultPlan, FaultSpec, OpenStorm, Protocol, SimTime, StormPhase};
-use adroute::topology::{analysis, HierarchyConfig, Topology};
+use adroute::topology::{analysis, generate, AdId, HierarchyConfig, Topology};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 /// A 15-AD single-backbone hierarchy with the given link-mix
 /// probabilities.
@@ -32,6 +35,46 @@ pub fn fifteen_ads(
 /// The proptest batteries' internet: 15 ADs, dense in detours.
 pub fn small_internet(seed: u64) -> Topology {
     fifteen_ads(0.3, 0.2, 0.3, seed)
+}
+
+/// A random small connected topology (ring/grid/clique by selector).
+pub fn small_topo(kind: u8, size: u8) -> Topology {
+    let n = 4 + (size % 4) as usize;
+    match kind % 3 {
+        0 => generate::ring(n),
+        1 => generate::grid(2, n / 2 + 1),
+        _ => generate::clique(n),
+    }
+}
+
+/// Random policies over a topology, driven by a seed.
+pub fn random_policies(topo: &Topology, seed: u64) -> PolicyDb {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut db = PolicyDb::permissive(topo);
+    for ad in topo.ad_ids() {
+        let p = db.policy_mut(ad);
+        for _ in 0..rng.gen_range(0..3) {
+            let denied: Vec<AdId> = topo.ad_ids().filter(|_| rng.gen_bool(0.25)).collect();
+            let cond = match rng.gen_range(0..4) {
+                0 => PolicyCondition::SrcIn(AdSet::only(denied)),
+                1 => PolicyCondition::DstIn(AdSet::only(denied)),
+                2 => PolicyCondition::QosIn(vec![QosClass(rng.gen_range(0..3))]),
+                _ => PolicyCondition::UciIn(vec![UserClass(rng.gen_range(0..3))]),
+            };
+            let action = if rng.gen_bool(0.6) {
+                PolicyAction::Deny
+            } else {
+                PolicyAction::Permit {
+                    cost: rng.gen_range(0..5),
+                }
+            };
+            p.push_term(vec![cond], action);
+        }
+        if rng.gen_bool(0.2) {
+            p.default = PolicyAction::Deny;
+        }
+    }
+    db
 }
 
 /// The shrunk goldens' internet: 15 ADs at the Figure-1 link mix. (An

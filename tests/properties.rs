@@ -6,9 +6,7 @@ use adroute::policy::ordering::{
     check_ordering, random_constraints, solve_ordering, OrderingSolution,
 };
 use adroute::policy::workload::PolicyWorkload;
-use adroute::policy::{
-    AdSet, FlowSpec, PolicyAction, PolicyCondition, PolicyDb, QosClass, UserClass,
-};
+use adroute::policy::{FlowSpec, QosClass, UserClass};
 use adroute::protocols::ecma::Ecma;
 use adroute::protocols::forwarding::{forward, ForwardOutcome};
 use adroute::protocols::path_vector::PathVector;
@@ -18,45 +16,8 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// A random small connected topology (ring/grid/clique by selector).
-fn small_topo(kind: u8, size: u8) -> adroute::topology::Topology {
-    let n = 4 + (size % 4) as usize;
-    match kind % 3 {
-        0 => generate::ring(n),
-        1 => generate::grid(2, n / 2 + 1),
-        _ => generate::clique(n),
-    }
-}
-
-/// Random policies over a topology, driven by a seed.
-fn random_policies(topo: &adroute::topology::Topology, seed: u64) -> PolicyDb {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut db = PolicyDb::permissive(topo);
-    for ad in topo.ad_ids() {
-        let p = db.policy_mut(ad);
-        for _ in 0..rng.gen_range(0..3) {
-            let denied: Vec<AdId> = topo.ad_ids().filter(|_| rng.gen_bool(0.25)).collect();
-            let cond = match rng.gen_range(0..4) {
-                0 => PolicyCondition::SrcIn(AdSet::only(denied)),
-                1 => PolicyCondition::DstIn(AdSet::only(denied)),
-                2 => PolicyCondition::QosIn(vec![QosClass(rng.gen_range(0..3))]),
-                _ => PolicyCondition::UciIn(vec![UserClass(rng.gen_range(0..3))]),
-            };
-            let action = if rng.gen_bool(0.6) {
-                PolicyAction::Deny
-            } else {
-                PolicyAction::Permit {
-                    cost: rng.gen_range(0..5),
-                }
-            };
-            p.push_term(vec![cond], action);
-        }
-        if rng.gen_bool(0.2) {
-            p.default = PolicyAction::Deny;
-        }
-    }
-    db
-}
+mod common;
+use common::{random_policies, small_topo};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]

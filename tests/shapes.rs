@@ -285,10 +285,7 @@ fn e11_link_state_keeps_every_legal_route_at_every_density() {
     assert!(dense.stretch() > sparse.stretch() && dense.stretch() > 1.2);
 }
 
-/// E12(a) reconverges IDRP on every link event: ~40 s, so `cargo test`
-/// skips it and `scripts/ci.sh` runs it (`--include-ignored`).
 #[test]
-#[ignore = "IDRP under churn takes ~40 s; scripts/ci.sh runs it"]
 fn e12a_link_state_churn_bytes_far_below_the_dv_family() {
     let rows = e12::control_churn(49, 43, 60);
     let by = |name: &str| arch(&rows, |r| r.arch, name);

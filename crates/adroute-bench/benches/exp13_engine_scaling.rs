@@ -164,7 +164,8 @@ fn protocol_speedups() {
     println!(
         "\nReading: a ratio above 1 means the lanes paid for their journaling. \
          Link-state handlers are as cheap as gossip's, so flooding runs slower \
-         in parallel; the DV family recomputes tables per update, and there the \
-         driver pays even on 2 CPUs (single runs)."
+         in parallel; naive DV and ECMA re-select only what an update changed, \
+         which leaves them near parity; IDRP's per-update selection and export \
+         is where the lanes still pay (single runs)."
     );
 }

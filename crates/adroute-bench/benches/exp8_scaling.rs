@@ -1,5 +1,5 @@
 //! **E8** (paper §2.2) — control-plane scaling across the design space:
-//! prints [`e8::rows`] from 49 to 392 ADs.
+//! prints [`e8::rows`] from 49 to 980 ADs.
 
 use adroute_bench::{e8, mb, FailureResponse, Table};
 
@@ -16,7 +16,7 @@ fn cell(r: &e8::Row, of: fn(FailureResponse) -> String) -> String {
 fn main() {
     Table::of(
         "E8: control overhead vs internet size",
-        &e8::rows(&[50, 100, 200, 400], IDRP_BYTE_BUDGET),
+        &e8::rows(&[50, 100, 200, 400, 1000], IDRP_BYTE_BUDGET),
         &[
             ("ADs", &|r| r.ads.to_string()),
             ("architecture", &|r| r.arch.to_string()),

@@ -29,6 +29,15 @@
 //! the destination-specific policy the design supports; source-specific
 //! policy is expressible **only** through the ordering itself — the
 //! limitation experiment E3 quantifies.
+//!
+//! The wire carries full (sparse) tables; the router pays for what
+//! changed. One advertisement is one shared entry list for every
+//! neighbor. A receiver merges it in place into the dense row it keeps
+//! for the sender, noting the destinations whose cells change, and
+//! re-selects only those; a link event re-selects what that neighbor's
+//! last update offers.
+
+use std::sync::Arc;
 
 use adroute_policy::{FlowSpec, QosClass};
 use adroute_sim::{Ctx, Engine, EventRecord, MisbehaviorModel, MisbehaviorSpec, Protocol};
@@ -172,33 +181,127 @@ impl Ecma {
                 .contains(&QosClass(qos))
     }
 
-    fn recompute(&self, r: &mut EcmaRouter, ctx: &Ctx<'_, EcmaUpdate>) -> bool {
-        let mut changed = false;
-        // Resolve each neighbor's adjacency slot once; the inner loop is
-        // then a flat array walk with no hashing.
-        let neighbors: Vec<(AdId, LinkId, usize)> = ctx
+    /// The cell of an update entry in a dense row, or `None` for a
+    /// destination or class outside our world: a buggy neighbor's entries
+    /// are ignored, never indexed.
+    fn cell(&self, num_ads: usize, &(dest, qos, ..): &Advert) -> Option<usize> {
+        (dest.index() < num_ads && qos < self.qos_classes).then(|| self.idx(dest, qos))
+    }
+
+    /// Makes `update` (`None`: nothing, as after a link-down) what the
+    /// neighbor in `slot` advertises in place of its last update, merging
+    /// it into that neighbor's row, and appends to `dirty` the
+    /// destinations whose cells changed. Entries may come in any order; a
+    /// later duplicate wins, exactly as if the update were read into a
+    /// fresh row.
+    fn replace(
+        &self,
+        r: &mut EcmaRouter,
+        slot: usize,
+        update: Option<Arc<[Advert]>>,
+        dirty: &mut Vec<usize>,
+    ) {
+        let unreachable = (self.infinity, self.infinity);
+        let EcmaRouter {
+            num_ads,
+            adv_in,
+            seen,
+            ..
+        } = r;
+        let heard = &mut adv_in[slot];
+        if heard.row.is_empty() && update.is_some() {
+            heard.row = vec![unreachable; *num_ads * self.qos_classes as usize];
+        }
+        let new = update.as_deref().unwrap_or_default();
+        // Backwards, so the first sighting of a cell is its last entry.
+        for e in new.iter().rev() {
+            let Some(i) = self.cell(*num_ads, e) else {
+                continue;
+            };
+            if std::mem::replace(&mut seen[i], true) {
+                continue;
+            }
+            let metrics = (e.2.min(self.infinity), e.3.min(self.infinity));
+            if heard.row[i] != metrics {
+                heard.row[i] = metrics;
+                dirty.push(e.0.index());
+            }
+        }
+        // Cells the last update set and this one does not are withdrawn.
+        for e in heard.last.iter().flat_map(|last| last.iter()) {
+            let Some(i) = self.cell(*num_ads, e) else {
+                continue;
+            };
+            if !seen[i] && heard.row[i] != unreachable {
+                heard.row[i] = unreachable;
+                dirty.push(e.0.index());
+            }
+        }
+        for e in new {
+            if let Some(i) = self.cell(*num_ads, e) {
+                seen[i] = false;
+            }
+        }
+        heard.last = update;
+    }
+
+    /// Appends to `dirty` the destinations toward which the neighbor in
+    /// `slot` offers a finite metric.
+    fn offered(&self, r: &EcmaRouter, slot: usize, dirty: &mut Vec<usize>) {
+        let heard = &r.adv_in[slot];
+        for e in heard.last.iter().flat_map(|last| last.iter()) {
+            let finite = |i: usize| heard.row[i] != (self.infinity, self.infinity);
+            if self.cell(r.num_ads, e).is_some_and(finite) {
+                dirty.push(e.0.index());
+            }
+        }
+    }
+
+    /// Re-selects the `dirty` destinations, every class, over the rows of
+    /// the up neighbors and returns whether any FIB entry changed. The one
+    /// selection routine: every other entry is already the one its
+    /// unchanged inputs give.
+    fn recompute(
+        &self,
+        r: &mut EcmaRouter,
+        ctx: &Ctx<'_, EcmaUpdate>,
+        mut dirty: Vec<usize>,
+    ) -> bool {
+        dirty.sort_unstable();
+        dirty.dedup();
+        let EcmaRouter {
+            me, table, adv_in, ..
+        } = r;
+        let me = *me;
+        // Resolve each neighbor's row and hop direction once; the inner
+        // loop is then a flat array walk with no hashing. A neighbor not
+        // yet heard from offers nothing.
+        let neighbors: Vec<_> = ctx
             .neighbors()
             .into_iter()
-            .filter_map(|(nbr, link)| ctx.neighbor_slot(nbr).map(|s| (nbr, link, s)))
+            .filter_map(|(nbr, link)| {
+                let row = &adv_in[ctx.neighbor_slot(nbr)?].row;
+                (!row.is_empty()).then(|| {
+                    let up = self.hop_is_up(me, nbr);
+                    (nbr, ctx.link_metric(link), up, row.as_slice())
+                })
+            })
             .collect();
         let nq = self.qos_classes as usize;
-        for dest_i in 0..r.num_ads {
+        let mut changed = false;
+        for dest_i in dirty {
             for qos in 0..nq as u8 {
                 let slot = dest_i * nq + qos as usize;
                 let mut best = EcmaEntry::unreachable(self.infinity);
-                if dest_i == r.me.index() {
+                if dest_i == me.index() {
                     best = EcmaEntry {
                         any: (0, None),
                         alldown: (0, None),
                     };
                 } else {
-                    for &(nbr, link, nslot) in &neighbors {
-                        let Some(v) = &r.adv_in[nslot] else {
-                            continue;
-                        };
-                        let adv = v[slot];
-                        let w = ctx.link_metric(link);
-                        if self.hop_is_up(r.me, nbr) {
+                    for &(nbr, w, up, row) in &neighbors {
+                        let adv = row[slot];
+                        if up {
                             // Up hop: extends valley-free routes only, for
                             // unmarked packets only.
                             let m = adv.0.saturating_add(w).min(self.infinity);
@@ -219,8 +322,8 @@ impl Ecma {
                         }
                     }
                 }
-                if r.table[slot] != best {
-                    r.table[slot] = best;
+                if table[slot] != best {
+                    table[slot] = best;
                     changed = true;
                 }
             }
@@ -268,6 +371,7 @@ impl Ecma {
                 }
             }
         }
+        let entries: Arc<[Advert]> = entries.into();
         for (nbr, _) in ctx.neighbors() {
             ctx.send(
                 nbr,
@@ -297,11 +401,15 @@ impl EcmaEntry {
     }
 }
 
+/// One advertised route: `(dest, qos, any-metric, alldown-metric)`.
+type Advert = (AdId, u8, u32, u32);
+
 /// A routing update: `(dest, qos, any-metric, alldown-metric)` entries.
 #[derive(Clone, Debug)]
 pub struct EcmaUpdate {
-    /// Advertised routes.
-    pub entries: Vec<(AdId, u8, u32, u32)>,
+    /// Advertised routes, only the reachable ones. Every neighbor sent
+    /// the same update shares this one allocation.
+    pub entries: Arc<[(AdId, u8, u32, u32)]>,
 }
 
 /// Per-AD ECMA router state.
@@ -311,9 +419,24 @@ pub struct EcmaRouter {
     num_ads: usize,
     /// FIBs indexed `dest * qos_classes + qos`.
     pub table: Vec<EcmaEntry>,
-    /// Last advertisement per neighbor, indexed by the dense adjacency
-    /// slot ([`Ctx::neighbor_slot`]) instead of a hash map.
-    adv_in: Vec<Option<Vec<(u32, u32)>>>,
+    /// What each neighbor advertises, indexed by the dense adjacency slot
+    /// ([`Ctx::neighbor_slot`]) instead of a hash map.
+    adv_in: Vec<Heard>,
+    /// Merge marks, indexed like `table`: the cells the update being
+    /// merged sets. All `false` between handler calls.
+    seen: Vec<bool>,
+}
+
+/// One neighbor's advertisements, as a router holds them.
+#[derive(Clone, Debug, Default)]
+struct Heard {
+    /// The neighbor's last update as it arrived (shared with the sender's
+    /// other neighbors); its in-range entries are the only cells of `row`
+    /// that may be finite. `None` before the first and after a link-down.
+    last: Option<Arc<[Advert]>>,
+    /// `(any, alldown)` metrics per `dest * qos_classes + qos`, capped at
+    /// `infinity`; empty until the first update, then reused.
+    row: Vec<(u32, u32)>,
 }
 
 impl EcmaRouter {
@@ -341,7 +464,8 @@ impl Protocol for Ecma {
             me: ad,
             num_ads: n,
             table,
-            adv_in: vec![None; topo.full_degree(ad)],
+            adv_in: vec![Heard::default(); topo.full_degree(ad)],
+            seen: vec![false; n * nq],
         }
     }
 
@@ -357,20 +481,12 @@ impl Protocol for Ecma {
         _link: LinkId,
         msg: EcmaUpdate,
     ) {
-        let nq = self.qos_classes as usize;
-        let mut v = vec![(self.infinity, self.infinity); r.num_ads * nq];
-        for (dest, qos, any, alldown) in msg.entries {
-            // Out-of-range destinations or classes from a buggy neighbor
-            // are ignored, never indexed.
-            if (qos as usize) < nq && dest.index() < r.num_ads {
-                v[self.idx(dest, qos)] = (any.min(self.infinity), alldown.min(self.infinity));
-            }
-        }
+        let mut dirty = Vec::new();
         if let Some(slot) = ctx.neighbor_slot(from) {
-            r.adv_in[slot] = Some(v);
+            self.replace(r, slot, Some(msg.entries), &mut dirty);
         }
         ctx.count("ecma_recompute", 1);
-        let changed = self.recompute(r, ctx);
+        let changed = self.recompute(r, ctx, dirty);
         // Emit before advertising: the sends below anchor to this record
         // in the causal log (recompute → triggered updates).
         ctx.emit(EventRecord::RouteRecompute {
@@ -391,13 +507,16 @@ impl Protocol for Ecma {
         neighbor: AdId,
         up: bool,
     ) {
-        if !up {
-            if let Some(slot) = ctx.neighbor_slot(neighbor) {
-                r.adv_in[slot] = None;
-            }
+        // The neighbor's row gains or loses its say over what it offers —
+        // also a row filled before this link-up.
+        let mut dirty = Vec::new();
+        match ctx.neighbor_slot(neighbor) {
+            Some(slot) if up => self.offered(r, slot, &mut dirty),
+            Some(slot) => self.replace(r, slot, None, &mut dirty),
+            None => {}
         }
         ctx.count("ecma_recompute", 1);
-        let changed = self.recompute(r, ctx);
+        let changed = self.recompute(r, ctx, dirty);
         ctx.emit(EventRecord::RouteRecompute {
             ad: ctx.me(),
             proto: "ecma",
@@ -665,6 +784,159 @@ mod tests {
             (t, e.stats.msgs_sent, e.stats.bytes_sent)
         };
         assert_eq!(run(), run());
+    }
+
+    /// Every `(router, adjacency slot, neighbor)` of a topology.
+    fn adjacencies(topo: &Topology) -> Vec<(AdId, usize, AdId)> {
+        let slots = |ad| topo.all_neighbors(ad).enumerate();
+        topo.ad_ids()
+            .flat_map(|ad| slots(ad).map(move |(slot, (nbr, _))| (ad, slot, nbr)))
+            .collect()
+    }
+
+    /// The destinations of `entries`, ascending, once each.
+    fn dests(entries: &[Advert]) -> Vec<usize> {
+        let mut d: Vec<usize> = entries.iter().map(|e| e.0.index()).collect();
+        d.sort_unstable();
+        d.dedup();
+        d
+    }
+
+    #[test]
+    fn identical_readvertisement_dirties_nothing_and_sends_nothing() {
+        let mut e = converge(testnet());
+        let topo = e.topo().clone();
+        let ecma = e.protocol().clone();
+        for (ad, slot, _) in adjacencies(&topo) {
+            let mut r = e.router(ad).clone();
+            let last = r.adv_in[slot].last.clone().expect("converged: heard");
+            let row = r.adv_in[slot].row.clone();
+            // The same update in another allocation — and in another
+            // order, with an earlier duplicate it overrides.
+            let mut shuffled = last.to_vec();
+            shuffled.reverse();
+            if let Some(&(d, q, _, _)) = shuffled.last() {
+                shuffled.insert(0, (d, q, 0, 0));
+            }
+            for update in [last.to_vec(), shuffled] {
+                let mut dirty = Vec::new();
+                ecma.replace(&mut r, slot, Some(update.into()), &mut dirty);
+                assert_eq!(dirty, vec![]);
+                assert_eq!(r.adv_in[slot].row, row);
+                assert!(r.seen.iter().all(|&s| !s), "merge marks left set");
+            }
+        }
+        // End to end: an up link reported up again makes both ends send
+        // every neighbor the update it already holds; nothing moves on.
+        let (tables, sent) = (
+            topo.ad_ids()
+                .map(|a| e.router(a).table.clone())
+                .collect::<Vec<_>>(),
+            e.stats.msgs_sent,
+        );
+        let link = topo.link(LinkId(0));
+        let at = e.now().plus_us(1000);
+        e.schedule_link_change(LinkId(0), true, at);
+        e.run_to_quiescence();
+        let resent = topo.degree(link.a) + topo.degree(link.b);
+        assert_eq!(e.stats.msgs_sent - sent, resent as u64);
+        assert!(topo
+            .ad_ids()
+            .all(|a| e.router(a).table == tables[a.index()]));
+    }
+
+    #[test]
+    fn neighbor_going_down_dirties_exactly_what_it_offered() {
+        let e = converge(testnet());
+        let ecma = e.protocol();
+        for (ad, slot, nbr) in adjacencies(e.topo()) {
+            let mut r = e.router(ad).clone();
+            let offered = dests(r.adv_in[slot].last.as_deref().expect("converged: heard"));
+            assert!(
+                offered.contains(&nbr.index()),
+                "{nbr} offers at least itself"
+            );
+            let mut dirty = Vec::new();
+            ecma.replace(&mut r, slot, None, &mut dirty);
+            dirty.sort_unstable();
+            dirty.dedup();
+            assert_eq!(dirty, offered);
+            let heard = &r.adv_in[slot];
+            assert!(heard.last.is_none());
+            assert!(heard
+                .row
+                .iter()
+                .all(|&m| m == (ecma.infinity, ecma.infinity)));
+        }
+    }
+
+    #[test]
+    fn one_advertisement_is_one_shared_update() {
+        let e = converge(testnet());
+        let topo = e.topo();
+        for ad in topo.ad_ids() {
+            let held: Vec<Arc<[Advert]>> = topo
+                .neighbors(ad)
+                .map(|(nbr, _)| {
+                    let slot = topo.neighbor_slot(nbr, ad).unwrap();
+                    e.router(nbr).adv_in[slot]
+                        .last
+                        .clone()
+                        .expect("converged: heard")
+                })
+                .collect();
+            assert!(
+                held.iter().all(|u| Arc::ptr_eq(u, &held[0])),
+                "{ad}'s neighbors hold copies"
+            );
+        }
+    }
+
+    #[test]
+    fn merge_reads_any_order_out_of_range_and_a_later_duplicate_wins() {
+        let topo = testnet();
+        let mut ecma = Ecma::hierarchical(&topo);
+        ecma.qos_classes = 2;
+        let inf = ecma.infinity;
+        let mut r = ecma.make_router(&topo, AdId(1));
+        let slot = 0;
+        // The parent's reading: a fresh dense row, entries in order, out
+        // of range ignored, later duplicates overwriting.
+        let dense = |entries: &[Advert]| {
+            let mut v = vec![(inf, inf); 6 * 2];
+            for &(d, q, any, down) in entries {
+                if d.index() < 6 && q < 2 {
+                    v[d.index() * 2 + q as usize] = (any.min(inf), down.min(inf));
+                }
+            }
+            v
+        };
+        let first: Vec<Advert> = vec![
+            (AdId(4), 1, 7, 9),
+            (AdId(2), 0, 3, 3),
+            (AdId(9), 0, 1, 1),        // no such AD
+            (AdId(3), 5, 1, 1),        // no such class
+            (AdId(4), 1, 2, u32::MAX), // later duplicate: wins, capped
+            (AdId(0), 0, 1, 1),
+        ];
+        let second: Vec<Advert> = vec![
+            (AdId(0), 0, 1, 1),   // unchanged
+            (AdId(4), 1, 2, inf), // unchanged once capped
+            (AdId(5), 0, 4, 4),   // new
+            (AdId(0), 0, 6, 6),   // earlier duplicate overridden…
+            (AdId(0), 0, 1, 1),   // …by the unchanged value
+        ]; // AD2's route withdrawn
+        let mut dirty = Vec::new();
+        ecma.replace(&mut r, slot, Some(first.clone().into()), &mut dirty);
+        dirty.sort_unstable();
+        assert_eq!(dirty, vec![0, 2, 4]);
+        assert_eq!(r.adv_in[slot].row, dense(&first));
+        let mut dirty = Vec::new();
+        ecma.replace(&mut r, slot, Some(second.clone().into()), &mut dirty);
+        dirty.sort_unstable();
+        assert_eq!(dirty, vec![2, 5]);
+        assert_eq!(r.adv_in[slot].row, dense(&second));
+        assert!(r.seen.iter().all(|&s| !s), "merge marks left set");
     }
 
     #[test]

@@ -11,6 +11,16 @@
 //! Because the protocol knows nothing of policy, its data plane happily
 //! routes transit traffic through ADs whose policies forbid it — the
 //! policy-integrity failure that the Table-1 capability probe records.
+//!
+//! The wire carries full tables; the router pays for what changed. One
+//! advertisement is one shared table (`Arc<[u32]>`) for every neighbor,
+//! with a poisoned copy only for a neighbor that is some destination's
+//! next hop. A receiver keeps the sender's table as it arrived, diffs it
+//! against the one it replaces and re-selects only the destinations whose
+//! offered metric differs; a link event re-selects what that neighbor's
+//! table offers.
+
+use std::sync::Arc;
 
 use adroute_policy::FlowSpec;
 use adroute_sim::{Ctx, Engine, EventRecord, MisbehaviorModel, MisbehaviorSpec, Protocol};
@@ -75,8 +85,10 @@ impl NaiveDv {
 /// A distance-vector update: the sender's full distance table.
 #[derive(Clone, Debug)]
 pub struct DvUpdate {
-    /// `(destination, metric)` pairs; `metric == infinity` poisons.
-    pub entries: Vec<(AdId, u32)>,
+    /// The metric per destination, indexed by AD id: entry `d` is the
+    /// `(AdId(d), metric)` pair on the wire; `metric == infinity` poisons.
+    /// Every neighbor sent the same table shares this one allocation.
+    pub metrics: Arc<[u32]>,
 }
 
 /// Per-AD router state.
@@ -87,9 +99,10 @@ pub struct DvRouter {
     pub metric: Vec<u32>,
     /// Chosen next hop per destination.
     pub next_hop: Vec<Option<AdId>>,
-    /// Last vector received from each neighbor, indexed by the dense
-    /// adjacency slot ([`Ctx::neighbor_slot`]) instead of a hash map.
-    adv_in: Vec<Option<Vec<u32>>>,
+    /// Last table received from each neighbor, as it arrived (shared with
+    /// the sender's other neighbors), indexed by the dense adjacency slot
+    /// ([`Ctx::neighbor_slot`]) instead of a hash map.
+    adv_in: Vec<Option<Arc<[u32]>>>,
 }
 
 impl DvRouter {
@@ -104,38 +117,69 @@ impl DvRouter {
 }
 
 impl NaiveDv {
-    fn recompute(&self, r: &mut DvRouter, ctx: &Ctx<'_, DvUpdate>) -> bool {
-        let n = r.metric.len();
-        let mut changed = false;
-        // Resolve each peer's adjacency slot once; the inner loop is then
-        // a flat array walk with no hashing.
-        let neighbors: Vec<(AdId, LinkId, usize)> = self
+    /// The metric a stored table offers toward `dest`: a destination past
+    /// its end (a short table), or a metric past `infinity`, is
+    /// unreachable — a buggy or malicious neighbor must not be able to
+    /// crash us. No table offers nothing.
+    fn offered(&self, table: Option<&[u32]>, dest: usize) -> u32 {
+        table
+            .and_then(|t| t.get(dest))
+            .map_or(self.infinity, |&m| m.min(self.infinity))
+    }
+
+    /// The destinations, ascending, toward which `new` offers a different
+    /// metric than `old`: the only ones whose selection a switch from one
+    /// to the other can change.
+    fn diff(&self, r: &DvRouter, old: Option<&[u32]>, new: Option<&[u32]>) -> Vec<usize> {
+        (0..r.metric.len())
+            .filter(|&dest| self.offered(old, dest) != self.offered(new, dest))
+            .collect()
+    }
+
+    /// Re-selects the `dirty` destinations over the tables of the up
+    /// peers and returns whether any metric or next hop changed. The one
+    /// selection routine: every other destination's selection is already
+    /// the one its unchanged inputs give.
+    fn recompute(&self, r: &mut DvRouter, ctx: &Ctx<'_, DvUpdate>, dirty: &[usize]) -> bool {
+        let DvRouter {
+            me,
+            metric,
+            next_hop,
+            adv_in,
+        } = r;
+        // Resolve each peer's table once; the inner loop is then a flat
+        // array walk with no hashing. A peer not yet heard from offers
+        // nothing.
+        let peers: Vec<(AdId, u32, &[u32])> = self
             .peers(ctx)
             .into_iter()
-            .filter_map(|(nbr, link)| ctx.neighbor_slot(nbr).map(|slot| (nbr, link, slot)))
+            .filter_map(|(nbr, link)| {
+                let table = adv_in[ctx.neighbor_slot(nbr)?].as_deref()?;
+                Some((nbr, ctx.link_metric(link), table))
+            })
             .collect();
-        for dest in 0..n {
-            let (mut best, mut hop) = if dest == r.me.index() {
+        let mut changed = false;
+        for &dest in dirty {
+            let (mut best, mut hop) = if dest == me.index() {
                 (0u32, None)
             } else {
                 (self.infinity, None)
             };
-            if dest != r.me.index() {
-                for &(nbr, link, slot) in &neighbors {
-                    if let Some(v) = &r.adv_in[slot] {
-                        let m = v[dest]
-                            .saturating_add(ctx.link_metric(link))
-                            .min(self.infinity);
-                        if m < best || (m == best && hop.is_some_and(|h| nbr < h)) {
-                            best = m;
-                            hop = Some(nbr);
-                        }
+            if dest != me.index() {
+                for &(nbr, w, table) in &peers {
+                    let m = self
+                        .offered(Some(table), dest)
+                        .saturating_add(w)
+                        .min(self.infinity);
+                    if m < best || (m == best && hop.is_some_and(|h| nbr < h)) {
+                        best = m;
+                        hop = Some(nbr);
                     }
                 }
             }
-            if r.metric[dest] != best || r.next_hop[dest] != hop {
-                r.metric[dest] = best;
-                r.next_hop[dest] = if best >= self.infinity { None } else { hop };
+            if metric[dest] != best || next_hop[dest] != hop {
+                metric[dest] = best;
+                next_hop[dest] = if best >= self.infinity { None } else { hop };
                 changed = true;
             }
         }
@@ -143,26 +187,33 @@ impl NaiveDv {
     }
 
     fn advertise(&self, r: &DvRouter, ctx: &mut Ctx<'_, DvUpdate>) {
+        let me = r.me.index();
         // A distance falsifier claims to be one hop from everything —
         // split-horizon poisoning included, since the lie is strictly
         // better than any honest poison.
         let falsify =
             self.misbehavior.model_of(r.me) == Some(MisbehaviorModel::DistanceFalsification);
+        let shared: Arc<[u32]> = if falsify {
+            (0..r.metric.len())
+                .map(|dest| if dest == me { r.metric[me] } else { 1 })
+                .collect()
+        } else {
+            r.metric.as_slice().into()
+        };
         for (nbr, _) in self.peers(ctx) {
-            let entries: Vec<(AdId, u32)> = r
-                .metric
-                .iter()
-                .enumerate()
-                .map(|(dest, &m)| {
-                    if falsify && dest != r.me.index() {
-                        return (AdId(dest as u32), 1);
-                    }
-                    let poisoned =
-                        self.split_horizon && r.next_hop[dest] == Some(nbr) && dest != r.me.index();
-                    (AdId(dest as u32), if poisoned { self.infinity } else { m })
-                })
-                .collect();
-            ctx.send(nbr, DvUpdate { entries });
+            let poison = self.split_horizon && !falsify && r.next_hop.contains(&Some(nbr));
+            let metrics = if poison {
+                // Poisoned reverse: what we reach through `nbr` is
+                // unreachable as far as `nbr` is told.
+                r.metric
+                    .iter()
+                    .zip(&r.next_hop)
+                    .map(|(&m, &hop)| if hop == Some(nbr) { self.infinity } else { m })
+                    .collect()
+            } else {
+                shared.clone()
+            };
+            ctx.send(nbr, DvUpdate { metrics });
         }
     }
 }
@@ -199,19 +250,15 @@ impl Protocol for NaiveDv {
         {
             return; // EGP peers only across hierarchy links
         }
-        let mut v = vec![self.infinity; r.metric.len()];
-        for (dest, m) in msg.entries {
-            // Ignore entries for destinations outside our world: a buggy
-            // or malicious neighbor must not be able to crash us.
-            if let Some(slot) = v.get_mut(dest.index()) {
-                *slot = m.min(self.infinity);
+        let dirty = match ctx.neighbor_slot(from) {
+            Some(slot) => {
+                let old = r.adv_in[slot].replace(msg.metrics);
+                self.diff(r, old.as_deref(), r.adv_in[slot].as_deref())
             }
-        }
-        if let Some(slot) = ctx.neighbor_slot(from) {
-            r.adv_in[slot] = Some(v);
-        }
+            None => Vec::new(),
+        };
         ctx.count("dv_recompute", 1);
-        let changed = self.recompute(r, ctx);
+        let changed = self.recompute(r, ctx, &dirty);
         // Emit before advertising: the sends below anchor to this record
         // in the causal log (recompute → triggered updates).
         ctx.emit(EventRecord::RouteRecompute {
@@ -232,13 +279,18 @@ impl Protocol for NaiveDv {
         neighbor: AdId,
         up: bool,
     ) {
-        if !up {
-            if let Some(slot) = ctx.neighbor_slot(neighbor) {
-                r.adv_in[slot] = None;
+        // The neighbor's table gains or loses its say over what it offers
+        // — also a table that arrived before this link-up.
+        let dirty = match ctx.neighbor_slot(neighbor) {
+            Some(slot) if up => self.diff(r, None, r.adv_in[slot].as_deref()),
+            Some(slot) => {
+                let old = r.adv_in[slot].take();
+                self.diff(r, old.as_deref(), None)
             }
-        }
+            None => Vec::new(),
+        };
         ctx.count("dv_recompute", 1);
-        let changed = self.recompute(r, ctx);
+        let changed = self.recompute(r, ctx, &dirty);
         ctx.emit(EventRecord::RouteRecompute {
             ad: ctx.me(),
             proto: "dv",
@@ -251,7 +303,7 @@ impl Protocol for NaiveDv {
     }
 
     fn msg_size(&self, msg: &DvUpdate) -> usize {
-        4 + 8 * msg.entries.len()
+        4 + 8 * msg.metrics.len()
     }
 }
 
@@ -547,5 +599,170 @@ mod tests {
             (t, e.stats.msgs_sent, e.stats.bytes_sent)
         };
         assert_eq!(run(), run());
+    }
+
+    /// Every `(router, adjacency slot, neighbor)` of a topology.
+    fn adjacencies(topo: &Topology) -> Vec<(AdId, usize, AdId)> {
+        let slots = |ad| topo.all_neighbors(ad).enumerate();
+        topo.ad_ids()
+            .flat_map(|ad| slots(ad).map(move |(slot, (nbr, _))| (ad, slot, nbr)))
+            .collect()
+    }
+
+    /// The tables `ad`'s neighbors hold from it.
+    fn held_from(e: &Engine<NaiveDv>, ad: AdId) -> Vec<(AdId, Arc<[u32]>)> {
+        let topo = e.topo();
+        topo.neighbors(ad)
+            .map(|(nbr, _)| {
+                let slot = topo.neighbor_slot(nbr, ad).unwrap();
+                let table = e.router(nbr).adv_in[slot].clone();
+                (nbr, table.expect("converged: a table was heard"))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn identical_readvertisement_dirties_nothing_and_sends_nothing() {
+        let dv = NaiveDv::default();
+        let mut e = converge(grid(3, 3), dv.clone());
+        let topo = e.topo().clone();
+        for (ad, slot, _) in adjacencies(&topo) {
+            let r = e.router(ad);
+            let held = r.adv_in[slot]
+                .as_deref()
+                .expect("converged: a table was heard");
+            let copy = held.to_vec(); // the same table, another allocation
+            assert_eq!(dv.diff(r, Some(held), Some(&copy)), Vec::<usize>::new());
+        }
+        // End to end: an up link reported up again makes both ends send
+        // every peer the table it already holds; nobody's selection moves
+        // and nobody passes anything on.
+        let fibs = |e: &Engine<NaiveDv>| -> Vec<_> {
+            topo.ad_ids()
+                .map(|a| (e.router(a).metric.clone(), e.router(a).next_hop.clone()))
+                .collect()
+        };
+        let (before, sent) = (fibs(&e), e.stats.msgs_sent);
+        let link = topo.link(LinkId(0));
+        let at = e.now().plus_us(1000);
+        e.schedule_link_change(LinkId(0), true, at);
+        e.run_to_quiescence();
+        let resent = topo.degree(link.a) + topo.degree(link.b);
+        assert_eq!(e.stats.msgs_sent - sent, resent as u64);
+        assert_eq!(fibs(&e), before);
+    }
+
+    #[test]
+    fn neighbor_going_down_dirties_exactly_what_it_offered() {
+        let dv = NaiveDv::default();
+        let e = converge(grid(3, 3), dv.clone());
+        for (ad, slot, nbr) in adjacencies(e.topo()) {
+            let r = e.router(ad);
+            let held = r.adv_in[slot]
+                .as_deref()
+                .expect("converged: a table was heard");
+            let offered: Vec<usize> = (0..held.len()).filter(|&d| held[d] < 64).collect();
+            assert!(
+                offered.contains(&nbr.index()),
+                "{nbr} offers at least itself"
+            );
+            assert_eq!(dv.diff(r, Some(held), None), offered);
+        }
+    }
+
+    #[test]
+    fn one_advertisement_is_one_shared_table() {
+        let e = converge(grid(3, 3), NaiveDv::default());
+        for ad in e.topo().ad_ids() {
+            let held = held_from(&e, ad);
+            assert!(
+                held.iter().all(|(_, t)| Arc::ptr_eq(t, &held[0].1)),
+                "{ad}'s neighbors hold copies"
+            );
+            assert_eq!(&held[0].1[..], &e.router(ad).metric[..]);
+        }
+    }
+
+    #[test]
+    fn split_horizon_copies_only_for_next_hops() {
+        use adroute_topology::{graph::make_ad, AdLevel};
+        // AD0 reaches everything through AD3: its heavy links to AD1 and
+        // AD2 carry no route, so only AD3 is told a poisoned table.
+        let ads = (0..4).map(|i| make_ad(i, AdLevel::Campus)).collect();
+        let heavy = [(AdId(0), AdId(1), 5), (AdId(0), AdId(2), 5)];
+        let light = [
+            (AdId(0), AdId(3), 1),
+            (AdId(3), AdId(1), 1),
+            (AdId(3), AdId(2), 1),
+        ];
+        let topo = Topology::new(ads, &[&heavy[..], &light[..]].concat());
+        let dv = NaiveDv {
+            split_horizon: true,
+            ..NaiveDv::default()
+        };
+        let e = converge(topo, dv);
+        let r = e.router(AdId(0));
+        assert_eq!(r.next_hop[1..], [Some(AdId(3)); 3]);
+        let held = held_from(&e, AdId(0));
+        let table = |nbr: u32| &held.iter().find(|(n, _)| *n == AdId(nbr)).unwrap().1;
+        assert!(
+            Arc::ptr_eq(table(1), table(2)),
+            "non-next-hops share one table"
+        );
+        assert_eq!(&table(1)[..], &r.metric[..]);
+        assert!(!Arc::ptr_eq(table(3), table(1)), "the next hop has its own");
+        assert_eq!(table(3)[..], [0, 64, 64, 64]);
+        // Everywhere: a next hop's table is its own, the rest share one.
+        for ad in e.topo().ad_ids() {
+            let r = e.router(ad);
+            let held = held_from(&e, ad);
+            let (hops, rest): (Vec<_>, Vec<_>) = held
+                .iter()
+                .partition(|(nbr, _)| r.next_hop.contains(&Some(*nbr)));
+            for (nbr, t) in hops {
+                let sharers = held.iter().filter(|(_, u)| Arc::ptr_eq(t, u)).count();
+                assert_eq!(sharers, 1, "{ad} shares {nbr}'s poisoned table");
+            }
+            for (nbr, t) in &rest {
+                assert!(Arc::ptr_eq(t, &rest[0].1), "{ad} copied {nbr}'s table");
+                assert_eq!(&t[..], &r.metric[..]);
+            }
+        }
+    }
+
+    #[test]
+    fn table_heard_over_a_down_link_counts_from_link_up() {
+        let mut e = converge(ring(4), NaiveDv::default());
+        let topo = e.topo().clone();
+        let l01 = topo.link_between(AdId(0), AdId(1)).unwrap();
+        let l03 = topo.link_between(AdId(0), AdId(3)).unwrap();
+        let at = e.now().plus_us(1000);
+        e.schedule_link_change(l01, false, at);
+        e.run_to_quiescence();
+        let route = |e: &Engine<NaiveDv>, dest: usize| {
+            let r = e.router(AdId(0));
+            (r.metric[dest], r.next_hop[dest])
+        };
+        assert_eq!(route(&e, 1), (3, Some(AdId(3))));
+        // AD1's table reaches AD0 after their link died.
+        let late: Arc<[u32]> = e.router(AdId(1)).metric.as_slice().into();
+        let slot = topo.neighbor_slot(AdId(0), AdId(1)).unwrap();
+        e.router_mut(AdId(0)).adv_in[slot] = Some(late);
+        // While the link is down it is no candidate, even for destinations
+        // AD3's re-announced table dirties.
+        let at = e.now().plus_us(1000);
+        e.schedule_link_change(l03, true, at);
+        e.run_to_quiescence();
+        assert_eq!(route(&e, 1), (3, Some(AdId(3))));
+        // At link-up it is re-selected at once, before AD1 re-sends.
+        let at = e.now().plus_us(1000);
+        e.schedule_link_change(l01, true, at);
+        e.run_until(at);
+        assert_eq!(route(&e, 1), (1, Some(AdId(1))));
+        assert_eq!(
+            route(&e, 2),
+            (2, Some(AdId(1))),
+            "tie broken to the lower id"
+        );
     }
 }

@@ -42,8 +42,8 @@ for n, line in enumerate(open("EXPERIMENTS.md", encoding="utf-8"), 1):
 sys.exit("\n".join(bad) if bad else 0)
 PY
 
-echo "== The charge did not move: E4, E5 and E9 print the rows EXPERIMENTS.md records"
-for b in exp4_pv_blowup exp5_lshbh_burden exp9_qos_scaling; do
+echo "== The charge did not move: E4, E5, E8, E9, E10, E11 and E12 print the rows EXPERIMENTS.md records"
+for b in exp4_pv_blowup exp5_lshbh_burden exp8_scaling exp9_qos_scaling exp10_convergence exp11_lateral_bypass exp12_dynamics; do
     cargo bench -q -p adroute-bench --bench "$b" > "$out/$b.txt"
     test "$(grep -c '^|' "$out/$b.txt")" -gt 2
     if grep '^|' "$out/$b.txt" | grep -vxFf EXPERIMENTS.md; then
@@ -57,6 +57,9 @@ PROPTEST_CASES=2048 cargo test -q --test shared_view
 
 echo "== Incremental IDRP: every router stores and sends what the from-scratch oracle does (raised case count)"
 PROPTEST_CASES=2048 cargo test -q --test pv_incremental
+
+echo "== Incremental naive DV and ECMA: ledger, event log and FIBs equal the full-table oracle's (raised case count)"
+PROPTEST_CASES=2048 cargo test -q --test dv_incremental
 
 echo "== Machine-readable outputs are valid JSON"
 adroute report --ads 40 --seed 7 --flows 20 --json | python3 -m json.tool > /dev/null

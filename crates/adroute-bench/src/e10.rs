@@ -45,12 +45,7 @@ struct Partition {
 
 impl Partition {
     /// `proto` converged, then every link of the victim cut at once.
-    fn row<P>(&self, arch: &'static str, proto: P) -> Row
-    where
-        P: Protocol + Sync,
-        P::Router: Send,
-        P::Msg: Send,
-    {
+    fn row<P: Protocol>(&self, arch: &'static str, proto: P) -> Row {
         let cut = |t: &Topology| t.neighbors(self.victim).map(|(_, l)| l).collect();
         Row {
             ads: self.topo.num_ads(),

@@ -41,12 +41,7 @@ pub struct Row {
 
 /// `proto`'s bill on `topo` when the first link of the highest-degree AD
 /// fails: a meaningful event.
-fn run<P>(topo: &Topology, proto: P) -> FailureResponse
-where
-    P: Protocol + Sync,
-    P::Router: Send,
-    P::Msg: Send,
-{
+fn run<P: Protocol>(topo: &Topology, proto: P) -> FailureResponse {
     failure_response(topo, proto, |t| {
         let hub = t.ad_ids().max_by_key(|&a| t.degree(a));
         let link = hub.and_then(|a| t.neighbors(a).next().map(|(_, l)| l));

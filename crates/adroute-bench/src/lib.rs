@@ -164,18 +164,13 @@ pub struct FailureResponse {
 /// Converges `proto` on `topo`, fails every link `cut` picks at once and
 /// re-converges — the CLI's own lifecycle
 /// ([`scenario::converge_then_cut`]), read back as phase deltas.
-pub fn failure_response<P>(
+pub fn failure_response<P: Protocol>(
     topo: &Topology,
     proto: P,
     cut: impl FnOnce(&Topology) -> Vec<LinkId>,
-) -> FailureResponse
-where
-    P: Protocol + Sync,
-    P::Router: Send,
-    P::Msg: Send,
-{
+) -> FailureResponse {
     let mut e = Engine::new(topo.clone(), proto);
-    let (converge_us, reconverge_us) = scenario::converge_then_cut(&mut e, &cut(topo), None);
+    let (converge_us, reconverge_us) = scenario::converge_then_cut(&mut e, &cut(topo));
     let phase = |name| {
         e.stats
             .phase_delta(name)

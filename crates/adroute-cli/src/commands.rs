@@ -85,21 +85,18 @@ COMMANDS:
                 serves batches of co-routable opens per slot through
                 shared multi-destination sweeps and refills invalidated
                 cache entries in idle slots)
-  profile       <quickstart|e7b|e13|e14> [--json --folded --workers K
-                 --top N --ads N --loss P --out FILE]
+  profile       <quickstart|e7b|e13|e14> [--json --folded --top N
+                 --ads N --loss P --out FILE]
                 run a fixed scenario with the self-profiler attached and
                 render its span tree: monotonic self/total wall time per
                 span plus the deterministic work ledger, whose counters
-                are byte-identical across repeat runs and worker counts.
-                quickstart/e7b profile the ORWG engine lifecycle
-                (converge + trunk cut; region-parallel at --workers
-                K > 1, default 1: sequential is the faster path here)
-                then a sharded serve ramp; e13 the region-parallel
-                gossip flood (--loss attaches an event-keyed faulty
-                channel so the faulted dispatch path is what gets
-                profiled); e14 full sharded e9b serving (--json for
-                machines, --folded for flamegraph.pl, default a top-N
-                self-time table)
+                are byte-identical across repeat runs. quickstart/e7b
+                profile the ORWG engine lifecycle (converge + trunk cut)
+                then a sharded serve ramp; e13 the gossip flood (--loss
+                attaches an event-keyed faulty channel so the faulted
+                dispatch path is what gets profiled); e14 full sharded
+                e9b serving (--json for machines, --folded for
+                flamegraph.pl, default a top-N self-time table)
   help          this text
 ";
 
@@ -497,7 +494,6 @@ pub fn chaos(args: &Args) -> Result<String, CliError> {
         "view",
         "byzantine",
         "trace",
-        "workers",
         "partition",
     ])?;
     let trace_path = args.opt("trace");
@@ -506,10 +502,6 @@ pub fn chaos(args: &Args) -> Result<String, CliError> {
     let duration_ms = opt_duration_ms(args, 400)?;
     if duration_ms == 0 {
         return bail("--duration must be a positive number of milliseconds");
-    }
-    let workers: usize = args.opt_parse("workers", 1)?;
-    if workers == 0 {
-        return bail("--workers must be positive");
     }
     let partition = args.opt_parse("partition", false)?;
     let loss: f64 = args.opt_parse("loss", 0.05)?;
@@ -571,7 +563,7 @@ pub fn chaos(args: &Args) -> Result<String, CliError> {
         e.enable_obs(65536);
     }
     e.begin_phase("converge");
-    e.run_to_quiescence_parallel(workers);
+    e.run_to_quiescence();
     let spec = FaultSpec {
         link_model: Some(FailureModel {
             mtbf_ms: duration_ms as f64 / 3.0,
@@ -618,7 +610,7 @@ pub fn chaos(args: &Args) -> Result<String, CliError> {
     }
     e.begin_phase("churn");
     plan.apply(&mut e);
-    let t = e.run_to_quiescence_parallel(workers);
+    let t = e.run_to_quiescence();
     let _ = writeln!(
         out,
         "control plane: quiescent at {} us after {} events",
@@ -784,7 +776,7 @@ pub fn chaos(args: &Args) -> Result<String, CliError> {
     // flush, per --view.
     e.begin_phase("failure-response");
     e.schedule_link_change(cut, false, e.now().plus_us(1));
-    e.run_to_quiescence_parallel(workers);
+    e.run_to_quiescence();
     net.refresh_from_engine(&e);
     let torn = net.pending_repair_count();
     let r = net.repair_pending(4);
@@ -894,12 +886,10 @@ fn measure_hbh<P>(
     flows: &[FlowSpec],
 ) -> PointReport
 where
-    P: Protocol + Sync,
-    P::Router: Send,
-    P::Msg: Send,
+    P: Protocol,
     Engine<P>: DataPlane,
 {
-    let (converge_us, reconverge_us) = scenario::converge_then_cut(&mut e, &[trunk], None);
+    let (converge_us, reconverge_us) = scenario::converge_then_cut(&mut e, &[trunk]);
     let topo = e.topo().clone();
     for f in flows {
         let out = forward(&mut e, &topo, f);
@@ -990,7 +980,7 @@ pub fn report(args: &Args) -> Result<String, CliError> {
     // ORWG: source routing — setup latency is measured by actually opening
     // each flow through the data plane built from the re-converged engine.
     let mut e = Engine::new(topo.clone(), OrwgProtocol::new(&topo, db.clone()));
-    let (converge_us, reconverge_us) = scenario::converge_then_cut(&mut e, &[trunk], None);
+    let (converge_us, reconverge_us) = scenario::converge_then_cut(&mut e, &[trunk]);
     let mut net = OrwgNetwork::from_engine(
         &e,
         OrwgNetwork::DEFAULT_STRATEGY,
@@ -1456,19 +1446,15 @@ pub fn stress(args: &Args) -> Result<String, CliError> {
 /// `profile`: run a fixed scenario with the self-profiler attached and
 /// render the span tree. Self/total wall times vary run to run and are
 /// never part of any golden; the `work` ledger is deterministic —
-/// byte-identical across repeat runs and worker counts, which
-/// `tests/profile_determinism.rs` enforces (the PR-7 determinism
-/// contract extended to observability).
+/// byte-identical across repeat runs, which `tests/profile_determinism.rs`
+/// enforces (the engine's determinism contract extended to
+/// observability).
 pub fn profile(args: &Args) -> Result<String, CliError> {
-    args.known_with_positionals(&["json", "folded", "workers", "top", "ads", "loss", "out"])?;
+    args.known_with_positionals(&["json", "folded", "top", "ads", "loss", "out"])?;
     let json = args.opt_parse("json", false)?;
     let folded = args.opt_parse("folded", false)?;
-    let workers: usize = args.opt_parse("workers", 1)?;
     let top: usize = args.opt_parse("top", 16)?;
     let scenario = args.positional_one("scenario")?.to_string();
-    if workers == 0 {
-        return bail("--workers must be positive");
-    }
     if json && folded {
         return bail("--json and --folded are mutually exclusive");
     }
@@ -1478,8 +1464,7 @@ pub fn profile(args: &Args) -> Result<String, CliError> {
     let mut prof = Profiler::new();
     let (ads, links);
     match scenario::lookup("profile", &scenario)? {
-        // e13, the region-parallel gossip flood: the engine-dispatch /
-        // window / fanout / commit span stack.
+        // e13, the gossip flood: the engine's dispatch path at scale.
         // `--loss p` attaches an event-keyed lossy channel so the
         // profiled dispatch path is the faulted one.
         None => {
@@ -1506,7 +1491,7 @@ pub fn profile(args: &Args) -> Result<String, CliError> {
                 }));
             }
             e.enable_prof();
-            e.run_to_quiescence_parallel(workers);
+            e.run_to_quiescence();
             prof.merge_from(&e.prof);
         }
         // quickstart/e7b: the engine lifecycle (converge, cut the trunk,
@@ -1522,7 +1507,7 @@ pub fn profile(args: &Args) -> Result<String, CliError> {
                 let proto = OrwgProtocol::new(&sc.topo, sc.policies());
                 let mut e = Engine::new(sc.topo.clone(), proto);
                 e.enable_prof();
-                scenario::converge_then_cut(&mut e, &[sc.trunk()], Some(workers));
+                scenario::converge_then_cut(&mut e, &[sc.trunk()]);
                 prof.merge_from(&e.prof);
             }
             if scenario == "e7b" {
@@ -1538,15 +1523,14 @@ pub fn profile(args: &Args) -> Result<String, CliError> {
         let mut w = JsonWriter::object();
         w.put_str("scenario", &scenario)
             .put("ads", ads)
-            .put("links", links)
-            .put("workers", workers);
+            .put("links", links);
         prof.json_fields(&mut w);
         wrap_json("profile", w.finish())
     } else if folded {
         prof.fold()
     } else {
         let table = prof.table(top);
-        format!("profile {scenario}: {ads} ADs, {links} links, workers {workers}\n{table}")
+        format!("profile {scenario}: {ads} ADs, {links} links\n{table}")
     };
     emit(&out, args.opt("out"))
 }
@@ -1660,6 +1644,13 @@ mod tests {
         .unwrap_err()
         .0
         .contains("bad time"));
+        for line in ["chaos --workers 2", "profile quickstart --workers 2"] {
+            let err = run(line).unwrap_err().0;
+            assert!(
+                err.starts_with("unknown flag --workers for "),
+                "{line}: {err}"
+            );
+        }
         assert!(run("help").unwrap().contains("USAGE"));
     }
 
@@ -2228,11 +2219,10 @@ mod tests {
     }
 
     #[test]
-    fn profile_e13_work_ledger_is_worker_invariant() {
-        let a = run("profile e13 --ads 300 --workers 2 --json").unwrap();
+    fn profile_e13_work_ledger_is_double_run_invariant() {
+        let a = run("profile e13 --ads 300 --json").unwrap();
         assert!(a.starts_with("{\"profile\":{\"scenario\":\"e13\""), "{a}");
         for key in [
-            "\"workers\":2",
             "\"work\":{",
             "\"engine/events\":",
             "\"engine/msgs_delivered\":",
@@ -2240,23 +2230,21 @@ mod tests {
         ] {
             assert!(a.contains(key), "missing {key}: {a}");
         }
-        // The ledger side is byte-identical across worker counts even
-        // though the span tree (and its wall times) legitimately differ.
-        let b = run("profile e13 --ads 300 --workers 4 --json").unwrap();
+        // The ledger side is byte-identical across runs even though the
+        // span wall times legitimately differ.
+        let b = run("profile e13 --ads 300 --json").unwrap();
         assert_eq!(work_object(&a), work_object(&b));
-        let seq = run("profile e13 --ads 300 --workers 1 --json").unwrap();
-        assert_eq!(work_object(&a), work_object(&seq));
     }
 
     #[test]
     fn profile_quickstart_covers_engine_and_serve_spans() {
-        let table = run("profile quickstart --workers 2").unwrap();
+        let table = run("profile quickstart").unwrap();
         for span in ["serve_batch", "synth", "load_ramp"] {
             assert!(table.contains(span), "missing span {span}: {table}");
         }
         assert!(table.contains("work ledger (deterministic):"), "{table}");
         assert!(table.contains("serve/opens_popped"), "{table}");
-        let folded = run("profile quickstart --workers 2 --folded").unwrap();
+        let folded = run("profile quickstart --folded").unwrap();
         assert!(
             folded
                 .lines()
@@ -2274,7 +2262,7 @@ mod tests {
     #[test]
     fn profile_rejects_unknown_scenarios_and_flags() {
         assert!(run("profile nope").unwrap_err().0.contains("unknown"));
-        assert!(run("profile e13 --workers 0")
+        assert!(run("profile e13 --ads 0")
             .unwrap_err()
             .0
             .contains("positive"));

@@ -1,8 +1,8 @@
 //! The fixed scenarios behind `audit`, `blame`, `stress` and `profile`,
 //! each defined once: the two named internets with their seeds and storm
 //! ramps, the table of which scenario name means which internet, and the
-//! run lifecycles. `tests/golden_trace.rs`, `tests/parallel_determinism.rs`
-//! and `tests/profile_determinism.rs` call these same functions, so a
+//! run lifecycles. `tests/golden_trace.rs`, `tests/determinism.rs` and
+//! `tests/profile_determinism.rs` call these same functions, so a
 //! committed `tests/golden/*.jsonl` is the tool's own output.
 
 use std::collections::BTreeMap;
@@ -117,27 +117,16 @@ pub fn named(command: &str, name: &str) -> Result<Scenario, CliError> {
 
 /// The control-plane lifecycle: converge, cut every link of `cut` a
 /// microsecond later, re-converge, under the `converge` and
-/// `failure-response` phase scopes. `workers` picks the region-parallel
-/// engine; `None` is the sequential entry point (the oracle the
-/// determinism tests compare against). Returns (convergence,
-/// reconvergence) times in µs.
-pub fn converge_then_cut<P>(e: &mut Engine<P>, cut: &[LinkId], workers: Option<usize>) -> (u64, u64)
-where
-    P: Protocol + Sync,
-    P::Router: Send,
-    P::Msg: Send,
-{
-    let quiesce = |e: &mut Engine<P>| match workers {
-        None => e.run_to_quiescence(),
-        Some(w) => e.run_to_quiescence_parallel(w),
-    };
+/// `failure-response` phase scopes. Returns (convergence, reconvergence)
+/// times in µs.
+pub fn converge_then_cut<P: Protocol>(e: &mut Engine<P>, cut: &[LinkId]) -> (u64, u64) {
     e.begin_phase("converge");
-    let t1 = quiesce(e);
+    let t1 = e.run_to_quiescence();
     e.begin_phase("failure-response");
     for &link in cut {
         e.schedule_link_change(link, false, e.now().plus_us(1));
     }
-    let t2 = quiesce(e);
+    let t2 = e.run_to_quiescence();
     (t1.as_us(), t2.as_us() - t1.as_us())
 }
 
@@ -148,7 +137,7 @@ pub fn control_plane_run(sc: &Scenario) -> Engine<OrwgProtocol> {
     let db = PolicyDb::permissive(&sc.topo);
     let mut e = Engine::new(sc.topo.clone(), OrwgProtocol::new(&sc.topo, db));
     e.enable_obs(1 << 16);
-    converge_then_cut(&mut e, &[sc.trunk()], None);
+    converge_then_cut(&mut e, &[sc.trunk()]);
     e
 }
 

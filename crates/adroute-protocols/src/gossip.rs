@@ -17,9 +17,7 @@
 //! allocation in steady state (neighbor lists are precomputed per
 //! router; duplicate suppression is one bitset probe).
 //!
-//! The workload is fully deterministic (no randomness, no maps), so it
-//! also serves as a scale-stress for the deterministically-parallel
-//! region execution in `adroute_sim::parallel`.
+//! The workload is fully deterministic (no randomness, no maps).
 
 use adroute_sim::{Ctx, Protocol};
 use adroute_topology::{AdId, LinkId, Topology};
@@ -186,27 +184,6 @@ mod tests {
         // One wave crosses every up link exactly twice.
         let links = e.topo().num_links() as u64;
         assert_eq!(e.stats.msgs_sent, g.total_waves() as u64 * 2 * links);
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let topo = internet(9);
-        let g = Gossip::default();
-        let mut seq = Engine::new(topo.clone(), g);
-        seq.enable_obs(1 << 16);
-        let t_seq = seq.run_to_quiescence();
-        for regions in [2, 8] {
-            let mut par = Engine::new(topo.clone(), g);
-            par.enable_obs(1 << 16);
-            let t = par.run_to_quiescence_parallel(regions);
-            assert_eq!(t, t_seq);
-            assert_eq!(
-                par.obs.log.render(),
-                seq.obs.log.render(),
-                "{regions} regions"
-            );
-            assert_eq!(par.stats.msgs_sent, seq.stats.msgs_sent);
-        }
     }
 
     #[test]

@@ -662,11 +662,4 @@ mod tests {
         assert!(e.stats.msgs_duplicated > 0, "the fault never fired");
         assert_every_lsdb_shares_the_origins_allocation(&e);
     }
-
-    #[test]
-    fn parallel_lanes_share_allocations_across_workers() {
-        let mut e = figure1_engine();
-        e.run_to_quiescence_parallel(2);
-        assert_every_lsdb_shares_the_origins_allocation(&e);
-    }
 }

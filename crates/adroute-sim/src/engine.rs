@@ -201,20 +201,19 @@ impl<'a, M> Ctx<'a, M> {
     }
 }
 
-/// Reusable dispatch buffers. [`World::react`] hands these to each
+/// Reusable dispatch buffers. [`Engine::react`] hands these to each
 /// [`Ctx`] and takes them back drained, so steady-state dispatch allocates
 /// nothing — the hot-path requirement for paper-scale runs (and the whole
-/// point when no observer is attached and `events` stays empty). `C` is
-/// the sink's cause type.
-pub(crate) struct Scratch<M, C> {
+/// point when no observer is attached and `events` stays empty).
+struct Scratch<M> {
     outbox: Vec<(AdId, LinkId, M, Option<usize>)>,
     timers: Vec<(u64, u64, Option<usize>)>,
     events: Vec<EventRecord>,
-    emitted: Vec<C>,
+    emitted: Vec<Option<EventId>>,
 }
 
-impl<M, C> Default for Scratch<M, C> {
-    fn default() -> Scratch<M, C> {
+impl<M> Default for Scratch<M> {
+    fn default() -> Scratch<M> {
         Scratch {
             outbox: Vec::new(),
             timers: Vec::new(),
@@ -224,334 +223,30 @@ impl<M, C> Default for Scratch<M, C> {
     }
 }
 
-/// Where the effects of a dispatched event go. The event semantics are
-/// written once ([`World::dispatch_event`], [`World::react`]) against this
-/// trait; the sequential engine applies effects immediately ([`Direct`]),
-/// a parallel lane journals them for the commit replay
-/// (`parallel::Lane`). Monomorphisation gives each its own copy of the
-/// core with no dynamic dispatch.
-pub(crate) trait Sink<M> {
-    /// What a record or queued event cites as its causal parent: a real
-    /// id for [`Direct`], a symbolic reference inside a lane.
-    type Cause: Copy;
-
-    /// Records `rec` as a child of `cause` and returns what its own
-    /// effects should cite: the new record, or `cause` itself when no
-    /// observer is attached and nothing was recorded.
-    fn emit(&mut self, cause: Self::Cause, rec: EventRecord) -> Self::Cause;
-
-    /// Queues an AD-targeted event.
-    fn push(&mut self, time: SimTime, cause: Self::Cause, kind: EventKind<M>);
-
-    /// Counts one message sent by `ad` and returns its cumulative send
-    /// ordinal — the key of the channel-fault draw, so it must be the
-    /// same number under either sink.
-    fn count_send(&mut self, ad: AdId) -> u64;
-
-    /// The counters this sink's effects accumulate into.
-    fn stats(&mut self) -> &mut Stats;
-}
-
-/// The sequential sink: engine queues, real [`EventId`]s, the engine's own
-/// [`Stats`].
-pub(crate) struct Direct<'a, M> {
-    now: SimTime,
-    queue: &'a mut EventQueue<M>,
-    ctrl: &'a mut EventQueue<M>,
-    seq: &'a mut u64,
-    stats: &'a mut Stats,
-    obs: &'a mut Obs,
-}
-
-impl<M> Direct<'_, M> {
-    /// Appends `rec` to the typed log (when enabled) and returns the id
-    /// the log assigned.
-    #[inline]
-    fn record(&mut self, cause: Option<EventId>, rec: EventRecord) -> Option<EventId> {
-        if self.obs.log.capacity() > 0 {
-            return self.obs.record_event(self.now, cause, rec);
-        }
-        None
-    }
-}
-
-impl<M> Sink<M> for Direct<'_, M> {
-    type Cause = Option<EventId>;
-
-    #[inline]
-    fn emit(&mut self, cause: Option<EventId>, rec: EventRecord) -> Option<EventId> {
-        self.record(cause, rec).or(cause)
-    }
-
-    #[inline]
-    fn push(&mut self, time: SimTime, cause: Option<EventId>, kind: EventKind<M>) {
-        let seq = *self.seq;
-        *self.seq += 1;
-        let ev = Event {
-            time,
-            seq,
-            cause,
-            kind,
-        };
-        if ev.kind.target_ad().is_some() {
-            self.queue.push(ev);
-        } else {
-            self.ctrl.push(ev);
-        }
-    }
-
-    #[inline]
-    fn count_send(&mut self, ad: AdId) -> u64 {
-        let n = &mut self.stats.per_ad_msgs[ad.index()];
-        *n += 1;
-        *n
-    }
-
-    #[inline]
-    fn stats(&mut self) -> &mut Stats {
-        self.stats
-    }
-}
-
-/// What a targeted event runs against: the state only control events may
-/// change (shared, read-only) and the routers of ADs
-/// `base..base + routers.len()` — the whole arena for the sequential
-/// engine, one region's slice for a lane.
-pub(crate) struct World<'a, P: Protocol, C> {
-    pub(crate) protocol: &'a P,
-    pub(crate) topo: &'a Topology,
-    pub(crate) router_up: &'a [bool],
-    pub(crate) incarnations: &'a [u32],
-    pub(crate) routers: &'a mut [P::Router],
-    pub(crate) base: usize,
-    pub(crate) faults: Option<&'a ChannelFaults>,
-    /// Whether the typed log is recording (gates [`Ctx::emit`]).
-    pub(crate) observing: bool,
-    /// Time of the event being dispatched.
-    pub(crate) now: SimTime,
-    pub(crate) scratch: &'a mut Scratch<P::Msg, C>,
-}
-
-impl<P: Protocol, C: Copy> World<'_, P, C> {
-    /// The semantics of the AD-targeted events (start / deliver / timer).
-    /// Control events mutate what `World` shares read-only, so they never
-    /// come here: [`Engine::step`] handles them.
-    ///
-    /// Forced inline (with [`World::react`]) so that in `Engine::step` the
-    /// `World`/`Direct` views dissolve back into plain field accesses;
-    /// left to the inliner, the benchmark's converge stage ran ~3% slower.
-    #[inline(always)]
-    pub(crate) fn dispatch_event<S>(&mut self, sink: &mut S, cause: C, kind: EventKind<P::Msg>)
-    where
-        S: Sink<P::Msg, Cause = C>,
-    {
-        match kind {
-            EventKind::Start { ad } => {
-                let id = sink.emit(cause, EventRecord::Start { ad });
-                self.react(sink, ad, id, |p, r, ctx| p.on_start(r, ctx));
-            }
-            EventKind::Deliver {
-                to,
-                from,
-                link,
-                msg,
-            } => {
-                // A message in flight when its link failed, or whose
-                // destination crashed, is lost.
-                if self.topo.link(link).up && self.router_up[to.index()] {
-                    sink.stats().msgs_delivered += 1;
-                    sink.stats().last_activity = self.now;
-                    let id = sink.emit(cause, EventRecord::MsgDeliver { from, to, link });
-                    self.react(sink, to, id, |p, r, ctx| {
-                        p.on_message(r, ctx, from, link, msg)
-                    });
-                } else {
-                    sink.stats().msgs_lost += 1;
-                    sink.emit(cause, EventRecord::MsgLost { from, to, link });
-                }
-            }
-            EventKind::Timer {
-                ad,
-                token,
-                incarnation,
-            } => {
-                // Timers armed by a previous incarnation (or aimed at a
-                // currently dead router) died with the state that set them.
-                if self.router_up[ad.index()] && incarnation == self.incarnations[ad.index()] {
-                    let id = sink.emit(cause, EventRecord::TimerFire { ad, token });
-                    self.react(sink, ad, id, |p, r, ctx| p.on_timer(r, ctx, token));
-                } else {
-                    sink.emit(cause, EventRecord::StaleTimer { ad, token });
-                }
-            }
-            EventKind::LinkEvent { .. } | EventKind::RouterEvent { .. } => {
-                unreachable!("control events are handled by Engine::step")
-            }
-        }
-    }
-
-    /// Runs handler `f` on router `ad` and turns what it buffered in its
-    /// [`Ctx`] into effects on `sink`: protocol records, then sends (each
-    /// through the channel-fault verdict), then timers.
-    #[inline(always)]
-    pub(crate) fn react<S, F>(&mut self, sink: &mut S, ad: AdId, cause: C, f: F)
-    where
-        S: Sink<P::Msg, Cause = C>,
-        F: FnOnce(&P, &mut P::Router, &mut Ctx<'_, P::Msg>),
-    {
-        // Hand the reusable buffers to the context; they come back drained
-        // below, so steady-state dispatch performs no allocation.
-        let mut ctx = Ctx {
-            me: ad,
-            now: self.now,
-            topo: self.topo,
-            stats: sink.stats(),
-            outbox: std::mem::take(&mut self.scratch.outbox),
-            timers: std::mem::take(&mut self.scratch.timers),
-            events: std::mem::take(&mut self.scratch.events),
-            anchor: None,
-            observing: self.observing,
-        };
-        f(
-            self.protocol,
-            &mut self.routers[ad.index() - self.base],
-            &mut ctx,
-        );
-        let Ctx {
-            mut outbox,
-            mut timers,
-            mut events,
-            ..
-        } = ctx;
-        // Protocol-emitted records are children of the dispatched event;
-        // what each emit returns lets the sends and timers that followed
-        // it attach to the precise reaction that produced them.
-        let mut emitted = std::mem::take(&mut self.scratch.emitted);
-        for rec in events.drain(..) {
-            emitted.push(sink.emit(cause, rec));
-        }
-        let resolve = |anchor: Option<usize>| anchor.map_or(cause, |i| emitted[i]);
-        for (to, link, msg, anchor) in outbox.drain(..) {
-            let mut delay = self.topo.link(link).delay_us;
-            let bytes = self.protocol.msg_size(&msg) as u64;
-            sink.stats().msgs_sent += 1;
-            sink.stats().bytes_sent += bytes;
-            let ordinal = sink.count_send(ad);
-            // The per-hop chain: whatever happens to this message in
-            // flight (channel fault, delivery) descends from its send.
-            let hop_cause = sink.emit(
-                resolve(anchor),
-                EventRecord::MsgSend {
-                    from: ad,
-                    to,
-                    link,
-                    bytes,
-                },
-            );
-            let mut dup_at = None;
-            // The verdict is keyed on the sender's cumulative send count,
-            // so it is the same whichever sink this dispatch feeds.
-            if let Some(cfg) = self.faults.filter(|cfg| cfg.active_at(self.now)) {
-                match cfg.judge(ad, ordinal, delay) {
-                    ChannelVerdict::Lost => {
-                        sink.stats().msgs_lost += 1;
-                        sink.emit(hop_cause, EventRecord::ChanLoss { from: ad, to, link });
-                        continue;
-                    }
-                    ChannelVerdict::Corrupted => {
-                        sink.stats().msgs_corrupted += 1;
-                        sink.emit(hop_cause, EventRecord::ChanCorrupt { from: ad, to, link });
-                        continue;
-                    }
-                    ChannelVerdict::Pass {
-                        delay_us,
-                        duplicate_at_us,
-                        reordered,
-                    } => {
-                        if reordered {
-                            sink.stats().msgs_reordered += 1;
-                            sink.emit(hop_cause, EventRecord::ChanReorder { from: ad, to, link });
-                        }
-                        if let Some(d) = duplicate_at_us {
-                            sink.stats().msgs_duplicated += 1;
-                            sink.emit(hop_cause, EventRecord::ChanDup { from: ad, to, link });
-                            dup_at = Some(self.now.plus_us(d));
-                        }
-                        delay = delay_us;
-                    }
-                }
-            }
-            if let Some(at) = dup_at {
-                sink.push(
-                    at,
-                    hop_cause,
-                    EventKind::Deliver {
-                        to,
-                        from: ad,
-                        link,
-                        msg: msg.clone(),
-                    },
-                );
-            }
-            sink.push(
-                self.now.plus_us(delay),
-                hop_cause,
-                EventKind::Deliver {
-                    to,
-                    from: ad,
-                    link,
-                    msg,
-                },
-            );
-        }
-        let incarnation = self.incarnations[ad.index()];
-        for (delay_us, token, anchor) in timers.drain(..) {
-            sink.push(
-                self.now.plus_us(delay_us),
-                resolve(anchor),
-                EventKind::Timer {
-                    ad,
-                    token,
-                    incarnation,
-                },
-            );
-        }
-        emitted.clear();
-        self.scratch.outbox = outbox;
-        self.scratch.timers = timers;
-        self.scratch.events = events;
-        self.scratch.emitted = emitted;
-    }
-}
-
 /// The discrete-event engine running one [`Protocol`] over one
 /// [`Topology`].
 pub struct Engine<P: Protocol> {
-    pub(crate) protocol: P,
-    pub(crate) topo: Topology,
-    pub(crate) routers: Vec<P::Router>,
-    /// AD-targeted events (start / deliver / timer): the parallelizable
-    /// queue, partitioned by region during parallel windows.
-    pub(crate) queue: EventQueue<P::Msg>,
-    /// Control events (link / router state changes). Kept apart from the
-    /// targeted queue so the parallel scheduler can read the next global
-    /// synchronization point in O(1).
-    pub(crate) ctrl: EventQueue<P::Msg>,
-    pub(crate) seq: u64,
-    pub(crate) now: SimTime,
+    protocol: P,
+    topo: Topology,
+    routers: Vec<P::Router>,
+    /// Pending events of every kind, popped in `(time, seq)` order.
+    queue: EventQueue<P::Msg>,
+    /// The push counter: the `seq` of the next queued event.
+    seq: u64,
+    now: SimTime,
     /// What the link-fault process says about each link, independent of
     /// router crashes. A link is *operational* (reflected in `topo`) iff
     /// its scheduled state is up AND both endpoint routers are up.
     sched_up: Vec<bool>,
     /// Liveness of each router; crashed routers receive no events.
-    pub(crate) router_up: Vec<bool>,
+    router_up: Vec<bool>,
     /// Bumped on each crash so pre-crash timers die with the old state.
-    pub(crate) incarnations: Vec<u32>,
+    incarnations: Vec<u32>,
     /// Optional channel-fault configuration (loss/corruption/dup/
     /// reorder); verdicts are drawn per message, keyed on event identity.
-    pub(crate) faults: Option<ChannelFaults>,
+    faults: Option<ChannelFaults>,
     /// Reusable dispatch buffers (see [`Scratch`]).
-    scratch: Scratch<P::Msg, Option<EventId>>,
+    scratch: Scratch<P::Msg>,
     /// Safety valve: maximum events processed per `run_*` call family.
     pub max_events: u64,
     /// Accumulated measurement counters.
@@ -564,12 +259,9 @@ pub struct Engine<P: Protocol> {
     pub obs: Obs,
     /// The self-profiler (disabled by default; see
     /// [`Engine::enable_prof`]). Its span/wall side is measurement-only;
-    /// its work ledger is fed exclusively from worker-count-invariant
-    /// [`Stats`] deltas, so it obeys the determinism contract.
+    /// its work ledger is fed exclusively from [`Stats`] deltas, so it
+    /// obeys the determinism contract.
     pub prof: Profiler,
-    /// Lazily-created persistent worker crew for parallel windows
-    /// (spawning threads per window dominated lane work at paper scale).
-    pub(crate) pool: Option<crate::pool::WorkerPool>,
 }
 
 impl<P: Protocol> Engine<P> {
@@ -588,7 +280,6 @@ impl<P: Protocol> Engine<P> {
             topo,
             routers,
             queue: EventQueue::new(),
-            ctrl: EventQueue::new(),
             seq: 0,
             now: SimTime::ZERO,
             sched_up,
@@ -600,7 +291,6 @@ impl<P: Protocol> Engine<P> {
             stats,
             obs: Obs::disabled(),
             prof: Profiler::new(),
-            pool: None,
         };
         for ad in e.topo.ad_ids() {
             e.push(SimTime::ZERO, None, EventKind::Start { ad });
@@ -608,61 +298,18 @@ impl<P: Protocol> Engine<P> {
         e
     }
 
-    /// Splits the engine into what a dispatch reads ([`World`], over the
-    /// whole router arena) and where its effects go ([`Direct`]).
+    /// Queues an event under the next `seq`, so events due at the same
+    /// time fire in push order.
     #[inline]
-    fn split(&mut self) -> (World<'_, P, Option<EventId>>, Direct<'_, P::Msg>) {
-        let observing = self.observing();
-        let world = World {
-            protocol: &self.protocol,
-            topo: &self.topo,
-            router_up: &self.router_up,
-            incarnations: &self.incarnations,
-            routers: &mut self.routers,
-            base: 0,
-            faults: self.faults.as_ref(),
-            observing,
-            now: self.now,
-            scratch: &mut self.scratch,
-        };
-        let sink = Direct {
-            now: self.now,
-            queue: &mut self.queue,
-            ctrl: &mut self.ctrl,
-            seq: &mut self.seq,
-            stats: &mut self.stats,
-            obs: &mut self.obs,
-        };
-        (world, sink)
-    }
-
     fn push(&mut self, time: SimTime, cause: Option<EventId>, kind: EventKind<P::Msg>) {
-        self.split().1.push(time, cause, kind);
-    }
-
-    /// Pops the globally next event across both queues, by `(time, seq)`.
-    pub(crate) fn pop_next(&mut self) -> Option<Event<P::Msg>> {
-        let take_ctrl = match (self.queue.peek(), self.ctrl.peek()) {
-            (None, None) => return None,
-            (Some(_), None) => false,
-            (None, Some(_)) => true,
-            (Some(a), Some(c)) => (c.time, c.seq) < (a.time, a.seq),
-        };
-        if take_ctrl {
-            self.ctrl.pop()
-        } else {
-            self.queue.pop()
-        }
-    }
-
-    /// Time of the next pending event, if any.
-    pub(crate) fn next_event_time(&self) -> Option<SimTime> {
-        match (self.queue.peek(), self.ctrl.peek()) {
-            (None, None) => None,
-            (Some(a), None) => Some(a.time),
-            (None, Some(c)) => Some(c.time),
-            (Some(a), Some(c)) => Some(a.time.min(c.time)),
-        }
+        let seq = self.seq;
+        self.seq += 1;
+        self.queue.push(Event {
+            time,
+            seq,
+            cause,
+            kind,
+        });
     }
 
     /// The topology (current link states included).
@@ -700,7 +347,7 @@ impl<P: Protocol> Engine<P> {
 
     /// Number of events waiting.
     pub fn pending_events(&self) -> usize {
-        self.queue.len() + self.ctrl.len()
+        self.queue.len()
     }
 
     /// Schedules a link state change at an absolute time. The topology
@@ -788,15 +435,14 @@ impl<P: Protocol> Engine<P> {
     /// to every message sent after this call; each message's fate is
     /// drawn by `ChannelFaults::judge` keyed on (seed, sender, per-AD
     /// send ordinal), so fault arrival is a pure function of event
-    /// identity — independent of draw order, identical under the
-    /// sequential and parallel engines.
+    /// identity, independent of draw order.
     pub fn set_channel_faults(&mut self, faults: Option<ChannelFaults>) {
         self.faults = faults;
     }
 
     /// Processes a single event. Returns `false` if the queue was empty.
     pub fn step(&mut self) -> bool {
-        let Some(ev) = self.pop_next() else {
+        let Some(ev) = self.queue.pop() else {
             return false;
         };
         debug_assert!(ev.time >= self.now, "time went backwards");
@@ -804,6 +450,46 @@ impl<P: Protocol> Engine<P> {
         self.stats.events += 1;
         let cause = ev.cause;
         match ev.kind {
+            EventKind::Start { ad } => {
+                let id = self.emit(cause, EventRecord::Start { ad }).or(cause);
+                self.react(ad, id, |p, r, ctx| p.on_start(r, ctx));
+            }
+            EventKind::Deliver {
+                to,
+                from,
+                link,
+                msg,
+            } => {
+                // A message in flight when its link failed, or whose
+                // destination crashed, is lost.
+                if self.topo.link(link).up && self.router_up[to.index()] {
+                    self.stats.msgs_delivered += 1;
+                    self.stats.last_activity = self.now;
+                    let id = self
+                        .emit(cause, EventRecord::MsgDeliver { from, to, link })
+                        .or(cause);
+                    self.react(to, id, |p, r, ctx| p.on_message(r, ctx, from, link, msg));
+                } else {
+                    self.stats.msgs_lost += 1;
+                    self.emit(cause, EventRecord::MsgLost { from, to, link });
+                }
+            }
+            EventKind::Timer {
+                ad,
+                token,
+                incarnation,
+            } => {
+                // Timers armed by a previous incarnation (or aimed at a
+                // currently dead router) died with the state that set them.
+                if self.router_up[ad.index()] && incarnation == self.incarnations[ad.index()] {
+                    let id = self
+                        .emit(cause, EventRecord::TimerFire { ad, token })
+                        .or(cause);
+                    self.react(ad, id, |p, r, ctx| p.on_timer(r, ctx, token));
+                } else {
+                    self.emit(cause, EventRecord::StaleTimer { ad, token });
+                }
+            }
             EventKind::LinkEvent { link, up } => {
                 self.sched_up[link.index()] = up;
                 let l = self.topo.link(link);
@@ -822,12 +508,12 @@ impl<P: Protocol> Engine<P> {
                 );
                 let link_cause = id.or(cause);
                 if self.router_up[a.index()] {
-                    self.dispatch(a, link_cause, |p, r, ctx| {
+                    self.react(a, link_cause, |p, r, ctx| {
                         p.on_link_event(r, ctx, link, b, eff)
                     });
                 }
                 if self.router_up[b.index()] {
-                    self.dispatch(b, link_cause, |p, r, ctx| {
+                    self.react(b, link_cause, |p, r, ctx| {
                         p.on_link_event(r, ctx, link, a, eff)
                     });
                 }
@@ -839,12 +525,150 @@ impl<P: Protocol> Engine<P> {
                     self.crash_router(ad, cause);
                 }
             }
-            targeted => {
-                let (mut world, mut sink) = self.split();
-                world.dispatch_event(&mut sink, cause, targeted);
-            }
         }
         true
+    }
+
+    /// Runs handler `f` on router `ad` and applies what it buffered in its
+    /// [`Ctx`]: protocol records, then sends (each through the
+    /// channel-fault verdict), then timers.
+    ///
+    /// Forced inline: left to the inliner, the benchmark's converge stage
+    /// ran ~3% slower.
+    #[inline(always)]
+    fn react<F>(&mut self, ad: AdId, cause: Option<EventId>, f: F)
+    where
+        F: FnOnce(&P, &mut P::Router, &mut Ctx<'_, P::Msg>),
+    {
+        // Hand the reusable buffers to the context; they come back drained
+        // below, so steady-state dispatch performs no allocation.
+        let observing = self.observing();
+        let mut ctx = Ctx {
+            me: ad,
+            now: self.now,
+            topo: &self.topo,
+            stats: &mut self.stats,
+            outbox: std::mem::take(&mut self.scratch.outbox),
+            timers: std::mem::take(&mut self.scratch.timers),
+            events: std::mem::take(&mut self.scratch.events),
+            anchor: None,
+            observing,
+        };
+        f(&self.protocol, &mut self.routers[ad.index()], &mut ctx);
+        let Ctx {
+            mut outbox,
+            mut timers,
+            mut events,
+            ..
+        } = ctx;
+        // Protocol-emitted records are children of the dispatched event;
+        // what each emit returns lets the sends and timers that followed
+        // it attach to the precise reaction that produced them.
+        let mut emitted = std::mem::take(&mut self.scratch.emitted);
+        for rec in events.drain(..) {
+            emitted.push(self.emit(cause, rec).or(cause));
+        }
+        let resolve = |anchor: Option<usize>| anchor.map_or(cause, |i| emitted[i]);
+        for (to, link, msg, anchor) in outbox.drain(..) {
+            let mut delay = self.topo.link(link).delay_us;
+            let bytes = self.protocol.msg_size(&msg) as u64;
+            self.stats.msgs_sent += 1;
+            self.stats.bytes_sent += bytes;
+            let sent_by_ad = &mut self.stats.per_ad_msgs[ad.index()];
+            *sent_by_ad += 1;
+            let ordinal = *sent_by_ad;
+            // The per-hop chain: whatever happens to this message in
+            // flight (channel fault, delivery) descends from its send.
+            let parent = resolve(anchor);
+            let hop_cause = self
+                .emit(
+                    parent,
+                    EventRecord::MsgSend {
+                        from: ad,
+                        to,
+                        link,
+                        bytes,
+                    },
+                )
+                .or(parent);
+            let mut dup_at = None;
+            // The verdict is keyed on the sender's cumulative send count,
+            // so it is a pure function of the message's identity.
+            let verdict = self
+                .faults
+                .as_ref()
+                .filter(|cfg| cfg.active_at(self.now))
+                .map(|cfg| cfg.judge(ad, ordinal, delay));
+            if let Some(verdict) = verdict {
+                match verdict {
+                    ChannelVerdict::Lost => {
+                        self.stats.msgs_lost += 1;
+                        self.emit(hop_cause, EventRecord::ChanLoss { from: ad, to, link });
+                        continue;
+                    }
+                    ChannelVerdict::Corrupted => {
+                        self.stats.msgs_corrupted += 1;
+                        self.emit(hop_cause, EventRecord::ChanCorrupt { from: ad, to, link });
+                        continue;
+                    }
+                    ChannelVerdict::Pass {
+                        delay_us,
+                        duplicate_at_us,
+                        reordered,
+                    } => {
+                        if reordered {
+                            self.stats.msgs_reordered += 1;
+                            self.emit(hop_cause, EventRecord::ChanReorder { from: ad, to, link });
+                        }
+                        if let Some(d) = duplicate_at_us {
+                            self.stats.msgs_duplicated += 1;
+                            self.emit(hop_cause, EventRecord::ChanDup { from: ad, to, link });
+                            dup_at = Some(self.now.plus_us(d));
+                        }
+                        delay = delay_us;
+                    }
+                }
+            }
+            if let Some(at) = dup_at {
+                self.push(
+                    at,
+                    hop_cause,
+                    EventKind::Deliver {
+                        to,
+                        from: ad,
+                        link,
+                        msg: msg.clone(),
+                    },
+                );
+            }
+            self.push(
+                self.now.plus_us(delay),
+                hop_cause,
+                EventKind::Deliver {
+                    to,
+                    from: ad,
+                    link,
+                    msg,
+                },
+            );
+        }
+        let incarnation = self.incarnations[ad.index()];
+        for (delay_us, token, anchor) in timers.drain(..) {
+            self.push(
+                self.now.plus_us(delay_us),
+                resolve(anchor),
+                EventKind::Timer {
+                    ad,
+                    token,
+                    incarnation,
+                },
+            );
+        }
+        emitted.clear();
+        self.scratch.outbox = outbox;
+        self.scratch.timers = timers;
+        self.scratch.events = events;
+        self.scratch.emitted = emitted;
     }
 
     /// Crashes router `ad`: soft state is lost, adjacent links go out of
@@ -868,7 +692,7 @@ impl<P: Protocol> Engine<P> {
                 .emit(crash_id, EventRecord::LinkDown { link })
                 .or(crash_id);
             if self.router_up[nbr.index()] {
-                self.dispatch(nbr, down_id, |p, r, ctx| {
+                self.react(nbr, down_id, |p, r, ctx| {
                     p.on_link_event(r, ctx, link, ad, false)
                 });
             }
@@ -903,13 +727,13 @@ impl<P: Protocol> Engine<P> {
             }
         }
         self.routers[ad.index()] = self.protocol.make_router(&self.topo, ad);
-        self.dispatch(ad, restart_id, |p, r, ctx| p.on_restart(r, ctx));
+        self.react(ad, restart_id, |p, r, ctx| p.on_restart(r, ctx));
         for (nbr, link, up_id) in restored {
-            self.dispatch(ad, up_id, |p, r, ctx| {
+            self.react(ad, up_id, |p, r, ctx| {
                 p.on_link_event(r, ctx, link, nbr, true)
             });
             if self.router_up[nbr.index()] {
-                self.dispatch(nbr, up_id, |p, r, ctx| {
+                self.react(nbr, up_id, |p, r, ctx| {
                     p.on_link_event(r, ctx, link, ad, true)
                 });
             }
@@ -923,17 +747,15 @@ impl<P: Protocol> Engine<P> {
         self.obs.log = EventLog::new(capacity);
     }
 
-    /// Enables the self-profiler. Unlike the event sinks, the profiler
-    /// adds no per-event work: spans wrap whole `run_*` calls and
-    /// parallel windows, and the work ledger is fed from [`Stats`]
-    /// deltas at span exits.
+    /// Enables the self-profiler. Unlike the event log, the profiler adds
+    /// no per-event work: spans wrap whole `run_*` calls, and the work
+    /// ledger is fed from [`Stats`] deltas at span exits.
     pub fn enable_prof(&mut self) {
         self.prof.enable();
     }
 
-    /// Snapshot of the worker-count-invariant counters a run span
-    /// attributes work from.
-    pub(crate) fn prof_snapshot(&self) -> (u64, u64, u64, u64) {
+    /// Snapshot of the counters a run span attributes work from.
+    fn prof_snapshot(&self) -> (u64, u64, u64, u64) {
         (
             self.stats.events,
             self.stats.msgs_sent,
@@ -943,9 +765,9 @@ impl<P: Protocol> Engine<P> {
     }
 
     /// Credits the engine-level work ledger with everything that
-    /// happened since `snap`. All four deltas are byte-identical across
-    /// worker counts by the determinism contract, so the ledger is too.
-    pub(crate) fn prof_attribute(&mut self, snap: (u64, u64, u64, u64)) {
+    /// happened since `snap`. All four deltas are deterministic, so the
+    /// ledger is too.
+    fn prof_attribute(&mut self, snap: (u64, u64, u64, u64)) {
         if !self.prof.is_enabled() {
             return;
         }
@@ -959,15 +781,20 @@ impl<P: Protocol> Engine<P> {
     }
 
     /// Whether the typed event log is recording.
-    pub(crate) fn observing(&self) -> bool {
+    #[inline]
+    fn observing(&self) -> bool {
         self.obs.log.capacity() > 0
     }
 
     /// Records one typed event with its causal parent at the current
     /// simulated time. Returns the id the typed log assigned, or `None`
     /// when the log is disabled.
-    pub(crate) fn emit(&mut self, cause: Option<EventId>, rec: EventRecord) -> Option<EventId> {
-        self.split().1.record(cause, rec)
+    #[inline]
+    fn emit(&mut self, cause: Option<EventId>, rec: EventRecord) -> Option<EventId> {
+        if self.observing() {
+            return self.obs.record_event(self.now, cause, rec);
+        }
+        None
     }
 
     /// Records an externally produced event (fault-plan installation,
@@ -991,15 +818,6 @@ impl<P: Protocol> Engine<P> {
     pub fn begin_phase(&mut self, name: &'static str) {
         self.stats.begin_phase(name);
         self.emit(None, EventRecord::PhaseBegin { name });
-    }
-
-    /// [`World::react`] against the whole engine, for the control arms.
-    fn dispatch<F>(&mut self, ad: AdId, cause: Option<EventId>, f: F)
-    where
-        F: FnOnce(&P, &mut P::Router, &mut Ctx<'_, P::Msg>),
-    {
-        let (mut world, mut sink) = self.split();
-        world.react(&mut sink, ad, cause, f);
     }
 
     /// Runs until the event queue is empty (quiescence) and returns the
@@ -1026,12 +844,19 @@ impl<P: Protocol> Engine<P> {
         self.stats.last_activity
     }
 
+    /// [`Engine::run_to_quiescence`]; `_workers` is ignored. The name
+    /// stays because `benchmark/` still calls it for its `sim.parallel.*`
+    /// metrics; it goes once the benchmark drops them (ROADMAP item 2(b)).
+    pub fn run_to_quiescence_parallel(&mut self, _workers: usize) -> SimTime {
+        self.run_to_quiescence()
+    }
+
     /// Runs until simulated time exceeds `until` or the queue empties.
     pub fn run_until(&mut self, until: SimTime) {
         self.prof.enter("engine.run_until");
         let snap = self.prof_snapshot();
         let start_events = self.stats.events;
-        while let Some(t) = self.next_event_time() {
+        while let Some(t) = self.queue.peek().map(|ev| ev.time) {
             if t > until {
                 break;
             }
@@ -1057,16 +882,15 @@ impl<P: Protocol> Engine<P> {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use adroute_topology::generate::line;
 
     /// A toy flooding protocol: AD0 floods a wave token; every router
-    /// forwards the first copy it sees to all neighbors. Shared with the
-    /// parallel-execution tests.
-    pub(crate) struct Wave;
+    /// forwards the first copy it sees to all neighbors.
+    struct Wave;
     #[derive(Default)]
-    pub(crate) struct WaveRouter {
+    struct WaveRouter {
         seen: bool,
         heard_from: Vec<AdId>,
         timer_fired: bool,

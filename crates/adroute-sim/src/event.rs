@@ -69,21 +69,6 @@ pub(crate) enum EventKind<M> {
     RouterEvent { ad: AdId, up: bool },
 }
 
-impl<M> EventKind<M> {
-    /// The single AD this event is dispatched to, or `None` for control
-    /// events (link / router state changes) that mutate shared topology
-    /// state. The split decides which queue an event lives in: targeted
-    /// events parallelize by region, control events serialize globally.
-    pub(crate) fn target_ad(&self) -> Option<AdId> {
-        match self {
-            EventKind::Start { ad } => Some(*ad),
-            EventKind::Deliver { to, .. } => Some(*to),
-            EventKind::Timer { ad, .. } => Some(*ad),
-            EventKind::LinkEvent { .. } | EventKind::RouterEvent { .. } => None,
-        }
-    }
-}
-
 /// A scheduled event. Events fire in `(time, seq)` order, which makes
 /// simulation order total and deterministic; `seq` is the engine's push
 /// counter, so among events due at the same time the earlier push fires

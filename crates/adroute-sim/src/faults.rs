@@ -12,8 +12,7 @@
 //!   function of its *identity* — the configured seed, the sending AD,
 //!   and the sender's cumulative send ordinal — drawn from a fresh
 //!   counter-keyed RNG per message, so verdicts are independent of
-//!   global draw order and byte-identical under the sequential and
-//!   region-parallel engines at any worker count.
+//!   global draw order.
 //! - **Router crashes** ([`CrashModel`], [`RouterOutage`]): a crashed
 //!   router loses *all* soft state — it is rebuilt from
 //!   [`Protocol::make_router`] at restart —
@@ -124,8 +123,7 @@ impl ChannelFaults {
     /// the configured seed, the sending AD, and that sender's cumulative
     /// send ordinal. Each call seeds a fresh RNG from the mixed key, so
     /// the verdict does not depend on how many other messages anyone else
-    /// has sent — a lane of the parallel engine and the sequential
-    /// dispatch loop compute byte-identical answers at any worker count.
+    /// has sent.
     ///
     /// The per-message draw order is fixed (loss, corruption, reorder,
     /// duplication) so identical configurations replay identically.
@@ -158,9 +156,7 @@ impl ChannelFaults {
 }
 
 /// What the channel decided to do with one message. Produced by
-/// [`ChannelFaults::judge`]; the sequential dispatch loop and the
-/// parallel lanes must interpret it identically (same record order, same
-/// push order) for trace byte identity to hold.
+/// [`ChannelFaults::judge`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum ChannelVerdict {
     /// Silently dropped in flight.

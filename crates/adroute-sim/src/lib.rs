@@ -18,8 +18,6 @@ pub mod event;
 pub mod faults;
 pub mod monitor;
 pub mod obs;
-pub mod parallel;
-pub mod pool;
 pub mod schedule;
 pub mod stats;
 

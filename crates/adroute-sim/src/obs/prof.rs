@@ -10,17 +10,15 @@
 //! * **A work ledger** — flat named counters ([`Profiler::work`]) fed
 //!   only from quantities the determinism contract already guarantees
 //!   (event counts, message totals, sweep/cache statistics). The ledger
-//!   side of a profile must be byte-identical across double runs and
-//!   across worker counts, which is what `tests/profile_determinism.rs`
-//!   enforces.
+//!   side of a profile must be byte-identical across double runs, which
+//!   is what `tests/profile_determinism.rs` enforces.
 //!
-//! The split is the point: lane wall-time, lookahead stalls and pool
-//! busy-time are real measurements that *cannot* be deterministic, so
-//! they live exclusively on the span/metrics side, while everything a
-//! regression test compares lives in the ledger. Span names and ledger
-//! keys are `&'static str` so that an enabled profiler costs two `Vec`
-//! pushes and one `Instant::now` per span, and a disabled one costs a
-//! single branch.
+//! The split is the point: wall time is a real measurement that *cannot*
+//! be deterministic, so it lives exclusively on the span/metrics side,
+//! while everything a regression test compares lives in the ledger. Span
+//! names and ledger keys are `&'static str` so that an enabled profiler
+//! costs two `Vec` pushes and one `Instant::now` per span, and a disabled
+//! one costs a single branch.
 //!
 //! Spans must be well-nested: [`Profiler::exit`] panics unless its name
 //! matches the innermost open span. That turns instrumentation bugs
@@ -37,7 +35,7 @@ use super::json::JsonWriter;
 /// `enter`/`exit` pair that reached it through the same ancestor path.
 #[derive(Clone, Debug)]
 pub struct SpanNode {
-    /// The span's name (e.g. `"dispatch"`, `"lane_run"`).
+    /// The span's name (e.g. `"engine.quiesce"`, `"open"`).
     pub name: &'static str,
     /// Index of the parent node, `None` for roots.
     pub parent: Option<usize>,
@@ -178,8 +176,7 @@ impl Profiler {
 
     /// Adds `n` to the deterministic work ledger under `key`
     /// (conventionally `area/counter`, e.g. `"engine.dispatch/events"`).
-    /// Only feed this from worker-count-invariant quantities. No-op when
-    /// disabled.
+    /// Only feed this from deterministic quantities. No-op when disabled.
     pub fn work(&mut self, key: &'static str, n: u64) {
         if !self.enabled || n == 0 {
             return;

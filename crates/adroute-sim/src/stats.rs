@@ -154,34 +154,6 @@ impl Stats {
         d
     }
 
-    /// Adds another accumulator's counters into this one. Used to fold
-    /// per-region stats from parallel windows back into the engine's
-    /// totals: every counter is a sum except `last_activity`, which is the
-    /// latest activity either side saw. The other side's phase marks are
-    /// ignored (regions never begin phases).
-    pub fn merge(&mut self, other: &Stats) {
-        self.msgs_sent += other.msgs_sent;
-        self.bytes_sent += other.bytes_sent;
-        self.msgs_delivered += other.msgs_delivered;
-        self.msgs_dropped += other.msgs_dropped;
-        self.msgs_lost += other.msgs_lost;
-        self.msgs_corrupted += other.msgs_corrupted;
-        self.msgs_duplicated += other.msgs_duplicated;
-        self.msgs_reordered += other.msgs_reordered;
-        self.router_crashes += other.router_crashes;
-        self.router_restarts += other.router_restarts;
-        self.events += other.events;
-        self.last_activity = self.last_activity.max(other.last_activity);
-        for (k, v) in other.counters() {
-            self.count(k, v);
-        }
-        for (i, &v) in other.per_ad_msgs.iter().enumerate() {
-            if v > 0 {
-                self.per_ad_msgs[i] += v;
-            }
-        }
-    }
-
     /// Message conservation at quiescence: every message that entered the
     /// channel (sent, plus injected duplicates) was delivered, lost, or
     /// corrupted. Source drops ([`Stats::msgs_dropped`]) never entered
@@ -283,27 +255,6 @@ mod tests {
         assert_eq!(s.counter("work"), 7);
         assert_eq!(s.router_crashes, 1);
         assert_eq!(s.per_ad_msgs, vec![12, 2]);
-    }
-
-    #[test]
-    fn merge_sums_counters_and_maxes_activity() {
-        let mut a = Stats::new(3);
-        a.msgs_sent = 2;
-        a.per_ad_msgs[0] = 2;
-        a.count("work", 1);
-        a.last_activity = SimTime(500);
-        let mut b = Stats::new(3);
-        b.msgs_sent = 3;
-        b.events = 7;
-        b.per_ad_msgs[2] = 3;
-        b.count("work", 4);
-        b.last_activity = SimTime(200);
-        a.merge(&b);
-        assert_eq!(a.msgs_sent, 5);
-        assert_eq!(a.events, 7);
-        assert_eq!(a.per_ad_msgs, vec![2, 0, 3]);
-        assert_eq!(a.counter("work"), 5);
-        assert_eq!(a.last_activity, SimTime(500));
     }
 
     #[test]

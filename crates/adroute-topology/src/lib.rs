@@ -27,7 +27,6 @@ pub mod graph;
 pub mod ids;
 pub mod io;
 pub mod order;
-pub mod regions;
 pub mod render;
 
 pub use algo::{bfs_tree, connected_components, dijkstra, is_connected, PathCost};
@@ -38,5 +37,4 @@ pub use graph::{Ad, Link, Topology};
 pub use ids::{AdId, AdLevel, AdRole, LinkId, LinkKind};
 pub use io::{dump, parse, TopologyParseError};
 pub use order::{LinkDirection, PartialOrder};
-pub use regions::{min_cross_region_delay, RegionMap};
 pub use render::{render_path, render_tree};

@@ -73,20 +73,20 @@ adroute stress quickstart --json --trace "$out/s.jsonl" | python3 -m json.tool >
 adroute audit quickstart --json --trace "$out/a.jsonl" | python3 -m json.tool > /dev/null
 cmp "$out/a.jsonl" tests/golden/audit_quickstart_trace.jsonl
 
-echo "== Paper-scale smoke (10^4-AD gossip flood on 8 lanes, clean then faulted, 300 s each)"
+echo "== Paper-scale smoke (10^4-AD gossip flood, clean then faulted, 300 s each)"
 # `timeout` cannot run the shell function; the binary is built by now.
-timeout 300 cargo run --release -q -p adroute-cli -- profile e13 --ads 10000 --workers 8 --json | python3 -m json.tool > /dev/null
-timeout 300 cargo run --release -q -p adroute-cli -- profile e13 --ads 10000 --workers 8 --loss 0.05 --json | python3 -m json.tool > /dev/null
+timeout 300 cargo run --release -q -p adroute-cli -- profile e13 --ads 10000 --json | python3 -m json.tool > /dev/null
+timeout 300 cargo run --release -q -p adroute-cli -- profile e13 --ads 10000 --loss 0.05 --json | python3 -m json.tool > /dev/null
 
 echo "== Byzantine smoke"
 adroute audit quickstart
 adroute chaos --ads 30 --seed 11 --duration 250 --flows 20 --byzantine
 
-echo "== Chaos faulted-parallel trace (partition/heal, 8 workers == sequential)"
-adroute chaos --ads 800 --seed 1990 --duration 250 --flows 20 --partition --workers 8 --trace "$out/chaos-par.jsonl"
-adroute chaos --ads 800 --seed 1990 --duration 250 --flows 20 --partition --trace "$out/chaos-seq.jsonl"
-cmp "$out/chaos-par.jsonl" "$out/chaos-seq.jsonl"
-cargo test -q --test golden_trace chaos
+echo "== Chaos faulted trace (partition/heal, double run)"
+adroute chaos --ads 800 --seed 1990 --duration 250 --flows 20 --partition --trace "$out/chaos-a.jsonl"
+adroute chaos --ads 800 --seed 1990 --duration 250 --flows 20 --partition --trace "$out/chaos-b.jsonl"
+cmp "$out/chaos-a.jsonl" "$out/chaos-b.jsonl"
+cargo test -q --test golden_trace chaos_trace
 
 echo "== Overload smoke (stress ramp + deterministic trace)"
 adroute stress quickstart --trace "$out/stress-a.jsonl"

@@ -86,31 +86,20 @@ pub fn golden_internet(seed: u64) -> Topology {
 
 /// Convergence, then a `chaos` phase under a plan drawn from `spec` at
 /// the quiescent time — which is itself part of the determinism
-/// contract, so every run (sequential or parallel, any worker count)
-/// derives the identical plan. `partition` additionally splits the
-/// domain at the AD-index midpoint for the first half of the horizon and
-/// heals it. `workers: None` is the sequential engine.
-pub fn chaos_lifecycle<P>(
+/// contract, so every run derives the identical plan. `partition`
+/// additionally splits the domain at the AD-index midpoint for the first
+/// half of the horizon and heals it.
+pub fn chaos_lifecycle<P: Protocol>(
     topo: &Topology,
     protocol: P,
     spec: &FaultSpec,
     partition: bool,
     horizon_ms: u64,
-    workers: Option<usize>,
-) -> Engine<P>
-where
-    P: Protocol + Sync,
-    P::Router: Send,
-    P::Msg: Send,
-{
-    let quiesce = |e: &mut Engine<P>| match workers {
-        None => e.run_to_quiescence(),
-        Some(w) => e.run_to_quiescence_parallel(w),
-    };
+) -> Engine<P> {
     let mut e = Engine::new(topo.clone(), protocol);
     e.enable_obs(1 << 16);
     e.begin_phase("converge");
-    quiesce(&mut e);
+    e.run_to_quiescence();
     e.begin_phase("chaos");
     let mut plan = FaultPlan::draw(topo, spec, e.now(), horizon_ms);
     if partition {
@@ -119,7 +108,7 @@ where
         plan = plan.with_partition(topo, (topo.num_ads() / 2) as u32, at, heal_at);
     }
     plan.apply(&mut e);
-    quiesce(&mut e);
+    e.run_to_quiescence();
     e
 }
 

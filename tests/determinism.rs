@@ -1,11 +1,9 @@
-//! Parallel-determinism contract: region-parallel execution must be
-//! invisible in every observable artifact. For each golden scenario the
-//! parallel engine's typed JSONL export is compared byte-for-byte
-//! against the sequential engine at worker counts {1, 2, 8}, and every
-//! configuration is run twice (double-run identity) — so a scheduling
-//! or journal-replay bug shows up as a diff, not a flake. A proptest
-//! sweep repeats the check over random internets, failure points, and
-//! worker counts.
+//! Determinism contract: a run is a pure function of its inputs. For
+//! each golden scenario the engine's typed JSONL export and counters are
+//! produced twice and compared byte for byte — clean, and under a mixed
+//! channel-fault plan with a partition/heal — so an iteration-order or
+//! RNG-plumbing bug shows up as a diff, not a flake. Proptests repeat the
+//! check over random internets, failure points and fault plans.
 
 use adroute::core::OrwgProtocol;
 use adroute::policy::workload::PolicyWorkload;
@@ -21,44 +19,30 @@ use proptest::prelude::*;
 
 mod common;
 
-/// What must not depend on the worker count: the typed JSONL export (the
-/// retained window of it) followed by the engine's cumulative counters.
+/// What two runs must agree on: the typed JSONL export (the retained
+/// window of it) followed by the engine's cumulative counters.
 fn artifact<P: Protocol>(e: &Engine<P>) -> String {
     format!("{}{}\n", e.obs.log.export_jsonl(), e.stats.to_json())
 }
 
 /// Runs `protocol` on `topo` through the CLI's own control-plane
-/// lifecycle (convergence, a trunk failure, reconvergence) — sequentially
-/// when `workers` is `None`, else with the region-parallel engine — and
-/// returns the run's [`artifact`].
-fn lifecycle_jsonl<P>(topo: &Topology, protocol: P, workers: Option<usize>) -> String
-where
-    P: Protocol + Sync,
-    P::Router: Send,
-    P::Msg: Send,
-{
+/// lifecycle (convergence, a trunk failure, reconvergence) and returns
+/// the run's [`artifact`].
+fn lifecycle_jsonl<P: Protocol>(topo: &Topology, protocol: P) -> String {
     let mut e = Engine::new(topo.clone(), protocol);
     e.enable_obs(1 << 16);
-    scenario::converge_then_cut(&mut e, &[analysis::trunk(topo).unwrap()], workers);
+    scenario::converge_then_cut(&mut e, &[analysis::trunk(topo).unwrap()]);
     artifact(&e)
 }
 
-/// Asserts the full determinism contract for one scenario: sequential
-/// double-run identity, then parallel == sequential (twice) at each
-/// worker count — clean, and once more per worker count under a mixed
-/// channel-fault plan with a partition/heal.
-fn assert_parallel_matches<P, F>(topo: &Topology, make: F, what: &str)
-where
-    P: Protocol + Sync,
-    P::Router: Send,
-    P::Msg: Send,
-    F: Fn() -> P,
-{
-    let seq = lifecycle_jsonl(topo, make(), None);
+/// Asserts the determinism contract for one scenario: double-run
+/// identity clean, and again under a mixed channel-fault plan with a
+/// partition/heal.
+fn assert_double_run_identical<P: Protocol>(topo: &Topology, make: impl Fn() -> P, what: &str) {
     assert_eq!(
-        seq,
-        lifecycle_jsonl(topo, make(), None),
-        "{what}: sequential double-run must be byte-identical"
+        lifecycle_jsonl(topo, make()),
+        lifecycle_jsonl(topo, make()),
+        "{what}: double-run must be byte-identical"
     );
     let spec = FaultSpec {
         link_model: None,
@@ -74,43 +58,25 @@ where
         }),
         misbehavior: Default::default(),
     };
-    let chaos = |workers| {
-        artifact(&common::chaos_lifecycle(
-            topo,
-            make(),
-            &spec,
-            true,
-            40,
-            workers,
-        ))
-    };
-    let faulted = chaos(None);
+    let chaos = || artifact(&common::chaos_lifecycle(topo, make(), &spec, true, 40));
+    let faulted = chaos();
     assert!(
         !faulted.contains("\"msgs_corrupted\":0,"),
         "{what}: the fault plan must bite"
     );
-    for workers in [1, 2, 8] {
-        for run in 0..2 {
-            let par = lifecycle_jsonl(topo, make(), Some(workers));
-            assert_eq!(
-                par, seq,
-                "{what}: parallel ({workers} workers, run {run}) diverged from sequential"
-            );
-        }
-        let par = chaos(Some(workers));
-        assert_eq!(
-            par, faulted,
-            "{what}: faulted parallel ({workers} workers) diverged from sequential"
-        );
-    }
+    assert_eq!(
+        faulted,
+        chaos(),
+        "{what}: faulted double-run must be byte-identical"
+    );
 }
 
 /// The quickstart golden scenario's engine: the Figure-1 internet's ORWG
 /// control plane converging and absorbing a trunk failure.
 #[test]
-fn quickstart_parallel_is_byte_identical() {
+fn quickstart_double_run_is_byte_identical() {
     let topo = Scenario::quickstart().topo;
-    assert_parallel_matches(
+    assert_double_run_identical(
         &topo,
         || OrwgProtocol::new(&topo, PolicyDb::permissive(&topo)),
         "quickstart",
@@ -120,9 +86,9 @@ fn quickstart_parallel_is_byte_identical() {
 /// The e7b golden scenario's internet (E-series, ~120 ADs) under the
 /// ORWG control plane.
 #[test]
-fn e7b_internet_parallel_is_byte_identical() {
+fn e7b_internet_double_run_is_byte_identical() {
     let topo = Scenario::e_series().topo;
-    assert_parallel_matches(
+    assert_double_run_identical(
         &topo,
         || OrwgProtocol::new(&topo, PolicyDb::permissive(&topo)),
         "e7b-internet",
@@ -133,23 +99,22 @@ fn e7b_internet_parallel_is_byte_identical() {
 /// anchors and timers. Path vector stays at the 15-AD size where its
 /// per-event policy evaluation is affordable.
 #[test]
-fn hop_by_hop_design_points_parallel_are_byte_identical() {
+fn hop_by_hop_double_runs_are_byte_identical() {
     let topo = HierarchyConfig::e_series(49, 23).generate();
     let db = PolicyWorkload::default_mix(23).generate(&topo);
-    assert_parallel_matches(&topo, || Ecma::hierarchical(&topo), "ecma");
-    assert_parallel_matches(&topo, || LsHbh::new(&topo, db.clone()), "ls-hbh");
-    assert_parallel_matches(&topo, NaiveDv::default, "naive-dv");
+    assert_double_run_identical(&topo, || Ecma::hierarchical(&topo), "ecma");
+    assert_double_run_identical(&topo, || LsHbh::new(&topo, db.clone()), "ls-hbh");
+    assert_double_run_identical(&topo, NaiveDv::default, "naive-dv");
 
     let small = common::fifteen_ads(0.25, 0.1, 0.2, 23);
     assert!(small.num_ads() <= 19);
     let small_db = PolicyWorkload::default_mix(23).generate(&small);
-    assert_parallel_matches(&small, || PathVector::idrp(small_db.clone()), "path-vector");
+    assert_double_run_identical(&small, || PathVector::idrp(small_db.clone()), "path-vector");
 }
 
 /// The stress golden scenario runs the ORWG serving path (`run_load_ramp`),
-/// which is a mini event loop outside the region-parallel engine — so its
-/// determinism contract is double-run byte identity of the exported
-/// stream, under the same storm-crosses-saturation shape as the golden.
+/// which is a mini event loop outside the engine — so its determinism
+/// contract is double-run byte identity of the exported stream, under the same storm-crosses-saturation shape as the golden.
 #[test]
 fn stress_ramp_double_run_is_byte_identical() {
     let export = || {
@@ -168,18 +133,17 @@ fn stress_ramp_double_run_is_byte_identical() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random internets and worker counts: the parallel engine's JSONL
-    /// must match the sequential engine's, byte for byte.
+    /// Random internets: two runs of the lifecycle export the same
+    /// JSONL, byte for byte.
     #[test]
-    fn random_internets_parallel_matches_sequential(
+    fn random_internets_double_run_identically(
         seed in 0u64..1_000,
         approx in 30usize..90,
-        workers in 2usize..9,
     ) {
         let topo = HierarchyConfig::e_series(approx, seed).generate();
-        let seq = lifecycle_jsonl(&topo, NaiveDv::default(), None);
-        let par = lifecycle_jsonl(&topo, NaiveDv::default(), Some(workers));
-        prop_assert_eq!(seq, par);
+        let a = lifecycle_jsonl(&topo, NaiveDv::default());
+        let b = lifecycle_jsonl(&topo, NaiveDv::default());
+        prop_assert_eq!(a, b);
     }
 }
 
@@ -189,10 +153,9 @@ proptest! {
     /// The chaos battery: random fault plans — lossy / corrupting /
     /// duplicating / reordering channels keyed on event identity,
     /// optional link churn and router crashes, optional partition/heal —
-    /// must leave the parallel engine byte-identical to the sequential
-    /// one at every required worker count.
+    /// must replay byte-identically.
     #[test]
-    fn random_fault_plans_parallel_matches_sequential(
+    fn random_fault_plans_double_run_identically(
         seed in 0u64..1_000,
         approx in 30usize..80,
         loss in 0.0f64..0.25,
@@ -221,18 +184,13 @@ proptest! {
             }),
             misbehavior: Default::default(),
         };
-        let seq = artifact(&common::chaos_lifecycle(
-            &topo, NaiveDv::default(), &spec, partition, horizon_ms, None,
+        let run = || artifact(&common::chaos_lifecycle(
+            &topo, NaiveDv::default(), &spec, partition, horizon_ms,
         ));
-        for workers in [1usize, 2, 8] {
-            let par = artifact(&common::chaos_lifecycle(
-                &topo, NaiveDv::default(), &spec, partition, horizon_ms, Some(workers),
-            ));
-            prop_assert_eq!(
-                &seq, &par,
-                "chaos divergence at {} workers (loss {}, churn {}, partition {})",
-                workers, loss, churn, partition
-            );
-        }
+        prop_assert_eq!(
+            run(), run(),
+            "chaos divergence (loss {}, churn {}, partition {})",
+            loss, churn, partition
+        );
     }
 }

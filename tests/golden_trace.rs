@@ -92,11 +92,10 @@ fn audit_quickstart_export() -> String {
 /// Chaos scenario: the 15-AD golden internet's ORWG control plane
 /// converging, then absorbing an event-keyed fault plan — a lossy /
 /// corrupting / duplicating / reordering channel plus a partition/heal
-/// cycle across the AD-index midpoint — run on the region-parallel
-/// engine. Because every channel verdict is a pure function of event
-/// identity, the faulted stream is a stable golden artifact at *any*
-/// worker count.
-fn chaos_parallel_export(workers: Option<usize>) -> String {
+/// cycle across the AD-index midpoint. Because every channel verdict is
+/// a pure function of event identity, the faulted stream is a stable
+/// golden artifact.
+fn chaos_export() -> String {
     let seed = 1990u64;
     let topo = common::golden_internet(seed);
     let protocol = OrwgProtocol::new(&topo, PolicyDb::permissive(&topo));
@@ -114,28 +113,21 @@ fn chaos_parallel_export(workers: Option<usize>) -> String {
         }),
         misbehavior: Default::default(),
     };
-    let e = common::chaos_lifecycle(&topo, protocol, &spec, true, 20, workers);
+    let e = common::chaos_lifecycle(&topo, protocol, &spec, true, 20);
     e.obs.log.export_jsonl()
 }
 
 #[test]
-fn chaos_parallel_trace_matches_golden_at_every_worker_count() {
-    let seq = chaos_parallel_export(None);
-    assert!(seq.contains("\"kind\":\"fault-plan\""));
-    assert!(seq.contains("\"kind\":\"partition-cut\""));
-    assert!(seq.contains("\"kind\":\"partition-heal\""));
-    assert!(seq.contains("\"kind\":\"chan-loss\""));
-    assert!(seq.contains("\"kind\":\"chan-dup\""));
-    for workers in [2usize, 8] {
-        for run in 0..2 {
-            assert_eq!(
-                chaos_parallel_export(Some(workers)),
-                seq,
-                "faulted parallel trace ({workers} workers, run {run}) diverged"
-            );
-        }
-    }
-    check_golden("chaos_parallel_trace.jsonl", &seq);
+fn chaos_trace_matches_golden_and_reruns_identically() {
+    let a = chaos_export();
+    let b = chaos_export();
+    assert_eq!(a, b, "identically-seeded runs must export identical traces");
+    assert!(a.contains("\"kind\":\"fault-plan\""));
+    assert!(a.contains("\"kind\":\"partition-cut\""));
+    assert!(a.contains("\"kind\":\"partition-heal\""));
+    assert!(a.contains("\"kind\":\"chan-loss\""));
+    assert!(a.contains("\"kind\":\"chan-dup\""));
+    check_golden("chaos_trace.jsonl", &a);
 }
 
 #[test]

@@ -1,13 +1,11 @@
-//! Profile-determinism contract (the PR-7 parallel-determinism contract
+//! Profile-determinism contract (the engine's determinism contract
 //! extended to observability): the *counter* side of every profile —
 //! the `"work"` ledger in `adroute profile --json` — must be
-//! byte-identical across double runs and across worker counts {1, 2, 8}
-//! on the quickstart and e7b scenarios. Wall-clock span times are
-//! explicitly outside the contract (they vary run to run), and so is
-//! the span-tree *shape* across worker counts (sequential and parallel
-//! execution legitimately take different code paths); only the ledger
-//! is compared. A proptest drives random enter/exit/work schedules
-//! through a [`Profiler`] and checks the span tree stays well-nested.
+//! byte-identical across double runs on the quickstart and e7b
+//! scenarios. Wall-clock span times are explicitly outside the contract
+//! (they vary run to run); only the ledger is compared. A proptest
+//! drives random enter/exit/work schedules through a [`Profiler`] and
+//! checks the span tree stays well-nested.
 
 use std::collections::BTreeSet;
 
@@ -31,9 +29,9 @@ fn work_object(json: &str) -> &str {
     &json[start..=end]
 }
 
-/// Double-run plus worker-count identity of the ledger on one scenario.
+/// Double-run identity of the ledger on one scenario.
 fn assert_ledger_invariant(scenario: &str, expect_keys: &[&str]) {
-    let baseline = cli(&format!("profile {scenario} --workers 1 --json"));
+    let baseline = cli(&format!("profile {scenario} --json"));
     let ledger = work_object(&baseline).to_string();
     for key in expect_keys {
         assert!(
@@ -41,22 +39,12 @@ fn assert_ledger_invariant(scenario: &str, expect_keys: &[&str]) {
             "{scenario}: ledger lacks {key}: {ledger}"
         );
     }
-    // Double-run identity at a fixed worker count.
-    let again = cli(&format!("profile {scenario} --workers 1 --json"));
+    let again = cli(&format!("profile {scenario} --json"));
     assert_eq!(ledger, work_object(&again), "{scenario}: double-run drift");
-    // Worker-count identity: parallel lanes must not change any counter.
-    for workers in [2usize, 8] {
-        let par = cli(&format!("profile {scenario} --workers {workers} --json"));
-        assert_eq!(
-            ledger,
-            work_object(&par),
-            "{scenario}: ledger differs at {workers} workers"
-        );
-    }
 }
 
 #[test]
-fn quickstart_ledger_is_double_run_and_worker_invariant() {
+fn quickstart_ledger_is_double_run_invariant() {
     assert_ledger_invariant(
         "quickstart",
         &[
@@ -69,7 +57,7 @@ fn quickstart_ledger_is_double_run_and_worker_invariant() {
 }
 
 #[test]
-fn e7b_ledger_is_double_run_and_worker_invariant() {
+fn e7b_ledger_is_double_run_invariant() {
     assert_ledger_invariant(
         "e7b",
         &[
@@ -86,7 +74,7 @@ fn real_profiles_fold_into_well_nested_paths() {
     // Every folded-stack line of a real profile must name a path whose
     // parent path is itself a span — i.e. the tree has no orphans — and
     // carry a parseable self-time.
-    let folded = cli("profile quickstart --workers 2 --folded");
+    let folded = cli("profile quickstart --folded");
     let paths: BTreeSet<&str> = folded
         .lines()
         .map(|l| l.rsplit_once(' ').expect("line is `path self_us`").0)

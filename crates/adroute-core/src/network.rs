@@ -4,10 +4,11 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use adroute_policy::{FlowSpec, PolicyDb, TransitPolicy};
 use adroute_protocols::forwarding::DataPlane;
-use adroute_protocols::linkstate::ViewStore;
+use adroute_protocols::linkstate::LsDb;
 use adroute_sim::{Engine, EventId, EventRecord, Obs, Profiler, SimTime, DATA_STREAM_ID_BASE};
 use adroute_topology::{AdId, LinkId, TopoDelta, Topology};
 
@@ -18,7 +19,9 @@ use crate::overload::{
     ServeOutcome, ShardConfig,
 };
 use crate::router::OrwgProtocol;
-use crate::synthesis::{PolicyRoute, RouteServer, Strategy, SweepStats, SynthStats, ViewDelta};
+use crate::synthesis::{
+    sync_views, PolicyRoute, RouteServer, Strategy, SweepStats, SynthStats, ViewDelta, ViewEdits,
+};
 
 /// What one rung's synthesis produced for one queued open — shared by
 /// the monolithic and batched serve paths.
@@ -31,10 +34,11 @@ enum Synth {
 /// How Route Server views track topology and policy events.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ViewMaintenance {
-    /// Apply each event as a [`ViewDelta`] in place, invalidating only the
-    /// stored routes that depend on the changed element. A server whose
-    /// view cannot absorb a delta (its structure predates the link) falls
-    /// back to a full view install, individually.
+    /// Apply each event as a [`ViewDelta`], invalidating only the stored
+    /// routes that depend on the changed element. A view several servers
+    /// share is copied once per event and the copy shared again. Servers
+    /// whose view cannot absorb a delta (its structure predates the link)
+    /// fall back to a full install of one shared ground-truth view.
     Incremental,
     /// Clone the full topology and policy database into every server and
     /// flush all derived state — the original behavior, retained as the
@@ -151,8 +155,9 @@ pub struct RepairStats {
 /// The assembled ORWG network.
 ///
 /// Ground truth (`topo`, `db`) models the physical network and each AD's
-/// *actual* policy; each Route Server holds its own (possibly stale) view,
-/// exactly as flooding left it.
+/// *actual* policy; each Route Server reads its own (possibly stale) view,
+/// exactly as flooding left it — one allocation shared by every server
+/// whose view is the same.
 pub struct OrwgNetwork {
     topo: Topology,
     db: PolicyDb,
@@ -220,8 +225,9 @@ impl OrwgNetwork {
     pub const DEFAULT_HANDLE_CAPACITY: usize = 4096;
 
     /// Builds a network in which every Route Server has a perfect,
-    /// identical view — the state flooding reaches at quiescence. The
-    /// standard entry point for experiments and examples.
+    /// identical view — the state flooding reaches at quiescence — held
+    /// once and shared by all of them. The standard entry point for
+    /// experiments and examples.
     pub fn converged(topo: &Topology, db: &PolicyDb) -> OrwgNetwork {
         OrwgNetwork::converged_with(
             topo,
@@ -239,9 +245,12 @@ impl OrwgNetwork {
         strategy: Strategy,
         handle_capacity: usize,
     ) -> OrwgNetwork {
+        let (view_topo, view_db) = (Arc::new(topo.clone()), Arc::new(db.clone()));
         let servers = topo
             .ad_ids()
-            .map(|ad| RouteServer::new(ad, topo.clone(), db.clone(), strategy.clone()))
+            .map(|ad| {
+                RouteServer::sharing(ad, view_topo.clone(), view_db.clone(), strategy.clone())
+            })
             .collect();
         OrwgNetwork::assemble(
             topo.clone(),
@@ -297,7 +306,7 @@ impl OrwgNetwork {
     /// Builds the data plane from a converged control-plane engine: each
     /// AD's Route Server gets the view **its own flooded database**
     /// describes (views may legitimately differ if the engine has not
-    /// quiesced).
+    /// quiesced), built once per distinct database and shared.
     pub fn from_engine(
         engine: &Engine<OrwgProtocol>,
         strategy: Strategy,
@@ -305,20 +314,23 @@ impl OrwgNetwork {
     ) -> OrwgNetwork {
         let topo = engine.topo().clone();
         let db = engine.protocol().policies.clone();
-        // One reconstruction per distinct database (one, at quiescence);
-        // each Route Server that shares it gets a copy. `held` keeps every
-        // view alive until all are handed out, so the store never drops
-        // one a later database will ask for again.
-        let mut views = ViewStore::default();
-        let mut held = Vec::with_capacity(topo.num_ads());
+        // One reconstruction per distinct database (one, at quiescence),
+        // held by every Route Server whose database shares all its LSAs.
+        let mut views: Vec<(&LsDb, Arc<Topology>, Arc<PolicyDb>)> = Vec::new();
         let servers = topo
             .ad_ids()
             .map(|ad| {
                 let lsdb = &engine.router(ad).flooder.db;
-                let view = views.view_of(lsdb);
-                let (vt, vd) = (view.topo.clone(), view.policies.clone());
-                held.push(view);
-                let mut s = RouteServer::new(ad, vt, vd, strategy.clone());
+                let known = views
+                    .iter()
+                    .position(|(db, ..)| db.shares_all_lsas_with(lsdb));
+                let i = known.unwrap_or_else(|| {
+                    let (vt, vd) = lsdb.view();
+                    views.push((lsdb, Arc::new(vt), Arc::new(vd)));
+                    views.len() - 1
+                });
+                let (_, vt, vd) = &views[i];
+                let mut s = RouteServer::sharing(ad, vt.clone(), vd.clone(), strategy.clone());
                 s.adopt_provenance(lsdb);
                 s
             })
@@ -812,15 +824,20 @@ impl OrwgNetwork {
                 },
             );
         }
+        // One broadcast: a view is copied once, by its first server.
+        let mut edits = ViewEdits::default();
         let mut fallback = Vec::new();
         for (i, s) in self.servers.iter_mut().enumerate() {
-            if !s.apply_delta(delta) {
+            if !s.apply_delta_with(delta, &mut edits) {
                 fallback.push(i);
             }
         }
         let fallbacks = fallback.len() as u64;
-        for i in fallback {
-            self.servers[i].update_view(self.topo.clone(), self.db.clone());
+        if !fallback.is_empty() {
+            let (topo, db) = (Arc::new(self.topo.clone()), Arc::new(self.db.clone()));
+            for i in fallback {
+                self.servers[i].install_view(topo.clone(), db.clone());
+            }
         }
         self.obs.metrics.add("view_full_installs", fallbacks);
         self.emit(
@@ -1631,7 +1648,10 @@ impl OrwgNetwork {
     /// Route Server is brought to **its own flooded database** — by
     /// re-deriving the origins whose LSA changed
     /// ([`RouteServer::sync_view`]) or by full install of the rebuilt
-    /// view, per the view-maintenance mode.
+    /// view, per the view-maintenance mode. Incrementally, servers that
+    /// share a view and whose databases share every LSA derive the deltas
+    /// once and share the edited view; each is still charged its own
+    /// re-derived origins.
     ///
     /// This is the quiescence hook the fault-recovery sweeps and the
     /// `chaos` pipeline call after the LS flooder settles.
@@ -1665,18 +1685,23 @@ impl OrwgNetwork {
         self.db = engine.protocol().policies.clone();
         let mut fallbacks = 0u64;
         let mut rederived = 0u64;
-        for ad in self.topo.ad_ids() {
-            let lsdb = &engine.router(ad).flooder.db;
-            let s = &mut self.servers[ad.index()];
-            if self.view_maintenance == ViewMaintenance::Flush {
-                let (vt, vd) = lsdb.view();
+        if self.view_maintenance == ViewMaintenance::Flush {
+            for s in &mut self.servers {
+                let (vt, vd) = engine.router(s.ad).flooder.db.view();
                 s.update_view(vt, vd);
                 fallbacks += 1;
-                continue;
             }
-            let sync = s.sync_view(lsdb);
-            rederived += sync.origins_rederived as u64;
-            fallbacks += u64::from(sync.full_install);
+        } else {
+            let mut synced: Vec<(&mut RouteServer, &LsDb)> = (self.servers.iter_mut())
+                .map(|s| {
+                    let lsdb = &engine.router(s.ad).flooder.db;
+                    (s, lsdb)
+                })
+                .collect();
+            for sync in sync_views(&mut synced) {
+                rederived += sync.origins_rederived as u64;
+                fallbacks += u64::from(sync.full_install);
+            }
         }
         self.obs.metrics.add("view_full_installs", fallbacks);
         self.obs.metrics.add("view_origins_rederived", rederived);

@@ -12,6 +12,12 @@
 //! The search itself is the same policy-constrained Dijkstra as the oracle
 //! (`adroute_policy::legality`) — run over **this AD's own flooded view**
 //! of topology and policy, not ground truth.
+//!
+//! Servers whose views are equal hold one shared allocation of each half
+//! of it (topology and policy database). A write copies a shared view
+//! once per broadcast, and every other holder adopts the copy; each
+//! server still classifies the change and invalidates its own stored
+//! routes, so every counter is what an unshared server would show.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
@@ -258,13 +264,53 @@ impl DepIndex {
     }
 }
 
-/// One AD's Route Server.
+/// One broadcast's view edits: each view allocation edited so far, with
+/// the allocation it became. The first server to edit a shared view copies
+/// it; every later server holding the same allocation adopts the copy by
+/// pointer. Holding the old `Arc` keeps its address from being reused
+/// while the memo lives, and the memo must live for exactly one delta
+/// applied to a set of servers — the same allocation edited by another
+/// delta is another view.
+#[derive(Default)]
+pub(crate) struct ViewEdits {
+    topo: Vec<(Arc<Topology>, Arc<Topology>)>,
+    db: Vec<(Arc<PolicyDb>, Arc<PolicyDb>)>,
+}
+
+/// Applies `edit` to `view` under `memo`: adopts this broadcast's copy of
+/// the allocation if one exists, edits in place if no one else holds it,
+/// and otherwise copies it once and records the copy.
+fn edit_shared<T: Clone>(
+    memo: &mut Vec<(Arc<T>, Arc<T>)>,
+    view: &mut Arc<T>,
+    edit: impl FnOnce(&mut T),
+) {
+    if let Some((_, edited)) = memo.iter().find(|(old, _)| Arc::ptr_eq(old, view)) {
+        *view = edited.clone();
+    } else if let Some(own) = Arc::get_mut(view) {
+        edit(own);
+    } else {
+        let mut copy = T::clone(view);
+        edit(&mut copy);
+        let old = std::mem::replace(view, Arc::new(copy));
+        memo.push((old, view.clone()));
+    }
+}
+
+/// One AD's Route Server: its own route stores (precomputed table, LRU
+/// cache, dependency index, refill queue), selection criteria and
+/// provenance, over a flooded view it shares with every server whose view
+/// is the same allocation. A write copies a shared view once per
+/// broadcast, and the other holders adopt the copy.
 #[derive(Clone, Debug)]
 pub struct RouteServer {
     /// The AD this server belongs to.
     pub ad: AdId,
-    view_topo: Topology,
-    view_db: PolicyDb,
+    /// The topology half of the view: the small half, copied alone when a
+    /// link changes.
+    view_topo: Arc<Topology>,
+    /// The policy half of the view, copied alone when a policy changes.
+    view_db: Arc<PolicyDb>,
     /// Per origin, what its share of the view was derived from — what
     /// lets [`RouteServer::sync_view`] cost what changed.
     provenance: Vec<Provenance>,
@@ -293,6 +339,16 @@ impl RouteServer {
         ad: AdId,
         view_topo: Topology,
         view_db: PolicyDb,
+        strategy: Strategy,
+    ) -> RouteServer {
+        RouteServer::sharing(ad, Arc::new(view_topo), Arc::new(view_db), strategy)
+    }
+
+    /// A server for `ad` over a view other servers may hold too.
+    pub(crate) fn sharing(
+        ad: AdId,
+        view_topo: Arc<Topology>,
+        view_db: Arc<PolicyDb>,
         strategy: Strategy,
     ) -> RouteServer {
         let cache = match &strategy {
@@ -764,6 +820,11 @@ impl RouteServer {
     /// This is the flush-everything fallback; [`RouteServer::apply_delta`]
     /// is the incremental path.
     pub fn update_view(&mut self, view_topo: Topology, view_db: PolicyDb) {
+        self.install_view(Arc::new(view_topo), Arc::new(view_db));
+    }
+
+    /// [`RouteServer::update_view`] with a view other servers may hold.
+    pub(crate) fn install_view(&mut self, view_topo: Arc<Topology>, view_db: Arc<PolicyDb>) {
         self.provenance = vec![Provenance::Unsynced; view_topo.num_ads()];
         self.view_topo = view_topo;
         self.view_db = view_db;
@@ -801,38 +862,19 @@ impl RouteServer {
     /// A structural change (a link this view's topology never had, a
     /// different AD count) rebuilds and installs the whole view.
     pub fn sync_view(&mut self, db: &LsDb) -> ViewSync {
-        let changed: Vec<AdId> = if self.provenance.len() == db.num_ads() {
-            (self.provenance.iter().zip(db.slots()).enumerate())
-                .filter(|(_, (p, slot))| !p.is(slot))
-                .map(|(i, _)| AdId(i as u32))
-                .collect()
-        } else {
-            (0..db.num_ads() as u32).map(AdId).collect()
-        };
-        let synced = ViewSync {
-            origins_rederived: changed.len(),
-            full_install: false,
-        };
-        if changed.is_empty() {
-            return synced;
+        sync_views(&mut [(self, db)])[0]
+    }
+
+    /// The origins whose slot in `db` is not the one their share of the
+    /// view was derived from (all of them when the AD counts differ).
+    fn stale_origins(&self, db: &LsDb) -> Vec<AdId> {
+        if self.provenance.len() != db.num_ads() {
+            return (0..db.num_ads() as u32).map(AdId).collect();
         }
-        let Some(deltas) = self.derive_deltas(db, &changed) else {
-            let (topo, policies) = db.view();
-            self.update_view(topo, policies);
-            self.adopt_provenance(db);
-            return ViewSync {
-                full_install: true,
-                ..synced
-            };
-        };
-        for d in &deltas {
-            let applied = self.apply_delta_in_sync(d);
-            debug_assert!(applied, "derived deltas name links of this view");
-        }
-        for o in changed {
-            self.provenance[o.index()] = Provenance::Slot(db.slots()[o.index()].clone());
-        }
-        synced
+        (self.provenance.iter().zip(db.slots()).enumerate())
+            .filter(|(_, (p, slot))| !p.is(slot))
+            .map(|(i, _)| AdId(i as u32))
+            .collect()
     }
 
     /// The deltas taking the `changed` origins' share of this view to what
@@ -924,7 +966,13 @@ impl RouteServer {
     /// [`RouteServer::sync_view`] re-derives them and the view still
     /// converges to its own LSDB.
     pub fn apply_delta(&mut self, delta: &ViewDelta) -> bool {
-        let applied = self.apply_delta_in_sync(delta);
+        self.apply_delta_with(delta, &mut ViewEdits::default())
+    }
+
+    /// [`RouteServer::apply_delta`] as one server of a broadcast: every
+    /// server the delta reaches shares `edits`.
+    pub(crate) fn apply_delta_with(&mut self, delta: &ViewDelta, edits: &mut ViewEdits) -> bool {
+        let applied = self.edit_view(delta, edits);
         if applied {
             match delta {
                 ViewDelta::Topo(td) => {
@@ -938,38 +986,37 @@ impl RouteServer {
         applied
     }
 
-    /// [`RouteServer::apply_delta`] without touching provenance: the
-    /// caller derived `delta` from the database it is syncing to.
-    fn apply_delta_in_sync(&mut self, delta: &ViewDelta) -> bool {
-        match delta {
+    /// The one routine that edits the view, without touching provenance:
+    /// classifies `delta` against the view as it stands, edits the view
+    /// through the broadcast's `edits` (copying it or adopting another
+    /// server's copy), then re-examines this server's stored routes against
+    /// the edited view.
+    fn edit_view(&mut self, delta: &ViewDelta, edits: &mut ViewEdits) -> bool {
+        let affected = match delta {
             ViewDelta::Topo(td) => {
                 let Some(restrictive) = td.is_restrictive_on(&self.view_topo) else {
                     return false;
                 };
-                if !td.apply(&mut self.view_topo) {
-                    return false;
-                }
-                if restrictive {
-                    let (a, b) = td.endpoints();
-                    let affected = self.index.affected_by_link(a, b);
-                    self.invalidate_affected(&affected);
-                } else {
-                    self.invalidate_all();
-                }
-                true
+                edit_shared(&mut edits.topo, &mut self.view_topo, |topo| {
+                    let applied = td.apply(topo);
+                    debug_assert!(applied, "a classified delta names a link of the view");
+                });
+                let (a, b) = td.endpoints();
+                restrictive.then(|| self.index.affected_by_link(a, b))
             }
             ViewDelta::Policy(p) => {
                 let restrictive = p.is_restriction_of(self.view_db.policy(p.ad));
-                self.view_db.set_policy(p.clone());
-                if restrictive {
-                    let affected = self.index.affected_by_ad(p.ad);
-                    self.invalidate_affected(&affected);
-                } else {
-                    self.invalidate_all();
-                }
-                true
+                edit_shared(&mut edits.db, &mut self.view_db, |db| {
+                    db.set_policy(p.clone())
+                });
+                restrictive.then(|| self.index.affected_by_ad(p.ad))
             }
+        };
+        match affected {
+            Some(affected) => self.invalidate_affected(&affected),
+            None => self.invalidate_all(),
         }
+        true
     }
 
     /// Re-examines the stored routes a restrictive delta touches.
@@ -1031,6 +1078,78 @@ impl RouteServer {
         self.flush_cache();
         self.run_precompute();
     }
+}
+
+/// [`RouteServer::sync_view`] for many servers, each to its own database,
+/// with the view work done once per group: servers that hold the same
+/// view allocations, are stale in the same origins and whose databases
+/// [`LsDb::shares_all_lsas_with`] each other. A group's deltas are derived
+/// once, and each is applied to the whole group as one broadcast
+/// ([`ViewEdits`]), so the group copies its view at most once per delta
+/// and every member sees each intermediate view; a structural change
+/// builds one view the whole group installs. Every server still
+/// classifies, revalidates and invalidates for itself. Returns what each
+/// server's sync did, in order — exactly what a lone sync reports.
+pub(crate) fn sync_views(servers: &mut [(&mut RouteServer, &LsDb)]) -> Vec<ViewSync> {
+    struct Group<'a> {
+        members: Vec<usize>,
+        db: &'a LsDb,
+        changed: Vec<AdId>,
+    }
+    let mut synced = Vec::with_capacity(servers.len());
+    let mut groups: Vec<Group> = Vec::new();
+    for (i, (s, db)) in servers.iter().enumerate() {
+        let changed = s.stale_origins(db);
+        synced.push(ViewSync {
+            origins_rederived: changed.len(),
+            full_install: false,
+        });
+        if changed.is_empty() {
+            continue;
+        }
+        let joins = |g: &Group| {
+            let rep = &servers[g.members[0]].0;
+            Arc::ptr_eq(&rep.view_topo, &s.view_topo)
+                && Arc::ptr_eq(&rep.view_db, &s.view_db)
+                && g.changed == changed
+                && g.db.shares_all_lsas_with(db)
+        };
+        match groups.iter().position(joins) {
+            Some(g) => groups[g].members.push(i),
+            None => groups.push(Group {
+                members: vec![i],
+                db,
+                changed,
+            }),
+        }
+    }
+    for g in groups {
+        let Some(deltas) = servers[g.members[0]].0.derive_deltas(g.db, &g.changed) else {
+            let (topo, policies) = g.db.view();
+            let (topo, policies) = (Arc::new(topo), Arc::new(policies));
+            for &m in &g.members {
+                let (s, db) = &mut servers[m];
+                s.install_view(topo.clone(), policies.clone());
+                s.adopt_provenance(db);
+                synced[m].full_install = true;
+            }
+            continue;
+        };
+        for d in &deltas {
+            let mut edits = ViewEdits::default();
+            for &m in &g.members {
+                let applied = servers[m].0.edit_view(d, &mut edits);
+                debug_assert!(applied, "derived deltas name links of this view");
+            }
+        }
+        for &m in &g.members {
+            let (s, db) = &mut servers[m];
+            for &o in &g.changed {
+                s.provenance[o.index()] = Provenance::Slot(db.slots()[o.index()].clone());
+            }
+        }
+    }
+    synced
 }
 
 #[cfg(test)]
@@ -1583,6 +1702,65 @@ mod tests {
             TransitPolicy::deny_all(AdId(4))
         );
         assert_eq!(rs.sync_view(&db).origins_rederived, 0);
+    }
+
+    #[test]
+    fn servers_sharing_a_view_sync_each_to_its_own_database() {
+        let db = ring_lsdb(6);
+        let (topo, policies) = db.view();
+        let (topo, policies) = (Arc::new(topo), Arc::new(policies));
+        let f = FlowSpec::best_effort(AdId(0), AdId(3));
+        let mk = || {
+            let mut s = RouteServer::sharing(
+                AdId(0),
+                topo.clone(),
+                policies.clone(),
+                Strategy::Cached { capacity: 8 },
+            );
+            s.adopt_provenance(&db);
+            assert_eq!(s.request(&f).unwrap().path.len(), 4, "0-1-2-3 is cached");
+            s
+        };
+        let (mut a, mut b, mut c) = (mk(), mk(), mk());
+        // Both endpoints of 1-2 re-originate: without the link in the
+        // databases of `a` and `c` (which share every LSA), at metric 5 in
+        // the database of `b` — the same stale origins either way.
+        let mut down = db.clone();
+        down.insert(ring_lsa(1, 2, &[0]));
+        down.insert(ring_lsa(2, 2, &[3]));
+        let also_down = down.clone();
+        let mut dear = db.clone();
+        for (o, nbrs) in [(1, [2, 0]), (2, [1, 3])] {
+            let mut lsa = Lsa::clone(&ring_lsa(o, 2, &nbrs));
+            lsa.links[0].1 = 5;
+            dear.insert(Arc::new(lsa));
+        }
+        let synced = sync_views(&mut [(&mut a, &down), (&mut b, &dear), (&mut c, &also_down)]);
+        for s in synced {
+            assert_eq!((s.origins_rederived, s.full_install), (2, false));
+        }
+        let link = |s: &RouteServer| {
+            let t = s.view_topo();
+            let l = t.link(t.link_between(AdId(1), AdId(2)).unwrap());
+            (l.up, l.metric)
+        };
+        assert_eq!(
+            (link(&a), link(&b), link(&c)),
+            ((false, 1), (true, 5), (false, 1))
+        );
+        let l = topo.link_between(AdId(1), AdId(2)).unwrap();
+        assert!(topo.link(l).up, "the shared original was edited in place");
+        assert!(
+            Arc::ptr_eq(&a.view_topo, &c.view_topo),
+            "equal databases share"
+        );
+        assert!(Arc::ptr_eq(&a.view_db, &b.view_db), "no policy moved");
+        // The server that adopted the copy invalidated for itself.
+        assert_eq!(a.stats, c.stats);
+        assert_eq!(c.stats.entries_invalidated, 1);
+        let far = vec![AdId(0), AdId(5), AdId(4), AdId(3)];
+        assert_eq!(c.request(&f).unwrap().path, far);
+        assert_eq!(b.request(&f).unwrap().path, far);
     }
 
     #[test]

@@ -55,6 +55,9 @@ done
 echo "== Shared view: every LS-HBH router resolves as its own LSDB says (raised case count)"
 PROPTEST_CASES=2048 cargo test -q --test shared_view
 
+echo "== Route Server views: shared, synced to each LSDB, answering like the flush oracle (raised case count)"
+PROPTEST_CASES=1024 cargo test -q --test incremental_view
+
 echo "== Incremental IDRP: every router stores and sends what the from-scratch oracle does (raised case count)"
 PROPTEST_CASES=2048 cargo test -q --test pv_incremental
 

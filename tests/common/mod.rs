@@ -8,8 +8,19 @@ use adroute::policy::{AdSet, PolicyAction, PolicyCondition, PolicyDb, QosClass, 
 use adroute::protocols::forwarding::sample_flows;
 use adroute::sim::{Engine, FaultPlan, FaultSpec, OpenStorm, Protocol, SimTime, StormPhase};
 use adroute::topology::{analysis, generate, AdId, HierarchyConfig, Topology};
+use proptest::test_runner::ProptestConfig;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+
+/// `default` cases per property, or `PROPTEST_CASES` when it parses: an
+/// explicit [`ProptestConfig::with_cases`] ignores the variable, so a
+/// battery with its own default could otherwise never be run harder.
+pub fn cases(default: u32) -> ProptestConfig {
+    let cases = std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok());
+    ProptestConfig::with_cases(cases.unwrap_or(default))
+}
 
 /// A 15-AD single-backbone hierarchy with the given link-mix
 /// probabilities.

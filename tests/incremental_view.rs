@@ -17,15 +17,17 @@
 //! relearned), partitions and heals, interleaved with direct
 //! `fail_link`/`restore_link` on the data plane. After every
 //! `refresh_from_engine` each Route Server's view must equal what its own
-//! router's database describes, and answer like the flush twin's.
+//! router's database describes, and answer like the flush twin's; servers
+//! that shared a view and whose databases agree must still share one.
 
 use adroute::core::router::converge_control_plane;
-use adroute::core::{OrwgNetwork, RouteServer, Strategy, ViewMaintenance};
+use adroute::core::{OrwgNetwork, RouteServer, Strategy, ViewDelta, ViewMaintenance};
 use adroute::policy::legality::route_is_legal;
 use adroute::policy::workload::PolicyWorkload;
+use adroute::policy::TransitPolicy;
 use adroute::protocols::forwarding::sample_flows;
 use adroute::protocols::linkstate::LsDb;
-use adroute::topology::{AdId, HierarchyConfig, LinkId};
+use adroute::topology::{AdId, HierarchyConfig, LinkId, TopoDelta};
 use proptest::prelude::*;
 
 mod common;
@@ -89,6 +91,11 @@ fn assert_view_is_lsdb_view(s: &RouteServer, db: &LsDb) {
     }
 }
 
+/// Whether two Route Servers read the very same view allocations.
+fn share_a_view(a: &RouteServer, b: &RouteServer) -> bool {
+    std::ptr::eq(a.view_topo(), b.view_topo()) && std::ptr::eq(a.view_db(), b.view_db())
+}
+
 /// The canonical 245-AD internet of the benchmark's `orwg-*` workloads.
 fn canonical_internet() -> adroute::topology::Topology {
     HierarchyConfig::e_series(245, 23).generate()
@@ -127,8 +134,70 @@ fn refresh_rederives_only_the_origins_that_changed() {
     }
 }
 
+/// Route Servers read one view: `from_engine` builds it once, engine link
+/// flaps and ground-truth broadcasts edit it once for all — while every
+/// server is still charged for its own re-derivation — and a lone
+/// server's edit copies on write, leaving the others sharing.
+#[test]
+fn route_servers_share_one_view_until_one_edits_its_own() {
+    let topo = canonical_internet();
+    let n = topo.num_ads() as u64;
+    let db = PolicyWorkload::default_mix(23).generate(&topo);
+    let mut e = converge_control_plane(topo.clone(), db);
+    let mut net = OrwgNetwork::from_engine(&e, Strategy::Cached { capacity: 64 }, 1024);
+    let all_share = |net: &OrwgNetwork| {
+        (topo.ad_ids()).all(|ad| share_a_view(net.server(AdId(0)), net.server(ad)))
+    };
+    let rederived = |net: &OrwgNetwork| net.obs.metrics.counter("view_origins_rederived");
+    let installs = |net: &OrwgNetwork| net.obs.metrics.counter("view_full_installs");
+    assert!(all_share(&net), "from_engine built more than one view");
+
+    let link = topo.links().find(|l| l.up).unwrap();
+    let (a, b) = (link.a, link.b);
+    for (step, up) in [false, true].into_iter().enumerate() {
+        e.schedule_link_change(link.id, up, e.now().plus_us(1000));
+        e.run_to_quiescence();
+        net.refresh_from_engine(&e);
+        assert!(all_share(&net), "a link flap split the view");
+        assert_eq!(rederived(&net), 2 * n * (step as u64 + 1));
+        assert_eq!(installs(&net), 0, "a link flap is not structural");
+    }
+
+    let link_up = |s: &RouteServer| {
+        let l = s.view_topo().link_between(a, b).unwrap();
+        s.view_topo().link(l).up
+    };
+    net.fail_link(link.id);
+    assert!(all_share(&net), "fail_link split the view");
+    assert!(!link_up(net.server(AdId(0))));
+    net.restore_link(link.id);
+    assert!(all_share(&net), "restore_link split the view");
+    assert!(link_up(net.server(AdId(0))));
+    let ad = AdId(7);
+    net.change_policy(TransitPolicy::deny_all(ad));
+    assert!(all_share(&net), "change_policy split the view");
+    assert_eq!(
+        *net.server(AdId(0)).view_db().policy(ad),
+        TransitPolicy::deny_all(ad)
+    );
+    assert_eq!(installs(&net), 0, "no server fell back to a full install");
+
+    let down = ViewDelta::Topo(TopoDelta::LinkState { a, b, up: false });
+    assert!(net.server_mut(AdId(1)).apply_delta(&down));
+    let (s0, s1) = (net.server(AdId(0)), net.server(AdId(1)));
+    assert!(!link_up(s1) && link_up(s0), "the lone edit leaked");
+    assert!(!std::ptr::eq(s1.view_topo(), s0.view_topo()));
+    assert!(
+        std::ptr::eq(s1.view_db(), s0.view_db()),
+        "a link edit copied the policy database too"
+    );
+    assert!((topo.ad_ids())
+        .filter(|&ad| ad != AdId(1))
+        .all(|ad| share_a_view(s0, net.server(ad))));
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(common::cases(24))]
 
     /// Views maintained by allocation-provenance deltas converge to their
     /// own LSDB through everything the control plane can do to a
@@ -197,10 +266,25 @@ proptest! {
             if (word >> 3) & 3 == 0 && step != last {
                 continue;
             }
+            let mut must_share = Vec::new();
+            for x in topo.ad_ids() {
+                for y in topo.ad_ids().filter(|&y| x < y) {
+                    let agree = e.router(x).flooder.db.shares_all_lsas_with(&e.router(y).flooder.db);
+                    if agree && share_a_view(inc.server(x), inc.server(y)) {
+                        must_share.push((x, y));
+                    }
+                }
+            }
             inc.refresh_from_engine(&e);
             flush.refresh_from_engine(&e);
             for ad in topo.ad_ids() {
                 assert_view_is_lsdb_view(inc.server(ad), &e.router(ad).flooder.db);
+            }
+            for (x, y) in must_share {
+                prop_assert!(
+                    share_a_view(inc.server(x), inc.server(y)),
+                    "{} and {} stopped sharing a view their LSDBs agree on", x, y
+                );
             }
             for f in &flows {
                 let a = inc.synthesize(f).map(|r| r.cost);

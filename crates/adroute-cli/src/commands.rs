@@ -6,8 +6,7 @@ use std::fmt::Write as _;
 use std::fs;
 
 use adroute_core::{
-    OrwgNetwork, OrwgProtocol, PolicyImpact, SetupRetryPolicy, ShardConfig, Strategy,
-    ViewMaintenance,
+    OrwgNetwork, OrwgProtocol, PolicyImpact, ShardConfig, Strategy, ViewMaintenance,
 };
 use adroute_policy::text::{format_policies, parse_policies, parse_policy};
 use adroute_policy::workload::PolicyWorkload;
@@ -663,17 +662,18 @@ pub fn chaos(args: &Args) -> Result<String, CliError> {
         net.enable_obs(16384);
     }
     net.set_setup_loss(loss, seed ^ 0x44);
-    let rp = SetupRetryPolicy::default();
     let flows = adroute_protocols::forwarding::sample_flows(&topo, n_flows, seed);
     let (mut opened, mut no_route, mut timeouts, mut rejected) = (0u64, 0u64, 0u64, 0u64);
     for f in &flows {
-        match net.open_with_retries(f, &rp) {
+        match net.open_repairable(f) {
             Ok(_) => opened += 1,
             Err(adroute_core::network::OpenError::NoRoute) => no_route += 1,
             Err(adroute_core::network::OpenError::SetupTimeout) => timeouts += 1,
             Err(_) => rejected += 1,
         }
     }
+    // Only this wave's setups are lossy.
+    net.set_setup_loss(0.0, 0);
     let _ = writeln!(
         out,
         "data plane: {} flows sampled; opened {opened}, no route {no_route}, \

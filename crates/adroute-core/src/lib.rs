@@ -40,7 +40,7 @@ pub mod synthesis;
 pub use dataplane::{DataPacket, HandleId, SetupPacket};
 pub use gateway::{DataError, PolicyGateway, SetupError};
 pub use mgmt::PolicyImpact;
-pub use network::{OrwgNetwork, RepairStats, SetupRetryPolicy, ViewMaintenance};
+pub use network::{OrwgNetwork, RepairStats, ViewMaintenance};
 pub use overload::{
     run_load_ramp, AdmissionConfig, AdmissionController, AdmissionStats, AdmissionVerdict,
     BrownoutRung, ExemplarChain, FailoverReport, PendingOpen, PhaseReport, RetryPolicy,

@@ -20,11 +20,12 @@ use crate::overload::{
 };
 use crate::router::OrwgProtocol;
 use crate::synthesis::{
-    sync_views, PolicyRoute, RouteServer, Strategy, SweepStats, SynthStats, ViewDelta, ViewEdits,
+    sync_views, widen_avoid, PolicyRoute, RouteServer, Strategy, SweepStats, SynthStats, ViewDelta,
+    ViewEdits,
 };
 
-/// What one rung's synthesis produced for one queued open — shared by
-/// the monolithic and batched serve paths.
+/// What one rung's synthesis produced for one open — shared by the
+/// direct opens and the monolithic and batched serve paths.
 enum Synth {
     Route(PolicyRoute, Vec<PolicyRoute>),
     Miss,
@@ -114,30 +115,17 @@ pub struct OpenFlow {
     pub flow: FlowSpec,
     /// The validated route.
     pub route: Vec<AdId>,
-    /// Spare policy routes cached at open time
-    /// ([`OrwgNetwork::open_repairable`]): tried before fresh synthesis
-    /// when the installed route dies.
+    /// Spare policy routes cached at open time: up to two from
+    /// [`OrwgNetwork::open_repairable`] or a full-rung served open, none
+    /// otherwise. [`OrwgNetwork::repair_pending`] tries them before fresh
+    /// synthesis when the installed route dies.
     pub alternates: Vec<PolicyRoute>,
 }
 
-/// Source retransmission policy for setup packets: a timeout that doubles
-/// on every retry (exponential backoff), up to a retry cap.
-#[derive(Clone, Copy, Debug)]
-pub struct SetupRetryPolicy {
-    /// Retransmissions allowed after the initial transmission.
-    pub max_retries: u32,
-    /// Initial retransmit timeout, µs (doubles per retry).
-    pub base_timeout_us: u64,
-}
-
-impl Default for SetupRetryPolicy {
-    fn default() -> SetupRetryPolicy {
-        SetupRetryPolicy {
-            max_retries: 3,
-            base_timeout_us: 2_000,
-        }
-    }
-}
+/// Setup retransmissions a source sends after the first transmission.
+const SETUP_RETRANSMITS: u32 = 3;
+/// The first setup retransmit timeout, µs. It doubles on every retry.
+const SETUP_TIMEOUT_US: u64 = 2_000;
 
 /// Outcomes of route repair after faults (cumulative per network).
 #[derive(Clone, Copy, Default, Debug)]
@@ -535,18 +523,7 @@ impl OrwgNetwork {
     /// Opens a policy route for `flow`: synthesize at the source, then
     /// walk the setup packet through every transit AD's Policy Gateway.
     pub fn open(&mut self, flow: &FlowSpec) -> Result<SetupOutcome, OpenError> {
-        self.open_caused(flow, None)
-    }
-
-    fn open_caused(
-        &mut self,
-        flow: &FlowSpec,
-        cause: Option<EventId>,
-    ) -> Result<SetupOutcome, OpenError> {
-        let route = self.servers[flow.src.index()]
-            .request(flow)
-            .ok_or(OpenError::NoRoute)?;
-        self.setup_along(flow, &route, Vec::new(), cause)
+        self.open_on_rung(flow, BrownoutRung::Cached, None)
     }
 
     /// [`OrwgNetwork::open`], but the source also synthesizes up to two
@@ -554,53 +531,25 @@ impl OrwgNetwork {
     /// tears the installed route down, [`OrwgNetwork::repair_pending`]
     /// tries the spares before paying for a fresh synthesis — the paper's
     /// "precompute alternate routes" resilience option.
+    ///
+    /// Under [`OrwgNetwork::set_setup_loss`] a source detects a lost setup
+    /// by timeout and retransmits up to three times, from a 2 ms timeout
+    /// doubling per retry (charged to the latency); losing all four
+    /// transmissions fails the open with [`OpenError::SetupTimeout`].
     pub fn open_repairable(&mut self, flow: &FlowSpec) -> Result<SetupOutcome, OpenError> {
-        self.open_repairable_caused(flow, None)
-    }
-
-    fn open_repairable_caused(
-        &mut self,
-        flow: &FlowSpec,
-        cause: Option<EventId>,
-    ) -> Result<SetupOutcome, OpenError> {
-        let mut routes = self.servers[flow.src.index()].alternatives(flow, 3);
-        if routes.is_empty() {
-            return Err(OpenError::NoRoute);
-        }
-        let primary = routes.remove(0);
-        self.setup_along(flow, &primary, routes, cause)
-    }
-
-    /// Enables (or disables, with `prob = 0.0`) seeded random loss of
-    /// setup transmissions, consumed by [`OrwgNetwork::open_with_retries`].
-    pub fn set_setup_loss(&mut self, prob: f64, seed: u64) {
-        use rand::SeedableRng;
-        self.setup_loss = (prob > 0.0).then(|| (prob, rand::rngs::SmallRng::seed_from_u64(seed)));
-    }
-
-    /// Opens a repairable route under the setup-loss model: each
-    /// transmission may be lost, in which case the source times out
-    /// (doubling the timeout each retry — exponential backoff, charged to
-    /// the outcome's latency) and retransmits, up to the policy's cap.
-    pub fn open_with_retries(
-        &mut self,
-        flow: &FlowSpec,
-        rp: &SetupRetryPolicy,
-    ) -> Result<SetupOutcome, OpenError> {
         use rand::Rng;
         let mut timeout_penalty_us = 0u64;
         // Each retransmit chains to the one whose timeout triggered it, so
         // a lossy open renders as retransmit → retransmit → open → ack.
         let mut last_rexmit: Option<EventId> = None;
-        for attempt in 0..=rp.max_retries {
+        for attempt in 0..=SETUP_RETRANSMITS {
             let lost = match &mut self.setup_loss {
                 Some((prob, rng)) => rng.gen_bool(*prob),
                 None => false,
             };
             if lost {
-                // Detected only by timeout; back off exponentially.
-                timeout_penalty_us += rp.base_timeout_us << attempt;
-                if attempt < rp.max_retries {
+                timeout_penalty_us += SETUP_TIMEOUT_US << attempt;
+                if attempt < SETUP_RETRANSMITS {
                     self.repair_stats.setup_retransmits += 1;
                     last_rexmit = self
                         .emit(
@@ -608,78 +557,43 @@ impl OrwgNetwork {
                             EventRecord::RouteSetupRetransmit {
                                 src: flow.src,
                                 dst: flow.dst,
-                                attempt: attempt as u64 + 1,
+                                attempt: u64::from(attempt) + 1,
                             },
                         )
                         .or(last_rexmit);
                 }
                 continue;
             }
-            return self.open_repairable_caused(flow, last_rexmit).map(|mut s| {
-                s.latency_us += timeout_penalty_us;
-                s
-            });
+            return self
+                .open_on_rung(flow, BrownoutRung::Full, last_rexmit)
+                .map(|mut s| {
+                    s.latency_us += timeout_penalty_us;
+                    s
+                });
         }
         Err(OpenError::SetupTimeout)
     }
 
-    /// Opens a policy route, retrying around rejections.
-    ///
-    /// When a Policy Gateway refuses a setup (its actual policy is newer
-    /// than the source's flooded view) or a link on the synthesized route
-    /// is down, the source adds the offender to its (private) avoid
-    /// criteria and re-synthesizes — up to `max_retries` times. The
-    /// source's prior selection criteria are restored afterwards.
-    pub fn open_resilient(
-        &mut self,
-        flow: &FlowSpec,
-        max_retries: usize,
-    ) -> Result<SetupOutcome, OpenError> {
-        self.open_resilient_caused(flow, max_retries, None)
+    /// Enables (or disables, with `prob = 0.0`) seeded random loss of
+    /// setup transmissions, consumed by [`OrwgNetwork::open_repairable`].
+    pub fn set_setup_loss(&mut self, prob: f64, seed: u64) {
+        use rand::SeedableRng;
+        self.setup_loss = (prob > 0.0).then(|| (prob, rand::rngs::SmallRng::seed_from_u64(seed)));
     }
 
-    fn open_resilient_caused(
+    /// One direct open: the source synthesizes on `rung` exactly as a
+    /// served open does ([`BrownoutRung::Cached`]: the route alone,
+    /// [`BrownoutRung::Full`]: with spares), then walks the setup.
+    fn open_on_rung(
         &mut self,
         flow: &FlowSpec,
-        max_retries: usize,
+        rung: BrownoutRung,
         cause: Option<EventId>,
     ) -> Result<SetupOutcome, OpenError> {
-        let saved = self.servers[flow.src.index()].selection().clone();
-        let mut extra: Vec<AdId> = Vec::new();
-        let mut attempt = 0;
-        let result = loop {
-            match self.open_caused(flow, cause) {
-                Ok(s) => break Ok(s),
-                Err(e) if attempt >= max_retries => break Err(e),
-                Err(OpenError::Rejected(
-                    SetupError::PolicyDenied { ad }
-                    | SetupError::PtMismatch { ad }
-                    | SetupError::GatewayDown { ad },
-                )) => {
-                    extra.push(ad);
-                }
-                Err(OpenError::LinkDown { a, b }) => {
-                    // Avoid the downstream endpoint (never the endpoints
-                    // of the flow itself).
-                    let pick = if b != flow.src && b != flow.dst { b } else { a };
-                    if pick == flow.src || pick == flow.dst {
-                        break Err(OpenError::LinkDown { a, b });
-                    }
-                    extra.push(pick);
-                }
-                Err(e) => break Err(e),
-            }
-            attempt += 1;
-            let mut sel = saved.clone();
-            // Widen the saved avoid set — replacing it would silently
-            // loosen the source's standing criteria mid-retry.
-            sel.avoid = saved
-                .avoid
-                .union(&adroute_policy::AdSet::only(extra.iter().copied()));
-            self.servers[flow.src.index()].set_selection(sel);
-        };
-        self.servers[flow.src.index()].set_selection(saved);
-        result
+        match self.synth_on_rung(flow.src, flow, rung) {
+            Synth::Route(route, spares) => self.setup_along(flow, &route, spares, cause),
+            Synth::NoRoute | Synth::Miss => Err(OpenError::NoRoute),
+        }
     }
 
     /// Sends one data packet on an established route using the handle.
@@ -979,10 +893,8 @@ impl OrwgNetwork {
             self.quarantined.push(ad);
             self.quarantined.sort();
         }
-        let add = adroute_policy::AdSet::only([ad]);
         for s in &mut self.servers {
-            let mut sel = s.selection().clone();
-            sel.avoid = sel.avoid.union(&add);
+            let sel = widen_avoid(s.selection(), [ad]);
             s.set_selection(sel);
         }
         let queued = self.pending_repair.len();
@@ -1164,6 +1076,7 @@ impl OrwgNetwork {
     }
 
     /// One rung's synthesis for one flow — the per-open body shared by
+    /// [`OrwgNetwork::open`], [`OrwgNetwork::open_repairable`],
     /// [`OrwgNetwork::serve_next`] and [`OrwgNetwork::serve_batch`].
     fn synth_on_rung(&mut self, ad: AdId, flow: &FlowSpec, rung: BrownoutRung) -> Synth {
         match rung {
@@ -1584,45 +1497,30 @@ impl OrwgNetwork {
     /// a fresh setup walk — links and gateways re-validate, so a spare
     /// that the fault also broke is simply rejected. Only when no spare
     /// survives does the source pay for a fresh policy-constrained
-    /// synthesis ([`OrwgNetwork::open_resilient`] with `max_retries`
-    /// detour attempts). Outcomes accumulate in
-    /// [`OrwgNetwork::repair_stats`]; the per-call delta is returned.
+    /// synthesis: an [`OrwgNetwork::open`] that, when a gateway refuses
+    /// the setup or a link on the route is down, avoids the offender and
+    /// synthesizes again, up to `max_retries` times. Repair setups are
+    /// never lost to [`OrwgNetwork::set_setup_loss`]. Outcomes accumulate
+    /// in [`OrwgNetwork::repair_stats`]; the per-call delta is returned.
     pub fn repair_pending(&mut self, max_retries: usize) -> RepairStats {
         let before = self.repair_stats;
         let pending = std::mem::take(&mut self.pending_repair);
         for (of, cause) in pending {
-            let mut fixed = false;
-            for alt in &of.alternates {
-                if alt.path == of.route {
-                    continue; // the spare is the route that just died
-                }
-                if self.setup_along(&of.flow, alt, Vec::new(), cause).is_ok() {
-                    self.repair_stats.repaired_via_alternate += 1;
-                    fixed = true;
-                    break;
-                }
-            }
-            let via = if fixed {
-                "alternate"
+            // A spare that is the route which just died is skipped.
+            let spared = (of.alternates.iter())
+                .filter(|alt| alt.path != of.route)
+                .any(|alt| self.setup_along(&of.flow, alt, Vec::new(), cause).is_ok());
+            let (via, metric) = if spared {
+                self.repair_stats.repaired_via_alternate += 1;
+                ("alternate", "repair_ok")
+            } else if self.open_resilient(&of.flow, max_retries, cause).is_ok() {
+                self.repair_stats.repaired_via_synthesis += 1;
+                ("synthesis", "repair_ok")
             } else {
-                match self.open_resilient_caused(&of.flow, max_retries, cause) {
-                    Ok(_) => {
-                        self.repair_stats.repaired_via_synthesis += 1;
-                        "synthesis"
-                    }
-                    Err(_) => {
-                        self.repair_stats.failures += 1;
-                        "failed"
-                    }
-                }
+                self.repair_stats.failures += 1;
+                ("failed", "repair_failed")
             };
-            self.obs.metrics.add(
-                match via {
-                    "failed" => "repair_failed",
-                    _ => "repair_ok",
-                },
-                1,
-            );
+            self.obs.metrics.add(metric, 1);
             self.emit(
                 cause,
                 EventRecord::RouteSetupRepair {
@@ -1640,6 +1538,44 @@ impl OrwgNetwork {
             failures: self.repair_stats.failures - before.failures,
             setup_retransmits: self.repair_stats.setup_retransmits - before.setup_retransmits,
         }
+    }
+
+    /// [`OrwgNetwork::repair_pending`]'s fresh synthesis: opens `flow`,
+    /// and when a Policy Gateway refuses the setup (its actual policy is
+    /// newer than the source's flooded view) or a link on the route is
+    /// down, adds the offender to the source's avoid criteria and
+    /// synthesizes again — up to `max_retries` times. The source's prior
+    /// selection criteria are restored afterwards.
+    fn open_resilient(
+        &mut self,
+        flow: &FlowSpec,
+        max_retries: usize,
+        cause: Option<EventId>,
+    ) -> Result<SetupOutcome, OpenError> {
+        let saved = self.servers[flow.src.index()].selection().clone();
+        let endpoint = |ad: AdId| ad == flow.src || ad == flow.dst;
+        let mut extra: Vec<AdId> = Vec::new();
+        let result = loop {
+            let offender = match self.open_on_rung(flow, BrownoutRung::Cached, cause) {
+                Ok(s) => break Ok(s),
+                Err(e) if extra.len() >= max_retries => break Err(e),
+                Err(OpenError::Rejected(
+                    SetupError::PolicyDenied { ad }
+                    | SetupError::PtMismatch { ad }
+                    | SetupError::GatewayDown { ad },
+                )) => ad,
+                // A dead link's downstream endpoint, else its upstream
+                // one, but never an endpoint of the flow itself.
+                Err(OpenError::LinkDown { b, .. }) if !endpoint(b) => b,
+                Err(OpenError::LinkDown { a, .. }) if !endpoint(a) => a,
+                Err(e) => break Err(e),
+            };
+            extra.push(offender);
+            let sel = widen_avoid(&saved, extra.iter().copied());
+            self.servers[flow.src.index()].set_selection(sel);
+        };
+        self.servers[flow.src.index()].set_selection(saved);
+        result
     }
 
     /// Re-syncs the data plane with a (re-)quiesced control plane: ground
@@ -1723,14 +1659,6 @@ impl OrwgNetwork {
     /// Total setup-time synthesis searches across all Route Servers.
     pub fn total_searches(&self) -> u64 {
         self.servers.iter().map(|s| s.stats.searches).sum()
-    }
-
-    /// Total background precompute searches across all Route Servers.
-    pub fn total_precompute_searches(&self) -> u64 {
-        self.servers
-            .iter()
-            .map(|s| s.stats.precompute_searches)
-            .sum()
     }
 
     /// Sums every Route Server's counters into one [`SynthStats`].
@@ -2293,12 +2221,8 @@ mod tests {
         let flow = FlowSpec::best_effort(AdId(0), AdId(3));
         // Every transmission lost: the log shows a retransmit chain.
         net.set_setup_loss(1.0, 7);
-        let rp = SetupRetryPolicy {
-            max_retries: 2,
-            base_timeout_us: 500,
-        };
         assert_eq!(
-            net.open_with_retries(&flow, &rp).unwrap_err(),
+            net.open_repairable(&flow).unwrap_err(),
             OpenError::SetupTimeout
         );
         let rexmits: Vec<_> = net
@@ -2308,7 +2232,7 @@ mod tests {
             .filter(|ev| matches!(ev.rec, EventRecord::RouteSetupRetransmit { .. }))
             .copied()
             .collect();
-        assert_eq!(rexmits.len(), 2);
+        assert_eq!(rexmits.len(), SETUP_RETRANSMITS as usize);
         assert_eq!(rexmits[0].cause, None);
         assert_eq!(rexmits[1].cause, Some(rexmits[0].id));
         // A stale-view setup into a refusing gateway nacks with a reason,
@@ -2472,7 +2396,7 @@ mod tests {
         net.db.set_policy(TransitPolicy::deny_all(AdId(1)));
         let flow = FlowSpec::best_effort(AdId(0), AdId(3));
         assert!(matches!(net.open(&flow), Err(OpenError::Rejected(_))));
-        let s = net.open_resilient(&flow, 3).expect("detour exists");
+        let s = net.open_resilient(&flow, 3, None).expect("detour exists");
         assert_eq!(s.route, vec![AdId(0), AdId(5), AdId(4), AdId(3)]);
         // Selection criteria restored afterwards.
         assert!(net.server(AdId(0)).selection().allows_transit(AdId(1)));
@@ -2489,10 +2413,10 @@ mod tests {
         net.db.set_policy(TransitPolicy::deny_all(AdId(1)));
         net.db.set_policy(TransitPolicy::deny_all(AdId(5)));
         let flow = FlowSpec::best_effort(AdId(0), AdId(3));
-        assert!(net.open_resilient(&flow, 0).is_err());
+        assert!(net.open_resilient(&flow, 0, None).is_err());
         // With budget, both offenders are discovered, then no route
         // remains in the (stale) view either way around.
-        assert!(net.open_resilient(&flow, 4).is_err());
+        assert!(net.open_resilient(&flow, 4, None).is_err());
     }
 
     #[test]
@@ -2506,7 +2430,7 @@ mod tests {
         net.topo.set_link_up(l, false);
         let flow = FlowSpec::best_effort(AdId(0), AdId(3));
         assert!(matches!(net.open(&flow), Err(OpenError::LinkDown { .. })));
-        let s = net.open_resilient(&flow, 3).expect("detour exists");
+        let s = net.open_resilient(&flow, 3, None).expect("detour exists");
         assert_eq!(s.route, vec![AdId(0), AdId(5), AdId(4), AdId(3)]);
     }
 
@@ -2553,7 +2477,7 @@ mod tests {
             other => panic!("expected GatewayDown, got {other:?}"),
         }
         // …and the resilient source routes around the crash.
-        let s2 = net.open_resilient(&flow, 3).expect("detour exists");
+        let s2 = net.open_resilient(&flow, 3, None).expect("detour exists");
         assert_eq!(s2.route, vec![AdId(0), AdId(5), AdId(4), AdId(3)]);
         assert!(net.send(s2.handle).is_ok());
         // After restart the original side works again, cold.
@@ -2607,16 +2531,12 @@ mod tests {
     fn setup_loss_retransmits_with_backoff() {
         let mut net = permissive(6);
         let flow = FlowSpec::best_effort(AdId(0), AdId(3));
-        let rp = SetupRetryPolicy {
-            max_retries: 8,
-            base_timeout_us: 1_000,
-        };
         // Deterministic heavy loss: some attempts are lost, the eventual
         // success carries the accumulated backoff in its latency.
         net.set_setup_loss(0.7, 42);
         let mut saw_retry = false;
         for _ in 0..10 {
-            match net.open_with_retries(&flow, &rp) {
+            match net.open_repairable(&flow) {
                 Ok(s) => {
                     if s.latency_us > 3_000 {
                         // Ring of 6: raw route latency is 3 hops × 1000µs.
@@ -2632,7 +2552,7 @@ mod tests {
         // With loss disabled the same call is loss-free.
         net.set_setup_loss(0.0, 42);
         let before = net.repair_stats.setup_retransmits;
-        net.open_with_retries(&flow, &rp).unwrap();
+        net.open_repairable(&flow).unwrap();
         assert_eq!(net.repair_stats.setup_retransmits, before);
     }
 
@@ -2641,15 +2561,14 @@ mod tests {
         let mut net = permissive(6);
         let flow = FlowSpec::best_effort(AdId(0), AdId(3));
         net.set_setup_loss(1.0, 7); // every transmission lost
-        let rp = SetupRetryPolicy {
-            max_retries: 2,
-            base_timeout_us: 500,
-        };
         assert_eq!(
-            net.open_with_retries(&flow, &rp).unwrap_err(),
+            net.open_repairable(&flow).unwrap_err(),
             OpenError::SetupTimeout
         );
-        assert_eq!(net.repair_stats.setup_retransmits, 2);
+        assert_eq!(
+            net.repair_stats.setup_retransmits,
+            u64::from(SETUP_RETRANSMITS)
+        );
     }
 
     #[test]

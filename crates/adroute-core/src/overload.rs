@@ -85,9 +85,12 @@ impl Default for AdmissionConfig {
 /// represented by the NACK, not by a variant here.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum BrownoutRung {
-    /// Full synthesis plus spare routes (the `open_repairable` quality).
+    /// Full synthesis plus spare routes: the synthesis
+    /// [`OrwgNetwork::open_repairable`](crate::OrwgNetwork::open_repairable)
+    /// runs, too.
     Full,
-    /// Cached-route fast path: one search at most, no spares.
+    /// Cached-route fast path: one search at most, no spares. The
+    /// synthesis [`OrwgNetwork::open`](crate::OrwgNetwork::open) runs, too.
     Cached,
     /// Stored state only — precomputed table or cache hit; a miss sheds
     /// rather than searching.

@@ -297,6 +297,19 @@ fn edit_shared<T: Clone>(
     }
 }
 
+/// `base` with `extra` added to its avoid-set, for a source hunting a
+/// detour. It widens and never replaces, so the source's standing
+/// criteria stay in force during the hunt.
+pub(crate) fn widen_avoid(
+    base: &RouteSelection,
+    extra: impl IntoIterator<Item = AdId>,
+) -> RouteSelection {
+    RouteSelection {
+        avoid: base.avoid.union(&AdSet::only(extra)),
+        ..base.clone()
+    }
+}
+
 /// One AD's Route Server: its own route stores (precomputed table, LRU
 /// cache, dependency index, refill queue), selection criteria and
 /// provenance, over a flooded view it shares with every server whose view
@@ -796,12 +809,7 @@ impl RouteServer {
             if found.len() >= k {
                 break;
             }
-            // Widen — never replace — the source's avoid set, so its
-            // private criteria stay in force during the hunt.
-            self.selection = RouteSelection {
-                avoid: base.avoid.union(&AdSet::only([avoid])),
-                ..base.clone()
-            };
+            self.selection = widen_avoid(&base, [avoid]);
             if let Some(alt) = self.search(flow) {
                 if !found.iter().any(|r| r.path == alt.path) {
                     found.push(alt);

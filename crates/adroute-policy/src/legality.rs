@@ -14,7 +14,7 @@
 //! uses the same routine for synthesis).
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 
 use adroute_topology::{AdId, Topology};
 
@@ -78,111 +78,15 @@ pub fn legal_route_with(
     selection: &RouteSelection,
     stats: &mut SearchStats,
 ) -> Option<LegalRoute> {
-    if flow.src == flow.dst {
-        return Some(LegalRoute {
-            path: vec![flow.src],
-            cost: 0,
-        });
+    if let Some(answer) = unsearched(topo, flow) {
+        return answer;
     }
-    let n = topo.num_ads();
-    if flow.src.index() >= n || flow.dst.index() >= n {
-        return None;
-    }
-
-    // State: (current AD, previous AD). Start state uses prev = current
-    // (sentinel, never consulted because the source's own policy is not
-    // evaluated).
-    type State = (AdId, AdId);
-    let start: State = (flow.src, flow.src);
-    let mut dist: HashMap<State, u64> = HashMap::new();
-    let mut parent: HashMap<State, State> = HashMap::new();
-    let mut heap: BinaryHeap<Reverse<(u64, AdId, AdId)>> = BinaryHeap::new();
-    dist.insert(start, 0);
-    heap.push(Reverse((0, flow.src, flow.src)));
-
-    let mut best_final: Option<(u64, State)> = None;
-
-    while let Some(Reverse((cost, cur, prev))) = heap.pop() {
-        let state = (cur, prev);
-        if dist.get(&state).is_none_or(|&d| cost > d) {
-            continue;
-        }
-        stats.settled += 1;
-        if cur == flow.dst {
-            best_final = Some((cost, state));
-            break; // first settle of dst is optimal
-        }
-        for (nbr, link) in topo.neighbors(cur) {
-            stats.relaxations += 1;
-            if nbr == prev && cur != flow.src {
-                continue; // immediate backtrack is never useful
-            }
-            // The *current* AD (if transit) must permit forwarding from
-            // `prev` to `nbr`.
-            let transit_cost = if cur == flow.src {
-                0
-            } else {
-                match db.policy(cur).evaluate(flow, Some(prev), Some(nbr)) {
-                    Some(c) => u64::from(c),
-                    None => continue,
-                }
-            };
-            // Source route-selection: never transit an avoided AD.
-            if nbr != flow.dst && !selection.allows_transit(nbr) {
-                continue;
-            }
-            let ncost = cost + u64::from(topo.link(link).metric) + transit_cost;
-            let nstate: State = (nbr, cur);
-            if dist.get(&nstate).is_none_or(|&d| ncost < d) {
-                dist.insert(nstate, ncost);
-                parent.insert(nstate, state);
-                heap.push(Reverse((ncost, nbr, cur)));
-            }
-        }
-    }
-
-    let (cost, final_state) = best_final?;
-    // Reconstruct.
-    let mut path = Vec::new();
-    let mut cur = final_state;
-    loop {
-        path.push(cur.0);
-        if cur == start {
-            break;
-        }
-        cur = parent[&cur];
-    }
-    path.reverse();
-
-    // The (current, previous) state graph searches *walks*; with policies
-    // conditioned on the previous AD the optimal walk can, in adversarial
-    // cases, revisit an AD. Inter-AD routes must be loop-free (paper
-    // Section 2.1), so fall back to an exact simple-path search when that
-    // happens. The walk cost is a valid lower bound for pruning.
-    let has_revisit = {
-        let mut seen = std::collections::HashSet::new();
-        path.iter().any(|a| !seen.insert(*a))
-    };
-    let route = if has_revisit {
-        legal_route_bruteforce(topo, db, flow)?
-    } else {
-        LegalRoute { path, cost }
-    };
-
-    if selection.accepts(&route.path, route.cost) {
-        return Some(route);
-    }
-    // The least-cost route violated the source's criteria. If a hop bound
-    // is the problem, retry minimizing hops instead of cost (best-effort:
-    // the full bicriteria problem is out of scope for the oracle).
-    if selection.max_hops.is_some() {
-        if let Some(r) = legal_route_min_hops(topo, db, flow, selection) {
-            if selection.accepts(&r.path, r.cost) {
-                return Some(r);
-            }
-        }
-    }
-    None
+    let only = |ad: AdId| (ad == flow.dst).then_some(0);
+    let (route, effort) =
+        search(topo, db, flow, 1, only, selection).answer(topo, db, flow, selection, 0);
+    stats.relaxations += effort.relaxations;
+    stats.settled += effort.settled;
+    route
 }
 
 /// Batched multi-destination variant of [`legal_route_with`]: one search
@@ -191,21 +95,18 @@ pub fn legal_route_with(
 /// [`legal_route_with`] once per destination (flow `i` is `template` with
 /// `dst = dsts[i]`, starting from fresh stats).
 ///
-/// The wall-clock win comes from work sharing: the Dijkstra frontier from
-/// `src` is computed once and read off at each destination's first
-/// settle, instead of being regrown per open. Equivalence holds because,
-/// when no policy conditions on the destination and no requested
-/// destination sits in the avoid-set, the solo search's loop body is
-/// destination-independent until the moment it breaks — so the shared
-/// sweep's pop/relax sequence is a common prefix of every solo run, and
-/// each solo run's effort counters can be snapshotted at its
-/// destination's settle (settled *includes* the destination pop;
-/// relaxations exclude its outgoing edges, which solo never visits).
-/// Destinations that violate a sharing precondition — a dst-conditioned
-/// Policy Term anywhere in `db`, or a destination the selection avoids
-/// (which flips the `nbr != dst` transit test) — are transparently
-/// answered by private per-destination searches, so the equivalence
-/// contract is unconditional.
+/// Both run the same search loop: a solo search is a sweep with one
+/// target. The loop reads each target's answer and effort off at its
+/// first settle (settled *includes* that pop; relaxations exclude its
+/// outgoing edges) and stops once every target has settled. Up to a
+/// target's settle the pop/relax sequence does not depend on the other
+/// targets, as long as neither transit evaluation nor the avoid test
+/// depends on the destination. So only destinations meeting both
+/// preconditions share a search: no Policy Term in `db` conditions on the
+/// destination, and the selection does not avoid the destination (the
+/// avoid test admits every target, which would let the others transit
+/// it). The rest get their own searches, so the equivalence contract is
+/// unconditional.
 pub fn legal_routes_sweep(
     topo: &Topology,
     db: &PolicyDb,
@@ -217,163 +118,223 @@ pub fn legal_routes_sweep(
         dst: d,
         ..*template
     };
-    let solo = |d: AdId| {
-        let f = flow_for(d);
-        let mut st = SearchStats::default();
-        let r = legal_route_with(topo, db, &f, selection, &mut st);
-        (r, st)
-    };
-    // A dst-conditioned Policy Term makes transit evaluation vary across
-    // the batch: no sharing is sound.
-    if db.dst_sensitive() {
-        return dsts.iter().map(|&d| solo(d)).collect();
-    }
-
-    let n = topo.num_ads();
-    let src = template.src;
-    let mut out: Vec<Option<(Option<LegalRoute>, SearchStats)>> = vec![None; dsts.len()];
-    // Destinations the shared search will answer, by index. Trivial and
-    // out-of-range flows never search; avoided destinations get private
-    // searches (for them `nbr != dst` admits an otherwise-avoided AD).
-    let mut swept: Vec<(usize, AdId)> = Vec::new();
-    for (i, &d) in dsts.iter().enumerate() {
-        if d == src {
-            out[i] = Some((
-                Some(LegalRoute {
-                    path: vec![src],
-                    cost: 0,
-                }),
-                SearchStats::default(),
-            ));
-        } else if src.index() >= n || d.index() >= n {
-            out[i] = Some((None, SearchStats::default()));
-        } else if !selection.allows_transit(d) {
-            out[i] = Some(solo(d));
-        } else {
-            swept.push((i, d));
+    // Each destination the shared search answers gets a slot in it;
+    // trivial and out-of-range flows never search. Transit policy is
+    // evaluated for the first of them, which stands for every one.
+    let mut slots: HashMap<AdId, usize> = HashMap::new();
+    let mut probe = None;
+    if !db.dst_sensitive() {
+        for &d in dsts {
+            let f = flow_for(d);
+            if unsearched(topo, &f).is_none() && selection.allows_transit(d) {
+                let next = slots.len();
+                slots.entry(d).or_insert(next);
+                probe.get_or_insert(f);
+            }
         }
     }
-
-    if !swept.is_empty() {
-        // Same loop as `legal_route_with`, minus the break at the (single)
-        // destination: instead, snapshot effort at each destination's
-        // first settle. Policy evaluation uses an arbitrary batch flow —
-        // sound because `db` is not dst-sensitive (checked above).
-        type State = (AdId, AdId);
-        let probe = flow_for(swept[0].1);
-        let start: State = (src, src);
-        let mut dist: HashMap<State, u64> = HashMap::new();
-        let mut parent: HashMap<State, State> = HashMap::new();
-        let mut heap: BinaryHeap<Reverse<(u64, AdId, AdId)>> = BinaryHeap::new();
-        dist.insert(start, 0);
-        heap.push(Reverse((0, src, src)));
-
-        let mut stats = SearchStats::default();
-        // First-settle snapshot per destination AD: final state plus the
-        // effort counters a solo run would have reported at its break.
-        let mut settle: HashMap<AdId, (State, SearchStats)> = HashMap::new();
-        let mut remaining: usize = {
-            let mut uniq: Vec<AdId> = swept.iter().map(|&(_, d)| d).collect();
-            uniq.sort_unstable();
-            uniq.dedup();
-            uniq.len()
-        };
-        let wanted: std::collections::HashSet<AdId> = swept.iter().map(|&(_, d)| d).collect();
-
-        while let Some(Reverse((cost, cur, prev))) = heap.pop() {
-            let state = (cur, prev);
-            if dist.get(&state).is_none_or(|&d| cost > d) {
-                continue;
+    let slot = |ad: AdId| slots.get(&ad).copied();
+    let shared = probe.map(|p| search(topo, db, &p, slots.len(), slot, selection));
+    dsts.iter()
+        .map(|&d| {
+            let f = flow_for(d);
+            match (&shared, slots.get(&d)) {
+                (Some(s), Some(&i)) => s.answer(topo, db, &f, selection, i),
+                _ => {
+                    let mut stats = SearchStats::default();
+                    let route = legal_route_with(topo, db, &f, selection, &mut stats);
+                    (route, stats)
+                }
             }
-            stats.settled += 1;
-            if wanted.contains(&cur) && !settle.contains_key(&cur) {
-                // Solo for `cur` breaks exactly here, after counting this
-                // pop but before relaxing its edges.
-                settle.insert(cur, (state, stats));
-                remaining -= 1;
-                if remaining == 0 {
+        })
+        .collect()
+}
+
+/// The answer for a flow that needs no search: the trivial route when
+/// source and destination coincide, none when either is out of range.
+fn unsearched(topo: &Topology, flow: &FlowSpec) -> Option<Option<LegalRoute>> {
+    if flow.src == flow.dst {
+        return Some(Some(LegalRoute {
+            path: vec![flow.src],
+            cost: 0,
+        }));
+    }
+    let n = topo.num_ads();
+    (flow.src.index() >= n || flow.dst.index() >= n).then_some(None)
+}
+
+/// Search state: `(current AD, previous AD)`. The start state uses
+/// prev = current (a sentinel, never consulted because the source's own
+/// policy is not evaluated).
+type State = (AdId, AdId);
+
+/// A target's first settle: its final state and cost, and the effort
+/// counted up to and including that pop.
+#[derive(Clone, Copy)]
+struct Settle {
+    state: State,
+    cost: u64,
+    stats: SearchStats,
+}
+
+/// A finished search: the tree it grew, each target's first settle, and
+/// the effort of the whole run.
+struct Search {
+    start: State,
+    parent: HashMap<State, State>,
+    settles: Vec<Option<Settle>>,
+    total: SearchStats,
+}
+
+/// The policy-constrained Dijkstra: settles `(current, previous)` states
+/// from `probe.src` until each of the `targets` ADs that `slot` numbers
+/// has settled, or the frontier is empty. A solo search's `slot` compares
+/// with its one destination, so the hot path hashes nothing. Transit
+/// policy is evaluated for `probe`, so every target must get the same
+/// verdicts from it as from its own flow.
+///
+/// Kept out of line: inlined into `legal_route_with`, it left the hash
+/// and heap calls of its loop out of line instead, and solo searches on a
+/// 392-AD internet ran about 10 % slower (2-CPU x86-64 host).
+#[inline(never)]
+fn search(
+    topo: &Topology,
+    db: &PolicyDb,
+    probe: &FlowSpec,
+    targets: usize,
+    slot: impl Fn(AdId) -> Option<usize>,
+    selection: &RouteSelection,
+) -> Search {
+    let src = probe.src;
+    let start: State = (src, src);
+    let mut dist: HashMap<State, u64> = HashMap::new();
+    let mut parent: HashMap<State, State> = HashMap::new();
+    let mut heap: BinaryHeap<Reverse<(u64, AdId, AdId)>> = BinaryHeap::new();
+    dist.insert(start, 0);
+    heap.push(Reverse((0, src, src)));
+
+    let mut stats = SearchStats::default();
+    let mut settles = vec![None; targets];
+    let mut unsettled = targets;
+    while let Some(Reverse((cost, cur, prev))) = heap.pop() {
+        let state = (cur, prev);
+        if dist.get(&state).is_none_or(|&d| cost > d) {
+            continue;
+        }
+        stats.settled += 1;
+        if let Some(i) = slot(cur) {
+            // The first settle is optimal. A search for this target alone
+            // stops here, before relaxing its edges.
+            if settles[i].is_none() {
+                settles[i] = Some(Settle { state, cost, stats });
+                unsettled -= 1;
+                if unsettled == 0 {
                     break;
                 }
             }
-            for (nbr, link) in topo.neighbors(cur) {
-                stats.relaxations += 1;
-                if nbr == prev && cur != src {
-                    continue;
-                }
-                let transit_cost = if cur == src {
-                    0
-                } else {
-                    match db.policy(cur).evaluate(&probe, Some(prev), Some(nbr)) {
-                        Some(c) => u64::from(c),
-                        None => continue,
-                    }
-                };
-                // Swept destinations are never avoided, so the solo test
-                // `nbr != dst && !allows_transit(nbr)` reduces to this for
-                // every flow in the batch.
-                if !selection.allows_transit(nbr) {
-                    continue;
-                }
-                let ncost = cost + u64::from(topo.link(link).metric) + transit_cost;
-                let nstate: State = (nbr, cur);
-                if dist.get(&nstate).is_none_or(|&d| ncost < d) {
-                    dist.insert(nstate, ncost);
-                    parent.insert(nstate, state);
-                    heap.push(Reverse((ncost, nbr, cur)));
-                }
-            }
         }
-
-        for (i, d) in swept {
-            let f = flow_for(d);
-            let entry = match settle.get(&d) {
-                // Unsettled: solo exhausts the identical heap, reporting
-                // the full-run totals.
-                None => (None, stats),
-                Some(&(fstate, st)) => {
-                    let mut path = Vec::new();
-                    let mut cur = fstate;
-                    loop {
-                        path.push(cur.0);
-                        if cur == start {
-                            break;
-                        }
-                        cur = parent[&cur];
-                    }
-                    path.reverse();
-                    let cost = dist[&fstate];
-                    // Identical post-processing to `legal_route_with`:
-                    // revisiting walks fall back to the exact simple-path
-                    // search; selection rejection retries minimizing hops
-                    // when a hop bound is present. Neither touches stats.
-                    let has_revisit = {
-                        let mut seen = std::collections::HashSet::new();
-                        path.iter().any(|a| !seen.insert(*a))
-                    };
-                    let route = if has_revisit {
-                        legal_route_bruteforce(topo, db, &f)
-                    } else {
-                        Some(LegalRoute { path, cost })
-                    };
-                    let result = match route {
-                        None => None,
-                        Some(r) if selection.accepts(&r.path, r.cost) => Some(r),
-                        Some(_) if selection.max_hops.is_some() => {
-                            legal_route_min_hops(topo, db, &f, selection)
-                                .filter(|r| selection.accepts(&r.path, r.cost))
-                        }
-                        Some(_) => None,
-                    };
-                    (result, st)
+        for (nbr, link) in topo.neighbors(cur) {
+            stats.relaxations += 1;
+            if nbr == prev && cur != src {
+                continue; // immediate backtrack is never useful
+            }
+            // The *current* AD (if transit) must permit forwarding from
+            // `prev` to `nbr`.
+            let transit_cost = if cur == src {
+                0
+            } else {
+                match db.policy(cur).evaluate(probe, Some(prev), Some(nbr)) {
+                    Some(c) => u64::from(c),
+                    None => continue,
                 }
             };
-            out[i] = Some(entry);
+            // Source route-selection: never transit an avoided AD. A
+            // target is reached, not transited.
+            if !selection.allows_transit(nbr) && slot(nbr).is_none() {
+                continue;
+            }
+            let ncost = cost + u64::from(topo.link(link).metric) + transit_cost;
+            let nstate: State = (nbr, cur);
+            if dist.get(&nstate).is_none_or(|&d| ncost < d) {
+                dist.insert(nstate, ncost);
+                parent.insert(nstate, state);
+                heap.push(Reverse((ncost, nbr, cur)));
+            }
         }
     }
+    Search {
+        start,
+        parent,
+        settles,
+        total: stats,
+    }
+}
 
-    out.into_iter()
-        .map(|o| o.expect("every dst answered"))
-        .collect()
+impl Search {
+    /// The answer for `flow`, whose destination holds `slot`, with the
+    /// effort a search for it alone reports. A target that never settled
+    /// saw the whole frontier exhausted, as its own search would.
+    fn answer(
+        &self,
+        topo: &Topology,
+        db: &PolicyDb,
+        flow: &FlowSpec,
+        selection: &RouteSelection,
+        slot: usize,
+    ) -> (Option<LegalRoute>, SearchStats) {
+        match self.settles[slot] {
+            None => (None, self.total),
+            Some(s) => {
+                let path = walk_back(&self.parent, self.start, s.state);
+                (finish(topo, db, flow, selection, path, s.cost), s.stats)
+            }
+        }
+    }
+}
+
+/// The AD path from `start` to `end` down a search tree.
+fn walk_back(parent: &HashMap<State, State>, start: State, end: State) -> Vec<AdId> {
+    let mut path = vec![end.0];
+    let mut cur = end;
+    while cur != start {
+        cur = parent[&cur];
+        path.push(cur.0);
+    }
+    path.reverse();
+    path
+}
+
+/// Turns the least-cost walk to `flow.dst` into the oracle's answer.
+///
+/// The `(current, previous)` state graph searches *walks*; with policies
+/// conditioned on the previous AD the optimal walk can, in adversarial
+/// cases, revisit an AD. Inter-AD routes must be loop-free (paper Section
+/// 2.1), so a revisiting walk falls back to an exact simple-path search.
+/// When the source's criteria reject the route and a hop bound is set,
+/// the search is retried minimizing hops instead of cost (best-effort:
+/// the full bicriteria problem is out of scope for the oracle). Neither
+/// fallback counts toward [`SearchStats`].
+fn finish(
+    topo: &Topology,
+    db: &PolicyDb,
+    flow: &FlowSpec,
+    selection: &RouteSelection,
+    path: Vec<AdId>,
+    cost: u64,
+) -> Option<LegalRoute> {
+    let mut seen = HashSet::new();
+    let route = if path.iter().all(|a| seen.insert(*a)) {
+        LegalRoute { path, cost }
+    } else {
+        legal_route_bruteforce(topo, db, flow)?
+    };
+    if selection.accepts(&route.path, route.cost) {
+        return Some(route);
+    }
+    selection
+        .max_hops
+        .and_then(|_| legal_route_min_hops(topo, db, flow, selection))
+        .filter(|r| selection.accepts(&r.path, r.cost))
 }
 
 /// Hop-minimizing variant: BFS over the same `(current, previous)` state
@@ -385,25 +346,13 @@ fn legal_route_min_hops(
     flow: &FlowSpec,
     selection: &RouteSelection,
 ) -> Option<LegalRoute> {
-    type State = (AdId, AdId);
     let start: State = (flow.src, flow.src);
     let mut parent: HashMap<State, State> = HashMap::new();
-    let mut visited: std::collections::HashSet<State> = std::collections::HashSet::new();
-    let mut queue = std::collections::VecDeque::new();
-    visited.insert(start);
-    queue.push_back(start);
-    while let Some((cur, prev)) = queue.pop_front() {
+    let mut visited: HashSet<State> = HashSet::from([start]);
+    let mut queue = VecDeque::from([start]);
+    while let Some(state @ (cur, prev)) = queue.pop_front() {
         if cur == flow.dst {
-            let mut path = Vec::new();
-            let mut s = (cur, prev);
-            loop {
-                path.push(s.0);
-                if s == start {
-                    break;
-                }
-                s = parent[&s];
-            }
-            path.reverse();
+            let path = walk_back(&parent, start, state);
             let cost = route_is_legal(topo, db, flow, &path)?;
             return Some(LegalRoute { path, cost });
         }
@@ -424,7 +373,7 @@ fn legal_route_min_hops(
             }
             let nstate = (nbr, cur);
             if visited.insert(nstate) {
-                parent.insert(nstate, (cur, prev));
+                parent.insert(nstate, state);
                 queue.push_back(nstate);
             }
         }

@@ -280,14 +280,15 @@ pub enum EventRecord {
         /// End-to-end setup latency in microseconds.
         latency_us: u64,
     },
-    /// A route setup rejected in-network (no route, policy denial, or a
-    /// dead hop): the "nack" leg of the span tree.
+    /// A route setup rejected in-network (a dead hop or a refusing
+    /// gateway): the "nack" leg of the span tree.
     RouteSetupNack {
         /// Source AD.
         src: AdId,
         /// Destination AD.
         dst: AdId,
-        /// Rejection reason: `"no-route"`, `"validate"`, or `"setup-loss"`.
+        /// Rejection reason: `"link-down"`, `"not-on-route"`,
+        /// `"policy-denied"`, `"pt-mismatch"` or `"gateway-down"`.
         reason: &'static str,
     },
     /// A lost setup packet retried after backoff; attempt numbering
@@ -1414,9 +1415,9 @@ mod tests {
                 EventRecord::RouteSetupNack {
                     src: AdId(1),
                     dst: AdId(2),
-                    reason: "no-route",
+                    reason: "link-down",
                 },
-                "setup-nack AD1->AD2 reason=no-route",
+                "setup-nack AD1->AD2 reason=link-down",
             ),
             (
                 EventRecord::RouteSetupRetransmit {

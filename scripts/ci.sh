@@ -81,9 +81,11 @@ echo "== Paper-scale smoke (10^4-AD gossip flood, clean then faulted, 300 s each
 timeout 300 cargo run --release -q -p adroute-cli -- profile e13 --ads 10000 --json | python3 -m json.tool > /dev/null
 timeout 300 cargo run --release -q -p adroute-cli -- profile e13 --ads 10000 --loss 0.05 --json | python3 -m json.tool > /dev/null
 
-echo "== Byzantine smoke"
+echo "== Byzantine smoke (lossy opens, then forged-ack opens; double run)"
 adroute audit quickstart
-adroute chaos --ads 30 --seed 11 --duration 250 --flows 20 --byzantine
+adroute chaos --ads 30 --seed 11 --duration 250 --flows 20 --byzantine --trace "$out/byz-a.jsonl"
+adroute chaos --ads 30 --seed 11 --duration 250 --flows 20 --byzantine --trace "$out/byz-b.jsonl"
+cmp "$out/byz-a.jsonl" "$out/byz-b.jsonl"
 
 echo "== Chaos faulted trace (partition/heal, double run)"
 adroute chaos --ads 800 --seed 1990 --duration 250 --flows 20 --partition --trace "$out/chaos-a.jsonl"

@@ -5,7 +5,7 @@
 //! deterministic under identical seeds.
 
 use adroute::core::network::OpenError;
-use adroute::core::{OrwgNetwork, OrwgProtocol, SetupRetryPolicy, Strategy};
+use adroute::core::{OrwgNetwork, OrwgProtocol, Strategy};
 use adroute::policy::legality::legal_route;
 use adroute::policy::workload::PolicyWorkload;
 use adroute::policy::{FlowSpec, PolicyDb};
@@ -160,10 +160,6 @@ fn orwg_source_recovers_from_gateway_crash_via_alternate_or_synthesis() {
     let db = PolicyDb::permissive(&topo);
     let mut net = OrwgNetwork::converged(&topo, &db);
     net.set_setup_loss(0.05, 99);
-    let rp = SetupRetryPolicy {
-        max_retries: 6,
-        base_timeout_us: 1_000,
-    };
     let victim = AdId(2);
     let flows: Vec<FlowSpec> = (0..10u32)
         .filter(|&i| i != victim.0)
@@ -173,7 +169,7 @@ fn orwg_source_recovers_from_gateway_crash_via_alternate_or_synthesis() {
         })
         .collect();
     for f in &flows {
-        net.open_with_retries(f, &rp)
+        net.open_repairable(f)
             .expect("permissive ring always opens");
     }
     assert_eq!(net.open_flow_count(), flows.len());

@@ -1,12 +1,14 @@
 //! Workspace-level property-based tests: invariants that must hold for
 //! random topologies, random policies, and random dynamics.
 
-use adroute::policy::legality::{legal_route, legal_route_bruteforce, route_is_legal};
+use adroute::policy::legality::{
+    legal_route, legal_route_bruteforce, legal_route_with, route_is_legal, SearchStats,
+};
 use adroute::policy::ordering::{
     check_ordering, random_constraints, solve_ordering, OrderingSolution,
 };
 use adroute::policy::workload::PolicyWorkload;
-use adroute::policy::{FlowSpec, QosClass, UserClass};
+use adroute::policy::{FlowSpec, QosClass, RouteSelection, TransitPolicy, UserClass};
 use adroute::protocols::ecma::Ecma;
 use adroute::protocols::forwarding::{forward, ForwardOutcome};
 use adroute::protocols::path_vector::PathVector;
@@ -42,6 +44,30 @@ proptest! {
             }
             (None, None) => {}
             _ => prop_assert!(false, "oracle {:?} vs brute {:?}", fast, slow),
+        }
+    }
+
+    /// An avoid-set forbids transit and nothing else: the oracle under a
+    /// random avoid-set (endpoints included) costs what exhaustive search
+    /// costs when every avoided AD denies all transit instead. (No term
+    /// here conditions on the previous or next AD, so the oracle's
+    /// least-cost walk is a simple path and it needs no fallback.)
+    #[test]
+    fn oracle_avoids_transit_like_bruteforce(kind in 0u8..3, size in 0u8..4, seed in 0u64..1000) {
+        let topo = small_topo(kind, size);
+        let db = random_policies(&topo, seed);
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed);
+        let avoid: Vec<AdId> = topo.ad_ids().filter(|_| rng.gen_bool(0.3)).collect();
+        let mut denying = db.clone();
+        for &ad in &avoid {
+            denying.set_policy(TransitPolicy::deny_all(ad));
+        }
+        let sel = RouteSelection::avoiding(avoid);
+        for f in adroute::protocols::forwarding::sample_flows(&topo, 5, seed) {
+            let mut stats = SearchStats::default();
+            let fast = legal_route_with(&topo, &db, &f, &sel, &mut stats).map(|r| r.cost);
+            let slow = legal_route_bruteforce(&topo, &denying, &f).map(|r| r.cost);
+            prop_assert_eq!(fast, slow, "{} avoiding {:?}", f, sel.avoid);
         }
     }
 

@@ -6,6 +6,10 @@
 //! clock.
 
 use adroute::core::ViewMaintenance;
+use adroute::policy::legality::legal_routes_sweep;
+use adroute::policy::workload::PolicyWorkload;
+use adroute::policy::{FlowSpec, PolicyDb, RouteSelection};
+use adroute::topology::AdId;
 use adroute_bench::{e10, e11, e12, e3, e4, e5, e6, e7, e8, e9, f1, internet, t1, World};
 
 /// The row of `rows` whose architecture is `arch`.
@@ -145,6 +149,87 @@ fn e7_hybrid_has_the_lowest_setup_time_search_rate() {
     assert_eq!(lru.invalidated, hybrid.invalidated);
     assert!(hybrid.refresh_searches > 0);
     assert_eq!(on_demand.refresh_searches + lru.refresh_searches, 0);
+}
+
+/// Search effort, pinned. Solo searches and sweeps run one loop, so a
+/// drift in it moves both and slips past every sweep-vs-solo check. E7(a)
+/// at the bench's parameters must print the rows EXPERIMENTS.md records,
+/// and the relaxations behind them must not move. So must the summed
+/// effort of one sweep over every destination from a fixed source:
+/// shared under structural policies, one search per destination under the
+/// default mix (which conditions on destinations).
+#[test]
+fn e7_search_effort_is_pinned() {
+    let rows: Vec<_> = e7::strategies(150, 17, 2000)
+        .iter()
+        .map(|r| {
+            let s = r.served;
+            let stored = (r.routes_stored, r.invalidated, r.refresh_searches);
+            let hits = (s.precomputed_hits, s.cache_hits);
+            (
+                r.strategy,
+                s.searches,
+                s.settled,
+                s.relaxations,
+                hits,
+                stored,
+            )
+        })
+        .collect();
+    assert_eq!(
+        rows,
+        [
+            ("on-demand", 2000, 73649, 404991, (0, 0), (0, 0, 0)),
+            (
+                "LRU cache 64",
+                1617,
+                59006,
+                324244,
+                (0, 383),
+                (1617, 655, 0)
+            ),
+            (
+                "LRU cache 1024",
+                1617,
+                59006,
+                324244,
+                (0, 383),
+                (1617, 655, 0)
+            ),
+            (
+                "hybrid (pre+LRU 64)",
+                557,
+                19951,
+                109501,
+                (1435, 8),
+                (1617, 655, 429)
+            ),
+        ]
+    );
+
+    let topo = internet(150, 17);
+    let src = AdId(7);
+    let dsts: Vec<AdId> = topo.ad_ids().collect();
+    let sweep = |db: &PolicyDb| {
+        let template = FlowSpec::best_effort(src, src);
+        let sel = RouteSelection::unconstrained();
+        let found = legal_routes_sweep(&topo, db, &template, &dsts, &sel);
+        found
+            .iter()
+            .fold((0, 0, 0), |(routes, settled, relaxed), (r, s)| {
+                (
+                    routes + usize::from(r.is_some()),
+                    settled + s.settled,
+                    relaxed + s.relaxations,
+                )
+            })
+    };
+    let structural = PolicyWorkload::structural(17).generate(&topo);
+    assert!(!structural.dst_sensitive());
+    assert_eq!(sweep(&structural), (147, 19828, 106528));
+    let mix = PolicyWorkload::default_mix(17).generate(&topo);
+    assert!(mix.dst_sensitive());
+    assert_eq!(sweep(&mix), (147, 5288, 28480));
 }
 
 #[test]

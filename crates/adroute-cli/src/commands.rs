@@ -688,16 +688,16 @@ pub fn chaos(args: &Args) -> Result<String, CliError> {
     // apply — crashing it only demonstrates disconnection, not repair.
     let mut cands: Vec<AdId> = truth.ad_ids().collect();
     cands.sort_by_key(|&ad| (std::cmp::Reverse(truth.neighbors(ad).count()), ad.index()));
-    let survivable = |victim: AdId| {
+    // Ground truth with every link of `victim` down.
+    let without = |victim: AdId| {
         let mut ghost = truth.clone();
-        let doomed: Vec<_> = ghost
-            .links()
-            .filter(|l| l.a == victim || l.b == victim)
-            .map(|l| l.id)
-            .collect();
-        for l in doomed {
-            ghost.set_link_up(l, false);
+        for l in truth.links().filter(|l| l.a == victim || l.b == victim) {
+            ghost.set_link_up(l.id, false);
         }
+        ghost
+    };
+    let survivable = |victim: AdId| {
+        let ghost = without(victim);
         let mut transiting = 0;
         for (_, of) in net.open_flows() {
             if of.route[1..of.route.len() - 1].contains(&victim) {
@@ -718,15 +718,7 @@ pub fn chaos(args: &Args) -> Result<String, CliError> {
     // whose loss (on top of the crash) still leaves every affected flow a
     // policy-legal detour — otherwise the demo cuts the backbone trunk
     // and "repairs" nothing.
-    let mut ghost = truth.clone();
-    let doomed: Vec<_> = ghost
-        .links()
-        .filter(|l| l.a == victim || l.b == victim)
-        .map(|l| l.id)
-        .collect();
-    for l in doomed {
-        ghost.set_link_up(l, false);
-    }
+    let mut ghost = without(victim);
     let uses = |route: &[AdId], a: AdId, b: AdId| {
         route
             .windows(2)

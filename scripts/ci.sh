@@ -64,6 +64,11 @@ PROPTEST_CASES=2048 cargo test -q --test pv_incremental
 echo "== Incremental naive DV and ECMA: ledger, event log and FIBs equal the full-table oracle's (raised case count)"
 PROPTEST_CASES=2048 cargo test -q --test dv_incremental
 
+echo "== The shared invariants: flow checker, fault lifecycle and conservation (raised case count)"
+PROPTEST_CASES=256 cargo test -q --test conformance
+PROPTEST_CASES=256 cargo test -q --test conservation
+PROPTEST_CASES=256 cargo test -q --test chaos fault_plans_replay_deterministically
+
 echo "== Machine-readable outputs are valid JSON"
 adroute report --ads 40 --seed 7 --flows 20 --json | python3 -m json.tool > /dev/null
 adroute blame quickstart --json | python3 -m json.tool > /dev/null

@@ -15,6 +15,8 @@ use adroute::sim::{
 use adroute::topology::{analysis, generate, HierarchyConfig, Topology};
 use proptest::prelude::*;
 
+mod common;
+
 fn small_topo(kind: u8, size: u8) -> Topology {
     let n = 5 + (size % 4) as usize;
     match kind % 3 {
@@ -93,7 +95,7 @@ fn churny_engine<P: Protocol>(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(common::cases(24))]
 
     /// Control-plane streams from a churny engine run keep the causal
     /// invariants, for both a flooding and a distance-vector protocol.

@@ -6,19 +6,20 @@
 
 use adroute::core::network::OpenError;
 use adroute::core::{OrwgNetwork, OrwgProtocol, Strategy};
-use adroute::policy::legality::legal_route;
+use adroute::policy::legality::route_is_legal;
 use adroute::policy::workload::PolicyWorkload;
 use adroute::policy::{FlowSpec, PolicyDb};
-use adroute::protocols::forwarding::{audit_path, forward, sample_flows, ForwardOutcome};
+use adroute::protocols::forwarding::sample_flows;
 use adroute::protocols::ls_hbh::LsHbh;
 use adroute::protocols::naive_dv::NaiveDv;
 use adroute::protocols::path_vector::PathVector;
-use adroute::sim::{
-    ChannelFaults, CrashModel, Engine, FailureModel, FaultPlan, FaultSpec, Protocol,
-};
+use adroute::sim::{ChannelFaults, CrashModel, Engine, FailureModel, FaultSpec, Protocol};
 use adroute::topology::generate::ring;
 use adroute::topology::{AdId, HierarchyConfig, Topology};
 use proptest::prelude::*;
+
+mod common;
+use common::{chaos_lifecycle, logged, Invariant};
 
 /// The mixed fault regime used throughout: link churn, a 5% lossy
 /// reordering channel, and router crashes, all from `seed`.
@@ -51,12 +52,9 @@ fn mixed_spec(seed: u64) -> FaultSpec {
 /// Converges `proto`, runs it through a healed mixed fault plan, and
 /// returns the quiescent engine. Healed plans end with every link and
 /// router back up, so ground truth afterwards equals the starting truth.
-fn run_through_faults<P: Protocol>(topo: Topology, proto: P, seed: u64) -> Engine<P> {
-    let mut e = Engine::new(topo, proto);
-    e.run_to_quiescence();
-    let plan = FaultPlan::draw(e.topo(), &mixed_spec(seed), e.now(), 300);
-    plan.apply(&mut e);
-    e.run_to_quiescence();
+fn through_mixed_faults<P: Protocol>(topo: &Topology, proto: P, seed: u64) -> Engine<P> {
+    let e = Engine::new(topo.clone(), proto);
+    let e = chaos_lifecycle(e, &mixed_spec(seed), false, 300).unwrap();
     assert!(
         e.stats.router_crashes > 0,
         "seed {seed} must crash at least one router"
@@ -68,16 +66,12 @@ fn run_through_faults<P: Protocol>(topo: Topology, proto: P, seed: u64) -> Engin
 #[test]
 fn naive_dv_is_loop_free_after_mixed_faults() {
     let topo = HierarchyConfig::figure1().generate();
+    let db = PolicyWorkload::default_mix(5).generate(&topo);
     let flows = sample_flows(&topo, 30, 17);
-    let mut e = run_through_faults(topo, NaiveDv::default(), 31);
-    let truth = e.topo().clone();
-    for f in &flows {
-        let out = forward(&mut e, &truth, f);
-        assert!(
-            !matches!(out, ForwardOutcome::Loop { .. }),
-            "DV loops for {f} after faults"
-        );
-    }
+    let mut e = through_mixed_faults(&topo, NaiveDv::default(), 31);
+    let s = Invariant::LoopFree.check(&mut e, &topo, &db, &flows, "DV after faults");
+    // The checker sees what it rules out: DV is blind to transit policy.
+    assert!(s.violating > 0, "DV honoured every policy: {s:?}");
 }
 
 #[test]
@@ -85,23 +79,17 @@ fn path_vector_recovers_compliant_routes_after_mixed_faults() {
     let topo = HierarchyConfig::figure1().generate();
     let db = PolicyWorkload::default_mix(5).generate(&topo);
     let flows = sample_flows(&topo, 30, 18);
-    let mut e = run_through_faults(topo, PathVector::idrp(db.clone()), 32);
-    let truth = e.topo().clone();
-    let mut delivered = 0;
-    for f in &flows {
-        match forward(&mut e, &truth, f) {
-            ForwardOutcome::Loop { path } => panic!("path vector loops for {f}: {path:?}"),
-            ForwardOutcome::Delivered { path } => {
-                assert!(
-                    audit_path(&truth, &db, f, &path).compliant(),
-                    "path vector violates policy for {f}: {path:?}"
-                );
-                delivered += 1;
-            }
-            _ => {}
-        }
-    }
-    assert!(delivered > 0, "path vector delivered nothing after faults");
+    let mut e = through_mixed_faults(&topo, PathVector::idrp(db.clone()), 32);
+    let s = Invariant::NeverViolates.check(&mut e, &topo, &db, &flows, "IDRP after faults");
+    assert!(
+        s.delivered > 0,
+        "path vector delivered nothing after faults"
+    );
+    // Selection by preference, not by legality, misses some legal routes.
+    assert!(
+        s.compliant_of_legal < s.legal_exists,
+        "IDRP found every legal route: {s:?}"
+    );
 }
 
 #[test]
@@ -109,44 +97,21 @@ fn ls_hbh_restores_full_availability_after_mixed_faults() {
     let topo = HierarchyConfig::figure1().generate();
     let db = PolicyWorkload::default_mix(5).generate(&topo);
     let flows = sample_flows(&topo, 30, 19);
-    let mut e = run_through_faults(topo.clone(), LsHbh::new(&topo, db.clone()), 33);
-    let truth = e.topo().clone();
-    for f in &flows {
-        let legal = legal_route(&truth, &db, f).is_some();
-        let out = forward(&mut e, &truth, f);
-        match out {
-            ForwardOutcome::Delivered { ref path } => {
-                assert!(legal, "LS-HBH delivered an illegal flow {f}");
-                assert!(
-                    audit_path(&truth, &db, f, path).compliant(),
-                    "LS-HBH violates policy for {f}: {path:?}"
-                );
-            }
-            _ => assert!(!legal, "LS-HBH missed the legal route for {f}: {out:?}"),
-        }
-    }
+    let mut e = through_mixed_faults(&topo, LsHbh::new(&topo, db.clone()), 33);
+    Invariant::Exact.check(&mut e, &topo, &db, &flows, "LS-HBH after faults");
 }
 
 #[test]
 fn orwg_restores_full_availability_after_mixed_faults() {
     let topo = HierarchyConfig::figure1().generate();
     let db = PolicyWorkload::default_mix(5).generate(&topo);
-    let e = run_through_faults(topo.clone(), OrwgProtocol::new(&topo, db.clone()), 34);
-    let truth = e.topo().clone();
+    let e = through_mixed_faults(&topo, OrwgProtocol::new(&topo, db.clone()), 34);
     let mut net = OrwgNetwork::from_engine(&e, Strategy::Cached { capacity: 256 }, 4096);
-    for f in sample_flows(&topo, 30, 20) {
-        let legal = legal_route(&truth, &db, &f).is_some();
-        match net.open(&f) {
-            Ok(s) => {
-                assert!(legal, "ORWG opened an illegal flow {f}");
-                assert!(
-                    audit_path(&truth, &db, &f, &s.route).compliant(),
-                    "ORWG setup violates policy for {f}: {:?}",
-                    s.route
-                );
-            }
-            Err(OpenError::NoRoute) => assert!(!legal, "ORWG missed the legal route for {f}"),
-            Err(e) => panic!("unexpected {e:?} for {f}"),
+    let flows = sample_flows(&topo, 30, 20);
+    Invariant::Exact.check(&mut net, &topo, &db, &flows, "ORWG after faults");
+    for f in &flows {
+        if let Err(e) = net.open(f) {
+            assert_eq!(e, OpenError::NoRoute, "unexpected {e:?} for {f}");
         }
     }
     assert_eq!(net.total_stale_forwards(), 0);
@@ -198,7 +163,7 @@ fn orwg_source_recovers_from_gateway_crash_via_alternate_or_synthesis() {
             !of.route[1..of.route.len() - 1].contains(&victim),
             "route transits the corpse"
         );
-        assert!(audit_path(&topo, &db, &of.flow, &of.route).compliant());
+        assert!(route_is_legal(&topo, &db, &of.flow, &of.route).is_some());
         net.send(h).expect("repaired route must carry data");
     }
     assert_eq!(
@@ -219,12 +184,8 @@ fn identical_seeds_produce_identical_traces() {
         }
         .generate();
         let db = PolicyWorkload::default_mix(7).generate(&topo);
-        let mut e = Engine::new(topo.clone(), LsHbh::new(&topo, db));
-        e.enable_obs(200_000);
-        e.run_to_quiescence();
-        let plan = FaultPlan::draw(e.topo(), &mixed_spec(seed), e.now(), 250);
-        plan.apply(&mut e);
-        e.run_to_quiescence();
+        let e = logged(&topo, LsHbh::new(&topo, db), 200_000);
+        let e = chaos_lifecycle(e, &mixed_spec(seed), false, 250).unwrap();
         (
             e.obs.log.render(),
             e.stats.msgs_sent,
@@ -243,7 +204,7 @@ fn identical_seeds_produce_identical_traces() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
+    #![proptest_config(common::cases(10))]
 
     /// Two engine runs with the same topology seed, protocol, and fault
     /// plan seed produce byte-identical trace output (satellite of the
@@ -259,16 +220,12 @@ proptest! {
             }
             .generate();
             let db = PolicyDb::permissive(&topo);
-            let mut e = Engine::new(topo.clone(), OrwgProtocol::new(&topo, db));
-            e.enable_obs(200_000);
-            e.run_to_quiescence();
-            let plan = FaultPlan::draw(e.topo(), &mixed_spec(fault_seed), e.now(), 150);
-            plan.apply(&mut e);
-            e.run_to_quiescence();
-            (e.obs.log.render(), e.stats.clone())
+            let e = logged(&topo, OrwgProtocol::new(&topo, db), 200_000);
+            chaos_lifecycle(e, &mixed_spec(fault_seed), false, 150)
+                .map(|e| (e.obs.log.render(), e.stats))
         };
-        let (ta, sa) = run();
-        let (tb, sb) = run();
+        let (ta, sa) = run()?;
+        let (tb, sb) = run()?;
         prop_assert_eq!(sa.msgs_sent, sb.msgs_sent);
         prop_assert_eq!(sa.msgs_lost, sb.msgs_lost);
         prop_assert_eq!(sa.msgs_corrupted, sb.msgs_corrupted);

@@ -4,11 +4,14 @@
 use adroute::policy::workload::PolicyWorkload;
 use adroute::policy::PolicyDb;
 use adroute::protocols::ecma::Ecma;
-use adroute::protocols::forwarding::{forward, sample_flows, ForwardOutcome};
+use adroute::protocols::forwarding::{sample_flows, score_flows};
 use adroute::protocols::ls_hbh::LsHbh;
 use adroute::protocols::naive_dv::NaiveDv;
 use adroute::sim::{Engine, FailureModel, FailureSchedule};
 use adroute::topology::HierarchyConfig;
+
+mod common;
+use common::{assert_valley_free, Invariant};
 
 fn internet(seed: u64) -> adroute::topology::Topology {
     HierarchyConfig {
@@ -59,14 +62,8 @@ fn link_state_stays_consistent_through_churn() {
         );
     }
     // And forwarding is loop-free and policy-compliant.
-    for f in sample_flows(&truth, 30, 81) {
-        let out = forward(&mut e, &truth, &f);
-        assert!(!matches!(out, ForwardOutcome::Loop { .. }), "loop for {f}");
-        if let ForwardOutcome::Delivered { path } = &out {
-            let audit = adroute::protocols::forwarding::audit_path(&truth, &db, &f, path);
-            assert!(audit.compliant(), "{f} violates at {:?}", audit.violations);
-        }
-    }
+    let flows = sample_flows(&truth, 30, 81);
+    Invariant::NeverViolates.check(&mut e, &truth, &db, &flows, "LS-HBH after churn");
 }
 
 #[test]
@@ -82,37 +79,37 @@ fn dv_protocols_survive_churn_without_loops() {
             },
         );
         e.run_to_quiescence();
-        let schedule = FailureSchedule::draw(e.topo(), &model(83), e.now().plus_us(1000), 1_000);
+        let start = e.now();
+        let schedule = FailureSchedule::draw(e.topo(), &model(83), start.plus_us(1000), 1_000);
         schedule.apply(&mut e);
+        // Mid-churn DV may loop, and does: probes every 35 ms catch it.
+        let (flows, db) = (sample_flows(&topo, 25, 83), PolicyDb::permissive(&topo));
+        let mut looped = 0;
+        for ms in (1..1_000).step_by(35) {
+            e.run_until(start.plus_us(ms * 1000));
+            let truth = e.topo().clone();
+            looped += score_flows(&mut e, &truth, &db, &flows).loops;
+        }
+        assert!(looped > 0, "split={split}: churn never made DV loop");
         e.run_to_quiescence();
         let truth = e.topo().clone();
-        for f in sample_flows(&truth, 25, 83) {
-            let out = forward(&mut e, &truth, &f);
-            assert!(
-                !matches!(out, ForwardOutcome::Loop { .. }),
-                "split={split}: post-churn loop for {f}"
-            );
-        }
+        Invariant::LoopFree.check(&mut e, &truth, &db, &flows, format!("split={split}"));
     }
 }
 
 #[test]
 fn ecma_churn_preserves_valley_freedom() {
     let topo = internet(89);
-    let po = adroute::topology::PartialOrder::from_levels(&topo);
     let mut e = Engine::new(topo.clone(), Ecma::hierarchical(&topo));
     e.run_to_quiescence();
     let schedule = FailureSchedule::draw(e.topo(), &model(89), e.now().plus_us(1000), 1_000);
     schedule.apply(&mut e);
     e.run_to_quiescence();
     let truth = e.topo().clone();
-    for f in sample_flows(&truth, 30, 89) {
-        let out = forward(&mut e, &truth, &f);
-        assert!(!matches!(out, ForwardOutcome::Loop { .. }));
-        if let ForwardOutcome::Delivered { path } = &out {
-            assert!(po.is_valley_free(path), "{f} valley after churn: {path:?}");
-        }
-    }
+    let flows = sample_flows(&truth, 30, 89);
+    let db = PolicyDb::permissive(&truth);
+    Invariant::LoopFree.check(&mut e, &truth, &db, &flows, "ECMA after churn");
+    assert_valley_free(&mut e, &truth, &flows);
 }
 
 #[test]

@@ -7,61 +7,39 @@
 //! compared and the first divergence is printed for debugging.
 
 use adroute::core::OrwgNetwork;
-use adroute::policy::legality::legal_route;
 use adroute::policy::workload::PolicyWorkload;
 use adroute::policy::{FlowSpec, PolicyDb};
 use adroute::protocols::ecma::Ecma;
-use adroute::protocols::forwarding::{self, forward, DataPlane, ForwardOutcome};
+use adroute::protocols::forwarding::{sample_flows, score_flows, DataPlane, FlowScore};
 use adroute::protocols::ls_hbh::LsHbh;
 use adroute::protocols::naive_dv::NaiveDv;
 use adroute::protocols::path_vector::PathVector;
 use adroute::sim::{Engine, EventLog, Protocol};
 use adroute::topology::{HierarchyConfig, Topology};
 use proptest::prelude::*;
-use proptest::test_runner::TestCaseError;
 
-/// Converges one engine with the typed log enabled and scores per-flow
-/// delivery through its data plane.
+mod common;
+use common::Invariant;
+
+/// Converges `protocol` on `topo` with the typed log enabled and scores
+/// its data plane against the oracle.
 fn converge_and_score<P: Protocol>(
-    mut e: Engine<P>,
+    protocol: P,
     topo: &Topology,
+    db: &PolicyDb,
     flows: &[FlowSpec],
-) -> (Vec<bool>, EventLog)
+) -> (FlowScore, EventLog)
 where
     Engine<P>: DataPlane,
 {
+    let mut e = Engine::new(topo.clone(), protocol);
     e.enable_obs(1 << 16);
     e.run_to_quiescence();
-    let delivered = flows
-        .iter()
-        .map(|f| forward(&mut e, topo, f).delivered())
-        .collect();
-    (delivered, e.obs.log.clone())
-}
-
-/// Formats the first typed-trace divergence between two engines' logs.
-fn divergence(a_name: &str, a: &EventLog, b_name: &str, b: &EventLog) -> String {
-    use adroute::sim::LogComparison;
-    match a.first_divergence(b) {
-        LogComparison::Identical => {
-            format!("typed traces of {a_name} and {b_name} are identical")
-        }
-        LogComparison::TruncatedMatch {
-            left_dropped,
-            right_dropped,
-        } => format!(
-            "typed traces of {a_name} and {b_name} match over the retained window \
-             ({left_dropped} / {right_dropped} records evicted)"
-        ),
-        LogComparison::Diverged { index, left, right } => format!(
-            "first typed-trace divergence between {a_name} and {b_name} at record #{index}:\n  \
-             {a_name}: {left:?}\n  {b_name}: {right:?}"
-        ),
-    }
+    (score_flows(&mut e, topo, db, flows), e.obs.log.clone())
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(common::cases(12))]
 
     /// Permissive regime: reachability is purely topological, so every
     /// design point must deliver exactly the oracle-reachable flows.
@@ -72,31 +50,15 @@ proptest! {
     ) {
         let topo = HierarchyConfig::with_approx_size(ads, seed).generate();
         let db = PolicyDb::permissive(&topo);
-        let flows = forwarding::sample_flows(&topo, 20, seed);
-        let oracle: Vec<bool> = flows
-            .iter()
-            .map(|f| legal_route(&topo, &db, f).is_some())
-            .collect();
+        let flows = sample_flows(&topo, 20, seed);
 
-        let (dv, dv_log) =
-            converge_and_score(Engine::new(topo.clone(), NaiveDv::egp()), &topo, &flows);
-        let (ec, ec_log) = converge_and_score(
-            Engine::new(topo.clone(), Ecma::all_transit(&topo)),
-            &topo,
-            &flows,
-        );
-        let (pv, pv_log) = converge_and_score(
-            Engine::new(topo.clone(), PathVector::idrp(db.clone())),
-            &topo,
-            &flows,
-        );
-        let (ls, ls_log) = converge_and_score(
-            Engine::new(topo.clone(), LsHbh::new(&topo, db.clone())),
-            &topo,
-            &flows,
-        );
-        let mut net = OrwgNetwork::converged(&topo, &db);
-        let orwg: Vec<bool> = flows.iter().map(|f| net.open(f).is_ok()).collect();
+        let (dv, dv_log) = converge_and_score(NaiveDv::egp(), &topo, &db, &flows);
+        let (ec, ec_log) = converge_and_score(Ecma::all_transit(&topo), &topo, &db, &flows);
+        let pv = PathVector::idrp(db.clone());
+        let (pv, pv_log) = converge_and_score(pv, &topo, &db, &flows);
+        let ls = LsHbh::new(&topo, db.clone());
+        let (ls, ls_log) = converge_and_score(ls, &topo, &db, &flows);
+        let orwg = score_flows(&mut OrwgNetwork::converged(&topo, &db), &topo, &db, &flows);
 
         let verdicts = [
             ("naive-dv", &dv, Some(&dv_log)),
@@ -105,18 +67,16 @@ proptest! {
             ("ls-hbh", &ls, Some(&ls_log)),
             ("orwg", &orwg, None),
         ];
-        for (name, got, log) in &verdicts {
-            if *got != &oracle {
-                // Pin the disagreement: print where this engine's typed
-                // stream first departs from the closest-behaving peer's.
-                let diag = log
-                    .map(|l| divergence(name, l, "ls-hbh", &ls_log))
-                    .unwrap_or_default();
-                return Err(TestCaseError::fail(format!(
-                    "{name} disagrees with the oracle on reachability:\n  \
-                     oracle {oracle:?}\n  {name} {got:?}\n{diag}"
-                )));
-            }
+        for (name, s, log) in verdicts {
+            // Pin a disagreement: print where this engine's typed stream
+            // first departs from the closest-behaving peer's.
+            prop_assert!(
+                Invariant::Exact.holds(s),
+                "{} disagrees with the oracle on reachability: {:?}\n{:?}",
+                name,
+                s,
+                log.map(|l| l.first_divergence(&ls_log))
+            );
         }
     }
 
@@ -127,40 +87,16 @@ proptest! {
     fn policy_aware_points_never_violate(ads in 8usize..24, seed in 0u64..500) {
         let topo = HierarchyConfig::with_approx_size(ads, seed).generate();
         let db = PolicyWorkload::structural(seed).generate(&topo);
-        let flows = forwarding::sample_flows(&topo, 20, seed);
+        let flows = sample_flows(&topo, 20, seed);
 
         let mut pv = Engine::new(topo.clone(), PathVector::idrp(db.clone()));
         pv.run_to_quiescence();
+        let what = |name| format!("{name}, {ads} ADs, seed {seed}");
+        Invariant::NeverViolates.check(&mut pv, &topo, &db, &flows, what("path-vector"));
         let mut ls = Engine::new(topo.clone(), LsHbh::new(&topo, db.clone()));
         ls.run_to_quiescence();
-        for f in &flows {
-            for (name, out) in [
-                ("path-vector", forward(&mut pv, &topo, f)),
-                ("ls-hbh", forward(&mut ls, &topo, f)),
-            ] {
-                if let ForwardOutcome::Delivered { path } = &out {
-                    let audit = forwarding::audit_path(&topo, &db, f, path);
-                    prop_assert!(
-                        audit.compliant(),
-                        "{name} delivered {f} over a path violating {:?}",
-                        audit.violations
-                    );
-                }
-            }
-        }
-
+        Invariant::NeverViolates.check(&mut ls, &topo, &db, &flows, what("ls-hbh"));
         let mut net = OrwgNetwork::converged(&topo, &db);
-        for f in &flows {
-            let legal = legal_route(&topo, &db, f).is_some();
-            let opened = net.open(f).is_ok();
-            prop_assert_eq!(
-                opened,
-                legal,
-                "orwg open ({}) disagrees with oracle legality ({}) for {}",
-                opened,
-                legal,
-                f
-            );
-        }
+        Invariant::Exact.check(&mut net, &topo, &db, &flows, what("orwg"));
     }
 }

@@ -9,11 +9,12 @@ use adroute::protocols::ecma::Ecma;
 use adroute::protocols::ls_hbh::LsHbh;
 use adroute::protocols::naive_dv::NaiveDv;
 use adroute::protocols::path_vector::PathVector;
-use adroute::sim::{
-    ChannelFaults, CrashModel, Engine, FailureModel, FaultPlan, FaultSpec, Protocol, Stats,
-};
+use adroute::sim::{ChannelFaults, CrashModel, Engine, FailureModel, FaultSpec};
 use adroute::topology::{generate, HierarchyConfig, Topology};
 use proptest::prelude::*;
+
+mod common;
+use common::chaos_lifecycle;
 
 /// A random small internet (ring/grid/hierarchy by selector).
 fn small_topo(kind: u8, size: u8, seed: u64) -> Topology {
@@ -56,47 +57,8 @@ fn full_spec(seed: u64) -> FaultSpec {
     }
 }
 
-/// Converges, applies the fault plan inside a `churn` phase scope, and
-/// re-converges. Returns the final stats.
-fn run_faulted<P: Protocol>(mut e: Engine<P>, seed: u64) -> Stats {
-    e.begin_phase("converge");
-    e.run_to_quiescence();
-    e.begin_phase("churn");
-    let plan = FaultPlan::draw(e.topo(), &full_spec(seed), e.now(), 60);
-    plan.apply(&mut e);
-    e.run_to_quiescence();
-    e.stats.clone()
-}
-
-/// Conservation must hold for the totals and for each phase delta: phase
-/// boundaries sit at quiescence, so no message is in flight across one.
-fn assert_conserves(name: &str, s: &Stats) -> Result<(), TestCaseError> {
-    prop_assert!(
-        s.conserves_messages(),
-        "{name} totals leak: sent {} + dup {} != delivered {} + lost {} + corrupted {}",
-        s.msgs_sent,
-        s.msgs_duplicated,
-        s.msgs_delivered,
-        s.msgs_lost,
-        s.msgs_corrupted
-    );
-    for phase in s.phase_names().collect::<Vec<_>>() {
-        let d = s.phase_delta(phase).expect("named phase has a delta");
-        prop_assert!(
-            d.conserves_messages(),
-            "{name} phase '{phase}' leaks: sent {} + dup {} != delivered {} + lost {} + corrupted {}",
-            d.msgs_sent,
-            d.msgs_duplicated,
-            d.msgs_delivered,
-            d.msgs_lost,
-            d.msgs_corrupted
-        );
-    }
-    Ok(())
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(common::cases(12))]
 
     /// Every design-point engine conserves messages under arbitrary
     /// seeded fault plans, in totals and per phase scope.
@@ -109,20 +71,14 @@ proptest! {
         let topo = small_topo(kind, size, seed);
         let db = PolicyDb::permissive(&topo);
 
-        let s = run_faulted(Engine::new(topo.clone(), NaiveDv::egp()), seed);
-        assert_conserves("naive-dv", &s)?;
-
-        let s = run_faulted(Engine::new(topo.clone(), Ecma::all_transit(&topo)), seed);
-        assert_conserves("ecma", &s)?;
-
-        let s = run_faulted(
-            Engine::new(topo.clone(), PathVector::idrp(db.clone())),
-            seed,
-        );
-        assert_conserves("path-vector", &s)?;
-
-        let s = run_faulted(Engine::new(topo.clone(), LsHbh::new(&topo, db)), seed);
-        assert_conserves("ls-hbh", &s)?;
+        // The lifecycle checks conservation at each quiescence.
+        let spec = full_spec(seed);
+        let (dv, ecma) = (NaiveDv::egp(), Ecma::all_transit(&topo));
+        let (pv, ls) = (PathVector::idrp(db.clone()), LsHbh::new(&topo, db));
+        chaos_lifecycle(Engine::new(topo.clone(), dv), &spec, false, 60)?;
+        chaos_lifecycle(Engine::new(topo.clone(), ecma), &spec, false, 60)?;
+        chaos_lifecycle(Engine::new(topo.clone(), pv), &spec, false, 60)?;
+        chaos_lifecycle(Engine::new(topo.clone(), ls), &spec, false, 60)?;
     }
 
     /// Phase deltas partition the totals: summing each message counter
@@ -131,7 +87,8 @@ proptest! {
     fn phase_deltas_partition_totals(size in 0u8..5, seed in 0u64..10_000) {
         let topo = small_topo(2, size, seed);
         let db = PolicyDb::permissive(&topo);
-        let s = run_faulted(Engine::new(topo.clone(), LsHbh::new(&topo, db)), seed);
+        let e = Engine::new(topo.clone(), LsHbh::new(&topo, db));
+        let s = chaos_lifecycle(e, &full_spec(seed), false, 60)?.stats;
         let (mut sent, mut delivered, mut lost) = (0, 0, 0);
         for phase in s.phase_names().collect::<Vec<_>>() {
             let d = s.phase_delta(phase).unwrap();

@@ -8,14 +8,17 @@ use adroute::policy::workload::PolicyWorkload;
 use adroute::policy::PolicyDb;
 use adroute::protocols::ecma::Ecma;
 use adroute::protocols::forwarding::{
-    audit_path, forward, sample_flows, score_flows, FlowScore, ForwardOutcome,
+    forward, sample_flows, score_flows, FlowScore, ForwardOutcome,
 };
 use adroute::protocols::ls_hbh::LsHbh;
 use adroute::protocols::naive_dv::NaiveDv;
 use adroute::protocols::path_vector::PathVector;
 use adroute::sim::Engine;
-use adroute::topology::{HierarchyConfig, PartialOrder};
+use adroute::topology::HierarchyConfig;
 use adroute_bench::{t1, World};
+
+mod common;
+use common::{assert_valley_free, Invariant};
 
 fn internet(seed: u64) -> adroute::topology::Topology {
     // One backbone subtree (~49 ADs): large enough for lateral/bypass
@@ -49,15 +52,14 @@ fn point(i: usize, arch: &str) -> &'static FlowScore {
 #[test]
 fn no_architecture_ever_loops() {
     for row in table1() {
-        assert_eq!(row.score.loops, 0, "{} looped after convergence", row.arch);
+        Invariant::LoopFree.assert(&row.score, row.arch);
     }
 }
 
 #[test]
 fn policy_aware_architectures_never_violate() {
     for (i, arch) in [(2, "IDRP"), (3, "LS"), (4, "ORWG")] {
-        let s = point(i, arch);
-        assert_eq!(s.violating, 0, "{arch} delivered a policy-violating path");
+        Invariant::NeverViolates.assert(point(i, arch), arch);
     }
 }
 
@@ -66,14 +68,10 @@ fn link_state_finds_every_legal_route_dv_may_not() {
     // The central Section 5.1/5.3 contrast: link-state architectures have
     // availability 1.0; distance-vector-based ones may miss legal routes.
     let (ls, pv) = (point(3, "LS"), point(2, "IDRP"));
+    Invariant::Exact.assert(ls, "LS-HBH");
     assert!(
-        (ls.availability() - 1.0).abs() < f64::EPSILON,
-        "LS-HBH availability {}",
-        ls.availability()
-    );
-    assert!(
-        pv.availability() <= ls.availability() + f64::EPSILON,
-        "PV should not beat complete-information link state"
+        pv.compliant_of_legal < pv.legal_exists,
+        "IDRP found every legal route: {pv:?}"
     );
 }
 
@@ -82,14 +80,7 @@ fn orwg_setup_routes_are_always_legal_and_optimal() {
     // Every flow with a legal route is set up, nothing else is, and every
     // route costs what the oracle's does (a route can only cost more, so
     // equal sums mean equal costs).
-    let s = point(4, "ORWG");
-    assert_eq!(s.violating, 0, "gateway-validated route must be legal");
-    assert_eq!(s.compliant_of_legal, s.legal_exists, "missed a legal route");
-    assert_eq!(
-        s.delivered, s.legal_exists,
-        "set up where no legal route is"
-    );
-    assert_eq!(s.cost_sum, s.oracle_cost_sum, "suboptimal route");
+    Invariant::Optimal.assert(point(4, "ORWG"), "ORWG");
 }
 
 #[test]
@@ -97,21 +88,11 @@ fn ecma_paths_are_valley_free_and_compliant_with_structural_policy() {
     let topo = internet(5);
     // Structural workload = exactly what the ordering can express.
     let db = PolicyWorkload::structural(5).generate(&topo);
-    let po = PartialOrder::from_levels(&topo);
     let mut ecma = Engine::new(topo.clone(), Ecma::hierarchical(&topo));
     ecma.run_to_quiescence();
-    for f in sample_flows(&topo, 60, 5) {
-        let out = forward(&mut ecma, &topo, &f);
-        if let ForwardOutcome::Delivered { path } = &out {
-            assert!(po.is_valley_free(path), "{f} took a valley: {path:?}");
-            let audit = audit_path(&topo, &db, &f, path);
-            assert!(
-                audit.compliant(),
-                "{f} violated structural policy at {:?} via {path:?}",
-                audit.violations
-            );
-        }
-    }
+    let flows = sample_flows(&topo, 60, 5);
+    Invariant::NeverViolates.check(&mut ecma, &topo, &db, &flows, "ECMA, structural");
+    assert_valley_free(&mut ecma, &topo, &flows);
 }
 
 #[test]
@@ -152,11 +133,12 @@ fn permissive_network_all_protocols_agree_on_reachability() {
     dv.run_to_quiescence();
     let mut ls = Engine::new(topo.clone(), LsHbh::new(&topo, db.clone()));
     ls.run_to_quiescence();
-    for f in &flows {
-        let a = forward(&mut dv, &topo, f).delivered();
-        let b = forward(&mut ls, &topo, f).delivered();
-        assert_eq!(a, b, "reachability disagreement for {f}");
-        assert!(a, "connected permissive internet must deliver {f}");
+    // Connected and permissive: every flow is legal, so both deliver all.
+    for s in [
+        Invariant::Exact.check(&mut dv, &topo, &db, &flows, "naive DV"),
+        Invariant::Exact.check(&mut ls, &topo, &db, &flows, "LS-HBH"),
+    ] {
+        assert_eq!(s.delivered, flows.len(), "{s:?}");
     }
 }
 
@@ -177,15 +159,7 @@ fn class_bearing_flows_keep_link_state_exact() {
         .collect();
     let mut ls = Engine::new(topo.clone(), LsHbh::new(&topo, db.clone()));
     ls.run_to_quiescence();
-    let s = score_flows(&mut ls, &topo, &db, &flows);
-    assert_eq!(s.violating, 0);
-    assert!(
-        (s.availability() - 1.0).abs() < f64::EPSILON,
-        "class-bearing availability {} ({}/{})",
-        s.availability(),
-        s.compliant_of_legal,
-        s.legal_exists
-    );
+    Invariant::Exact.check(&mut ls, &topo, &db, &flows, "LS-HBH, class-bearing");
     // The per-class FIB state reflects the distinct classes used.
     let distinct: std::collections::HashSet<_> =
         flows.iter().map(|f| (f.src, f.dst, f.qos, f.uci)).collect();

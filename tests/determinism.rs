@@ -18,6 +18,7 @@ use adroute_cli::scenario::{self, Scenario};
 use proptest::prelude::*;
 
 mod common;
+use common::logged;
 
 /// What two runs must agree on: the typed JSONL export (the retained
 /// window of it) followed by the engine's cumulative counters.
@@ -28,11 +29,11 @@ fn artifact<P: Protocol>(e: &Engine<P>) -> String {
 /// Runs `protocol` on `topo` through the CLI's own control-plane
 /// lifecycle (convergence, a trunk failure, reconvergence) and returns
 /// the run's [`artifact`].
-fn lifecycle_jsonl<P: Protocol>(topo: &Topology, protocol: P) -> String {
-    let mut e = Engine::new(topo.clone(), protocol);
-    e.enable_obs(1 << 16);
+fn lifecycle_jsonl<P: Protocol>(topo: &Topology, protocol: P) -> Result<String, TestCaseError> {
+    let mut e = logged(topo, protocol, 1 << 16);
     scenario::converge_then_cut(&mut e, &[analysis::trunk(topo).unwrap()]);
-    artifact(&e)
+    common::assert_conserves::<P>(&e.stats)?;
+    Ok(artifact(&e))
 }
 
 /// Asserts the determinism contract for one scenario: double-run
@@ -40,8 +41,8 @@ fn lifecycle_jsonl<P: Protocol>(topo: &Topology, protocol: P) -> String {
 /// partition/heal.
 fn assert_double_run_identical<P: Protocol>(topo: &Topology, make: impl Fn() -> P, what: &str) {
     assert_eq!(
-        lifecycle_jsonl(topo, make()),
-        lifecycle_jsonl(topo, make()),
+        lifecycle_jsonl(topo, make()).unwrap(),
+        lifecycle_jsonl(topo, make()).unwrap(),
         "{what}: double-run must be byte-identical"
     );
     let spec = FaultSpec {
@@ -58,7 +59,10 @@ fn assert_double_run_identical<P: Protocol>(topo: &Topology, make: impl Fn() -> 
         }),
         misbehavior: Default::default(),
     };
-    let chaos = || artifact(&common::chaos_lifecycle(topo, make(), &spec, true, 40));
+    let chaos = || {
+        let e = logged(topo, make(), 1 << 16);
+        artifact(&common::chaos_lifecycle(e, &spec, true, 40).unwrap())
+    };
     let faulted = chaos();
     assert!(
         !faulted.contains("\"msgs_corrupted\":0,"),
@@ -131,7 +135,7 @@ fn stress_ramp_double_run_is_byte_identical() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    #![proptest_config(common::cases(8))]
 
     /// Random internets: two runs of the lifecycle export the same
     /// JSONL, byte for byte.
@@ -141,14 +145,14 @@ proptest! {
         approx in 30usize..90,
     ) {
         let topo = HierarchyConfig::e_series(approx, seed).generate();
-        let a = lifecycle_jsonl(&topo, NaiveDv::default());
-        let b = lifecycle_jsonl(&topo, NaiveDv::default());
+        let a = lifecycle_jsonl(&topo, NaiveDv::default())?;
+        let b = lifecycle_jsonl(&topo, NaiveDv::default())?;
         prop_assert_eq!(a, b);
     }
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    #![proptest_config(common::cases(8))]
 
     /// The chaos battery: random fault plans — lossy / corrupting /
     /// duplicating / reordering channels keyed on event identity,
@@ -184,11 +188,12 @@ proptest! {
             }),
             misbehavior: Default::default(),
         };
-        let run = || artifact(&common::chaos_lifecycle(
-            &topo, NaiveDv::default(), &spec, partition, horizon_ms,
-        ));
+        let run = || {
+            let e = logged(&topo, NaiveDv::default(), 1 << 16);
+            common::chaos_lifecycle(e, &spec, partition, horizon_ms).map(|e| artifact(&e))
+        };
         prop_assert_eq!(
-            run(), run(),
+            run()?, run()?,
             "chaos divergence (loss {}, churn {}, partition {})",
             loss, churn, partition
         );

@@ -23,14 +23,12 @@ use std::fmt::Debug;
 use adroute::policy::AdSet;
 use adroute::protocols::ecma::{Ecma, EcmaEntry, EcmaUpdate};
 use adroute::protocols::naive_dv::{DvUpdate, NaiveDv};
-use adroute::sim::{
-    ChannelFaults, Ctx, Engine, EventRecord, MisbehaviorModel, MisbehaviorSpec, Protocol,
-};
+use adroute::sim::{Ctx, EventRecord, MisbehaviorModel, MisbehaviorSpec, Protocol};
 use adroute::topology::{generate, AdId, LinkId, LinkKind, Topology};
 use proptest::prelude::*;
 
 mod common;
-use common::small_internet;
+use common::{small_internet, twin, Case};
 
 // ---------------------------------------------------------------------
 // The oracle: the deleted full-table protocols, on the library's
@@ -683,111 +681,43 @@ where
     }
 }
 
-// ---------------------------------------------------------------------
-// The twin run.
-// ---------------------------------------------------------------------
-
-/// One step of the lifecycle both engines take.
-#[derive(Clone, Copy, Debug)]
-enum Step {
-    Quiesce,
-    Link(LinkId, bool),
-    Router(AdId, bool),
-}
-
-fn take<P: Protocol>(e: &mut Engine<P>, step: Step) {
-    let at = e.now().plus_us(1000);
-    match step {
-        Step::Quiesce => {}
-        Step::Link(link, up) => e.schedule_link_change(link, up, at),
-        Step::Router(ad, up) => e.schedule_router_change(ad, up, at),
-    }
-    e.run_to_quiescence();
-}
-
-/// What a twin run does to its internet besides running the protocol.
-#[derive(Clone, Copy, Debug)]
-struct Case {
-    /// `ChannelFaults::lossy(0.2, seed)` on every link.
-    lossy: Option<u64>,
+/// Runs library `lib` and oracle `full` through `case`'s script, both
+/// under the same wire conditions, and compares every live router's FIB
+/// after every step (the ledgers and logs [`twin`] compares itself).
+fn lockstep<A, B>(
+    topo: &Topology,
+    lib: A,
+    full: B,
+    case: Case,
     garble: Garbling,
-    /// Re-deliver a neighbor's last update just after its link goes down.
     late: bool,
-    /// The link that flaps.
-    link: LinkId,
-    /// The router that crashes and restarts.
-    victim: AdId,
-}
-
-impl Case {
-    /// A clean case on `topo`, its flapped link and crashed router drawn
-    /// from `seed`.
-    fn clean(topo: &Topology, seed: u64) -> Case {
-        Case {
-            lossy: None,
-            garble: None,
-            late: false,
-            link: LinkId((seed % topo.num_links() as u64) as u32),
-            victim: AdId(((seed / 7) % topo.num_ads() as u64) as u32),
-        }
-    }
-}
-
-/// Runs library `lib` and oracle `full` on the same inputs through cold
-/// start, a flap of the case's link and a crash and restart of its
-/// victim, and compares them after every step.
-fn twin<A, B>(topo: &Topology, lib: A, full: B, case: Case) -> Result<(), TestCaseError>
+) -> Result<(), TestCaseError>
 where
     A: Fib,
     B: Fib<Fib = A::Fib>,
     A::Msg: Wire,
     B::Msg: Wire<Entry = <A::Msg as Wire>::Entry>,
 {
-    fn engine<P>(topo: &Topology, inner: P, case: Case) -> Engine<Harness<P>>
-    where
-        P: Protocol,
-        P::Msg: Wire,
-    {
-        let harness = Harness {
-            inner,
-            num_ads: topo.num_ads(),
-            garble: case.garble,
-            late: case.late,
-        };
-        let mut e = Engine::new(topo.clone(), harness);
-        e.enable_obs(1 << 16);
-        e.set_channel_faults(case.lossy.map(|seed| ChannelFaults::lossy(0.2, seed)));
-        e
-    }
-    let (mut a, mut b) = (engine(topo, lib, case), engine(topo, full, case));
-    let steps = [
-        Step::Quiesce,
-        Step::Link(case.link, false),
-        Step::Link(case.link, true),
-        Step::Router(case.victim, false),
-        Step::Router(case.victim, true),
-    ];
-    for step in steps {
-        take(&mut a, step);
-        take(&mut b, step);
-        let (sa, sb) = (a.stats.to_json(), b.stats.to_json());
-        prop_assert_eq!(
-            &sa,
-            &sb,
-            "work ledgers differ after {:?}:\n  library: {}\n  oracle:  {}",
-            step,
-            sa,
-            sb
-        );
-        // Identical, not merely matching: two ring buffers that dropped
-        // the same number of records could hide a divergence.
-        let logs = a.obs.log.first_divergence(&b.obs.log);
-        prop_assert!(
-            logs.is_identical(),
-            "event logs differ after {:?}: {:?}",
-            step,
-            logs
-        );
+    let num_ads = topo.num_ads();
+    let a = case.engine(
+        topo,
+        Harness {
+            inner: lib,
+            num_ads,
+            garble,
+            late,
+        },
+    );
+    let b = case.engine(
+        topo,
+        Harness {
+            inner: full,
+            num_ads,
+            garble,
+            late,
+        },
+    );
+    twin(a, b, &case.script(), |a, b, step| {
         for ad in topo.ad_ids() {
             prop_assert_eq!(a.router_is_up(ad), b.router_is_up(ad));
             if a.router_is_up(ad) {
@@ -803,8 +733,8 @@ where
                 );
             }
         }
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
 /// The battery's internets: a ring, a grid, a 15-AD hierarchy.
@@ -892,13 +822,9 @@ proptest! {
     ) {
         let topo = internet(kind, seed);
         let dv = dv_config(config, &topo, seed);
-        let case = Case {
-            lossy: (lossy == 1).then_some(seed),
-            garble: (garbled == 1).then_some((seed, None)),
-            late: late == 1,
-            ..Case::clean(&topo, seed)
-        };
-        twin(&topo, dv.clone(), FullDv(dv), case)?;
+        let case = Case { lossy: (lossy == 1).then_some(seed), ..Case::clean(&topo, seed) };
+        let garble = (garbled == 1).then_some((seed, None));
+        lockstep(&topo, dv.clone(), FullDv(dv), case, garble, late == 1)?;
     }
 
     /// ECMA, every configuration, every wire condition: the library is
@@ -914,13 +840,9 @@ proptest! {
     ) {
         let topo = internet(kind, seed);
         let ecma = ecma_config(config, &topo, seed, kind % 3 != 2);
-        let case = Case {
-            lossy: (lossy == 1).then_some(seed),
-            garble: (garbled == 1).then_some((seed, None)),
-            late: late == 1,
-            ..Case::clean(&topo, seed)
-        };
-        twin(&topo, ecma.clone(), FullEcma(ecma), case)?;
+        let case = Case { lossy: (lossy == 1).then_some(seed), ..Case::clean(&topo, seed) };
+        let garble = (garbled == 1).then_some((seed, None));
+        lockstep(&topo, ecma.clone(), FullEcma(ecma), case, garble, late == 1)?;
     }
 }
 
@@ -931,18 +853,17 @@ proptest! {
 fn malformed_updates_mean_what_they_meant() {
     for seed in 0..8 {
         let topo = small_internet(seed);
-        let garbled = |fault| Case {
-            garble: Some((seed, Some(fault))),
-            ..Case::clean(&topo, seed)
-        };
+        let case = Case::clean(&topo, seed);
         for (fault, name) in <u32 as Garble>::FAULTS.iter().enumerate() {
             let dv = dv_config(seed as u8, &topo, seed);
-            twin(&topo, dv.clone(), FullDv(dv), garbled(fault))
+            let garble = Some((seed, Some(fault)));
+            lockstep(&topo, dv.clone(), FullDv(dv), case, garble, false)
                 .unwrap_or_else(|e| panic!("naive DV, {name}: {e}"));
         }
         for (fault, name) in <EcmaAdvert as Garble>::FAULTS.iter().enumerate() {
             let ecma = ecma_config(seed as u8, &topo, seed, false);
-            twin(&topo, ecma.clone(), FullEcma(ecma), garbled(fault))
+            let garble = Some((seed, Some(fault)));
+            lockstep(&topo, ecma.clone(), FullEcma(ecma), case, garble, false)
                 .unwrap_or_else(|e| panic!("ECMA, {name}: {e}"));
         }
     }

@@ -1,17 +1,20 @@
 //! Integration tests for dynamics: link failures, recoveries, partitions,
 //! and policy changes, across the whole stack.
 
-use adroute::core::network::SendError;
+use adroute::core::network::{OpenError, SendError};
 use adroute::core::{OrwgNetwork, Strategy};
 use adroute::policy::workload::PolicyWorkload;
 use adroute::policy::{FlowSpec, PolicyDb, TransitPolicy};
-use adroute::protocols::forwarding::{forward, sample_flows, ForwardOutcome};
+use adroute::protocols::forwarding::{sample_flows, score_flows};
 use adroute::protocols::ls_hbh::LsHbh;
 use adroute::protocols::naive_dv::NaiveDv;
 use adroute::protocols::path_vector::PathVector;
 use adroute::sim::{Engine, SimTime};
 use adroute::topology::generate::ring;
 use adroute::topology::{AdId, HierarchyConfig};
+
+mod common;
+use common::Invariant;
 
 #[test]
 fn ecma_converges_with_far_fewer_messages_than_naive_dv_after_partition() {
@@ -51,13 +54,7 @@ fn all_protocols_recover_reachability_after_single_failure() {
     dv.schedule_link_change(victim, false, t);
     dv.run_to_quiescence();
     let post_topo = dv.topo().clone();
-    for f in &flows {
-        let out = forward(&mut dv, &post_topo, f);
-        assert!(
-            !matches!(out, ForwardOutcome::Loop { .. }),
-            "naive DV loops after failure for {f}"
-        );
-    }
+    Invariant::LoopFree.check(&mut dv, &post_topo, &db, &flows, "naive DV after failure");
 
     // Path vector.
     let mut pv = Engine::new(topo.clone(), PathVector::idrp(db.clone()));
@@ -65,10 +62,7 @@ fn all_protocols_recover_reachability_after_single_failure() {
     let t = pv.now().plus_us(1000);
     pv.schedule_link_change(victim, false, t);
     pv.run_to_quiescence();
-    for f in &flows {
-        let out = forward(&mut pv, &post_topo, f);
-        assert!(!matches!(out, ForwardOutcome::Loop { .. }));
-    }
+    Invariant::LoopFree.check(&mut pv, &post_topo, &db, &flows, "IDRP after failure");
 
     // Link state.
     let mut ls = Engine::new(topo.clone(), LsHbh::new(&topo, db.clone()));
@@ -76,13 +70,9 @@ fn all_protocols_recover_reachability_after_single_failure() {
     let t = ls.now().plus_us(1000);
     ls.schedule_link_change(victim, false, t);
     ls.run_to_quiescence();
-    for f in &flows {
-        let out = forward(&mut ls, &post_topo, f);
-        assert!(
-            out.delivered(),
-            "LS must re-deliver {f} (permissive, still connected)"
-        );
-    }
+    // Permissive and still connected: every flow is legal.
+    let s = Invariant::Exact.check(&mut ls, &post_topo, &db, &flows, "LS after failure");
+    assert_eq!(s.delivered, flows.len(), "LS must re-deliver every flow");
 }
 
 #[test]
@@ -147,16 +137,33 @@ fn partitioned_destination_is_unreachable_for_everyone_without_loops() {
     ls.schedule_link_change(l2, false, t);
     ls.run_to_quiescence();
     let post = ls.topo().clone();
-    let f = FlowSpec::best_effort(AdId(0), AdId(3));
-    assert!(matches!(
-        forward(&mut ls, &post, &f),
-        ForwardOutcome::NoRoute { .. }
-    ));
+    let f = [FlowSpec::best_effort(AdId(0), AdId(3))];
+    let s = Invariant::Exact.check(&mut ls, &post, &db, &f, "LS across a partition");
+    assert_eq!(s.legal_exists, 0, "AD3 is cut off");
 
     let mut net = OrwgNetwork::converged(&topo, &db);
     net.fail_link(l1);
     net.fail_link(l2);
-    assert!(net.open(&f).is_err());
+    Invariant::Exact.check(&mut net, &post, &db, &f, "ORWG across a partition");
+    // Forwarding ends at a down link whatever `open` did, so ask it too.
+    assert!(
+        matches!(net.open(&f[0]), Err(OpenError::NoRoute)),
+        "ORWG opened across the partition"
+    );
+
+    // Naive DV counts to infinity across the cut (Section 5.1.1): mid-count
+    // every packet toward AD3 loops; once it has counted, each is dropped.
+    let mut dv = Engine::new(topo.clone(), NaiveDv::default());
+    dv.run_to_quiescence();
+    let t = dv.now().plus_us(1000);
+    dv.schedule_link_change(l1, false, t);
+    dv.schedule_link_change(l2, false, t);
+    dv.run_until(t.plus_us(5_000));
+    let to3 = [0, 1, 2, 4, 5].map(|s| FlowSpec::best_effort(AdId(s), AdId(3)));
+    let s = score_flows(&mut dv, &post, &db, &to3);
+    assert_eq!(s.loops, to3.len(), "naive DV mid-count: {s:?}");
+    dv.run_to_quiescence();
+    Invariant::Exact.check(&mut dv, &post, &db, &to3, "naive DV once counted");
 }
 
 #[test]
@@ -180,12 +187,6 @@ fn mixed_policy_network_survives_random_failure_schedule() {
     e.schedule_link_change(picks[0], true, t.plus_us(20_000));
     e.run_to_quiescence();
     let post = e.topo().clone();
-    for f in sample_flows(&post, 40, 31) {
-        let out = forward(&mut e, &post, &f);
-        assert!(!matches!(out, ForwardOutcome::Loop { .. }), "loop for {f}");
-        if let ForwardOutcome::Delivered { path } = &out {
-            let audit = adroute::protocols::forwarding::audit_path(&post, &db, &f, path);
-            assert!(audit.compliant(), "violation for {f} via {path:?}");
-        }
-    }
+    let flows = sample_flows(&post, 40, 31);
+    Invariant::NeverViolates.check(&mut e, &post, &db, &flows, "LS after failures");
 }

@@ -113,7 +113,8 @@ fn chaos_export() -> String {
         }),
         misbehavior: Default::default(),
     };
-    let e = common::chaos_lifecycle(&topo, protocol, &spec, true, 20);
+    let e = common::logged(&topo, protocol, 1 << 16);
+    let e = common::chaos_lifecycle(e, &spec, true, 20).unwrap();
     e.obs.log.export_jsonl()
 }
 

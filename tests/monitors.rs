@@ -19,6 +19,9 @@ use adroute::topology::graph::make_ad;
 use adroute::topology::{AdId, AdLevel, HierarchyConfig, Topology};
 use proptest::prelude::*;
 
+mod common;
+use common::Invariant;
+
 /// Feeds `ticks` monitoring rounds of forwarding probes into a fresh
 /// bank and returns it (plus every alarm, in firing order).
 fn watch<D: DataPlane>(
@@ -41,7 +44,7 @@ fn watch<D: DataPlane>(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
+    #![proptest_config(common::cases(10))]
 
     /// Honest runs never alarm: across random internets and flow samples,
     /// every design point — driven for several monitoring ticks with its
@@ -240,12 +243,9 @@ fn ls_hbh_replayer_is_detected_and_healed_by_the_ghost_rule() {
     );
     let truth = e.topo().clone();
     // Self-healing: forwarding across the surviving arc still works.
-    let out = adroute::protocols::forwarding::forward(
-        &mut e,
-        &truth,
-        &FlowSpec::best_effort(AdId(0), AdId(2)),
-    );
-    assert!(out.delivered(), "replay poisoned forwarding: {out:?}");
+    let f = [FlowSpec::best_effort(AdId(0), AdId(2))];
+    let s = Invariant::Exact.check(&mut e, &truth, &db, &f, "after the replay");
+    assert_eq!(s.delivered, 1, "replay poisoned forwarding");
 }
 
 #[test]
@@ -370,10 +370,8 @@ fn pure_partition_raises_no_alarms_and_no_quarantines() {
     e.run_to_quiescence();
     assert!(e.now() >= heal_at, "quiescence must run through the heal");
     let truth = e.topo().clone();
-    for f in &flows {
-        let out = adroute::protocols::forwarding::forward(&mut e, &truth, f);
-        assert!(out.delivered(), "healed flow {f} undelivered: {out:?}");
-    }
+    let s = Invariant::Exact.check(&mut e, &truth, &db, &flows, "healed");
+    assert_eq!(s.delivered, flows.len(), "a healed flow is undelivered");
     for _ in 0..4 {
         observe_flows(&mut e, &truth, &db, &flows, &mut bank);
         observe_dv_metrics(&e, &mut bank);

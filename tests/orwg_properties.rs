@@ -4,7 +4,6 @@
 use adroute::core::dataplane::{HandleId, SetupPacket};
 use adroute::core::network::OpenError;
 use adroute::core::{OrwgNetwork, PolicyGateway, SetupError, Strategy};
-use adroute::policy::legality::{legal_route, route_is_legal};
 use adroute::policy::workload::PolicyWorkload;
 use adroute::policy::{FlowSpec, PolicyDb};
 use adroute::protocols::forwarding::{forward, sample_flows, ForwardOutcome};
@@ -12,10 +11,10 @@ use adroute::topology::{generate, AdId};
 use proptest::prelude::*;
 
 mod common;
-use common::small_internet;
+use common::{small_internet, Invariant};
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(common::cases(24))]
 
     /// Every route the ORWG opens is legal, cost-optimal, and forwardable;
     /// every refusal corresponds to genuine oracle unreachability.
@@ -24,20 +23,11 @@ proptest! {
         let topo = small_internet(seed);
         let db = PolicyWorkload::default_mix(seed).generate(&topo);
         let mut net = OrwgNetwork::converged(&topo, &db);
-        for f in sample_flows(&topo, 12, seed) {
-            match net.open(&f) {
-                Ok(setup) => {
-                    let cost = route_is_legal(&topo, &db, &f, &setup.route);
-                    prop_assert!(cost.is_some(), "illegal route opened for {}", f);
-                    let oracle = legal_route(&topo, &db, &f).expect("oracle agrees");
-                    prop_assert_eq!(cost.unwrap(), oracle.cost);
-                    prop_assert!(net.send(setup.handle).is_ok());
-                }
-                Err(OpenError::NoRoute) => {
-                    prop_assert!(legal_route(&topo, &db, &f).is_none(),
-                        "missed a legal route for {}", f);
-                }
-                Err(e) => prop_assert!(false, "unexpected error {:?}", e),
+        let flows = sample_flows(&topo, 12, seed);
+        Invariant::Optimal.check(&mut net, &topo, &db, &flows, format!("seed {seed}"));
+        for f in &flows {
+            if let Err(e) = net.open(f) {
+                prop_assert_eq!(e, OpenError::NoRoute, "for {}", f);
             }
         }
     }

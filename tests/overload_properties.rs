@@ -35,7 +35,7 @@ fn offer(net: &mut OrwgNetwork, flow: FlowSpec, at: SimTime) -> AdmissionVerdict
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(common::cases(16))]
 
     /// Every route any brownout rung serves — full synthesis, cached
     /// fast path, or stored-only — is policy-legal and avoids every

@@ -14,6 +14,8 @@ use adroute_cli::args::Args;
 use adroute_cli::commands::dispatch;
 use proptest::prelude::*;
 
+mod common;
+
 /// Runs one full CLI command line in-process and returns its output.
 fn cli(line: &str) -> String {
     dispatch(&Args::parse(line.split_whitespace().map(str::to_string)).unwrap()).unwrap()
@@ -93,7 +95,7 @@ fn real_profiles_fold_into_well_nested_paths() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(common::cases(64))]
 
     /// Random enter/exit/work schedules leave the span tree well-nested:
     /// parent/child links are mutually consistent, no span outlives the

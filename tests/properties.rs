@@ -8,21 +8,21 @@ use adroute::policy::ordering::{
     check_ordering, random_constraints, solve_ordering, OrderingSolution,
 };
 use adroute::policy::workload::PolicyWorkload;
-use adroute::policy::{FlowSpec, QosClass, RouteSelection, TransitPolicy, UserClass};
+use adroute::policy::{FlowSpec, PolicyDb, QosClass, RouteSelection, TransitPolicy, UserClass};
 use adroute::protocols::ecma::Ecma;
-use adroute::protocols::forwarding::{forward, ForwardOutcome};
+use adroute::protocols::forwarding::sample_flows;
 use adroute::protocols::path_vector::PathVector;
 use adroute::sim::Engine;
-use adroute::topology::{generate, AdId, PartialOrder};
+use adroute::topology::{generate, AdId};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 mod common;
-use common::{random_policies, small_topo};
+use common::{assert_valley_free, random_policies, small_topo, Invariant};
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(common::cases(48))]
 
     /// The fast oracle agrees with exhaustive search on small graphs.
     #[test]
@@ -63,7 +63,7 @@ proptest! {
             denying.set_policy(TransitPolicy::deny_all(ad));
         }
         let sel = RouteSelection::avoiding(avoid);
-        for f in adroute::protocols::forwarding::sample_flows(&topo, 5, seed) {
+        for f in sample_flows(&topo, 5, seed) {
             let mut stats = SearchStats::default();
             let fast = legal_route_with(&topo, &db, &f, &sel, &mut stats).map(|r| r.cost);
             let slow = legal_route_bruteforce(&topo, &denying, &f).map(|r| r.cost);
@@ -77,7 +77,7 @@ proptest! {
     fn oracle_routes_validate(kind in 0u8..3, size in 0u8..4, seed in 0u64..1000) {
         let topo = small_topo(kind, size);
         let db = random_policies(&topo, seed);
-        for f in adroute::protocols::forwarding::sample_flows(&topo, 5, seed) {
+        for f in sample_flows(&topo, 5, seed) {
             if let Some(r) = legal_route(&topo, &db, &f) {
                 prop_assert!(r.path.len() == 1 || topo.is_simple_path(&r.path));
                 prop_assert_eq!(r.path.first(), Some(&f.src));
@@ -120,7 +120,6 @@ proptest! {
             seed,
         }
         .generate();
-        let po = PartialOrder::from_levels(&topo);
         let mut e = Engine::new(topo.clone(), Ecma::hierarchical(&topo));
         e.run_to_quiescence();
         if topo.num_links() > 0 {
@@ -132,13 +131,10 @@ proptest! {
             }
         }
         let post = e.topo().clone();
-        for f in adroute::protocols::forwarding::sample_flows(&post, 10, seed) {
-            let out = forward(&mut e, &post, &f);
-            prop_assert!(!matches!(out, ForwardOutcome::Loop { .. }), "loop: {:?}", out.path());
-            if let ForwardOutcome::Delivered { path } = &out {
-                prop_assert!(po.is_valley_free(path));
-            }
-        }
+        let flows = sample_flows(&post, 10, seed);
+        let db = PolicyDb::permissive(&post);
+        Invariant::LoopFree.check(&mut e, &post, &db, &flows, format!("ECMA, seed {seed}, cut {cut}"));
+        assert_valley_free(&mut e, &post, &flows);
     }
 
     /// Path-vector RIBs never store a path containing the router itself,
@@ -154,15 +150,9 @@ proptest! {
                 prop_assert!(!r.path.contains(&ad));
             }
         }
-        for f in adroute::protocols::forwarding::sample_flows(&topo, 6, seed) {
-            let out = forward(&mut e, &topo, &f);
-            let looped = matches!(out, ForwardOutcome::Loop { .. });
-            prop_assert!(!looped, "loop: {:?}", out.path());
-            if let ForwardOutcome::Delivered { path } = &out {
-                let audit = adroute::protocols::forwarding::audit_path(&topo, &db, &f, path);
-                prop_assert!(audit.compliant(), "{} violated at {:?}", f, audit.violations);
-            }
-        }
+        let flows = sample_flows(&topo, 6, seed);
+        let what = format!("IDRP, kind {kind}, size {size}, seed {seed}");
+        Invariant::NeverViolates.check(&mut e, &topo, &db, &flows, what);
     }
 
     /// Workload generation is deterministic and structurally sane for any

@@ -18,12 +18,12 @@ use adroute::policy::{
     AdSet, PolicyAction, PolicyCondition, QosClass, TimeOfDay, TransitPolicy, UserClass,
 };
 use adroute::protocols::path_vector::{PathVector, PvRoute};
-use adroute::sim::{ChannelFaults, Engine, MisbehaviorModel, MisbehaviorSpec};
+use adroute::sim::{Engine, MisbehaviorModel, MisbehaviorSpec};
 use adroute::topology::{AdId, LinkId, Topology};
 use proptest::prelude::*;
 
 mod common;
-use common::{random_policies, small_internet, small_topo};
+use common::{random_policies, small_internet, small_topo, take, Case, Step};
 
 /// A route as the routers used to hold it: everything owned.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -317,12 +317,6 @@ fn check(e: &Engine<PathVector>, exports: bool) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// Runs to quiescence, then checks every router.
-fn settle(e: &mut Engine<PathVector>, exports: bool) -> Result<(), TestCaseError> {
-    e.run_to_quiescence();
-    check(e, exports)
-}
-
 proptest! {
     /// Cold start, a link flap, a router crash and restart — the oracle
     /// agrees at every quiescence.
@@ -343,24 +337,11 @@ proptest! {
             pv.misbehavior = MisbehaviorSpec::single(leaker, MisbehaviorModel::RouteLeak);
         }
         let clean = lossy == 0;
-        let mut e = Engine::new(topo.clone(), pv);
-        if !clean {
-            e.set_channel_faults(Some(ChannelFaults::lossy(0.2, seed)));
-        }
-        settle(&mut e, clean)?;
-
-        let link = LinkId((seed % topo.num_links() as u64) as u32);
-        for up in [false, true] {
-            let at = e.now().plus_us(1000);
-            e.schedule_link_change(link, up, at);
-            settle(&mut e, clean)?;
-        }
-
-        let victim = AdId(((seed / 7) % topo.num_ads() as u64) as u32);
-        for up in [false, true] {
-            let at = e.now().plus_us(1000);
-            e.schedule_router_change(victim, up, at);
-            settle(&mut e, clean)?;
+        let case = Case { lossy: (!clean).then_some(seed), ..Case::clean(&topo, seed) };
+        let mut e = case.engine(&topo, pv);
+        for step in case.script() {
+            take(&mut e, step)?;
+            check(&e, clean)?;
         }
 
         if !clean {
@@ -371,7 +352,8 @@ proptest! {
                 let at = e.now().plus_us(1000);
                 e.schedule_link_change(LinkId(l as u32), true, at);
             }
-            settle(&mut e, true)?;
+            take(&mut e, Step::Quiesce)?;
+            check(&e, true)?;
         }
     }
 }

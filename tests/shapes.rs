@@ -12,6 +12,9 @@ use adroute::policy::{FlowSpec, PolicyDb, RouteSelection};
 use adroute::topology::AdId;
 use adroute_bench::{e10, e11, e12, e3, e4, e5, e6, e7, e8, e9, f1, internet, t1, World};
 
+mod common;
+use common::Invariant;
+
 /// The row of `rows` whose architecture is `arch`.
 fn arch<'a, R>(rows: &'a [R], name: impl Fn(&R) -> &str, arch: &str) -> &'a R {
     rows.iter()
@@ -26,17 +29,16 @@ fn t1_only_link_state_with_source_routing_gets_everything() {
         panic!("five design points, got {}", rows.len());
     };
     for r in &rows {
-        assert_eq!(r.score.loops, 0, "{} looped", r.arch);
+        Invariant::LoopFree.assert(&r.score, r.arch);
     }
     // Link state finds every legal route and never violates …
     for r in [ls, orwg] {
-        assert_eq!(r.score.availability(), 1.0, "{}", r.arch);
-        assert_eq!(r.score.violating, 0, "{}", r.arch);
+        Invariant::Exact.assert(&r.score, r.arch);
     }
     // … and ORWG's control plane *is* link-state flooding.
     assert_eq!((ls.msgs, ls.bytes), (orwg.msgs, orwg.bytes));
     // Path vector never violates but forfeits legal routes.
-    assert_eq!(idrp.score.violating, 0);
+    Invariant::NeverViolates.assert(&idrp.score, idrp.arch);
     assert!(idrp.score.availability() < 1.0);
     // The ordering cannot express the policy terms: ECMA violates, the
     // policy-blind baseline violates more.
@@ -77,11 +79,10 @@ fn e3_one_ordering_cannot_hold_every_policy() {
     // (b) ECMA is clean on what the ordering expresses and violates beyond.
     let ecma = e3::ecma_vs_oracle(49, 60, &[0, 8]);
     let (structural, granular) = (&ecma[0].1, &ecma[1].1);
-    assert_eq!(structural.violating, 0);
-    assert_eq!(structural.availability(), 1.0);
+    Invariant::Exact.assert(structural, "ECMA, structural");
+    Invariant::LoopFree.assert(granular, "ECMA, granular");
     assert!(granular.violating > 0);
     assert!(granular.availability() < 1.0);
-    assert_eq!(structural.loops + granular.loops, 0);
 }
 
 #[test]
@@ -348,7 +349,7 @@ fn e11_link_state_keeps_every_legal_route_at_every_density() {
     for r in &rows {
         let score = |name: &str| &arch(&r.points, |p| p.0, name).1;
         for (name, s) in &r.points {
-            assert_eq!(s.loops, 0, "{name} looped at {}/{}", r.lateral, r.bypass);
+            Invariant::LoopFree.assert(s, format!("{name} at {}/{}", r.lateral, r.bypass));
         }
         let (ecma, idrp, ls, egp) = (
             score("ECMA"),
@@ -356,10 +357,10 @@ fn e11_link_state_keeps_every_legal_route_at_every_density() {
             score("LS/ORWG"),
             score("EGP (tree DV)"),
         );
-        assert_eq!((ls.availability(), ls.violating), (1.0, 0));
+        Invariant::Exact.assert(ls, "LS/ORWG");
         // ECMA and IDRP lose routes or legality where link state does not.
         assert!(ecma.violating > 0);
-        assert_eq!(idrp.violating, 0);
+        Invariant::NeverViolates.assert(idrp, "IDRP");
         assert!(idrp.availability() < 1.0);
         assert!(egp.availability() < 1.0 && egp.violating > 0);
     }

@@ -89,7 +89,7 @@ fn outcome_key(o: &ServeOutcome) -> (FlowSpec, &'static str, Option<Vec<AdId>>, 
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(common::cases(12))]
 
     /// The twin oracle: for random internets, policy workloads, request
     /// sequences and batch boundaries, a batched server and a monolithic

@@ -20,7 +20,7 @@ use adroute::topology::{AdId, HierarchyConfig, LinkId};
 use proptest::prelude::*;
 
 mod common;
-use common::small_internet;
+use common::{small_internet, take, Case, Step};
 
 /// Every router against the oracle over its own database, then the
 /// sharing relation. Returns how many distinct databases there were.
@@ -84,15 +84,16 @@ proptest! {
             // A channel that loses, corrupts, duplicates and reorders
             // floods: databases may end up apart for good.
             1 => e.set_channel_faults(Some(ChannelFaults::lossy(0.15, seed))),
-            // A crash empties one database; checked while it is down,
-            // then after the restart relearned it.
-            2 => {
-                e.run_to_quiescence();
-                check(&mut e, &flows)?;
-                e.schedule_router_change(ad, false, e.now().plus_us(1000));
-                e.run_to_quiescence();
-                check(&mut e, &flows)?;
-                e.schedule_router_change(ad, true, e.now().plus_us(1000));
+            // A crash empties one database, checked while it is down and
+            // after the restart relearned it; or a link flaps under
+            // routers that already hold views and FIBs.
+            2 | 5 => {
+                let case = Case { lossy: None, link, victim: ad };
+                let script = if scenario == 2 { case.crash_restart() } else { case.flap() };
+                for step in [Step::Quiesce].into_iter().chain(script) {
+                    take(&mut e, step)?;
+                    check(&mut e, &flows)?;
+                }
             }
             // A replayer floods stale LSAs under inflated sequence
             // numbers when a link event gives it something to replay;
@@ -106,19 +107,9 @@ proptest! {
                 e.schedule_link_change(link, true, e.now().plus_us(1000));
             }
             // Stopped mid-flood: databases genuinely differ.
-            4 => {
+            _ => {
                 e.run_until(SimTime(500 * (1 + pick as u64 % 10)));
                 check(&mut e, &flows)?;
-            }
-            // A link flaps under routers that already hold views and FIBs.
-            _ => {
-                e.run_to_quiescence();
-                check(&mut e, &flows)?;
-                for up in [false, true] {
-                    e.schedule_link_change(link, up, e.now().plus_us(1000));
-                    e.run_to_quiescence();
-                    check(&mut e, &flows)?;
-                }
             }
         }
         e.run_to_quiescence();

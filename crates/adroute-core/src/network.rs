@@ -704,6 +704,19 @@ impl OrwgNetwork {
         }
     }
 
+    /// The data plane's side of the `a`–`b` link dying: each endpoint
+    /// flushes its handles toward the other, and every open flow crossing
+    /// the link is torn down and queued for repair.
+    fn tear_down_link(&mut self, a: AdId, b: AdId) {
+        self.gateways[a.index()].invalidate(|e| e.prev == b || e.next == b);
+        self.gateways[b.index()].invalidate(|e| e.prev == a || e.next == a);
+        self.teardown_and_notify(|of| {
+            of.route
+                .windows(2)
+                .any(|w| w.contains(&a) && w.contains(&b))
+        });
+    }
+
     /// Attributes every repair queued at index `start` onward to `cause`
     /// — the event of the fault that tore those flows down.
     fn set_pending_cause_from(&mut self, start: usize, cause: Option<EventId>) {
@@ -785,14 +798,8 @@ impl OrwgNetwork {
         self.topo.set_link_up(link, false);
         let l = self.topo.link(link);
         let (a, b) = (l.a, l.b);
-        self.gateways[a.index()].invalidate(|e| e.prev == b || e.next == b);
-        self.gateways[b.index()].invalidate(|e| e.prev == a || e.next == a);
         let queued = self.pending_repair.len();
-        self.teardown_and_notify(|of| {
-            of.route
-                .windows(2)
-                .any(|w| w.contains(&a) && w.contains(&b))
-        });
+        self.tear_down_link(a, b);
         let inv_id = self.reflood(
             a,
             b,
@@ -1609,13 +1616,7 @@ impl OrwgNetwork {
             .map(|old| (old.a, old.b))
             .collect();
         for (a, b) in died {
-            self.gateways[a.index()].invalidate(|e| e.prev == b || e.next == b);
-            self.gateways[b.index()].invalidate(|e| e.prev == a || e.next == a);
-            self.teardown_and_notify(|of| {
-                of.route
-                    .windows(2)
-                    .any(|w| w.contains(&a) && w.contains(&b))
-            });
+            self.tear_down_link(a, b);
         }
         self.topo = new_topo;
         self.db = engine.protocol().policies.clone();

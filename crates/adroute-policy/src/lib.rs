@@ -25,7 +25,6 @@
 //! * [`ordering`] — satisfiability of a policy set by a single global
 //!   partial ordering (the ECMA question of paper Section 5.1.1).
 
-pub mod bits;
 pub mod class;
 pub mod db;
 pub mod legality;
@@ -34,7 +33,6 @@ pub mod terms;
 pub mod text;
 pub mod workload;
 
-pub use bits::AdBits;
 pub use class::{FlowSpec, QosClass, TimeOfDay, UserClass};
 pub use db::PolicyDb;
 pub use legality::{legal_route, legal_routes_sweep, route_is_legal, LegalRoute};

@@ -9,35 +9,96 @@
 use adroute_topology::AdId;
 use std::fmt;
 
-use crate::bits::AdBits;
 use crate::class::{FlowSpec, QosClass, TimeOfDay, UserClass};
 
-/// A set of ADs, as appears in policy conditions.
+/// The members of an [`AdSet::Only`] or [`AdSet::Except`]: sorted and
+/// deduplicated, which the private field guarantees. Equal sets are
+/// therefore equal slices, and the derived `Ord` and `Hash` compare
+/// member by member — the order IDRP's RIBs and every golden rely on.
 ///
-/// Payloads are [`AdBits`] — chunked Roaring-style bitsets — so membership
-/// is a bit test rather than a binary search over a `Vec<AdId>`, and set
-/// algebra runs chunk-at-a-time. The canonical bitset form keeps derived
-/// equality semantic and the member-lexicographic `Ord` identical to the
-/// old sorted-`Vec` ordering.
+/// Policy sets hold at most a few hundred ADs, so membership is a binary
+/// search and set algebra a merge or a filter.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
+pub struct AdList(Box<[AdId]>);
+
+impl AdList {
+    fn from_ids(ids: impl IntoIterator<Item = AdId>) -> AdList {
+        let mut ids: Vec<AdId> = ids.into_iter().collect();
+        ids.sort_unstable();
+        ids.dedup();
+        AdList(ids.into())
+    }
+
+    fn contains(&self, ad: AdId) -> bool {
+        self.0.binary_search(&ad).is_ok()
+    }
+
+    /// The members of `self` whose membership in `other` is `keep`.
+    fn filter(&self, other: &AdList, keep: bool) -> AdList {
+        let kept = self.0.iter().filter(|&&ad| other.contains(ad) == keep);
+        AdList(kept.copied().collect())
+    }
+
+    fn intersect(&self, other: &AdList) -> AdList {
+        if self.0.len() <= other.0.len() {
+            self.filter(other, true)
+        } else {
+            other.filter(self, true)
+        }
+    }
+
+    fn difference(&self, other: &AdList) -> AdList {
+        self.filter(other, false)
+    }
+
+    fn union(&self, other: &AdList) -> AdList {
+        let (a, b) = (&self.0, &other.0);
+        let mut out = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            let (x, y) = (a[i], b[j]);
+            out.push(x.min(y));
+            i += usize::from(x <= y);
+            j += usize::from(y <= x);
+        }
+        out.extend_from_slice(&a[i..]);
+        out.extend_from_slice(&b[j..]);
+        AdList(out.into())
+    }
+}
+
+impl fmt::Display for AdList {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, ad) in self.0.iter().enumerate() {
+            if i > 0 {
+                f.write_str(",")?;
+            }
+            write!(f, "{ad}")?;
+        }
+        Ok(())
+    }
+}
+
+/// A set of ADs, as appears in policy conditions.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum AdSet {
     /// Matches every AD.
     Any,
     /// Matches exactly the listed ADs.
-    Only(AdBits),
+    Only(AdList),
     /// Matches every AD except the listed ones.
-    Except(AdBits),
+    Except(AdList),
 }
 
 impl AdSet {
     /// Builds an [`AdSet::Only`] from an iterator, sorting and deduplicating.
     pub fn only(ads: impl IntoIterator<Item = AdId>) -> AdSet {
-        AdSet::Only(AdBits::from_ids(ads))
+        AdSet::Only(AdList::from_ids(ads))
     }
 
     /// Builds an [`AdSet::Except`] from an iterator, sorting and deduplicating.
     pub fn except(ads: impl IntoIterator<Item = AdId>) -> AdSet {
-        AdSet::Except(AdBits::from_ids(ads))
+        AdSet::Except(AdList::from_ids(ads))
     }
 
     /// Membership test.
@@ -49,21 +110,18 @@ impl AdSet {
         }
     }
 
-    /// Approximate encoded size in bytes, for message accounting.
-    ///
-    /// Deliberately kept at the id-list encoding (1 tag byte + 4 bytes per
-    /// member) regardless of the in-memory bitset form, so protocol message
-    /// sizes are unchanged by the representation switch.
+    /// Approximate encoded size in bytes, for message accounting: 1 tag
+    /// byte + 4 bytes per member.
     pub fn encoded_size(&self) -> usize {
         match self {
             AdSet::Any => 1,
-            AdSet::Only(v) | AdSet::Except(v) => 1 + 4 * v.len(),
+            AdSet::Only(v) | AdSet::Except(v) => 1 + 4 * v.0.len(),
         }
     }
 
     /// Whether this set matches no AD at all.
     pub fn is_empty_set(&self) -> bool {
-        matches!(self, AdSet::Only(v) if v.is_empty())
+        matches!(self, AdSet::Only(v) if v.0.is_empty())
     }
 
     /// Set intersection. Path-vector protocols narrow a route's
@@ -82,7 +140,7 @@ impl AdSet {
 
     /// Set difference `self \ removed` where `removed` is a plain list.
     pub fn subtract(&self, removed: &[AdId]) -> AdSet {
-        self.intersect(&AdSet::Except(AdBits::from_ids(removed.iter().copied())))
+        self.intersect(&AdSet::except(removed.iter().copied()))
     }
 
     /// Set union. Route Servers widen a *avoid* set with additional ADs
@@ -421,7 +479,7 @@ impl RouteSelection {
     /// No source-side constraints.
     pub fn unconstrained() -> RouteSelection {
         RouteSelection {
-            avoid: AdSet::Only(AdBits::new()),
+            avoid: AdSet::Only(AdList::default()),
             max_cost: None,
             max_hops: None,
         }
@@ -532,7 +590,7 @@ mod tests {
             AdSet::only([AdId(1), AdId(2), AdId(3)])
         );
         // Only ∪ Except removes the named ADs from the exclusion list.
-        assert_eq!(only12.union(&except12), AdSet::Except(AdBits::new()));
+        assert_eq!(only12.union(&except12), AdSet::except([]));
         assert_eq!(
             AdSet::only([AdId(1)]).union(&except12),
             AdSet::except([AdId(2)])
@@ -728,42 +786,120 @@ mod proptests {
     use super::*;
     use crate::class::FlowSpec;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    /// Ids for one set: a few small ids (so sets overlap and repeat ids),
+    /// ids on both sides of 65 536 up to 200 000, or a run of 4 000–5 000
+    /// consecutive ids — the spans and sizes a chunked or dense layout
+    /// would treat specially.
+    fn arb_ids() -> impl Strategy<Value = Vec<AdId>> {
+        let wide = prop_oneof![0u32..20, 65_530u32..65_545, 0u32..200_000];
+        prop_oneof![
+            proptest::collection::vec(0u32..20, 0..6),
+            proptest::collection::vec(wide, 0..12),
+            (0u32..70_000).prop_map(|lo| (lo..lo + 4_000 + lo % 1_000).collect::<Vec<u32>>()),
+        ]
+        .prop_map(|v| v.into_iter().map(AdId).collect())
+    }
 
     fn arb_adset() -> impl Strategy<Value = AdSet> {
         prop_oneof![
             Just(AdSet::Any),
-            proptest::collection::vec(0u32..20, 0..6)
-                .prop_map(|v| AdSet::only(v.into_iter().map(AdId))),
-            proptest::collection::vec(0u32..20, 0..6)
-                .prop_map(|v| AdSet::except(v.into_iter().map(AdId))),
+            arb_ids().prop_map(AdSet::only),
+            arb_ids().prop_map(AdSet::except),
         ]
+    }
+
+    /// The listed members of a set (none for `Any`).
+    fn members(s: &AdSet) -> &[AdId] {
+        match s {
+            AdSet::Any => &[],
+            AdSet::Only(v) | AdSet::Except(v) => &v.0,
+        }
+    }
+
+    /// Ids worth probing: every listed member of either set, its
+    /// neighbours, and a few fixed ids.
+    fn probes(a: &AdSet, b: &AdSet) -> BTreeSet<AdId> {
+        let listed = members(a).iter().chain(members(b));
+        let near = listed.flat_map(|ad| [ad.0.saturating_sub(1), ad.0, ad.0 + 1]);
+        let fixed = [0, 7, 65_535, 65_536, 199_999];
+        near.chain(fixed).map(AdId).collect()
     }
 
     proptest! {
         /// Intersection agrees with pointwise conjunction of membership.
         #[test]
-        fn intersection_is_pointwise_and(a in arb_adset(), b in arb_adset(), ad in 0u32..25) {
-            let ad = AdId(ad);
+        fn intersection_is_pointwise_and(a in arb_adset(), b in arb_adset()) {
             let i = a.intersect(&b);
-            prop_assert_eq!(i.contains(ad), a.contains(ad) && b.contains(ad));
+            for ad in probes(&a, &b) {
+                prop_assert_eq!(i.contains(ad), a.contains(ad) && b.contains(ad), "{}", ad);
+            }
         }
 
-        /// Intersection is commutative in semantics.
+        /// Union agrees with pointwise disjunction of membership.
         #[test]
-        fn intersection_commutes(a in arb_adset(), b in arb_adset(), ad in 0u32..25) {
-            let ad = AdId(ad);
-            prop_assert_eq!(a.intersect(&b).contains(ad), b.intersect(&a).contains(ad));
+        fn union_is_pointwise_or(a in arb_adset(), b in arb_adset()) {
+            let u = a.union(&b);
+            for ad in probes(&a, &b) {
+                prop_assert_eq!(u.contains(ad), a.contains(ad) || b.contains(ad), "{}", ad);
+            }
+        }
+
+        /// Intersection is commutative.
+        #[test]
+        fn intersection_commutes(a in arb_adset(), b in arb_adset()) {
+            prop_assert_eq!(a.intersect(&b), b.intersect(&a));
         }
 
         /// Subtraction removes exactly the listed members.
         #[test]
-        fn subtraction_is_pointwise(a in arb_adset(),
-                                    removed in proptest::collection::vec(0u32..20, 0..6),
-                                    ad in 0u32..25) {
-            let removed: Vec<AdId> = removed.into_iter().map(AdId).collect();
-            let ad = AdId(ad);
+        fn subtraction_is_pointwise(a in arb_adset(), removed in arb_ids()) {
             let s = a.subtract(&removed);
-            prop_assert_eq!(s.contains(ad), a.contains(ad) && !removed.contains(&ad));
+            let gone: BTreeSet<AdId> = removed.iter().copied().collect();
+            for ad in probes(&a, &AdSet::only(gone.iter().copied())) {
+                prop_assert_eq!(s.contains(ad), a.contains(ad) && !gone.contains(&ad), "{}", ad);
+            }
+        }
+
+        /// Sets order as their sorted, deduplicated member lists do.
+        #[test]
+        fn order_is_member_order(a in arb_ids(), b in arb_ids()) {
+            let sorted = |ids: &[AdId]| ids.iter().copied().collect::<BTreeSet<_>>();
+            let joined: Vec<AdId> = a.iter().chain(&b).copied().collect();
+            for (x, y) in [(&a, &b), (&a, &joined), (&joined, &a)] {
+                let expected = sorted(x).cmp(&sorted(y));
+                prop_assert_eq!(AdSet::only(x.clone()).cmp(&AdSet::only(y.clone())), expected);
+                prop_assert_eq!(AdSet::except(x.clone()).cmp(&AdSet::except(y.clone())), expected);
+            }
+        }
+
+        /// Equal sets are equal and hash equal, however their ids were listed.
+        #[test]
+        fn equal_sets_hash_equal(ids in arb_ids()) {
+            use std::collections::hash_map::DefaultHasher;
+            use std::hash::{Hash, Hasher};
+            let hash = |s: &AdSet| {
+                let mut h = DefaultHasher::new();
+                s.hash(&mut h);
+                h.finish()
+            };
+            let listed = AdSet::only(ids.iter().copied());
+            let relisted = AdSet::only(ids.iter().rev().chain(&ids).copied());
+            prop_assert_eq!(&listed, &relisted);
+            prop_assert_eq!(hash(&listed), hash(&relisted));
+        }
+
+        /// `Display` and `encoded_size` follow the sorted, deduplicated
+        /// member list.
+        #[test]
+        fn display_and_size_follow_members(ids in arb_ids()) {
+            let members: BTreeSet<AdId> = ids.iter().copied().collect();
+            let listed: Vec<String> = members.iter().map(|ad| ad.to_string()).collect();
+            let listed = listed.join(",");
+            prop_assert_eq!(AdSet::only(ids.clone()).to_string(), format!("{{{listed}}}"));
+            prop_assert_eq!(AdSet::except(ids.clone()).to_string(), format!("!{{{listed}}}"));
+            prop_assert_eq!(AdSet::only(ids).encoded_size(), 1 + 4 * members.len());
         }
 
         /// An empty-set check is consistent with membership.

@@ -329,47 +329,6 @@ pub fn sample_flows(topo: &Topology, count: usize, seed: u64) -> Vec<FlowSpec> {
     flows
 }
 
-/// Generates flows with **locality**: with probability `locality` the
-/// destination lies within `radius` AD-hops of the source, otherwise it
-/// is uniform. Models the paper's Section 1 observation that AD regions
-/// "represent areas in which significant locality exists".
-pub fn sample_flows_local(
-    topo: &Topology,
-    count: usize,
-    locality: f64,
-    radius: u32,
-    seed: u64,
-) -> Vec<FlowSpec> {
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let n = topo.num_ads() as u32;
-    let mut flows = Vec::with_capacity(count);
-    if n < 2 {
-        return flows;
-    }
-    while flows.len() < count {
-        let s = AdId(rng.gen_range(0..n));
-        let d = if rng.gen_bool(locality.clamp(0.0, 1.0)) {
-            let (hops, _) = adroute_topology::algo::bfs_tree(topo, s);
-            let near: Vec<AdId> = topo
-                .ad_ids()
-                .filter(|&x| x != s && hops[x.index()] <= radius)
-                .collect();
-            if near.is_empty() {
-                continue;
-            }
-            near[rng.gen_range(0..near.len())]
-        } else {
-            AdId(rng.gen_range(0..n))
-        };
-        if s != d {
-            flows.push(FlowSpec::best_effort(s, d));
-        }
-    }
-    flows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -509,28 +468,5 @@ mod tests {
             assert_eq!(x, y);
             assert_ne!(x.src, x.dst);
         }
-    }
-
-    #[test]
-    fn local_flows_stay_close() {
-        let topo = line(20);
-        let local = sample_flows_local(&topo, 60, 1.0, 2, 3);
-        assert_eq!(local.len(), 60);
-        for f in &local {
-            let dist = (f.src.0 as i64 - f.dst.0 as i64).unsigned_abs();
-            assert!(dist <= 2, "{f} too far for radius 2");
-            assert_ne!(f.src, f.dst);
-        }
-        // locality 0 reduces to the uniform sampler's distribution family:
-        // at least one long flow appears in a decent sample.
-        let global = sample_flows_local(&topo, 60, 0.0, 2, 3);
-        assert!(global
-            .iter()
-            .any(|f| (f.src.0 as i64 - f.dst.0 as i64).unsigned_abs() > 5));
-        // Determinism.
-        assert_eq!(
-            sample_flows_local(&topo, 10, 0.5, 2, 7),
-            sample_flows_local(&topo, 10, 0.5, 2, 7)
-        );
     }
 }

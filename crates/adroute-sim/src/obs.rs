@@ -1074,11 +1074,6 @@ impl LogComparison<'_> {
     pub fn is_identical(&self) -> bool {
         matches!(self, LogComparison::Identical)
     }
-
-    /// Whether the retained records match (possibly under truncation).
-    pub fn records_match(&self) -> bool {
-        !matches!(self, LogComparison::Diverged { .. })
-    }
 }
 
 /// A fixed-bucket histogram of `u64` samples (power-of-two buckets), used
@@ -1169,8 +1164,7 @@ impl Histogram {
     /// bucket's samples is mapped linearly onto the bucket's value range
     /// (clamped to the observed `min`/`max`). When the rank lands on the
     /// final sample the exact `max` is reported. Empty histograms report
-    /// 0. For the conservative bucket-top bound, use
-    /// [`Histogram::quantile_upper`].
+    /// 0.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -1191,25 +1185,6 @@ impl Histogram {
                 let frac = ((target - (seen - c)) as f64 - 0.5) / c as f64;
                 let off = ((hi - lo) as f64 * frac).round() as u64;
                 return lo.saturating_add(off).min(hi);
-            }
-        }
-        self.max
-    }
-
-    /// An upper bound on the `q`-quantile: the top of the first bucket
-    /// whose cumulative count reaches `q * count`, clamped to the
-    /// observed `max`. This is the conservative (never under-reporting)
-    /// companion of the interpolated [`Histogram::quantile`].
-    pub fn quantile_upper(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Self::bucket_top(i).min(self.max).max(self.min);
             }
         }
         self.max
@@ -1477,7 +1452,6 @@ mod tests {
             } => {}
             c => panic!("expected truncated match, got {c:?}"),
         }
-        assert!(a.first_divergence(&b).records_match());
         assert!(!a.first_divergence(&b).is_identical());
         b.push(SimTime(4), None, EventRecord::Crash { ad: AdId(0) });
         match a.first_divergence(&b) {
@@ -1528,13 +1502,11 @@ mod tests {
         assert_eq!(h.min, 0);
         assert_eq!(h.max, 1000);
         assert!(h.mean() > 144.0 && h.mean() < 145.0);
-        // The median rank falls in the [2,3] bucket: the upper bound is
-        // the bucket top, the interpolated estimate sits inside it.
-        assert_eq!(h.quantile_upper(0.5), 3);
+        // The median rank falls in the [2,3] bucket; the interpolated
+        // estimate sits inside it.
         assert_eq!(h.quantile(0.5), 2);
         // Extreme quantiles are known exactly.
         assert_eq!(h.quantile(1.0), 1000);
-        assert_eq!(h.quantile_upper(1.0), 1000);
         assert_eq!(h.quantile(0.0), 0);
         let json = h.to_json();
         assert!(json.starts_with("{\"count\":7,\"sum\":1011,\"min\":0,\"max\":1000"));
@@ -1543,7 +1515,6 @@ mod tests {
         let mut g = Histogram::new();
         g.record(u64::MAX);
         assert_eq!(g.quantile(0.5), u64::MAX);
-        assert_eq!(g.quantile_upper(0.5), u64::MAX);
     }
 
     #[test]
@@ -1555,7 +1526,6 @@ mod tests {
         for v in [0u64, 5, 9] {
             h.record(v);
         }
-        assert_eq!(h.quantile_upper(0.5), 7);
         assert_eq!(h.quantile(0.5), 6);
         assert_eq!(h.quantile(0.99), 9, "p99 rank is the last sample");
         // A full bucket: samples 8..=15 all land in [8,15]; interpolated
@@ -1569,7 +1539,6 @@ mod tests {
         assert!(q25 < q75, "{q25} vs {q75}");
         assert!((8..=15).contains(&q25));
         assert!((8..=15).contains(&q75));
-        assert_eq!(u.quantile_upper(0.25), 15);
     }
 
     #[test]

@@ -14,8 +14,6 @@
 //! - [`storm_report`](CausalGraph::storm_report): per-root fan-out
 //!   attribution (events, messages, distinct ADs touched, time span),
 //!   i.e. *which* root cause amplified into *how much* churn.
-//! - [`ad_timeline`](CausalGraph::ad_timeline): every event involving
-//!   one AD, in stream order, for per-AD debugging.
 //!
 //! Causes always have smaller ids than their effects, so the graph is
 //! acyclic by construction; a cause whose record was evicted from the
@@ -174,15 +172,6 @@ impl<'a> CausalGraph<'a> {
         out.sort_by_key(|e| (std::cmp::Reverse(e.events), e.root));
         out
     }
-
-    /// Every event involving `ad`, in stream (id) order.
-    pub fn ad_timeline(&self, ad: AdId) -> Vec<&'a LoggedEvent> {
-        self.nodes
-            .iter()
-            .filter(|ev| ev.rec.ads().into_iter().flatten().any(|a| a == ad))
-            .copied()
-            .collect()
-    }
 }
 
 /// Per-root accumulator used while building the storm report.
@@ -324,7 +313,7 @@ mod tests {
     }
 
     #[test]
-    fn merged_streams_and_ad_timelines() {
+    fn merged_streams_keep_their_span_trees() {
         let log = sample_log();
         let mut data = EventLog::with_id_base(8, super::super::DATA_STREAM_ID_BASE);
         let open = data.push(
@@ -348,9 +337,8 @@ mod tests {
         let g = CausalGraph::build(&[&log, &data]);
         assert_eq!(g.len(), 6);
         assert!(g.is_acyclic_by_id());
-        let t1 = g.ad_timeline(AdId(1));
-        let kinds: Vec<&str> = t1.iter().map(|ev| ev.rec.kind()).collect();
-        assert_eq!(kinds, vec!["send", "deliver", "setup-open", "setup-ack"]);
-        assert!(g.ad_timeline(AdId(99)).is_empty());
+        // The ack hangs off the open, the root of its own span tree.
+        assert_eq!(g.depth_of(5), 1);
+        assert_eq!(g.root_of(5), 4);
     }
 }

@@ -42,8 +42,9 @@ for n, line in enumerate(open("EXPERIMENTS.md", encoding="utf-8"), 1):
 sys.exit("\n".join(bad) if bad else 0)
 PY
 
-echo "== The charge did not move: E4, E5, E8, E9, E10, E11 and E12 print the rows EXPERIMENTS.md records"
-for b in exp4_pv_blowup exp5_lshbh_burden exp8_scaling exp9_qos_scaling exp10_convergence exp11_lateral_bypass exp12_dynamics; do
+echo "== The charge did not move: T1, F1, E3, E4, E5, E6, E8, E9, E10, E11 and E12 print the rows EXPERIMENTS.md records"
+for b in table1_design_space figure1_topology exp3_partial_order exp4_pv_blowup exp5_lshbh_burden \
+    exp6_setup_amortization exp8_scaling exp9_qos_scaling exp10_convergence exp11_lateral_bypass exp12_dynamics; do
     cargo bench -q -p adroute-bench --bench "$b" > "$out/$b.txt"
     test "$(grep -c '^|' "$out/$b.txt")" -gt 2
     if grep '^|' "$out/$b.txt" | grep -vxFf EXPERIMENTS.md; then

@@ -14,9 +14,9 @@
 //! uses the same routine for synthesis).
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
-use adroute_topology::{AdId, Topology};
+use adroute_topology::{AdId, Link, LinkId, Topology};
 
 use crate::class::FlowSpec;
 use crate::db::PolicyDb;
@@ -118,28 +118,38 @@ pub fn legal_routes_sweep(
         dst: d,
         ..*template
     };
-    // Each destination the shared search answers gets a slot in it;
-    // trivial and out-of-range flows never search. Transit policy is
-    // evaluated for the first of them, which stands for every one.
-    let mut slots: HashMap<AdId, usize> = HashMap::new();
+    // Each destination the shared search answers gets a slot in it,
+    // indexed by AD; trivial and out-of-range flows never search. Transit
+    // policy is evaluated for the first of them, which stands for every
+    // one.
+    let mut slots = vec![NO_SLOT; topo.num_ads()];
+    let mut targets = 0;
     let mut probe = None;
     if !db.dst_sensitive() {
         for &d in dsts {
             let f = flow_for(d);
             if unsearched(topo, &f).is_none() && selection.allows_transit(d) {
-                let next = slots.len();
-                slots.entry(d).or_insert(next);
+                let s = &mut slots[d.index()];
+                if *s == NO_SLOT {
+                    *s = targets;
+                    targets += 1;
+                }
                 probe.get_or_insert(f);
             }
         }
     }
-    let slot = |ad: AdId| slots.get(&ad).copied();
-    let shared = probe.map(|p| search(topo, db, &p, slots.len(), slot, selection));
+    let slot = |ad: AdId| {
+        slots
+            .get(ad.index())
+            .filter(|&&s| s != NO_SLOT)
+            .map(|&s| s as usize)
+    };
+    let shared = probe.map(|p| search(topo, db, &p, targets as usize, slot, selection));
     dsts.iter()
         .map(|&d| {
             let f = flow_for(d);
-            match (&shared, slots.get(&d)) {
-                (Some(s), Some(&i)) => s.answer(topo, db, &f, selection, i),
+            match (&shared, slot(d)) {
+                (Some(s), Some(i)) => s.answer(topo, db, &f, selection, i),
                 _ => {
                     let mut stats = SearchStats::default();
                     let route = legal_route_with(topo, db, &f, selection, &mut stats);
@@ -149,6 +159,9 @@ pub fn legal_routes_sweep(
         })
         .collect()
 }
+
+/// The sweep's mark for an AD that is not one of its targets.
+const NO_SLOT: u32 = u32::MAX;
 
 /// The answer for a flow that needs no search: the trivial route when
 /// source and destination coincide, none when either is out of range.
@@ -163,10 +176,39 @@ fn unsearched(topo: &Topology, flow: &FlowSpec) -> Option<Option<LegalRoute>> {
     (flow.src.index() >= n || flow.dst.index() >= n).then_some(None)
 }
 
-/// Search state: `(current AD, previous AD)`. The start state uses
-/// prev = current (a sentinel, never consulted because the source's own
-/// policy is not evaluated).
-type State = (AdId, AdId);
+/// Search state `(current AD, previous AD)`, as a dense index. Every state
+/// but the start is entered over one link in one direction, so the state
+/// entered at `cur` over link `l` is `1 + 2·l`, plus one when `cur` is the
+/// link's `b` end. The start state `(src, src)` is [`START`] (its previous
+/// AD is a sentinel, never consulted because the source's own policy is
+/// not evaluated).
+type State = u32;
+
+/// The start state's index.
+const START: State = 0;
+
+/// The number of states a search over `topo` can reach, the start included.
+fn num_states(topo: &Topology) -> usize {
+    2 * topo.num_links() + 1
+}
+
+/// The state entered at `cur` over `link`.
+fn entered(link: &Link, cur: AdId) -> State {
+    1 + 2 * link.id.0 + State::from(cur == link.b)
+}
+
+/// The current AD of `state` in a search from `src`.
+fn current(topo: &Topology, src: AdId, state: State) -> AdId {
+    if state == START {
+        return src;
+    }
+    let link = topo.link(LinkId((state - 1) / 2));
+    if (state - 1) % 2 == 1 {
+        link.b
+    } else {
+        link.a
+    }
+}
 
 /// A target's first settle: its final state and cost, and the effort
 /// counted up to and including that pop.
@@ -180,22 +222,26 @@ struct Settle {
 /// A finished search: the tree it grew, each target's first settle, and
 /// the effort of the whole run.
 struct Search {
-    start: State,
-    parent: HashMap<State, State>,
+    src: AdId,
+    parent: Vec<State>,
     settles: Vec<Option<Settle>>,
     total: SearchStats,
 }
 
 /// The policy-constrained Dijkstra: settles `(current, previous)` states
 /// from `probe.src` until each of the `targets` ADs that `slot` numbers
-/// has settled, or the frontier is empty. A solo search's `slot` compares
-/// with its one destination, so the hot path hashes nothing. Transit
-/// policy is evaluated for `probe`, so every target must get the same
-/// verdicts from it as from its own flow.
+/// has settled, or the frontier is empty. States are dense indices into
+/// per-search `dist` and `parent` arrays, and a solo search's `slot`
+/// compares with its one destination, so the hot path hashes nothing.
+/// The heap orders by `(cost, current, previous)`; the state index rides
+/// along as a function of the last two. Transit policy is evaluated for
+/// `probe`, so every target must get the same verdicts from it as from
+/// its own flow.
 ///
-/// Kept out of line: inlined into `legal_route_with`, it left the hash
-/// and heap calls of its loop out of line instead, and solo searches on a
-/// 392-AD internet ran about 10 % slower (2-CPU x86-64 host).
+/// Kept out of line: inlined into `legal_route_with`, solo searches on a
+/// ~200-AD internet ran about 7 % slower (`micro`'s
+/// `oracle_legal_route_200ads`, median of ten alternated runs, 2-CPU
+/// x86-64 host).
 #[inline(never)]
 fn search(
     topo: &Topology,
@@ -206,19 +252,17 @@ fn search(
     selection: &RouteSelection,
 ) -> Search {
     let src = probe.src;
-    let start: State = (src, src);
-    let mut dist: HashMap<State, u64> = HashMap::new();
-    let mut parent: HashMap<State, State> = HashMap::new();
-    let mut heap: BinaryHeap<Reverse<(u64, AdId, AdId)>> = BinaryHeap::new();
-    dist.insert(start, 0);
-    heap.push(Reverse((0, src, src)));
+    let mut dist = vec![u64::MAX; num_states(topo)];
+    let mut parent = vec![START; num_states(topo)];
+    let mut heap: BinaryHeap<Reverse<(u64, AdId, AdId, State)>> = BinaryHeap::new();
+    dist[START as usize] = 0;
+    heap.push(Reverse((0, src, src, START)));
 
     let mut stats = SearchStats::default();
     let mut settles = vec![None; targets];
     let mut unsettled = targets;
-    while let Some(Reverse((cost, cur, prev))) = heap.pop() {
-        let state = (cur, prev);
-        if dist.get(&state).is_none_or(|&d| cost > d) {
+    while let Some(Reverse((cost, cur, prev, state))) = heap.pop() {
+        if cost > dist[state as usize] {
             continue;
         }
         stats.settled += 1;
@@ -253,17 +297,18 @@ fn search(
             if !selection.allows_transit(nbr) && slot(nbr).is_none() {
                 continue;
             }
-            let ncost = cost + u64::from(topo.link(link).metric) + transit_cost;
-            let nstate: State = (nbr, cur);
-            if dist.get(&nstate).is_none_or(|&d| ncost < d) {
-                dist.insert(nstate, ncost);
-                parent.insert(nstate, state);
-                heap.push(Reverse((ncost, nbr, cur)));
+            let link = topo.link(link);
+            let ncost = cost + u64::from(link.metric) + transit_cost;
+            let nstate = entered(link, nbr);
+            if ncost < dist[nstate as usize] {
+                dist[nstate as usize] = ncost;
+                parent[nstate as usize] = state;
+                heap.push(Reverse((ncost, nbr, cur, nstate)));
             }
         }
     }
     Search {
-        start,
+        src,
         parent,
         settles,
         total: stats,
@@ -285,20 +330,20 @@ impl Search {
         match self.settles[slot] {
             None => (None, self.total),
             Some(s) => {
-                let path = walk_back(&self.parent, self.start, s.state);
+                let path = walk_back(topo, &self.parent, self.src, s.state);
                 (finish(topo, db, flow, selection, path, s.cost), s.stats)
             }
         }
     }
 }
 
-/// The AD path from `start` to `end` down a search tree.
-fn walk_back(parent: &HashMap<State, State>, start: State, end: State) -> Vec<AdId> {
-    let mut path = vec![end.0];
-    let mut cur = end;
-    while cur != start {
-        cur = parent[&cur];
-        path.push(cur.0);
+/// The AD path from `src` to the AD of `end` down a search tree.
+fn walk_back(topo: &Topology, parent: &[State], src: AdId, end: State) -> Vec<AdId> {
+    let mut path = vec![current(topo, src, end)];
+    let mut state = end;
+    while state != START {
+        state = parent[state as usize];
+        path.push(current(topo, src, state));
     }
     path.reverse();
     path
@@ -309,11 +354,11 @@ fn walk_back(parent: &HashMap<State, State>, start: State, end: State) -> Vec<Ad
 /// The `(current, previous)` state graph searches *walks*; with policies
 /// conditioned on the previous AD the optimal walk can, in adversarial
 /// cases, revisit an AD. Inter-AD routes must be loop-free (paper Section
-/// 2.1), so a revisiting walk falls back to an exact simple-path search.
-/// When the source's criteria reject the route and a hop bound is set,
-/// the search is retried minimizing hops instead of cost (best-effort:
-/// the full bicriteria problem is out of scope for the oracle). Neither
-/// fallback counts toward [`SearchStats`].
+/// 2.1), so a revisiting walk falls back to an exact simple-path search
+/// that honors the avoid-set. When the source's criteria reject the route
+/// and a hop bound is set, the search is retried minimizing hops instead
+/// of cost (best-effort: the full bicriteria problem is out of scope for
+/// the oracle). Neither fallback counts toward [`SearchStats`].
 fn finish(
     topo: &Topology,
     db: &PolicyDb,
@@ -322,11 +367,14 @@ fn finish(
     path: Vec<AdId>,
     cost: u64,
 ) -> Option<LegalRoute> {
-    let mut seen = HashSet::new();
-    let route = if path.iter().all(|a| seen.insert(*a)) {
+    let mut seen = vec![false; topo.num_ads()];
+    let route = if path
+        .iter()
+        .all(|a| !std::mem::replace(&mut seen[a.index()], true))
+    {
         LegalRoute { path, cost }
     } else {
-        legal_route_bruteforce(topo, db, flow)?
+        bruteforce(topo, db, flow, selection)?
     };
     if selection.accepts(&route.path, route.cost) {
         return Some(route);
@@ -339,28 +387,32 @@ fn finish(
 
 /// Hop-minimizing variant: BFS over the same `(current, previous)` state
 /// graph, used when a source's `max_hops` criterion rejects the least-cost
-/// route.
+/// route. The first walk to reach `flow.dst` that is a simple path is the
+/// answer; a walk that revisits an AD is skipped.
 fn legal_route_min_hops(
     topo: &Topology,
     db: &PolicyDb,
     flow: &FlowSpec,
     selection: &RouteSelection,
 ) -> Option<LegalRoute> {
-    let start: State = (flow.src, flow.src);
-    let mut parent: HashMap<State, State> = HashMap::new();
-    let mut visited: HashSet<State> = HashSet::from([start]);
-    let mut queue = VecDeque::from([start]);
-    while let Some(state @ (cur, prev)) = queue.pop_front() {
+    let src = flow.src;
+    let mut parent = vec![START; num_states(topo)];
+    let mut visited = vec![false; num_states(topo)];
+    visited[START as usize] = true;
+    let mut queue = VecDeque::from([(START, src, src)]);
+    while let Some((state, cur, prev)) = queue.pop_front() {
         if cur == flow.dst {
-            let path = walk_back(&parent, start, state);
-            let cost = route_is_legal(topo, db, flow, &path)?;
-            return Some(LegalRoute { path, cost });
+            let path = walk_back(topo, &parent, src, state);
+            if let Some(cost) = route_is_legal(topo, db, flow, &path) {
+                return Some(LegalRoute { path, cost });
+            }
+            continue;
         }
-        for (nbr, _) in topo.neighbors(cur) {
-            if nbr == prev && cur != flow.src {
+        for (nbr, link) in topo.neighbors(cur) {
+            if nbr == prev && cur != src {
                 continue;
             }
-            if cur != flow.src
+            if cur != src
                 && db
                     .policy(cur)
                     .evaluate(flow, Some(prev), Some(nbr))
@@ -371,10 +423,10 @@ fn legal_route_min_hops(
             if nbr != flow.dst && !selection.allows_transit(nbr) {
                 continue;
             }
-            let nstate = (nbr, cur);
-            if visited.insert(nstate) {
-                parent.insert(nstate, state);
-                queue.push_back(nstate);
+            let nstate = entered(topo.link(link), nbr);
+            if !std::mem::replace(&mut visited[nstate as usize], true) {
+                parent[nstate as usize] = state;
+                queue.push_back((nstate, nbr, cur));
             }
         }
     }
@@ -421,10 +473,22 @@ pub fn legal_route_bruteforce(
     db: &PolicyDb,
     flow: &FlowSpec,
 ) -> Option<LegalRoute> {
+    bruteforce(topo, db, flow, &RouteSelection::unconstrained())
+}
+
+/// [`legal_route_bruteforce`] over the simple paths whose transit ADs the
+/// selection allows.
+fn bruteforce(
+    topo: &Topology,
+    db: &PolicyDb,
+    flow: &FlowSpec,
+    selection: &RouteSelection,
+) -> Option<LegalRoute> {
     fn rec(
         topo: &Topology,
         db: &PolicyDb,
         flow: &FlowSpec,
+        selection: &RouteSelection,
         path: &mut Vec<AdId>,
         on_path: &mut Vec<bool>,
         best: &mut Option<LegalRoute>,
@@ -442,10 +506,10 @@ pub fn legal_route_bruteforce(
             return;
         }
         for (nbr, _) in topo.neighbors(cur) {
-            if !on_path[nbr.index()] {
+            if !on_path[nbr.index()] && (nbr == flow.dst || selection.allows_transit(nbr)) {
                 on_path[nbr.index()] = true;
                 path.push(nbr);
-                rec(topo, db, flow, path, on_path, best);
+                rec(topo, db, flow, selection, path, on_path, best);
                 path.pop();
                 on_path[nbr.index()] = false;
             }
@@ -460,7 +524,15 @@ pub fn legal_route_bruteforce(
     let mut best = None;
     let mut on_path = vec![false; topo.num_ads()];
     on_path[flow.src.index()] = true;
-    rec(topo, db, flow, &mut vec![flow.src], &mut on_path, &mut best);
+    rec(
+        topo,
+        db,
+        flow,
+        selection,
+        &mut vec![flow.src],
+        &mut on_path,
+        &mut best,
+    );
     best
 }
 
@@ -760,5 +832,86 @@ mod tests {
             let dsts: Vec<AdId> = t.ad_ids().collect();
             assert_sweep_matches_solo(&t, &db, &template, &dsts, &sel, &format!("trial {trial}"));
         }
+    }
+
+    /// `n` ADs joined by `edges` (`(a, b, metric)`), all permissive except
+    /// that AD1 refuses traffic from `AD0` straight on to `next`.
+    fn ad1_refusing(n: u32, edges: &[(u32, u32, u32)], next: u32) -> (Topology, PolicyDb) {
+        use adroute_topology::graph::make_ad;
+        use adroute_topology::AdLevel;
+        let ads = (0..n).map(|i| make_ad(i, AdLevel::Regional)).collect();
+        let edges: Vec<_> = edges
+            .iter()
+            .map(|&(a, b, m)| (AdId(a), AdId(b), m))
+            .collect();
+        let t = Topology::new(ads, &edges);
+        let mut db = PolicyDb::permissive(&t);
+        db.policy_mut(AdId(1)).push_term(
+            vec![
+                PolicyCondition::PrevIn(AdSet::only([AdId(0)])),
+                PolicyCondition::NextIn(AdSet::only([AdId(next)])),
+            ],
+            PolicyAction::Deny,
+        );
+        (t, db)
+    }
+
+    /// `n` ADs holding the revisit gadget at `metric` (0–1, 1–2, 2–3, 3–1
+    /// and 1–4, where AD1 refuses traffic from AD0 straight on to AD4, so
+    /// the cheapest walk through it loops 1–2–3–1) plus each listed AD0 …
+    /// AD4 path at its own per-hop metric.
+    fn revisit_gadget(n: u32, metric: u32, paths: &[(&[u32], u32)]) -> (Topology, PolicyDb) {
+        let mut edges: Vec<_> = [(0, 1), (1, 2), (2, 3), (3, 1), (1, 4)]
+            .map(|(a, b)| (a, b, metric))
+            .into();
+        for &(path, m) in paths {
+            edges.extend(path.windows(2).map(|w| (w[0], w[1], m)));
+        }
+        ad1_refusing(n, &edges, 4)
+    }
+
+    #[test]
+    fn a_link_entered_either_way_is_two_states() {
+        // AD1 is first reached from AD0 and AD2 from AD1, yet the route is
+        // 0-2-1-3: it enters AD1 over 1-2 after AD2 was entered over it.
+        let (t, db) = ad1_refusing(4, &[(0, 1, 1), (0, 2, 5), (1, 2, 1), (1, 3, 1)], 3);
+        let r = legal_route(&t, &db, &FlowSpec::best_effort(AdId(0), AdId(3))).unwrap();
+        assert_eq!(r.path, vec![AdId(0), AdId(2), AdId(1), AdId(3)]);
+        assert_eq!(r.cost, 7);
+    }
+
+    #[test]
+    fn hop_bound_fallback_skips_revisiting_walks() {
+        // Cheapest: 8 hops via 10…16, over the bound. Fewest hops: 5, but
+        // only as the walk 0-1-2-3-1-4. The answer is the 6-hop path.
+        let six: &[u32] = &[0, 5, 6, 7, 8, 9, 4];
+        let (t, db) = revisit_gadget(
+            17,
+            10,
+            &[(six, 10), (&[0, 10, 11, 12, 13, 14, 15, 16, 4], 1)],
+        );
+        let f = FlowSpec::best_effort(AdId(0), AdId(4));
+        let sel = RouteSelection {
+            max_hops: Some(6),
+            ..RouteSelection::unconstrained()
+        };
+        let r = legal_route_with(&t, &db, &f, &sel, &mut SearchStats::default()).unwrap();
+        assert_eq!(r.path, six.iter().map(|&a| AdId(a)).collect::<Vec<_>>());
+        assert_eq!(r.cost, 60);
+        assert_eq!(route_is_legal(&t, &db, &f, &r.path), Some(60));
+    }
+
+    #[test]
+    fn simple_path_fallback_honors_the_avoid_set() {
+        // The least-cost walk revisits AD1; of the simple paths, 0-5-4 is
+        // cheaper but transits the avoided AD5.
+        let (t, db) = revisit_gadget(7, 1, &[(&[0, 5, 4], 10), (&[0, 6, 4], 15)]);
+        let f = FlowSpec::best_effort(AdId(0), AdId(4));
+        let sel = RouteSelection::avoiding([AdId(5)]);
+        let r = legal_route_with(&t, &db, &f, &sel, &mut SearchStats::default()).unwrap();
+        assert_eq!(r.path, vec![AdId(0), AdId(6), AdId(4)]);
+        assert_eq!(r.cost, 30);
+        // Unconstrained, the same fallback takes AD5.
+        assert_eq!(legal_route(&t, &db, &f).unwrap().cost, 20);
     }
 }

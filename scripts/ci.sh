@@ -65,6 +65,9 @@ PROPTEST_CASES=2048 cargo test -q --test pv_incremental
 echo "== Incremental naive DV and ECMA: ledger, event log and FIBs equal the full-table oracle's (raised case count)"
 PROPTEST_CASES=2048 cargo test -q --test dv_incremental
 
+echo "== The route oracle: (current, previous) states, avoid-sets and sweeps against exhaustive search (raised case count)"
+PROPTEST_CASES=1024 cargo test -q --test properties oracle_
+
 echo "== The shared invariants: flow checker, fault lifecycle and conservation (raised case count)"
 PROPTEST_CASES=256 cargo test -q --test conformance
 PROPTEST_CASES=256 cargo test -q --test conservation

@@ -2,18 +2,23 @@
 //! random topologies, random policies, and random dynamics.
 
 use adroute::policy::legality::{
-    legal_route, legal_route_bruteforce, legal_route_with, route_is_legal, SearchStats,
+    legal_route, legal_route_bruteforce, legal_route_with, legal_routes_sweep, route_is_legal,
+    SearchStats,
 };
 use adroute::policy::ordering::{
     check_ordering, random_constraints, solve_ordering, OrderingSolution,
 };
 use adroute::policy::workload::PolicyWorkload;
-use adroute::policy::{FlowSpec, PolicyDb, QosClass, RouteSelection, TransitPolicy, UserClass};
+use adroute::policy::{
+    AdSet, FlowSpec, PolicyAction, PolicyCondition, PolicyDb, QosClass, RouteSelection,
+    TransitPolicy, UserClass,
+};
 use adroute::protocols::ecma::Ecma;
 use adroute::protocols::forwarding::sample_flows;
 use adroute::protocols::path_vector::PathVector;
 use adroute::sim::Engine;
-use adroute::topology::{generate, AdId};
+use adroute::topology::graph::make_ad;
+use adroute::topology::{generate, AdId, AdLevel, Topology};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -165,4 +170,133 @@ proptest! {
         prop_assert_eq!(a.total_terms(), b.total_terms());
         prop_assert_eq!(a.total_encoded_size(), b.total_encoded_size());
     }
+}
+
+proptest! {
+    // Half the draws are cacti, yet the simple-path fallback runs only
+    // about three times per hundred draws, so this battery runs more cases.
+    #![proptest_config(common::cases(256))]
+
+    /// Terms on the previous and next AD make the oracle's search state
+    /// the pair (current AD, previous AD), and failed links take states
+    /// out of it. Under random such terms on topologies with failed links,
+    /// the oracle costs what exhaustive search costs, both unconstrained
+    /// and under a random avoid-set (exhaustive search sees the avoided
+    /// ADs deny all transit), and one sweep answers every destination as a
+    /// solo search does, routes and effort alike.
+    #[test]
+    fn oracle_searches_prev_next_states_like_bruteforce(
+        kind in 0u8..6,
+        size in 0u8..4,
+        seed in 0u64..100_000,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut topo = match kind {
+            0..=2 => small_topo(kind, size),
+            _ => cactus(3 + 2 * size, &mut rng),
+        };
+        let links: Vec<_> = topo.links().map(|l| l.id).collect();
+        for l in links {
+            topo.set_metric(l, rng.gen_range(1..10));
+            if rng.gen_bool(0.2) {
+                topo.set_link_up(l, false);
+            }
+        }
+        let db = neighbor_policies(&topo, &mut rng);
+        let avoid: Vec<AdId> = topo.ad_ids().filter(|_| rng.gen_bool(0.2)).collect();
+        let mut denying = db.clone();
+        for &ad in &avoid {
+            denying.set_policy(TransitPolicy::deny_all(ad));
+        }
+        let src = AdId(rng.gen_range(0..topo.num_ads() as u32));
+        let template = FlowSpec::best_effort(src, src);
+        let dsts: Vec<AdId> = topo.ad_ids().collect();
+        let avoiding = RouteSelection::avoiding(avoid);
+        for (sel, reference) in [(&RouteSelection::unconstrained(), &db), (&avoiding, &denying)] {
+            let swept = legal_routes_sweep(&topo, &db, &template, &dsts, sel);
+            for (&dst, (route, effort)) in dsts.iter().zip(swept) {
+                let f = FlowSpec { dst, ..template };
+                let what = format!("{f} avoiding {:?}, seed {seed}", sel.avoid);
+                let mut stats = SearchStats::default();
+                let solo = legal_route_with(&topo, &db, &f, sel, &mut stats);
+                prop_assert_eq!(&route, &solo, "sweep vs solo route, {}", what);
+                prop_assert_eq!(effort, stats, "sweep vs solo effort, {}", what);
+                let slow = legal_route_bruteforce(&topo, reference, &f).map(|r| r.cost);
+                prop_assert_eq!(solo.as_ref().map(|r| r.cost), slow, "oracle vs brute, {}", what);
+                if let Some(r) = solo {
+                    prop_assert_eq!(route_is_legal(&topo, &db, &f, &r.path), Some(r.cost));
+                    prop_assert!(sel.accepts(&r.path, r.cost), "{:?} for {}", r.path, what);
+                }
+            }
+        }
+    }
+}
+
+/// A tree of single links and rings of three or four ADs, each block
+/// glued to the ones before at one AD: a cut AD with a ring hanging off it
+/// is where a least-cost walk can loop back through the AD.
+fn cactus(blocks: u8, rng: &mut SmallRng) -> Topology {
+    let mut n = 1;
+    let mut edges = Vec::new();
+    for _ in 0..blocks {
+        let at = AdId(rng.gen_range(0..n));
+        let mut last = at;
+        // One new AD is a single link; two or three close a ring.
+        let fresh = rng.gen_range(1..4);
+        for _ in 0..fresh {
+            edges.push((last, AdId(n), 1));
+            last = AdId(n);
+            n += 1;
+        }
+        if fresh > 1 {
+            edges.push((last, at, 1));
+        }
+    }
+    let ads = (0..n).map(|i| make_ad(i, AdLevel::Regional)).collect();
+    Topology::new(ads, &edges)
+}
+
+/// Random Policy Terms on the previous and next AD of a traversal (and
+/// sometimes the source), never on the destination, so a sweep shares one
+/// search among its destinations. A term on both the previous and the next
+/// AD is what lets a walk that loops back through an AD beat every simple
+/// path.
+fn neighbor_policies(topo: &Topology, rng: &mut SmallRng) -> PolicyDb {
+    let mut db = PolicyDb::permissive(topo);
+    for ad in topo.ad_ids() {
+        for _ in 0..rng.gen_range(0..4) {
+            let shape = rng.gen_range(0..5);
+            let mut set = || {
+                AdSet::only(
+                    topo.ad_ids()
+                        .filter(|_| rng.gen_bool(0.4))
+                        .collect::<Vec<_>>(),
+                )
+            };
+            let conds = match shape {
+                0 => vec![PolicyCondition::PrevIn(set())],
+                1 => vec![PolicyCondition::NextIn(set())],
+                2 => vec![
+                    PolicyCondition::SrcIn(set()),
+                    PolicyCondition::NextIn(set()),
+                ],
+                _ => vec![
+                    PolicyCondition::PrevIn(set()),
+                    PolicyCondition::NextIn(set()),
+                ],
+            };
+            let action = if rng.gen_bool(0.6) {
+                PolicyAction::Deny
+            } else {
+                PolicyAction::Permit {
+                    cost: rng.gen_range(0..5),
+                }
+            };
+            db.policy_mut(ad).push_term(conds, action);
+        }
+        if rng.gen_bool(0.1) {
+            db.policy_mut(ad).default = PolicyAction::Deny;
+        }
+    }
+    db
 }

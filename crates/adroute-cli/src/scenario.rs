@@ -351,9 +351,9 @@ fn busiest_src(storm: &OpenStorm, n_ads: usize) -> AdId {
 /// Draws a scenario's storm and runs the load ramp, returning the
 /// network (for its event log and metrics) with the report.
 ///
-/// Service costs are inflated relative to the event-loop defaults so the
-/// ramps straddle saturation on a ~30-AD internet: full synthesis 6 ms, a
-/// cached answer 1.2 ms, a stored-only answer 0.6 ms. A `stress` run logs
+/// The default service costs — full synthesis 6 ms, a cached answer
+/// 1.2 ms, a stored-only answer 0.6 ms — make the ramps straddle
+/// saturation on a ~30-AD internet. A `stress` run logs
 /// events, and the busiest source AD's Route Server goes down a quarter
 /// into the peak phase, its warm standby taking over 20 ms later. A
 /// `profiled` run is the always-on light path instead: the self-profiler
@@ -374,9 +374,6 @@ pub fn stress_run(
     let cfg = StressConfig {
         seed: sc.seed,
         sharding,
-        service_full_us: 6_000,
-        service_cached_us: 1_200,
-        service_stored_us: 600,
         crash: (!profiled).then(|| {
             let peak_start: u64 = durations_us[..durations_us.len() - 1].iter().sum();
             let down_at = SimTime(peak_start + durations_us[durations_us.len() - 1] / 4);

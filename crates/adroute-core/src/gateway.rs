@@ -89,17 +89,11 @@ pub struct HandleEntry {
     pub epoch: u64,
 }
 
-/// Counters for gateway work (experiment E5/E6 columns).
+/// The gateway's correctness tripwire. (E5 counts setup validations in
+/// [`crate::network::SetupOutcome::validations`]; E6 counts handle
+/// evictions with [`PolicyGateway::evictions`].)
 #[derive(Clone, Copy, Default, Debug)]
 pub struct GatewayStats {
-    /// Setup validations that succeeded.
-    pub setups_ok: u64,
-    /// Setup validations that failed.
-    pub setups_rejected: u64,
-    /// Data packets forwarded from cache.
-    pub data_forwarded: u64,
-    /// Data packets dropped.
-    pub data_dropped: u64,
     /// Data packets that reached a cached entry from a *previous*
     /// incarnation. Crash handling wipes the cache, so this must stay 0 —
     /// it is a tripwire proving no stale handle ever forwards traffic.
@@ -180,27 +174,22 @@ impl PolicyGateway {
     ) -> Result<(), SetupError> {
         debug_assert_eq!(policy.ad, self.ad);
         if !self.up {
-            self.stats.setups_rejected += 1;
             return Err(SetupError::GatewayDown { ad: self.ad });
         }
         let Some(pos) = setup.route.iter().position(|&a| a == self.ad) else {
-            self.stats.setups_rejected += 1;
             return Err(SetupError::NotOnRoute);
         };
         if pos == 0 || pos == setup.route.len() - 1 {
-            self.stats.setups_rejected += 1;
             return Err(SetupError::NotOnRoute);
         }
         let prev = setup.route[pos - 1];
         let next = setup.route[pos + 1];
         let (permit, deciding_pt) = policy.evaluate_with_term(&setup.flow, Some(prev), Some(next));
         if permit.is_none() {
-            self.stats.setups_rejected += 1;
             return Err(SetupError::PolicyDenied { ad: self.ad });
         }
         let claimed = setup.claimed_pts.get(pos - 1).copied().flatten();
         if claimed != deciding_pt {
-            self.stats.setups_rejected += 1;
             return Err(SetupError::PtMismatch { ad: self.ad });
         }
         self.handles.insert(
@@ -213,7 +202,6 @@ impl PolicyGateway {
                 epoch: self.epoch,
             },
         );
-        self.stats.setups_ok += 1;
         Ok(())
     }
 
@@ -226,15 +214,12 @@ impl PolicyGateway {
     /// not on the route cannot even name its prev/next hops).
     pub fn force_install(&mut self, setup: &SetupPacket) -> Result<(), SetupError> {
         if !self.up {
-            self.stats.setups_rejected += 1;
             return Err(SetupError::GatewayDown { ad: self.ad });
         }
         let Some(pos) = setup.route.iter().position(|&a| a == self.ad) else {
-            self.stats.setups_rejected += 1;
             return Err(SetupError::NotOnRoute);
         };
         if pos == 0 || pos == setup.route.len() - 1 {
-            self.stats.setups_rejected += 1;
             return Err(SetupError::NotOnRoute);
         }
         self.handles.insert(
@@ -247,7 +232,6 @@ impl PolicyGateway {
                 epoch: self.epoch,
             },
         );
-        self.stats.setups_ok += 1;
         Ok(())
     }
 
@@ -262,25 +246,19 @@ impl PolicyGateway {
         arrived_from: AdId,
     ) -> Result<AdId, DataError> {
         if !self.up {
-            self.stats.data_dropped += 1;
             return Err(DataError::GatewayDown { at: self.ad });
         }
         let Some(entry) = self.handles.get(&pkt.handle) else {
-            self.stats.data_dropped += 1;
             return Err(DataError::UnknownHandle { at: self.ad });
         };
         if entry.epoch != self.epoch {
             self.stats.stale_forwards += 1;
-            self.stats.data_dropped += 1;
             return Err(DataError::StaleHandle { at: self.ad });
         }
         if entry.prev != arrived_from || entry.flow.src != pkt.src {
-            self.stats.data_dropped += 1;
             return Err(DataError::SourceMismatch { at: self.ad });
         }
-        let next = entry.next;
-        self.stats.data_forwarded += 1;
-        Ok(next)
+        Ok(entry.next)
     }
 
     /// Tears down one handle (source-initiated teardown). Returns whether
@@ -325,7 +303,6 @@ mod tests {
         let s = setup_pkt(vec![AdId(0), AdId(1), AdId(2)], vec![None]);
         pg.validate_setup(&policy, &s).unwrap();
         assert_eq!(pg.cached_handles(), 1);
-        assert_eq!(pg.stats.setups_ok, 1);
         let next = pg
             .forward_data(
                 &DataPacket {
@@ -336,7 +313,6 @@ mod tests {
             )
             .unwrap();
         assert_eq!(next, AdId(2));
-        assert_eq!(pg.stats.data_forwarded, 1);
     }
 
     #[test]
@@ -349,7 +325,6 @@ mod tests {
             Err(SetupError::PolicyDenied { ad: AdId(1) })
         );
         assert_eq!(pg.cached_handles(), 0);
-        assert_eq!(pg.stats.setups_rejected, 1);
     }
 
     #[test]
@@ -413,7 +388,6 @@ mod tests {
             )
             .unwrap_err();
         assert_eq!(err, DataError::SourceMismatch { at: AdId(1) });
-        assert_eq!(pg.stats.data_dropped, 2);
     }
 
     #[test]
@@ -529,7 +503,6 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, DataError::StaleHandle { at: AdId(1) });
         assert_eq!(pg.stats.stale_forwards, 1);
-        assert_eq!(pg.stats.data_forwarded, 0);
     }
 
     #[test]

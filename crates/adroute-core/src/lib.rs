@@ -42,9 +42,9 @@ pub use gateway::{DataError, PolicyGateway, SetupError};
 pub use mgmt::PolicyImpact;
 pub use network::{OrwgNetwork, RepairStats, ViewMaintenance};
 pub use overload::{
-    run_load_ramp, AdmissionConfig, AdmissionController, AdmissionStats, AdmissionVerdict,
-    BrownoutRung, ExemplarChain, FailoverReport, PendingOpen, PhaseReport, RetryPolicy,
-    ServeOutcome, ShardConfig, StressConfig, StressReport,
+    run_load_ramp, AdmissionConfig, AdmissionController, AdmissionVerdict, BrownoutRung,
+    ExemplarChain, FailoverReport, PendingOpen, PhaseReport, ServeOutcome, ShardConfig,
+    StressConfig, StressReport,
 };
 pub use router::OrwgProtocol;
 pub use synthesis::{PolicyRoute, RouteServer, Strategy, SynthStats, ViewDelta};

@@ -356,11 +356,6 @@ impl OrwgNetwork {
         self.view_maintenance = mode;
     }
 
-    /// The current view-maintenance mode.
-    pub fn view_maintenance(&self) -> ViewMaintenance {
-        self.view_maintenance
-    }
-
     /// The ground-truth topology.
     pub fn topo(&self) -> &Topology {
         &self.topo
@@ -882,11 +877,6 @@ impl OrwgNetwork {
         self.rogue_gateways.dedup();
     }
 
-    /// ADs currently marked rogue.
-    pub fn rogue_gateways(&self) -> &[AdId] {
-        &self.rogue_gateways
-    }
-
     /// Contains a confirmed-misbehaving AD: every Route Server adds `ad`
     /// to its avoid criteria (no future synthesis will transit it), and
     /// every open flow currently transiting `ad` is torn down and queued
@@ -950,13 +940,8 @@ impl OrwgNetwork {
         self.clock = t;
     }
 
-    /// The current data-plane clock.
-    pub fn clock(&self) -> SimTime {
-        self.clock
-    }
-
     /// Installs `cfg` on every AD's admission controller. Queued opens
-    /// and counters are reset — call before a run, not during one.
+    /// are dropped — call before a run, not during one.
     pub fn set_admission(&mut self, cfg: AdmissionConfig) {
         for a in &mut self.admission {
             *a = AdmissionController::new(cfg);
@@ -977,7 +962,7 @@ impl OrwgNetwork {
     /// the network clock). A crashed Route Server or a full queue sheds
     /// the open with an explicit NACK carrying a retry-after hint — never
     /// a silent drop; otherwise the open queues for
-    /// [`OrwgNetwork::serve_next`], and the emitted setup-defer record
+    /// [`OrwgNetwork::serve_batch`], and the emitted setup-defer record
     /// becomes its causal parent so the eventual admit chains to it.
     pub fn offer_open(&mut self, open: PendingOpen) -> AdmissionVerdict {
         let (src, dst) = (open.flow.src, open.flow.dst);
@@ -1045,6 +1030,9 @@ impl OrwgNetwork {
     /// result honors the source's selection criteria — quarantine
     /// avoid-sets hold even in degraded service, with an explicit
     /// re-check on stored entries as belt and braces.
+    ///
+    /// The load ramp serves through [`OrwgNetwork::serve_batch`]; this
+    /// one-open form is the reference a batch of one is tested against.
     pub fn serve_next(&mut self, ad: AdId) -> Option<ServeOutcome> {
         let now = self.clock;
         let rung = self.admission[ad.index()].rung(now);
@@ -1671,8 +1659,6 @@ impl OrwgNetwork {
             agg.settled += s.stats.settled;
             agg.relaxations += s.stats.relaxations;
             agg.precompute_searches += s.stats.precompute_searches;
-            agg.precompute_settled += s.stats.precompute_settled;
-            agg.precompute_relaxations += s.stats.precompute_relaxations;
             agg.precomputed_hits += s.stats.precomputed_hits;
             agg.cache_hits += s.stats.cache_hits;
             agg.entries_invalidated += s.stats.entries_invalidated;

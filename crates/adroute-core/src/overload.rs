@@ -18,14 +18,15 @@
 //!    path, then stored-state-only (no search at all) — trading route
 //!    quality for throughput so goodput plateaus instead of collapsing.
 //!    Shedding is the ladder's fourth, implicit rung.
-//! 3. **Deadline-budgeted retries** ([`RetryPolicy`]): shed clients back
-//!    off exponentially with seeded jitter, honor the server's
-//!    retry-after, and abandon (cancelling any partial state) when the
-//!    next attempt could not land inside the setup deadline.
+//! 3. **Deadline-budgeted retries**: shed clients back off exponentially
+//!    (2 ms doubling to 64 ms) with up to 1 ms of seeded jitter, honor the
+//!    server's retry-after, and abandon (cancelling any partial state)
+//!    when the next attempt could not land inside the 200 ms setup
+//!    deadline or would be their ninth.
 //!
 //! A Route Server crash ([`crate::network::OrwgNetwork::crash_route_server`])
 //! drains the queue and loses all soft state; a warm standby that
-//! periodically snapshots the primary's route cache takes over by
+//! snapshots the primary's route cache every 10 ms takes over by
 //! rebuilding the precomputed table from the flooded view and replaying
 //! the snapshot — revalidated entry by entry, so a takeover can never
 //! resurrect a route through a quarantined AD.
@@ -47,6 +48,20 @@ use adroute_sim::{EventId, RouterOutage, SimTime};
 use adroute_topology::AdId;
 
 use crate::network::{OpenError, OrwgNetwork, SetupOutcome};
+
+/// Client setup deadline, µs from an open's first arrival.
+const DEADLINE_US: u64 = 200_000;
+/// First retry backoff, µs; it doubles per attempt up to `MAX_BACKOFF_US`.
+const BASE_BACKOFF_US: u64 = 2_000;
+/// Retry backoff cap, µs.
+const MAX_BACKOFF_US: u64 = 64_000;
+/// Retry jitter is drawn uniformly from `[0, JITTER_US)` by the driver's
+/// seeded RNG, in event order.
+const JITTER_US: u64 = 1_000;
+/// Attempts an open gets, the first offer included.
+const MAX_ATTEMPTS: u32 = 8;
+/// Warm-standby sync period, µs.
+const STANDBY_SYNC_US: u64 = 10_000;
 
 /// Watermarks and bounds for one Route Server's open queue.
 #[derive(Clone, Copy, Debug)]
@@ -136,24 +151,11 @@ pub struct PendingOpen {
     pub cause: Option<EventId>,
 }
 
-/// Cumulative admission counters for one Route Server.
-#[derive(Clone, Copy, Default, Debug)]
-pub struct AdmissionStats {
-    /// Opens offered.
-    pub offered: u64,
-    /// Opens queued (admitted to wait).
-    pub admitted: u64,
-    /// Opens shed at the admission edge.
-    pub shed: u64,
-}
-
 /// The bounded open queue fronting one Route Server.
 #[derive(Clone, Debug)]
 pub struct AdmissionController {
     cfg: AdmissionConfig,
     queue: VecDeque<PendingOpen>,
-    /// Cumulative counters.
-    pub stats: AdmissionStats,
 }
 
 impl AdmissionController {
@@ -162,7 +164,6 @@ impl AdmissionController {
         AdmissionController {
             cfg,
             queue: VecDeque::new(),
-            stats: AdmissionStats::default(),
         }
     }
 
@@ -184,13 +185,10 @@ impl AdmissionController {
     /// Offers one open. `Ok(depth)` queues it and reports the depth after
     /// enqueue; `Err(retry_after_us)` sheds it.
     pub fn offer(&mut self, open: PendingOpen) -> Result<usize, u64> {
-        self.stats.offered += 1;
         if self.queue.len() >= self.cfg.queue_capacity {
-            self.stats.shed += 1;
             return Err(self.cfg.retry_after_us);
         }
         self.queue.push_back(open);
-        self.stats.admitted += 1;
         Ok(self.queue.len())
     }
 
@@ -245,51 +243,21 @@ impl AdmissionController {
     }
 }
 
-/// Client-side retry behavior for shed opens: jittered exponential
-/// backoff, bounded by the setup deadline and an attempt cap, honoring
-/// the server's retry-after hint.
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// First backoff, µs (doubles per attempt).
-    pub base_backoff_us: u64,
-    /// Backoff growth cap, µs.
-    pub max_backoff_us: u64,
-    /// Uniform jitter added on top, `[0, jitter_us)`, drawn from the
-    /// driver's seeded RNG in event order (deterministic).
-    pub jitter_us: u64,
-    /// Total attempts allowed (first offer included).
-    pub max_attempts: u32,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            base_backoff_us: 2_000,
-            max_backoff_us: 64_000,
-            jitter_us: 1_000,
-            max_attempts: 8,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The wait before re-offering after attempt number `attempt` was
-    /// shed: the exponential backoff or the server's retry-after,
-    /// whichever is larger, plus `jitter` (already drawn, `< jitter_us`).
-    pub fn wait_us(&self, attempt: u32, retry_after_us: u64, jitter: u64) -> u64 {
-        let exp = self
-            .base_backoff_us
-            .saturating_mul(1 << attempt.min(16))
-            .min(self.max_backoff_us);
-        exp.max(retry_after_us) + jitter
-    }
+/// The wait before re-offering after attempt number `attempt` was shed:
+/// the exponential backoff or the server's retry-after, whichever is
+/// larger, plus `jitter` (already drawn, `< JITTER_US`).
+fn retry_wait_us(attempt: u32, retry_after_us: u64, jitter: u64) -> u64 {
+    let exp = BASE_BACKOFF_US
+        .saturating_mul(1 << attempt.min(16))
+        .min(MAX_BACKOFF_US);
+    exp.max(retry_after_us) + jitter
 }
 
 /// What [`OrwgNetwork::offer_open`] decided at the admission edge.
 #[derive(Clone, Copy, Debug)]
 pub enum AdmissionVerdict {
-    /// Queued at the given depth; [`OrwgNetwork::serve_next`] will reach
-    /// it. `event` is the setup-defer record (causal parent of the
+    /// Queued at the given depth; a [`OrwgNetwork::serve_batch`] slot
+    /// will reach it. `event` is the setup-defer record (causal parent of the
     /// eventual admit).
     Queued {
         /// Queue depth after enqueue.
@@ -358,14 +326,18 @@ pub enum ServeOutcome {
     },
 }
 
-/// Batched Route Server service (`adroute stress --sharded`).
+/// What one [`run_load_ramp`] service slot does
+/// ([`OrwgNetwork::serve_batch`]).
 ///
-/// Service semantics per open are unchanged — the batch path is proven
-/// byte-identical to a [`OrwgNetwork::serve_next`] loop — but queued
+/// Service semantics per open do not depend on it — a batch of one is
+/// proven byte-identical to [`OrwgNetwork::serve_next`] — but queued
 /// cached-rung opens sharing a source and QoS/policy class are answered
 /// by one multi-destination sweep, and idle service slots refill
-/// invalidated cache entries in the background.
+/// invalidated cache entries in the background. `adroute stress
+/// --sharded` runs the default; an unsharded ramp is a batch of one
+/// with no refill.
 ///
+/// [`OrwgNetwork::serve_batch`]: crate::network::OrwgNetwork::serve_batch
 /// [`OrwgNetwork::serve_next`]: crate::network::OrwgNetwork::serve_next
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardConfig {
@@ -395,10 +367,6 @@ impl Default for ShardConfig {
 /// Configuration of one stress run (`adroute stress`, experiment E9b).
 #[derive(Clone, Debug)]
 pub struct StressConfig {
-    /// Per-open setup deadline, µs from first arrival.
-    pub deadline_us: u64,
-    /// Client retry behavior.
-    pub retry: RetryPolicy,
     /// Server admission watermarks (installed on every AD).
     pub admission: AdmissionConfig,
     /// Seed for client-side retry jitter.
@@ -413,28 +381,20 @@ pub struct StressConfig {
     /// Optional mid-storm Route Server outage: `ad`'s server crashes at
     /// `down_at` and its warm standby takes over at `up_at`.
     pub crash: Option<RouterOutage>,
-    /// Warm-standby sync period, ms (0 disables sync; the takeover then
-    /// rebuilds from the flooded view alone).
-    pub standby_sync_ms: u64,
-    /// Sharded, batched service. `None` serves one open per slot through
-    /// the monolithic [`OrwgNetwork::serve_next`] path.
-    ///
-    /// [`OrwgNetwork::serve_next`]: crate::network::OrwgNetwork::serve_next
+    /// Sharded, batched service. `None` is a batch of one with no
+    /// background refill (`max_batch: 1`, `refill_budget: 0`).
     pub sharding: Option<ShardConfig>,
 }
 
 impl Default for StressConfig {
     fn default() -> StressConfig {
         StressConfig {
-            deadline_us: 200_000,
-            retry: RetryPolicy::default(),
             admission: AdmissionConfig::default(),
             seed: 0,
-            service_full_us: 400,
-            service_cached_us: 40,
-            service_stored_us: 20,
+            service_full_us: 6_000,
+            service_cached_us: 1_200,
+            service_stored_us: 600,
             crash: None,
-            standby_sync_ms: 10,
             sharding: None,
         }
     }
@@ -569,6 +529,7 @@ impl Ord for HeapEv {
 struct Driver<'a> {
     net: &'a mut OrwgNetwork,
     cfg: &'a StressConfig,
+    shard: ShardConfig,
     heap: BinaryHeap<HeapEv>,
     seq: u64,
     rng: SmallRng,
@@ -603,10 +564,13 @@ impl<'a> Driver<'a> {
     fn on_shed(&mut self, now: SimTime, open: PendingOpen, retry_after_us: u64) {
         self.phases[open.phase].shed += 1;
         let next_attempt = open.attempt + 1;
-        let jitter = self.rng.gen_range(0..self.cfg.retry.jitter_us.max(1));
-        let wait = self.cfg.retry.wait_us(open.attempt, retry_after_us, jitter);
+        let wait = retry_wait_us(
+            open.attempt,
+            retry_after_us,
+            self.rng.gen_range(0..JITTER_US),
+        );
         let retry_at = now.plus_us(wait);
-        if next_attempt >= self.cfg.retry.max_attempts || retry_at >= open.deadline {
+        if next_attempt >= MAX_ATTEMPTS || retry_at >= open.deadline {
             self.phases[open.phase].abandoned += 1;
             self.net.abandon_open(
                 &open.flow,
@@ -718,49 +682,29 @@ impl<'a> Driver<'a> {
         Some(rung)
     }
 
-    fn on_serve(&mut self, now: SimTime, ad: AdId) {
-        if let Some(shard) = self.cfg.sharding {
-            return self.on_serve_sharded(now, ad, shard);
-        }
-        loop {
-            let Some(outcome) = self.net.serve_next(ad) else {
-                self.serve_scheduled[ad.index()] = false;
-                return;
-            };
-            let Some(rung) = self.record_outcome(now, outcome) else {
-                // Cancellation is free: keep popping within this slot.
-                continue;
-            };
-            self.next_free[ad.index()] = now.plus_us(self.service_us(rung));
-            if self.net.admission(ad).is_empty() {
-                self.serve_scheduled[ad.index()] = false;
-            } else {
-                let at = self.next_free[ad.index()];
-                self.push(at, Ev::Serve(ad));
-            }
-            return;
-        }
-    }
-
-    /// One sharded service slot: a batch of opens answered at once,
-    /// their service times charged back to back, and a drained queue's
-    /// idle slot spent refilling cache entries view changes invalidated.
+    /// One service slot: a batch of opens answered at once (one when
+    /// the ramp is unsharded), their service times charged back to back,
+    /// and a drained queue's idle slot spent refilling cache entries view
+    /// changes invalidated.
     ///
-    /// Cached-rung batch members share multi-destination sweeps, so the
-    /// slot pays the cached (one-search) price once per sweep — one per
-    /// compatibility class — and a stored-lookup price for every open
-    /// fanned out of those sweeps or answered from stored state — the
+    /// Cached-rung batch members share one batched request, so such a
+    /// slot pays the cached (one-search) price once per sweep it ran —
+    /// one per compatibility class with a flow no store answered — and a
+    /// stored-lookup price for every other cached-rung answer: the
     /// batch's entire point is that the fan-out is a table write, not a
-    /// search.
-    fn on_serve_sharded(&mut self, now: SimTime, ad: AdId, shard: ShardConfig) {
-        let sweeps_before = self.net.server(ad).sweep.sweeps;
-        let outcomes = self.net.serve_batch(ad, shard);
-        let sweeps = self.net.server(ad).sweep.sweeps - sweeps_before;
+    /// search. A slot that ran no batched request (a lone live open)
+    /// charges each answer at its rung's price.
+    fn on_serve(&mut self, now: SimTime, ad: AdId) {
+        let before = self.net.server(ad).sweep;
+        let outcomes = self.net.serve_batch(ad, self.shard);
+        let after = self.net.server(ad).sweep;
+        let batched = after.batches > before.batches;
+        let sweeps = after.sweeps - before.sweeps;
         let mut busy_us = 0;
         let mut cached = 0u64;
         for outcome in outcomes {
             if let Some(rung) = self.record_outcome(now, outcome) {
-                if rung == BrownoutRung::Cached {
+                if rung == BrownoutRung::Cached && batched {
                     cached += 1;
                 } else {
                     busy_us += self.service_us(rung);
@@ -772,7 +716,7 @@ impl<'a> Driver<'a> {
         self.next_free[ad.index()] = now.plus_us(busy_us);
         if self.net.admission(ad).is_empty() {
             self.serve_scheduled[ad.index()] = false;
-            self.net.background_refill(ad, shard.refill_budget);
+            self.net.background_refill(ad, self.shard.refill_budget);
         } else {
             let at = self.next_free[ad.index()];
             self.push(at, Ev::Serve(ad));
@@ -793,23 +737,28 @@ pub fn run_load_ramp(
     cfg: &StressConfig,
 ) -> StressReport {
     let n_ads = net.topo().num_ads();
-    let mut admission = cfg.admission;
-    if let Some(s) = cfg.sharding {
-        // Batch service changes what a service slot means: up to
-        // `max_batch` opens drain at once, so the steady-state head age
-        // is `max_batch` times the per-open service time. The age
-        // watermark detects a server falling behind its slot cadence;
-        // left unscaled it would read healthy batching as overload and
-        // pin the ladder at stored-only.
-        admission.age_watermark_us = admission
+    let shard = cfg.sharding.unwrap_or(ShardConfig {
+        max_batch: 1,
+        refill_budget: 0,
+        ..ShardConfig::default()
+    });
+    // A service slot drains up to `max_batch` opens at once, so the
+    // steady-state head age is `max_batch` times the per-open service
+    // time. The age watermark detects a server falling behind its slot
+    // cadence; left unscaled it would read healthy batching as overload
+    // and pin the ladder at stored-only.
+    net.set_admission(AdmissionConfig {
+        age_watermark_us: cfg
+            .admission
             .age_watermark_us
-            .saturating_mul(s.max_batch.max(1) as u64);
-    }
-    net.set_admission(admission);
+            .saturating_mul(shard.max_batch.max(1) as u64),
+        ..cfg.admission
+    });
     net.prof.enter("load_ramp");
     let mut driver = Driver {
         net,
         cfg,
+        shard,
         heap: BinaryHeap::new(),
         seq: 0,
         rng: SmallRng::seed_from_u64(cfg.seed ^ 0x6f76_6572_6c6f_6164), // "overload"
@@ -834,7 +783,7 @@ pub fn run_load_ramp(
                 flow: FlowSpec::best_effort(a.src, a.dst),
                 offered_at: a.at,
                 arrival: a.at,
-                deadline: a.at.plus_us(cfg.deadline_us),
+                deadline: a.at.plus_us(DEADLINE_US),
                 attempt: 0,
                 phase: a.phase,
                 cause: None,
@@ -844,13 +793,10 @@ pub fn run_load_ramp(
     if let Some(outage) = cfg.crash {
         driver.push(outage.down_at, Ev::Crash(outage.ad));
         driver.push(outage.up_at, Ev::Failover(outage.ad));
-        if cfg.standby_sync_ms > 0 {
-            let step = cfg.standby_sync_ms * 1000;
-            let mut t = step;
-            while SimTime(t) < outage.down_at {
-                driver.push(SimTime(t), Ev::Sync(outage.ad));
-                t += step;
-            }
+        let mut t = SimTime(STANDBY_SYNC_US);
+        while t < outage.down_at {
+            driver.push(t, Ev::Sync(outage.ad));
+            t = t.plus_us(STANDBY_SYNC_US);
         }
     }
     while let Some(HeapEv { at, ev, .. }) = driver.heap.pop() {
@@ -942,9 +888,6 @@ mod tests {
         let cfg = *ac.config();
         assert_eq!(ac.offer(open_at(2)), Err(cfg.retry_after_us));
         assert_eq!(ac.depth(), 2);
-        assert_eq!(ac.stats.offered, 3);
-        assert_eq!(ac.stats.admitted, 2);
-        assert_eq!(ac.stats.shed, 1);
         assert!(ac.pop().is_some());
         assert_eq!(ac.drain().len(), 1);
         assert!(ac.is_empty());
@@ -1021,16 +964,14 @@ mod tests {
 
     #[test]
     fn retry_backoff_honors_retry_after_and_caps() {
-        let rp = RetryPolicy {
-            base_backoff_us: 1_000,
-            max_backoff_us: 8_000,
-            jitter_us: 100,
-            max_attempts: 8,
-        };
-        assert_eq!(rp.wait_us(0, 0, 7), 1_007);
-        assert_eq!(rp.wait_us(2, 0, 0), 4_000);
-        assert_eq!(rp.wait_us(10, 0, 0), 8_000, "growth must cap");
-        assert_eq!(rp.wait_us(0, 50_000, 0), 50_000, "retry-after dominates");
+        assert_eq!(retry_wait_us(0, 0, 7), 2_007);
+        assert_eq!(retry_wait_us(2, 0, 0), 8_000);
+        assert_eq!(retry_wait_us(10, 0, 0), 64_000, "growth must cap");
+        assert_eq!(
+            retry_wait_us(0, 100_000, 0),
+            100_000,
+            "retry-after dominates"
+        );
     }
 
     #[test]

@@ -75,7 +75,7 @@ pub enum Strategy {
 /// Synthesis work counters (experiment E7's columns).
 ///
 /// Setup-time work (`searches`/`settled`/`relaxations`) is counted apart
-/// from background precomputation (`precompute_*`): E7 compares setup
+/// from background precomputation (`precompute_searches`): E7 compares setup
 /// latency against precompute refresh cost, and conflating the two made
 /// both columns wrong.
 #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
@@ -90,10 +90,6 @@ pub struct SynthStats {
     pub relaxations: u64,
     /// Searches performed while (re)filling the precomputed table.
     pub precompute_searches: u64,
-    /// Search states settled during precomputation.
-    pub precompute_settled: u64,
-    /// Search edge relaxations during precomputation.
-    pub precompute_relaxations: u64,
     /// Requests answered from the precomputed table.
     pub precomputed_hits: u64,
     /// Requests answered from the LRU cache.
@@ -134,8 +130,8 @@ pub struct SweepStats {
 }
 
 /// Invalidated flows remembered for background refill are bounded so a
-/// server that never runs the scheduler (the monolithic path) cannot
-/// accumulate an unbounded queue.
+/// server that never runs the scheduler (no load ramp, or a refill budget
+/// of 0) cannot accumulate an unbounded queue.
 const REFILL_QUEUE_CAP: usize = 1024;
 
 /// One incremental change to a Route Server's view of the internet,
@@ -513,8 +509,8 @@ impl RouteServer {
         self.search_tagged(flow, false)
     }
 
-    /// One policy-constrained search; `precompute` routes the work into
-    /// the background counters instead of the setup-time ones.
+    /// One policy-constrained search; `precompute` counts it as
+    /// background work instead of setup-time work.
     fn search_tagged(&mut self, flow: &FlowSpec, precompute: bool) -> Option<PolicyRoute> {
         if precompute {
             self.stats.precompute_searches += 1;
@@ -529,10 +525,7 @@ impl RouteServer {
             &self.selection,
             &mut ss,
         )?;
-        if precompute {
-            self.stats.precompute_settled += ss.settled;
-            self.stats.precompute_relaxations += ss.relaxations;
-        } else {
+        if !precompute {
             self.stats.settled += ss.settled;
             self.stats.relaxations += ss.relaxations;
         }
@@ -687,7 +680,7 @@ impl RouteServer {
     /// next open asks instead of at setup time. Every refilled entry is
     /// synthesized against the **current** view and selection, so only
     /// legality-valid routes are ever stored; the work lands in the
-    /// `precompute_*` counters (it is background work). Returns how many
+    /// `precompute_searches` counter (it is background work). Returns how many
     /// entries were recomputed.
     pub fn background_refill(&mut self, budget: usize) -> usize {
         let mut refilled = 0;
@@ -1206,7 +1199,6 @@ mod tests {
         assert_eq!(rs.stats.searches, 0);
         assert_eq!(rs.stats.settled, 0);
         assert_eq!(rs.stats.relaxations, 0);
-        assert!(rs.stats.precompute_settled > 0);
         let _ = rs.request(&f);
         assert_eq!(rs.stats.searches, 0);
         assert_eq!(rs.stats.precomputed_hits, 1);

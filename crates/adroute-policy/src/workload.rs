@@ -29,11 +29,10 @@ use crate::class::{QosClass, TimeOfDay, UserClass};
 use crate::db::PolicyDb;
 use crate::terms::{AdSet, PolicyAction, PolicyCondition, TransitPolicy};
 
-/// Configuration of a random policy workload.
+/// Configuration of a random policy workload. Stub and multi-homed-stub
+/// ADs always deny all transit; the fields shape the transit ADs' policies.
 #[derive(Clone, Debug)]
 pub struct PolicyWorkload {
-    /// Stub / multi-homed-stub ADs deny all transit.
-    pub no_transit_stubs: bool,
     /// Non-backbone transit ADs restrict transit to their customer cone.
     pub customer_cone: bool,
     /// Fraction of transit ADs that deny a random set of source ADs.
@@ -58,7 +57,6 @@ impl PolicyWorkload {
     /// A permissive workload: only the structural no-transit-stub policies.
     pub fn structural(seed: u64) -> PolicyWorkload {
         PolicyWorkload {
-            no_transit_stubs: true,
             customer_cone: false,
             source_specific_frac: 0.0,
             denial_set_size: 0,
@@ -74,7 +72,6 @@ impl PolicyWorkload {
     /// policies plus moderate customer-cone and source-specific policy.
     pub fn default_mix(seed: u64) -> PolicyWorkload {
         PolicyWorkload {
-            no_transit_stubs: true,
             customer_cone: true,
             source_specific_frac: 0.3,
             denial_set_size: 3,
@@ -91,7 +88,6 @@ impl PolicyWorkload {
     /// table-blowup experiments.
     pub fn granularity(g: u8, seed: u64) -> PolicyWorkload {
         PolicyWorkload {
-            no_transit_stubs: true,
             customer_cone: false,
             source_specific_frac: 0.5,
             denial_set_size: g as usize,
@@ -115,13 +111,10 @@ impl PolicyWorkload {
         let policies = topo
             .ads()
             .map(|ad| {
-                let mut p = TransitPolicy::permit_all(ad.id);
-                match ad.role {
-                    AdRole::Stub | AdRole::MultiHomedStub if self.no_transit_stubs => {
-                        return TransitPolicy::deny_all(ad.id);
-                    }
-                    _ => {}
+                if matches!(ad.role, AdRole::Stub | AdRole::MultiHomedStub) {
+                    return TransitPolicy::deny_all(ad.id);
                 }
+                let mut p = TransitPolicy::permit_all(ad.id);
 
                 // Source-specific denials first (first match wins).
                 if self.source_specific_frac > 0.0

@@ -1258,11 +1258,6 @@ impl MetricsRegistry {
         self.counters.iter().map(|(k, &v)| (k.as_str(), v))
     }
 
-    /// All histograms in name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.histograms.is_empty()

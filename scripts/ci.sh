@@ -73,6 +73,9 @@ PROPTEST_CASES=256 cargo test -q --test conformance
 PROPTEST_CASES=256 cargo test -q --test conservation
 PROPTEST_CASES=256 cargo test -q --test chaos fault_plans_replay_deterministically
 
+echo "== Batched serving: request_batch twins the request loop, an unsharded ramp is a batch of one (raised case count)"
+PROPTEST_CASES=256 cargo test -q --test sharded_synthesis
+
 echo "== Machine-readable outputs are valid JSON"
 adroute report --ads 40 --seed 7 --flows 20 --json | python3 -m json.tool > /dev/null
 adroute blame quickstart --json | python3 -m json.tool > /dev/null
@@ -107,8 +110,7 @@ adroute stress quickstart --trace "$out/stress-a.jsonl"
 adroute stress quickstart --trace "$out/stress-b.jsonl"
 cmp "$out/stress-a.jsonl" "$out/stress-b.jsonl"
 
-echo "== Sharded serving (differential battery + deterministic trace)"
-cargo test -q --test sharded_synthesis
+echo "== Sharded serving (deterministic trace)"
 adroute stress quickstart --sharded --trace "$out/shard-a.jsonl"
 adroute stress quickstart --sharded --trace "$out/shard-b.jsonl"
 cmp "$out/shard-a.jsonl" "$out/shard-b.jsonl"

@@ -355,9 +355,10 @@ pub fn twin<A: Protocol, B: Protocol>(
 /// stream: a two-phase open storm (`ramp` = (ms, opens/s) per phase)
 /// crosses the [`golden_internet`]'s serving saturation under tight
 /// admission watermarks. `cfg` carries what callers vary beyond that
-/// (service costs, a crash, sharding). `warm` first warms the caches and
-/// fails the trunk, so the invalidated entries queue for the background
-/// refill idle sharded slots run.
+/// (a crash, sharding); its seed and admission are overridden. `warm`
+/// first warms the caches and fails the trunk, so the invalidated entries
+/// queue for the background refill idle slots run when the batch allows
+/// refills (an unsharded ramp's batch of one does not).
 pub fn stress_export(seed: u64, ramp: [(u64, u64); 2], warm: bool, cfg: StressConfig) -> String {
     let topo = golden_internet(seed);
     let db = PolicyWorkload::structural(seed).generate(&topo);

@@ -194,9 +194,6 @@ fn audit_quickstart_trace_matches_golden_and_reruns_identically() {
 fn stress_export(sharding: Option<ShardConfig>) -> String {
     let cfg = StressConfig {
         sharding,
-        service_full_us: 6_000,
-        service_cached_us: 1_200,
-        service_stored_us: 600,
         crash: Some(RouterOutage {
             ad: AdId(0),
             down_at: SimTime(15_000),

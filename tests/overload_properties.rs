@@ -207,7 +207,7 @@ proptest! {
         let db = PolicyWorkload::structural(seed).generate(&topo);
         let mut net = OrwgNetwork::converged(&topo, &db);
         net.enable_obs(1 << 14);
-        // 15 ADs; service costs below put full-rung saturation at
+        // 15 ADs; the default service costs put full-rung saturation at
         // ~166 opens/s per AD (2.5k/s aggregate) and the stored-rung
         // ceiling at ~1666/s per AD (25k/s aggregate): the last phase
         // offers past the ceiling.
@@ -220,9 +220,6 @@ proptest! {
         let durations: Vec<u64> = phases.iter().map(|p| p.duration_ms * 1000).collect();
         let cfg = StressConfig {
             seed,
-            service_full_us: 6_000,
-            service_cached_us: 1_200,
-            service_stored_us: 600,
             ..StressConfig::default()
         };
         let r = run_load_ramp(&mut net, &storm, &durations, &cfg);

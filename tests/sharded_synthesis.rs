@@ -3,7 +3,8 @@
 //! [`RouteServer::request`] loop at every batch size — same routes,
 //! same NACKs (`None` answers), same [`SynthStats`], same cache contents
 //! and recency order — and [`OrwgNetwork::serve_batch`] with
-//! `max_batch == 1` must *be* [`OrwgNetwork::serve_next`]. The batched
+//! `max_batch == 1` must *be* [`OrwgNetwork::serve_next`], so an
+//! unsharded load ramp is a batch of one. The batched
 //! path is allowed to do measurably less work (the separate `SweepStats`
 //! counters), never to answer differently.
 
@@ -14,7 +15,7 @@ use adroute::core::{
 use adroute::policy::workload::PolicyWorkload;
 use adroute::policy::{FlowSpec, PolicyDb, QosClass};
 use adroute::protocols::forwarding::sample_flows;
-use adroute::sim::{OpenStorm, SimTime, StormPhase};
+use adroute::sim::{OpenStorm, RouterOutage, SimTime, StormPhase};
 use adroute::topology::{AdId, Topology};
 use proptest::prelude::*;
 
@@ -199,9 +200,6 @@ proptest! {
             let cfg = StressConfig {
                 seed,
                 sharding: Some(ShardConfig { shards, ..ShardConfig::default() }),
-                service_full_us: 6_000,
-                service_cached_us: 1_200,
-                service_stored_us: 600,
                 ..StressConfig::default()
             };
             let r = run_load_ramp(&mut net, &storm, &durations, &cfg);
@@ -212,5 +210,29 @@ proptest! {
             (phases, r.served, r.shed, r.abandoned, r.retries, r.p50_wait_us, r.p99_wait_us)
         };
         prop_assert_eq!(run(1), run(8));
+    }
+
+    /// The load ramp has one service path: `sharding: None` is a batch of
+    /// one with no background refill, event for event — through a
+    /// mid-storm Route Server crash, over cold caches and over warm ones a
+    /// trunk failure partially invalidated.
+    #[test]
+    fn unsharded_ramp_is_a_batch_of_one(seed in 0u64..40) {
+        let one = ShardConfig { max_batch: 1, refill_budget: 0, ..ShardConfig::default() };
+        for warm in [false, true] {
+            let export = |sharding| {
+                let cfg = StressConfig {
+                    sharding,
+                    crash: Some(RouterOutage {
+                        ad: AdId(0),
+                        down_at: SimTime(15_000),
+                        up_at: SimTime(21_000),
+                    }),
+                    ..StressConfig::default()
+                };
+                common::stress_export(seed, [(10, 1_500), (20, 8_000)], warm, cfg)
+            };
+            prop_assert_eq!(export(None), export(Some(one)), "warm: {}", warm);
+        }
     }
 }

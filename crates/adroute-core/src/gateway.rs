@@ -277,7 +277,10 @@ impl PolicyGateway {
     /// table, for audits and test oracles (cancelling an abandoned open
     /// tears down the handles it is known to have left, by id).
     pub fn handles_for(&self, flow: &FlowSpec) -> usize {
-        self.handles.iter().filter(|(_, e)| e.flow == *flow).count()
+        self.handles
+            .iter_recency()
+            .filter(|(_, e)| e.flow == *flow)
+            .count()
     }
 }
 

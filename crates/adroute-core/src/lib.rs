@@ -29,6 +29,7 @@
 //! routes at all; they only validate setups against their own policy.
 
 pub mod dataplane;
+mod fxhash;
 pub mod gateway;
 pub mod lru;
 pub mod mgmt;

@@ -19,6 +19,8 @@ use adroute_policy::legality::legal_route;
 use adroute_policy::{FlowSpec, PolicyDb, TransitPolicy};
 use adroute_topology::{AdId, Topology};
 
+use crate::synthesis::transit;
+
 /// The predicted effect of deploying one candidate policy.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PolicyImpact {
@@ -122,13 +124,7 @@ impl PolicyImpact {
 }
 
 fn transit_position(path: &[AdId], ad: AdId) -> Option<usize> {
-    if path.len() < 3 {
-        return None;
-    }
-    path[1..path.len() - 1]
-        .iter()
-        .position(|&a| a == ad)
-        .map(|i| i + 1)
+    transit(path).iter().position(|&a| a == ad).map(|i| i + 1)
 }
 
 fn transit_charge(db: &PolicyDb, f: &FlowSpec, path: &[AdId], ad: AdId) -> u64 {

@@ -13,6 +13,7 @@ use adroute_sim::{Engine, EventId, EventRecord, Obs, Profiler, SimTime, DATA_STR
 use adroute_topology::{AdId, LinkId, TopoDelta, Topology};
 
 use crate::dataplane::{DataPacket, HandleId, SetupPacket};
+use crate::fxhash::FxHashMap;
 use crate::gateway::{DataError, PolicyGateway, SetupError};
 use crate::overload::{
     AdmissionConfig, AdmissionController, AdmissionVerdict, BrownoutRung, PendingOpen,
@@ -20,8 +21,8 @@ use crate::overload::{
 };
 use crate::router::OrwgProtocol;
 use crate::synthesis::{
-    sync_views, widen_avoid, PolicyRoute, RouteServer, Strategy, SweepStats, SynthStats, ViewDelta,
-    ViewEdits,
+    sync_views, transit, widen_avoid, PolicyRoute, RouteServer, Strategy, SweepStats, SynthStats,
+    ViewDelta, ViewEdits,
 };
 
 /// What one rung's synthesis produced for one open — shared by the
@@ -152,7 +153,7 @@ pub struct OrwgNetwork {
     servers: Vec<RouteServer>,
     gateways: Vec<PolicyGateway>,
     next_handle: u64,
-    open_flows: HashMap<HandleId, OpenFlow>,
+    open_flows: FxHashMap<HandleId, OpenFlow>,
     /// Live entries of `open_flows` per traffic class (absent = none), so
     /// [`OrwgNetwork::abandon_open`] need not scan them.
     live_by_flow: HashMap<FlowSpec, usize>,
@@ -273,7 +274,7 @@ impl OrwgNetwork {
             servers,
             gateways,
             next_handle: 1,
-            open_flows: HashMap::new(),
+            open_flows: FxHashMap::default(),
             live_by_flow: HashMap::new(),
             stragglers: HashMap::new(),
             pending_repair: Vec::new(),
@@ -592,24 +593,21 @@ impl OrwgNetwork {
     }
 
     /// Sends one data packet on an established route using the handle.
+    /// The open flow is only borrowed (the gateways are a disjoint field),
+    /// so a packet allocates nothing.
     pub fn send(&mut self, handle: HandleId) -> Result<DataOutcome, SendError> {
-        let of = self
-            .open_flows
-            .get(&handle)
-            .ok_or(SendError::UnknownFlow)?
-            .clone();
+        let of = self.open_flows.get(&handle).ok_or(SendError::UnknownFlow)?;
         let latency_us = Self::check_links(&of.route, &self.topo)
             .map_err(|(a, b)| SendError::LinkDown { a, b })?;
         let pkt = DataPacket {
             handle,
             src: of.flow.src,
         };
-        for i in 1..of.route.len().saturating_sub(1) {
-            let ad = of.route[i];
-            let next = self.gateways[ad.index()]
-                .forward_data(&pkt, of.route[i - 1])
+        for hop in of.route.windows(3) {
+            let next = self.gateways[hop[1].index()]
+                .forward_data(&pkt, hop[0])
                 .map_err(SendError::Dropped)?;
-            debug_assert_eq!(next, of.route[i + 1]);
+            debug_assert_eq!(next, hop[2]);
         }
         let hops = of.route.len() - 1;
         Ok(DataOutcome {
@@ -650,7 +648,7 @@ impl OrwgNetwork {
     /// Tears down an open flow at the source and every gateway.
     pub fn teardown(&mut self, handle: HandleId) {
         if let Some(of) = self.remove_open(handle) {
-            for ad in &of.route[1..of.route.len().saturating_sub(1)] {
+            for ad in transit(&of.route) {
                 self.gateways[ad.index()].teardown(handle);
             }
         }
@@ -686,11 +684,10 @@ impl OrwgNetwork {
             if let Some(of) = self.remove_open(h) {
                 // Only the gateways at the fault flushed the handle; the
                 // rest of the route keeps it until evicted or purged.
-                let transit = of.route[1..of.route.len().saturating_sub(1)].to_vec();
                 self.stragglers
                     .entry(of.flow)
                     .or_default()
-                    .push((h, transit));
+                    .push((h, transit(&of.route).to_vec()));
                 // The fault's own record does not exist yet (it is
                 // emitted after the teardowns it implies); the caller
                 // backfills via `set_pending_cause_from`.
@@ -837,7 +834,7 @@ impl OrwgNetwork {
         self.db.set_policy(policy.clone());
         self.gateways[ad.index()].invalidate(|_| true);
         let queued = self.pending_repair.len();
-        self.teardown_and_notify(|of| of.route[1..of.route.len().saturating_sub(1)].contains(&ad));
+        self.teardown_and_notify(|of| transit(&of.route).contains(&ad));
         let inv_id = self.reflood(ad, ad, &ViewDelta::Policy(policy));
         self.set_pending_cause_from(queued, inv_id);
     }
@@ -849,7 +846,7 @@ impl OrwgNetwork {
     /// crash through rejected setups, exactly like stale policy.
     pub fn crash_gateway(&mut self, ad: AdId) {
         self.gateways[ad.index()].crash();
-        self.teardown_and_notify(|of| of.route[1..of.route.len().saturating_sub(1)].contains(&ad));
+        self.teardown_and_notify(|of| transit(&of.route).contains(&ad));
     }
 
     /// Restarts a crashed gateway cold (empty handle cache, new epoch).
@@ -895,13 +892,13 @@ impl OrwgNetwork {
             s.set_selection(sel);
         }
         let queued = self.pending_repair.len();
-        self.teardown_and_notify(|of| of.route[1..of.route.len().saturating_sub(1)].contains(&ad));
+        self.teardown_and_notify(|of| transit(&of.route).contains(&ad));
         let torn = self.pending_repair.len() - queued;
         self.set_pending_cause_from(queued, cause);
         // Cached spare routes through the quarantined AD must go too:
         // repair replays alternates through a raw setup walk, and a rogue
         // gateway would forge the ack and reinstall the violating path.
-        let transits = |r: &PolicyRoute| r.path[1..r.path.len().saturating_sub(1)].contains(&ad);
+        let transits = |r: &PolicyRoute| transit(&r.path).contains(&ad);
         for (of, _) in &mut self.pending_repair {
             of.alternates.retain(|r| !transits(r));
         }
@@ -1737,6 +1734,30 @@ mod tests {
         let topo = ring(n);
         let db = PolicyDb::permissive(&topo);
         OrwgNetwork::converged(&topo, &db)
+    }
+
+    /// A flow from an AD to itself has the one-AD route and no transit:
+    /// it opens (cold and with spares), sends, stays open through a crash
+    /// of its own AD's gateway and tears down.
+    #[test]
+    fn self_flow_round_trip() {
+        let mut net = permissive(4);
+        let flow = FlowSpec::best_effort(AdId(2), AdId(2));
+        let cold = net.open(&flow).expect("a self-flow routes to itself");
+        assert_eq!(cold.route, vec![AdId(2)]);
+        let sent = net.send(cold.handle).expect("nothing to cross");
+        assert_eq!((sent.hops, sent.header_bytes), (0, 0));
+        net.teardown(cold.handle);
+        assert_eq!(net.open_flow_count(), 0);
+        let spare = net.open_repairable(&flow).expect("full rung, same route");
+        assert_eq!(spare.route, vec![AdId(2)]);
+        net.crash_gateway(AdId(2));
+        assert_eq!(net.open_flow_count(), 1, "the flow transits nothing");
+        net.teardown(spare.handle);
+        assert!(matches!(
+            net.send(spare.handle),
+            Err(SendError::UnknownFlow)
+        ));
     }
 
     fn pending(flow: FlowSpec, at: SimTime) -> PendingOpen {

@@ -52,6 +52,12 @@ impl PolicyRoute {
     }
 }
 
+/// The transit ADs of an AD path: all but its two endpoints, and none for
+/// a path of one or two ADs (a self-flow's route is its source alone).
+pub(crate) fn transit(path: &[AdId]) -> &[AdId] {
+    path.get(1..path.len().saturating_sub(1)).unwrap_or(&[])
+}
+
 /// Route synthesis strategy (the Section 6 trade-off).
 #[derive(Clone, Debug)]
 pub enum Strategy {
@@ -207,7 +213,7 @@ impl DepIndex {
                 .or_default()
                 .insert(flow);
         }
-        for ad in path.get(1..path.len().saturating_sub(1)).unwrap_or(&[]) {
+        for ad in transit(path) {
             self.by_ad.entry(*ad).or_default().insert(flow);
         }
         self.paths.insert(flow, path.to_vec());
@@ -227,7 +233,7 @@ impl DepIndex {
                 }
             }
         }
-        for ad in path.get(1..path.len().saturating_sub(1)).unwrap_or(&[]) {
+        for ad in transit(&path) {
             if let Some(s) = self.by_ad.get_mut(ad) {
                 s.remove(flow);
                 if s.is_empty() {
@@ -437,7 +443,7 @@ impl RouteServer {
     /// Drops every cache entry, keeping the dependency index consistent.
     /// Precomputed entries (and their index registrations) are untouched.
     fn flush_cache(&mut self) {
-        let keys: Vec<FlowSpec> = self.cache.iter().map(|(k, _)| *k).collect();
+        let keys: Vec<FlowSpec> = self.cache.iter_recency().map(|(k, _)| *k).collect();
         for k in &keys {
             self.index.unindex(k);
         }
@@ -796,9 +802,8 @@ impl RouteServer {
             return Vec::new();
         };
         let mut found = vec![first.clone()];
-        let transit: Vec<AdId> = first.path[1..first.path.len().saturating_sub(1)].to_vec();
         let base = self.selection.clone();
-        for avoid in transit {
+        for &avoid in transit(&first.path) {
             if found.len() >= k {
                 break;
             }

@@ -76,6 +76,9 @@ PROPTEST_CASES=256 cargo test -q --test chaos fault_plans_replay_deterministical
 echo "== Batched serving: request_batch twins the request loop, an unsharded ramp is a batch of one (raised case count)"
 PROPTEST_CASES=256 cargo test -q --test sharded_synthesis
 
+echo "== The LRU cache: returns, evictions and recency order equal the stamp-ordered reference's (raised case count)"
+PROPTEST_CASES=1024 cargo test -q -p adroute-core --lib lru_matches_reference_model
+
 echo "== Machine-readable outputs are valid JSON"
 adroute report --ads 40 --seed 7 --flows 20 --json | python3 -m json.tool > /dev/null
 adroute blame quickstart --json | python3 -m json.tool > /dev/null

@@ -33,7 +33,7 @@ pub mod f1;
 pub mod t1;
 
 /// One column of a [`Table::of`]: its header, and a row's cell under it.
-pub type Column<'a, R> = (&'a str, &'a dyn Fn(&R) -> String);
+pub(crate) type Column<'a, R> = (&'a str, &'a dyn Fn(&R) -> String);
 
 /// A printable results table with Markdown-style formatting.
 pub struct Table {
@@ -164,7 +164,7 @@ pub struct FailureResponse {
 /// Converges `proto` on `topo`, fails every link `cut` picks at once and
 /// re-converges — the CLI's own lifecycle
 /// ([`scenario::converge_then_cut`]), read back as phase deltas.
-pub fn failure_response<P: Protocol>(
+pub(crate) fn failure_response<P: Protocol>(
     topo: &Topology,
     proto: P,
     cut: impl FnOnce(&Topology) -> Vec<LinkId>,

@@ -42,13 +42,8 @@ pub struct SetupPacket {
 impl SetupPacket {
     /// Header size in bytes: flow spec (12) + handle (8) + route list +
     /// claimed PT list.
-    pub fn header_size(&self) -> usize {
+    pub(crate) fn header_size(&self) -> usize {
         12 + 8 + 4 * self.route.len() + 6 * self.claimed_pts.len()
-    }
-
-    /// Number of transit ADs (= number of validations the setup incurs).
-    pub fn transit_count(&self) -> usize {
-        self.route.len().saturating_sub(2)
     }
 }
 
@@ -70,7 +65,7 @@ impl DataPacket {
     /// Header size of the ablation alternative: carrying the full source
     /// route (of `route_len` ADs) in every data packet instead of a
     /// handle.
-    pub fn source_route_header_size(route_len: usize) -> usize {
+    pub(crate) fn source_route_header_size(route_len: usize) -> usize {
         12 + 4 * route_len
     }
 }
@@ -79,6 +74,7 @@ impl DataPacket {
 mod tests {
     use super::*;
     use adroute_policy::FlowSpec;
+    use adroute_topology::transit;
 
     #[test]
     fn setup_sizes_scale_with_route() {
@@ -96,8 +92,8 @@ mod tests {
             handle: HandleId(1),
         };
         assert!(long.header_size() > short.header_size());
-        assert_eq!(short.transit_count(), 0);
-        assert_eq!(long.transit_count(), 2);
+        assert_eq!(transit(&short.route).len(), 0);
+        assert_eq!(transit(&long.route).len(), 2);
     }
 
     #[test]

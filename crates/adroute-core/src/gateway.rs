@@ -14,7 +14,7 @@
 //! is one of the paper's open scaling issues, and experiment E6 sweeps
 //! this capacity.
 
-use adroute_policy::{FlowSpec, PtId, TransitPolicy};
+use adroute_policy::{FlowSpec, TransitPolicy};
 use adroute_topology::AdId;
 
 use crate::dataplane::{DataPacket, HandleId, SetupPacket};
@@ -74,15 +74,13 @@ pub enum DataError {
 
 /// Cached per-handle forwarding state at one gateway.
 #[derive(Clone, Debug)]
-pub struct HandleEntry {
+pub(crate) struct HandleEntry {
     /// The traffic class set up.
     pub flow: FlowSpec,
     /// AD the packets must arrive from.
     pub prev: AdId,
     /// AD the packets are forwarded to.
     pub next: AdId,
-    /// The Policy Term that authorized the setup (None = default action).
-    pub pt: Option<PtId>,
     /// Gateway incarnation at install time. An entry from an earlier
     /// incarnation is unconditionally stale: the policy state that
     /// validated it died with the crash.
@@ -97,7 +95,7 @@ pub struct GatewayStats {
     /// Data packets that reached a cached entry from a *previous*
     /// incarnation. Crash handling wipes the cache, so this must stay 0 —
     /// it is a tripwire proving no stale handle ever forwards traffic.
-    pub stale_forwards: u64,
+    pub(crate) stale_forwards: u64,
 }
 
 /// One AD's policy gateway.
@@ -132,11 +130,6 @@ impl PolicyGateway {
     /// Handles evicted so far (state-pressure measure).
     pub fn evictions(&self) -> u64 {
         self.handles.evictions
-    }
-
-    /// Whether the gateway is operational.
-    pub fn is_up(&self) -> bool {
-        self.up
     }
 
     /// Current incarnation number (bumps on every crash).
@@ -198,7 +191,6 @@ impl PolicyGateway {
                 flow: setup.flow,
                 prev,
                 next,
-                pt: deciding_pt,
                 epoch: self.epoch,
             },
         );
@@ -212,7 +204,7 @@ impl PolicyGateway {
     /// the policy-violation monitor, since the ground-truth audit still
     /// uses the honest policy. Only route position is checked (a gateway
     /// not on the route cannot even name its prev/next hops).
-    pub fn force_install(&mut self, setup: &SetupPacket) -> Result<(), SetupError> {
+    pub(crate) fn force_install(&mut self, setup: &SetupPacket) -> Result<(), SetupError> {
         if !self.up {
             return Err(SetupError::GatewayDown { ad: self.ad });
         }
@@ -228,7 +220,6 @@ impl PolicyGateway {
                 flow: setup.flow,
                 prev: setup.route[pos - 1],
                 next: setup.route[pos + 1],
-                pt: setup.claimed_pts.get(pos - 1).copied().flatten(),
                 epoch: self.epoch,
             },
         );
@@ -240,7 +231,7 @@ impl PolicyGateway {
     /// `arrived_from` is the AD the packet physically came from; it must
     /// match both the cached previous AD and the packet's claimed source
     /// lineage (the cheap per-packet validation of the paper).
-    pub fn forward_data(
+    pub(crate) fn forward_data(
         &mut self,
         pkt: &DataPacket,
         arrived_from: AdId,
@@ -269,7 +260,7 @@ impl PolicyGateway {
 
     /// Flushes every handle whose cached next/prev hop uses the failed
     /// adjacency, or whose flow matches the predicate (policy change).
-    pub fn invalidate(&mut self, mut doomed: impl FnMut(&HandleEntry) -> bool) {
+    pub(crate) fn invalidate(&mut self, mut doomed: impl FnMut(&HandleEntry) -> bool) {
         self.handles.retain(|_, e| !doomed(e));
     }
 
@@ -287,7 +278,7 @@ impl PolicyGateway {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adroute_policy::{AdSet, PolicyAction, PolicyCondition};
+    use adroute_policy::{AdSet, PolicyAction, PolicyCondition, PtId};
 
     fn setup_pkt(route: Vec<AdId>, pts: Vec<Option<PtId>>) -> SetupPacket {
         let flow = FlowSpec::best_effort(route[0], *route.last().unwrap());
@@ -439,7 +430,7 @@ mod tests {
         let s = setup_pkt(vec![AdId(0), AdId(1), AdId(2)], vec![None]);
         pg.validate_setup(&policy, &s).unwrap();
         pg.crash();
-        assert!(!pg.is_up());
+        assert!(!pg.up);
         assert_eq!(pg.cached_handles(), 0, "crash must lose soft state");
         assert_eq!(
             pg.validate_setup(&policy, &s),
@@ -456,7 +447,7 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, DataError::GatewayDown { at: AdId(1) });
         pg.restart();
-        assert!(pg.is_up());
+        assert!(pg.up);
         assert_eq!(pg.epoch(), 1);
         // The pre-crash handle is gone: the source must re-run setup.
         let err = pg

@@ -30,7 +30,7 @@ struct Node<K, V> {
 
 /// A bounded map with least-recently-used eviction.
 #[derive(Clone, Debug)]
-pub struct LruCache<K, V> {
+pub(crate) struct LruCache<K, V> {
     capacity: usize,
     /// Key → slot in `nodes`.
     map: FxHashMap<K, usize>,
@@ -66,11 +66,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// Maximum number of entries.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
     }
 
     /// Looks up `key`, refreshing its recency. Misses leave the recency
@@ -145,7 +140,7 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// pure function of the access sequence, so snapshots taken from it
     /// (e.g. a warm standby syncing a Route Server's cache) are
     /// deterministic.
-    pub fn iter_recency(&self) -> impl Iterator<Item = (&K, &V)> {
+    pub(crate) fn iter_recency(&self) -> impl Iterator<Item = (&K, &V)> {
         let mut i = self.lru;
         std::iter::from_fn(move || {
             let node = self.nodes.get(i)?;
@@ -223,7 +218,7 @@ mod tests {
         assert_eq!(c.get(&"a"), Some(&1));
         assert_eq!(c.peek(&"b"), Some(&2));
         assert_eq!(c.len(), 2);
-        assert!(!c.is_empty());
+        assert!(!c.nodes.is_empty());
     }
 
     #[test]
@@ -252,7 +247,7 @@ mod tests {
     fn zero_capacity_stores_nothing() {
         let mut c = LruCache::new(0);
         c.insert("a", 1);
-        assert!(c.is_empty());
+        assert!(c.nodes.is_empty());
         assert_eq!(c.get(&"a"), None);
     }
 
@@ -269,7 +264,7 @@ mod tests {
         assert!(c.peek(&5).is_none());
         assert_eq!(c.iter_recency().count(), 3);
         c.clear();
-        assert!(c.is_empty());
+        assert!(c.nodes.is_empty());
     }
 
     #[test]
@@ -361,10 +356,6 @@ mod model {
 
         fn len(&self) -> usize {
             self.map.len()
-        }
-
-        fn is_empty(&self) -> bool {
-            self.map.is_empty()
         }
 
         fn get(&mut self, key: &K) -> Option<&V> {
@@ -487,7 +478,7 @@ mod model {
                         model.clear();
                     }
                 }
-                prop_assert_eq!((i, lru.len(), lru.is_empty()), (i, model.len(), model.is_empty()));
+                prop_assert_eq!((i, lru.len()), (i, model.len()));
                 prop_assert_eq!((i, lru.evictions), (i, model.evictions));
                 let got: Vec<(u32, usize)> = lru.iter_recency().map(|(k, v)| (*k, *v)).collect();
                 let want: Vec<(u32, usize)> = model.iter_recency().map(|(k, v)| (*k, *v)).collect();

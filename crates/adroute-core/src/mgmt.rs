@@ -17,9 +17,7 @@
 
 use adroute_policy::legality::legal_route;
 use adroute_policy::{FlowSpec, PolicyDb, TransitPolicy};
-use adroute_topology::{AdId, Topology};
-
-use crate::synthesis::transit;
+use adroute_topology::{transit, AdId, Topology};
 
 /// The predicted effect of deploying one candidate policy.
 #[derive(Clone, Debug, Default, PartialEq)]

@@ -34,7 +34,7 @@ pub struct UserClass(pub u8);
 
 impl UserClass {
     /// The default, unprivileged user class.
-    pub const DEFAULT: UserClass = UserClass(0);
+    pub(crate) const DEFAULT: UserClass = UserClass(0);
 }
 
 impl fmt::Display for UserClass {

@@ -29,7 +29,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use adroute_topology::{AdId, PartialOrder, Topology};
+use adroute_topology::{AdId, Topology};
 
 /// One ordering constraint derived from an AD's policy.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -77,14 +77,6 @@ impl OrderingSolution {
     pub fn ranks(&self) -> Option<&[u32]> {
         match self {
             OrderingSolution::Satisfiable(r) => Some(r),
-            OrderingSolution::Unsatisfiable => None,
-        }
-    }
-
-    /// Converts a satisfiable solution into a [`PartialOrder`] over `topo`.
-    pub fn into_partial_order(self, topo: &Topology) -> Option<PartialOrder> {
-        match self {
-            OrderingSolution::Satisfiable(r) => Some(PartialOrder::from_ranks(topo, r)),
             OrderingSolution::Unsatisfiable => None,
         }
     }
@@ -214,33 +206,6 @@ pub fn solve_with_replication(
     (solve_ordering(total, &rewritten).is_satisfiable(), total)
 }
 
-/// The paper's negotiation process, modeled greedily: "If unresolvable
-/// conflicts arise among policies … the relevant authority must negotiate
-/// with the ADs involved to revise their policies in such a way that they
-/// can be accommodated in the single partial ordering."
-///
-/// Constraints are admitted in order (earlier = higher priority); each one
-/// that would make the set unsatisfiable is *dropped* (its AD is asked to
-/// revise). Returns the satisfying ranks for the kept set and the indices
-/// of dropped constraints. Greedy, hence minimal only per-prefix — but
-/// deterministic, which is what the E3 measurements need.
-pub fn greedy_negotiate(n: usize, constraints: &[OrderingConstraint]) -> (Vec<u32>, Vec<usize>) {
-    let mut kept: Vec<OrderingConstraint> = Vec::with_capacity(constraints.len());
-    let mut dropped = Vec::new();
-    let mut ranks = vec![0u32; n];
-    for (i, c) in constraints.iter().enumerate() {
-        kept.push(*c);
-        match solve_ordering(n, &kept) {
-            OrderingSolution::Satisfiable(r) => ranks = r,
-            OrderingSolution::Unsatisfiable => {
-                kept.pop();
-                dropped.push(i);
-            }
-        }
-    }
-    (ranks, dropped)
-}
-
 /// Checks a rank assignment against a constraint set (test/audit helper).
 pub fn check_ordering(rank: &[u32], constraints: &[OrderingConstraint]) -> bool {
     constraints.iter().all(|c| match *c {
@@ -299,6 +264,7 @@ pub fn random_constraints(
 mod tests {
     use super::*;
     use adroute_topology::generate::{clique, line, HierarchyConfig};
+    use adroute_topology::PartialOrder;
 
     #[test]
     fn empty_set_is_satisfiable() {
@@ -415,7 +381,8 @@ mod tests {
             from: AdId(0),
             to: AdId(2),
         }];
-        let po = solve_ordering(3, &c).into_partial_order(&t).unwrap();
+        let ranks = solve_ordering(3, &c).ranks().unwrap().to_vec();
+        let po = PartialOrder::from_ranks(&t, ranks);
         // 0 -> 1 is down, 1 -> 2 is up: valley forbidden — AD1's policy
         // is enforced by the ordering.
         assert!(!po.is_valley_free(&[AdId(0), AdId(1), AdId(2)]));
@@ -494,62 +461,6 @@ mod tests {
         let (sat, nodes) = solve_with_replication(3, &c2, 2);
         assert!(sat, "one extra logical cluster should resolve the conflict");
         assert!(nodes > 3, "replication costs extra addresses: {nodes}");
-    }
-
-    #[test]
-    fn negotiation_drops_the_conflicting_constraint() {
-        let c = [
-            OrderingConstraint::Deny {
-                via: AdId(0),
-                from: AdId(1),
-                to: AdId(2),
-            },
-            OrderingConstraint::Permit {
-                via: AdId(0),
-                from: AdId(1),
-                to: AdId(2),
-            },
-            OrderingConstraint::Deny {
-                via: AdId(3),
-                from: AdId(1),
-                to: AdId(2),
-            },
-        ];
-        let (ranks, dropped) = greedy_negotiate(4, &c);
-        assert_eq!(
-            dropped,
-            vec![1],
-            "the later, conflicting permit is revised away"
-        );
-        let kept = [c[0], c[2]];
-        assert!(check_ordering(&ranks, &kept));
-    }
-
-    #[test]
-    fn negotiation_keeps_everything_when_satisfiable() {
-        let t = clique(8);
-        let cs = random_constraints(&t, 8, 0.3, 5);
-        if solve_ordering(t.num_ads(), &cs).is_satisfiable() {
-            let (ranks, dropped) = greedy_negotiate(t.num_ads(), &cs);
-            assert!(dropped.is_empty());
-            assert!(check_ordering(&ranks, &cs));
-        }
-    }
-
-    #[test]
-    fn negotiation_result_is_always_satisfiable() {
-        let t = clique(8);
-        for seed in 0..10 {
-            let cs = random_constraints(&t, 40, 0.8, seed);
-            let (ranks, dropped) = greedy_negotiate(t.num_ads(), &cs);
-            let kept: Vec<OrderingConstraint> = cs
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| !dropped.contains(i))
-                .map(|(_, c)| *c)
-                .collect();
-            assert!(check_ordering(&ranks, &kept), "seed {seed}");
-        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! constraints as Policy Terms (PTs)." Each AD groups its PTs into a
 //! [`TransitPolicy`]; sources hold private [`RouteSelection`] criteria.
 
-use adroute_topology::AdId;
+use adroute_topology::{transit, AdId};
 use std::fmt;
 
 use crate::class::{FlowSpec, QosClass, TimeOfDay, UserClass};
@@ -386,7 +386,7 @@ impl TransitPolicy {
     /// charge) or `None` if denied. `prev`/`next` are `None` at the flow's
     /// source / destination respectively — but note that an AD never
     /// evaluates its own transit policy for flows it originates or
-    /// terminates (see [`TransitPolicy::evaluate_on_path`]).
+    /// terminates (see [`crate::legality::route_is_legal`]).
     pub fn evaluate(&self, flow: &FlowSpec, prev: Option<AdId>, next: Option<AdId>) -> Option<u32> {
         let action = self
             .terms
@@ -422,27 +422,13 @@ impl TransitPolicy {
         }
     }
 
-    /// Evaluates this AD's traversal as position `i` of `path` for `flow`.
-    /// Endpoints are always permitted at cost 0 (transit policy governs
-    /// transit only).
-    ///
-    /// # Panics
-    /// Panics if `path[i]` is not this policy's AD.
-    pub fn evaluate_on_path(&self, flow: &FlowSpec, path: &[AdId], i: usize) -> Option<u32> {
-        assert_eq!(path[i], self.ad);
-        if i == 0 || i == path.len() - 1 {
-            return Some(0);
-        }
-        self.evaluate(flow, Some(path[i - 1]), Some(path[i + 1]))
-    }
-
     /// Whether any term conditions on the flow's **destination** AD.
     ///
     /// Destination-conditioned terms make transit evaluation vary across
     /// flows that differ only in `dst` — the one flow attribute a batched
     /// multi-destination synthesis sweep does not hold fixed — so batching
     /// layers use this to decide when a shared search is sound.
-    pub fn conditions_on_dst(&self) -> bool {
+    pub(crate) fn conditions_on_dst(&self) -> bool {
         self.terms.iter().any(|t| {
             t.conditions
                 .iter()
@@ -456,7 +442,7 @@ impl TransitPolicy {
     }
 
     /// Number of terms.
-    pub fn num_terms(&self) -> usize {
+    pub(crate) fn num_terms(&self) -> usize {
         self.terms.len()
     }
 }
@@ -508,14 +494,7 @@ impl RouteSelection {
                 return false;
             }
         }
-        if path.len() > 2 {
-            for ad in &path[1..path.len() - 1] {
-                if self.avoid.contains(*ad) {
-                    return false;
-                }
-            }
-        }
-        true
+        !transit(path).iter().any(|&ad| self.avoid.contains(ad))
     }
 
     /// Whether a transit AD is acceptable to this source.
@@ -726,12 +705,15 @@ mod tests {
 
     #[test]
     fn endpoints_always_permitted() {
-        let p = TransitPolicy::deny_all(AdId(0));
-        let f = flow(); // src is AD0
-        let path = [AdId(0), AdId(5), AdId(9)];
-        assert_eq!(p.evaluate_on_path(&f, &path, 0), Some(0));
-        let pd = TransitPolicy::deny_all(AdId(9));
-        assert_eq!(pd.evaluate_on_path(&f, &path, 2), Some(0));
+        // Transit policy governs transit only: a route is legal even
+        // though both of its endpoints deny everything.
+        let topo = adroute_topology::generate::line(3);
+        let mut db = crate::PolicyDb::permissive(&topo);
+        db.set_policy(TransitPolicy::deny_all(AdId(0)));
+        db.set_policy(TransitPolicy::deny_all(AdId(2)));
+        let f = FlowSpec::best_effort(AdId(0), AdId(2));
+        let path = [AdId(0), AdId(1), AdId(2)];
+        assert!(crate::route_is_legal(&topo, &db, &f, &path).is_some());
     }
 
     #[test]

@@ -34,21 +34,21 @@ use crate::terms::{AdSet, PolicyAction, PolicyCondition, TransitPolicy};
 #[derive(Clone, Debug)]
 pub struct PolicyWorkload {
     /// Non-backbone transit ADs restrict transit to their customer cone.
-    pub customer_cone: bool,
+    pub(crate) customer_cone: bool,
     /// Fraction of transit ADs that deny a random set of source ADs.
-    pub source_specific_frac: f64,
+    pub(crate) source_specific_frac: f64,
     /// Expected number of ADs in each source-specific denial set.
-    pub denial_set_size: usize,
+    pub(crate) denial_set_size: usize,
     /// Number of distinct QOS classes (beyond best effort) that receive
     /// dedicated permit terms with class-specific charges.
     pub qos_classes: u8,
     /// Number of distinct user classes that receive dedicated terms.
-    pub uci_classes: u8,
+    pub(crate) uci_classes: u8,
     /// Fraction of transit ADs whose low-priority term is restricted to an
     /// off-peak time window.
-    pub time_window_frac: f64,
+    pub(crate) time_window_frac: f64,
     /// Base transit charge range (inclusive) for permit terms.
-    pub cost_range: (u32, u32),
+    pub(crate) cost_range: (u32, u32),
     /// RNG seed.
     pub seed: u64,
 }
@@ -192,7 +192,7 @@ impl PolicyWorkload {
 /// For each AD, the set of ADs in its hierarchical subtree (its "customer
 /// cone"), itself included: descendants reachable by repeatedly following
 /// hierarchical links downward (higher level → lower level).
-pub fn customer_cones(topo: &Topology) -> Vec<Vec<AdId>> {
+pub(crate) fn customer_cones(topo: &Topology) -> Vec<Vec<AdId>> {
     let n = topo.num_ads();
     let mut cones: Vec<Vec<AdId>> = vec![Vec::new(); n];
     for ad in topo.ad_ids() {

@@ -123,26 +123,6 @@ impl Ecma {
         e
     }
 
-    /// A configuration running under an explicitly **negotiated ordering**
-    /// — the ranks produced by the central authority's computation
-    /// (`adroute_policy::ordering::solve_ordering` /
-    /// `greedy_negotiate`). This is how the E3 pipeline closes the loop:
-    /// policies → ordering constraints → solved ranks → a running ECMA
-    /// network whose forwarding obeys exactly those ranks.
-    ///
-    /// Stub behaviour still follows the AD roles (a rank cannot express
-    /// "no transit at all"; the paper's ECMA uses update filtering for
-    /// that, as here).
-    ///
-    /// # Panics
-    /// Panics if `ranks.len() != topo.num_ads()`.
-    pub fn with_ordering(topo: &Topology, ranks: Vec<u32>) -> Ecma {
-        assert_eq!(ranks.len(), topo.num_ads(), "one rank per AD");
-        let mut e = Ecma::hierarchical(topo);
-        e.ranks = ranks;
-        e
-    }
-
     /// Same, but with `q` QOS classes, each supported by every transit AD
     /// with the given probability (seeded); class 0 is universal.
     pub fn hierarchical_with_qos(topo: &Topology, q: u8, support_prob: f64, seed: u64) -> Ecma {
@@ -966,10 +946,10 @@ mod tests {
             adroute_policy::ordering::OrderingSolution::Satisfiable(r) => r,
             _ => panic!("deny+permit must be satisfiable"),
         };
-        let mut proto = Ecma::with_ordering(&topo, ranks);
-        for cfg in &mut proto.ad_config {
-            cfg.no_transit = false;
-        }
+        let proto = Ecma {
+            ranks,
+            ..Ecma::all_transit(&topo)
+        };
         let mut e = Engine::new(topo, proto);
         e.run_to_quiescence();
         let topo = e.topo().clone();

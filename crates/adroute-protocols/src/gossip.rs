@@ -58,7 +58,7 @@ impl Gossip {
     }
 
     /// Total distinct wave ids a run of this configuration floods.
-    pub fn total_waves(&self) -> u32 {
+    pub(crate) fn total_waves(&self) -> u32 {
         self.origins as u32 * self.rounds
     }
 }
@@ -74,7 +74,7 @@ pub struct GossipRouter {
     /// `Some(k)` if this AD is the `k`-th wave origin.
     origin: Option<u32>,
     /// Distinct waves this router has observed (origin or relay).
-    pub waves_seen: u64,
+    pub(crate) waves_seen: u64,
 }
 
 impl GossipRouter {

@@ -334,7 +334,7 @@ mod tests {
         assert!(forward(&mut e, &topo, &f).delivered());
         // The work: one view for the one distinct database, one search.
         let views = e.protocol().views();
-        assert_eq!((views.views_built(), views.searches()), (1, 1));
+        assert_eq!((views.views_built, views.searches()), (1, 1));
         assert_eq!(views.len(), 1);
         // The charge: each of the four routers the packet crossed computed
         // the class once and holds it; the destination never resolved.
@@ -371,7 +371,7 @@ mod tests {
                 "quiescent databases agree: one distinct live database"
             );
             let views = e.protocol().views();
-            assert_eq!(views.views_built(), k + 1, "one rebuild per flap");
+            assert_eq!(views.views_built, k + 1, "one rebuild per flap");
             assert_eq!(views.len(), 1, "an unheld view outlived a lookup");
             e.schedule_link_change(l, k % 2 == 1, e.now().plus_us(1000));
             e.run_to_quiescence();

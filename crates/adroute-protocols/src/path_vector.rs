@@ -184,14 +184,6 @@ impl PathVector {
             misbehavior: MisbehaviorSpec::default(),
         }
     }
-
-    /// BGP-2: same machinery, no source scopes.
-    pub fn bgp2(policies: PolicyDb) -> PathVector {
-        PathVector {
-            scope_attrs: false,
-            ..PathVector::idrp(policies)
-        }
-    }
 }
 
 /// One router's scope handles: a single `Arc<AdSet>` per distinct set it
@@ -963,7 +955,11 @@ mod tests {
             PolicyAction::Deny,
         );
         db.set_policy(p1);
-        let mut e = converge(topo, PathVector::bgp2(db.clone()));
+        let bgp2 = PathVector {
+            scope_attrs: false,
+            ..PathVector::idrp(db.clone())
+        };
+        let mut e = converge(topo, bgp2);
         let topo = e.topo().clone();
         let f = FlowSpec::best_effort(AdId(0), AdId(2));
         let score = score_flows(&mut e, &topo, &db, &[f]);

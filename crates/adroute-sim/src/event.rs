@@ -23,11 +23,6 @@ impl SimTime {
         SimTime(ms * 1000)
     }
 
-    /// The value in milliseconds (truncating).
-    pub fn as_ms(self) -> u64 {
-        self.0 / 1000
-    }
-
     /// The value in microseconds.
     pub fn as_us(self) -> u64 {
         self.0
@@ -215,7 +210,6 @@ mod tests {
     fn time_arithmetic() {
         let t = SimTime::from_ms(2).plus_us(500);
         assert_eq!(t.as_us(), 2500);
-        assert_eq!(t.as_ms(), 2);
         assert_eq!(t.to_string(), "2.500ms");
         assert!(SimTime::ZERO < t);
     }

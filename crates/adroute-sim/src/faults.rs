@@ -101,7 +101,7 @@ impl ChannelFaults {
     }
 
     /// Whether faults still apply to messages sent at `now`.
-    pub fn active_at(&self, now: SimTime) -> bool {
+    pub(crate) fn active_at(&self, now: SimTime) -> bool {
         self.until.is_none_or(|t| now <= t)
     }
 
@@ -301,7 +301,7 @@ impl MisbehaviorSpec {
     }
 
     /// Adds (or replaces) `ad`'s assignment, builder-style.
-    pub fn assign(mut self, ad: AdId, model: MisbehaviorModel) -> MisbehaviorSpec {
+    pub(crate) fn assign(mut self, ad: AdId, model: MisbehaviorModel) -> MisbehaviorSpec {
         self.assignments.retain(|(a, _)| *a != ad);
         self.assignments.push((ad, model));
         self.assignments.sort_by_key(|(a, _)| *a);
@@ -319,14 +319,6 @@ impl MisbehaviorSpec {
     /// All assignments, sorted by AD.
     pub fn assignments(&self) -> &[(AdId, MisbehaviorModel)] {
         &self.assignments
-    }
-
-    /// ADs assigned `model`, in AD order.
-    pub fn ads_with(&self, model: MisbehaviorModel) -> impl Iterator<Item = AdId> + '_ {
-        self.assignments
-            .iter()
-            .filter(move |(_, m)| *m == model)
-            .map(|(a, _)| *a)
     }
 
     /// Whether nobody misbehaves.
@@ -521,12 +513,6 @@ impl FaultPlan {
         self.partition.as_ref()
     }
 
-    /// End of the fault horizon; with healing, the network is fault-free
-    /// from here on.
-    pub fn horizon_end(&self) -> SimTime {
-        self.horizon_end
-    }
-
     /// Whether the plan injects nothing at all.
     pub fn is_empty(&self) -> bool {
         self.links.is_empty()
@@ -711,9 +697,11 @@ mod tests {
         assert_eq!(spec.model_of(AdId(5)), Some(MisbehaviorModel::Blackhole));
         assert_eq!(spec.model_of(AdId(0)), None);
         assert_eq!(
-            spec.ads_with(MisbehaviorModel::Blackhole)
-                .collect::<Vec<_>>(),
-            vec![AdId(5)]
+            spec.assignments(),
+            [
+                (AdId(3), MisbehaviorModel::ForgedAck),
+                (AdId(5), MisbehaviorModel::Blackhole)
+            ]
         );
         let a = MisbehaviorSpec::draw(&topo, MisbehaviorModel::RouteLeak, 2, 9);
         let b = MisbehaviorSpec::draw(&topo, MisbehaviorModel::RouteLeak, 2, 9);
@@ -742,7 +730,7 @@ mod tests {
         assert!(!plan.outages().is_empty(), "seed should crash someone");
         for o in plan.outages() {
             assert!(o.down_at < o.up_at);
-            assert!(o.up_at <= plan.horizon_end());
+            assert!(o.up_at <= plan.horizon_end);
         }
         // Per router: outages do not overlap.
         for ad in topo.ad_ids() {
@@ -758,10 +746,10 @@ mod tests {
         let topo = ring(6);
         let plan = FaultPlan::draw(&topo, &spec(), SimTime::ZERO, 500);
         let ch = plan.channel().expect("spec has a channel");
-        assert_eq!(ch.until, Some(plan.horizon_end()));
+        assert_eq!(ch.until, Some(plan.horizon_end));
         assert!(ch.active_at(SimTime::ZERO));
-        assert!(ch.active_at(plan.horizon_end()));
-        assert!(!ch.active_at(plan.horizon_end().plus_us(1)));
+        assert!(ch.active_at(plan.horizon_end));
+        assert!(!ch.active_at(plan.horizon_end.plus_us(1)));
     }
 
     #[test]

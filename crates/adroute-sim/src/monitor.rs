@@ -159,13 +159,13 @@ pub struct Alarm {
 }
 
 /// Detector tag of the policy-violation tripwire.
-pub const DET_POLICY: &str = "policy-violation";
+pub(crate) const DET_POLICY: &str = "policy-violation";
 /// Detector tag of the persistent-loop detector.
-pub const DET_LOOP: &str = "persistent-loop";
+pub(crate) const DET_LOOP: &str = "persistent-loop";
 /// Detector tag of the blackhole detector.
-pub const DET_BLACKHOLE: &str = "blackhole";
+pub(crate) const DET_BLACKHOLE: &str = "blackhole";
 /// Detector tag of the count-to-infinity watchdog.
-pub const DET_CTI: &str = "count-to-infinity";
+pub(crate) const DET_CTI: &str = "count-to-infinity";
 
 /// The four runtime safety monitors, evaluated tick by tick over
 /// [`Observation`] feeds.
@@ -432,16 +432,6 @@ impl QuarantineController {
     pub fn quarantined(&self) -> impl Iterator<Item = AdId> + '_ {
         self.quarantined.iter().copied()
     }
-
-    /// Whether `ad` is currently quarantined.
-    pub fn is_quarantined(&self, ad: AdId) -> bool {
-        self.quarantined.contains(&ad)
-    }
-
-    /// Accusations booked against `ad` so far.
-    pub fn accusations(&self, ad: AdId) -> u64 {
-        self.accusations.get(&ad).copied().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -615,10 +605,10 @@ mod tests {
         let entered = q.note_alarm(&alarms[0], &mut obs, SimTime::ZERO);
         assert_eq!(entered.map(|(ad, _)| ad), Some(AdId(2)));
         assert!(entered.unwrap().1.is_some(), "quarantine event was logged");
-        assert!(q.is_quarantined(AdId(2)));
+        assert!(q.quarantined.contains(&AdId(2)));
         assert_eq!(obs.metrics.counter("quarantine_entered"), 1);
         assert!(q.lift(AdId(2), false, &mut obs, SimTime::ZERO));
-        assert!(!q.is_quarantined(AdId(2)));
+        assert!(!q.quarantined.contains(&AdId(2)));
         assert_eq!(obs.metrics.counter("quarantine_lifted"), 1);
         assert_eq!(obs.metrics.counter("false_positive"), 1);
         // Lifting twice is a no-op.

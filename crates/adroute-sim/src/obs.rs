@@ -866,7 +866,7 @@ impl EventRecord {
 
     /// Whether this record is a wire message entering the channel; the
     /// storm report counts these separately from total events.
-    pub fn is_message(&self) -> bool {
+    pub(crate) fn is_message(&self) -> bool {
         matches!(self, EventRecord::MsgSend { .. })
     }
 }

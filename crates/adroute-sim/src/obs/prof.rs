@@ -46,7 +46,7 @@ pub struct SpanNode {
     /// Total wall time spent inside the span, nanoseconds.
     pub wall_ns: u64,
     /// Wall time attributed to child spans, nanoseconds.
-    pub child_ns: u64,
+    pub(crate) child_ns: u64,
 }
 
 impl SpanNode {
@@ -182,16 +182,6 @@ impl Profiler {
             return;
         }
         *self.work.entry(key).or_insert(0) += n;
-    }
-
-    /// Reads a ledger entry (0 when absent).
-    pub fn work_value(&self, key: &str) -> u64 {
-        self.work.get(key).copied().unwrap_or(0)
-    }
-
-    /// Iterates the ledger in key order.
-    pub fn work_entries(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.work.iter().map(|(&k, &v)| (k, v))
     }
 
     /// The span nodes, indexable by the ids in [`SpanNode::children`].
@@ -367,7 +357,7 @@ mod tests {
         assert!(!p.is_enabled());
         assert_eq!(p.depth(), 0);
         assert!(p.spans().is_empty());
-        assert_eq!(p.work_value("k"), 0);
+        assert!(p.work.is_empty());
     }
 
     #[test]
@@ -415,10 +405,12 @@ mod tests {
         p.work("a/x", 1);
         p.work("b/y", 3);
         p.work("zero", 0);
-        let entries: Vec<_> = p.work_entries().collect();
-        assert_eq!(entries, vec![("a/x", 1), ("b/y", 5)]);
-        assert_eq!(p.work_value("b/y"), 5);
-        assert_eq!(p.work_value("zero"), 0, "zero adds create no entry");
+        let entries: Vec<_> = p.work.iter().map(|(&k, &v)| (k, v)).collect();
+        assert_eq!(
+            entries,
+            vec![("a/x", 1), ("b/y", 5)],
+            "zero adds create no entry"
+        );
     }
 
     #[test]
@@ -439,8 +431,7 @@ mod tests {
         a.merge_from(&b);
         let paths: Vec<String> = a.walk().into_iter().map(|(s, _)| s).collect();
         assert_eq!(paths, vec!["run", "run;x", "run;y"]);
-        assert_eq!(a.work_value("k"), 3);
-        assert_eq!(a.work_value("only_b"), 7);
+        assert_eq!((a.work["k"], a.work["only_b"]), (3, 7));
         // `run` aggregated both sides' calls.
         assert!(a.to_json().contains("\"path\":\"run\",\"calls\":2"));
     }

@@ -101,7 +101,7 @@ impl FailureSchedule {
     }
 
     /// A hand-built schedule (for tests and targeted experiments).
-    pub fn from_events(mut events: Vec<LinkEvent>) -> FailureSchedule {
+    pub(crate) fn from_events(mut events: Vec<LinkEvent>) -> FailureSchedule {
         events.sort_by_key(|e| (e.at, e.link));
         FailureSchedule { events }
     }
@@ -137,7 +137,7 @@ impl FailureSchedule {
     /// Like [`apply`](FailureSchedule::apply), but attributes every queued
     /// link change to `cause` in the causal event log (e.g. the
     /// fault-plan-applied record that installed this schedule).
-    pub fn apply_caused<P: Protocol>(&self, engine: &mut Engine<P>, cause: Option<EventId>) {
+    pub(crate) fn apply_caused<P: Protocol>(&self, engine: &mut Engine<P>, cause: Option<EventId>) {
         for e in &self.events {
             engine.schedule_link_change_caused(e.link, e.up, e.at, cause);
         }

@@ -69,28 +69,6 @@ pub fn dijkstra(topo: &Topology, src: AdId) -> (Vec<PathCost>, Vec<Option<AdId>>
     (cost, parent)
 }
 
-/// Reconstructs the path `src … dst` from a Dijkstra/BFS parent vector.
-/// Returns `None` if `dst` is unreachable.
-pub fn extract_path(parent: &[Option<AdId>], src: AdId, dst: AdId) -> Option<Vec<AdId>> {
-    if src == dst {
-        return Some(vec![src]);
-    }
-    let mut path = vec![dst];
-    let mut cur = dst;
-    while let Some(p) = parent[cur.index()] {
-        path.push(p);
-        cur = p;
-        if cur == src {
-            path.reverse();
-            return Some(path);
-        }
-        if path.len() > parent.len() {
-            return None; // defensive: malformed parent vector
-        }
-    }
-    None
-}
-
 /// Breadth-first shortest-hop tree from `src` over operational links.
 /// Returns `(hops, parent)`; unreachable ADs have `hops == u32::MAX`.
 pub fn bfs_tree(topo: &Topology, src: AdId) -> (Vec<u32>, Vec<Option<AdId>>) {
@@ -152,6 +130,17 @@ mod tests {
     use crate::generate::{line, ring};
     use crate::ids::LinkId;
 
+    /// The path `src … dst` a parent vector records (`None` if `dst` is
+    /// unreachable).
+    fn extract_path(parent: &[Option<AdId>], src: AdId, dst: AdId) -> Option<Vec<AdId>> {
+        let mut path = vec![dst];
+        while path[path.len() - 1] != src {
+            path.push(parent[path[path.len() - 1].index()]?);
+        }
+        path.reverse();
+        Some(path)
+    }
+
     #[test]
     fn dijkstra_on_line() {
         let t = line(5);
@@ -206,10 +195,7 @@ mod tests {
     #[test]
     fn self_path_is_trivial() {
         let t = line(2);
-        let (_, parent) = dijkstra(&t, AdId(0));
-        assert_eq!(
-            extract_path(&parent, AdId(0), AdId(0)).unwrap(),
-            vec![AdId(0)]
-        );
+        let (cost, parent) = dijkstra(&t, AdId(0));
+        assert_eq!((cost[0], parent[0]), (PathCost::Finite(0), None));
     }
 }

@@ -164,7 +164,17 @@ pub fn egress_diversity(topo: &Topology, a: AdId, b: AdId) -> usize {
 mod tests {
     use super::*;
     use crate::algo::{connected_components, is_connected};
-    use crate::generate::{clique, grid, line, ring, star, HierarchyConfig};
+    use crate::generate::{clique, grid, line, ring, HierarchyConfig};
+    use crate::graph::make_ad;
+    use crate::ids::AdLevel;
+
+    /// A star: AD 0 (regional) at the hub, `n-1` campus leaves.
+    fn star(n: usize) -> Topology {
+        let mut ads = vec![make_ad(0, AdLevel::Regional)];
+        ads.extend((1..n as u32).map(|i| make_ad(i, AdLevel::Campus)));
+        let edges: Vec<_> = (1..n as u32).map(|i| (AdId(0), AdId(i), 1)).collect();
+        Topology::new(ads, &edges)
+    }
 
     /// Brute-force articulation check: remove each AD (fail its links)
     /// and count components among the rest.

@@ -3,7 +3,7 @@
 //! [`HierarchyConfig`] realizes the internet model of paper Section 2.1 /
 //! Figure 1: a backbone–regional–metro–campus hierarchy augmented with
 //! lateral links at every level and bypass links that skip levels. The
-//! canonical graphs ([`line()`], [`ring`], [`grid`], [`clique`], [`star`])
+//! canonical graphs ([`line()`], [`ring`], [`grid`], [`clique`])
 //! exist for protocol unit tests and convergence experiments.
 
 use rand::rngs::SmallRng;
@@ -95,14 +95,6 @@ impl HierarchyConfig {
             multihome_prob: 0.2,
             ..HierarchyConfig::with_approx_size(approx_ads, seed)
         }
-    }
-
-    /// Total AD count this config will generate.
-    pub fn total_ads(&self) -> usize {
-        let campuses_per_regional = self.metros_per_regional * self.campuses_per_metro;
-        let per_backbone = 1 + self.regionals_per_backbone
-            * (1 + self.metros_per_regional + campuses_per_regional);
-        self.backbones * per_backbone
     }
 
     /// Generates the topology.
@@ -253,15 +245,6 @@ pub fn ring(n: usize) -> Topology {
     Topology::new(ads, &edges)
 }
 
-/// A star: AD 0 (regional) at the hub, `n-1` campus leaves.
-pub fn star(n: usize) -> Topology {
-    assert!(n >= 2);
-    let mut ads = vec![make_ad(0, AdLevel::Regional)];
-    ads.extend((1..n as u32).map(|i| make_ad(i, AdLevel::Campus)));
-    let edges: Vec<_> = (1..n as u32).map(|i| (AdId(0), AdId(i), 1)).collect();
-    Topology::new(ads, &edges)
-}
-
 /// An `rows × cols` grid of campus ADs, unit metric.
 pub fn grid(rows: usize, cols: usize) -> Topology {
     assert!(rows >= 1 && cols >= 1);
@@ -301,11 +284,20 @@ mod tests {
     use crate::algo::is_connected;
     use crate::ids::{AdRole, LinkKind};
 
+    /// Total AD count `cfg` generates: per backbone, the backbone itself
+    /// and its regionals, each with its metros and their campuses.
+    fn total_ads(cfg: &HierarchyConfig) -> usize {
+        let campuses_per_regional = cfg.metros_per_regional * cfg.campuses_per_metro;
+        let per_backbone =
+            1 + cfg.regionals_per_backbone * (1 + cfg.metros_per_regional + campuses_per_regional);
+        cfg.backbones * per_backbone
+    }
+
     #[test]
     fn default_hierarchy_is_connected_and_sized() {
         let cfg = HierarchyConfig::default();
         let t = cfg.generate();
-        assert_eq!(t.num_ads(), cfg.total_ads());
+        assert_eq!(t.num_ads(), total_ads(&cfg));
         assert!(is_connected(&t));
     }
 
@@ -380,7 +372,7 @@ mod tests {
     fn approx_size_close_to_target() {
         for target in [50, 200, 1000] {
             let cfg = HierarchyConfig::with_approx_size(target, 3);
-            let n = cfg.total_ads();
+            let n = total_ads(&cfg);
             assert!(n >= target / 2 && n <= target * 2, "{n} vs {target}");
         }
     }
@@ -403,7 +395,6 @@ mod tests {
     fn canonical_graphs() {
         assert_eq!(line(5).num_links(), 4);
         assert_eq!(ring(5).num_links(), 5);
-        assert_eq!(star(5).num_links(), 4);
         assert_eq!(grid(3, 4).num_links(), 3 * 3 + 2 * 4);
         assert_eq!(clique(5).num_links(), 10);
         assert!(is_connected(&grid(4, 4)));

@@ -29,6 +29,12 @@ impl From<u32> for AdId {
     }
 }
 
+/// The transit ADs of an AD path: all but its two endpoints, and none for
+/// a path of one or two ADs (a self-flow's route is its source alone).
+pub fn transit(path: &[AdId]) -> &[AdId] {
+    path.get(1..path.len().saturating_sub(1)).unwrap_or(&[])
+}
+
 /// Identifier of an inter-AD link.
 ///
 /// Links are numbered densely from zero within a [`crate::Topology`]. A link
@@ -169,7 +175,7 @@ impl fmt::Display for LinkKind {
 
 impl LinkKind {
     /// Classify a link by the levels of its endpoints.
-    pub fn classify(a: AdLevel, b: AdLevel) -> LinkKind {
+    pub(crate) fn classify(a: AdLevel, b: AdLevel) -> LinkKind {
         let (lo, hi) = if a.rank() <= b.rank() { (a, b) } else { (b, a) };
         if lo == hi {
             LinkKind::Lateral
@@ -222,6 +228,15 @@ mod tests {
         assert_eq!(AdLevel::Backbone.to_string(), "backbone");
         assert_eq!(AdRole::MultiHomedStub.to_string(), "multi-homed-stub");
         assert_eq!(LinkKind::Bypass.to_string(), "bypass");
+    }
+
+    #[test]
+    fn transit_drops_both_endpoints() {
+        let ids = |v: &[u32]| v.iter().map(|&i| AdId(i)).collect::<Vec<_>>();
+        assert_eq!(transit(&ids(&[0, 1, 2, 3])), &ids(&[1, 2])[..]);
+        assert!(transit(&ids(&[0, 3])).is_empty());
+        assert!(transit(&ids(&[2])).is_empty());
+        assert!(transit(&[]).is_empty());
     }
 
     #[test]

@@ -142,7 +142,9 @@ pub fn parse(text: &str) -> Result<Topology, TopologyParseError> {
                 let a: u32 = num(toks[0], "endpoint a", lineno)?;
                 let b: u32 = num(toks[1], "endpoint b", lineno)?;
                 let metric: u32 = num(toks[3], "metric value", lineno)?;
-                let delay: u64 = num(toks[5], "delay value", lineno)?;
+                // A delay fits in 32 bits (about 71 minutes), so a route's
+                // summed delay cannot overflow its 64-bit latency.
+                let delay: u32 = num(toks[5], "delay value", lineno)?;
                 if a == b {
                     return perr(lineno, format!("self-loop at AD {a}"));
                 }
@@ -155,7 +157,7 @@ pub fn parse(text: &str) -> Result<Topology, TopologyParseError> {
                     other => return perr(lineno, format!("expected up/down, got '{other}'")),
                 };
                 edges.push((AdId(a), AdId(b), metric));
-                extras.push((delay, up, lineno));
+                extras.push((u64::from(delay), up, lineno));
             }
             other => return perr(lineno, format!("unknown record {other:?}")),
         }
@@ -274,6 +276,7 @@ mod tests {
             ),
             ("link 4294967296 1 metric 1 delay 1 up", 3, "endpoint a"),
             ("link 0 1 metric 4294967296 delay 1 up", 3, "metric"),
+            ("link 0 1 metric 1 delay 4294967296 up", 3, "delay"),
         ] {
             let e = parse(&format!("ad 0 campus stub\nad 1 campus stub\n{links}")).unwrap_err();
             assert_eq!(e.line, line, "{e}");

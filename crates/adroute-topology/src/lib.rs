@@ -32,9 +32,9 @@ pub mod render;
 pub use algo::{bfs_tree, connected_components, dijkstra, is_connected, PathCost};
 pub use analysis::{articulation_ads, degree_stats, egress_diversity, DegreeStats};
 pub use delta::TopoDelta;
-pub use generate::{clique, grid, line, ring, star, HierarchyConfig};
+pub use generate::{clique, grid, line, ring, HierarchyConfig};
 pub use graph::{Ad, Link, Topology};
-pub use ids::{AdId, AdLevel, AdRole, LinkId, LinkKind};
+pub use ids::{transit, AdId, AdLevel, AdRole, LinkId, LinkKind};
 pub use io::{dump, parse, TopologyParseError};
 pub use order::{LinkDirection, PartialOrder};
-pub use render::{render_path, render_tree};
+pub use render::render_tree;

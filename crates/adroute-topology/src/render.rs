@@ -1,9 +1,7 @@
-//! ASCII rendering of internets and routes, for terminals and docs.
+//! ASCII rendering of internets, for terminals and docs.
 //!
-//! [`render_tree`] draws the hierarchy (children indented under their
-//! hierarchical parents, non-tree links annotated inline), and
-//! [`render_path`] draws a route with each AD's level — which makes
-//! valley-freedom visible at a glance.
+//! [`render_tree`] draws the hierarchy: children indented under their
+//! hierarchical parents, non-tree links annotated inline.
 
 use std::fmt::Write as _;
 
@@ -92,15 +90,6 @@ pub fn render_tree(topo: &Topology) -> String {
     out
 }
 
-/// Renders a path with levels, e.g.
-/// `AD4(campus) -> AD1(regional) -> AD0(backbone) -> AD5(campus)`.
-pub fn render_path(topo: &Topology, path: &[AdId]) -> String {
-    path.iter()
-        .map(|&a| format!("{a}({})", topo.ad(a).level))
-        .collect::<Vec<_>>()
-        .join(" -> ")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,11 +152,14 @@ mod tests {
     }
 
     #[test]
-    fn path_rendering() {
+    fn tree_labels_each_ad_with_its_level() {
         let topo = HierarchyConfig::figure1().generate();
-        let p = [AdId(0), AdId(1)];
-        let s = render_path(&topo, &p);
-        assert!(s.contains("AD0(backbone)") || s.contains("AD0("), "{s}");
-        assert!(s.contains(" -> "));
+        let text = render_tree(&topo);
+        for ad in topo.ads() {
+            assert!(
+                text.contains(&format!("{} ({} ", ad.id, ad.level)),
+                "{text}"
+            );
+        }
     }
 }

@@ -11,6 +11,37 @@ adroute() {
     cargo run --release -q -p adroute-cli -- "$@"
 }
 
+echo "== Visibility: every pub fn under crates/*/src is named in some other crate"
+# A `pub fn` no other crate names hides from rustc's dead_code lint; make it
+# pub(crate) or private and let clippy -D warnings find it if it is dead.
+# tests/, examples/, benches/, benchmark/, the root src/ and each binary's
+# main.rs count as other crates; a name in a comment counts as a use.
+python3 - <<'PY'
+import pathlib, re, sys
+files = [p for p in pathlib.Path(".").rglob("*.rs")
+         if not {"target", "vendor", ".git"} & set(p.parts)]
+text = {p: p.read_text(encoding="utf-8") for p in files}
+def crate(p):
+    parts = p.parts
+    if len(parts) > 3 and parts[0] == "crates" and parts[2] == "src" and p.name != "main.rs":
+        return parts[1]
+    return None
+words = {}
+bad = []
+for p in sorted(files):
+    c = crate(p)
+    if c is None:
+        continue
+    if c not in words:
+        words[c] = {w for q in files if crate(q) != c for w in re.findall(r"\w+", text[q])}
+    for n, line in enumerate(text[p].splitlines(), 1):
+        m = re.match(r"\s*pub (?:const )?fn (\w+)", line)
+        if m and m.group(1) not in words[c]:
+            bad.append(f"{p}:{n}: pub fn {m.group(1)} is named in no other crate")
+print(f"{len(bad)} pub fns named in no other crate")
+sys.exit("\n".join(bad) if bad else 0)
+PY
+
 echo "== The benchmark still builds against this tree and passes its own gate"
 # benchmark/ is its own workspace: `cargo test --workspace` never compiles
 # it, so a signature it calls could break unnoticed until it is run.

@@ -126,7 +126,7 @@ impl World {
 
     /// `proto` converged on this world, with its flows scored against the
     /// oracle through the shared data-plane harness.
-    pub fn score<P: Protocol>(&self, proto: P) -> (Engine<P>, FlowScore)
+    pub(crate) fn score<P: Protocol>(&self, proto: P) -> (Engine<P>, FlowScore)
     where
         Engine<P>: DataPlane,
     {
@@ -137,7 +137,7 @@ impl World {
 }
 
 /// `proto` run to quiescence on `topo`.
-pub fn converged<P: Protocol>(topo: &Topology, proto: P) -> Engine<P> {
+pub(crate) fn converged<P: Protocol>(topo: &Topology, proto: P) -> Engine<P> {
     let mut e = Engine::new(topo.clone(), proto);
     e.run_to_quiescence();
     e

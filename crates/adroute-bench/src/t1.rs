@@ -101,7 +101,7 @@ pub fn rows(w: &World) -> Vec<Row> {
             p.extend_from_slice(&r.path);
             p
         });
-        path.filter(|p| sel.accepts(p, 0))
+        path.filter(|p| sel.accepts(p))
     });
     drop(pv);
     vec![

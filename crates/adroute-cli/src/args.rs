@@ -142,7 +142,7 @@ impl Args {
     /// check against a known list for typo detection. Also rejects stray
     /// positionals, since most commands take none; commands with operands
     /// use `Args::known_with_positionals`.
-    pub fn known(&self, allowed: &[&str]) -> Result<(), CliError> {
+    pub(crate) fn known(&self, allowed: &[&str]) -> Result<(), CliError> {
         if let Some(p) = self.positionals.first() {
             return bail(format!("unexpected positional argument '{p}'"));
         }

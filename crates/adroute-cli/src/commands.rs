@@ -167,6 +167,28 @@ fn opt_probability(args: &Args, key: &str, default: f64) -> Result<f64, CliError
     Ok(p)
 }
 
+/// The `--loss` flag of `chaos` and `trace`: the channel's loss
+/// probability, in [0, 0.5].
+fn opt_loss(args: &Args, default: f64) -> Result<f64, CliError> {
+    let loss: f64 = args.opt_parse("loss", default)?;
+    if !(0.0..=0.5).contains(&loss) {
+        return bail("--loss must be in [0, 0.5]");
+    }
+    Ok(loss)
+}
+
+/// The link churn `chaos` and `trace` inject over a `duration_ms`
+/// horizon: 30 % of the links fail, a third of the horizon apart on
+/// average, and take an eighth of it to repair.
+fn link_churn(duration_ms: u64, seed: u64) -> FailureModel {
+    FailureModel {
+        mtbf_ms: duration_ms as f64 / 3.0,
+        mttr_ms: duration_ms as f64 / 8.0,
+        fallible_fraction: 0.3,
+        seed: seed ^ 0x11,
+    }
+}
+
 /// `gen-topo`: generate and dump an internet.
 pub(crate) fn gen_topo(args: &Args) -> Result<String, CliError> {
     args.known(&["ads", "seed", "lateral", "bypass", "multihome", "out"])?;
@@ -206,7 +228,7 @@ fn parse_hm(s: &str) -> Result<TimeOfDay, CliError> {
 }
 
 /// `route`: oracle route plus ORWG setup preview for one flow.
-pub fn route(args: &Args) -> Result<String, CliError> {
+pub(crate) fn route(args: &Args) -> Result<String, CliError> {
     args.known(&["topo", "policies", "src", "dst", "qos", "uci", "time"])?;
     let topo = load_topo(args.req("topo")?)?;
     let db = load_policies(args.opt("policies"), &topo)?;
@@ -374,7 +396,7 @@ fn audit_byzantine(args: &Args) -> Result<String, CliError> {
 /// `audit`: with a scenario operand, the byzantine audit lifecycle
 /// (`audit_byzantine`); with `--topo`, the structural resilience
 /// report.
-pub fn audit(args: &Args) -> Result<String, CliError> {
+pub(crate) fn audit(args: &Args) -> Result<String, CliError> {
     if args.has_positionals() {
         return audit_byzantine(args);
     }
@@ -418,7 +440,7 @@ pub fn audit(args: &Args) -> Result<String, CliError> {
 }
 
 /// `impact`: assess a candidate policy against a sampled traffic matrix.
-pub fn impact(args: &Args) -> Result<String, CliError> {
+pub(crate) fn impact(args: &Args) -> Result<String, CliError> {
     args.known(&["topo", "policies", "candidate", "flows", "seed"])?;
     let topo = load_topo(args.req("topo")?)?;
     let db = load_policies(args.opt("policies"), &topo)?;
@@ -483,7 +505,7 @@ pub fn impact(args: &Args) -> Result<String, CliError> {
 /// absorbed by each Route Server per `--view` (incremental invalidation
 /// by default, full flush as the oracle). All randomness is seeded: the
 /// same arguments always print the same report.
-pub fn chaos(args: &Args) -> Result<String, CliError> {
+pub(crate) fn chaos(args: &Args) -> Result<String, CliError> {
     args.known(&[
         "ads",
         "seed",
@@ -503,10 +525,7 @@ pub fn chaos(args: &Args) -> Result<String, CliError> {
         return bail("--duration must be a positive number of milliseconds");
     }
     let partition = args.opt_parse("partition", false)?;
-    let loss: f64 = args.opt_parse("loss", 0.05)?;
-    if !(0.0..=0.5).contains(&loss) {
-        return bail("--loss must be in [0, 0.5]");
-    }
+    let loss = opt_loss(args, 0.05)?;
     let n_flows: usize = args.opt_parse("flows", 30)?;
     let byz_model = match args.opt("byzantine") {
         None => None,
@@ -564,12 +583,7 @@ pub fn chaos(args: &Args) -> Result<String, CliError> {
     e.begin_phase("converge");
     e.run_to_quiescence();
     let spec = FaultSpec {
-        link_model: Some(FailureModel {
-            mtbf_ms: duration_ms as f64 / 3.0,
-            mttr_ms: duration_ms as f64 / 8.0,
-            fallible_fraction: 0.3,
-            seed: seed ^ 0x11,
-        }),
+        link_model: Some(link_churn(duration_ms, seed)),
         crash_model: Some(CrashModel {
             mtbf_ms: duration_ms as f64 / 2.0,
             mttr_ms: duration_ms as f64 / 8.0,
@@ -927,7 +941,7 @@ fn point_json(p: &PointReport) -> String {
 
 /// `report`: convergence, message-complexity, and latency instrumentation
 /// for every design point on one seeded internet.
-pub fn report(args: &Args) -> Result<String, CliError> {
+pub(crate) fn report(args: &Args) -> Result<String, CliError> {
     args.known(&["ads", "seed", "flows", "json"])?;
     let ads = args.count("ads", Some(60))?;
     let seed: u64 = args.opt_parse("seed", 1990)?;
@@ -1092,7 +1106,7 @@ fn causal_analysis_text(logs: &[&EventLog]) -> String {
     let _ = writeln!(
         out,
         "{} events in {} span trees (acyclic: {})",
-        g.len(),
+        g.events().len(),
         storms.len(),
         g.is_acyclic_by_id()
     );
@@ -1115,7 +1129,7 @@ fn causal_analysis_text(logs: &[&EventLog]) -> String {
         out,
         "storm report: top {shown} of {} root causes (their event counts partition {}):",
         storms.len(),
-        g.len()
+        g.events().len()
     );
     for s in &storms[..shown] {
         let _ = writeln!(
@@ -1158,7 +1172,7 @@ fn render_blame(scenario: &str, logs: &[&EventLog], json: bool) -> String {
     let storm_array = JsonWriter::array(storms.iter().map(|st| st.to_json()));
     let blame = JsonWriter::object()
         .put_str("scenario", scenario)
-        .put("events", g.len())
+        .put("events", g.events().len())
         .put("roots", storms.len())
         .put("critical_path", path)
         .put("storms", storm_array)
@@ -1169,7 +1183,7 @@ fn render_blame(scenario: &str, logs: &[&EventLog], json: bool) -> String {
 /// `blame <scenario>`: run a fixed, seeded scenario and attribute its
 /// churn. The scenarios are the golden-trace fixtures, so the output
 /// explains the committed `tests/golden/*.jsonl` artifacts.
-pub fn blame(args: &Args) -> Result<String, CliError> {
+pub(crate) fn blame(args: &Args) -> Result<String, CliError> {
     args.known_with_positionals(&["json"])?;
     let json = args.opt_parse("json", false)?;
     let name = args.positional_one("scenario")?;
@@ -1200,12 +1214,7 @@ fn trace_engine<P: Protocol>(
     e.run_to_quiescence();
     e.begin_phase("churn");
     let spec = FaultSpec {
-        link_model: Some(FailureModel {
-            mtbf_ms: duration_ms as f64 / 3.0,
-            mttr_ms: duration_ms as f64 / 8.0,
-            fallible_fraction: 0.3,
-            seed: seed ^ 0x11,
-        }),
+        link_model: Some(link_churn(duration_ms, seed)),
         crash_model: None,
         channel: (loss > 0.0).then(|| ChannelFaults::lossy(loss, seed ^ 0x33)),
         misbehavior: MisbehaviorSpec::default(),
@@ -1221,17 +1230,14 @@ fn trace_engine<P: Protocol>(
 }
 
 /// `trace`: export one engine run as a typed JSON Lines event stream.
-pub fn trace(args: &Args) -> Result<String, CliError> {
+pub(crate) fn trace(args: &Args) -> Result<String, CliError> {
     args.known(&[
         "ads", "seed", "duration", "loss", "proto", "capacity", "out", "analyze",
     ])?;
     let ads = args.count("ads", Some(30))?;
     let seed: u64 = args.opt_parse("seed", 1990)?;
     let duration_ms = opt_duration_ms(args, 200)?;
-    let loss: f64 = args.opt_parse("loss", 0.0)?;
-    if !(0.0..=0.5).contains(&loss) {
-        return bail("--loss must be in [0, 0.5]");
-    }
+    let loss = opt_loss(args, 0.0)?;
     let capacity: usize = args.opt_parse("capacity", 1 << 20)?;
     let analyze = args.opt_parse("analyze", false)?;
     let topo = HierarchyConfig::with_approx_size(ads, seed).generate();
@@ -1291,7 +1297,7 @@ pub fn trace(args: &Args) -> Result<String, CliError> {
 /// brownout ladder, NACK + retry-after shedding, deadline-budgeted
 /// client retries, and warm-standby Route Server failover, all on one
 /// deterministic seeded storm.
-pub fn stress(args: &Args) -> Result<String, CliError> {
+pub(crate) fn stress(args: &Args) -> Result<String, CliError> {
     args.known_with_positionals(&["json", "trace", "sharded"])?;
     let json = args.opt_parse("json", false)?;
     let trace_path = args.opt("trace");
@@ -1438,7 +1444,7 @@ pub fn stress(args: &Args) -> Result<String, CliError> {
 /// byte-identical across repeat runs, which `tests/profile_determinism.rs`
 /// enforces (the engine's determinism contract extended to
 /// observability).
-pub fn profile(args: &Args) -> Result<String, CliError> {
+pub(crate) fn profile(args: &Args) -> Result<String, CliError> {
     args.known_with_positionals(&["json", "folded", "top", "ads", "loss", "out"])?;
     let json = args.opt_parse("json", false)?;
     let folded = args.opt_parse("folded", false)?;

@@ -65,12 +65,12 @@ impl Scenario {
     }
 
     /// The structural policy workload drawn from the scenario seed.
-    pub fn policies(&self) -> PolicyDb {
+    pub(crate) fn policies(&self) -> PolicyDb {
         PolicyWorkload::structural(self.seed).generate(&self.topo)
     }
 
     /// The link the trunk-failure lifecycles cut.
-    pub fn trunk(&self) -> LinkId {
+    pub(crate) fn trunk(&self) -> LinkId {
         analysis::trunk(&self.topo).expect("the named internets have links")
     }
 }
@@ -96,7 +96,7 @@ const NAMES: [(&str, &str, Build); 10] = [
 ];
 
 /// Resolves scenario `name` as subcommand `command` spells it.
-pub fn lookup(command: &str, name: &str) -> Result<Option<Scenario>, CliError> {
+pub(crate) fn lookup(command: &str, name: &str) -> Result<Option<Scenario>, CliError> {
     let names = || NAMES.iter().filter(|(c, ..)| *c == command);
     match names().find(|(_, n, _)| *n == name) {
         Some((.., build)) => Ok(build.map(|build| build())),
@@ -111,7 +111,7 @@ pub fn lookup(command: &str, name: &str) -> Result<Option<Scenario>, CliError> {
 }
 
 /// [`lookup`] for the subcommands whose every name is a fixed internet.
-pub fn named(command: &str, name: &str) -> Result<Scenario, CliError> {
+pub(crate) fn named(command: &str, name: &str) -> Result<Scenario, CliError> {
     Ok(lookup(command, name)?.expect("only profile has a sized scenario"))
 }
 
@@ -241,7 +241,7 @@ pub(crate) fn run_byzantine(
     let violating_before = violating_flows(net);
     let mut bank = MonitorBank::new(MonitorConfig::default());
     bank.set_injection_roots(&[(rogue, inject)]);
-    let mut controller = QuarantineController::new(1);
+    let mut controller = QuarantineController::default();
     let mut detection = None;
     let mut enter = None;
     let mut torn = 0usize;

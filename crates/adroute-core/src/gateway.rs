@@ -132,16 +132,11 @@ impl PolicyGateway {
         self.handles.evictions
     }
 
-    /// Current incarnation number (bumps on every crash).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Crashes the gateway: all soft state (the handle cache) is lost and
     /// the incarnation advances, so anything that somehow survived would
     /// be recognizably stale. Setups and data are refused until
     /// [`PolicyGateway::restart`].
-    pub fn crash(&mut self) {
+    pub(crate) fn crash(&mut self) {
         self.up = false;
         self.epoch += 1;
         self.handles.clear();
@@ -149,7 +144,7 @@ impl PolicyGateway {
 
     /// Restarts a crashed gateway with an empty cache: every flow through
     /// this AD must re-run setup, exactly as after an eviction.
-    pub fn restart(&mut self) {
+    pub(crate) fn restart(&mut self) {
         self.up = true;
     }
 
@@ -254,7 +249,7 @@ impl PolicyGateway {
 
     /// Tears down one handle (source-initiated teardown). Returns whether
     /// the handle was installed here.
-    pub fn teardown(&mut self, handle: HandleId) -> bool {
+    pub(crate) fn teardown(&mut self, handle: HandleId) -> bool {
         self.handles.remove(&handle).is_some()
     }
 
@@ -448,7 +443,7 @@ mod tests {
         assert_eq!(err, DataError::GatewayDown { at: AdId(1) });
         pg.restart();
         assert!(pg.up);
-        assert_eq!(pg.epoch(), 1);
+        assert_eq!(pg.epoch, 1);
         // The pre-crash handle is gone: the source must re-run setup.
         let err = pg
             .forward_data(

@@ -47,7 +47,7 @@ pub(crate) struct LruCache<K, V> {
 impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// A cache holding at most `capacity` entries. Capacity 0 disables
     /// storage entirely (every insert is dropped).
-    pub fn new(capacity: usize) -> LruCache<K, V> {
+    pub(crate) fn new(capacity: usize) -> LruCache<K, V> {
         LruCache {
             capacity,
             map: FxHashMap::default(),
@@ -59,32 +59,32 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     }
 
     /// Current number of entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.nodes.len()
     }
 
     /// Maximum number of entries.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
     /// Looks up `key`, refreshing its recency. Misses leave the recency
     /// order untouched.
-    pub fn get(&mut self, key: &K) -> Option<&V> {
+    pub(crate) fn get(&mut self, key: &K) -> Option<&V> {
         let i = *self.map.get(key)?;
         self.touch(i);
         Some(&self.nodes[i].value)
     }
 
     /// Looks up without refreshing recency (for inspection).
-    pub fn peek(&self, key: &K) -> Option<&V> {
+    pub(crate) fn peek(&self, key: &K) -> Option<&V> {
         self.map.get(key).map(|&i| &self.nodes[i].value)
     }
 
     /// Inserts `key -> value`, evicting the least recently used entry if
     /// over capacity. Returns the evicted key, if any, so callers keeping
     /// secondary indexes over the cached entries can stay exact.
-    pub fn insert(&mut self, key: K, value: V) -> Option<K> {
+    pub(crate) fn insert(&mut self, key: K, value: V) -> Option<K> {
         if self.capacity == 0 {
             return None;
         }
@@ -111,13 +111,13 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     }
 
     /// Removes a single entry.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
+    pub(crate) fn remove(&mut self, key: &K) -> Option<V> {
         let i = self.map.remove(key)?;
         Some(self.take(i).1)
     }
 
     /// Removes every entry for which the predicate holds.
-    pub fn retain(&mut self, mut keep: impl FnMut(&K, &V) -> bool) {
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&K, &V) -> bool) {
         let doomed: Vec<K> = self
             .iter_recency()
             .filter(|(k, v)| !keep(k, v))
@@ -129,7 +129,7 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     }
 
     /// Drops all entries.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.map.clear();
         self.nodes.clear();
         self.lru = NIL;

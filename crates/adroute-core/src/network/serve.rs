@@ -33,7 +33,7 @@ impl OrwgNetwork {
     }
 
     /// The admission controller fronting `ad`'s Route Server.
-    pub fn admission(&self, ad: AdId) -> &AdmissionController {
+    pub(crate) fn admission(&self, ad: AdId) -> &AdmissionController {
         &self.admission[ad.index()]
     }
 
@@ -170,7 +170,7 @@ impl OrwgNetwork {
             BrownoutRung::Stored => match self.servers[ad.index()].stored_route(flow) {
                 Some(Some(r)) => {
                     let sel = self.servers[ad.index()].selection();
-                    if sel.accepts(&r.path, r.cost) {
+                    if sel.accepts(&r.path) {
                         Synth::Route(r, Vec::new())
                     } else {
                         // A stored entry that predates a quarantine

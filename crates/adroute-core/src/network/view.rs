@@ -190,11 +190,6 @@ impl OrwgNetwork {
         }
     }
 
-    /// ADs currently under quarantine.
-    pub fn quarantined(&self) -> &[AdId] {
-        &self.quarantined
-    }
-
     /// Re-syncs the data plane with a (re-)quiesced control plane: ground
     /// truth adopts the engine's topology and policies, flows crossing
     /// newly-dead links are torn down and queued for repair, and every
@@ -340,7 +335,7 @@ mod tests {
         // repair reconverges it onto the policy-legal long way around.
         let torn = net.quarantine_ad(AdId(1), None);
         assert_eq!(torn, 1);
-        assert_eq!(net.quarantined(), &[AdId(1)]);
+        assert_eq!(net.quarantined, [AdId(1)]);
         let stats = net.repair_pending(3);
         assert_eq!(stats.repaired_via_synthesis, 1);
         assert_eq!(stats.failures, 0);
@@ -349,7 +344,7 @@ mod tests {
         assert_eq!(of.route, vec![AdId(0), AdId(5), AdId(4), AdId(3), AdId(2)]);
         // Lifting restores the avoid-sets.
         net.lift_quarantine(AdId(1));
-        assert!(net.quarantined().is_empty());
+        assert!(net.quarantined.is_empty());
         assert!(!net.server(AdId(0)).selection().avoid.contains(AdId(1)));
     }
 

@@ -160,7 +160,7 @@ pub struct AdmissionController {
 
 impl AdmissionController {
     /// A controller with the given watermarks.
-    pub fn new(cfg: AdmissionConfig) -> AdmissionController {
+    pub(crate) fn new(cfg: AdmissionConfig) -> AdmissionController {
         AdmissionController {
             cfg,
             queue: VecDeque::new(),
@@ -168,23 +168,23 @@ impl AdmissionController {
     }
 
     /// The configured watermarks.
-    pub fn config(&self) -> &AdmissionConfig {
+    pub(crate) fn config(&self) -> &AdmissionConfig {
         &self.cfg
     }
 
     /// Current queue depth.
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         self.queue.len()
     }
 
     /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.queue.is_empty()
     }
 
     /// Offers one open. `Ok(depth)` queues it and reports the depth after
     /// enqueue; `Err(retry_after_us)` sheds it.
-    pub fn offer(&mut self, open: PendingOpen) -> Result<usize, u64> {
+    pub(crate) fn offer(&mut self, open: PendingOpen) -> Result<usize, u64> {
         if self.queue.len() >= self.cfg.queue_capacity {
             return Err(self.cfg.retry_after_us);
         }
@@ -198,7 +198,7 @@ impl AdmissionController {
     /// `(w, 2w]` cost one rung, `(2w, 3w]` two), so a server that falls
     /// far behind reaches stored-only service without waiting for depth
     /// to catch up.
-    pub fn rung(&self, now: SimTime) -> BrownoutRung {
+    pub(crate) fn rung(&self, now: SimTime) -> BrownoutRung {
         let depth = self.queue.len();
         let mut rung = if depth <= self.cfg.full_depth {
             BrownoutRung::Full
@@ -232,13 +232,13 @@ impl AdmissionController {
     }
 
     /// Pops the oldest queued open.
-    pub fn pop(&mut self) -> Option<PendingOpen> {
+    pub(crate) fn pop(&mut self) -> Option<PendingOpen> {
         self.queue.pop_front()
     }
 
     /// Empties the queue (Route Server crash), returning the cancelled
     /// opens oldest-first.
-    pub fn drain(&mut self) -> Vec<PendingOpen> {
+    pub(crate) fn drain(&mut self) -> Vec<PendingOpen> {
         self.queue.drain(..).collect()
     }
 }

@@ -114,7 +114,7 @@ mod tests {
         let db = PolicyDb::permissive(&topo);
         let e = converge_control_plane(topo, db);
         for ad in e.topo().ad_ids() {
-            assert_eq!(e.router(ad).flooder.db.len(), 6);
+            assert_eq!(e.router(ad).flooder.db.num_lsas(), 6);
         }
     }
 

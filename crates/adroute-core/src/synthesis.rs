@@ -45,13 +45,6 @@ pub struct PolicyRoute {
     pub(crate) pts: Vec<Option<PtId>>,
 }
 
-impl PolicyRoute {
-    /// Number of AD hops.
-    pub fn hops(&self) -> usize {
-        self.path.len().saturating_sub(1)
-    }
-}
-
 /// Route synthesis strategy (the Section 6 trade-off).
 #[derive(Clone, Debug)]
 pub enum Strategy {
@@ -125,7 +118,7 @@ pub struct SweepStats {
     /// field stays only because `benchmark/` (frozen for this change)
     /// reads it; it goes with the benchmark's `hot_hit_ratio` metric.
     pub hot_hits: u64,
-    /// Entries recomputed by [`RouteServer::background_refill`].
+    /// Entries recomputed by `RouteServer::background_refill`.
     pub refills: u64,
 }
 
@@ -302,7 +295,6 @@ pub(crate) fn widen_avoid(
 ) -> RouteSelection {
     RouteSelection {
         avoid: base.avoid.union(&AdSet::only(extra)),
-        ..base.clone()
     }
 }
 
@@ -394,7 +386,7 @@ impl RouteServer {
     }
 
     /// The source's current route-selection criteria.
-    pub fn selection(&self) -> &RouteSelection {
+    pub(crate) fn selection(&self) -> &RouteSelection {
         &self.selection
     }
 
@@ -677,7 +669,7 @@ impl RouteServer {
     /// legality-valid routes are ever stored; the work lands in the
     /// `precompute_searches` counter (it is background work). Returns how many
     /// entries were recomputed.
-    pub fn background_refill(&mut self, budget: usize) -> usize {
+    pub(crate) fn background_refill(&mut self, budget: usize) -> usize {
         let mut refilled = 0;
         while refilled < budget {
             let Some(flow) = self.pending_refill.pop_front() else {
@@ -739,7 +731,7 @@ impl RouteServer {
             else {
                 continue;
             };
-            if cost != route.cost || !self.selection.accepts(&route.path, cost) {
+            if cost != route.cost || !self.selection.accepts(&route.path) {
                 continue;
             }
             if self.precomputed.contains_key(flow) {
@@ -1223,7 +1215,6 @@ mod tests {
         assert_eq!(r.pts[0], Some(pt), "AD1's deciding term must be cited");
         assert_eq!(r.pts[1], None, "AD2 permits by default");
         assert_eq!(r.cost, 3 + 2);
-        assert_eq!(r.hops(), 3);
     }
 
     #[test]
@@ -1292,7 +1283,6 @@ mod tests {
         let mut rs = server(Strategy::OnDemand);
         rs.set_selection(RouteSelection {
             avoid: AdSet::except([AdId(1), AdId(2)]),
-            ..RouteSelection::unconstrained()
         });
         let base = rs.selection().clone();
         let f = FlowSpec::best_effort(AdId(0), AdId(3));
@@ -1300,7 +1290,7 @@ mod tests {
         assert_eq!(alts.len(), 1, "the far ring side violates base criteria");
         for r in &alts {
             assert!(
-                base.accepts(&r.path, r.cost),
+                base.accepts(&r.path),
                 "alternative {:?} loosened the source's private criteria",
                 r.path
             );

@@ -50,18 +50,8 @@ impl PolicyDb {
         self.policies[i] = policy;
     }
 
-    /// Number of ADs covered.
-    pub fn len(&self) -> usize {
-        self.policies.len()
-    }
-
-    /// Whether the database is empty.
-    pub fn is_empty(&self) -> bool {
-        self.policies.is_empty()
-    }
-
     /// Iterator over all policies in AD order.
-    pub fn iter(&self) -> impl Iterator<Item = &TransitPolicy> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &TransitPolicy> {
         self.policies.iter()
     }
 
@@ -97,8 +87,7 @@ mod tests {
     fn permissive_covers_all() {
         let t = line(4);
         let db = PolicyDb::permissive(&t);
-        assert_eq!(db.len(), 4);
-        assert!(!db.is_empty());
+        assert_eq!(db.policies.len(), 4);
         assert_eq!(db.total_terms(), 0);
         for ad in t.ad_ids() {
             assert_eq!(db.policy(ad).ad, ad);

@@ -14,7 +14,7 @@
 //! uses the same routine for synthesis).
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use adroute_topology::{AdId, Link, LinkId, Topology};
 
@@ -69,8 +69,8 @@ pub fn legal_route(topo: &Topology, db: &PolicyDb, flow: &FlowSpec) -> Option<Le
 /// Full-control variant of [`legal_route`]: honors the source's
 /// [`RouteSelection`] criteria and accumulates [`SearchStats`].
 ///
-/// The avoid-set is enforced during the search (avoided ADs are never used
-/// for transit); `max_cost`/`max_hops` are checked on the result.
+/// The avoid-set is enforced during the search: avoided ADs are never
+/// used for transit.
 pub fn legal_route_with(
     topo: &Topology,
     db: &PolicyDb,
@@ -355,10 +355,8 @@ fn walk_back(topo: &Topology, parent: &[State], src: AdId, end: State) -> Vec<Ad
 /// conditioned on the previous AD the optimal walk can, in adversarial
 /// cases, revisit an AD. Inter-AD routes must be loop-free (paper Section
 /// 2.1), so a revisiting walk falls back to an exact simple-path search
-/// that honors the avoid-set. When the source's criteria reject the route
-/// and a hop bound is set, the search is retried minimizing hops instead
-/// of cost (best-effort: the full bicriteria problem is out of scope for
-/// the oracle). Neither fallback counts toward [`SearchStats`].
+/// that honors the avoid-set. The fallback does not count toward
+/// [`SearchStats`].
 fn finish(
     topo: &Topology,
     db: &PolicyDb,
@@ -376,61 +374,7 @@ fn finish(
     } else {
         bruteforce(topo, db, flow, selection)?
     };
-    if selection.accepts(&route.path, route.cost) {
-        return Some(route);
-    }
-    selection
-        .max_hops
-        .and_then(|_| legal_route_min_hops(topo, db, flow, selection))
-        .filter(|r| selection.accepts(&r.path, r.cost))
-}
-
-/// Hop-minimizing variant: BFS over the same `(current, previous)` state
-/// graph, used when a source's `max_hops` criterion rejects the least-cost
-/// route. The first walk to reach `flow.dst` that is a simple path is the
-/// answer; a walk that revisits an AD is skipped.
-fn legal_route_min_hops(
-    topo: &Topology,
-    db: &PolicyDb,
-    flow: &FlowSpec,
-    selection: &RouteSelection,
-) -> Option<LegalRoute> {
-    let src = flow.src;
-    let mut parent = vec![START; num_states(topo)];
-    let mut visited = vec![false; num_states(topo)];
-    visited[START as usize] = true;
-    let mut queue = VecDeque::from([(START, src, src)]);
-    while let Some((state, cur, prev)) = queue.pop_front() {
-        if cur == flow.dst {
-            let path = walk_back(topo, &parent, src, state);
-            if let Some(cost) = route_is_legal(topo, db, flow, &path) {
-                return Some(LegalRoute { path, cost });
-            }
-            continue;
-        }
-        for (nbr, link) in topo.neighbors(cur) {
-            if nbr == prev && cur != src {
-                continue;
-            }
-            if cur != src
-                && db
-                    .policy(cur)
-                    .evaluate(flow, Some(prev), Some(nbr))
-                    .is_none()
-            {
-                continue;
-            }
-            if nbr != flow.dst && !selection.allows_transit(nbr) {
-                continue;
-            }
-            let nstate = entered(topo.link(link), nbr);
-            if !std::mem::replace(&mut visited[nstate as usize], true) {
-                parent[nstate as usize] = state;
-                queue.push_back((nstate, nbr, cur));
-            }
-        }
-    }
-    None
+    selection.accepts(&route.path).then_some(route)
 }
 
 /// Checks a complete candidate route for legality, returning the total
@@ -639,19 +583,6 @@ mod tests {
     }
 
     #[test]
-    fn route_selection_max_cost_rejects() {
-        let t = line(5);
-        let db = PolicyDb::permissive(&t);
-        let f = FlowSpec::best_effort(AdId(0), AdId(4));
-        let sel = RouteSelection {
-            max_cost: Some(3),
-            ..RouteSelection::unconstrained()
-        };
-        let mut stats = SearchStats::default();
-        assert!(legal_route_with(&t, &db, &f, &sel, &mut stats).is_none());
-    }
-
-    #[test]
     fn oracle_agrees_with_bruteforce_on_random_policies() {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
@@ -822,10 +753,7 @@ mod tests {
             let template = FlowSpec::best_effort(src, src);
             let sel = if rng.gen_bool(0.4) {
                 let avoided: Vec<AdId> = t.ad_ids().filter(|_| rng.gen_bool(0.2)).collect();
-                RouteSelection {
-                    max_hops: rng.gen_bool(0.3).then(|| rng.gen_range(1..5)),
-                    ..RouteSelection::avoiding(avoided)
-                }
+                RouteSelection::avoiding(avoided)
             } else {
                 RouteSelection::unconstrained()
             };
@@ -878,27 +806,6 @@ mod tests {
         let r = legal_route(&t, &db, &FlowSpec::best_effort(AdId(0), AdId(3))).unwrap();
         assert_eq!(r.path, vec![AdId(0), AdId(2), AdId(1), AdId(3)]);
         assert_eq!(r.cost, 7);
-    }
-
-    #[test]
-    fn hop_bound_fallback_skips_revisiting_walks() {
-        // Cheapest: 8 hops via 10…16, over the bound. Fewest hops: 5, but
-        // only as the walk 0-1-2-3-1-4. The answer is the 6-hop path.
-        let six: &[u32] = &[0, 5, 6, 7, 8, 9, 4];
-        let (t, db) = revisit_gadget(
-            17,
-            10,
-            &[(six, 10), (&[0, 10, 11, 12, 13, 14, 15, 16, 4], 1)],
-        );
-        let f = FlowSpec::best_effort(AdId(0), AdId(4));
-        let sel = RouteSelection {
-            max_hops: Some(6),
-            ..RouteSelection::unconstrained()
-        };
-        let r = legal_route_with(&t, &db, &f, &sel, &mut SearchStats::default()).unwrap();
-        assert_eq!(r.path, six.iter().map(|&a| AdId(a)).collect::<Vec<_>>());
-        assert_eq!(r.cost, 60);
-        assert_eq!(route_is_legal(&t, &db, &f, &r.path), Some(60));
     }
 
     #[test]

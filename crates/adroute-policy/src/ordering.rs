@@ -72,14 +72,6 @@ impl OrderingSolution {
     pub fn is_satisfiable(&self) -> bool {
         matches!(self, OrderingSolution::Satisfiable(_))
     }
-
-    /// The ranks, if satisfiable.
-    pub fn ranks(&self) -> Option<&[u32]> {
-        match self {
-            OrderingSolution::Satisfiable(r) => Some(r),
-            OrderingSolution::Unsatisfiable => None,
-        }
-    }
 }
 
 /// Decides whether a single global ordering of the `n` ADs satisfies all
@@ -266,11 +258,19 @@ mod tests {
     use adroute_topology::generate::{clique, line, HierarchyConfig};
     use adroute_topology::PartialOrder;
 
+    /// The ranks of a satisfiable solution.
+    fn ranks(s: &OrderingSolution) -> &[u32] {
+        match s {
+            OrderingSolution::Satisfiable(r) => r,
+            OrderingSolution::Unsatisfiable => panic!("no ordering exists"),
+        }
+    }
+
     #[test]
     fn empty_set_is_satisfiable() {
         let s = solve_ordering(4, &[]);
         assert!(s.is_satisfiable());
-        assert_eq!(s.ranks().unwrap(), &[0, 0, 0, 0]);
+        assert_eq!(ranks(&s), &[0, 0, 0, 0]);
     }
 
     #[test]
@@ -281,7 +281,7 @@ mod tests {
             to: AdId(2),
         }];
         let s = solve_ordering(3, &c);
-        let r = s.ranks().unwrap().to_vec();
+        let r = ranks(&s).to_vec();
         assert!(check_ordering(&r, &c));
         assert!(r[1] < r[0] && r[1] < r[2]);
     }
@@ -317,7 +317,7 @@ mod tests {
             to: AdId(2),
         }];
         let s = solve_ordering(3, &c);
-        assert!(check_ordering(s.ranks().unwrap(), &c));
+        assert!(check_ordering(ranks(&s), &c));
     }
 
     #[test]
@@ -356,7 +356,7 @@ mod tests {
             },
         ];
         let s = solve_ordering(4, &c);
-        let r = s.ranks().unwrap().to_vec();
+        let r = ranks(&s).to_vec();
         assert!(check_ordering(&r, &c));
         assert!(r[3] >= r[1].min(r[2]));
     }
@@ -370,7 +370,7 @@ mod tests {
         }];
         let s = solve_ordering(3, &c);
         // Least solution: via stays at 0, others at 1.
-        assert_eq!(s.ranks().unwrap(), &[0, 1, 1]);
+        assert_eq!(ranks(&s), &[0, 1, 1]);
     }
 
     #[test]
@@ -381,7 +381,7 @@ mod tests {
             from: AdId(0),
             to: AdId(2),
         }];
-        let ranks = solve_ordering(3, &c).ranks().unwrap().to_vec();
+        let ranks = ranks(&solve_ordering(3, &c)).to_vec();
         let po = PartialOrder::from_ranks(&t, ranks);
         // 0 -> 1 is down, 1 -> 2 is up: valley forbidden — AD1's policy
         // is enforced by the ordering.

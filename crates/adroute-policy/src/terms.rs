@@ -201,7 +201,7 @@ impl PolicyCondition {
     /// `flow`, arriving from `prev` and departing toward `next` (`None`
     /// when the evaluating AD is the flow's source / destination
     /// respectively).
-    pub fn matches(&self, flow: &FlowSpec, prev: Option<AdId>, next: Option<AdId>) -> bool {
+    pub(crate) fn matches(&self, flow: &FlowSpec, prev: Option<AdId>, next: Option<AdId>) -> bool {
         match self {
             PolicyCondition::SrcIn(s) => s.contains(flow.src),
             PolicyCondition::DstIn(s) => s.contains(flow.dst),
@@ -214,7 +214,7 @@ impl PolicyCondition {
     }
 
     /// Approximate encoded size in bytes.
-    pub fn encoded_size(&self) -> usize {
+    pub(crate) fn encoded_size(&self) -> usize {
         1 + match self {
             PolicyCondition::SrcIn(s)
             | PolicyCondition::DstIn(s)
@@ -270,12 +270,12 @@ pub struct PolicyTerm {
 
 impl PolicyTerm {
     /// Whether every condition matches the given traversal.
-    pub fn matches(&self, flow: &FlowSpec, prev: Option<AdId>, next: Option<AdId>) -> bool {
+    pub(crate) fn matches(&self, flow: &FlowSpec, prev: Option<AdId>, next: Option<AdId>) -> bool {
         self.conditions.iter().all(|c| c.matches(flow, prev, next))
     }
 
     /// Approximate encoded size in bytes (id + action + conditions).
-    pub fn encoded_size(&self) -> usize {
+    pub(crate) fn encoded_size(&self) -> usize {
         6 + 5
             + self
                 .conditions
@@ -454,11 +454,6 @@ impl TransitPolicy {
 pub struct RouteSelection {
     /// ADs the source refuses to route through (e.g. untrusted carriers).
     pub avoid: AdSet,
-    /// Maximum acceptable total route cost (metric + transit charges), if
-    /// bounded.
-    pub max_cost: Option<u64>,
-    /// Maximum acceptable AD-hop count, if bounded.
-    pub max_hops: Option<usize>,
 }
 
 impl RouteSelection {
@@ -466,8 +461,6 @@ impl RouteSelection {
     pub fn unconstrained() -> RouteSelection {
         RouteSelection {
             avoid: AdSet::Only(AdList::default()),
-            max_cost: None,
-            max_hops: None,
         }
     }
 
@@ -475,25 +468,13 @@ impl RouteSelection {
     pub fn avoiding(ads: impl IntoIterator<Item = AdId>) -> RouteSelection {
         RouteSelection {
             avoid: AdSet::only(ads),
-            max_cost: None,
-            max_hops: None,
         }
     }
 
-    /// Whether a complete route satisfies these criteria. The avoid-set is
-    /// checked against *transit* ADs only (a source cannot avoid itself or
-    /// its destination).
-    pub fn accepts(&self, path: &[AdId], cost: u64) -> bool {
-        if let Some(mc) = self.max_cost {
-            if cost > mc {
-                return false;
-            }
-        }
-        if let Some(mh) = self.max_hops {
-            if path.len().saturating_sub(1) > mh {
-                return false;
-            }
-        }
+    /// Whether a complete route avoids every AD in the avoid-set. Only
+    /// *transit* ADs are checked (a source cannot avoid itself or its
+    /// destination).
+    pub fn accepts(&self, path: &[AdId]) -> bool {
         !transit(path).iter().any(|&ad| self.avoid.contains(ad))
     }
 
@@ -719,25 +700,11 @@ mod tests {
     #[test]
     fn route_selection_criteria() {
         let rs = RouteSelection::avoiding([AdId(5)]);
-        assert!(!rs.accepts(&[AdId(0), AdId(5), AdId(9)], 10));
-        assert!(rs.accepts(&[AdId(0), AdId(6), AdId(9)], 10));
+        assert!(!rs.accepts(&[AdId(0), AdId(5), AdId(9)]));
+        assert!(rs.accepts(&[AdId(0), AdId(6), AdId(9)]));
         // endpoints not subject to avoid
-        assert!(rs.accepts(&[AdId(0), AdId(9)], 1));
+        assert!(rs.accepts(&[AdId(0), AdId(9)]));
         assert!(!rs.allows_transit(AdId(5)));
-
-        let rs2 = RouteSelection {
-            max_cost: Some(5),
-            ..RouteSelection::unconstrained()
-        };
-        assert!(!rs2.accepts(&[AdId(0), AdId(1), AdId(9)], 6));
-        assert!(rs2.accepts(&[AdId(0), AdId(1), AdId(9)], 5));
-
-        let rs3 = RouteSelection {
-            max_hops: Some(2),
-            ..RouteSelection::unconstrained()
-        };
-        assert!(rs3.accepts(&[AdId(0), AdId(1), AdId(9)], 100));
-        assert!(!rs3.accepts(&[AdId(0), AdId(1), AdId(2), AdId(9)], 100));
     }
 
     #[test]

@@ -421,7 +421,7 @@ struct Heard {
 
 impl EcmaRouter {
     /// The FIB entry for `(dest, qos)`.
-    pub fn entry(&self, dest: AdId, qos: u8, qos_classes: u8) -> &EcmaEntry {
+    pub(crate) fn entry(&self, dest: AdId, qos: u8, qos_classes: u8) -> &EcmaEntry {
         &self.table[dest.index() * qos_classes as usize + qos as usize]
     }
 }

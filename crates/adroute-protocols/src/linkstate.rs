@@ -123,24 +123,13 @@ impl LsDb {
     }
 
     /// Number of LSAs present.
-    pub fn len(&self) -> usize {
+    pub fn num_lsas(&self) -> usize {
         self.lsas.iter().filter(|l| l.is_some()).count()
     }
 
     /// Number of AD slots (present or not).
     pub fn num_ads(&self) -> usize {
         self.lsas.len()
-    }
-
-    /// Whether no LSA has been stored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total encoded size of the database (the state cost of the
-    /// link-state approach).
-    pub fn encoded_size(&self) -> usize {
-        self.lsas.iter().flatten().map(|l| l.encoded_size()).sum()
     }
 
     /// The position of `nbr` in `origin`'s advertised adjacency list, if
@@ -242,7 +231,9 @@ pub struct ViewStore {
     views: Vec<StoredView>,
     /// Views reconstructed so far — work done, not a protocol charge.
     pub(crate) views_built: u64,
-    searches: u64,
+    /// Route searches run so far — work done, not a protocol charge (each
+    /// router's own `route_computations` is that).
+    pub(crate) searches: u64,
 }
 
 #[derive(Clone, Debug)]
@@ -294,7 +285,7 @@ impl ViewStore {
     /// # Panics
     /// If `view` did not come from this store's `ViewStore::view_of`
     /// (a view still held is never dropped).
-    pub fn route(&mut self, view: &Arc<LsView>, flow: &FlowSpec) -> Option<&[AdId]> {
+    pub(crate) fn route(&mut self, view: &Arc<LsView>, flow: &FlowSpec) -> Option<&[AdId]> {
         let stored = (self.views.iter_mut())
             .find(|v| Arc::ptr_eq(&v.view, view))
             .expect("a held view stays in the store that built it");
@@ -310,19 +301,8 @@ impl ViewStore {
     }
 
     /// Views currently stored.
-    pub fn len(&self) -> usize {
+    pub fn num_views(&self) -> usize {
         self.views.len()
-    }
-
-    /// Whether no view is stored.
-    pub fn is_empty(&self) -> bool {
-        self.views.is_empty()
-    }
-
-    /// Route searches run so far — work done, not a protocol charge (each
-    /// router's own `route_computations` is that).
-    pub fn searches(&self) -> u64 {
-        self.searches
     }
 }
 
@@ -468,7 +448,7 @@ impl Flooder {
         ctx.emit(EventRecord::LsaResync {
             at: self.me,
             neighbor,
-            lsas: self.db.len() as u64,
+            lsas: self.db.num_lsas() as u64,
         });
         for lsa in self.db.slots().iter().flatten() {
             ctx.send(neighbor, lsa.clone());
@@ -503,8 +483,7 @@ mod tests {
         assert!(db.insert(lsa(0, 2, &[1, 2])));
         assert_eq!(db.get(AdId(0)).unwrap().links.len(), 2);
         assert_eq!(db.version(), 2);
-        assert_eq!(db.len(), 1);
-        assert!(!db.is_empty());
+        assert_eq!(db.num_lsas(), 1);
     }
 
     #[test]
@@ -552,17 +531,6 @@ mod tests {
     }
 
     #[test]
-    fn encoded_sizes_accumulate() {
-        let mut db = LsDb::new(4);
-        assert_eq!(db.encoded_size(), 0);
-        db.insert(lsa(0, 1, &[1, 2, 3]));
-        let one = db.encoded_size();
-        assert!(one > 0);
-        db.insert(lsa(1, 1, &[0]));
-        assert!(db.encoded_size() > one);
-    }
-
-    #[test]
     fn store_shares_by_allocation_and_searches_once_per_view_and_flow() {
         let (a, b) = (lsa(0, 1, &[1]), lsa(1, 1, &[0]));
         let mut db = LsDb::new(2);
@@ -581,20 +549,20 @@ mod tests {
         assert!(Arc::ptr_eq(&v, &store.view_of(&twin)));
         let other = store.view_of(&lookalike);
         assert!(!Arc::ptr_eq(&v, &other));
-        assert_eq!((store.len(), store.views_built), (2, 2));
+        assert_eq!((store.num_views(), store.views_built), (2, 2));
 
         let f = FlowSpec::best_effort(AdId(0), AdId(1));
         let path = [AdId(0), AdId(1)];
         assert_eq!(store.route(&v, &f), Some(&path[..]));
         assert_eq!(store.route(&v, &f), Some(&path[..]));
-        assert_eq!(store.searches(), 1);
+        assert_eq!(store.searches, 1);
         assert_eq!(store.route(&other, &f), Some(&path[..]));
-        assert_eq!(store.searches(), 2);
+        assert_eq!(store.searches, 2);
 
         // A view goes with its last holder, at the next lookup.
         drop(other);
         let _ = store.view_of(&db);
-        assert_eq!((store.len(), store.views_built), (1, 2));
+        assert_eq!((store.num_views(), store.views_built), (1, 2));
     }
 
     /// After convergence every database holds the origin's own allocation,
@@ -607,7 +575,7 @@ mod tests {
                 .expect("every AD originated");
             for ad in e.topo().ad_ids() {
                 let db = &e.router(ad).flooder.db;
-                assert_eq!(db.len(), n, "{ad} has a partial database");
+                assert_eq!(db.num_lsas(), n, "{ad} has a partial database");
                 let held = db.slots()[origin.index()].as_ref().unwrap();
                 assert!(
                     Arc::ptr_eq(own, held),

@@ -112,7 +112,7 @@ impl LsHbhRouter {
 
     /// Resolves the next hop for `flow` at this router, charging and
     /// caching the computation if the class is new here.
-    pub fn resolve(&mut self, views: &mut ViewStore, flow: &FlowSpec) -> Option<AdId> {
+    pub(crate) fn resolve(&mut self, views: &mut ViewStore, flow: &FlowSpec) -> Option<AdId> {
         let version = self.flooder.db.version();
         if self.view.as_ref().map(|(ver, _)| *ver) != Some(version) {
             // Let go of the old view first, so the store can drop it if
@@ -262,7 +262,7 @@ mod tests {
         let topo = ring(6);
         let e = converge(topo, PolicyDb::permissive(&ring(6)));
         for ad in e.topo().ad_ids() {
-            assert_eq!(e.router(ad).flooder.db.len(), 6, "{ad} has partial db");
+            assert_eq!(e.router(ad).flooder.db.num_lsas(), 6, "{ad} has partial db");
         }
     }
 
@@ -334,8 +334,8 @@ mod tests {
         assert!(forward(&mut e, &topo, &f).delivered());
         // The work: one view for the one distinct database, one search.
         let views = e.protocol().views();
-        assert_eq!((views.views_built, views.searches()), (1, 1));
-        assert_eq!(views.len(), 1);
+        assert_eq!((views.views_built, views.searches), (1, 1));
+        assert_eq!(views.num_views(), 1);
         // The charge: each of the four routers the packet crossed computed
         // the class once and holds it; the destination never resolved.
         for ad in 0..4u32 {
@@ -372,7 +372,7 @@ mod tests {
             );
             let views = e.protocol().views();
             assert_eq!(views.views_built, k + 1, "one rebuild per flap");
-            assert_eq!(views.len(), 1, "an unheld view outlived a lookup");
+            assert_eq!(views.num_views(), 1, "an unheld view outlived a lookup");
             e.schedule_link_change(l, k % 2 == 1, e.now().plus_us(1000));
             e.run_to_quiescence();
         }

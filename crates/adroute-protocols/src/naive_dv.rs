@@ -105,17 +105,6 @@ pub struct DvRouter {
     adv_in: Vec<Option<Arc<[u32]>>>,
 }
 
-impl DvRouter {
-    /// Number of reachable destinations (excluding self).
-    pub fn reachable(&self, infinity: u32) -> usize {
-        self.metric
-            .iter()
-            .enumerate()
-            .filter(|&(i, &m)| m < infinity && i != self.me.index())
-            .count()
-    }
-}
-
 impl NaiveDv {
     /// The metric a stored table offers toward `dest`: a destination past
     /// its end (a short table), or a metric past `infinity`, is
@@ -386,7 +375,6 @@ mod tests {
         let r0 = e.router(AdId(0));
         assert_eq!(r0.metric[4], 4);
         assert_eq!(r0.next_hop[4], Some(AdId(1)));
-        assert_eq!(r0.reachable(64), 4);
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! class-conditioned permit does not shadow later terms for that class,
 //! so a later broader offering may coexist (route selection then picks
 //! the cheaper, which can differ from strict first-match costing).
-//! Time-of-day conditions are evaluated at [`PathVector::eval_time`]:
+//! Time-of-day conditions are evaluated once, at noon (`EVAL_TIME`):
 //! hop-by-hop tables cannot re-evaluate per packet — a genuine limitation
 //! of this design point versus source routing.
 //!
@@ -78,14 +78,14 @@ pub struct PvAttrs {
 
 impl PvAttrs {
     /// Whether a flow matches these attributes.
-    pub fn matches(&self, flow: &FlowSpec) -> bool {
+    pub(crate) fn matches(&self, flow: &FlowSpec) -> bool {
         self.qos.is_none_or(|q| q == flow.qos)
             && self.uci.is_none_or(|u| u == flow.uci)
             && self.scope.contains(flow.src)
     }
 
     /// Approximate encoded size in bytes.
-    pub fn encoded_size(&self) -> usize {
+    pub(crate) fn encoded_size(&self) -> usize {
         2 + 2 + self.scope.encoded_size()
     }
 }
@@ -129,7 +129,7 @@ pub struct PvRoute {
 
 impl PvRoute {
     /// Approximate encoded size in bytes.
-    pub fn encoded_size(&self) -> usize {
+    pub(crate) fn encoded_size(&self) -> usize {
         4 + 4 + 4 * self.path.len() + self.attrs.encoded_size()
     }
 }
@@ -141,6 +141,9 @@ pub struct PvUpdate {
     /// Advertised routes.
     pub routes: Vec<PvRoute>,
 }
+
+/// Time of day at which time-window policy conditions are evaluated.
+const EVAL_TIME: TimeOfDay = TimeOfDay::NOON;
 
 /// Protocol configuration.
 #[derive(Clone, Debug)]
@@ -158,8 +161,6 @@ pub struct PathVector {
     /// "multiple routes per destination, each with different policy
     /// attributes".
     pub max_routes_per_dest: usize,
-    /// Time of day at which time-window policy conditions are evaluated.
-    pub eval_time: TimeOfDay,
     /// Minimum route advertisement interval in microseconds: after a RIB
     /// change, the router waits this long (coalescing further changes)
     /// before advertising. 0 disables batching (advertise immediately).
@@ -179,7 +180,6 @@ impl PathVector {
             policies,
             scope_attrs: true,
             max_routes_per_dest: 32,
-            eval_time: TimeOfDay::NOON,
             mrai_us: 2_000,
             misbehavior: MisbehaviorSpec::default(),
         }
@@ -699,7 +699,7 @@ impl PathVector {
             let next = route.path[0];
             let known = offered.iter().position(|(n, _)| *n == next);
             let known = known.unwrap_or_else(|| {
-                let offs = offerings(policy, dest, nbr, next, self.eval_time, scopes);
+                let offs = offerings(policy, dest, nbr, next, EVAL_TIME, scopes);
                 offered.push((next, offs));
                 offered.len() - 1
             });

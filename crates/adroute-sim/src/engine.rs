@@ -79,7 +79,6 @@ pub trait Protocol: Sized {
 /// Handler-side context: everything a router may do during an event.
 pub struct Ctx<'a, M> {
     pub(crate) me: AdId,
-    pub(crate) now: SimTime,
     pub(crate) topo: &'a Topology,
     pub(crate) stats: &'a mut Stats,
     /// Outgoing messages `(to, link, msg, anchor)` buffered until the
@@ -109,12 +108,6 @@ impl<'a, M> Ctx<'a, M> {
         self.me
     }
 
-    /// Current simulated time.
-    #[inline]
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
     /// Operational neighbors of this AD, with the connecting link.
     pub fn neighbors(&self) -> Vec<(AdId, LinkId)> {
         self.topo.neighbors(self.me).collect()
@@ -140,15 +133,9 @@ impl<'a, M> Ctx<'a, M> {
     /// `None` for non-neighbors. Slots are stable for a topology (the
     /// adjacency is sorted by neighbor id) regardless of link state, so
     /// per-neighbor protocol state can live in flat arrays of
-    /// [`Ctx::full_degree`] length instead of hash maps.
+    /// `Topology::full_degree` length instead of hash maps.
     pub fn neighbor_slot(&self, neighbor: AdId) -> Option<usize> {
         self.topo.neighbor_slot(self.me, neighbor)
-    }
-
-    /// This AD's adjacency size counting failed links too: the length to
-    /// allocate for [`Ctx::neighbor_slot`]-indexed arrays.
-    pub fn full_degree(&self) -> usize {
-        self.topo.full_degree(self.me)
     }
 
     /// Sends `msg` to a directly connected neighbor over the (operational)
@@ -405,7 +392,7 @@ impl<P: Protocol> Engine<P> {
     }
 
     /// Processes a single event. Returns `false` if the queue was empty.
-    pub fn step(&mut self) -> bool {
+    pub(crate) fn step(&mut self) -> bool {
         let Some(ev) = self.queue.pop() else {
             return false;
         };
@@ -509,7 +496,6 @@ impl<P: Protocol> Engine<P> {
         let observing = self.observing();
         let mut ctx = Ctx {
             me: ad,
-            now: self.now,
             topo: &self.topo,
             stats: &mut self.stats,
             outbox: std::mem::take(&mut self.scratch.outbox),
@@ -765,7 +751,7 @@ impl<P: Protocol> Engine<P> {
     /// experiment annotations) at the current simulated time, as a causal
     /// root. Returns its id so subsequently scheduled work can be
     /// attributed to it (see `Engine::schedule_link_change_caused`).
-    pub fn note(&mut self, rec: EventRecord) -> Option<EventId> {
+    pub(crate) fn note(&mut self, rec: EventRecord) -> Option<EventId> {
         self.emit(None, rec)
     }
 
@@ -782,7 +768,7 @@ impl<P: Protocol> Engine<P> {
     }
 
     /// Marks the start of a named measurement phase in both the stats
-    /// (see [`Stats::begin_phase`]) and the event stream.
+    /// (see `Stats::begin_phase`) and the event stream.
     pub fn begin_phase(&mut self, name: &'static str) {
         self.stats.begin_phase(name);
         self.emit(None, EventRecord::PhaseBegin { name });
@@ -1050,7 +1036,7 @@ mod tests {
         };
         let a = mk();
         let b = mk();
-        assert!(!a.obs.log.is_empty());
+        assert!(a.obs.log.iter().next().is_some());
         assert_eq!(a.obs.log.render(), b.obs.log.render(), "log must be golden");
         assert_eq!(a.obs.log.export_jsonl(), b.obs.log.export_jsonl());
         assert!(a.obs.log.first_divergence(&b.obs.log).is_identical());
@@ -1061,7 +1047,7 @@ mod tests {
         // Disabled by default: a fresh engine records nothing.
         let mut plain = Engine::new(line(3), Wave);
         plain.run_to_quiescence();
-        assert!(plain.obs.log.is_empty());
+        assert!(plain.obs.log.iter().next().is_none());
     }
 
     #[test]

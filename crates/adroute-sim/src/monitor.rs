@@ -335,11 +335,6 @@ impl MonitorBank {
         }
     }
 
-    /// Monitoring ticks completed so far.
-    pub fn ticks(&self) -> u64 {
-        self.tick
-    }
-
     /// Every alarm fired over the bank's lifetime, in firing order.
     pub fn alarms(&self) -> &[Alarm] {
         &self.alarms
@@ -358,48 +353,29 @@ impl MonitorBank {
 /// `quarantine-lift` events; `quarantine_entered`, `quarantine_lifted`,
 /// `false_positive` counters); the caller enacts the decision — feeding
 /// the quarantined set as avoid-criteria into ORWG route synthesis, or
-/// withdrawing the AD's routes in a hop-by-hop engine.
-#[derive(Debug)]
+/// withdrawing the AD's routes in a hop-by-hop engine. Alarms reach it
+/// confirmed (the tripwire's one violation is definitive; the streak
+/// detectors have already met their thresholds), so the first alarm
+/// against a suspect quarantines it.
+#[derive(Debug, Default)]
 pub struct QuarantineController {
-    threshold: u64,
-    accusations: BTreeMap<AdId, u64>,
     quarantined: BTreeSet<AdId>,
 }
 
-impl Default for QuarantineController {
-    fn default() -> QuarantineController {
-        QuarantineController::new(1)
-    }
-}
-
 impl QuarantineController {
-    /// A controller that quarantines after `threshold` distinct alarms
-    /// against the same suspect (minimum 1 — the tripwire's single
-    /// definitive alarm then suffices).
-    pub fn new(threshold: u64) -> QuarantineController {
-        QuarantineController {
-            threshold: threshold.max(1),
-            accusations: BTreeMap::new(),
-            quarantined: BTreeSet::new(),
-        }
-    }
-
-    /// Books one alarm against its suspect. When the accusation count
-    /// reaches the threshold the suspect enters quarantine: a
-    /// `quarantine-enter` event is emitted as a child of the alarm and
-    /// `quarantine_entered` increments. Returns the suspect and the
-    /// quarantine event's id if this call quarantined it — the caller
-    /// must then enact the route-around, chaining its teardowns to that
-    /// event.
+    /// Books one alarm against its suspect. A suspect not already in
+    /// quarantine enters it: a `quarantine-enter` event is emitted as a
+    /// child of the alarm and `quarantine_entered` increments. Returns
+    /// the suspect and the quarantine event's id if this call quarantined
+    /// it — the caller must then enact the route-around, chaining its
+    /// teardowns to that event.
     pub fn note_alarm(
         &mut self,
         alarm: &Alarm,
         obs: &mut Obs,
         at: SimTime,
     ) -> Option<(AdId, Option<EventId>)> {
-        let n = self.accusations.entry(alarm.suspect).or_insert(0);
-        *n += 1;
-        if *n >= self.threshold && self.quarantined.insert(alarm.suspect) {
+        if self.quarantined.insert(alarm.suspect) {
             obs.metrics.add("quarantine_entered", 1);
             let ev = obs.record_event(
                 at,
@@ -419,7 +395,6 @@ impl QuarantineController {
         if !self.quarantined.remove(&ad) {
             return false;
         }
-        self.accusations.remove(&ad);
         obs.metrics.add("quarantine_lifted", 1);
         if !guilty {
             obs.metrics.add("false_positive", 1);
@@ -601,7 +576,7 @@ mod tests {
                 violators: vec![AdId(2)],
             }],
         );
-        let mut q = QuarantineController::new(1);
+        let mut q = QuarantineController::default();
         let entered = q.note_alarm(&alarms[0], &mut obs, SimTime::ZERO);
         assert_eq!(entered.map(|(ad, _)| ad), Some(AdId(2)));
         assert!(entered.unwrap().1.is_some(), "quarantine event was logged");

@@ -204,7 +204,8 @@ pub enum EventRecord {
         /// Links restored.
         links: u64,
     },
-    /// A measurement phase boundary (see [`Stats::begin_phase`](crate::Stats::begin_phase)).
+    /// A measurement phase boundary (see
+    /// [`Engine::begin_phase`](crate::Engine::begin_phase)).
     PhaseBegin {
         /// Phase name (`"converge"`, `"failure-response"`, `"churn"`, …).
         name: &'static str,
@@ -811,7 +812,7 @@ impl EventRecord {
     /// The ADs this record directly involves (at most two), used by the
     /// causal analyses to attribute blast radius per root cause. Records
     /// about links or the run as a whole involve none.
-    pub fn ads(&self) -> [Option<AdId>; 2] {
+    pub(crate) fn ads(&self) -> [Option<AdId>; 2] {
         use EventRecord::*;
         match *self {
             Start { ad }
@@ -918,7 +919,7 @@ pub struct EventLog {
 impl EventLog {
     /// A log retaining at most `capacity` most-recent records, assigning
     /// ids from 0.
-    pub fn new(capacity: usize) -> EventLog {
+    pub(crate) fn new(capacity: usize) -> EventLog {
         EventLog::with_id_base(capacity, 0)
     }
 
@@ -937,7 +938,7 @@ impl EventLog {
 
     /// Appends a record caused by `cause` (evicting the oldest if full)
     /// and returns its assigned id, or `None` when the log is disabled.
-    pub fn push(
+    pub(crate) fn push(
         &mut self,
         at: SimTime,
         cause: Option<EventId>,
@@ -960,16 +961,6 @@ impl EventLog {
     /// The configured capacity (0 = disabled).
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Number of retained records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether nothing has been retained.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
     }
 
     /// Iterates over retained records, oldest first.
@@ -1100,7 +1091,7 @@ impl Default for Histogram {
 
 impl Histogram {
     /// An empty histogram.
-    pub fn new() -> Histogram {
+    pub(crate) fn new() -> Histogram {
         Histogram {
             buckets: vec![0; HIST_BUCKETS],
             count: 0,
@@ -1128,7 +1119,7 @@ impl Histogram {
     }
 
     /// Records one sample.
-    pub fn record(&mut self, v: u64) {
+    pub(crate) fn record(&mut self, v: u64) {
         self.buckets[Self::bucket_index(v)] += 1;
         if self.count == 0 {
             self.min = v;
@@ -1139,15 +1130,6 @@ impl Histogram {
         }
         self.count += 1;
         self.sum += v;
-    }
-
-    /// The arithmetic mean of recorded samples (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
     }
 
     /// The inclusive upper bound of bucket `i`.
@@ -1192,7 +1174,7 @@ impl Histogram {
 
     /// Renders the histogram as one deterministic JSON object: summary
     /// fields plus the non-empty buckets as `[lower_bound, count]` pairs.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let buckets = self.buckets.iter().enumerate().filter(|&(_, &c)| c > 0);
         let buckets = buckets.map(|(i, &c)| JsonWriter::array([Self::bucket_lo(i), c]));
         JsonWriter::object()
@@ -1253,16 +1235,6 @@ impl MetricsRegistry {
         self.histograms.get(name)
     }
 
-    /// All counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.histograms.is_empty()
-    }
-
     /// Renders the registry as one deterministic JSON object with
     /// `counters` and `histograms` maps in name order.
     pub fn to_json(&self) -> String {
@@ -1295,7 +1267,7 @@ pub struct Obs {
 
 impl Obs {
     /// An observability bundle retaining up to `capacity` events.
-    pub fn new(capacity: usize) -> Obs {
+    pub(crate) fn new(capacity: usize) -> Obs {
         Obs {
             log: EventLog::new(capacity),
             metrics: MetricsRegistry::new(),
@@ -1433,7 +1405,7 @@ mod tests {
         a.push(SimTime(1), None, EventRecord::Start { ad: AdId(0) });
         a.push(SimTime(2), None, EventRecord::Start { ad: AdId(1) });
         a.push(SimTime(3), None, EventRecord::Start { ad: AdId(2) });
-        assert_eq!(a.len(), 2);
+        assert_eq!(a.records.len(), 2);
         assert_eq!(a.dropped, 1);
         // Ids number the whole stream: eviction does not recycle them.
         assert_eq!(a.iter().map(|ev| ev.id.0).collect::<Vec<_>>(), vec![1, 2]);
@@ -1470,7 +1442,7 @@ mod tests {
             z.push(SimTime(1), None, EventRecord::Start { ad: AdId(0) }),
             None
         );
-        assert!(z.is_empty());
+        assert!(z.records.is_empty());
         assert_eq!(z.dropped, 1);
         assert_eq!(z.render(), "");
     }
@@ -1496,7 +1468,6 @@ mod tests {
         assert_eq!(h.sum, 1011);
         assert_eq!(h.min, 0);
         assert_eq!(h.max, 1000);
-        assert!(h.mean() > 144.0 && h.mean() < 145.0);
         // The median rank falls in the [2,3] bucket; the interpolated
         // estimate sits inside it.
         assert_eq!(h.quantile(0.5), 2);
@@ -1539,7 +1510,7 @@ mod tests {
     #[test]
     fn registry_counters_histograms_and_json() {
         let mut m = MetricsRegistry::new();
-        assert!(m.is_empty());
+        assert!(m.counters.is_empty() && m.histograms.is_empty());
         m.add("b_counter", 2);
         m.add("a_counter", 1);
         m.add("b_counter", 3);
@@ -1548,7 +1519,7 @@ mod tests {
         assert_eq!(m.counter("b_counter"), 5);
         assert_eq!(m.counter("missing"), 0);
         assert_eq!(m.histogram("lat_us").unwrap().count, 2);
-        let names: Vec<&str> = m.counters().map(|(k, _)| k).collect();
+        let names: Vec<&str> = m.counters.keys().map(String::as_str).collect();
         assert_eq!(names, vec!["a_counter", "b_counter"], "name order");
         let json = m.to_json();
         assert!(json.starts_with("{\"counters\":{\"a_counter\":1,\"b_counter\":5}"));

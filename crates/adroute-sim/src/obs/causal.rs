@@ -77,16 +77,6 @@ impl<'a> CausalGraph<'a> {
         }
     }
 
-    /// Number of events in the graph.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the graph is empty.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
     /// The events, sorted by id.
     pub fn events(&self) -> &[&'a LoggedEvent] {
         &self.nodes
@@ -137,7 +127,7 @@ impl<'a> CausalGraph<'a> {
     /// Fan-out attribution per root cause, sorted by descending event
     /// count (root id breaking ties). Every retained event belongs to
     /// exactly one entry, so the per-root `events` counts partition
-    /// [`len`](CausalGraph::len).
+    /// [`events`](CausalGraph::events).
     pub fn storm_report(&self) -> Vec<StormEntry> {
         let mut acc: BTreeMap<usize, StormAcc> = BTreeMap::new();
         for i in 0..self.nodes.len() {
@@ -265,7 +255,7 @@ mod tests {
     fn builds_span_trees_and_critical_path() {
         let log = sample_log();
         let g = CausalGraph::build(&[&log]);
-        assert_eq!(g.len(), 4);
+        assert_eq!(g.events().len(), 4);
         assert!(g.is_acyclic_by_id());
         assert_eq!(g.depth_of(0), 0);
         assert_eq!(g.depth_of(2), 2);
@@ -283,7 +273,7 @@ mod tests {
         let report = g.storm_report();
         assert_eq!(report.len(), 2);
         let total: u64 = report.iter().map(|e| e.events).sum();
-        assert_eq!(total, g.len() as u64);
+        assert_eq!(total, g.events().len() as u64);
         // Biggest storm first: the link-down cascade.
         assert_eq!(report[0].root_kind, "link-down");
         assert_eq!(report[0].events, 3);
@@ -305,7 +295,7 @@ mod tests {
         let b = log.push(SimTime(2), a, EventRecord::Crash { ad: AdId(0) });
         log.push(SimTime(3), b, EventRecord::Restart { ad: AdId(0) });
         let g = CausalGraph::build(&[&log]);
-        assert_eq!(g.len(), 2);
+        assert_eq!(g.events().len(), 2);
         assert_eq!(g.depth_of(0), 0, "orphaned event degrades to a root");
         assert_eq!(g.depth_of(1), 1);
         let total: u64 = g.storm_report().iter().map(|e| e.events).sum();
@@ -335,7 +325,7 @@ mod tests {
             },
         );
         let g = CausalGraph::build(&[&log, &data]);
-        assert_eq!(g.len(), 6);
+        assert_eq!(g.events().len(), 6);
         assert!(g.is_acyclic_by_id());
         // The ack hangs off the open, the root of its own span tree.
         assert_eq!(g.depth_of(5), 1);

@@ -279,19 +279,12 @@ impl Profiler {
         out
     }
 
-    /// The profile as one deterministic-shaped JSON object:
-    /// `{"work":{..},"spans":[{"path","calls","total_ns","self_ns"},..]}`.
+    /// Puts the profile's `work` and `spans` fields into an object the
+    /// caller has started (the CLI leads with the scenario):
+    /// `"work":{..},"spans":[{"path","calls","total_ns","self_ns"},..]`.
     /// The `work` map is byte-identical across runs; the `spans` array
     /// has deterministic *structure* (paths, order, calls) but
     /// run-varying times.
-    pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::object();
-        self.json_fields(&mut w);
-        w.finish()
-    }
-
-    /// Puts the `work` and `spans` fields of [`Profiler::to_json`] into
-    /// an object the caller has started (the CLI leads with the scenario).
     pub fn json_fields(&self, w: &mut JsonWriter) {
         let mut work = JsonWriter::object();
         for (k, v) in &self.work {
@@ -348,6 +341,13 @@ impl Profiler {
 mod tests {
     use super::*;
 
+    /// The profile's fields as one JSON object.
+    fn json(p: &Profiler) -> String {
+        let mut w = JsonWriter::object();
+        p.json_fields(&mut w);
+        w.finish()
+    }
+
     #[test]
     fn disabled_profiler_records_nothing() {
         let mut p = Profiler::new();
@@ -376,7 +376,7 @@ mod tests {
         assert_eq!(paths, vec!["run", "run;dispatch", "run;commit"]);
         let run = &p.spans()[p.walk()[0].1];
         assert_eq!(run.calls, 3);
-        let json = p.to_json();
+        let json = json(&p);
         assert!(json.contains("\"path\":\"run;dispatch\",\"calls\":3"));
         assert!(p.fold().lines().count() == 3);
         assert!(p.table(10).contains("run;commit"));
@@ -433,7 +433,7 @@ mod tests {
         assert_eq!(paths, vec!["run", "run;x", "run;y"]);
         assert_eq!((a.work["k"], a.work["only_b"]), (3, 7));
         // `run` aggregated both sides' calls.
-        assert!(a.to_json().contains("\"path\":\"run\",\"calls\":2"));
+        assert!(json(&a).contains("\"path\":\"run\",\"calls\":2"));
     }
 
     #[test]

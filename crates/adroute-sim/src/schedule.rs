@@ -111,11 +111,6 @@ impl FailureSchedule {
         &self.events
     }
 
-    /// Number of events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
     /// Whether the schedule is empty.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
@@ -212,21 +207,6 @@ impl OpenStorm {
     pub fn arrivals(&self) -> &[OpenArrival] {
         &self.arrivals
     }
-
-    /// Number of arrivals.
-    pub fn len(&self) -> usize {
-        self.arrivals.len()
-    }
-
-    /// Whether the storm is empty.
-    pub fn is_empty(&self) -> bool {
-        self.arrivals.is_empty()
-    }
-
-    /// End of the last phase (== `start` for an empty ramp).
-    pub fn horizon(phases: &[StormPhase], start: SimTime) -> SimTime {
-        start.plus_us(phases.iter().map(|p| p.duration_ms * 1000).sum())
-    }
 }
 
 #[cfg(test)]
@@ -284,7 +264,7 @@ mod tests {
         let s = FailureSchedule::draw(&topo, &model, SimTime::ZERO, 1_000);
         assert!(!s.is_empty());
         assert!(
-            s.failures() >= s.len() / 2,
+            s.failures() >= s.events().len() / 2,
             "first event per link is a failure"
         );
         let mut last = SimTime::ZERO;
@@ -345,8 +325,7 @@ mod tests {
         let a = OpenStorm::draw(&topo, &phases, SimTime::ZERO, 7);
         let b = OpenStorm::draw(&topo, &phases, SimTime::ZERO, 7);
         assert_eq!(a.arrivals(), b.arrivals());
-        assert_eq!(a.len(), 50 + 100);
-        assert!(!a.is_empty());
+        assert_eq!(a.arrivals().len(), 50 + 100);
         let mut last = SimTime::ZERO;
         for arr in a.arrivals() {
             assert!(arr.at >= last, "arrivals must be time-ordered");
@@ -359,10 +338,6 @@ mod tests {
                 assert!(arr.at < SimTime::from_ms(150));
             }
         }
-        assert_eq!(
-            OpenStorm::horizon(&phases, SimTime::ZERO),
-            SimTime::from_ms(150)
-        );
         let c = OpenStorm::draw(&topo, &phases, SimTime::ZERO, 8);
         assert_ne!(a.arrivals(), c.arrivals());
     }
@@ -382,6 +357,6 @@ mod tests {
             },
         ]);
         assert_eq!(s.events()[0].at, SimTime(100));
-        assert_eq!(s.len(), 2);
+        assert_eq!(s.events().len(), 2);
     }
 }

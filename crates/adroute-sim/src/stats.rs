@@ -13,10 +13,11 @@ use crate::obs::json::JsonWriter;
 /// measured without wall-clock noise.
 ///
 /// Multi-phase experiments (converge, then fail a link, then measure the
-/// failure response) should mark boundaries with [`Stats::begin_phase`]
-/// and read per-phase deltas via [`Stats::phase_delta`]. Phase scoping
-/// never zeroes a total: `per_ad_msgs` doubles as the channel-fault draw
-/// ordinal, so it must only ever grow.
+/// failure response) should mark boundaries with
+/// [`Engine::begin_phase`](crate::Engine::begin_phase) and read per-phase
+/// deltas via [`Stats::phase_delta`]. Phase scoping never zeroes a
+/// total: `per_ad_msgs` doubles as the channel-fault draw ordinal, so it
+/// must only ever grow.
 #[derive(Clone, Debug, Default)]
 pub struct Stats {
     /// Control messages sent (per-hop transmissions, not end-to-end).
@@ -58,7 +59,7 @@ pub struct Stats {
 
 impl Stats {
     /// Creates stats sized for `num_ads` ADs.
-    pub fn new(num_ads: usize) -> Stats {
+    pub(crate) fn new(num_ads: usize) -> Stats {
         Stats {
             per_ad_msgs: vec![0; num_ads],
             ..Stats::default()
@@ -66,18 +67,13 @@ impl Stats {
     }
 
     /// Adds `n` to the named counter.
-    pub fn count(&mut self, name: &'static str, n: u64) {
+    pub(crate) fn count(&mut self, name: &'static str, n: u64) {
         *self.counters.entry(name).or_insert(0) += n;
     }
 
     /// Reads a named counter (0 if never incremented).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// All named counters, for reporting.
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(&k, &v)| (k, v))
     }
 
     /// The maximum per-AD message count (hot-spot measure).
@@ -90,7 +86,7 @@ impl Stats {
     /// accumulating; [`Stats::phase_delta`] later recovers what happened
     /// within each phase by differencing snapshots. Phase names should be
     /// unique per run — deltas resolve the first occurrence of a name.
-    pub fn begin_phase(&mut self, name: &'static str) {
+    pub(crate) fn begin_phase(&mut self, name: &'static str) {
         let mut snap = self.clone();
         snap.phases.clear();
         self.phases.push((name, Box::new(snap)));
@@ -201,7 +197,7 @@ mod tests {
         s.count("dijkstra", 2);
         s.count("dijkstra", 3);
         assert_eq!(s.counter("dijkstra"), 5);
-        assert_eq!(s.counters().count(), 1);
+        assert_eq!(s.counters.len(), 1);
     }
 
     #[test]

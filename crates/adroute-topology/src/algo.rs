@@ -19,16 +19,6 @@ pub enum PathCost {
     Unreachable,
 }
 
-impl PathCost {
-    /// The finite cost, if reachable.
-    pub fn finite(self) -> Option<u64> {
-        match self {
-            PathCost::Finite(c) => Some(c),
-            PathCost::Unreachable => None,
-        }
-    }
-}
-
 /// Single-source shortest paths by link metric over operational links.
 ///
 /// Returns `(cost, parent)` vectors indexed by AD. `parent[src]` is `None`;
@@ -171,7 +161,6 @@ mod tests {
         let (cost, parent) = dijkstra(&t, AdId(0));
         assert_eq!(cost[2], PathCost::Unreachable);
         assert!(extract_path(&parent, AdId(0), AdId(2)).is_none());
-        assert_eq!(cost[2].finite(), None);
     }
 
     #[test]

@@ -35,29 +35,6 @@ pub struct Link {
     pub up: bool,
 }
 
-impl Link {
-    /// Given one endpoint, returns the other.
-    ///
-    /// # Panics
-    /// Panics if `from` is not an endpoint of this link.
-    #[inline]
-    pub fn other(&self, from: AdId) -> AdId {
-        if from == self.a {
-            self.b
-        } else if from == self.b {
-            self.a
-        } else {
-            panic!("{from} is not an endpoint of {}", self.id)
-        }
-    }
-
-    /// Whether `ad` is one of this link's endpoints.
-    #[inline]
-    pub fn touches(&self, ad: AdId) -> bool {
-        self.a == ad || self.b == ad
-    }
-}
-
 /// An AD-level internet: the graph over which every protocol in this
 /// workspace runs.
 ///
@@ -339,17 +316,8 @@ mod tests {
     fn link_other_endpoint() {
         let t = tiny();
         let l = t.link(LinkId(0));
-        assert_eq!(l.other(AdId(0)), AdId(1));
-        assert_eq!(l.other(AdId(1)), AdId(0));
-        assert!(l.touches(AdId(0)));
-        assert!(!l.touches(AdId(2)));
-    }
-
-    #[test]
-    #[should_panic(expected = "not an endpoint")]
-    fn link_other_panics_for_non_endpoint() {
-        let t = tiny();
-        t.link(LinkId(0)).other(AdId(2));
+        assert_eq!((l.a, l.b), (AdId(0), AdId(1)));
+        assert_eq!(t.link_between(AdId(1), AdId(0)), Some(LinkId(0)));
     }
 
     #[test]

@@ -79,7 +79,7 @@ impl AdLevel {
     /// Numeric rank: `Campus = 0` … `Backbone = 3`. Higher is closer to the
     /// top of the hierarchy.
     #[inline]
-    pub fn rank(self) -> u8 {
+    pub(crate) fn rank(self) -> u8 {
         match self {
             AdLevel::Campus => 0,
             AdLevel::Metro => 1,

@@ -67,7 +67,7 @@ impl PartialOrder {
     /// Equal ranks are tie-broken by AD id (toward the higher id is "up"),
     /// making the order total and every traversal well-defined.
     #[inline]
-    pub fn direction(&self, from: AdId, to: AdId) -> LinkDirection {
+    pub(crate) fn direction(&self, from: AdId, to: AdId) -> LinkDirection {
         let (rf, rt) = (self.rank(from), self.rank(to));
         if rt > rf || (rt == rf && to > from) {
             LinkDirection::Up

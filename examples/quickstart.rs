@@ -28,7 +28,7 @@ fn main() {
     println!(
         "policies: {} terms across {} ADs ({} bytes if flooded)",
         policies.total_terms(),
-        policies.len(),
+        topo.num_ads(),
         policies.total_encoded_size()
     );
 

@@ -55,7 +55,11 @@ fn check_invariants(logs: &[&EventLog]) {
         }
     }
     let total: u64 = g.storm_report().iter().map(|s| s.events).sum();
-    assert_eq!(total, g.len() as u64, "storm report is not a partition");
+    assert_eq!(
+        total,
+        g.events().len() as u64,
+        "storm report is not a partition"
+    );
     // The critical path is a genuine causal chain, root first. (Its
     // head may still carry a `cause` id if that record was evicted —
     // an unresolved cause degrades the head to a root.)

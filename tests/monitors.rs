@@ -346,7 +346,7 @@ fn pure_partition_raises_no_alarms_and_no_quarantines() {
         cti_ticks: 2,
     });
     let mut obs = Obs::disabled();
-    let mut quarantine = QuarantineController::new(1);
+    let mut quarantine = QuarantineController::default();
     for k in 1..=10u64 {
         // Advance *within* the partition window (quiescence would run
         // through the queued heal), then take one monitoring tick.

@@ -225,7 +225,7 @@ proptest! {
                 prop_assert_eq!(solo.as_ref().map(|r| r.cost), slow, "oracle vs brute, {}", what);
                 if let Some(r) = solo {
                     prop_assert_eq!(route_is_legal(&topo, &db, &f, &r.path), Some(r.cost));
-                    prop_assert!(sel.accepts(&r.path, r.cost), "{:?} for {}", r.path, what);
+                    prop_assert!(sel.accepts(&r.path), "{:?} for {}", r.path, what);
                 }
             }
         }

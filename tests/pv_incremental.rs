@@ -246,7 +246,7 @@ fn reference_table(pv: &PathVector, me: AdId, loc_rib: &[PvRoute], nbr: AdId) ->
             });
             continue;
         }
-        for off in offerings(policy, route.dest, nbr, route.path[0], pv.eval_time) {
+        for off in offerings(policy, route.dest, nbr, route.path[0], TimeOfDay::NOON) {
             per_dest
                 .entry(route.dest)
                 .or_default()

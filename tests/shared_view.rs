@@ -56,7 +56,7 @@ fn check(e: &mut Engine<LsHbh>, flows: &[FlowSpec]) -> Result<usize, TestCaseErr
         distinct += usize::from(first);
     }
     // Every router just resolved, so nothing unheld is left in the store.
-    prop_assert_eq!(e.protocol().views().len(), distinct);
+    prop_assert_eq!(e.protocol().views().num_views(), distinct);
     Ok(distinct)
 }
 

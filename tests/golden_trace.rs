@@ -1,9 +1,9 @@
 //! Golden typed-trace exports: the JSONL event-stream schema is a stable
 //! artifact — a change to record fields, field order, or event ordering
 //! must show up in review as a diff of the committed `tests/golden/*.jsonl`
-//! snapshots. The same holds for the CLI's `--json` reports and the
-//! `profile` work ledger pinned at the end of this file. Regenerate
-//! intentionally with `BLESS=1 cargo test --test golden_trace`.
+//! snapshots. The same holds for the CLI's `--json` reports, its text
+//! outputs and the `profile` work ledger pinned at the end of this file.
+//! Regenerate intentionally with `BLESS=1 cargo test --test golden_trace`.
 
 use adroute::core::{OrwgProtocol, ShardConfig, StressConfig};
 use adroute::policy::PolicyDb;
@@ -271,4 +271,55 @@ fn profile_e7b_work_ledger_matches_golden() {
         "profile_e7b_work.json",
         &format!("{}\n", &json[start..=end]),
     );
+}
+
+/// The CLI's text outputs: `(golden, command line)`.
+const CLI_TEXT: &[(&str, &str)] = &[
+    ("help.txt", "help"),
+    ("chaos.txt", "chaos"),
+    ("chaos_loss0.3_seed5.txt", "chaos --loss 0.3 --seed 5"),
+    (
+        "chaos_ads30_seed11_byzantine.txt",
+        "chaos --ads 30 --seed 11 --duration 250 --flows 20 --byzantine",
+    ),
+    (
+        "report_ads40_seed7.txt",
+        "report --ads 40 --seed 7 --flows 20",
+    ),
+    ("audit_quickstart.txt", "audit quickstart"),
+    ("stress_quickstart.txt", "stress quickstart"),
+    (
+        "stress_quickstart_sharded.txt",
+        "stress quickstart --sharded",
+    ),
+    ("blame_quickstart.txt", "blame quickstart"),
+];
+
+#[test]
+fn cli_text_outputs_match_golden() {
+    for (name, line) in CLI_TEXT {
+        check_golden(name, &cli(line));
+    }
+}
+
+#[test]
+fn trace_analyze_text_matches_golden_for_every_design_point() {
+    for proto in ["orwg", "dv", "ecma", "pv", "ls-hbh"] {
+        let out = cli(&format!("trace --ads 20 --analyze --proto {proto}"));
+        check_golden(&format!("trace_ads20_analyze_{proto}.txt"), &out);
+    }
+}
+
+/// `gen-topo`'s text internet, then `audit --topo` and `route` over it.
+#[test]
+fn gen_topo_audit_and_route_text_match_golden() {
+    let topo = cli("gen-topo --ads 40 --seed 7");
+    check_golden("gen_topo_ads40_seed7.topo", &topo);
+    let file = std::env::temp_dir().join("adroute-golden-ads40-seed7.topo");
+    fs::write(&file, &topo).unwrap();
+    let f = file.display();
+    let audit = cli(&format!("audit --topo {f} --tree"));
+    check_golden("audit_topo_ads40_seed7_tree.txt", &audit);
+    let route = cli(&format!("route --topo {f} --src 3 --dst 22"));
+    check_golden("route_ads40_seed7_src3_dst22.txt", &route);
 }

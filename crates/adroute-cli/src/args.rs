@@ -103,12 +103,9 @@ impl Args {
 
     /// A required parsed flag.
     pub(crate) fn req_parse<T: std::str::FromStr>(&self, key: &str) -> Result<T, CliError> {
-        self.req(key)?.parse().map_err(|_| {
-            CliError(format!(
-                "flag --{key}: cannot parse '{}'",
-                self.req(key).unwrap()
-            ))
-        })
+        let v = self.req(key)?;
+        v.parse()
+            .map_err(|_| CliError(format!("flag --{key}: cannot parse '{v}'")))
     }
 
     /// An optional parsed flag with a default.

@@ -11,16 +11,9 @@ use std::process::ExitCode;
 use adroute_cli::{args, commands};
 
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = match args::Args::parse(argv) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("{}", commands::USAGE);
-            return ExitCode::FAILURE;
-        }
-    };
-    match commands::dispatch(&parsed) {
+    let parsed = args::Args::parse(std::env::args().skip(1))
+        .map_err(|e| format!("{e}\n{}", commands::usage()));
+    match parsed.and_then(|a| commands::dispatch(&a).map_err(|e| e.0)) {
         Ok(out) => {
             print!("{out}");
             ExitCode::SUCCESS

@@ -334,13 +334,8 @@ fn busiest_src(storm: &OpenStorm, n_ads: usize) -> AdId {
     for a in storm.arrivals() {
         counts[a.src.index()] += 1;
     }
-    let mut best = 0usize;
-    for (i, &c) in counts.iter().enumerate() {
-        if c > counts[best] {
-            best = i;
-        }
-    }
-    AdId(best as u32)
+    let best = (0..n_ads).max_by_key(|&i| (counts[i], std::cmp::Reverse(i)));
+    AdId(best.unwrap_or(0) as u32)
 }
 
 /// Draws a scenario's storm and runs the load ramp, returning the

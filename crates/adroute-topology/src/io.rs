@@ -56,7 +56,8 @@ pub fn dump(topo: &Topology) -> String {
 /// An error produced while parsing the text format.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct TopologyParseError {
-    /// 1-based line number of the offending line.
+    /// 1-based line number of the offending line (the line the input
+    /// ends on when it ended too soon, as in the policy parser).
     pub line: usize,
     /// What was wrong.
     pub message: String,
@@ -164,7 +165,7 @@ pub fn parse(text: &str) -> Result<Topology, TopologyParseError> {
     }
 
     if ads.is_empty() {
-        return perr(0, "no ADs defined");
+        return perr(text.matches('\n').count() + 1, "no ADs defined");
     }
     for (&(a, b, _), &(_, _, line)) in edges.iter().zip(&extras) {
         if a.index() >= ads.len() || b.index() >= ads.len() {
@@ -258,6 +259,8 @@ mod tests {
         assert!(e.message.contains("unknown record"), "{e}");
         let e = parse("").unwrap_err();
         assert!(e.message.contains("no ADs"), "{e}");
+        assert_eq!(e.to_string(), "line 1: no ADs defined");
+        assert_eq!(parse("# adroute topology v1\n").unwrap_err().line, 2);
         let e = parse("ad 0 campus stub\nlink 0 9 metric 1 delay 1 up").unwrap_err();
         assert!(e.message.contains("undefined AD"), "{e}");
         assert_eq!(e.line, 2);

@@ -7,9 +7,8 @@ cd "$(dirname "$0")/.."
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
 
-adroute() {
-    cargo run --release -q -p adroute-cli -- "$@"
-}
+cargo build --release -q -p adroute-cli
+adroute="${CARGO_TARGET_DIR:-target}/release/adroute"
 
 echo "== Visibility: every pub fn under crates/*/src is named in some other crate"
 # A `pub fn` no other crate names hides from rustc's dead_code lint; make it
@@ -119,42 +118,41 @@ echo "== The LRU cache: returns, evictions and recency order equal the stamp-ord
 PROPTEST_CASES=1024 cargo test -q -p adroute-core --lib lru_matches_reference_model
 
 echo "== Machine-readable outputs are valid JSON"
-adroute report --ads 40 --seed 7 --flows 20 --json | python3 -m json.tool > /dev/null
-adroute blame quickstart --json | python3 -m json.tool > /dev/null
-adroute blame e7b --json | python3 -m json.tool > /dev/null
-adroute audit quickstart --json | python3 -m json.tool > /dev/null
-adroute audit e7b --json | python3 -m json.tool > /dev/null
-adroute stress quickstart --json | python3 -m json.tool > /dev/null
-adroute profile e7b --json | python3 -m json.tool > /dev/null
-adroute stress quickstart --json --trace "$out/s.jsonl" | python3 -m json.tool > /dev/null
-adroute audit quickstart --json --trace "$out/a.jsonl" | python3 -m json.tool > /dev/null
+"$adroute" report --ads 40 --seed 7 --flows 20 --json | python3 -m json.tool > /dev/null
+"$adroute" blame quickstart --json | python3 -m json.tool > /dev/null
+"$adroute" blame e7b --json | python3 -m json.tool > /dev/null
+"$adroute" audit quickstart --json | python3 -m json.tool > /dev/null
+"$adroute" audit e7b --json | python3 -m json.tool > /dev/null
+"$adroute" stress quickstart --json | python3 -m json.tool > /dev/null
+"$adroute" profile e7b --json | python3 -m json.tool > /dev/null
+"$adroute" stress quickstart --json --trace "$out/s.jsonl" | python3 -m json.tool > /dev/null
+"$adroute" audit quickstart --json --trace "$out/a.jsonl" | python3 -m json.tool > /dev/null
 cmp "$out/a.jsonl" tests/golden/audit_quickstart_trace.jsonl
 
 echo "== Paper-scale smoke (10^4-AD gossip flood, clean then faulted, 300 s each)"
-# `timeout` cannot run the shell function; the binary is built by now.
-timeout 300 cargo run --release -q -p adroute-cli -- profile e13 --ads 10000 --json | python3 -m json.tool > /dev/null
-timeout 300 cargo run --release -q -p adroute-cli -- profile e13 --ads 10000 --loss 0.05 --json | python3 -m json.tool > /dev/null
+timeout 300 "$adroute" profile e13 --ads 10000 --json | python3 -m json.tool > /dev/null
+timeout 300 "$adroute" profile e13 --ads 10000 --loss 0.05 --json | python3 -m json.tool > /dev/null
 
 echo "== Byzantine smoke (lossy opens, then forged-ack opens; double run)"
-adroute audit quickstart
-adroute chaos --ads 30 --seed 11 --duration 250 --flows 20 --byzantine --trace "$out/byz-a.jsonl"
-adroute chaos --ads 30 --seed 11 --duration 250 --flows 20 --byzantine --trace "$out/byz-b.jsonl"
+"$adroute" audit quickstart
+"$adroute" chaos --ads 30 --seed 11 --duration 250 --flows 20 --byzantine --trace "$out/byz-a.jsonl"
+"$adroute" chaos --ads 30 --seed 11 --duration 250 --flows 20 --byzantine --trace "$out/byz-b.jsonl"
 cmp "$out/byz-a.jsonl" "$out/byz-b.jsonl"
 
 echo "== Chaos faulted trace (partition/heal, double run)"
-adroute chaos --ads 800 --seed 1990 --duration 250 --flows 20 --partition --trace "$out/chaos-a.jsonl"
-adroute chaos --ads 800 --seed 1990 --duration 250 --flows 20 --partition --trace "$out/chaos-b.jsonl"
+"$adroute" chaos --ads 800 --seed 1990 --duration 250 --flows 20 --partition --trace "$out/chaos-a.jsonl"
+"$adroute" chaos --ads 800 --seed 1990 --duration 250 --flows 20 --partition --trace "$out/chaos-b.jsonl"
 cmp "$out/chaos-a.jsonl" "$out/chaos-b.jsonl"
 cargo test -q --test golden_trace chaos_trace
 
 echo "== Overload smoke (stress ramp + deterministic trace)"
-adroute stress quickstart --trace "$out/stress-a.jsonl"
-adroute stress quickstart --trace "$out/stress-b.jsonl"
+"$adroute" stress quickstart --trace "$out/stress-a.jsonl"
+"$adroute" stress quickstart --trace "$out/stress-b.jsonl"
 cmp "$out/stress-a.jsonl" "$out/stress-b.jsonl"
 
 echo "== Sharded serving (deterministic trace)"
-adroute stress quickstart --sharded --trace "$out/shard-a.jsonl"
-adroute stress quickstart --sharded --trace "$out/shard-b.jsonl"
+"$adroute" stress quickstart --sharded --trace "$out/shard-a.jsonl"
+"$adroute" stress quickstart --sharded --trace "$out/shard-b.jsonl"
 cmp "$out/shard-a.jsonl" "$out/shard-b.jsonl"
 
 echo "== Examples run"

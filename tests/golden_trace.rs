@@ -260,17 +260,52 @@ fn blame_e7b_json_matches_golden() {
     check_golden("blame_e7b.json", &cli("blame e7b --json"));
 }
 
+/// The `"work":{..}` object of a `profile --json` output, newline-ended.
+fn work_object(json: &str) -> String {
+    let start = json.find("\"work\":{").expect("profile has a work object");
+    let end = start + json[start..].find('}').expect("work object closes");
+    format!("{}\n", &json[start..=end])
+}
+
 /// `profile e7b --json`'s work ledger: the deterministic counters beside
 /// the span tree, whose wall times differ between runs.
 #[test]
 fn profile_e7b_work_ledger_matches_golden() {
     let json = cli("profile e7b --json");
-    let start = json.find("\"work\":{").expect("profile has a work object");
-    let end = start + json[start..].find('}').expect("work object closes");
-    check_golden(
-        "profile_e7b_work.json",
-        &format!("{}\n", &json[start..=end]),
-    );
+    check_golden("profile_e7b_work.json", &work_object(&json));
+}
+
+/// The other scenarios' work ledgers: the engine flood (e13), the
+/// engine lifecycle plus a serve ramp (quickstart) and the serve ramp
+/// alone (e14).
+#[test]
+fn profile_work_ledgers_match_golden() {
+    for (name, line) in [
+        ("profile_quickstart_work.json", "profile quickstart --json"),
+        (
+            "profile_e13_ads300_work.json",
+            "profile e13 --ads 300 --json",
+        ),
+        ("profile_e14_work.json", "profile e14 --json"),
+    ] {
+        check_golden(name, &work_object(&cli(line)));
+    }
+}
+
+/// The count-bearing `--json` outputs: the stress ladder's totals and
+/// metrics (monolithic and batched) and the audit lifecycle's.
+#[test]
+fn stress_and_audit_json_match_golden() {
+    for (name, line) in [
+        ("stress_quickstart.json", "stress quickstart --json"),
+        (
+            "stress_quickstart_sharded.json",
+            "stress quickstart --sharded --json",
+        ),
+        ("audit_quickstart.json", "audit quickstart --json"),
+    ] {
+        check_golden(name, &cli(line));
+    }
 }
 
 /// The CLI's text outputs: `(golden, command line)`.

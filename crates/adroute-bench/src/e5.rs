@@ -15,6 +15,7 @@ use std::collections::BTreeSet;
 use adroute_core::{OrwgNetwork, Strategy};
 use adroute_protocols::forwarding::{forward, sample_flows};
 use adroute_protocols::ls_hbh::LsHbh;
+use adroute_sim::Counter;
 
 use crate::{converged, World};
 
@@ -61,7 +62,10 @@ pub fn rows(approx_ads: usize, seed: u64, class_counts: &[usize]) -> Vec<Row> {
             }
         }
         let sources: BTreeSet<_> = flows.iter().map(|f| f.src).collect();
-        let orwg_src_searches: u64 = sources.iter().map(|&a| net.server(a).stats.searches).sum();
+        let orwg_src_searches: u64 = sources
+            .iter()
+            .map(|&a| net.server(a).ledger.get(Counter::Searches))
+            .sum();
         Row {
             classes,
             ls_computations: comp.iter().sum(),

@@ -37,7 +37,8 @@ impl Args {
         let Some(command) = it.next() else {
             return bail("missing subcommand; try `adroute help`");
         };
-        if command.starts_with("--") {
+        // `--help` is the one leading flag: it names the `help` command.
+        if command.starts_with("--") && command != "--help" {
             return bail("the subcommand must come before flags");
         }
         let mut positionals = Vec::new();

@@ -19,9 +19,9 @@ use adroute_protocols::{
     ecma::Ecma, gossip::Gossip, ls_hbh::LsHbh, naive_dv::NaiveDv, path_vector::PathVector,
 };
 use adroute_sim::{
-    CausalGraph, ChannelFaults, CrashModel, Engine, EventLog, FailureModel, FaultPlan, FaultSpec,
-    JsonWriter, MetricsRegistry, MisbehaviorModel, MisbehaviorSpec, Profiler, Protocol, SimTime,
-    Stats,
+    CausalGraph, ChannelFaults, Counter, CrashModel, Engine, EventLog, FailureModel, FaultPlan,
+    FaultSpec, JsonWriter, Ledger, MetricsRegistry, MisbehaviorModel, MisbehaviorSpec, Output,
+    Profiler, Protocol, SimTime, Stats,
 };
 use adroute_topology::{analysis, io as topo_io, transit, AdId, HierarchyConfig, LinkId, Topology};
 
@@ -95,10 +95,9 @@ pub fn usage() -> String {
 /// Dispatches a parsed command line: looks the subcommand up, checks its
 /// flags and runs it. `-h` is `help`.
 pub fn dispatch(args: &Args) -> Result<String, CliError> {
-    let name = if args.command == "-h" {
-        "help"
-    } else {
-        &args.command
+    let name = match args.command.as_str() {
+        "-h" | "--help" => "help",
+        name => name,
     };
     let Some(c) = COMMANDS.iter().find(|c| c.name == name) else {
         return bail(format!("unknown command '{name}'; try `adroute help`"));
@@ -264,6 +263,19 @@ mod tests {
         .unwrap();
         assert!(out.contains("safe (no flow stranded):"), "{out}");
         assert!(out.contains("transit share:"), "{out}");
+    }
+
+    #[test]
+    fn help_flags_name_the_help_command() {
+        let usage = run("help").unwrap();
+        assert!(usage.contains("USAGE"));
+        assert_eq!(run("-h").unwrap(), usage);
+        assert_eq!(run("--help").unwrap(), usage);
+        // Every other leading flag is still refused before dispatch.
+        for line in ["--json", "--ads 5 gen-topo", "--helpx"] {
+            let err = Args::parse(line.split_whitespace().map(str::to_string)).unwrap_err();
+            assert_eq!(err.0, "the subcommand must come before flags", "{line}");
+        }
     }
 
     #[test]

@@ -62,7 +62,10 @@ fn audit_byzantine(args: &Args) -> Result<String, CliError> {
             .put("quarantine", quarantine)
             .put("violating_after", bz.violating_after)
             .put("reconverged_legal", reconverged)
-            .put("metrics", net.obs.metrics.to_json())
+            .put(
+                "metrics",
+                net.obs.metrics.json(&net.ledger(), Output::Metrics),
+            )
             .finish();
         out = wrap_json("audit", audit);
     } else {

@@ -143,14 +143,14 @@ fn chaos(args: &Args) -> Result<String, CliError> {
          seq jumps {}, resyncs {}",
         t.0,
         s.events,
-        s.router_crashes,
-        s.router_restarts,
-        s.msgs_lost,
-        s.msgs_corrupted,
-        s.msgs_duplicated,
-        s.msgs_reordered,
-        s.counter("ls_seq_jump"),
-        s.counter("ls_resync"),
+        s.get(Counter::RouterCrashes),
+        s.get(Counter::RouterRestarts),
+        s.get(Counter::MsgsLost),
+        s.get(Counter::MsgsCorrupted),
+        s.get(Counter::MsgsDuplicated),
+        s.get(Counter::MsgsReordered),
+        s.get(Counter::LsSeqJump),
+        s.get(Counter::LsResync),
     );
     let truth = e.topo().clone();
     let want = truth.links().filter(|l| l.up).count();

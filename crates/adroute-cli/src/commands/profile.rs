@@ -20,7 +20,8 @@ pub(super) const PROFILE: Command = Command {
 };
 
 /// Wall times vary run to run; `tests/profile_determinism.rs` holds the
-/// `work` ledger byte-identical across runs.
+/// `work` ledger (the engine's and the network's counts, as
+/// [`Output::Work`] names them) byte-identical across runs.
 fn profile(args: &Args) -> Result<String, CliError> {
     let json = args.opt_parse("json", false)?;
     let folded = args.opt_parse("folded", false)?;
@@ -33,6 +34,7 @@ fn profile(args: &Args) -> Result<String, CliError> {
         return bail("--ads/--loss apply only to e13");
     }
     let mut prof = Profiler::new();
+    let mut work = Ledger::default();
     let (ads, links);
     match scenario::lookup("profile", &scenario)? {
         // e13, the gossip flood: the engine's dispatch path at scale.
@@ -61,6 +63,7 @@ fn profile(args: &Args) -> Result<String, CliError> {
             e.enable_prof();
             e.run_to_quiescence();
             prof.merge_from(&e.prof);
+            work += &e.stats.ledger();
         }
         // quickstart/e7b: the engine lifecycle (converge, cut the trunk,
         // re-converge), then a sharded serve ramp on the same internet —
@@ -77,6 +80,7 @@ fn profile(args: &Args) -> Result<String, CliError> {
                 e.enable_prof();
                 scenario::converge_then_cut(&mut e, &[sc.trunk()]);
                 prof.merge_from(&e.prof);
+                work += &e.stats.ledger();
             }
             if scenario == "e7b" {
                 for p in &mut sc.phases {
@@ -85,19 +89,28 @@ fn profile(args: &Args) -> Result<String, CliError> {
             }
             let (net, _) = scenario::stress_run(&sc, Some(ShardConfig::default()), true);
             prof.merge_from(&net.prof);
+            work += &net.ledger();
         }
     }
     let out = if json {
         let mut w = JsonWriter::object();
         w.put_str("scenario", &scenario)
             .put("ads", ads)
-            .put("links", links);
+            .put("links", links)
+            .put("work", work.to_json(Output::Work));
         prof.json_fields(&mut w);
         wrap_json("profile", w.finish())
     } else if folded {
         prof.fold()
     } else {
-        let table = prof.table(top);
+        let mut table = prof.table(top);
+        let ledger = work.printed(Output::Work);
+        if !ledger.is_empty() {
+            table.push_str("work ledger (deterministic):\n");
+        }
+        for (k, v) in ledger {
+            let _ = writeln!(table, "{v:>14}  {k}");
+        }
         format!("profile {scenario}: {ads} ADs, {links} links\n{table}")
     };
     emit(&out, args.opt("out"))

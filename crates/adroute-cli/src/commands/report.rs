@@ -19,6 +19,8 @@ struct PointReport {
     reconverge_us: u64,
     totals: Stats,
     metrics: MetricsRegistry,
+    /// The counts the `metrics` object prints, and as which output.
+    counts: (Ledger, Output),
 }
 
 impl PointReport {
@@ -29,6 +31,7 @@ impl PointReport {
         us: (u64, u64),
         mut metrics: MetricsRegistry,
         totals: &Stats,
+        counts: (Ledger, Output),
     ) -> Self {
         for &v in &totals.per_ad_msgs {
             metrics.record("ad_msgs", v);
@@ -39,6 +42,7 @@ impl PointReport {
             reconverge_us: us.1,
             totals: totals.clone(),
             metrics,
+            counts,
         }
     }
 }
@@ -75,12 +79,14 @@ impl TrunkCut<'_> {
                     })
                     .sum();
                 e.obs.metrics.record("setup_latency_us", lat);
-                e.obs.metrics.add("flows_delivered", 1);
+                e.obs.metrics.add(Counter::FlowsDelivered, 1);
             } else {
-                e.obs.metrics.add("flows_undelivered", 1);
+                e.obs.metrics.add(Counter::FlowsUndelivered, 1);
             }
         }
-        PointReport::new(name, us, std::mem::take(&mut e.obs.metrics), &e.stats)
+        let counts = (e.obs.ledger(), Output::Metrics);
+        let metrics = std::mem::take(&mut e.obs.metrics);
+        PointReport::new(name, us, metrics, &e.stats, counts)
     }
 }
 
@@ -97,7 +103,7 @@ fn point_json(p: &PointReport) -> String {
         .put("reconvergence_us", p.reconverge_us)
         .put("stats", p.totals.to_json())
         .put("phases", phases.finish())
-        .put("metrics", p.metrics.to_json())
+        .put("metrics", p.metrics.json(&p.counts.0, p.counts.1))
         .finish()
 }
 
@@ -135,16 +141,13 @@ fn report(args: &Args) -> Result<String, CliError> {
     );
     for f in &flows {
         match net.open(f) {
-            Ok(_) => net.obs.metrics.add("flows_delivered", 1),
-            Err(_) => net.obs.metrics.add("flows_undelivered", 1),
+            Ok(_) => net.obs.metrics.add(Counter::FlowsDelivered, 1),
+            Err(_) => net.obs.metrics.add(Counter::FlowsUndelivered, 1),
         }
     }
     // Byzantine containment drill: its quarantine lifecycle counters land
-    // in the orwg point's metrics (pre-touched so every counter reports,
-    // even at zero).
-    net.obs.metrics.add("quarantine_entered", 0);
-    net.obs.metrics.add("quarantine_lifted", 0);
-    net.obs.metrics.add("false_positive", 0);
+    // in the orwg point's metrics, which print them (and the Route
+    // Servers' batched-sweep counters) even at zero.
     if let Some(rogue) = most_transited(&net) {
         let mut bz = run_byzantine(&mut net, rogue, SimTime::ZERO, &[]);
         if bz.detection.is_some() && bz.violating_after == 0 {
@@ -155,16 +158,9 @@ fn report(args: &Args) -> Result<String, CliError> {
             net.lift_quarantine(bz.rogue);
         }
     }
-    // Route-Server efficiency counters: batched-sweep statistics land in
-    // the orwg point's metrics block (added even at zero so every run
-    // reports them).
-    let sweep = net.aggregate_sweep_stats();
-    net.obs.metrics.add("sweep_batches", sweep.batches);
-    net.obs.metrics.add("sweep_batch_flows", sweep.batch_flows);
-    net.obs.metrics.add("sweep_sweeps", sweep.sweeps);
-    net.obs.metrics.add("sweep_refills", sweep.refills);
+    let counts = (net.ledger(), Output::Report);
     let metrics = std::mem::take(&mut net.obs.metrics);
-    points.push(PointReport::new("orwg", us, metrics, &e.stats));
+    points.push(PointReport::new("orwg", us, metrics, &e.stats, counts));
 
     if json {
         let (a, b) = (topo.link(trunk).a, topo.link(trunk).b);

@@ -82,7 +82,10 @@ fn stress(args: &Args) -> Result<String, CliError> {
             .put("latency", latency)
             .put_opt("failover", failover)
             .put_opt("chain", chain)
-            .put("metrics", net.obs.metrics.to_json())
+            .put(
+                "metrics",
+                net.obs.metrics.json(&net.ledger(), Output::Metrics),
+            )
             .finish();
         out = wrap_json("stress", stress);
     } else {

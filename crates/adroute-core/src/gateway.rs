@@ -15,6 +15,7 @@
 //! this capacity.
 
 use adroute_policy::{FlowSpec, TransitPolicy};
+use adroute_sim::{Counter, Ledger};
 use adroute_topology::AdId;
 
 use crate::dataplane::{DataPacket, HandleId, SetupPacket};
@@ -87,17 +88,6 @@ pub(crate) struct HandleEntry {
     pub epoch: u64,
 }
 
-/// The gateway's correctness tripwire. (E5 counts setup validations in
-/// [`crate::network::SetupOutcome::validations`]; E6 counts handle
-/// evictions with [`PolicyGateway::evictions`].)
-#[derive(Clone, Copy, Default, Debug)]
-pub struct GatewayStats {
-    /// Data packets that reached a cached entry from a *previous*
-    /// incarnation. Crash handling wipes the cache, so this must stay 0 —
-    /// it is a tripwire proving no stale handle ever forwards traffic.
-    pub(crate) stale_forwards: u64,
-}
-
 /// One AD's policy gateway.
 #[derive(Clone, Debug)]
 pub struct PolicyGateway {
@@ -106,8 +96,10 @@ pub struct PolicyGateway {
     handles: LruCache<HandleId, HandleEntry>,
     up: bool,
     epoch: u64,
-    /// Work counters.
-    pub stats: GatewayStats,
+    /// The correctness tripwire, [`Counter::StaleForwards`]. (E5 counts
+    /// setup validations in [`crate::network::SetupOutcome::validations`];
+    /// E6 counts handle evictions with [`PolicyGateway::evictions`].)
+    pub ledger: Ledger,
 }
 
 impl PolicyGateway {
@@ -118,7 +110,7 @@ impl PolicyGateway {
             handles: LruCache::new(capacity),
             up: true,
             epoch: 0,
-            stats: GatewayStats::default(),
+            ledger: Ledger::default(),
         }
     }
 
@@ -238,7 +230,7 @@ impl PolicyGateway {
             return Err(DataError::UnknownHandle { at: self.ad });
         };
         if entry.epoch != self.epoch {
-            self.stats.stale_forwards += 1;
+            self.ledger.add(Counter::StaleForwards, 1);
             return Err(DataError::StaleHandle { at: self.ad });
         }
         if entry.prev != arrived_from || entry.flow.src != pkt.src {
@@ -456,7 +448,8 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, DataError::UnknownHandle { at: AdId(1) });
         assert_eq!(
-            pg.stats.stale_forwards, 0,
+            pg.ledger.get(Counter::StaleForwards),
+            0,
             "no stale handle may ever forward"
         );
         // And a fresh setup works at the new epoch.
@@ -491,7 +484,7 @@ mod tests {
             )
             .unwrap_err();
         assert_eq!(err, DataError::StaleHandle { at: AdId(1) });
-        assert_eq!(pg.stats.stale_forwards, 1);
+        assert_eq!(pg.ledger.get(Counter::StaleForwards), 1);
     }
 
     #[test]

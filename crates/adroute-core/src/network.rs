@@ -13,7 +13,9 @@ use std::sync::Arc;
 
 use adroute_policy::{FlowSpec, PolicyDb};
 use adroute_protocols::linkstate::LsDb;
-use adroute_sim::{Engine, EventId, EventRecord, Obs, Profiler, SimTime, DATA_STREAM_ID_BASE};
+use adroute_sim::{
+    Counter, Engine, EventId, EventRecord, Ledger, Obs, Profiler, SimTime, DATA_STREAM_ID_BASE,
+};
 use adroute_topology::{AdId, Topology};
 
 use crate::dataplane::HandleId;
@@ -160,7 +162,9 @@ pub struct OrwgNetwork {
     /// logged event that killed it (the view-invalidate of the fault), so
     /// the eventual repair chains to its cause in the span tree.
     pending_repair: Vec<(OpenFlow, Option<EventId>)>,
-    /// Cumulative repair outcomes.
+    /// Cumulative repair outcomes: the only home of these four counts,
+    /// a struct because `benchmark/` reads its fields by name (ROADMAP
+    /// "One measurement stack" moves them into the ledger).
     pub repair_stats: RepairStats,
     setup_loss: Option<(f64, rand::rngs::SmallRng)>,
     view_maintenance: ViewMaintenance,
@@ -189,8 +193,7 @@ pub struct OrwgNetwork {
     pub obs: Obs,
     /// The data-plane self-profiler (disabled by default, see
     /// [`OrwgNetwork::enable_prof`]): spans around serve slots and
-    /// refills plus a deterministic work ledger fed from synthesis
-    /// counters. Merged with an engine's profiler for whole-run reports.
+    /// refills. Merged with an engine's profiler for whole-run reports.
     pub prof: Profiler,
     /// Timestamp stamped on data-plane events: the last control-plane
     /// time adopted from an engine (see [`OrwgNetwork::refresh_from_engine`]
@@ -398,48 +401,47 @@ impl OrwgNetwork {
         self.clock = t;
     }
 
+    /// Every Route Server's ledger, merged.
+    fn servers_ledger(&self) -> Ledger {
+        self.servers.iter().map(|s| &s.ledger).sum()
+    }
+
     /// Total setup-time synthesis searches across all Route Servers.
     pub fn total_searches(&self) -> u64 {
-        self.servers.iter().map(|s| s.stats.searches).sum()
+        self.servers_ledger().get(Counter::Searches)
     }
 
-    /// Sums every Route Server's counters into one [`SynthStats`].
+    /// Every Route Server's synthesis keys, merged.
     pub fn aggregate_synth_stats(&self) -> SynthStats {
-        let mut agg = SynthStats::default();
-        for s in &self.servers {
-            agg.requests += s.stats.requests;
-            agg.searches += s.stats.searches;
-            agg.settled += s.stats.settled;
-            agg.relaxations += s.stats.relaxations;
-            agg.precompute_searches += s.stats.precompute_searches;
-            agg.precomputed_hits += s.stats.precomputed_hits;
-            agg.cache_hits += s.stats.cache_hits;
-            agg.entries_invalidated += s.stats.entries_invalidated;
-            agg.revalidations += s.stats.revalidations;
-            agg.revalidate_hits += s.stats.revalidate_hits;
-        }
-        agg
+        SynthStats::from(&self.servers_ledger())
     }
 
-    /// Sums every Route Server's batched-sweep counters into one
-    /// [`SweepStats`] — the per-run sharded-serving cost breakdown
-    /// `report --json` and `profile` publish.
+    /// Every Route Server's sweep keys, merged.
     pub fn aggregate_sweep_stats(&self) -> SweepStats {
-        let mut agg = SweepStats::default();
-        for s in &self.servers {
-            agg.batches += s.sweep.batches;
-            agg.batch_flows += s.sweep.batch_flows;
-            agg.sweeps += s.sweep.sweeps;
-            agg.hot_hits += s.sweep.hot_hits;
-            agg.refills += s.sweep.refills;
-        }
-        agg
+        SweepStats::from(&self.servers_ledger())
     }
 
     /// Total data packets that hit a pre-crash handle across all gateways
-    /// (must stay 0 — see `GatewayStats::stale_forwards`).
+    /// (must stay 0 — see [`Counter::StaleForwards`]).
     pub fn total_stale_forwards(&self) -> u64 {
-        self.gateways.iter().map(|g| g.stats.stale_forwards).sum()
+        let gateways: Ledger = self.gateways.iter().map(|g| &g.ledger).sum();
+        gateways.get(Counter::StaleForwards)
+    }
+
+    /// Every count of the network in one ledger: its [`Obs`]'s, every
+    /// Route Server's and Policy Gateway's, and the repair outcomes
+    /// projected from [`OrwgNetwork::repair_stats`].
+    pub fn ledger(&self) -> Ledger {
+        let mut l = self.servers_ledger();
+        l += &self.obs.ledger();
+        l += &self.gateways.iter().map(|g| &g.ledger).sum::<Ledger>();
+        let r = self.repair_stats;
+        l.add(
+            Counter::RepairOk,
+            r.repaired_via_alternate + r.repaired_via_synthesis,
+        );
+        l.add(Counter::RepairFailed, r.failures);
+        l
     }
 
     /// Currently open flows.
@@ -499,10 +501,10 @@ mod tests {
             let _ = net.open(&f);
         }
         // Only the source's server worked.
-        assert_eq!(net.server(AdId(0)).stats.searches, 3);
+        assert_eq!(net.server(AdId(0)).ledger.get(Counter::Searches), 3);
         for ad in 1..6 {
             assert_eq!(
-                net.server(AdId(ad)).stats.searches,
+                net.server(AdId(ad)).ledger.get(Counter::Searches),
                 0,
                 "AD{ad} computed a route"
             );

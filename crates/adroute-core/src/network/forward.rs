@@ -392,17 +392,16 @@ impl OrwgNetwork {
             let spared = (of.alternates.iter())
                 .filter(|alt| alt.path != of.route)
                 .any(|alt| self.setup_along(&of.flow, alt, Vec::new(), cause).is_ok());
-            let (via, metric) = if spared {
+            let via = if spared {
                 self.repair_stats.repaired_via_alternate += 1;
-                ("alternate", "repair_ok")
+                "alternate"
             } else if self.open_resilient(&of.flow, max_retries, cause).is_ok() {
                 self.repair_stats.repaired_via_synthesis += 1;
-                ("synthesis", "repair_ok")
+                "synthesis"
             } else {
                 self.repair_stats.failures += 1;
-                ("failed", "repair_failed")
+                "failed"
             };
-            self.obs.metrics.add(metric, 1);
             self.emit(
                 cause,
                 EventRecord::RouteSetupRepair {

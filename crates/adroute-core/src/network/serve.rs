@@ -4,7 +4,7 @@
 //! background refill of invalidated cache entries.
 
 use adroute_policy::FlowSpec;
-use adroute_sim::{EventId, EventRecord, SimTime};
+use adroute_sim::{Counter, EventId, EventRecord, SimTime};
 use adroute_topology::AdId;
 
 use super::OrwgNetwork;
@@ -45,10 +45,10 @@ impl OrwgNetwork {
     /// becomes its causal parent so the eventual admit chains to it.
     pub fn offer_open(&mut self, open: PendingOpen) -> AdmissionVerdict {
         let (src, dst) = (open.flow.src, open.flow.dst);
-        self.obs.metrics.add("opens_offered", 1);
+        self.obs.metrics.add(Counter::OpensOffered, 1);
         if self.rs_down.contains(&src) {
             let retry_after_us = self.admission[src.index()].config().retry_after_us;
-            self.obs.metrics.add("opens_shed", 1);
+            self.obs.metrics.add(Counter::OpensShed, 1);
             let event = self.emit(
                 open.cause,
                 EventRecord::SetupShed {
@@ -66,7 +66,7 @@ impl OrwgNetwork {
         }
         match self.admission[src.index()].offer(open) {
             Ok(depth) => {
-                self.obs.metrics.add("opens_queued", 1);
+                self.obs.metrics.add(Counter::OpensQueued, 1);
                 self.obs.metrics.record("open_queue_depth", depth as u64);
                 let event = self.emit(
                     open.cause,
@@ -82,7 +82,7 @@ impl OrwgNetwork {
                 AdmissionVerdict::Queued { depth, event }
             }
             Err(retry_after_us) => {
-                self.obs.metrics.add("opens_shed", 1);
+                self.obs.metrics.add(Counter::OpensShed, 1);
                 let depth = self.admission[src.index()].depth() as u64;
                 let event = self.emit(
                     open.cause,
@@ -133,7 +133,7 @@ impl OrwgNetwork {
     /// the abandon record. No synthesis is paid for.
     fn emit_expired(&mut self, open: PendingOpen) -> ServeOutcome {
         let (src, dst) = (open.flow.src, open.flow.dst);
-        self.obs.metrics.add("opens_expired", 1);
+        self.obs.metrics.add(Counter::OpensExpired, 1);
         self.obs.metrics.record(
             "shed_latency_us",
             self.clock.as_us().saturating_sub(open.arrival.as_us()),
@@ -201,7 +201,7 @@ impl OrwgNetwork {
         match synth {
             Synth::Miss => {
                 let retry_after_us = self.admission[ad.index()].config().retry_after_us;
-                self.obs.metrics.add("opens_shed", 1);
+                self.obs.metrics.add(Counter::OpensShed, 1);
                 let event = self.emit(
                     open.cause,
                     EventRecord::SetupShed {
@@ -218,7 +218,7 @@ impl OrwgNetwork {
                 }
             }
             Synth::NoRoute => {
-                self.obs.metrics.add("opens_no_route", 1);
+                self.obs.metrics.add(Counter::OpensNoRoute, 1);
                 ServeOutcome::NoRoute { open, rung }
             }
             Synth::Route(primary, alts) => {
@@ -236,9 +236,9 @@ impl OrwgNetwork {
                     Ok(setup) => {
                         self.obs.metrics.add(
                             match rung {
-                                BrownoutRung::Full => "opens_served_full",
-                                BrownoutRung::Cached => "opens_served_cached",
-                                BrownoutRung::Stored => "opens_served_stored",
+                                BrownoutRung::Full => Counter::OpensServedFull,
+                                BrownoutRung::Cached => Counter::OpensServedCached,
+                                BrownoutRung::Stored => Counter::OpensServedStored,
                             },
                             1,
                         );
@@ -250,7 +250,7 @@ impl OrwgNetwork {
                         }
                     }
                     Err(error) => {
-                        self.obs.metrics.add("opens_setup_failed", 1);
+                        self.obs.metrics.add(Counter::OpensSetupFailed, 1);
                         ServeOutcome::Failed { open, rung, error }
                     }
                 }
@@ -337,26 +337,27 @@ impl OrwgNetwork {
         let rung = slot_rung.unwrap_or(BrownoutRung::Full);
         let lives: Vec<usize> = (0..popped.len()).filter(|&i| !popped[i].expired).collect();
         self.prof.enter("synth");
-        self.prof.work("serve/opens_popped", popped.len() as u64);
-        self.prof.work("serve/opens_live", lives.len() as u64);
+        let counts = &mut self.obs.metrics.counts;
+        counts.add(Counter::OpensPopped, popped.len() as u64);
+        counts.add(Counter::OpensLive, lives.len() as u64);
         if !popped.is_empty() {
-            self.prof.work(
+            counts.add(
                 match rung {
-                    BrownoutRung::Full => "serve/slots_full",
-                    BrownoutRung::Cached => "serve/slots_cached",
-                    BrownoutRung::Stored => "serve/slots_stored",
+                    BrownoutRung::Full => Counter::SlotsFull,
+                    BrownoutRung::Cached => Counter::SlotsCached,
+                    BrownoutRung::Stored => Counter::SlotsStored,
                 },
                 1,
             );
         }
-        let synth_snap = self.prof_synth_snapshot(ai);
         let mut synths: Vec<Option<Synth>> = Vec::new();
         synths.resize_with(popped.len(), || None);
         if rung == BrownoutRung::Cached && lives.len() > 1 {
             let flows: Vec<FlowSpec> = lives.iter().map(|&k| popped[k].open.flow).collect();
-            let searches_before = self.servers[ai].stats.searches;
+            let searches = |net: &Self| net.servers[ai].ledger.get(Counter::Searches);
+            let searches_before = searches(self);
             let routes = self.servers[ai].request_batch(&flows, 1);
-            let fresh = self.servers[ai].stats.searches - searches_before;
+            let fresh = searches(self) - searches_before;
             self.emit(
                 None,
                 EventRecord::SynthBatch {
@@ -376,7 +377,6 @@ impl OrwgNetwork {
                 synths[k] = Some(self.synth_on_rung(ad, &popped[k].open.flow, rung));
             }
         }
-        self.prof_synth_attribute(ai, synth_snap);
         self.prof.exit("synth");
         // Phase 3: commit in pop order, exactly as serve_next would.
         self.prof.enter("commit");
@@ -398,31 +398,6 @@ impl OrwgNetwork {
         outcomes
     }
 
-    /// Snapshot of one server's synthesis counters, taken around a serve
-    /// slot's synthesis phase to credit the profiler's work ledger.
-    fn prof_synth_snapshot(&self, ai: usize) -> (u64, u64, u64) {
-        let s = &self.servers[ai];
-        (s.stats.searches, s.stats.cache_hits, s.sweep.sweeps)
-    }
-
-    /// Credits the synthesis side of the work ledger with everything a
-    /// slot's synthesis phase did. All three deltas are deterministic for
-    /// a fixed scenario configuration, so the ledger is reproducible.
-    fn prof_synth_attribute(&mut self, ai: usize, snap: (u64, u64, u64)) {
-        if !self.prof.is_enabled() {
-            return;
-        }
-        let s = &self.servers[ai];
-        let deltas = (
-            s.stats.searches - snap.0,
-            s.stats.cache_hits - snap.1,
-            s.sweep.sweeps - snap.2,
-        );
-        self.prof.work("synth/searches", deltas.0);
-        self.prof.work("synth/cache_hits", deltas.1);
-        self.prof.work("synth/sweeps", deltas.2);
-    }
-
     /// Runs up to `budget` background precompute refills on `ad`'s Route
     /// Server — re-searching cache entries a view change invalidated so
     /// the next open finds them hot instead of paying a search. Emits a
@@ -431,10 +406,8 @@ impl OrwgNetwork {
     pub fn background_refill(&mut self, ad: AdId, budget: usize) -> usize {
         self.prof.enter("background_refill");
         let refilled = self.servers[ad.index()].background_refill(budget);
-        self.prof.work("synth/refills", refilled as u64);
         self.prof.exit("background_refill");
         if refilled > 0 {
-            self.obs.metrics.add("precompute_refills", refilled as u64);
             self.emit(
                 None,
                 EventRecord::PrecomputeRefill {
@@ -456,7 +429,7 @@ impl OrwgNetwork {
         backoff_us: u64,
         cause: Option<EventId>,
     ) -> Option<EventId> {
-        self.obs.metrics.add("open_retries", 1);
+        self.obs.metrics.add(Counter::OpenRetries, 1);
         self.emit(
             cause,
             EventRecord::SetupRetry {
@@ -482,7 +455,7 @@ impl OrwgNetwork {
         arrival: SimTime,
         cause: Option<EventId>,
     ) -> usize {
-        self.obs.metrics.add("opens_abandoned", 1);
+        self.obs.metrics.add(Counter::OpensAbandoned, 1);
         self.obs.metrics.record(
             "shed_latency_us",
             self.clock.as_us().saturating_sub(arrival.as_us()),
@@ -530,7 +503,7 @@ impl OrwgNetwork {
         }
         self.servers[ad.index()].crash_soft_state();
         let cancelled = self.admission[ad.index()].drain();
-        self.obs.metrics.add("rs_crashes", 1);
+        self.obs.metrics.add(Counter::RsCrashes, 1);
         let id = self.emit(None, EventRecord::RsCrash { ad });
         (cancelled, id)
     }
@@ -546,7 +519,7 @@ impl OrwgNetwork {
         let snap = std::mem::take(&mut self.standby[ad.index()]);
         let warmed = self.servers[ad.index()].warm_cache(&snap);
         self.standby[ad.index()] = snap;
-        self.obs.metrics.add("rs_failovers", 1);
+        self.obs.metrics.add(Counter::RsFailovers, 1);
         self.emit(
             None,
             EventRecord::RsFailover {

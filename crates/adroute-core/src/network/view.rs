@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use adroute_policy::TransitPolicy;
 use adroute_protocols::linkstate::LsDb;
-use adroute_sim::{Engine, EventId, EventRecord};
+use adroute_sim::{Counter, Engine, EventId, EventRecord};
 use adroute_topology::{transit, AdId, LinkId, TopoDelta};
 
 use super::{OrwgNetwork, ViewMaintenance};
@@ -39,7 +39,7 @@ impl OrwgNetwork {
                 s.update_view(topo.clone(), db.clone());
             }
             let n = self.servers.len() as u64;
-            self.obs.metrics.add("view_full_installs", n);
+            self.obs.metrics.add(Counter::ViewFullInstalls, n);
             return self.emit(
                 None,
                 EventRecord::ViewDeltaApply {
@@ -63,7 +63,7 @@ impl OrwgNetwork {
                 self.servers[i].install_view(topo.clone(), db.clone());
             }
         }
-        self.obs.metrics.add("view_full_installs", fallbacks);
+        self.obs.metrics.add(Counter::ViewFullInstalls, fallbacks);
         self.emit(
             None,
             EventRecord::ViewDeltaApply {
@@ -245,8 +245,10 @@ impl OrwgNetwork {
                 fallbacks += u64::from(sync.full_install);
             }
         }
-        self.obs.metrics.add("view_full_installs", fallbacks);
-        self.obs.metrics.add("view_origins_rederived", rederived);
+        self.obs.metrics.add(Counter::ViewFullInstalls, fallbacks);
+        self.obs
+            .metrics
+            .add(Counter::ViewOriginsRederived, rederived);
         let delta_id = self.emit(
             None,
             EventRecord::ViewDeltaApply {
@@ -368,7 +370,7 @@ mod tests {
         assert!(kinds.contains(&"view-delta"));
         assert!(kinds.contains(&"view-invalidate"));
         assert!(kinds.contains(&"setup-repair"));
-        assert_eq!(net.obs.metrics.counter("repair_ok"), 1);
+        assert_eq!(net.ledger().get(Counter::RepairOk), 1);
         assert_eq!(
             net.obs
                 .metrics
@@ -441,7 +443,10 @@ mod tests {
         assert!(net.open(&g).is_ok());
         assert_eq!(net.total_searches(), searches);
         for ad in 1..6 {
-            assert_eq!(net.server(AdId(ad)).stats.entries_invalidated, 0);
+            assert_eq!(
+                net.server(AdId(ad)).ledger.get(Counter::EntriesInvalidated),
+                0
+            );
         }
     }
 

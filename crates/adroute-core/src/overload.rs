@@ -44,7 +44,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use adroute_policy::FlowSpec;
-use adroute_sim::{EventId, RouterOutage, SimTime};
+use adroute_sim::{Counter, EventId, RouterOutage, SimTime};
 use adroute_topology::AdId;
 
 use crate::network::{OpenError, OrwgNetwork, SetupOutcome};
@@ -343,8 +343,9 @@ pub enum ServeOutcome {
 pub struct ShardConfig {
     /// Read by nothing in this workspace: a batch runs one sweep per
     /// compatibility class whatever this says. The field stays because
-    /// `benchmark/` (frozen for this change) reads it; it goes with
-    /// [`RouteServer::request_batch`]'s second argument.
+    /// `benchmark/` reads it; it goes with [`RouteServer::request_batch`]'s
+    /// second argument (ROADMAP "Benchmark-only PR: the benchmark catches
+    /// up with the tree", (b)).
     ///
     /// [`RouteServer::request_batch`]: crate::synthesis::RouteServer::request_batch
     pub shards: usize,
@@ -536,7 +537,6 @@ struct Driver<'a> {
     next_free: Vec<SimTime>,
     serve_scheduled: Vec<bool>,
     phases: Vec<PhaseReport>,
-    retries: u64,
     failover: Option<FailoverReport>,
     /// `(shed, retry, flow, attempt)` awaiting its serve to complete the
     /// exemplar chain.
@@ -579,7 +579,6 @@ impl<'a> Driver<'a> {
                 open.cause,
             );
         } else {
-            self.retries += 1;
             let retry_id = self
                 .net
                 .note_retry(&open.flow, next_attempt, wait, open.cause);
@@ -695,11 +694,15 @@ impl<'a> Driver<'a> {
     /// search. A slot that ran no batched request (a lone live open)
     /// charges each answer at its rung's price.
     fn on_serve(&mut self, now: SimTime, ad: AdId) {
-        let before = self.net.server(ad).sweep;
+        let counts = |net: &OrwgNetwork| {
+            let l = &net.server(ad).ledger;
+            (l.get(Counter::Batches), l.get(Counter::Sweeps))
+        };
+        let before = counts(self.net);
         let outcomes = self.net.serve_batch(ad, self.shard);
-        let after = self.net.server(ad).sweep;
-        let batched = after.batches > before.batches;
-        let sweeps = after.sweeps - before.sweeps;
+        let after = counts(self.net);
+        let batched = after.0 > before.0;
+        let sweeps = after.1 - before.1;
         let mut busy_us = 0;
         let mut cached = 0u64;
         for outcome in outcomes {
@@ -755,6 +758,8 @@ pub fn run_load_ramp(
         ..cfg.admission
     });
     net.prof.enter("load_ramp");
+    let retries = |net: &OrwgNetwork| net.obs.metrics.counts.get(Counter::OpenRetries);
+    let retried_before = retries(net);
     let mut driver = Driver {
         net,
         cfg,
@@ -771,7 +776,6 @@ pub fn run_load_ramp(
                 ..PhaseReport::default()
             })
             .collect(),
-        retries: 0,
         failover: None,
         chain_candidate: None,
         chain: None,
@@ -852,7 +856,7 @@ pub fn run_load_ramp(
         abandoned: total(|p| p.abandoned),
         no_route: total(|p| p.no_route),
         failed: total(|p| p.failed),
-        retries: driver.retries,
+        retries: retries(driver.net) - retried_before,
         p50_wait_us: p50,
         p99_wait_us: p99,
         failover: driver.failover,

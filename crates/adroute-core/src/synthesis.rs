@@ -28,6 +28,7 @@ use adroute_policy::{
     AdSet, FlowSpec, PolicyDb, PtId, QosClass, RouteSelection, TimeOfDay, TransitPolicy, UserClass,
 };
 use adroute_protocols::linkstate::{LsDb, Lsa};
+use adroute_sim::{Counter, Ledger};
 use adroute_topology::{transit, AdId, LinkId, TopoDelta, Topology};
 
 use crate::lru::LruCache;
@@ -65,61 +66,82 @@ pub enum Strategy {
     },
 }
 
-/// Synthesis work counters (experiment E7's columns).
+/// A [`Ledger`]'s synthesis keys ([`Counter::Requests`] to
+/// [`Counter::RevalidateHits`]) as named fields: a read-only projection,
+/// kept because `benchmark/` reads [`OrwgNetwork::aggregate_synth_stats`]'s
+/// fields by name (ROADMAP "One measurement stack" removes it). The
+/// batched and one-by-one paths must leave these equal.
 ///
-/// Setup-time work (`searches`/`settled`/`relaxations`) is counted apart
-/// from background precomputation (`precompute_searches`): E7 compares setup
-/// latency against precompute refresh cost, and conflating the two made
-/// both columns wrong.
+/// [`OrwgNetwork::aggregate_synth_stats`]: crate::OrwgNetwork::aggregate_synth_stats
 #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub struct SynthStats {
-    /// Route requests served.
+    /// [`Counter::Requests`].
     pub requests: u64,
-    /// Full searches performed at setup time (on demand).
+    /// [`Counter::Searches`].
     pub searches: u64,
-    /// Search states settled at setup time (CPU proxy).
+    /// [`Counter::Settled`].
     pub settled: u64,
-    /// Search edge relaxations at setup time (CPU proxy).
+    /// [`Counter::Relaxations`].
     pub relaxations: u64,
-    /// Searches performed while (re)filling the precomputed table.
+    /// [`Counter::PrecomputeSearches`].
     pub precompute_searches: u64,
-    /// Requests answered from the precomputed table.
+    /// [`Counter::PrecomputedHits`].
     pub precomputed_hits: u64,
-    /// Requests answered from the LRU cache.
+    /// [`Counter::CacheHits`].
     pub cache_hits: u64,
-    /// Stored entries discarded (and, for precomputed classes, recomputed)
-    /// by view maintenance.
+    /// [`Counter::EntriesInvalidated`].
     pub entries_invalidated: u64,
-    /// Surviving routes re-checked in place after a restrictive delta.
+    /// [`Counter::Revalidations`].
     pub revalidations: u64,
-    /// Revalidations that confirmed the stored route, avoiding a search.
+    /// [`Counter::RevalidateHits`].
     pub revalidate_hits: u64,
 }
 
-/// Work counters for the batched serving engine.
+impl From<&Ledger> for SynthStats {
+    fn from(l: &Ledger) -> SynthStats {
+        SynthStats {
+            requests: l.get(Counter::Requests),
+            searches: l.get(Counter::Searches),
+            settled: l.get(Counter::Settled),
+            relaxations: l.get(Counter::Relaxations),
+            precompute_searches: l.get(Counter::PrecomputeSearches),
+            precomputed_hits: l.get(Counter::PrecomputedHits),
+            cache_hits: l.get(Counter::CacheHits),
+            entries_invalidated: l.get(Counter::EntriesInvalidated),
+            revalidations: l.get(Counter::Revalidations),
+            revalidate_hits: l.get(Counter::RevalidateHits),
+        }
+    }
+}
+
+/// The sweep keys `benchmark/` reads through
+/// [`OrwgNetwork::aggregate_sweep_stats`], as named fields: a read-only
+/// projection of a [`Ledger`], like [`SynthStats`].
 ///
-/// These count *actual* work — one multi-destination sweep may answer many
-/// opens — unlike [`SynthStats`], whose search-effort counters are defined
-/// to be byte-identical between the batched and monolithic paths (the
-/// twin-oracle contract). Keeping the two apart is what lets the
-/// differential battery assert `SynthStats` equality while the batched
-/// path measurably does less work.
+/// [`OrwgNetwork::aggregate_sweep_stats`]: crate::OrwgNetwork::aggregate_sweep_stats
 #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub struct SweepStats {
-    /// Batches committed by [`RouteServer::request_batch`].
-    pub batches: u64,
-    /// Flows submitted across all batches.
+    /// [`Counter::BatchFlows`].
     pub batch_flows: u64,
-    /// Shared multi-destination sweeps run: one per compatibility class
-    /// (same source and non-destination attributes) with a flow no store
-    /// answered. Slot service-time charging reads this counter.
+    /// [`Counter::Sweeps`].
     pub sweeps: u64,
-    /// Always 0: the tier it counted is gone and nothing writes it. The
-    /// field stays only because `benchmark/` (frozen for this change)
-    /// reads it; it goes with the benchmark's `hot_hit_ratio` metric.
+    /// Always 0: the tier it counted is gone. It goes with the
+    /// benchmark's `hot_hit_ratio` metric (ROADMAP "Benchmark-only PR:
+    /// the benchmark catches up with the tree", (b)).
     pub hot_hits: u64,
-    /// Entries recomputed by `RouteServer::background_refill`.
+    /// [`Counter::Refills`].
     pub refills: u64,
+}
+
+impl From<&Ledger> for SweepStats {
+    fn from(l: &Ledger) -> SweepStats {
+        SweepStats {
+            batch_flows: l.get(Counter::BatchFlows),
+            sweeps: l.get(Counter::Sweeps),
+            hot_hits: 0,
+            refills: l.get(Counter::Refills),
+        }
+    }
 }
 
 /// Invalidated flows remembered for background refill are bounded so a
@@ -328,10 +350,8 @@ pub struct RouteServer {
     /// Flows whose stored route an invalidation dropped, queued for the
     /// background-precompute scheduler ([`RouteServer::background_refill`]).
     pending_refill: VecDeque<FlowSpec>,
-    /// Work counters.
-    pub stats: SynthStats,
-    /// Batch and background-refill work counters.
-    pub sweep: SweepStats,
+    /// Synthesis, batch and background-refill work.
+    pub ledger: Ledger,
 }
 
 impl RouteServer {
@@ -370,8 +390,7 @@ impl RouteServer {
             cache,
             index: DepIndex::default(),
             pending_refill: VecDeque::new(),
-            stats: SynthStats::default(),
-            sweep: SweepStats::default(),
+            ledger: Ledger::default(),
         }
     }
 
@@ -440,11 +459,11 @@ impl RouteServer {
     /// the LRU (refreshing recency) — counting the hit.
     fn probe(&mut self, flow: &FlowSpec) -> Option<Option<PolicyRoute>> {
         if let Some(hit) = self.precomputed.get(flow) {
-            self.stats.precomputed_hits += 1;
+            self.ledger.add(Counter::PrecomputedHits, 1);
             return Some(hit.clone());
         }
         let hit = self.cache.get(flow)?.clone();
-        self.stats.cache_hits += 1;
+        self.ledger.add(Counter::CacheHits, 1);
         Some(hit)
     }
 
@@ -500,9 +519,9 @@ impl RouteServer {
     /// background work instead of setup-time work.
     fn search_tagged(&mut self, flow: &FlowSpec, precompute: bool) -> Option<PolicyRoute> {
         if precompute {
-            self.stats.precompute_searches += 1;
+            self.ledger.add(Counter::PrecomputeSearches, 1);
         } else {
-            self.stats.searches += 1;
+            self.ledger.add(Counter::Searches, 1);
         }
         let mut ss = SearchStats::default();
         let route = legality::legal_route_with(
@@ -513,8 +532,8 @@ impl RouteServer {
             &mut ss,
         )?;
         if !precompute {
-            self.stats.settled += ss.settled;
-            self.stats.relaxations += ss.relaxations;
+            self.ledger.add(Counter::Settled, ss.settled);
+            self.ledger.add(Counter::Relaxations, ss.relaxations);
         }
         let pts = self.cite_pts(flow, &route.path);
         Some(PolicyRoute {
@@ -556,7 +575,7 @@ impl RouteServer {
         flow: &FlowSpec,
         prepared: Option<(Option<legality::LegalRoute>, SearchStats)>,
     ) -> Option<PolicyRoute> {
-        self.stats.requests += 1;
+        self.ledger.add(Counter::Requests, 1);
         if let Some(hit) = self.probe(flow) {
             return hit;
         }
@@ -566,10 +585,10 @@ impl RouteServer {
                 // accounting: searches always count; effort counters only
                 // accrue when a route is found (`search_tagged` returns
                 // early on a fruitless search).
-                self.stats.searches += 1;
+                self.ledger.add(Counter::Searches, 1);
                 lr.map(|lr| {
-                    self.stats.settled += ss.settled;
-                    self.stats.relaxations += ss.relaxations;
+                    self.ledger.add(Counter::Settled, ss.settled);
+                    self.ledger.add(Counter::Relaxations, ss.relaxations);
                     PolicyRoute {
                         pts: self.cite_pts(flow, &lr.path),
                         path: lr.path,
@@ -601,15 +620,16 @@ impl RouteServer {
     ///
     /// `_shards` is ignored: splitting a class's destinations into
     /// regions could only re-run its sweep, once per region, from the
-    /// same source. The parameter stays because `benchmark/` (frozen for
-    /// this change) passes it; it goes once the benchmark stops.
+    /// same source. The parameter stays because `benchmark/` passes it;
+    /// it goes once the benchmark stops (ROADMAP "Benchmark-only PR: the
+    /// benchmark catches up with the tree", (b)).
     pub fn request_batch(
         &mut self,
         flows: &[FlowSpec],
         _shards: usize,
     ) -> Vec<Option<PolicyRoute>> {
-        self.sweep.batches += 1;
-        self.sweep.batch_flows += flows.len() as u64;
+        self.ledger.add(Counter::Batches, 1);
+        self.ledger.add(Counter::BatchFlows, flows.len() as u64);
         // Classify (read-only): flows no store answers need a search.
         let mut fresh: Vec<FlowSpec> = Vec::new();
         let mut seen: HashSet<FlowSpec> = HashSet::new();
@@ -629,7 +649,7 @@ impl RouteServer {
             let key = (f.src, f.qos, f.uci, f.time);
             groups.entry(key).or_default().push(*f);
         }
-        self.sweep.sweeps += groups.len() as u64;
+        self.ledger.add(Counter::Sweeps, groups.len() as u64);
         let mut found: HashMap<FlowSpec, (Option<legality::LegalRoute>, SearchStats)> =
             HashMap::with_capacity(fresh.len());
         for ((src, qos, uci, time), group) in &groups {
@@ -680,7 +700,7 @@ impl RouteServer {
             }
             let r = self.search_tagged(&flow, true);
             self.store(flow, r);
-            self.sweep.refills += 1;
+            self.ledger.add(Counter::Refills, 1);
             refilled += 1;
         }
         refilled
@@ -695,7 +715,7 @@ impl RouteServer {
     /// `Some(None)` is a stored negative entry — the view has no legal
     /// route, which is an answer, not a miss.
     pub fn stored_route(&mut self, flow: &FlowSpec) -> Option<Option<PolicyRoute>> {
-        self.stats.requests += 1;
+        self.ledger.add(Counter::Requests, 1);
         self.probe(flow)
     }
 
@@ -1023,14 +1043,14 @@ impl RouteServer {
                 self.index.unindex(flow);
                 continue;
             };
-            self.stats.revalidations += 1;
+            self.ledger.add(Counter::Revalidations, 1);
             let cost = legality::route_is_legal(&self.view_topo, &self.view_db, flow, &route.path);
             if cost == Some(route.cost) {
                 // Still legal at unchanged cost: every competitor could
                 // only have vanished or grown costlier, so the stored
                 // route is still optimal. Refresh its PT citations — a
                 // policy replacement may have renumbered term ids.
-                self.stats.revalidate_hits += 1;
+                self.ledger.add(Counter::RevalidateHits, 1);
                 let refreshed = PolicyRoute {
                     pts: self.cite_pts(flow, &route.path),
                     ..route
@@ -1043,7 +1063,7 @@ impl RouteServer {
                 }
                 continue;
             }
-            self.stats.entries_invalidated += 1;
+            self.ledger.add(Counter::EntriesInvalidated, 1);
             if self.precomputed.contains_key(flow) {
                 self.refill_precomputed(flow);
             } else {
@@ -1057,7 +1077,10 @@ impl RouteServer {
     /// Invalidates every stored entry (the flush path, with accounting):
     /// drops the cache and recomputes the precomputed table.
     fn invalidate_all(&mut self) {
-        self.stats.entries_invalidated += (self.cache.len() + self.precomputed.len()) as u64;
+        self.ledger.add(
+            Counter::EntriesInvalidated,
+            (self.cache.len() + self.precomputed.len()) as u64,
+        );
         let lost: Vec<FlowSpec> = self.cache.iter_recency().map(|(k, _)| *k).collect();
         for k in lost.into_iter().rev() {
             self.enqueue_refill(k);
@@ -1158,8 +1181,8 @@ mod tests {
         let a = rs.request(&f).unwrap();
         let b = rs.request(&f).unwrap();
         assert_eq!(a, b);
-        assert_eq!(rs.stats.searches, 2);
-        assert_eq!(rs.stats.cache_hits, 0);
+        assert_eq!(rs.ledger.get(Counter::Searches), 2);
+        assert_eq!(rs.ledger.get(Counter::CacheHits), 0);
         assert_eq!(rs.cached_len(), 0);
     }
 
@@ -1169,8 +1192,8 @@ mod tests {
         let f = FlowSpec::best_effort(AdId(0), AdId(3));
         let _ = rs.request(&f);
         let _ = rs.request(&f);
-        assert_eq!(rs.stats.searches, 1);
-        assert_eq!(rs.stats.cache_hits, 1);
+        assert_eq!(rs.ledger.get(Counter::Searches), 1);
+        assert_eq!(rs.ledger.get(Counter::CacheHits), 1);
     }
 
     #[test]
@@ -1181,20 +1204,20 @@ mod tests {
         assert_eq!(rs.precomputed_len(), 1);
         // Precompute work lands in its own counters, not the setup-time
         // ones E7's latency column reads.
-        assert_eq!(rs.stats.precompute_searches, 1);
-        assert_eq!(rs.stats.searches, 0);
-        assert_eq!(rs.stats.settled, 0);
-        assert_eq!(rs.stats.relaxations, 0);
+        assert_eq!(rs.ledger.get(Counter::PrecomputeSearches), 1);
+        assert_eq!(rs.ledger.get(Counter::Searches), 0);
+        assert_eq!(rs.ledger.get(Counter::Settled), 0);
+        assert_eq!(rs.ledger.get(Counter::Relaxations), 0);
         let _ = rs.request(&f);
-        assert_eq!(rs.stats.searches, 0);
-        assert_eq!(rs.stats.precomputed_hits, 1);
+        assert_eq!(rs.ledger.get(Counter::Searches), 0);
+        assert_eq!(rs.ledger.get(Counter::PrecomputedHits), 1);
         // A class not precomputed falls back to on-demand + cache.
         let g = FlowSpec::best_effort(AdId(0), AdId(2));
         let _ = rs.request(&g);
         let _ = rs.request(&g);
-        assert_eq!(rs.stats.cache_hits, 1);
-        assert_eq!(rs.stats.searches, 1);
-        assert_eq!(rs.stats.precompute_searches, 1);
+        assert_eq!(rs.ledger.get(Counter::CacheHits), 1);
+        assert_eq!(rs.ledger.get(Counter::Searches), 1);
+        assert_eq!(rs.ledger.get(Counter::PrecomputeSearches), 1);
     }
 
     #[test]
@@ -1263,16 +1286,20 @@ mod tests {
             vec![AdId(0), AdId(5), AdId(4), AdId(3)],
             "precomputed route must reflect the new view"
         );
-        assert_eq!(rs.stats.precomputed_hits, 1);
+        assert_eq!(rs.ledger.get(Counter::PrecomputedHits), 1);
     }
 
     #[test]
     fn alternatives_with_zero_k_returns_nothing() {
         let mut rs = server(Strategy::OnDemand);
         let f = FlowSpec::best_effort(AdId(0), AdId(3));
-        let before = rs.stats.requests;
+        let before = rs.ledger.get(Counter::Requests);
         assert!(rs.alternatives(&f, 0).is_empty());
-        assert_eq!(rs.stats.requests, before, "k = 0 must not even search");
+        assert_eq!(
+            rs.ledger.get(Counter::Requests),
+            before,
+            "k = 0 must not even search"
+        );
     }
 
     #[test]
@@ -1311,13 +1338,17 @@ mod tests {
             up: false,
         }));
         assert!(ok);
-        assert_eq!(rs.stats.revalidations, 1, "only f crosses 1-2");
-        assert_eq!(rs.stats.revalidate_hits, 0);
-        assert_eq!(rs.stats.entries_invalidated, 1);
+        assert_eq!(
+            rs.ledger.get(Counter::Revalidations),
+            1,
+            "only f crosses 1-2"
+        );
+        assert_eq!(rs.ledger.get(Counter::RevalidateHits), 0);
+        assert_eq!(rs.ledger.get(Counter::EntriesInvalidated), 1);
         // g survives in cache; f is re-searched around the far side.
-        let hits = rs.stats.cache_hits;
+        let hits = rs.ledger.get(Counter::CacheHits);
         assert_eq!(rs.request(&g).unwrap().path, vec![AdId(0), AdId(5)]);
-        assert_eq!(rs.stats.cache_hits, hits + 1);
+        assert_eq!(rs.ledger.get(Counter::CacheHits), hits + 1);
         assert_eq!(
             rs.request(&f).unwrap().path,
             vec![AdId(0), AdId(5), AdId(4), AdId(3)]
@@ -1337,12 +1368,16 @@ mod tests {
             PolicyAction::Deny,
         );
         assert!(rs.apply_delta(&ViewDelta::Policy(p)));
-        assert_eq!(rs.stats.revalidations, 1);
-        assert_eq!(rs.stats.revalidate_hits, 1);
-        assert_eq!(rs.stats.entries_invalidated, 0);
-        let searches = rs.stats.searches;
+        assert_eq!(rs.ledger.get(Counter::Revalidations), 1);
+        assert_eq!(rs.ledger.get(Counter::RevalidateHits), 1);
+        assert_eq!(rs.ledger.get(Counter::EntriesInvalidated), 0);
+        let searches = rs.ledger.get(Counter::Searches);
         let _ = rs.request(&f);
-        assert_eq!(rs.stats.searches, searches, "entry must survive in cache");
+        assert_eq!(
+            rs.ledger.get(Counter::Searches),
+            searches,
+            "entry must survive in cache"
+        );
     }
 
     #[test]
@@ -1365,8 +1400,8 @@ mod tests {
         }));
         assert!(ok);
         assert_eq!(rs.cached_len(), 0, "a link coming up can cheapen anything");
-        assert_eq!(rs.stats.entries_invalidated, 2);
-        assert_eq!(rs.stats.revalidations, 0);
+        assert_eq!(rs.ledger.get(Counter::EntriesInvalidated), 2);
+        assert_eq!(rs.ledger.get(Counter::Revalidations), 0);
         assert_eq!(
             rs.request(&f).unwrap().path,
             vec![AdId(0), AdId(1), AdId(2), AdId(3)],
@@ -1389,7 +1424,8 @@ mod tests {
         })));
         assert!(rs.request(&f).is_none());
         assert_eq!(
-            rs.stats.searches, 1,
+            rs.ledger.get(Counter::Searches),
+            1,
             "a restriction cannot create routes, so the negative entry holds"
         );
     }
@@ -1416,13 +1452,13 @@ mod tests {
         let g = FlowSpec::best_effort(AdId(0), AdId(2));
         let _ = rs.request(&g); // lands in the LRU cache
         let h = FlowSpec::best_effort(AdId(0), AdId(4));
-        let searches = rs.stats.searches;
+        let searches = rs.ledger.get(Counter::Searches);
         assert!(rs.stored_route(&f).unwrap().is_some(), "precomputed hit");
         assert!(rs.stored_route(&g).unwrap().is_some(), "cache hit");
         assert!(rs.stored_route(&h).is_none(), "miss must not search");
-        assert_eq!(rs.stats.searches, searches);
-        assert_eq!(rs.stats.precomputed_hits, 1);
-        assert_eq!(rs.stats.cache_hits, 1);
+        assert_eq!(rs.ledger.get(Counter::Searches), searches);
+        assert_eq!(rs.ledger.get(Counter::PrecomputedHits), 1);
+        assert_eq!(rs.ledger.get(Counter::CacheHits), 1);
     }
 
     #[test]
@@ -1452,9 +1488,13 @@ mod tests {
         assert_eq!(snap[0].0, f, "LRU-first: f was touched before g");
         let mut standby = server(Strategy::Cached { capacity: 8 });
         assert_eq!(standby.warm_cache(&snap), 2);
-        let searches = standby.stats.searches;
+        let searches = standby.ledger.get(Counter::Searches);
         assert_eq!(standby.request(&f), primary.stored_route(&f).unwrap());
-        assert_eq!(standby.stats.searches, searches, "warmed entry must hit");
+        assert_eq!(
+            standby.ledger.get(Counter::Searches),
+            searches,
+            "warmed entry must hit"
+        );
     }
 
     #[test]
@@ -1544,18 +1584,23 @@ mod tests {
             let solo: Vec<_> = flows.iter().map(|f| mono.request(f)).collect();
             let batch = batched.request_batch(&flows, 8);
             assert_eq!(solo, batch, "routes diverged on {dsts:?}");
-            assert_eq!(mono.stats, batched.stats, "stats diverged on {dsts:?}");
+            assert_eq!(
+                SynthStats::from(&mono.ledger),
+                SynthStats::from(&batched.ledger),
+                "stats diverged on {dsts:?}"
+            );
             assert_eq!(
                 mono.cache_snapshot(),
                 batched.cache_snapshot(),
                 "cache contents or recency diverged on {dsts:?}"
             );
             assert_eq!(
-                batched.sweep.sweeps, 1,
+                batched.ledger.get(Counter::Sweeps),
+                1,
                 "one class is one sweep, wherever its destinations lie"
             );
             assert!(
-                batched.sweep.sweeps < batched.stats.searches,
+                batched.ledger.get(Counter::Sweeps) < batched.ledger.get(Counter::Searches),
                 "sweeps must be shared across searches"
             );
         }
@@ -1569,7 +1614,13 @@ mod tests {
         let f = FlowSpec::best_effort(AdId(0), AdId(3));
         assert_eq!(rs.request(&f).unwrap().path.len(), 4);
         assert_eq!(rs.request(&f).unwrap().path.len(), 4);
-        assert_eq!((rs.stats.searches, rs.stats.cache_hits), (1, 1));
+        assert_eq!(
+            (
+                rs.ledger.get(Counter::Searches),
+                rs.ledger.get(Counter::CacheHits)
+            ),
+            (1, 1)
+        );
     }
 
     #[test]
@@ -1589,12 +1640,16 @@ mod tests {
         assert_eq!(rs.pending_refill.len(), 0);
         // The refilled entry reflects the new view and serves without a
         // setup-time search.
-        let searches = rs.stats.searches;
+        let searches = rs.ledger.get(Counter::Searches);
         let served = rs.stored_route(&f).expect("refilled").expect("reachable");
         assert_eq!(served.path, vec![AdId(0), AdId(5), AdId(4), AdId(3)]);
-        assert_eq!(rs.stats.searches, searches, "refill work is background");
-        assert!(rs.stats.precompute_searches > 0);
-        assert_eq!(rs.sweep.refills, 1);
+        assert_eq!(
+            rs.ledger.get(Counter::Searches),
+            searches,
+            "refill work is background"
+        );
+        assert!(rs.ledger.get(Counter::PrecomputeSearches) > 0);
+        assert_eq!(rs.ledger.get(Counter::Refills), 1);
     }
 
     #[test]
@@ -1624,7 +1679,11 @@ mod tests {
         let f = FlowSpec::best_effort(AdId(0), AdId(2));
         assert!(rs.request(&f).is_none());
         assert!(rs.request(&f).is_none());
-        assert_eq!(rs.stats.searches, 1, "negative result must be cached too");
+        assert_eq!(
+            rs.ledger.get(Counter::Searches),
+            1,
+            "negative result must be cached too"
+        );
     }
 
     /// A ring of `n` ADs as flooding would leave it in a database, each
@@ -1740,8 +1799,8 @@ mod tests {
         );
         assert!(Arc::ptr_eq(&a.view_db, &b.view_db), "no policy moved");
         // The server that adopted the copy invalidated for itself.
-        assert_eq!(a.stats, c.stats);
-        assert_eq!(c.stats.entries_invalidated, 1);
+        assert_eq!(a.ledger, c.ledger);
+        assert_eq!(c.ledger.get(Counter::EntriesInvalidated), 1);
         let far = vec![AdId(0), AdId(5), AdId(4), AdId(3)];
         assert_eq!(c.request(&f).unwrap().path, far);
         assert_eq!(b.request(&f).unwrap().path, far);
@@ -1773,9 +1832,9 @@ mod tests {
         // allocation that derives no delta at all.
         let mut renumbered = reborn.clone();
         renumbered.insert(ring_lsa(1, 9, &[0]));
-        let invalidated = rs.stats.entries_invalidated;
+        let invalidated = rs.ledger.get(Counter::EntriesInvalidated);
         assert_eq!(rs.sync_view(&renumbered).origins_rederived, 1);
-        assert_eq!(rs.stats.entries_invalidated, invalidated);
+        assert_eq!(rs.ledger.get(Counter::EntriesInvalidated), invalidated);
     }
 
     #[test]

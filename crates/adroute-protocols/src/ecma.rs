@@ -40,7 +40,7 @@
 use std::sync::Arc;
 
 use adroute_policy::{FlowSpec, QosClass};
-use adroute_sim::{Ctx, Engine, EventRecord, MisbehaviorModel, MisbehaviorSpec, Protocol};
+use adroute_sim::{Counter, Ctx, Engine, EventRecord, MisbehaviorModel, MisbehaviorSpec, Protocol};
 use adroute_topology::{AdId, AdRole, LinkId, PartialOrder, Topology};
 
 use crate::forwarding::DataPlane;
@@ -465,7 +465,7 @@ impl Protocol for Ecma {
         if let Some(slot) = ctx.neighbor_slot(from) {
             self.replace(r, slot, Some(msg.entries), &mut dirty);
         }
-        ctx.count("ecma_recompute", 1);
+        ctx.count(Counter::EcmaRecompute, 1);
         let changed = self.recompute(r, ctx, dirty);
         // Emit before advertising: the sends below anchor to this record
         // in the causal log (recompute → triggered updates).
@@ -495,7 +495,7 @@ impl Protocol for Ecma {
             Some(slot) => self.replace(r, slot, None, &mut dirty),
             None => {}
         }
-        ctx.count("ecma_recompute", 1);
+        ctx.count(Counter::EcmaRecompute, 1);
         let changed = self.recompute(r, ctx, dirty);
         ctx.emit(EventRecord::RouteRecompute {
             ad: ctx.me(),

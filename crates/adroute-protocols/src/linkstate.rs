@@ -29,7 +29,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use adroute_policy::{legality, FlowSpec, PolicyDb, TransitPolicy};
-use adroute_sim::{Ctx, EventRecord};
+use adroute_sim::{Counter, Ctx, EventRecord};
 use adroute_topology::{graph::Ad, AdId, AdLevel, AdRole, Topology};
 
 /// A link-state advertisement: one AD's adjacencies plus its Policy Terms.
@@ -392,7 +392,7 @@ impl Flooder {
                         .get(self.me)
                         .is_some_and(|cur| cur.links != lsa.links));
             if !ghost {
-                ctx.count("flood_dup", 1);
+                ctx.count(Counter::FloodDup, 1);
                 ctx.emit(EventRecord::LsaDuplicate {
                     at: self.me,
                     origin: lsa.origin,
@@ -401,7 +401,7 @@ impl Flooder {
                 return false;
             }
             self.seq = lsa.seq;
-            ctx.count("ls_seq_jump", 1);
+            ctx.count(Counter::LsSeqJump, 1);
             ctx.emit(EventRecord::LsaSeqJump {
                 at: self.me,
                 seq: lsa.seq,
@@ -425,7 +425,7 @@ impl Flooder {
             }
             true
         } else {
-            ctx.count("flood_dup", 1);
+            ctx.count(Counter::FloodDup, 1);
             ctx.emit(EventRecord::LsaDuplicate {
                 at: self.me,
                 origin: lsa.origin,
@@ -444,7 +444,7 @@ impl Flooder {
     /// unacknowledged and provides no catch-up — and views would stay
     /// stale forever (the churn tests caught exactly that).
     pub fn resync(&mut self, ctx: &mut Ctx<'_, FloodMsg>, neighbor: AdId) {
-        ctx.count("ls_resync", 1);
+        ctx.count(Counter::LsResync, 1);
         ctx.emit(EventRecord::LsaResync {
             at: self.me,
             neighbor,
@@ -623,7 +623,10 @@ mod tests {
             ..Default::default()
         }));
         e.run_to_quiescence();
-        assert!(e.stats.msgs_duplicated > 0, "the fault never fired");
+        assert!(
+            e.stats.get(Counter::MsgsDuplicated) > 0,
+            "the fault never fired"
+        );
         assert_every_lsdb_shares_the_origins_allocation(&e);
     }
 }

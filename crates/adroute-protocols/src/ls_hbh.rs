@@ -29,7 +29,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use adroute_policy::{FlowSpec, PolicyDb, TransitPolicy};
-use adroute_sim::{Ctx, Engine, MisbehaviorModel, MisbehaviorSpec, Protocol};
+use adroute_sim::{Counter, Ctx, Engine, MisbehaviorModel, MisbehaviorSpec, Protocol};
 use adroute_topology::{AdId, AdLevel, LinkId, Topology};
 
 use crate::forwarding::DataPlane;
@@ -196,7 +196,7 @@ impl Protocol for LsHbh {
         r.flooder.handle(ctx, from, msg);
         if let Some(forged) = forged {
             r.replay_budget -= 1;
-            ctx.count("lsa_replay_forged", 1);
+            ctx.count(Counter::LsaReplayForged, 1);
             for (nbr, _) in ctx.neighbors() {
                 ctx.send(nbr, forged.clone());
             }

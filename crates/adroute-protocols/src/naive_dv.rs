@@ -23,7 +23,7 @@
 use std::sync::Arc;
 
 use adroute_policy::FlowSpec;
-use adroute_sim::{Ctx, Engine, EventRecord, MisbehaviorModel, MisbehaviorSpec, Protocol};
+use adroute_sim::{Counter, Ctx, Engine, EventRecord, MisbehaviorModel, MisbehaviorSpec, Protocol};
 use adroute_topology::{AdId, LinkId, Topology};
 
 use crate::forwarding::DataPlane;
@@ -246,7 +246,7 @@ impl Protocol for NaiveDv {
             }
             None => Vec::new(),
         };
-        ctx.count("dv_recompute", 1);
+        ctx.count(Counter::DvRecompute, 1);
         let changed = self.recompute(r, ctx, &dirty);
         // Emit before advertising: the sends below anchor to this record
         // in the causal log (recompute → triggered updates).
@@ -278,7 +278,7 @@ impl Protocol for NaiveDv {
             }
             None => Vec::new(),
         };
-        ctx.count("dv_recompute", 1);
+        ctx.count(Counter::DvRecompute, 1);
         let changed = self.recompute(r, ctx, &dirty);
         ctx.emit(EventRecord::RouteRecompute {
             ad: ctx.me(),

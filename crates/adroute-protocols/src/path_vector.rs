@@ -58,7 +58,7 @@ use adroute_policy::{
     AdSet, FlowSpec, PolicyAction, PolicyCondition, PolicyDb, QosClass, TimeOfDay, TransitPolicy,
     UserClass,
 };
-use adroute_sim::{Ctx, Engine, EventRecord, MisbehaviorModel, MisbehaviorSpec, Protocol};
+use adroute_sim::{Counter, Ctx, Engine, EventRecord, MisbehaviorModel, MisbehaviorSpec, Protocol};
 use adroute_topology::{AdId, LinkId, Topology};
 
 use crate::forwarding::DataPlane;
@@ -602,7 +602,7 @@ impl PathVector {
     /// Re-selects `dirty` on `r` and reports the recomputation; returns
     /// whether `loc_rib` changed.
     fn recompute(&self, r: &mut PvRouter, ctx: &mut Ctx<'_, PvUpdate>, dirty: &[AdId]) -> bool {
-        ctx.count("pv_recompute", 1);
+        ctx.count(Counter::PvRecompute, 1);
         // Up neighbors only: a table stored for a down link is no candidate.
         let up: Vec<(usize, u32)> = ctx
             .neighbors()

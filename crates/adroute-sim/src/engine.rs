@@ -5,7 +5,7 @@ use adroute_topology::{AdId, LinkId, Topology};
 use crate::event::{Event, EventKind, EventQueue, SimTime};
 use crate::faults::{ChannelFaults, ChannelVerdict};
 use crate::obs::prof::Profiler;
-use crate::obs::{EventId, EventLog, EventRecord, Obs};
+use crate::obs::{Counter, EventId, EventLog, EventRecord, Obs};
 use crate::stats::Stats;
 
 /// A routing protocol that can be run by the [`Engine`].
@@ -141,12 +141,12 @@ impl<'a, M> Ctx<'a, M> {
     /// Sends `msg` to a directly connected neighbor over the (operational)
     /// link between them. Messages to non-neighbors or over failed links
     /// are dropped at the source, mirroring a loss on a dying link; such
-    /// drops are counted in `Stats::msgs_dropped`.
+    /// drops are counted under [`Counter::MsgsDropped`].
     pub fn send(&mut self, to: AdId, msg: M) {
         match self.topo.link_between(self.me, to) {
             Some(link) if self.topo.link(link).up => self.outbox.push((to, link, msg, self.anchor)),
             _ => {
-                self.stats.msgs_dropped += 1;
+                self.stats.counts.add(Counter::MsgsDropped, 1);
                 let from = self.me;
                 // Recorded without moving the anchor: a source-side drop
                 // is a side effect, not a protocol reaction later sends
@@ -164,9 +164,10 @@ impl<'a, M> Ctx<'a, M> {
         self.timers.push((delay_us, token, self.anchor));
     }
 
-    /// Adds `n` to a named work counter (e.g. `"dijkstra"`).
-    pub fn count(&mut self, name: &'static str, n: u64) {
-        self.stats.count(name, n);
+    /// Adds `n` to a work counter (e.g. [`Counter::DvRecompute`]).
+    #[inline]
+    pub fn count(&mut self, key: Counter, n: u64) {
+        self.stats.counts.add(key, n);
     }
 
     /// Emits a typed protocol event (LSA accepted, route recomputed, …)
@@ -237,9 +238,8 @@ pub struct Engine<P: Protocol> {
     /// [`EventLog::first_divergence`] pinpoints where two runs split.
     pub obs: Obs,
     /// The self-profiler (disabled by default; see
-    /// [`Engine::enable_prof`]). Its span/wall side is measurement-only;
-    /// its work ledger is fed exclusively from [`Stats`] deltas, so it
-    /// obeys the determinism contract.
+    /// [`Engine::enable_prof`]): wall time only. `profile`'s work
+    /// ledger comes from [`Stats::ledger`], which is deterministic.
     pub prof: Profiler,
 }
 
@@ -421,7 +421,7 @@ impl<P: Protocol> Engine<P> {
                         .or(cause);
                     self.react(to, id, |p, r, ctx| p.on_message(r, ctx, from, link, msg));
                 } else {
-                    self.stats.msgs_lost += 1;
+                    self.stats.counts.add(Counter::MsgsLost, 1);
                     self.emit(cause, EventRecord::MsgLost { from, to, link });
                 }
             }
@@ -552,12 +552,12 @@ impl<P: Protocol> Engine<P> {
             if let Some(verdict) = verdict {
                 match verdict {
                     ChannelVerdict::Lost => {
-                        self.stats.msgs_lost += 1;
+                        self.stats.counts.add(Counter::MsgsLost, 1);
                         self.emit(hop_cause, EventRecord::ChanLoss { from: ad, to, link });
                         continue;
                     }
                     ChannelVerdict::Corrupted => {
-                        self.stats.msgs_corrupted += 1;
+                        self.stats.counts.add(Counter::MsgsCorrupted, 1);
                         self.emit(hop_cause, EventRecord::ChanCorrupt { from: ad, to, link });
                         continue;
                     }
@@ -567,11 +567,11 @@ impl<P: Protocol> Engine<P> {
                         reordered,
                     } => {
                         if reordered {
-                            self.stats.msgs_reordered += 1;
+                            self.stats.counts.add(Counter::MsgsReordered, 1);
                             self.emit(hop_cause, EventRecord::ChanReorder { from: ad, to, link });
                         }
                         if let Some(d) = duplicate_at_us {
-                            self.stats.msgs_duplicated += 1;
+                            self.stats.counts.add(Counter::MsgsDuplicated, 1);
                             self.emit(hop_cause, EventRecord::ChanDup { from: ad, to, link });
                             dup_at = Some(self.now.plus_us(d));
                         }
@@ -627,7 +627,7 @@ impl<P: Protocol> Engine<P> {
         if !self.router_up[ad.index()] {
             return; // already down: double-crash is a no-op
         }
-        self.stats.router_crashes += 1;
+        self.stats.counts.add(Counter::RouterCrashes, 1);
         self.stats.last_activity = self.now;
         let crash_id = self.emit(cause, EventRecord::Crash { ad }).or(cause);
         self.protocol.on_crash(&mut self.routers[ad.index()]);
@@ -656,7 +656,7 @@ impl<P: Protocol> Engine<P> {
         if self.router_up[ad.index()] {
             return; // already up: double-restart is a no-op
         }
-        self.stats.router_restarts += 1;
+        self.stats.counts.add(Counter::RouterRestarts, 1);
         self.stats.last_activity = self.now;
         let restart_id = self.emit(cause, EventRecord::Restart { ad }).or(cause);
         self.router_up[ad.index()] = true;
@@ -698,36 +698,9 @@ impl<P: Protocol> Engine<P> {
     }
 
     /// Enables the self-profiler. Unlike the event log, the profiler adds
-    /// no per-event work: spans wrap whole `run_*` calls, and the work
-    /// ledger is fed from [`Stats`] deltas at span exits.
+    /// no per-event work: spans wrap whole `run_*` calls.
     pub fn enable_prof(&mut self) {
         self.prof.enable();
-    }
-
-    /// Snapshot of the counters a run span attributes work from.
-    fn prof_snapshot(&self) -> (u64, u64, u64, u64) {
-        (
-            self.stats.events,
-            self.stats.msgs_sent,
-            self.stats.msgs_delivered,
-            self.stats.bytes_sent,
-        )
-    }
-
-    /// Credits the engine-level work ledger with everything that
-    /// happened since `snap`. All four deltas are deterministic, so the
-    /// ledger is too.
-    fn prof_attribute(&mut self, snap: (u64, u64, u64, u64)) {
-        if !self.prof.is_enabled() {
-            return;
-        }
-        self.prof.work("engine/events", self.stats.events - snap.0);
-        self.prof
-            .work("engine/msgs_sent", self.stats.msgs_sent - snap.1);
-        self.prof
-            .work("engine/msgs_delivered", self.stats.msgs_delivered - snap.2);
-        self.prof
-            .work("engine/bytes_sent", self.stats.bytes_sent - snap.3);
     }
 
     /// Whether the typed event log is recording.
@@ -783,7 +756,6 @@ impl<P: Protocol> Engine<P> {
     /// count-to-infinity).
     pub fn run_to_quiescence(&mut self) -> SimTime {
         self.prof.enter("engine.quiesce");
-        let snap = self.prof_snapshot();
         let start_events = self.stats.events;
         while self.step() {
             if self.stats.events - start_events > self.max_events {
@@ -793,14 +765,14 @@ impl<P: Protocol> Engine<P> {
                 );
             }
         }
-        self.prof_attribute(snap);
         self.prof.exit("engine.quiesce");
         self.stats.last_activity
     }
 
     /// [`Engine::run_to_quiescence`]; `_workers` is ignored. The name
     /// stays because `benchmark/` still calls it for its `sim.parallel.*`
-    /// metrics; it goes once the benchmark drops them (ROADMAP item 2(b)).
+    /// metrics; it goes once the benchmark drops them (ROADMAP
+    /// "Benchmark-only PR: the benchmark catches up with the tree", (b)).
     pub fn run_to_quiescence_parallel(&mut self, _workers: usize) -> SimTime {
         self.run_to_quiescence()
     }
@@ -808,7 +780,6 @@ impl<P: Protocol> Engine<P> {
     /// Runs until simulated time exceeds `until` or the queue empties.
     pub fn run_until(&mut self, until: SimTime) {
         self.prof.enter("engine.run_until");
-        let snap = self.prof_snapshot();
         let start_events = self.stats.events;
         while let Some(t) = self.queue.peek().map(|ev| ev.time) {
             if t > until {
@@ -824,7 +795,6 @@ impl<P: Protocol> Engine<P> {
         if self.now < until {
             self.now = until;
         }
-        self.prof_attribute(snap);
         self.prof.exit("engine.run_until");
     }
 }
@@ -872,7 +842,7 @@ mod tests {
             msg: u32,
         ) {
             r.heard_from.push(from);
-            ctx.count("wave_rx", 1);
+            ctx.count(Counter::FloodDup, 1);
             if !r.seen {
                 r.seen = true;
                 for (nbr, _) in ctx.neighbors() {
@@ -917,7 +887,7 @@ mod tests {
         // 4 links, each crossed exactly once forward = 4 messages.
         assert_eq!(e.stats.msgs_sent, 4);
         assert_eq!(e.stats.bytes_sent, 16);
-        assert_eq!(e.stats.counter("wave_rx"), 4);
+        assert_eq!(e.stats.counter("flood_dup"), 4);
         assert_eq!(e.pending_events(), 0);
     }
 
@@ -1133,9 +1103,9 @@ mod tests {
         let c = e.stats.phase_delta("converge").unwrap();
         let f = e.stats.phase_delta("failure-response").unwrap();
         assert_eq!(c.msgs_sent, sent_converge);
-        assert_eq!(c.router_crashes, 0);
-        assert_eq!(f.router_crashes, 1);
-        assert_eq!(f.router_restarts, 1);
+        assert_eq!(c.get(Counter::RouterCrashes), 0);
+        assert_eq!(f.get(Counter::RouterCrashes), 1);
+        assert_eq!(f.get(Counter::RouterRestarts), 1);
         assert_eq!(c.msgs_sent + f.msgs_sent, e.stats.msgs_sent);
         // Both phases end quiescent, so each conserves messages.
         assert!(c.conserves_messages());
@@ -1173,7 +1143,7 @@ mod tests {
         }
         let mut e = Engine::new(line(3), Dropper);
         e.run_to_quiescence();
-        assert_eq!(e.stats.msgs_dropped, 2);
+        assert_eq!(e.stats.get(Counter::MsgsDropped), 2);
         assert_eq!(e.stats.msgs_sent, 1);
 
         // Sends over a failed link drop at the source too.
@@ -1181,7 +1151,7 @@ mod tests {
         topo.set_link_up(LinkId(0), false);
         let mut e = Engine::new(topo, Dropper);
         e.run_to_quiescence();
-        assert_eq!(e.stats.msgs_dropped, 3);
+        assert_eq!(e.stats.get(Counter::MsgsDropped), 3);
         assert_eq!(e.stats.msgs_sent, 0);
     }
 
@@ -1198,8 +1168,12 @@ mod tests {
             "crashed router processed a message"
         );
         assert!(!e.router(AdId(2)).seen, "wave crossed a dead router");
-        assert_eq!(e.stats.router_crashes, 1);
-        assert_eq!(e.stats.msgs_lost, 1, "the in-flight 0->1 message is lost");
+        assert_eq!(e.stats.get(Counter::RouterCrashes), 1);
+        assert_eq!(
+            e.stats.get(Counter::MsgsLost),
+            1,
+            "the in-flight 0->1 message is lost"
+        );
         // Fate sharing: both adjacent links went down, neighbors notified.
         assert!(!e.topo().link(LinkId(0)).up);
         assert!(!e.topo().link(LinkId(1)).up);
@@ -1217,8 +1191,8 @@ mod tests {
         e.schedule_router_change(AdId(1), true, e.now().plus_us(200));
         e.run_to_quiescence();
         assert!(e.router_is_up(AdId(1)));
-        assert_eq!(e.stats.router_crashes, 1);
-        assert_eq!(e.stats.router_restarts, 1);
+        assert_eq!(e.stats.get(Counter::RouterCrashes), 1);
+        assert_eq!(e.stats.get(Counter::RouterRestarts), 1);
         // make_router rebuilt the state: the pre-crash wave marker is gone.
         assert!(!e.router(AdId(1)).seen, "soft state survived the crash");
         // Both links are operational again and both ends saw down+up.
@@ -1285,8 +1259,8 @@ mod tests {
         e.schedule_router_change(AdId(1), true, t.plus_us(30));
         e.schedule_router_change(AdId(1), true, t.plus_us(40));
         e.run_to_quiescence();
-        assert_eq!(e.stats.router_crashes, 1);
-        assert_eq!(e.stats.router_restarts, 1);
+        assert_eq!(e.stats.get(Counter::RouterCrashes), 1);
+        assert_eq!(e.stats.get(Counter::RouterRestarts), 1);
         assert!(e.router_is_up(AdId(1)));
     }
 
@@ -1301,7 +1275,11 @@ mod tests {
                 ..ChannelFaults::default()
             }));
             e.run_to_quiescence();
-            (e.stats.msgs_sent, e.stats.msgs_lost, e.stats.msgs_delivered)
+            (
+                e.stats.msgs_sent,
+                e.stats.get(Counter::MsgsLost),
+                e.stats.msgs_delivered,
+            )
         };
         let (sent, lost, delivered) = run();
         assert_eq!(sent, 1, "only AD0's first send happens; it is lost");
@@ -1330,8 +1308,8 @@ mod tests {
             assert!(e.router(ad).seen, "{ad} missed the wave");
         }
         assert_eq!(e.stats.msgs_sent, 2);
-        assert_eq!(e.stats.msgs_duplicated, 2);
-        assert_eq!(e.stats.msgs_reordered, 2);
+        assert_eq!(e.stats.get(Counter::MsgsDuplicated), 2);
+        assert_eq!(e.stats.get(Counter::MsgsReordered), 2);
         assert_eq!(e.stats.msgs_delivered, 4, "each message arrives twice");
         // Duplicate deliveries reach on_message: AD1 heard 0 twice + 2's
         // copies never happen (2 only echoes back nothing in a line).
@@ -1348,8 +1326,8 @@ mod tests {
             ..ChannelFaults::default()
         }));
         e.run_to_quiescence();
-        assert_eq!(e.stats.msgs_corrupted, 1);
-        assert_eq!(e.stats.msgs_lost, 0);
+        assert_eq!(e.stats.get(Counter::MsgsCorrupted), 1);
+        assert_eq!(e.stats.get(Counter::MsgsLost), 0);
         assert!(!e.router(AdId(1)).seen);
     }
 
@@ -1366,7 +1344,7 @@ mod tests {
         // The start event fires at t=0, so its send is still faulted.
         e.run_to_quiescence();
         assert!(!e.router(AdId(1)).seen);
-        assert_eq!(e.stats.msgs_lost, 1);
+        assert_eq!(e.stats.get(Counter::MsgsLost), 1);
         // Drive a fresh start event via a restart: crash+restart AD0 after
         // expiry, and the resend gets through.
         let t = e.now();
@@ -1377,7 +1355,7 @@ mod tests {
             e.router(AdId(1)).seen,
             "post-expiry resend must get through"
         );
-        assert_eq!(e.stats.msgs_lost, 1);
+        assert_eq!(e.stats.get(Counter::MsgsLost), 1);
     }
 
     #[test]

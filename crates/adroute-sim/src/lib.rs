@@ -32,8 +32,8 @@ pub use obs::causal::{CausalGraph, StormEntry};
 pub use obs::json::JsonWriter;
 pub use obs::prof::{Profiler, SpanNode};
 pub use obs::{
-    EventId, EventLog, EventRecord, Histogram, LogComparison, LoggedEvent, MetricsRegistry, Obs,
-    DATA_STREAM_ID_BASE,
+    Counter, EventId, EventLog, EventRecord, Histogram, Ledger, LogComparison, LoggedEvent,
+    MetricsRegistry, Obs, Output, DATA_STREAM_ID_BASE,
 };
 pub use schedule::{FailureModel, FailureSchedule, LinkEvent, OpenArrival, OpenStorm, StormPhase};
 pub use stats::Stats;

@@ -48,7 +48,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use adroute_topology::AdId;
 
 use crate::event::SimTime;
-use crate::obs::{EventId, EventRecord, Obs};
+use crate::obs::{Counter, EventId, EventRecord, Obs};
 
 /// One forwarding-plane fact observed during a monitoring tick, fed to a
 /// [`MonitorBank`] by a protocol-specific prober.
@@ -376,7 +376,7 @@ impl QuarantineController {
         at: SimTime,
     ) -> Option<(AdId, Option<EventId>)> {
         if self.quarantined.insert(alarm.suspect) {
-            obs.metrics.add("quarantine_entered", 1);
+            obs.metrics.add(Counter::QuarantineEntered, 1);
             let ev = obs.record_event(
                 at,
                 alarm.event,
@@ -395,9 +395,9 @@ impl QuarantineController {
         if !self.quarantined.remove(&ad) {
             return false;
         }
-        obs.metrics.add("quarantine_lifted", 1);
+        obs.metrics.add(Counter::QuarantineLifted, 1);
         if !guilty {
-            obs.metrics.add("false_positive", 1);
+            obs.metrics.add(Counter::FalsePositive, 1);
         }
         obs.record_event(at, None, EventRecord::QuarantineLift { ad });
         true

@@ -8,8 +8,11 @@
 //! is the regression primitive, and machine consumers get a stable JSONL
 //! export instead of parsing text.
 //!
-//! Alongside the log, a [`MetricsRegistry`] holds named counters and
-//! fixed-bucket [`Histogram`]s (route-setup latency, per-AD message load,
+//! Every count lives in a [`Ledger`]: one `u64` per [`Counter`] key,
+//! the keys declared beside [`EventRecord`] in one table that also names
+//! each key in every output ([`Output`]). Alongside the log, a
+//! [`MetricsRegistry`] holds its owner's ledger and fixed-bucket
+//! [`Histogram`]s (route-setup latency, per-AD message load,
 //! invalidation fan-out), which is how the E-series experiments report
 //! *distributions* instead of single totals. Everything here is
 //! deterministic: same configuration, byte-identical export.
@@ -872,6 +875,235 @@ impl EventRecord {
     }
 }
 
+/// The outputs that print counts, each naming keys through [`Counter`]'s
+/// one table. By-name reads ([`MetricsRegistry::counter`],
+/// `Stats::counter`) take a key's own name.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Output {
+    /// `Stats::to_json`: the keys it prints at zero are its fixed
+    /// top-level fields, in table order; the rest fill `counters`.
+    Stats,
+    /// `metrics.counters` of `stress`, `audit` and `report`'s hop-by-hop
+    /// points.
+    Metrics,
+    /// `metrics.counters` of `report`'s orwg point.
+    Report,
+    /// `profile`'s deterministic work ledger.
+    Work,
+}
+
+/// How one output prints a key: not at all (`O`), under its own name
+/// when nonzero (`N`) or at zero too (`Z`), or under another name when
+/// nonzero (`As`) or at zero too (`AsZ`).
+#[derive(Clone, Copy, Debug)]
+enum Print {
+    O,
+    N,
+    Z,
+    As(&'static str),
+    AsZ(&'static str),
+}
+
+/// Declares [`Counter`] and its one table from one list. Per key: its
+/// own name, how `[Stats, Metrics, Report, Work]` print it, its doc.
+macro_rules! ledger_table {
+    ($($key:ident $name:literal [$($print:expr),*] $doc:literal;)*) => {
+        /// One counted quantity: every count the simulator keeps is one
+        /// key of a [`Ledger`], whichever layer counts it.
+        #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+        pub enum Counter {
+            $(#[doc = $doc] $key,)*
+        }
+
+        impl Counter {
+            /// Every key, in table order.
+            pub(crate) const ALL: &'static [Counter] = &[$(Counter::$key),*];
+        }
+
+        /// Per key, in table order: its own name and how each [`Output`]
+        /// prints it.
+        const TABLE: &[(&str, [Print; 4])] = {
+            use Print::*;
+            &[$(($name, [$($print),*])),*]
+        };
+    };
+}
+
+ledger_table! {
+    // An engine's, in `Stats`. The first three and `Events` are `Stats`
+    // fields, which `benchmark/` reads by name; `Stats::ledger` projects
+    // them (ROADMAP "One measurement stack" moves them in).
+    MsgsSent "msgs_sent" [Z, O, O, As("engine/msgs_sent")] "Control messages sent, per hop.";
+    BytesSent "bytes_sent" [Z, O, O, As("engine/bytes_sent")] "Encoded bytes of them.";
+    MsgsDelivered "msgs_delivered" [Z, O, O, As("engine/msgs_delivered")] "Control messages delivered.";
+    MsgsDropped "msgs_dropped" [Z, O, O, O] "Sends to a non-neighbor or a dead link, dropped at the source.";
+    MsgsLost "msgs_lost" [Z, O, O, O] "Messages lost in flight: dead link or router, or a lossy channel.";
+    MsgsCorrupted "msgs_corrupted" [Z, O, O, O] "Messages a channel fault corrupted.";
+    MsgsDuplicated "msgs_duplicated" [Z, O, O, O] "Extra copies a channel fault delivered.";
+    MsgsReordered "msgs_reordered" [Z, O, O, O] "Messages a channel fault delayed out of order.";
+    RouterCrashes "router_crashes" [Z, O, O, O] "Router crashes.";
+    RouterRestarts "router_restarts" [Z, O, O, O] "Router restarts.";
+    Events "events" [Z, O, O, As("engine/events")] "Events processed.";
+    DvRecompute "dv_recompute" [N, O, O, O] "Naive distance-vector route recomputations.";
+    EcmaRecompute "ecma_recompute" [N, O, O, O] "ECMA route recomputations.";
+    PvRecompute "pv_recompute" [N, O, O, O] "IDRP (path vector) route recomputations.";
+    FloodDup "flood_dup" [N, O, O, O] "Link-state advertisements received already known.";
+    LsSeqJump "ls_seq_jump" [N, O, O, O] "An origin's own advertisement came back newer than it sent.";
+    LsResync "ls_resync" [N, O, O, O] "Link-state database resynchronizations.";
+    LsaReplayForged "lsa_replay_forged" [N, O, O, O] "Stale advertisements a rogue origin replayed.";
+
+    // An `Obs`'s registry: an engine's or the ORWG network's, whose repair
+    // outcomes `OrwgNetwork::ledger` projects from `repair_stats`.
+    EventsDropped "events_dropped" [O, N, N, O] "Event-log records the ring buffer evicted.";
+    QuarantineEntered "quarantine_entered" [O, N, Z, O] "Quarantines entered.";
+    QuarantineLifted "quarantine_lifted" [O, N, Z, O] "Quarantines lifted.";
+    FalsePositive "false_positive" [O, N, Z, O] "Quarantines lifted off an innocent AD.";
+    FlowsDelivered "flows_delivered" [O, N, N, O] "`report`'s flows that arrived.";
+    FlowsUndelivered "flows_undelivered" [O, N, N, O] "`report`'s flows that did not.";
+    ViewFullInstalls "view_full_installs" [O, N, N, O] "Route Server views installed whole.";
+    ViewOriginsRederived "view_origins_rederived" [O, N, N, O] "Origins a view sync derived again.";
+    RepairOk "repair_ok" [O, N, N, O] "Flows repair restored.";
+    RepairFailed "repair_failed" [O, N, N, O] "Flows repair could not restore.";
+    OpensOffered "opens_offered" [O, N, N, O] "Opens offered to admission.";
+    OpensQueued "opens_queued" [O, N, N, O] "Opens queued for service.";
+    OpensShed "opens_shed" [O, N, N, O] "Opens shed with a retry-after NACK.";
+    OpensExpired "opens_expired" [O, N, N, O] "Queued opens whose deadline passed.";
+    OpensNoRoute "opens_no_route" [O, N, N, O] "Served opens no legal route answers.";
+    OpensServedFull "opens_served_full" [O, N, N, O] "Opens served by full synthesis.";
+    OpensServedCached "opens_served_cached" [O, N, N, O] "Opens served on the cached rung.";
+    OpensServedStored "opens_served_stored" [O, N, N, O] "Opens served from stored routes.";
+    OpensSetupFailed "opens_setup_failed" [O, N, N, O] "Served opens whose setup failed.";
+    OpenRetries "open_retries" [O, N, N, O] "Client retries after a shed.";
+    OpensAbandoned "opens_abandoned" [O, N, N, O] "Opens a client gave up on.";
+    RsCrashes "rs_crashes" [O, N, N, O] "Route Server crashes.";
+    RsFailovers "rs_failovers" [O, N, N, O] "Warm-standby takeovers.";
+    OpensPopped "opens_popped" [O, O, O, As("serve/opens_popped")] "Opens service slots popped.";
+    OpensLive "opens_live" [O, O, O, As("serve/opens_live")] "Unexpired opens service slots popped.";
+    SlotsFull "slots_full" [O, O, O, As("serve/slots_full")] "Service slots on the full rung.";
+    SlotsCached "slots_cached" [O, O, O, As("serve/slots_cached")] "Service slots on the cached rung.";
+    SlotsStored "slots_stored" [O, O, O, As("serve/slots_stored")] "Service slots on the stored rung.";
+
+    // A Route Server's. The synthesis keys, `Requests` to `RevalidateHits`,
+    // are equal between the batched and one-by-one paths; the sweep keys
+    // after them count what batching actually did.
+    Requests "requests" [O, O, O, O] "Route requests served.";
+    Searches "searches" [O, O, O, As("synth/searches")] "Searches at setup time.";
+    Settled "settled" [O, O, O, O] "Search states settled at setup time (CPU proxy).";
+    Relaxations "relaxations" [O, O, O, O] "Search edge relaxations at setup time (CPU proxy).";
+    PrecomputeSearches "precompute_searches" [O, O, O, O] "Searches (re)filling stored routes.";
+    PrecomputedHits "precomputed_hits" [O, O, O, O] "Requests the precomputed table answered.";
+    CacheHits "cache_hits" [O, O, O, As("synth/cache_hits")] "Requests the route cache answered.";
+    EntriesInvalidated "entries_invalidated" [O, O, O, O] "Stored entries view maintenance dropped.";
+    Revalidations "revalidations" [O, O, O, O] "Stored routes re-checked in place.";
+    RevalidateHits "revalidate_hits" [O, O, O, O] "Re-checks that kept the route.";
+    Batches "batches" [O, O, AsZ("sweep_batches"), O] "Batches `request_batch` committed.";
+    BatchFlows "batch_flows" [O, O, AsZ("sweep_batch_flows"), O] "Flows in those batches.";
+    Sweeps "sweeps" [O, O, AsZ("sweep_sweeps"), As("synth/sweeps")] "Shared sweeps, one per class.";
+    Refills "refills" [O, As("precompute_refills"), AsZ("sweep_refills"), As("synth/refills")]
+        "Entries background refill searched again.";
+
+    // A Policy Gateway's.
+    StaleForwards "stale_forwards" [O, O, O, O] "Packets on a pre-crash handle: must stay 0.";
+}
+
+impl Counter {
+    /// The key's own name, which by-name reads take.
+    pub(crate) fn name(self) -> &'static str {
+        TABLE[self as usize].0
+    }
+
+    /// The key whose own name is `name`.
+    pub(crate) fn named(name: &str) -> Option<Counter> {
+        Counter::ALL.iter().copied().find(|k| k.name() == name)
+    }
+
+    /// The name `out` prints this key under and whether it prints it at
+    /// zero too; `None` if `out` does not print it.
+    pub(crate) fn printed_as(self, out: Output) -> Option<(&'static str, bool)> {
+        let (own, print) = TABLE[self as usize];
+        match print[out as usize] {
+            Print::O => None,
+            Print::N => Some((own, false)),
+            Print::Z => Some((own, true)),
+            Print::As(name) => Some((name, false)),
+            Print::AsZ(name) => Some((name, true)),
+        }
+    }
+}
+
+/// One `u64` per [`Counter`]: the only store of a count. Each owner
+/// keeps one (an engine's `Stats`, an [`Obs`]'s registry, a Route
+/// Server, a Policy Gateway); outputs merge them with `+=` and print
+/// them through the table. Adding is an array index.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct Ledger([u64; Counter::ALL.len()]);
+
+impl Default for Ledger {
+    fn default() -> Ledger {
+        Ledger([0; Counter::ALL.len()])
+    }
+}
+
+impl Ledger {
+    /// Adds `n` to `key`.
+    #[inline]
+    pub fn add(&mut self, key: Counter, n: u64) {
+        self.0[key as usize] += n;
+    }
+
+    /// Reads `key`.
+    #[inline]
+    pub fn get(&self, key: Counter) -> u64 {
+        self.0[key as usize]
+    }
+
+    /// What was counted since the `earlier` snapshot (saturating).
+    pub(crate) fn since(&self, earlier: &Ledger) -> Ledger {
+        Ledger(std::array::from_fn(|i| {
+            self.0[i].saturating_sub(earlier.0[i])
+        }))
+    }
+
+    /// `(name, value)` for every key `out` prints, those it prints at
+    /// zero and the rest when nonzero, in name order.
+    pub fn printed(&self, out: Output) -> Vec<(&'static str, u64)> {
+        let mut rows: Vec<_> = (Counter::ALL.iter())
+            .filter_map(|&k| match k.printed_as(out) {
+                Some((name, zero)) if zero || self.get(k) > 0 => Some((name, self.get(k))),
+                _ => None,
+            })
+            .collect();
+        rows.sort_unstable();
+        rows
+    }
+
+    /// [`Ledger::printed`] as one JSON object.
+    pub fn to_json(&self, out: Output) -> String {
+        let mut w = JsonWriter::object();
+        for (name, v) in self.printed(out) {
+            w.put(name, v);
+        }
+        w.finish()
+    }
+}
+
+impl std::ops::AddAssign<&Ledger> for Ledger {
+    fn add_assign(&mut self, other: &Ledger) {
+        for (v, o) in self.0.iter_mut().zip(&other.0) {
+            *v += o;
+        }
+    }
+}
+
+impl<'a> std::iter::Sum<&'a Ledger> for Ledger {
+    fn sum<I: Iterator<Item = &'a Ledger>>(ledgers: I) -> Ledger {
+        ledgers.fold(Ledger::default(), |mut total, l| {
+            total += l;
+            total
+        })
+    }
+}
+
 /// One entry in an [`EventLog`]: a typed record stamped with its
 /// simulation time, its stable [`EventId`], and the id of the event that
 /// caused it (`None` for causal roots: scheduled topology changes, fault
@@ -1189,13 +1421,13 @@ impl Histogram {
     }
 }
 
-/// A registry of named counters and histograms. Names are ordinary
-/// strings (conventionally `snake_case`, with `/` separating a phase
-/// qualifier, e.g. `"msgs_sent/converge"`); iteration and JSON export are
-/// in lexicographic name order, hence deterministic.
+/// An owner's counts beside its named histograms. Histogram names are
+/// ordinary strings (conventionally `snake_case`); JSON export is in
+/// name order, hence deterministic.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<String, u64>,
+    /// The owner's counts.
+    pub counts: Ledger,
     histograms: BTreeMap<String, Histogram>,
 }
 
@@ -1205,18 +1437,14 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Adds `n` to the named counter.
-    pub fn add(&mut self, name: &str, n: u64) {
-        if let Some(c) = self.counters.get_mut(name) {
-            *c += n;
-        } else {
-            self.counters.insert(name.to_string(), n);
-        }
+    /// Adds `n` to `key`.
+    pub fn add(&mut self, key: Counter, n: u64) {
+        self.counts.add(key, n);
     }
 
-    /// Reads a named counter (0 if never incremented).
+    /// Reads the key named `name` (0 for a name no key has).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        Counter::named(name).map_or(0, |k| self.counts.get(k))
     }
 
     /// Records one sample into the named histogram (created on first use).
@@ -1235,19 +1463,15 @@ impl MetricsRegistry {
         self.histograms.get(name)
     }
 
-    /// Renders the registry as one deterministic JSON object with
-    /// `counters` and `histograms` maps in name order.
-    pub fn to_json(&self) -> String {
-        let mut counters = JsonWriter::object();
-        for (k, v) in &self.counters {
-            counters.put(k, v);
-        }
+    /// One deterministic JSON object: `counts` as `out` prints them under
+    /// `counters`, then this registry's `histograms` in name order.
+    pub fn json(&self, counts: &Ledger, out: Output) -> String {
         let mut histograms = JsonWriter::object();
         for (k, h) in &self.histograms {
             histograms.put(k, h.to_json());
         }
         JsonWriter::object()
-            .put("counters", counters.finish())
+            .put("counters", counts.to_json(out))
             .put("histograms", histograms.finish())
             .finish()
     }
@@ -1261,7 +1485,7 @@ impl MetricsRegistry {
 pub struct Obs {
     /// The typed event stream (ring buffer; capacity 0 = disabled).
     pub log: EventLog,
-    /// Named counters and histograms.
+    /// Counts and named histograms.
     pub metrics: MetricsRegistry,
 }
 
@@ -1279,23 +1503,24 @@ impl Obs {
         Obs::new(0)
     }
 
-    /// Records an event into the log and mirrors any ring-buffer
-    /// eviction into the `events_dropped` metrics counter, so overflow
-    /// is visible in `report --json` even when the log itself is only
-    /// consulted for its retained window.
+    /// Records an event into the log.
     pub fn record_event(
         &mut self,
         at: SimTime,
         cause: Option<EventId>,
         rec: EventRecord,
     ) -> Option<EventId> {
-        let before = self.log.dropped;
-        let id = self.log.push(at, cause, rec);
-        if self.log.dropped > before {
-            self.metrics
-                .add("events_dropped", self.log.dropped - before);
-        }
-        id
+        self.log.push(at, cause, rec)
+    }
+
+    /// The registry's counts beside the records the log dropped
+    /// ([`Counter::EventsDropped`], which the log keeps), so overflow
+    /// shows in `report --json` even though the log only retains its
+    /// window.
+    pub fn ledger(&self) -> Ledger {
+        let mut l = self.metrics.counts.clone();
+        l.add(Counter::EventsDropped, self.log.dropped);
+        l
     }
 }
 
@@ -1451,10 +1676,14 @@ mod tests {
     fn obs_record_event_mirrors_drops_into_metrics() {
         let mut obs = Obs::new(1);
         obs.record_event(SimTime(1), None, EventRecord::Start { ad: AdId(0) });
-        assert_eq!(obs.metrics.counter("events_dropped"), 0);
+        assert_eq!(obs.ledger().get(Counter::EventsDropped), 0);
         obs.record_event(SimTime(2), None, EventRecord::Start { ad: AdId(1) });
         assert_eq!(obs.log.dropped, 1);
-        assert_eq!(obs.metrics.counter("events_dropped"), 1);
+        assert_eq!(obs.ledger().get(Counter::EventsDropped), 1);
+        assert!(obs
+            .metrics
+            .json(&obs.ledger(), Output::Metrics)
+            .contains("\"events_dropped\":1"));
     }
 
     #[test]
@@ -1510,19 +1739,68 @@ mod tests {
     #[test]
     fn registry_counters_histograms_and_json() {
         let mut m = MetricsRegistry::new();
-        assert!(m.counters.is_empty() && m.histograms.is_empty());
-        m.add("b_counter", 2);
-        m.add("a_counter", 1);
-        m.add("b_counter", 3);
+        assert!(m.counts == Ledger::default() && m.histograms.is_empty());
+        m.add(Counter::OpensShed, 2);
+        m.add(Counter::OpenRetries, 1);
+        m.add(Counter::OpensShed, 3);
+        m.add(Counter::FlowsUndelivered, 0);
         m.record("lat_us", 10);
         m.record("lat_us", 20);
-        assert_eq!(m.counter("b_counter"), 5);
+        assert_eq!(m.counter("opens_shed"), 5);
         assert_eq!(m.counter("missing"), 0);
         assert_eq!(m.histogram("lat_us").unwrap().count, 2);
-        let names: Vec<&str> = m.counters.keys().map(String::as_str).collect();
-        assert_eq!(names, vec!["a_counter", "b_counter"], "name order");
-        let json = m.to_json();
-        assert!(json.starts_with("{\"counters\":{\"a_counter\":1,\"b_counter\":5}"));
+        let json = m.json(&m.counts, Output::Metrics);
+        assert!(
+            json.starts_with("{\"counters\":{\"open_retries\":1,\"opens_shed\":5}"),
+            "name order, zeros unprinted: {json}"
+        );
         assert!(json.contains("\"lat_us\":{\"count\":2"));
+    }
+
+    /// Every key's row in the one table, per output: no key prints under
+    /// two names, no name maps to two keys, every key is named somewhere,
+    /// and the by-name reads answer every name `benchmark/` passes.
+    #[test]
+    fn the_name_table_is_one_to_one_per_output() {
+        use std::collections::BTreeSet;
+        assert_eq!(TABLE.len(), Counter::ALL.len());
+        let own: BTreeSet<&str> = Counter::ALL.iter().map(|k| k.name()).collect();
+        assert_eq!(own.len(), Counter::ALL.len(), "two keys share a name");
+        for (i, &k) in Counter::ALL.iter().enumerate() {
+            assert_eq!(k as usize, i, "{k:?} is out of table order");
+            assert_eq!(Counter::named(k.name()), Some(k));
+        }
+        let mut printed = BTreeSet::new();
+        for out in [Output::Stats, Output::Metrics, Output::Report, Output::Work] {
+            let mut names = BTreeSet::new();
+            for &k in Counter::ALL {
+                // `printed_as` yields at most one name per key and output.
+                if let Some((name, _)) = k.printed_as(out) {
+                    assert!(names.insert(name), "{out:?} prints two keys as {name}");
+                    printed.insert(k as usize);
+                }
+            }
+        }
+        // The keys no output prints are read by name: a Route Server's
+        // search effort (`SynthStats`) and the gateways' tripwire.
+        for &k in Counter::ALL {
+            if !printed.contains(&(k as usize)) {
+                assert!(
+                    k == Counter::StaleForwards
+                        || (Counter::Requests as usize..=Counter::RevalidateHits as usize)
+                            .contains(&(k as usize)),
+                    "{k:?} appears in no output"
+                );
+            }
+        }
+        for name in [
+            "dv_recompute",
+            "ecma_recompute",
+            "pv_recompute",
+            "flood_dup",
+            "view_full_installs",
+        ] {
+            assert!(Counter::named(name).is_some(), "no key named {name}");
+        }
     }
 }

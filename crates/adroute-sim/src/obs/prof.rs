@@ -1,31 +1,24 @@
 //! `obs::prof` — the deterministic self-profiler.
 //!
-//! A [`Profiler`] records two strictly separated kinds of evidence:
+//! A [`Profiler`] records **timing spans**: a hierarchical tree of named
+//! spans ([`Profiler::enter`] / [`Profiler::exit`]) with monotonic-clock
+//! total/self time and call counts, exportable as a top-N table or a
+//! flamegraph-ready folded-stack dump. Wall-clock numbers are *never*
+//! part of any golden: they vary run to run and across hosts.
 //!
-//! * **Timing spans** — a hierarchical tree of named spans
-//!   ([`Profiler::enter`] / [`Profiler::exit`]) with monotonic-clock
-//!   total/self time and call counts, exportable as a top-N table or a
-//!   flamegraph-ready folded-stack dump. Wall-clock numbers are *never*
-//!   part of any golden: they vary run to run and across hosts.
-//! * **A work ledger** — flat named counters ([`Profiler::work`]) fed
-//!   only from quantities the determinism contract already guarantees
-//!   (event counts, message totals, sweep/cache statistics). The ledger
-//!   side of a profile must be byte-identical across double runs, which
-//!   is what `tests/profile_determinism.rs` enforces.
-//!
-//! The split is the point: wall time is a real measurement that *cannot*
-//! be deterministic, so it lives exclusively on the span/metrics side,
-//! while everything a regression test compares lives in the ledger. Span
-//! names and ledger keys are `&'static str` so that an enabled profiler
-//! costs two `Vec` pushes and one `Instant::now` per span, and a disabled
-//! one costs a single branch.
+//! The deterministic side of a profile, its work ledger, is not kept
+//! here: `adroute profile` prints the engine's and the network's
+//! [`Ledger`](super::Ledger)s as [`Output::Work`](super::Output::Work)
+//! names them, which must be byte-identical across double runs
+//! (`tests/profile_determinism.rs`). Span names are `&'static str` so
+//! that an enabled profiler costs two `Vec` pushes and one
+//! `Instant::now` per span, and a disabled one costs a single branch.
 //!
 //! Spans must be well-nested: [`Profiler::exit`] panics unless its name
 //! matches the innermost open span. That turns instrumentation bugs
 //! (a forgotten exit on an early-return path) into loud test failures
 //! instead of silently corrupted attributions.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -63,16 +56,14 @@ struct OpenSpan {
     started: Instant,
 }
 
-/// The self-profiler: a span-tree arena plus the deterministic work
-/// ledger. Disabled by default (every call is then a single branch);
-/// see the [module docs](self) for the determinism contract.
+/// The self-profiler: a span-tree arena. Disabled by default (every
+/// call is then a single branch); see the [module docs](self).
 #[derive(Clone, Debug, Default)]
 pub struct Profiler {
     enabled: bool,
     spans: Vec<SpanNode>,
     roots: Vec<usize>,
     stack: Vec<OpenSpan>,
-    work: BTreeMap<&'static str, u64>,
 }
 
 impl Profiler {
@@ -87,11 +78,6 @@ impl Profiler {
             enabled: true,
             ..Profiler::default()
         }
-    }
-
-    /// Whether spans and ledger entries are being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Turns recording on.
@@ -174,25 +160,20 @@ impl Profiler {
         self.stack.last().map(|o| self.spans[o.node].name)
     }
 
-    /// Adds `n` to the deterministic work ledger under `key`
-    /// (conventionally `area/counter`, e.g. `"engine.dispatch/events"`).
-    /// Only feed this from deterministic quantities. No-op when disabled.
-    pub fn work(&mut self, key: &'static str, n: u64) {
-        if !self.enabled || n == 0 {
-            return;
-        }
-        *self.work.entry(key).or_insert(0) += n;
-    }
+    /// Records nothing: counts live in [`Ledger`](super::Ledger)s. The
+    /// name stays only because `tests/profile_determinism.rs`'s span-tree
+    /// property calls it between spans.
+    pub fn work(&mut self, _key: &'static str, _n: u64) {}
 
     /// The span nodes, indexable by the ids in [`SpanNode::children`].
     pub fn spans(&self) -> &[SpanNode] {
         &self.spans
     }
 
-    /// Folds `other` into `self`: ledgers add, span trees graft by name
-    /// path (calls/wall/child times sum). Used to combine the engine's
-    /// and the ORWG network's profilers into one report. Panics if
-    /// `other` still has open spans.
+    /// Folds `other` into `self`: span trees graft by name path
+    /// (calls/wall/child times sum). Used to combine the engine's and
+    /// the ORWG network's profilers into one report. Panics if `other`
+    /// still has open spans.
     pub fn merge_from(&mut self, other: &Profiler) {
         assert!(
             other.stack.is_empty(),
@@ -200,9 +181,6 @@ impl Profiler {
         );
         if other.enabled {
             self.enabled = true;
-        }
-        for (&k, &v) in &other.work {
-            *self.work.entry(k).or_insert(0) += v;
         }
         for &r in &other.roots {
             self.graft(None, other, r);
@@ -279,17 +257,12 @@ impl Profiler {
         out
     }
 
-    /// Puts the profile's `work` and `spans` fields into an object the
-    /// caller has started (the CLI leads with the scenario):
-    /// `"work":{..},"spans":[{"path","calls","total_ns","self_ns"},..]`.
-    /// The `work` map is byte-identical across runs; the `spans` array
-    /// has deterministic *structure* (paths, order, calls) but
-    /// run-varying times.
+    /// Puts the profile's `spans` field into an object the caller has
+    /// started (the CLI leads with the scenario and the work ledger):
+    /// `"spans":[{"path","calls","total_ns","self_ns"},..]`, whose
+    /// *structure* (paths, order, calls) is deterministic and whose times
+    /// vary run to run.
     pub fn json_fields(&self, w: &mut JsonWriter) {
-        let mut work = JsonWriter::object();
-        for (k, v) in &self.work {
-            work.put(k, v);
-        }
         let spans = self.walk().into_iter().map(|(path, idx)| {
             let node = &self.spans[idx];
             JsonWriter::object()
@@ -299,12 +272,10 @@ impl Profiler {
                 .put("self_ns", node.self_ns())
                 .finish()
         });
-        w.put("work", work.finish())
-            .put("spans", JsonWriter::array(spans));
+        w.put("spans", JsonWriter::array(spans));
     }
 
-    /// A human-readable top-`n` table of spans by self time, plus the
-    /// full work ledger.
+    /// A human-readable top-`n` table of spans by self time.
     pub fn table(&self, n: usize) -> String {
         let mut rows = self.walk();
         rows.sort_by(|a, b| {
@@ -327,12 +298,6 @@ impl Profiler {
                 node.calls
             );
         }
-        if !self.work.is_empty() {
-            let _ = writeln!(out, "work ledger (deterministic):");
-            for (k, v) in &self.work {
-                let _ = writeln!(out, "{v:>14}  {k}");
-            }
-        }
         out
     }
 }
@@ -352,12 +317,10 @@ mod tests {
     fn disabled_profiler_records_nothing() {
         let mut p = Profiler::new();
         p.enter("a");
-        p.work("k", 5);
         p.exit("a");
-        assert!(!p.is_enabled());
+        assert!(!p.enabled);
         assert_eq!(p.depth(), 0);
         assert!(p.spans().is_empty());
-        assert!(p.work.is_empty());
     }
 
     #[test]
@@ -400,40 +363,47 @@ mod tests {
 
     #[test]
     fn work_ledger_is_sorted_and_additive() {
-        let mut p = Profiler::enabled();
-        p.work("b/y", 2);
-        p.work("a/x", 1);
-        p.work("b/y", 3);
-        p.work("zero", 0);
-        let entries: Vec<_> = p.work.iter().map(|(&k, &v)| (k, v)).collect();
+        use crate::obs::{Counter, Ledger, Output};
+        let mut l = Ledger::default();
+        l.add(Counter::Sweeps, 2);
+        l.add(Counter::Events, 1);
+        l.add(Counter::Sweeps, 3);
+        l.add(Counter::Searches, 0);
         assert_eq!(
-            entries,
-            vec![("a/x", 1), ("b/y", 5)],
-            "zero adds create no entry"
+            l.to_json(Output::Work),
+            r#"{"engine/events":1,"synth/sweeps":5}"#,
+            "name order; zero adds print nothing"
         );
     }
 
     #[test]
     fn merge_grafts_by_path_and_adds_ledgers() {
+        use crate::obs::{Counter, Ledger};
         let mut a = Profiler::enabled();
         a.enter("run");
         a.enter("x");
         a.exit("x");
         a.exit("run");
-        a.work("k", 1);
         let mut b = Profiler::enabled();
         b.enter("run");
         b.enter("y");
         b.exit("y");
         b.exit("run");
-        b.work("k", 2);
-        b.work("only_b", 7);
         a.merge_from(&b);
         let paths: Vec<String> = a.walk().into_iter().map(|(s, _)| s).collect();
         assert_eq!(paths, vec!["run", "run;x", "run;y"]);
-        assert_eq!((a.work["k"], a.work["only_b"]), (3, 7));
         // `run` aggregated both sides' calls.
         assert!(json(&a).contains("\"path\":\"run\",\"calls\":2"));
+        // The engine's and the network's ledgers merge by key.
+        let (mut la, mut lb) = (Ledger::default(), Ledger::default());
+        la.add(Counter::Searches, 1);
+        lb.add(Counter::Searches, 2);
+        lb.add(Counter::Refills, 7);
+        la += &lb;
+        assert_eq!(
+            (la.get(Counter::Searches), la.get(Counter::Refills)),
+            (3, 7)
+        );
     }
 
     #[test]

@@ -1,16 +1,16 @@
 //! Measurement counters shared by every experiment.
 
-use std::collections::BTreeMap;
-
 use crate::event::SimTime;
 use crate::obs::json::JsonWriter;
+use crate::obs::{Counter, Ledger, Output};
 
 /// Counters accumulated during a simulation run.
 ///
-/// Besides the fixed message counters, protocols record named work
-/// counters (e.g. `"dijkstra"`, `"route_recompute"`, `"flood_dup"`), which
-/// is how the computation-burden experiments (paper Sections 5.2/5.3) are
-/// measured without wall-clock noise.
+/// Besides the message counters, protocols count their work under
+/// [`Counter`] keys (e.g. [`Counter::DvRecompute`],
+/// [`Counter::FloodDup`]), which is how the computation-burden
+/// experiments (paper Sections 5.2/5.3) are measured without wall-clock
+/// noise.
 ///
 /// Multi-phase experiments (converge, then fail a link, then measure the
 /// failure response) should mark boundaries with
@@ -18,6 +18,11 @@ use crate::obs::json::JsonWriter;
 /// deltas via [`Stats::phase_delta`]. Phase scoping never zeroes a
 /// total: `per_ad_msgs` doubles as the channel-fault draw ordinal, so it
 /// must only ever grow.
+///
+/// The public fields stay fields because `benchmark/` reads them by
+/// name, as it does `counter`, `conserves_messages` and
+/// `max_per_ad_msgs`; ROADMAP "One measurement stack" moves them into
+/// the ledger.
 #[derive(Clone, Debug, Default)]
 pub struct Stats {
     /// Control messages sent (per-hop transmissions, not end-to-end).
@@ -26,31 +31,12 @@ pub struct Stats {
     pub bytes_sent: u64,
     /// Control messages delivered.
     pub msgs_delivered: u64,
-    /// Messages a router tried to send to a non-neighbor or over a failed
-    /// link; [`Ctx::send`](crate::Ctx::send) drops these at the source.
-    /// Source drops never enter the channel, so they do not count in
-    /// [`Stats::msgs_sent`]: attempted sends = `msgs_sent + msgs_dropped`.
-    pub(crate) msgs_dropped: u64,
-    /// Messages lost in flight: the carrying link failed, the destination
-    /// router was down, or an injected channel fault ate the packet.
-    pub msgs_lost: u64,
-    /// Messages dropped as corrupted by an injected channel fault
-    /// (modeling a checksum failure at the receiver).
-    pub msgs_corrupted: u64,
-    /// Extra copies delivered by an injected duplication fault.
-    pub msgs_duplicated: u64,
-    /// Messages delayed out of order by an injected reordering fault.
-    pub msgs_reordered: u64,
-    /// Router crash events processed.
-    pub router_crashes: u64,
-    /// Router restart events processed.
-    pub router_restarts: u64,
     /// Events processed in total.
     pub events: u64,
     /// Time of the last control-plane activity (convergence time).
     pub last_activity: SimTime,
-    /// Named work counters incremented by protocols.
-    counters: BTreeMap<&'static str, u64>,
+    /// Every other count, one per key; [`Stats::ledger`] adds the fields.
+    pub(crate) counts: Ledger,
     /// Phase marks: `(name, snapshot at phase start)`, in start order.
     phases: Vec<(&'static str, Box<Stats>)>,
     /// Per-AD control messages sent, indexed by AD.
@@ -66,14 +52,25 @@ impl Stats {
         }
     }
 
-    /// Adds `n` to the named counter.
-    pub(crate) fn count(&mut self, name: &'static str, n: u64) {
-        *self.counters.entry(name).or_insert(0) += n;
+    /// Every count as one ledger: the fields projected onto their keys
+    /// beside the counted ones.
+    pub fn ledger(&self) -> Ledger {
+        let mut l = self.counts.clone();
+        l.add(Counter::MsgsSent, self.msgs_sent);
+        l.add(Counter::BytesSent, self.bytes_sent);
+        l.add(Counter::MsgsDelivered, self.msgs_delivered);
+        l.add(Counter::Events, self.events);
+        l
     }
 
-    /// Reads a named counter (0 if never incremented).
+    /// Reads `key`.
+    pub fn get(&self, key: Counter) -> u64 {
+        self.ledger().get(key)
+    }
+
+    /// Reads the key named `name` (0 for a name no key has).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        Counter::named(name).map_or(0, |k| self.get(k))
     }
 
     /// The maximum per-AD message count (hot-spot measure).
@@ -104,84 +101,64 @@ impl Stats {
     /// phase's window. Returns `None` for an unknown phase name.
     pub fn phase_delta(&self, name: &str) -> Option<Stats> {
         let i = self.phases.iter().position(|&(n, _)| n == name)?;
-        let start = &self.phases[i].1;
-        let end: Stats = match self.phases.get(i + 1) {
-            Some((_, snap)) => (**snap).clone(),
-            None => {
-                let mut cur = self.clone();
-                cur.phases.clear();
-                cur
-            }
-        };
-        Some(end.minus(start))
+        let end = self.phases.get(i + 1).map_or(self, |(_, snap)| &**snap);
+        Some(end.since(&self.phases[i].1))
     }
 
     /// Counter-wise difference `self - earlier` (saturating), used to
     /// compute per-phase deltas. `last_activity` keeps `self`'s absolute
-    /// value; the phase list is cleared.
-    fn minus(&self, earlier: &Stats) -> Stats {
-        let mut d = Stats {
+    /// value; the phase list is empty.
+    fn since(&self, earlier: &Stats) -> Stats {
+        let per_ad = self.per_ad_msgs.iter().enumerate();
+        Stats {
             msgs_sent: self.msgs_sent.saturating_sub(earlier.msgs_sent),
             bytes_sent: self.bytes_sent.saturating_sub(earlier.bytes_sent),
             msgs_delivered: self.msgs_delivered.saturating_sub(earlier.msgs_delivered),
-            msgs_dropped: self.msgs_dropped.saturating_sub(earlier.msgs_dropped),
-            msgs_lost: self.msgs_lost.saturating_sub(earlier.msgs_lost),
-            msgs_corrupted: self.msgs_corrupted.saturating_sub(earlier.msgs_corrupted),
-            msgs_duplicated: self.msgs_duplicated.saturating_sub(earlier.msgs_duplicated),
-            msgs_reordered: self.msgs_reordered.saturating_sub(earlier.msgs_reordered),
-            router_crashes: self.router_crashes.saturating_sub(earlier.router_crashes),
-            router_restarts: self.router_restarts.saturating_sub(earlier.router_restarts),
             events: self.events.saturating_sub(earlier.events),
             last_activity: self.last_activity,
-            counters: BTreeMap::new(),
+            counts: self.counts.since(&earlier.counts),
             phases: Vec::new(),
-            per_ad_msgs: vec![0; self.per_ad_msgs.len()],
-        };
-        for (&k, &v) in &self.counters {
-            let dv = v.saturating_sub(earlier.counter(k));
-            if dv > 0 {
-                d.counters.insert(k, dv);
-            }
+            per_ad_msgs: per_ad
+                .map(|(i, &v)| v.saturating_sub(earlier.per_ad_msgs.get(i).copied().unwrap_or(0)))
+                .collect(),
         }
-        for (i, &v) in self.per_ad_msgs.iter().enumerate() {
-            let prev = earlier.per_ad_msgs.get(i).copied().unwrap_or(0);
-            d.per_ad_msgs[i] = v.saturating_sub(prev);
-        }
-        d
     }
 
     /// Message conservation at quiescence: every message that entered the
     /// channel (sent, plus injected duplicates) was delivered, lost, or
-    /// corrupted. Source drops (`Stats::msgs_dropped`) never entered
+    /// corrupted. Source drops ([`Counter::MsgsDropped`]) never entered
     /// the channel and are accounted separately. Only meaningful when the
     /// event queue is empty — in-flight messages are still unresolved.
     pub fn conserves_messages(&self) -> bool {
-        self.msgs_sent + self.msgs_duplicated
-            == self.msgs_delivered + self.msgs_lost + self.msgs_corrupted
+        let c = |k| self.counts.get(k);
+        self.msgs_sent + c(Counter::MsgsDuplicated)
+            == self.msgs_delivered + c(Counter::MsgsLost) + c(Counter::MsgsCorrupted)
     }
 
-    /// Renders the fixed counters, named counters, and the per-AD
-    /// hot-spot maximum as one deterministic JSON object.
+    /// Renders the ledger as [`Output::Stats`] prints it, with the last
+    /// activity and the per-AD hot-spot maximum, as one deterministic
+    /// JSON object: the keys printed at zero are fixed fields, in table
+    /// order, and the rest fill `counters`.
     pub fn to_json(&self) -> String {
-        let mut counters = JsonWriter::object();
-        for (k, v) in &self.counters {
-            counters.put(k, v);
+        let (l, mut w) = (self.ledger(), JsonWriter::object());
+        let mut counters = Vec::new();
+        for &k in Counter::ALL {
+            match k.printed_as(Output::Stats) {
+                Some((name, true)) => {
+                    w.put(name, l.get(k));
+                }
+                Some((name, false)) if l.get(k) > 0 => counters.push((name, l.get(k))),
+                _ => {}
+            }
         }
-        JsonWriter::object()
-            .put("msgs_sent", self.msgs_sent)
-            .put("bytes_sent", self.bytes_sent)
-            .put("msgs_delivered", self.msgs_delivered)
-            .put("msgs_dropped", self.msgs_dropped)
-            .put("msgs_lost", self.msgs_lost)
-            .put("msgs_corrupted", self.msgs_corrupted)
-            .put("msgs_duplicated", self.msgs_duplicated)
-            .put("msgs_reordered", self.msgs_reordered)
-            .put("router_crashes", self.router_crashes)
-            .put("router_restarts", self.router_restarts)
-            .put("events", self.events)
-            .put("last_activity_us", self.last_activity.as_us())
+        counters.sort_unstable();
+        let mut c = JsonWriter::object();
+        for (name, v) in counters {
+            c.put(name, v);
+        }
+        w.put("last_activity_us", self.last_activity.as_us())
             .put("max_per_ad_msgs", self.max_per_ad_msgs())
-            .put("counters", counters.finish())
+            .put("counters", c.finish())
             .finish()
     }
 }
@@ -193,11 +170,13 @@ mod tests {
     #[test]
     fn named_counters() {
         let mut s = Stats::new(3);
-        assert_eq!(s.counter("dijkstra"), 0);
-        s.count("dijkstra", 2);
-        s.count("dijkstra", 3);
-        assert_eq!(s.counter("dijkstra"), 5);
-        assert_eq!(s.counters.len(), 1);
+        assert_eq!(s.counter("flood_dup"), 0);
+        s.counts.add(Counter::FloodDup, 2);
+        s.counts.add(Counter::FloodDup, 3);
+        assert_eq!(s.counter("flood_dup"), 5);
+        assert_eq!(s.counter("no_such_key"), 0);
+        s.msgs_sent = 4;
+        assert_eq!(s.counter("msgs_sent"), 4);
     }
 
     #[test]
@@ -216,15 +195,15 @@ mod tests {
         s.msgs_sent = 10;
         s.bytes_sent = 100;
         s.per_ad_msgs[0] = 10;
-        s.count("work", 5);
+        s.counts.add(Counter::FloodDup, 5);
         s.last_activity = SimTime(1000);
         s.begin_phase("failure-response");
         s.msgs_sent = 14;
         s.bytes_sent = 130;
         s.per_ad_msgs[0] = 12;
         s.per_ad_msgs[1] = 2;
-        s.count("work", 2);
-        s.router_crashes = 1;
+        s.counts.add(Counter::FloodDup, 2);
+        s.counts.add(Counter::RouterCrashes, 1);
         s.last_activity = SimTime(3000);
 
         let names: Vec<_> = s.phase_names().collect();
@@ -233,23 +212,23 @@ mod tests {
         let c = s.phase_delta("converge").unwrap();
         assert_eq!(c.msgs_sent, 10);
         assert_eq!(c.bytes_sent, 100);
-        assert_eq!(c.counter("work"), 5);
+        assert_eq!(c.counter("flood_dup"), 5);
         assert_eq!(c.per_ad_msgs, vec![10, 0]);
-        assert_eq!(c.router_crashes, 0);
+        assert_eq!(c.get(Counter::RouterCrashes), 0);
 
         let f = s.phase_delta("failure-response").unwrap();
         assert_eq!(f.msgs_sent, 4);
         assert_eq!(f.bytes_sent, 30);
-        assert_eq!(f.counter("work"), 2);
+        assert_eq!(f.counter("flood_dup"), 2);
         assert_eq!(f.per_ad_msgs, vec![2, 2]);
-        assert_eq!(f.router_crashes, 1);
+        assert_eq!(f.get(Counter::RouterCrashes), 1);
         assert_eq!(f.last_activity, SimTime(3000));
 
         assert!(s.phase_delta("nope").is_none());
         // The totals are untouched by phase accounting.
         assert_eq!(s.msgs_sent, 14);
-        assert_eq!(s.counter("work"), 7);
-        assert_eq!(s.router_crashes, 1);
+        assert_eq!(s.counter("flood_dup"), 7);
+        assert_eq!(s.get(Counter::RouterCrashes), 1);
         assert_eq!(s.per_ad_msgs, vec![12, 2]);
     }
 
@@ -257,13 +236,14 @@ mod tests {
     fn conservation_identity() {
         let mut s = Stats::new(1);
         s.msgs_sent = 5;
-        s.msgs_duplicated = 1;
+        s.counts.add(Counter::MsgsDuplicated, 1);
         s.msgs_delivered = 4;
-        s.msgs_lost = 1;
-        s.msgs_corrupted = 1;
-        s.msgs_dropped = 3; // source drops sit outside the channel identity
+        s.counts.add(Counter::MsgsLost, 1);
+        s.counts.add(Counter::MsgsCorrupted, 1);
+        // Source drops sit outside the channel identity.
+        s.counts.add(Counter::MsgsDropped, 3);
         assert!(s.conserves_messages());
-        s.msgs_lost = 0;
+        s.msgs_delivered = 3;
         assert!(!s.conserves_messages());
     }
 
@@ -271,11 +251,11 @@ mod tests {
     fn stats_json_is_deterministic() {
         let mut s = Stats::new(2);
         s.msgs_sent = 3;
-        s.count("b", 2);
-        s.count("a", 1);
+        s.counts.add(Counter::PvRecompute, 2);
+        s.counts.add(Counter::DvRecompute, 1);
         let j = s.to_json();
         assert!(j.starts_with("{\"msgs_sent\":3,"));
-        assert!(j.ends_with("\"counters\":{\"a\":1,\"b\":2}}"));
+        assert!(j.ends_with("\"counters\":{\"dv_recompute\":1,\"pv_recompute\":2}}"));
         assert_eq!(j, s.to_json());
     }
 }

@@ -9,6 +9,7 @@ use adroute::core::router::converge_control_plane;
 use adroute::core::{OrwgNetwork, Strategy};
 use adroute::policy::workload::PolicyWorkload;
 use adroute::policy::FlowSpec;
+use adroute::sim::Counter;
 use adroute::topology::{AdLevel, HierarchyConfig};
 
 fn main() {
@@ -84,11 +85,12 @@ fn main() {
     //    computed anything.
     println!("\nroute computations per AD (nonzero only):");
     for ad in topo.ad_ids() {
-        let s = net.server(ad).stats;
-        if s.searches > 0 {
+        let s = &net.server(ad).ledger;
+        if s.get(Counter::Searches) > 0 {
             println!(
                 "  {ad}: {} searches ({} states settled)",
-                s.searches, s.settled
+                s.get(Counter::Searches),
+                s.get(Counter::Settled)
             );
         }
     }

@@ -117,6 +117,13 @@ PROPTEST_CASES=256 cargo test -q --test sharded_synthesis
 echo "== The LRU cache: returns, evictions and recency order equal the stamp-ordered reference's (raised case count)"
 PROPTEST_CASES=1024 cargo test -q -p adroute-core --lib lru_matches_reference_model
 
+echo "== help, -h and --help each exit 0 and print the same usage"
+for h in help -h --help; do
+    "$adroute" "$h" > "$out/usage$h.txt"
+done
+cmp "$out/usagehelp.txt" "$out/usage-h.txt"
+cmp "$out/usagehelp.txt" "$out/usage--help.txt"
+
 echo "== Machine-readable outputs are valid JSON"
 "$adroute" report --ads 40 --seed 7 --flows 20 --json | python3 -m json.tool > /dev/null
 "$adroute" blame quickstart --json | python3 -m json.tool > /dev/null

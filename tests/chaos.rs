@@ -13,7 +13,7 @@ use adroute::protocols::forwarding::sample_flows;
 use adroute::protocols::ls_hbh::LsHbh;
 use adroute::protocols::naive_dv::NaiveDv;
 use adroute::protocols::path_vector::PathVector;
-use adroute::sim::{ChannelFaults, CrashModel, Engine, FailureModel, FaultSpec, Protocol};
+use adroute::sim::{ChannelFaults, Counter, CrashModel, Engine, FailureModel, FaultSpec, Protocol};
 use adroute::topology::generate::ring;
 use adroute::topology::{AdId, HierarchyConfig, Topology};
 use proptest::prelude::*;
@@ -56,10 +56,13 @@ fn through_mixed_faults<P: Protocol>(topo: &Topology, proto: P, seed: u64) -> En
     let e = Engine::new(topo.clone(), proto);
     let e = chaos_lifecycle(e, &mixed_spec(seed), false, 300).unwrap();
     assert!(
-        e.stats.router_crashes > 0,
+        e.stats.get(Counter::RouterCrashes) > 0,
         "seed {seed} must crash at least one router"
     );
-    assert!(e.stats.msgs_lost > 0, "seed {seed} must lose messages");
+    assert!(
+        e.stats.get(Counter::MsgsLost) > 0,
+        "seed {seed} must lose messages"
+    );
     e
 }
 
@@ -189,8 +192,8 @@ fn identical_seeds_produce_identical_traces() {
         (
             e.obs.log.render(),
             e.stats.msgs_sent,
-            e.stats.msgs_lost,
-            e.stats.router_crashes,
+            e.stats.get(Counter::MsgsLost),
+            e.stats.get(Counter::RouterCrashes),
         )
     };
     let a = run(41);
@@ -227,10 +230,10 @@ proptest! {
         let (ta, sa) = run()?;
         let (tb, sb) = run()?;
         prop_assert_eq!(sa.msgs_sent, sb.msgs_sent);
-        prop_assert_eq!(sa.msgs_lost, sb.msgs_lost);
-        prop_assert_eq!(sa.msgs_corrupted, sb.msgs_corrupted);
-        prop_assert_eq!(sa.msgs_duplicated, sb.msgs_duplicated);
-        prop_assert_eq!(sa.router_crashes, sb.router_crashes);
+        prop_assert_eq!(sa.get(Counter::MsgsLost), sb.get(Counter::MsgsLost));
+        prop_assert_eq!(sa.get(Counter::MsgsCorrupted), sb.get(Counter::MsgsCorrupted));
+        prop_assert_eq!(sa.get(Counter::MsgsDuplicated), sb.get(Counter::MsgsDuplicated));
+        prop_assert_eq!(sa.get(Counter::RouterCrashes), sb.get(Counter::RouterCrashes));
         prop_assert_eq!(ta, tb);
     }
 }

@@ -9,7 +9,7 @@ use adroute::protocols::ecma::Ecma;
 use adroute::protocols::ls_hbh::LsHbh;
 use adroute::protocols::naive_dv::NaiveDv;
 use adroute::protocols::path_vector::PathVector;
-use adroute::sim::{ChannelFaults, CrashModel, Engine, FailureModel, FaultSpec};
+use adroute::sim::{ChannelFaults, Counter, CrashModel, Engine, FailureModel, FaultSpec};
 use adroute::topology::{generate, HierarchyConfig, Topology};
 use proptest::prelude::*;
 
@@ -94,10 +94,10 @@ proptest! {
             let d = s.phase_delta(phase).unwrap();
             sent += d.msgs_sent;
             delivered += d.msgs_delivered;
-            lost += d.msgs_lost;
+            lost += d.get(Counter::MsgsLost);
         }
         prop_assert_eq!(sent, s.msgs_sent);
         prop_assert_eq!(delivered, s.msgs_delivered);
-        prop_assert_eq!(lost, s.msgs_lost);
+        prop_assert_eq!(lost, s.get(Counter::MsgsLost));
     }
 }

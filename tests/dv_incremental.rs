@@ -23,7 +23,7 @@ use std::fmt::Debug;
 use adroute::policy::AdSet;
 use adroute::protocols::ecma::{Ecma, EcmaEntry, EcmaUpdate};
 use adroute::protocols::naive_dv::{DvUpdate, NaiveDv};
-use adroute::sim::{Ctx, EventRecord, MisbehaviorModel, MisbehaviorSpec, Protocol};
+use adroute::sim::{Counter, Ctx, EventRecord, MisbehaviorModel, MisbehaviorSpec, Protocol};
 use adroute::topology::{generate, AdId, LinkId, LinkKind, Topology};
 use proptest::prelude::*;
 
@@ -163,7 +163,7 @@ impl Protocol for FullDv {
         if let Some(slot) = ctx.neighbor_slot(from) {
             r.adv_in[slot] = Some(v);
         }
-        ctx.count("dv_recompute", 1);
+        ctx.count(Counter::DvRecompute, 1);
         let changed = self.recompute(r, ctx);
         ctx.emit(EventRecord::RouteRecompute {
             ad: ctx.me(),
@@ -188,7 +188,7 @@ impl Protocol for FullDv {
                 r.adv_in[slot] = None;
             }
         }
-        ctx.count("dv_recompute", 1);
+        ctx.count(Counter::DvRecompute, 1);
         let changed = self.recompute(r, ctx);
         ctx.emit(EventRecord::RouteRecompute {
             ad: ctx.me(),
@@ -384,7 +384,7 @@ impl Protocol for FullEcma {
         if let Some(slot) = ctx.neighbor_slot(from) {
             r.adv_in[slot] = Some(v);
         }
-        ctx.count("ecma_recompute", 1);
+        ctx.count(Counter::EcmaRecompute, 1);
         let changed = self.recompute(r, ctx);
         ctx.emit(EventRecord::RouteRecompute {
             ad: ctx.me(),
@@ -409,7 +409,7 @@ impl Protocol for FullEcma {
                 r.adv_in[slot] = None;
             }
         }
-        ctx.count("ecma_recompute", 1);
+        ctx.count(Counter::EcmaRecompute, 1);
         let changed = self.recompute(r, ctx);
         ctx.emit(EventRecord::RouteRecompute {
             ad: ctx.me(),

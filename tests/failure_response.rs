@@ -9,7 +9,7 @@ use adroute::protocols::forwarding::{sample_flows, score_flows};
 use adroute::protocols::ls_hbh::LsHbh;
 use adroute::protocols::naive_dv::NaiveDv;
 use adroute::protocols::path_vector::PathVector;
-use adroute::sim::{Engine, SimTime};
+use adroute::sim::{Counter, Engine, SimTime};
 use adroute::topology::generate::ring;
 use adroute::topology::{AdId, HierarchyConfig};
 
@@ -117,7 +117,7 @@ fn orwg_policy_change_redirects_traffic_mid_stream() {
     assert_eq!(s2.route, vec![AdId(0), AdId(5), AdId(4), AdId(3)]);
     // Precomputation was refreshed: the new route came from the
     // precomputed table, not a fresh search.
-    assert!(net.server(AdId(0)).stats.precomputed_hits >= 1);
+    assert!(net.server(AdId(0)).ledger.get(Counter::PrecomputedHits) >= 1);
     for _ in 0..5 {
         net.send(s2.handle).unwrap();
     }

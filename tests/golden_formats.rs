@@ -271,17 +271,17 @@ fn golden_event_record_json() {
 
 #[test]
 fn golden_metrics_json() {
-    use adroute::sim::MetricsRegistry;
+    use adroute::sim::{Counter, MetricsRegistry, Output};
     let mut m = MetricsRegistry::new();
-    m.add("flood_dup", 3);
+    m.add(Counter::FlowsDelivered, 3);
     m.record("setup_latency_us", 0);
     m.record("setup_latency_us", 5);
     m.record("setup_latency_us", 9);
     // p50 is the interpolated quantile (the median of {0,5,9} estimated
     // within its bucket), not the old bucket-top answer of 7.
     assert_eq!(
-        m.to_json(),
-        r#"{"counters":{"flood_dup":3},"histograms":{"setup_latency_us":{"count":3,"sum":14,"min":0,"max":9,"p50":6,"p99":9,"buckets":[[0,1],[4,1],[8,1]]}}}"#
+        m.json(&m.counts, Output::Metrics),
+        r#"{"counters":{"flows_delivered":3},"histograms":{"setup_latency_us":{"count":3,"sum":14,"min":0,"max":9,"p50":6,"p99":9,"buckets":[[0,1],[4,1],[8,1]]}}}"#
     );
 }
 

@@ -5,12 +5,13 @@
 //! and recency order — and [`OrwgNetwork::serve_batch`] with
 //! `max_batch == 1` must *be* [`OrwgNetwork::serve_next`], so an
 //! unsharded load ramp is a batch of one. The batched
-//! path is allowed to do measurably less work (the separate `SweepStats`
-//! counters), never to answer differently.
+//! path is allowed to do measurably less work (the sweep keys of the
+//! server's ledger, kept apart from the synthesis keys), never to answer
+//! differently.
 
 use adroute::core::{
     run_load_ramp, OrwgNetwork, PendingOpen, PolicyRoute, RouteServer, ServeOutcome, ShardConfig,
-    Strategy, StressConfig,
+    Strategy, StressConfig, SynthStats,
 };
 use adroute::policy::workload::PolicyWorkload;
 use adroute::policy::{FlowSpec, PolicyDb, QosClass};
@@ -109,7 +110,11 @@ proptest! {
             let swept = batched.request_batch(window, 8);
             prop_assert_eq!(&solo, &swept, "answers diverged at chunk={}", chunk);
         }
-        prop_assert_eq!(mono.stats, batched.stats, "SynthStats diverged");
+        prop_assert_eq!(
+            SynthStats::from(&mono.ledger),
+            SynthStats::from(&batched.ledger),
+            "SynthStats diverged"
+        );
         prop_assert_eq!(
             mono.cache_snapshot(), batched.cache_snapshot(),
             "cache contents or recency order diverged"
@@ -132,7 +137,7 @@ proptest! {
                 .chunks(chunk)
                 .flat_map(|w| rs.request_batch(w, shards))
                 .collect();
-            (answers, rs.stats, rs.cache_snapshot(), rs.sweep)
+            (answers, rs.ledger.clone(), rs.cache_snapshot())
         };
         prop_assert_eq!(run(1), run(8));
     }
@@ -176,7 +181,8 @@ proptest! {
             }
             prop_assert_eq!(&mono, &batched, "outcome streams diverged at {}", ad);
             prop_assert_eq!(
-                a.server(ad).stats, b.server(ad).stats,
+                SynthStats::from(&a.server(ad).ledger),
+                SynthStats::from(&b.server(ad).ledger),
                 "SynthStats diverged at {}", ad
             );
         }

@@ -396,7 +396,7 @@ impl Flooder {
                 ctx.emit(EventRecord::LsaDuplicate {
                     at: self.me,
                     origin: lsa.origin,
-                    origin_seq: lsa.seq,
+                    seq: lsa.seq,
                 });
                 return false;
             }
@@ -416,7 +416,7 @@ impl Flooder {
             ctx.emit(EventRecord::LsaAccept {
                 at: self.me,
                 origin: lsa.origin,
-                origin_seq: lsa.seq,
+                seq: lsa.seq,
             });
             for (nbr, _) in ctx.neighbors() {
                 if nbr != from {
@@ -429,7 +429,7 @@ impl Flooder {
             ctx.emit(EventRecord::LsaDuplicate {
                 at: self.me,
                 origin: lsa.origin,
-                origin_seq: lsa.seq,
+                seq: lsa.seq,
             });
             false
         }

@@ -229,7 +229,7 @@ pub enum EventRecord {
         /// LSA originator.
         origin: AdId,
         /// Accepted sequence number.
-        origin_seq: u64,
+        seq: u64,
     },
     /// A duplicate (not-newer) LSA discarded without reflooding.
     LsaDuplicate {
@@ -238,7 +238,7 @@ pub enum EventRecord {
         /// LSA originator.
         origin: AdId,
         /// Stale sequence number seen.
-        origin_seq: u64,
+        seq: u64,
     },
     /// OSPF-style recovery: a router saw its own pre-crash LSA and jumped
     /// its sequence number past the ghost.
@@ -487,16 +487,8 @@ impl fmt::Display for EventRecord {
             LsaOriginate { origin, seq, links } => {
                 write!(f, "lsa-originate {origin} seq={seq} links={links}")
             }
-            LsaAccept {
-                at,
-                origin,
-                origin_seq,
-            } => write!(f, "lsa-accept {at} origin={origin} seq={origin_seq}"),
-            LsaDuplicate {
-                at,
-                origin,
-                origin_seq,
-            } => write!(f, "lsa-dup {at} origin={origin} seq={origin_seq}"),
+            LsaAccept { at, origin, seq } => write!(f, "lsa-accept {at} origin={origin} seq={seq}"),
+            LsaDuplicate { at, origin, seq } => write!(f, "lsa-dup {at} origin={origin} seq={seq}"),
             LsaSeqJump { at, seq } => write!(f, "lsa-seq-jump {at} seq={seq}"),
             LsaResync { at, neighbor, lsas } => {
                 write!(f, "lsa-resync {at}->{neighbor} lsas={lsas}")
@@ -704,19 +696,10 @@ impl EventRecord {
                 .put("origin", origin.index())
                 .put("seq", seq)
                 .put("links", links),
-            LsaAccept {
-                at,
-                origin,
-                origin_seq,
-            }
-            | LsaDuplicate {
-                at,
-                origin,
-                origin_seq,
-            } => w
+            LsaAccept { at, origin, seq } | LsaDuplicate { at, origin, seq } => w
                 .put("at", at.index())
                 .put("origin", origin.index())
-                .put("seq", origin_seq),
+                .put("seq", seq),
             LsaSeqJump { at, seq } => w.put("at", at.index()).put("seq", seq),
             LsaResync { at, neighbor, lsas } => w
                 .put("at", at.index())
@@ -1597,6 +1580,261 @@ mod tests {
         ];
         for (rec, want) in cases {
             assert_eq!(rec.to_string(), want);
+        }
+    }
+
+    /// A record's ADs are its `AdId` fields in declaration order: the
+    /// causal analyses attribute blast radius through them.
+    #[test]
+    fn ads_are_the_ad_fields_in_order() {
+        use EventRecord::*;
+        let (a, b, l) = (AdId(3), AdId(8), LinkId(1));
+        let one = [Some(a), None];
+        let two = [Some(a), Some(b)];
+        let none = [None, None];
+        let cases = [
+            (Start { ad: a }, one),
+            (
+                MsgSend {
+                    from: a,
+                    to: b,
+                    link: l,
+                    bytes: 9,
+                },
+                two,
+            ),
+            (
+                MsgDeliver {
+                    from: a,
+                    to: b,
+                    link: l,
+                },
+                two,
+            ),
+            (
+                MsgLost {
+                    from: a,
+                    to: b,
+                    link: l,
+                },
+                two,
+            ),
+            (MsgDrop { from: a, to: b }, two),
+            (TimerFire { ad: a, token: 1 }, one),
+            (StaleTimer { ad: a, token: 1 }, one),
+            (LinkUp { link: l }, none),
+            (LinkDown { link: l }, none),
+            (LinkUpMasked { link: l }, none),
+            (Crash { ad: a }, one),
+            (Restart { ad: a }, one),
+            (
+                ChanLoss {
+                    from: a,
+                    to: b,
+                    link: l,
+                },
+                two,
+            ),
+            (
+                ChanCorrupt {
+                    from: a,
+                    to: b,
+                    link: l,
+                },
+                two,
+            ),
+            (
+                ChanReorder {
+                    from: a,
+                    to: b,
+                    link: l,
+                },
+                two,
+            ),
+            (
+                ChanDup {
+                    from: a,
+                    to: b,
+                    link: l,
+                },
+                two,
+            ),
+            (
+                FaultPlanApplied {
+                    link_events: 1,
+                    outages: 1,
+                    lossy: false,
+                },
+                none,
+            ),
+            (
+                PartitionCut {
+                    links: 1,
+                    left: 1,
+                    right: 1,
+                },
+                none,
+            ),
+            (PartitionHeal { links: 1 }, none),
+            (PhaseBegin { name: "churn" }, none),
+            (
+                LsaOriginate {
+                    origin: a,
+                    seq: 1,
+                    links: 1,
+                },
+                one,
+            ),
+            (
+                LsaAccept {
+                    at: a,
+                    origin: b,
+                    seq: 1,
+                },
+                two,
+            ),
+            (
+                LsaDuplicate {
+                    at: a,
+                    origin: b,
+                    seq: 1,
+                },
+                two,
+            ),
+            (LsaSeqJump { at: a, seq: 1 }, one),
+            (
+                LsaResync {
+                    at: a,
+                    neighbor: b,
+                    lsas: 1,
+                },
+                two,
+            ),
+            (
+                RouteRecompute {
+                    ad: a,
+                    proto: "dv",
+                    changed: true,
+                },
+                one,
+            ),
+            (RouteSetupOpen { src: a, dst: b }, two),
+            (
+                RouteSetupAck {
+                    src: a,
+                    dst: b,
+                    hops: 1,
+                    latency_us: 1,
+                },
+                two,
+            ),
+            (
+                RouteSetupNack {
+                    src: a,
+                    dst: b,
+                    reason: "link-down",
+                },
+                two,
+            ),
+            (
+                RouteSetupRetransmit {
+                    src: a,
+                    dst: b,
+                    attempt: 1,
+                },
+                two,
+            ),
+            (
+                RouteSetupRepair {
+                    src: a,
+                    dst: b,
+                    via: "failed",
+                },
+                two,
+            ),
+            (ViewInvalidate { a, b, entries: 1 }, two),
+            (
+                ViewDeltaApply {
+                    mode: "flush",
+                    fallbacks: 1,
+                },
+                none,
+            ),
+            (
+                MisbehaviorInject {
+                    ad: a,
+                    model: "blackhole",
+                },
+                one,
+            ),
+            (
+                MonitorAlarm {
+                    detector: "blackhole",
+                    suspect: a,
+                    evidence: 1,
+                },
+                one,
+            ),
+            (QuarantineEnter { ad: a }, one),
+            (QuarantineLift { ad: a }, one),
+            (
+                SetupDefer {
+                    src: a,
+                    dst: b,
+                    depth: 1,
+                },
+                two,
+            ),
+            (
+                SetupShed {
+                    src: a,
+                    dst: b,
+                    retry_after_us: 1,
+                    depth: 1,
+                },
+                two,
+            ),
+            (
+                SetupRetry {
+                    src: a,
+                    dst: b,
+                    attempt: 1,
+                    backoff_us: 1,
+                },
+                two,
+            ),
+            (
+                SetupAdmit {
+                    src: a,
+                    dst: b,
+                    rung: "full",
+                    waited_us: 1,
+                },
+                two,
+            ),
+            (
+                SetupAbandon {
+                    src: a,
+                    dst: b,
+                    attempts: 1,
+                },
+                two,
+            ),
+            (RsCrash { ad: a }, one),
+            (RsFailover { ad: a, warmed: 1 }, one),
+            (
+                SynthBatch {
+                    ad: a,
+                    flows: 1,
+                    fresh: 1,
+                },
+                one,
+            ),
+            (PrecomputeRefill { ad: a, refilled: 1 }, one),
+        ];
+        assert_eq!(cases.len(), 46, "one record of every variant");
+        for (rec, want) in cases {
+            assert_eq!(rec.ads(), want, "{rec:?}");
         }
     }
 

@@ -61,19 +61,124 @@ impl fmt::Display for EventId {
 /// everything `≥ 2^39`.
 const HIST_BUCKETS: usize = 41;
 
-/// One typed simulation event. `Display` renders the line
-/// [`EventLog::render`] prints for it, so the text trace is a pure view
-/// over the typed stream; [`EventRecord::to_json`] renders the
-/// machine-readable JSONL form with a fixed field order.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum EventRecord {
+/// How a record field of this type reaches the outputs: the JSON export
+/// writes it under its field's name, and the causal analyses count it as
+/// one of the record's ADs when it is an [`AdId`].
+trait Field: Copy {
+    /// Writes the value under `key`.
+    fn put(self, key: &str, w: &mut JsonWriter);
+
+    /// The AD this field names, if it names one.
+    fn ad(self) -> Option<AdId> {
+        None
+    }
+}
+
+impl Field for AdId {
+    fn put(self, key: &str, w: &mut JsonWriter) {
+        w.put(key, self.index());
+    }
+
+    fn ad(self) -> Option<AdId> {
+        Some(self)
+    }
+}
+
+impl Field for LinkId {
+    fn put(self, key: &str, w: &mut JsonWriter) {
+        w.put(key, self.index());
+    }
+}
+
+impl Field for u64 {
+    fn put(self, key: &str, w: &mut JsonWriter) {
+        w.put(key, self);
+    }
+}
+
+impl Field for bool {
+    fn put(self, key: &str, w: &mut JsonWriter) {
+        w.put(key, self);
+    }
+}
+
+impl Field for &'static str {
+    fn put(self, key: &str, w: &mut JsonWriter) {
+        w.put_str(key, self);
+    }
+}
+
+/// Declares [`EventRecord`] from one list. Per record: its variant, its
+/// kind tag, its text line (a format string over its field names) and its
+/// documented fields. Its JSON is `kind`, then each field under its own
+/// name in declaration order; its ADs are its `AdId` fields in order.
+macro_rules! record_table {
+    ($($(#[$doc:meta])* $rec:ident $kind:literal $line:literal {
+        $($(#[$field_doc:meta])* $field:ident: $ty:ty,)*
+    },)*) => {
+        /// One typed simulation event. `Display` renders the line
+        /// [`EventLog::render`] prints for it, so the text trace is a pure
+        /// view over the typed stream; [`EventRecord::to_json`] renders the
+        /// machine-readable JSONL form with a fixed field order.
+        #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+        pub enum EventRecord {
+            $($(#[$doc])* $rec { $($(#[$field_doc])* $field: $ty,)* },)*
+        }
+
+        impl fmt::Display for EventRecord {
+            // A line may leave a field out (`MsgSend`'s `bytes`).
+            #[allow(unused_variables)]
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                match *self {
+                    $(EventRecord::$rec { $($field),* } => write!(f, $line),)*
+                }
+            }
+        }
+
+        impl EventRecord {
+            /// The record's kind tag as it appears in the JSON export.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(EventRecord::$rec { .. } => $kind,)*
+                }
+            }
+
+            /// Puts `kind` and the fields (no timestamp) into `w`; shared
+            /// by [`EventRecord::to_json`] and [`LoggedEvent::to_json`] so
+            /// both renderings stay field-identical.
+            fn write_json_fields(&self, w: &mut JsonWriter) {
+                w.put_str("kind", self.kind());
+                match *self {
+                    $(EventRecord::$rec { $($field),* } => {
+                        $(Field::put($field, stringify!($field), w);)*
+                    })*
+                }
+            }
+
+            /// The ADs this record directly involves (at most two), used
+            /// by the causal analyses to attribute blast radius per root
+            /// cause. Records about links or the run as a whole involve
+            /// none.
+            pub(crate) fn ads(&self) -> [Option<AdId>; 2] {
+                match *self {
+                    $(EventRecord::$rec { $($field),* } => {
+                        let mut ads = [$(Field::ad($field)),*].into_iter().flatten();
+                        [ads.next(), ads.next()]
+                    })*
+                }
+            }
+        }
+    };
+}
+
+record_table! {
     /// Router start-up at time zero (or a scheduled cold start).
-    Start {
+    Start "start" "start {ad}" {
         /// The booting AD.
         ad: AdId,
     },
     /// A message handed to the channel (per-hop transmission).
-    MsgSend {
+    MsgSend "send" "send {from}->{to} via {link}" {
         /// Sending AD.
         from: AdId,
         /// Receiving neighbor.
@@ -84,7 +189,7 @@ pub enum EventRecord {
         bytes: u64,
     },
     /// A message delivered to its destination's handler.
-    MsgDeliver {
+    MsgDeliver "deliver" "deliver {from}->{to} via {link}" {
         /// Sending AD.
         from: AdId,
         /// Receiving neighbor.
@@ -93,7 +198,7 @@ pub enum EventRecord {
         link: LinkId,
     },
     /// A message lost in flight (link died or destination crashed).
-    MsgLost {
+    MsgLost "lost" "lost {from}->{to} via {link}" {
         /// Sending AD.
         from: AdId,
         /// Intended receiver.
@@ -102,53 +207,53 @@ pub enum EventRecord {
         link: LinkId,
     },
     /// A send dropped at the source: no operational link to `to`.
-    MsgDrop {
+    MsgDrop "drop" "drop {from}->{to} at source" {
         /// Sending AD.
         from: AdId,
         /// Intended receiver (non-neighbor or across a failed link).
         to: AdId,
     },
     /// A live one-shot timer firing.
-    TimerFire {
+    TimerFire "timer" "timer {ad} token={token}" {
         /// Owning AD.
         ad: AdId,
         /// Opaque protocol token.
         token: u64,
     },
     /// A timer from a dead incarnation, discarded unfired.
-    StaleTimer {
+    StaleTimer "stale-timer" "stale-timer {ad} token={token}" {
         /// Owning AD.
         ad: AdId,
         /// Opaque protocol token.
         token: u64,
     },
     /// A link becoming operational.
-    LinkUp {
+    LinkUp "link-up" "link {link} up" {
         /// The link.
         link: LinkId,
     },
     /// A link going out of operation.
-    LinkDown {
+    LinkDown "link-down" "link {link} down" {
         /// The link.
         link: LinkId,
     },
     /// A link scheduled up but held down by a crashed endpoint.
-    LinkUpMasked {
+    LinkUpMasked "link-up-masked" "link {link} up-masked" {
         /// The link.
         link: LinkId,
     },
     /// A router crash (soft state lost, adjacent links fate-share).
-    Crash {
+    Crash "crash" "crash {ad}" {
         /// The crashing AD.
         ad: AdId,
     },
     /// A router restart (state rebuilt from scratch).
-    Restart {
+    Restart "restart" "restart {ad}" {
         /// The rebooting AD.
         ad: AdId,
     },
     /// Channel fault: message silently dropped in flight.
-    ChanLoss {
+    ChanLoss "chan-loss" "chan-loss {from}->{to} via {link}" {
         /// Sending AD.
         from: AdId,
         /// Intended receiver.
@@ -157,7 +262,7 @@ pub enum EventRecord {
         link: LinkId,
     },
     /// Channel fault: payload corrupted, dropped by receiver checksum.
-    ChanCorrupt {
+    ChanCorrupt "chan-corrupt" "chan-corrupt {from}->{to} via {link}" {
         /// Sending AD.
         from: AdId,
         /// Intended receiver.
@@ -166,7 +271,7 @@ pub enum EventRecord {
         link: LinkId,
     },
     /// Channel fault: message delayed out of order.
-    ChanReorder {
+    ChanReorder "chan-reorder" "chan-reorder {from}->{to} via {link}" {
         /// Sending AD.
         from: AdId,
         /// Receiver.
@@ -175,7 +280,7 @@ pub enum EventRecord {
         link: LinkId,
     },
     /// Channel fault: an extra copy injected.
-    ChanDup {
+    ChanDup "chan-dup" "chan-dup {from}->{to} via {link}" {
         /// Sending AD.
         from: AdId,
         /// Receiver.
@@ -184,7 +289,7 @@ pub enum EventRecord {
         link: LinkId,
     },
     /// A [`FaultPlan`](crate::FaultPlan) installed on the engine.
-    FaultPlanApplied {
+    FaultPlanApplied "fault-plan" "fault-plan links={link_events} outages={outages} lossy={lossy}" {
         /// Scheduled link up/down events.
         link_events: u64,
         /// Scheduled router crash/restart pairs.
@@ -194,7 +299,7 @@ pub enum EventRecord {
     },
     /// A partition fault scheduled: a cut set of links goes down
     /// together, splitting the flooding domain into two islands.
-    PartitionCut {
+    PartitionCut "partition-cut" "partition-cut links={links} left={left} right={right}" {
         /// Links in the cut set.
         links: u64,
         /// ADs on the low-index side of the split.
@@ -203,18 +308,18 @@ pub enum EventRecord {
         right: u64,
     },
     /// The partition's heal scheduled: the cut set comes back up.
-    PartitionHeal {
+    PartitionHeal "partition-heal" "partition-heal links={links}" {
         /// Links restored.
         links: u64,
     },
     /// A measurement phase boundary (see
     /// [`Engine::begin_phase`](crate::Engine::begin_phase)).
-    PhaseBegin {
+    PhaseBegin "phase" "phase {name}" {
         /// Phase name (`"converge"`, `"failure-response"`, `"churn"`, …).
         name: &'static str,
     },
     /// A link-state advertisement originated by its owner.
-    LsaOriginate {
+    LsaOriginate "lsa-originate" "lsa-originate {origin} seq={seq} links={links}" {
         /// Originating AD.
         origin: AdId,
         /// New sequence number.
@@ -223,7 +328,7 @@ pub enum EventRecord {
         links: u64,
     },
     /// A newer LSA accepted into a router's database.
-    LsaAccept {
+    LsaAccept "lsa-accept" "lsa-accept {at} origin={origin} seq={seq}" {
         /// Accepting AD.
         at: AdId,
         /// LSA originator.
@@ -232,7 +337,7 @@ pub enum EventRecord {
         seq: u64,
     },
     /// A duplicate (not-newer) LSA discarded without reflooding.
-    LsaDuplicate {
+    LsaDuplicate "lsa-dup" "lsa-dup {at} origin={origin} seq={seq}" {
         /// Discarding AD.
         at: AdId,
         /// LSA originator.
@@ -242,14 +347,14 @@ pub enum EventRecord {
     },
     /// OSPF-style recovery: a router saw its own pre-crash LSA and jumped
     /// its sequence number past the ghost.
-    LsaSeqJump {
+    LsaSeqJump "lsa-seq-jump" "lsa-seq-jump {at} seq={seq}" {
         /// The recovering AD.
         at: AdId,
         /// The sequence number jumped to.
         seq: u64,
     },
     /// A full database resync pushed to a neighbor (link-up handshake).
-    LsaResync {
+    LsaResync "lsa-resync" "lsa-resync {at}->{neighbor} lsas={lsas}" {
         /// The sending AD.
         at: AdId,
         /// The neighbor receiving the database.
@@ -258,7 +363,7 @@ pub enum EventRecord {
         lsas: u64,
     },
     /// A distance/path-vector style route recomputation.
-    RouteRecompute {
+    RouteRecompute "recompute" "recompute {ad} proto={proto} changed={changed}" {
         /// Recomputing AD.
         ad: AdId,
         /// Protocol tag (`"ecma"`, `"dv"`, `"pv"`).
@@ -267,14 +372,14 @@ pub enum EventRecord {
         changed: bool,
     },
     /// An ORWG route-setup attempt entering the network.
-    RouteSetupOpen {
+    RouteSetupOpen "setup-open" "setup-open {src}->{dst}" {
         /// Source AD.
         src: AdId,
         /// Destination AD.
         dst: AdId,
     },
     /// A route setup validated end-to-end (the "ack" path).
-    RouteSetupAck {
+    RouteSetupAck "setup-ack" "setup-ack {src}->{dst} hops={hops} latency={latency_us}us" {
         /// Source AD.
         src: AdId,
         /// Destination AD.
@@ -286,7 +391,7 @@ pub enum EventRecord {
     },
     /// A route setup rejected in-network (a dead hop or a refusing
     /// gateway): the "nack" leg of the span tree.
-    RouteSetupNack {
+    RouteSetupNack "setup-nack" "setup-nack {src}->{dst} reason={reason}" {
         /// Source AD.
         src: AdId,
         /// Destination AD.
@@ -297,7 +402,7 @@ pub enum EventRecord {
     },
     /// A lost setup packet retried after backoff; attempt numbering
     /// starts at 1 for the first retransmission.
-    RouteSetupRetransmit {
+    RouteSetupRetransmit "setup-retransmit" "setup-retransmit {src}->{dst} attempt={attempt}" {
         /// Source AD.
         src: AdId,
         /// Destination AD.
@@ -306,7 +411,7 @@ pub enum EventRecord {
         attempt: u64,
     },
     /// A broken open flow routed around (or given up on) by repair.
-    RouteSetupRepair {
+    RouteSetupRepair "setup-repair" "setup-repair {src}->{dst} via={via}" {
         /// Source AD.
         src: AdId,
         /// Destination AD.
@@ -315,7 +420,7 @@ pub enum EventRecord {
         via: &'static str,
     },
     /// Route-server cache entries invalidated by a topology/policy delta.
-    ViewInvalidate {
+    ViewInvalidate "view-invalidate" "view-invalidate {a}-{b} entries={entries}" {
         /// One endpoint of the changed element (for a policy change, the
         /// changed AD twice).
         a: AdId,
@@ -325,7 +430,7 @@ pub enum EventRecord {
         entries: u64,
     },
     /// A view delta applied across the route-server population.
-    ViewDeltaApply {
+    ViewDeltaApply "view-delta" "view-delta mode={mode} fallbacks={fallbacks}" {
         /// Maintenance mode: `"incremental"` or `"flush"`.
         mode: &'static str,
         /// Servers that fell back to a full rebuild.
@@ -333,7 +438,7 @@ pub enum EventRecord {
     },
     /// A byzantine misbehavior model armed on an AD (the causal root of
     /// every alarm and quarantine the misbehavior later provokes).
-    MisbehaviorInject {
+    MisbehaviorInject "misbehavior-inject" "misbehavior-inject {ad} model={model}" {
         /// The misbehaving AD.
         ad: AdId,
         /// Model tag (see `MisbehaviorModel::tag`): `"route-leak"`,
@@ -342,7 +447,7 @@ pub enum EventRecord {
     },
     /// A runtime safety monitor confirming a violation and naming a
     /// suspect.
-    MonitorAlarm {
+    MonitorAlarm "monitor-alarm" "monitor-alarm {detector} suspect={suspect} evidence={evidence}" {
         /// Detector tag: `"policy-violation"`, `"persistent-loop"`,
         /// `"blackhole"`, or `"count-to-infinity"`.
         detector: &'static str,
@@ -352,18 +457,18 @@ pub enum EventRecord {
         evidence: u64,
     },
     /// The quarantine controller excising an AD from route synthesis.
-    QuarantineEnter {
+    QuarantineEnter "quarantine-enter" "quarantine-enter {ad}" {
         /// The quarantined AD.
         ad: AdId,
     },
     /// A quarantine released (misbehavior ceased or was disproved).
-    QuarantineLift {
+    QuarantineLift "quarantine-lift" "quarantine-lift {ad}" {
         /// The released AD.
         ad: AdId,
     },
     /// An open deferred by the Route Server's admission controller:
     /// queued behind earlier work instead of being served immediately.
-    SetupDefer {
+    SetupDefer "setup-defer" "setup-defer {src}->{dst} depth={depth}" {
         /// Source AD.
         src: AdId,
         /// Destination AD.
@@ -373,7 +478,7 @@ pub enum EventRecord {
     },
     /// An open shed under overload: the client receives a NACK carrying
     /// a retry-after hint instead of being silently dropped.
-    SetupShed {
+    SetupShed "setup-shed" "setup-shed {src}->{dst} retry-after={retry_after_us}us depth={depth}" {
         /// Source AD.
         src: AdId,
         /// Destination AD.
@@ -384,7 +489,7 @@ pub enum EventRecord {
         depth: u64,
     },
     /// A shed or refused open retried by its client after backoff.
-    SetupRetry {
+    SetupRetry "setup-retry" "setup-retry {src}->{dst} attempt={attempt} backoff={backoff_us}us" {
         /// Source AD.
         src: AdId,
         /// Destination AD.
@@ -396,7 +501,7 @@ pub enum EventRecord {
     },
     /// A queued open dequeued for service, with the brownout rung the
     /// admission watermarks selected.
-    SetupAdmit {
+    SetupAdmit "setup-admit" "setup-admit {src}->{dst} rung={rung} wait={waited_us}us" {
         /// Source AD.
         src: AdId,
         /// Destination AD.
@@ -408,7 +513,7 @@ pub enum EventRecord {
     },
     /// A client giving up on an open: the setup deadline is exhausted
     /// (any queued or partially-installed work is cancelled).
-    SetupAbandon {
+    SetupAbandon "setup-abandon" "setup-abandon {src}->{dst} attempts={attempts}" {
         /// Source AD.
         src: AdId,
         /// Destination AD.
@@ -418,14 +523,14 @@ pub enum EventRecord {
     },
     /// A Route Server crash: soft state (route cache, precomputed table,
     /// open queue) is lost and queued opens are cancelled.
-    RsCrash {
+    RsCrash "rs-crash" "rs-crash {ad}" {
         /// The AD whose Route Server crashed.
         ad: AdId,
     },
     /// A warm standby taking over a crashed Route Server: soft state is
     /// rebuilt from the flooded view, the cache preseeded from the last
     /// standby sync.
-    RsFailover {
+    RsFailover "rs-failover" "rs-failover {ad} warmed={warmed}" {
         /// The AD whose Route Server recovered.
         ad: AdId,
         /// Cached routes revalidated and preseeded by the standby.
@@ -433,7 +538,7 @@ pub enum EventRecord {
     },
     /// A batched synthesis sweep: one multi-destination search answered
     /// several co-routable queued opens at once (sharded service).
-    SynthBatch {
+    SynthBatch "synth-batch" "synth-batch {ad} flows={flows} fresh={fresh}" {
         /// The AD whose Route Server ran the sweep.
         ad: AdId,
         /// Queued opens answered by this batch.
@@ -443,7 +548,7 @@ pub enum EventRecord {
     },
     /// A background precompute pass refilling cache entries that a view
     /// change invalidated, ahead of the next open that wants them.
-    PrecomputeRefill {
+    PrecomputeRefill "precompute-refill" "precompute-refill {ad} refilled={refilled}" {
         /// The AD whose Route Server refilled.
         ad: AdId,
         /// Entries restored into the route cache.
@@ -451,185 +556,7 @@ pub enum EventRecord {
     },
 }
 
-impl fmt::Display for EventRecord {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        use EventRecord::*;
-        match *self {
-            Start { ad } => write!(f, "start {ad}"),
-            MsgSend { from, to, link, .. } => write!(f, "send {from}->{to} via {link}"),
-            MsgDeliver { from, to, link } => write!(f, "deliver {from}->{to} via {link}"),
-            MsgLost { from, to, link } => write!(f, "lost {from}->{to} via {link}"),
-            MsgDrop { from, to } => write!(f, "drop {from}->{to} at source"),
-            TimerFire { ad, token } => write!(f, "timer {ad} token={token}"),
-            StaleTimer { ad, token } => write!(f, "stale-timer {ad} token={token}"),
-            LinkUp { link } => write!(f, "link {link} up"),
-            LinkDown { link } => write!(f, "link {link} down"),
-            LinkUpMasked { link } => write!(f, "link {link} up-masked"),
-            Crash { ad } => write!(f, "crash {ad}"),
-            Restart { ad } => write!(f, "restart {ad}"),
-            ChanLoss { from, to, link } => write!(f, "chan-loss {from}->{to} via {link}"),
-            ChanCorrupt { from, to, link } => write!(f, "chan-corrupt {from}->{to} via {link}"),
-            ChanReorder { from, to, link } => write!(f, "chan-reorder {from}->{to} via {link}"),
-            ChanDup { from, to, link } => write!(f, "chan-dup {from}->{to} via {link}"),
-            FaultPlanApplied {
-                link_events,
-                outages,
-                lossy,
-            } => write!(
-                f,
-                "fault-plan links={link_events} outages={outages} lossy={lossy}"
-            ),
-            PartitionCut { links, left, right } => {
-                write!(f, "partition-cut links={links} left={left} right={right}")
-            }
-            PartitionHeal { links } => write!(f, "partition-heal links={links}"),
-            PhaseBegin { name } => write!(f, "phase {name}"),
-            LsaOriginate { origin, seq, links } => {
-                write!(f, "lsa-originate {origin} seq={seq} links={links}")
-            }
-            LsaAccept { at, origin, seq } => write!(f, "lsa-accept {at} origin={origin} seq={seq}"),
-            LsaDuplicate { at, origin, seq } => write!(f, "lsa-dup {at} origin={origin} seq={seq}"),
-            LsaSeqJump { at, seq } => write!(f, "lsa-seq-jump {at} seq={seq}"),
-            LsaResync { at, neighbor, lsas } => {
-                write!(f, "lsa-resync {at}->{neighbor} lsas={lsas}")
-            }
-            RouteRecompute { ad, proto, changed } => {
-                write!(f, "recompute {ad} proto={proto} changed={changed}")
-            }
-            RouteSetupOpen { src, dst } => write!(f, "setup-open {src}->{dst}"),
-            RouteSetupAck {
-                src,
-                dst,
-                hops,
-                latency_us,
-            } => write!(
-                f,
-                "setup-ack {src}->{dst} hops={hops} latency={latency_us}us"
-            ),
-            RouteSetupNack { src, dst, reason } => {
-                write!(f, "setup-nack {src}->{dst} reason={reason}")
-            }
-            RouteSetupRetransmit { src, dst, attempt } => {
-                write!(f, "setup-retransmit {src}->{dst} attempt={attempt}")
-            }
-            RouteSetupRepair { src, dst, via } => {
-                write!(f, "setup-repair {src}->{dst} via={via}")
-            }
-            ViewInvalidate { a, b, entries } => {
-                write!(f, "view-invalidate {a}-{b} entries={entries}")
-            }
-            ViewDeltaApply { mode, fallbacks } => {
-                write!(f, "view-delta mode={mode} fallbacks={fallbacks}")
-            }
-            MisbehaviorInject { ad, model } => {
-                write!(f, "misbehavior-inject {ad} model={model}")
-            }
-            MonitorAlarm {
-                detector,
-                suspect,
-                evidence,
-            } => write!(
-                f,
-                "monitor-alarm {detector} suspect={suspect} evidence={evidence}"
-            ),
-            QuarantineEnter { ad } => write!(f, "quarantine-enter {ad}"),
-            QuarantineLift { ad } => write!(f, "quarantine-lift {ad}"),
-            SetupDefer { src, dst, depth } => {
-                write!(f, "setup-defer {src}->{dst} depth={depth}")
-            }
-            SetupShed {
-                src,
-                dst,
-                retry_after_us,
-                depth,
-            } => write!(
-                f,
-                "setup-shed {src}->{dst} retry-after={retry_after_us}us depth={depth}"
-            ),
-            SetupRetry {
-                src,
-                dst,
-                attempt,
-                backoff_us,
-            } => write!(
-                f,
-                "setup-retry {src}->{dst} attempt={attempt} backoff={backoff_us}us"
-            ),
-            SetupAdmit {
-                src,
-                dst,
-                rung,
-                waited_us,
-            } => write!(f, "setup-admit {src}->{dst} rung={rung} wait={waited_us}us"),
-            SetupAbandon { src, dst, attempts } => {
-                write!(f, "setup-abandon {src}->{dst} attempts={attempts}")
-            }
-            RsCrash { ad } => write!(f, "rs-crash {ad}"),
-            RsFailover { ad, warmed } => write!(f, "rs-failover {ad} warmed={warmed}"),
-            SynthBatch { ad, flows, fresh } => {
-                write!(f, "synth-batch {ad} flows={flows} fresh={fresh}")
-            }
-            PrecomputeRefill { ad, refilled } => {
-                write!(f, "precompute-refill {ad} refilled={refilled}")
-            }
-        }
-    }
-}
-
 impl EventRecord {
-    /// The record's kind tag as it appears in the JSON export.
-    pub fn kind(&self) -> &'static str {
-        use EventRecord::*;
-        match self {
-            Start { .. } => "start",
-            MsgSend { .. } => "send",
-            MsgDeliver { .. } => "deliver",
-            MsgLost { .. } => "lost",
-            MsgDrop { .. } => "drop",
-            TimerFire { .. } => "timer",
-            StaleTimer { .. } => "stale-timer",
-            LinkUp { .. } => "link-up",
-            LinkDown { .. } => "link-down",
-            LinkUpMasked { .. } => "link-up-masked",
-            Crash { .. } => "crash",
-            Restart { .. } => "restart",
-            ChanLoss { .. } => "chan-loss",
-            ChanCorrupt { .. } => "chan-corrupt",
-            ChanReorder { .. } => "chan-reorder",
-            ChanDup { .. } => "chan-dup",
-            FaultPlanApplied { .. } => "fault-plan",
-            PartitionCut { .. } => "partition-cut",
-            PartitionHeal { .. } => "partition-heal",
-            PhaseBegin { .. } => "phase",
-            LsaOriginate { .. } => "lsa-originate",
-            LsaAccept { .. } => "lsa-accept",
-            LsaDuplicate { .. } => "lsa-dup",
-            LsaSeqJump { .. } => "lsa-seq-jump",
-            LsaResync { .. } => "lsa-resync",
-            RouteRecompute { .. } => "recompute",
-            RouteSetupOpen { .. } => "setup-open",
-            RouteSetupAck { .. } => "setup-ack",
-            RouteSetupNack { .. } => "setup-nack",
-            RouteSetupRetransmit { .. } => "setup-retransmit",
-            RouteSetupRepair { .. } => "setup-repair",
-            ViewInvalidate { .. } => "view-invalidate",
-            ViewDeltaApply { .. } => "view-delta",
-            MisbehaviorInject { .. } => "misbehavior-inject",
-            MonitorAlarm { .. } => "monitor-alarm",
-            QuarantineEnter { .. } => "quarantine-enter",
-            QuarantineLift { .. } => "quarantine-lift",
-            SetupDefer { .. } => "setup-defer",
-            SetupShed { .. } => "setup-shed",
-            SetupRetry { .. } => "setup-retry",
-            SetupAdmit { .. } => "setup-admit",
-            SetupAbandon { .. } => "setup-abandon",
-            RsCrash { .. } => "rs-crash",
-            RsFailover { .. } => "rs-failover",
-            SynthBatch { .. } => "synth-batch",
-            PrecomputeRefill { .. } => "precompute-refill",
-        }
-    }
-
     /// Renders one JSON object for this record stamped at `at`. Field
     /// order is fixed (`us`, `kind`, then per-kind fields in declaration
     /// order), so exports are byte-stable golden artifacts.
@@ -638,217 +565,6 @@ impl EventRecord {
         w.put("us", at.as_us());
         self.write_json_fields(&mut w);
         w.finish()
-    }
-
-    /// Puts `kind` and the per-kind fields (no timestamp) into `w`;
-    /// shared by [`EventRecord::to_json`] and [`LoggedEvent::to_json`] so
-    /// both renderings stay field-identical.
-    fn write_json_fields(&self, w: &mut JsonWriter) {
-        use EventRecord::*;
-        w.put_str("kind", self.kind());
-        match *self {
-            Start { ad }
-            | Crash { ad }
-            | Restart { ad }
-            | QuarantineEnter { ad }
-            | QuarantineLift { ad }
-            | RsCrash { ad } => w.put("ad", ad.index()),
-            MsgSend {
-                from,
-                to,
-                link,
-                bytes,
-            } => w
-                .put("from", from.index())
-                .put("to", to.index())
-                .put("link", link.index())
-                .put("bytes", bytes),
-            MsgDeliver { from, to, link }
-            | MsgLost { from, to, link }
-            | ChanLoss { from, to, link }
-            | ChanCorrupt { from, to, link }
-            | ChanReorder { from, to, link }
-            | ChanDup { from, to, link } => w
-                .put("from", from.index())
-                .put("to", to.index())
-                .put("link", link.index()),
-            MsgDrop { from, to } => w.put("from", from.index()).put("to", to.index()),
-            TimerFire { ad, token } | StaleTimer { ad, token } => {
-                w.put("ad", ad.index()).put("token", token)
-            }
-            LinkUp { link } | LinkDown { link } | LinkUpMasked { link } => {
-                w.put("link", link.index())
-            }
-            FaultPlanApplied {
-                link_events,
-                outages,
-                lossy,
-            } => w
-                .put("link_events", link_events)
-                .put("outages", outages)
-                .put("lossy", lossy),
-            PartitionCut { links, left, right } => {
-                w.put("links", links).put("left", left).put("right", right)
-            }
-            PartitionHeal { links } => w.put("links", links),
-            PhaseBegin { name } => w.put_str("name", name),
-            LsaOriginate { origin, seq, links } => w
-                .put("origin", origin.index())
-                .put("seq", seq)
-                .put("links", links),
-            LsaAccept { at, origin, seq } | LsaDuplicate { at, origin, seq } => w
-                .put("at", at.index())
-                .put("origin", origin.index())
-                .put("seq", seq),
-            LsaSeqJump { at, seq } => w.put("at", at.index()).put("seq", seq),
-            LsaResync { at, neighbor, lsas } => w
-                .put("at", at.index())
-                .put("neighbor", neighbor.index())
-                .put("lsas", lsas),
-            RouteRecompute { ad, proto, changed } => w
-                .put("ad", ad.index())
-                .put_str("proto", proto)
-                .put("changed", changed),
-            RouteSetupOpen { src, dst } => w.put("src", src.index()).put("dst", dst.index()),
-            RouteSetupAck {
-                src,
-                dst,
-                hops,
-                latency_us,
-            } => w
-                .put("src", src.index())
-                .put("dst", dst.index())
-                .put("hops", hops)
-                .put("latency_us", latency_us),
-            RouteSetupNack { src, dst, reason } => w
-                .put("src", src.index())
-                .put("dst", dst.index())
-                .put_str("reason", reason),
-            RouteSetupRetransmit { src, dst, attempt } => w
-                .put("src", src.index())
-                .put("dst", dst.index())
-                .put("attempt", attempt),
-            RouteSetupRepair { src, dst, via } => w
-                .put("src", src.index())
-                .put("dst", dst.index())
-                .put_str("via", via),
-            ViewInvalidate { a, b, entries } => w
-                .put("a", a.index())
-                .put("b", b.index())
-                .put("entries", entries),
-            ViewDeltaApply { mode, fallbacks } => {
-                w.put_str("mode", mode).put("fallbacks", fallbacks)
-            }
-            MisbehaviorInject { ad, model } => w.put("ad", ad.index()).put_str("model", model),
-            MonitorAlarm {
-                detector,
-                suspect,
-                evidence,
-            } => w
-                .put_str("detector", detector)
-                .put("suspect", suspect.index())
-                .put("evidence", evidence),
-            SetupDefer { src, dst, depth } => w
-                .put("src", src.index())
-                .put("dst", dst.index())
-                .put("depth", depth),
-            SetupShed {
-                src,
-                dst,
-                retry_after_us,
-                depth,
-            } => w
-                .put("src", src.index())
-                .put("dst", dst.index())
-                .put("retry_after_us", retry_after_us)
-                .put("depth", depth),
-            SetupRetry {
-                src,
-                dst,
-                attempt,
-                backoff_us,
-            } => w
-                .put("src", src.index())
-                .put("dst", dst.index())
-                .put("attempt", attempt)
-                .put("backoff_us", backoff_us),
-            SetupAdmit {
-                src,
-                dst,
-                rung,
-                waited_us,
-            } => w
-                .put("src", src.index())
-                .put("dst", dst.index())
-                .put_str("rung", rung)
-                .put("waited_us", waited_us),
-            SetupAbandon { src, dst, attempts } => w
-                .put("src", src.index())
-                .put("dst", dst.index())
-                .put("attempts", attempts),
-            RsFailover { ad, warmed } => w.put("ad", ad.index()).put("warmed", warmed),
-            SynthBatch { ad, flows, fresh } => w
-                .put("ad", ad.index())
-                .put("flows", flows)
-                .put("fresh", fresh),
-            PrecomputeRefill { ad, refilled } => w.put("ad", ad.index()).put("refilled", refilled),
-        };
-    }
-
-    /// The ADs this record directly involves (at most two), used by the
-    /// causal analyses to attribute blast radius per root cause. Records
-    /// about links or the run as a whole involve none.
-    pub(crate) fn ads(&self) -> [Option<AdId>; 2] {
-        use EventRecord::*;
-        match *self {
-            Start { ad }
-            | Crash { ad }
-            | Restart { ad }
-            | TimerFire { ad, .. }
-            | StaleTimer { ad, .. }
-            | RouteRecompute { ad, .. } => [Some(ad), None],
-            MsgSend { from, to, .. }
-            | MsgDeliver { from, to, .. }
-            | MsgLost { from, to, .. }
-            | MsgDrop { from, to }
-            | ChanLoss { from, to, .. }
-            | ChanCorrupt { from, to, .. }
-            | ChanReorder { from, to, .. }
-            | ChanDup { from, to, .. } => [Some(from), Some(to)],
-            LinkUp { .. }
-            | LinkDown { .. }
-            | LinkUpMasked { .. }
-            | FaultPlanApplied { .. }
-            | PartitionCut { .. }
-            | PartitionHeal { .. }
-            | PhaseBegin { .. }
-            | ViewDeltaApply { .. } => [None, None],
-            LsaOriginate { origin, .. } => [Some(origin), None],
-            LsaAccept { at, origin, .. } | LsaDuplicate { at, origin, .. } => {
-                [Some(at), Some(origin)]
-            }
-            LsaSeqJump { at, .. } => [Some(at), None],
-            LsaResync { at, neighbor, .. } => [Some(at), Some(neighbor)],
-            RouteSetupOpen { src, dst }
-            | RouteSetupAck { src, dst, .. }
-            | RouteSetupNack { src, dst, .. }
-            | RouteSetupRetransmit { src, dst, .. }
-            | RouteSetupRepair { src, dst, .. }
-            | SetupDefer { src, dst, .. }
-            | SetupShed { src, dst, .. }
-            | SetupRetry { src, dst, .. }
-            | SetupAdmit { src, dst, .. }
-            | SetupAbandon { src, dst, .. } => [Some(src), Some(dst)],
-            ViewInvalidate { a, b, .. } => [Some(a), Some(b)],
-            MisbehaviorInject { ad, .. }
-            | MonitorAlarm { suspect: ad, .. }
-            | QuarantineEnter { ad }
-            | QuarantineLift { ad }
-            | RsCrash { ad }
-            | RsFailover { ad, .. }
-            | SynthBatch { ad, .. }
-            | PrecomputeRefill { ad, .. } => [Some(ad), None],
-        }
     }
 
     /// Whether this record is a wire message entering the channel; the

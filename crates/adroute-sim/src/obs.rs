@@ -840,7 +840,8 @@ impl LoggedEvent {
 pub struct EventLog {
     records: VecDeque<LoggedEvent>,
     capacity: usize,
-    /// Records discarded because the buffer was full (or disabled).
+    /// Records the full buffer evicted (a disabled log keeps and counts
+    /// nothing).
     pub dropped: u64,
     /// Next id to assign. Ids number the whole stream (they keep
     /// advancing across eviction), so retained ids are stable references.
@@ -876,7 +877,6 @@ impl EventLog {
         rec: EventRecord,
     ) -> Option<EventId> {
         if self.capacity == 0 {
-            self.dropped += 1;
             return None;
         }
         if self.records.len() == self.capacity {
@@ -1615,14 +1615,15 @@ mod tests {
             log.push(SimTime(2), r, EventRecord::Crash { ad: AdId(0) });
         }
         assert!(c1.first_divergence(&c2).is_identical());
-        // Disabled log drops everything silently.
+        // A disabled log keeps nothing and, evicting nothing, counts
+        // nothing dropped.
         let mut z = EventLog::new(0);
         assert_eq!(
             z.push(SimTime(1), None, EventRecord::Start { ad: AdId(0) }),
             None
         );
         assert!(z.records.is_empty());
-        assert_eq!(z.dropped, 1);
+        assert_eq!(z.dropped, 0);
         assert_eq!(z.render(), "");
     }
 

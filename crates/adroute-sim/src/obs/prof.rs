@@ -160,11 +160,6 @@ impl Profiler {
         self.stack.last().map(|o| self.spans[o.node].name)
     }
 
-    /// Records nothing: counts live in [`Ledger`](super::Ledger)s. The
-    /// name stays only because `tests/profile_determinism.rs`'s span-tree
-    /// property calls it between spans.
-    pub fn work(&mut self, _key: &'static str, _n: u64) {}
-
     /// The span nodes, indexable by the ids in [`SpanNode::children`].
     pub fn spans(&self) -> &[SpanNode] {
         &self.spans

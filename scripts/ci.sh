@@ -162,6 +162,21 @@ echo "== Sharded serving (deterministic trace)"
 "$adroute" stress quickstart --sharded --trace "$out/shard-b.jsonl"
 cmp "$out/shard-a.jsonl" "$out/shard-b.jsonl"
 
+echo "== Every line of every exported trace is a JSON object with a kind"
+python3 - "$out/a.jsonl" "$out/s.jsonl" "$out/byz-a.jsonl" "$out/chaos-a.jsonl" \
+    "$out/stress-a.jsonl" "$out/shard-a.jsonl" <<'PY'
+import json, sys
+for path in sys.argv[1:]:
+    with open(path, encoding="utf-8") as f:
+        for n, line in enumerate(f, 1):
+            try:
+                rec = json.loads(line)
+            except ValueError as e:
+                sys.exit(f"{path}:{n}: not JSON ({e}): {line.rstrip()}")
+            if not isinstance(rec, dict) or "kind" not in rec:
+                sys.exit(f"{path}:{n}: no kind: {line.rstrip()}")
+PY
+
 echo "== Examples run"
 for ex in examples/*.rs; do
     name="$(basename "$ex" .rs)"

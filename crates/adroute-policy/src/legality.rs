@@ -20,7 +20,7 @@ use adroute_topology::{AdId, Link, LinkId, Topology};
 
 use crate::class::FlowSpec;
 use crate::db::PolicyDb;
-use crate::terms::RouteSelection;
+use crate::terms::{FlowVerdict, RouteSelection};
 
 /// A legal route found by the oracle.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -236,12 +236,14 @@ struct Search {
 /// The heap orders by `(cost, current, previous)`; the state index rides
 /// along as a function of the last two. Transit policy is evaluated for
 /// `probe`, so every target must get the same verdicts from it as from
-/// its own flow.
+/// its own flow. Each transit AD is asked its `flow_verdict` for `probe`
+/// once, at its first relaxation; only an AD whose verdict turns on the
+/// previous or next AD is evaluated again at every relaxation.
 ///
 /// Kept out of line: inlined into `legal_route_with`, solo searches on a
-/// ~200-AD internet ran about 7 % slower (`micro`'s
-/// `oracle_legal_route_200ads`, median of ten alternated runs, 2-CPU
-/// x86-64 host).
+/// ~200-AD internet ran about 12 % slower (`micro`'s
+/// `oracle_legal_route_200ads`, median ratio of ten alternated runs, 9 of
+/// them slower, 2-CPU x86-64 host).
 #[inline(never)]
 fn search(
     topo: &Topology,
@@ -255,6 +257,7 @@ fn search(
     let mut dist = vec![u64::MAX; num_states(topo)];
     let mut parent = vec![START; num_states(topo)];
     let mut heap: BinaryHeap<Reverse<(u64, AdId, AdId, State)>> = BinaryHeap::new();
+    let mut verdicts: Vec<Option<FlowVerdict>> = vec![None; topo.num_ads()];
     dist[START as usize] = 0;
     heap.push(Reverse((0, src, src, START)));
 
@@ -277,6 +280,13 @@ fn search(
                 }
             }
         }
+        // The source does not evaluate transit policy; any other AD is
+        // asked once per search what the probe flow alone decides.
+        let verdict = if cur == src {
+            FlowVerdict::Fixed(Some(0))
+        } else {
+            *verdicts[cur.index()].get_or_insert_with(|| db.policy(cur).flow_verdict(probe))
+        };
         for (nbr, link) in topo.neighbors(cur) {
             stats.relaxations += 1;
             if nbr == prev && cur != src {
@@ -284,12 +294,14 @@ fn search(
             }
             // The *current* AD (if transit) must permit forwarding from
             // `prev` to `nbr`.
-            let transit_cost = if cur == src {
-                0
-            } else {
-                match db.policy(cur).evaluate(probe, Some(prev), Some(nbr)) {
-                    Some(c) => u64::from(c),
-                    None => continue,
+            let transit_cost = match verdict {
+                FlowVerdict::Fixed(Some(c)) => u64::from(c),
+                FlowVerdict::Fixed(None) => continue,
+                FlowVerdict::PerNeighbor => {
+                    match db.policy(cur).evaluate(probe, Some(prev), Some(nbr)) {
+                        Some(c) => u64::from(c),
+                        None => continue,
+                    }
                 }
             };
             // Source route-selection: never transit an avoided AD. A

@@ -436,6 +436,33 @@ impl TransitPolicy {
         })
     }
 
+    /// What [`TransitPolicy::evaluate`] answers for `flow` over every
+    /// previous and next AD, when the flow alone decides it.
+    ///
+    /// First-match over the flow's own conditions: a term one of whose
+    /// flow conditions fails never matches and is skipped; the first term
+    /// whose flow conditions all hold decides, unless it also conditions
+    /// on the previous or next AD; no such term leaves the default.
+    pub(crate) fn flow_verdict(&self, flow: &FlowSpec) -> FlowVerdict {
+        let on_neighbor = |c: &PolicyCondition| {
+            matches!(c, PolicyCondition::PrevIn(_) | PolicyCondition::NextIn(_))
+        };
+        let decider = self.terms.iter().find(|t| {
+            t.conditions
+                .iter()
+                .all(|c| on_neighbor(c) || c.matches(flow, None, None))
+        });
+        let action = match decider {
+            Some(t) if t.conditions.iter().any(on_neighbor) => return FlowVerdict::PerNeighbor,
+            Some(t) => t.action,
+            None => self.default,
+        };
+        FlowVerdict::Fixed(match action {
+            PolicyAction::Permit { cost } => Some(cost),
+            PolicyAction::Deny => None,
+        })
+    }
+
     /// Approximate encoded size in bytes of the whole policy as advertised.
     pub fn encoded_size(&self) -> usize {
         4 + 1 + self.terms.iter().map(|t| t.encoded_size()).sum::<usize>()
@@ -445,6 +472,17 @@ impl TransitPolicy {
     pub(crate) fn num_terms(&self) -> usize {
         self.terms.len()
     }
+}
+
+/// A transit policy's answer for one flow before the previous and next AD
+/// are known: see [`TransitPolicy::flow_verdict`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum FlowVerdict {
+    /// [`TransitPolicy::evaluate`]'s answer for every previous and next AD.
+    Fixed(Option<u32>),
+    /// The deciding term conditions on the previous or next AD, so each
+    /// traversal is evaluated on its own.
+    PerNeighbor,
 }
 
 /// Source-side route selection criteria (paper Section 2.3: "policies of
@@ -896,6 +934,61 @@ mod proptests {
                 prop_assert_eq!(first.id, pt);
             } else {
                 prop_assert!(p.terms.iter().all(|t| !t.matches(&flow, prev, next)));
+            }
+        }
+
+        /// A fixed flow verdict is what `evaluate` answers for every
+        /// previous and next AD, none included, under terms of all seven
+        /// condition kinds, flow conditions mixed with neighbour ones.
+        #[test]
+        fn flow_verdict_is_exact(seed in 0u64..100_000, nterms in 0usize..6) {
+            use rand::rngs::SmallRng;
+            use rand::{Rng, SeedableRng};
+            const UNIVERSE: u32 = 6;
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let set = |rng: &mut SmallRng| match rng.gen_range(0..4) {
+                0 => AdSet::Any,
+                1 => AdSet::except((0..rng.gen_range(0..3)).map(|_| AdId(rng.gen_range(0..UNIVERSE)))),
+                _ => AdSet::only((0..rng.gen_range(0..4)).map(|_| AdId(rng.gen_range(0..UNIVERSE)))),
+            };
+            let hour = |rng: &mut SmallRng| TimeOfDay::hm(rng.gen_range(0..24), 0);
+            let mut p = TransitPolicy::permit_all(AdId(UNIVERSE - 1));
+            if rng.gen_bool(0.3) {
+                p.default = PolicyAction::Deny;
+            }
+            for _ in 0..nterms {
+                let conds = (0..rng.gen_range(0..4))
+                    .map(|_| match rng.gen_range(0..7) {
+                        0 => PolicyCondition::SrcIn(set(&mut rng)),
+                        1 => PolicyCondition::DstIn(set(&mut rng)),
+                        2 => PolicyCondition::PrevIn(set(&mut rng)),
+                        3 => PolicyCondition::NextIn(set(&mut rng)),
+                        4 => PolicyCondition::QosIn(vec![QosClass(rng.gen_range(0..3))]),
+                        5 => PolicyCondition::UciIn(vec![UserClass(rng.gen_range(0..3))]),
+                        _ => PolicyCondition::TimeWindow(hour(&mut rng), hour(&mut rng)),
+                    })
+                    .collect();
+                let action = if rng.gen_bool(0.5) {
+                    PolicyAction::Deny
+                } else {
+                    PolicyAction::Permit { cost: rng.gen_range(0..9) }
+                };
+                p.push_term(conds, action);
+            }
+            let flow = FlowSpec::best_effort(
+                AdId(rng.gen_range(0..UNIVERSE)),
+                AdId(rng.gen_range(0..UNIVERSE)),
+            )
+            .with_qos(QosClass(rng.gen_range(0..3)))
+            .with_uci(UserClass(rng.gen_range(0..3)))
+            .at(TimeOfDay::hm(rng.gen_range(0..24), rng.gen_range(0..60)));
+            if let FlowVerdict::Fixed(v) = p.flow_verdict(&flow) {
+                let hops = || std::iter::once(None).chain((0..UNIVERSE).map(|a| Some(AdId(a))));
+                for prev in hops() {
+                    for next in hops() {
+                        prop_assert_eq!(p.evaluate(&flow, prev, next), v, "{:?} -> {:?}", prev, next);
+                    }
+                }
             }
         }
     }

@@ -1227,78 +1227,6 @@ impl Obs {
 mod tests {
     use super::*;
 
-    #[test]
-    fn display_matches_legacy_trace_strings() {
-        let cases: Vec<(EventRecord, &str)> = vec![
-            (EventRecord::Start { ad: AdId(0) }, "start AD0"),
-            (
-                EventRecord::MsgDeliver {
-                    from: AdId(0),
-                    to: AdId(1),
-                    link: LinkId(0),
-                },
-                "deliver AD0->AD1 via L0",
-            ),
-            (
-                EventRecord::MsgLost {
-                    from: AdId(2),
-                    to: AdId(3),
-                    link: LinkId(7),
-                },
-                "lost AD2->AD3 via L7",
-            ),
-            (
-                EventRecord::TimerFire {
-                    ad: AdId(1),
-                    token: 99,
-                },
-                "timer AD1 token=99",
-            ),
-            (
-                EventRecord::StaleTimer {
-                    ad: AdId(0),
-                    token: 99,
-                },
-                "stale-timer AD0 token=99",
-            ),
-            (EventRecord::LinkUp { link: LinkId(1) }, "link L1 up"),
-            (EventRecord::LinkDown { link: LinkId(1) }, "link L1 down"),
-            (
-                EventRecord::LinkUpMasked { link: LinkId(4) },
-                "link L4 up-masked",
-            ),
-            (EventRecord::Crash { ad: AdId(5) }, "crash AD5"),
-            (EventRecord::Restart { ad: AdId(5) }, "restart AD5"),
-            (
-                EventRecord::ChanLoss {
-                    from: AdId(0),
-                    to: AdId(1),
-                    link: LinkId(0),
-                },
-                "chan-loss AD0->AD1 via L0",
-            ),
-            (
-                EventRecord::RouteSetupNack {
-                    src: AdId(1),
-                    dst: AdId(2),
-                    reason: "link-down",
-                },
-                "setup-nack AD1->AD2 reason=link-down",
-            ),
-            (
-                EventRecord::RouteSetupRetransmit {
-                    src: AdId(1),
-                    dst: AdId(2),
-                    attempt: 2,
-                },
-                "setup-retransmit AD1->AD2 attempt=2",
-            ),
-        ];
-        for (rec, want) in cases {
-            assert_eq!(rec.to_string(), want);
-        }
-    }
-
     /// A record's ADs are its `AdId` fields in declaration order: the
     /// causal analyses attribute blast radius through them.
     #[test]
@@ -1561,10 +1489,6 @@ mod tests {
             to: AdId(1),
             link: LinkId(2),
         };
-        assert_eq!(
-            rec.to_json(SimTime(1500)),
-            "{\"us\":1500,\"kind\":\"deliver\",\"from\":0,\"to\":1,\"link\":2}"
-        );
         let mut log = EventLog::new(4);
         let root = log.push(SimTime(0), None, EventRecord::Start { ad: AdId(0) });
         assert_eq!(root, Some(EventId(0)));

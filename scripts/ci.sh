@@ -106,6 +106,9 @@ PROPTEST_CASES=2048 cargo test -q --test dv_incremental
 echo "== The route oracle: (current, previous) states, avoid-sets and sweeps against exhaustive search (raised case count)"
 PROPTEST_CASES=1024 cargo test -q --test properties oracle_
 
+echo "== Transit verdicts: one asked per search stands for every previous and next AD (raised case count)"
+PROPTEST_CASES=1024 cargo test -q -p adroute-policy --lib flow_verdict_is_exact
+
 echo "== The shared invariants: flow checker, fault lifecycle and conservation (raised case count)"
 PROPTEST_CASES=256 cargo test -q --test conformance
 PROPTEST_CASES=256 cargo test -q --test conservation

@@ -256,16 +256,19 @@ fn cactus(blocks: u8, rng: &mut SmallRng) -> Topology {
     Topology::new(ads, &edges)
 }
 
-/// Random Policy Terms on the previous and next AD of a traversal (and
-/// sometimes the source), never on the destination, so a sweep shares one
-/// search among its destinations. A term on both the previous and the next
-/// AD is what lets a walk that loops back through an AD beat every simple
-/// path.
+/// Random Policy Terms on the previous and next AD of a traversal, on the
+/// flow alone (its source or QOS), or on both, never on the destination,
+/// so a sweep shares one search among its destinations. A term on both the
+/// previous and the next AD is what lets a walk that loops back through an
+/// AD beat every simple path. Flow-only terms ahead of and behind the
+/// neighbour terms give the search all three kinds of AD: one whose verdict
+/// the flow fixes, one evaluated per neighbour, and one fixed only because
+/// an earlier neighbour term's source condition fails.
 fn neighbor_policies(topo: &Topology, rng: &mut SmallRng) -> PolicyDb {
     let mut db = PolicyDb::permissive(topo);
     for ad in topo.ad_ids() {
         for _ in 0..rng.gen_range(0..4) {
-            let shape = rng.gen_range(0..5);
+            let shape = rng.gen_range(0..7);
             let mut set = || {
                 AdSet::only(
                     topo.ad_ids()
@@ -280,6 +283,8 @@ fn neighbor_policies(topo: &Topology, rng: &mut SmallRng) -> PolicyDb {
                     PolicyCondition::SrcIn(set()),
                     PolicyCondition::NextIn(set()),
                 ],
+                3 => vec![PolicyCondition::SrcIn(set())],
+                4 => vec![PolicyCondition::QosIn(vec![QosClass(rng.gen_range(0..2))])],
                 _ => vec![
                     PolicyCondition::PrevIn(set()),
                     PolicyCondition::NextIn(set()),
